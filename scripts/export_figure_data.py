@@ -15,7 +15,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from walshmap.api import solve
-from walshmap.cli import GRID_HEADER
+from walshmap.cli import grid_csv
 from walshmap.mapping import trace_boundary
 
 SETS = {
@@ -32,14 +32,7 @@ def export(name, pairs, x_range, y_range, outdir, n):
     xs = [x_range[0] + i * (x_range[1] - x_range[0]) / (n - 1) for i in range(n)]
     ys = [y_range[0] + i * (y_range[1] - y_range[0]) / (n - 1) for i in range(n)]
     points = wm.map_grid([complex(x, y) for y in ys for x in xs])
-    rows = [GRID_HEADER]
-    for p in points:
-        if p.result is None:
-            rows.append(f"{p.z.real!r},{p.z.imag!r},,,{p.status},")
-        else:
-            rows.append(f"{p.z.real!r},{p.z.imag!r},{p.result.w.real!r},"
-                        f"{p.result.w.imag!r},{p.status},{p.result.residual!r}")
-    (outdir / f"{name}_grid.csv").write_text("\n".join(rows) + "\n")
+    (outdir / f"{name}_grid.csv").write_text(grid_csv(points))
 
     rows = ["component,w_re,w_im"]
     for j, trace in enumerate(trace_boundary(wm.lemniscatic, 256)):

@@ -37,7 +37,11 @@ def main():
     worst = 0.0
     t0 = time.perf_counter()
     for _ in range(args.count):
-        wm = solve(random_interval_set(rng, args.ell, args.min_length))
+        try:
+            pairs = random_interval_set(rng, args.ell, args.min_length)
+        except ValueError as exc:
+            sys.exit(f"iteration_profile: {exc}")
+        wm = solve(pairs)
         histogram[wm.lemniscatic.outer_iterations] += 1
         dom = wm.lemniscatic
         defect = max(

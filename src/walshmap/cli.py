@@ -17,7 +17,7 @@ from .mapping import trace_boundary
 from .quadrature import QuadConfig
 from .verify import CHECK_NAMES, run_checks
 
-GRID_HEADER = "z_re,z_im,w_re,w_im,status,residual"
+GRID_HEADER = "z_re,z_im,w_re,w_im,status,residual,error"
 
 _INPUT_ERRORS = (errors.OverlapError, errors.DegenerateError, errors.InsideE,
                  errors.NotOnCut, errors.OutsideSupport, errors.PathOnCut,
@@ -181,6 +181,20 @@ def _range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def grid_csv(points) -> str:
+    """CSV text of map_grid points under GRID_HEADER; a failed point's error
+    is quoted, since messages hold commas."""
+    rows = [GRID_HEADER]
+    for p in points:
+        error = "" if p.error is None else '"' + p.error.replace('"', '""') + '"'
+        if p.result is None:
+            rows.append(f"{p.z.real!r},{p.z.imag!r},,,{p.status},,{error}")
+        else:
+            rows.append(f"{p.z.real!r},{p.z.imag!r},{p.result.w.real!r},"
+                        f"{p.result.w.imag!r},{p.status},{p.result.residual!r},")
+    return "\n".join(rows) + "\n"
+
+
 def _cmd_grid(args) -> int:
     if args.nx < 1 or args.ny < 1:
         raise ValueError("grid counts must be >= 1")
@@ -190,18 +204,12 @@ def _cmd_grid(args) -> int:
     zs = [complex(x, y) for y in ys for x in xs]  # row-major in y
     points = wm.map_grid(zs, tol=args.tol)
     if args.format == "csv":
-        rows = [GRID_HEADER]
-        for p in points:
-            if p.result is None:
-                rows.append(f"{p.z.real!r},{p.z.imag!r},,,{p.status},")
-            else:
-                rows.append(f"{p.z.real!r},{p.z.imag!r},{p.result.w.real!r},"
-                            f"{p.result.w.imag!r},{p.status},{p.result.residual!r}")
-        _emit("\n".join(rows) + "\n", args.output)
+        _emit(grid_csv(points), args.output)
     else:
         doc = [{"z": [p.z.real, p.z.imag], "status": p.status,
                 "w": None if p.result is None else [p.result.w.real, p.result.w.imag],
-                "residual": None if p.result is None else p.result.residual}
+                "residual": None if p.result is None else p.result.residual,
+                "error": p.error}
                for p in points]
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0 if any(p.status == "converged" for p in points) else 3

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationDefect, OutsideSupport, PadTooLarge
-from .green import GreenData, _component_weight_fd
+from .green import GreenData, _endpoint_weight_fd
 from .intervals import IntervalUnion, locate
 from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
                          integrate_segment_complex)
@@ -74,7 +74,7 @@ def exponents(E: IntervalUnion, data: GreenData,
     roots = np.asarray(data.roots)
     raw = []
     for j in range(1, ell + 1):
-        lo, hi, weight = _component_weight_fd(E, j)
+        lo, hi, weight = _endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1)
         sign = (-1.0) ** (ell - j)
 
         def fd(x, d_lo, d_hi, sign=sign, weight=weight):

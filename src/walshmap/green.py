@@ -99,37 +99,23 @@ def sqrt_branch_rim(E: IntervalUnion, x, side: int) -> complex:
     return side * 1j * (-1) ** (E.ell - loc.index) * math.sqrt(absH)
 
 
-def _gap_weight_fd(E: IntervalUnion, k: int):
-    """Integrand builder for the bounded gap I_k: 1/sqrt|H| with exact endpoint
+def _endpoint_weight_fd(E: IntervalUnion, i_lo: int, i_hi: int):
+    """Integrand builder for 1/sqrt|H| on [b[i_lo], b[i_hi]] (a bounded gap
+    I_k is (2k-1, 2k), the j-th component (2j-2, 2j-1)) with exact endpoint
     distances; multiply the returned weight by any polynomial factor."""
-    b = E.endpoints
-    lo, hi = b[2 * k - 1], b[2 * k]
-    others = [bj for bj in b if bj != lo and bj != hi]
-    lo_off = [lo - bj for bj in others]
+    b = np.asarray(E.endpoints)
+    lo, hi = b[i_lo], b[i_hi]
+    lo_off = (lo - np.delete(b, [i_lo, i_hi]))[:, None]
 
     def weight(x, d_lo, d_hi):
-        absH = d_lo * d_hi
-        for off in lo_off:
-            absH = absH * np.abs(off + d_lo)
-        return 1.0 / np.sqrt(absH)
+        # row 0 is d_lo * d_hi, so the product runs in the order of a
+        # left-to-right loop over the factors
+        factors = np.empty((len(lo_off) + 1,) + np.shape(d_lo))
+        factors[0] = d_lo * d_hi
+        np.abs(np.add(lo_off, d_lo, out=factors[1:]), out=factors[1:])
+        return 1.0 / np.sqrt(np.prod(factors, axis=0))
 
-    return lo, hi, weight
-
-
-def _component_weight_fd(E: IntervalUnion, j: int):
-    """Same as _gap_weight_fd for the j-th component (1-based)."""
-    b = E.endpoints
-    lo, hi = b[2 * j - 2], b[2 * j - 1]
-    others = [bj for bj in b if bj != lo and bj != hi]
-    lo_off = [lo - bj for bj in others]
-
-    def weight(x, d_lo, d_hi):
-        absH = d_lo * d_hi
-        for off in lo_off:
-            absH = absH * np.abs(off + d_lo)
-        return 1.0 / np.sqrt(absH)
-
-    return lo, hi, weight
+    return float(lo), float(hi), weight
 
 
 def _seed_coeffs(E: IntervalUnion, cfg: QuadConfig) -> np.ndarray:
@@ -147,23 +133,26 @@ def _seed_coeffs(E: IntervalUnion, cfg: QuadConfig) -> np.ndarray:
                        rel_tol=max(cfg.rel_tol / 100.0, 1e-14),
                        max_level=cfg.max_level)
 
-    def moment(lo, hi, fd):
-        try:
-            return integrate_chebyshev(None, lo, hi, tight, fd=fd)
-        except NoConvergence as exc:
-            if exc.estimate is not None and exc.estimate <= cfg.tolerance(exc.best):
-                return exc.best
-            raise
-
     n = ell - 1
+    degrees = np.arange(ell)[:, None]
     moments = np.empty((n, ell))
     for k in range(1, ell):
-        lo, hi, weight = _gap_weight_fd(E, k)
-        for p in range(ell):
-            def fd(x, d_lo, d_hi, p=p, weight=weight):
-                y = np.clip((x - center) / scale, -1.0, 1.0)
-                return np.cos(p * np.arccos(y)) * weight(x, d_lo, d_hi)
-            moments[k - 1, p] = moment(lo, hi, fd)
+        lo, hi, weight = _endpoint_weight_fd(E, 2 * k - 1, 2 * k)
+
+        def fd(x, d_lo, d_hi, weight=weight):
+            y = np.clip((x - center) / scale, -1.0, 1.0)
+            return np.cos(degrees * np.arccos(y)) * weight(x, d_lo, d_hi)
+
+        try:
+            moments[k - 1] = integrate_chebyshev(None, lo, hi, tight, fd=fd)
+        except NoConvergence as exc:
+            # a moment the tight rule misses is kept if it meets cfg; the
+            # converged ones meet the tight tolerance and are kept as they are
+            ok = exc.estimate <= np.maximum(cfg.tolerance(exc.best),
+                                            tight.tolerance(exc.best))
+            if not np.all(ok):
+                raise
+            moments[k - 1] = exc.best
 
     # monic leading monomial fixes the top Chebyshev coefficient; narrow gaps
     # carry huge 1/sqrt|H| weight, so equilibrate the rows before elimination
@@ -181,33 +170,42 @@ def _seed_coeffs(E: IntervalUnion, cfg: QuadConfig) -> np.ndarray:
     return poly_x.coef / poly_x.coef[-1]  # enforce exact monicity
 
 
-def _root_products(x, roots, skip=None):
-    out = np.ones_like(x)
-    for j, zj in enumerate(roots):
-        if j != skip:
-            out = out * (x - zj)
-    return out
-
-
 def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig, want_jacobian=True):
     """Residuals F_i = integral over gap i of prod(x - z_k)/sqrt|H| and the
-    Jacobian dF_i/dz_j = -integral of the product with factor j removed."""
+    Jacobian dF_i/dz_j = -integral of the product with factor j removed.
+
+    One vector-valued quadrature per gap integrates F_i and its Jacobian row
+    on a shared node set; the leave-one-out products come from prefix and
+    suffix products, so no factor is divided out.
+    """
     ell = E.ell
     n = ell - 1
+    roots = np.asarray(roots, dtype=float)[:, None]
     F = np.empty(n)
     J = np.empty((n, n)) if want_jacobian else None
     for i in range(1, ell):
-        lo, hi, weight = _gap_weight_fd(E, i)
+        lo, hi, weight = _endpoint_weight_fd(E, 2 * i - 1, 2 * i)
 
-        def fd(x, d_lo, d_hi, skip=None):
-            return _root_products(x, roots, skip) * weight(x, d_lo, d_hi)
+        def fd(x, d_lo, d_hi, weight=weight):
+            factors = x - roots
+            prefix = np.cumprod(factors, axis=0)
+            if not want_jacobian:
+                return prefix[-1] * weight(x, d_lo, d_hi)
+            # row 0: the full product; row 1 + j: the product without factor
+            # j, as (factors before j) * (factors after j)
+            rows = np.ones((n + 1,) + x.shape)
+            rows[0] = prefix[-1]
+            rows[2:] = prefix[:-1]
+            rows[1:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
+            rows *= weight(x, d_lo, d_hi)
+            return rows
 
-        F[i - 1] = integrate_chebyshev(None, lo, hi, cfg, fd=fd)
+        out = integrate_chebyshev(None, lo, hi, cfg, fd=fd)
         if want_jacobian:
-            for j in range(n):
-                J[i - 1, j] = -integrate_chebyshev(
-                    None, lo, hi, cfg,
-                    fd=lambda x, d_lo, d_hi, j=j: fd(x, d_lo, d_hi, skip=j))
+            F[i - 1] = out[0]
+            J[i - 1] = -out[1:]
+        else:
+            F[i - 1] = out
     return F, J
 
 

@@ -65,165 +65,156 @@ def _green_scalar(w, a, m, cap) -> float:
     return total
 
 
+def _green_values(w, a, m, cap):
+    """g at every point of the real or complex array w, for centers a and
+    masses m as arrays."""
+    d = np.abs(w[..., None] - a)
+    if np.any(d == 0.0):
+        raise PoleAtCenter("Green's function evaluated at a center")
+    return np.log(d) @ m - math.log(cap)
+
+
+def _deriv_values(w, a, m):
+    """sum m_j / (w - a_j) at every point of the array w."""
+    return (1.0 / (w[..., None] - a)) @ m
+
+
 def green(w, dom: LemniscaticDomain):
     """g(w) = sum m_j log|w - a_j| - log(capacity); harmonic off the centers."""
     arr = np.asarray(w, dtype=complex)
     if arr.ndim == 0:
         return _green_scalar(complex(w), dom.centers, dom.exponents.m, dom.capacity)
-    d = np.abs(arr[..., None] - np.asarray(dom.centers))
-    if np.any(d == 0.0):
-        raise PoleAtCenter("Green's function evaluated at a center")
-    return np.log(d) @ np.asarray(dom.exponents.m) - math.log(dom.capacity)
+    return _green_values(arr, np.asarray(dom.centers), np.asarray(dom.exponents.m),
+                         dom.capacity)
 
 
 def green_deriv(w, dom: LemniscaticDomain):
     """Twice the Wirtinger derivative: sum m_j / (w - a_j)."""
     arr = np.asarray(w, dtype=complex)
-    d = arr[..., None] - np.asarray(dom.centers)
-    if np.any(d == 0.0):
+    if np.any(arr[..., None] == np.asarray(dom.centers)):
         raise PoleAtCenter("derivative evaluated at a center")
-    out = (1.0 / d) @ np.asarray(dom.exponents.m)
+    out = _deriv_values(arr, np.asarray(dom.centers), np.asarray(dom.exponents.m))
     return complex(out) if out.ndim == 0 else out
-
-
-def _deriv_raw(w, a, m):
-    return math.fsum(mj / (w - aj) for aj, mj in zip(a, m))
 
 
 def crit_points(a, m) -> np.ndarray:
     """Critical points of the Green's function of the lemniscatic domain, one
-    per interval (a_k, a_{k+1}): zeros of sum m_j prod_{i != j} (w - a_i).
+    per interval (a_k, a_{k+1}): zeros of f(w) = sum m_j / (w - a_j).
 
-    Bisection on the derivative sign change followed by Newton polish on the
-    polynomial form (which has no poles at the centers).
+    f falls from +inf to -inf across each interval.  All ell - 1 brackets,
+    set just inside the centers, are bisected at once on the sign of f (90
+    halvings, or fewer once every bracket is down to adjacent floats and
+    halving cannot move it), then polished by three Newton steps on f with
+    f' = -sum m_j / (w - a_j)^2.  A root's polish ends at a zero f' or at a
+    step longer than its interval, and every root is clamped into its
+    interval.  Raises BracketFailure when f does not change sign on a
+    bracket.
     """
-    a = [float(v) for v in a]
-    m = [float(v) for v in m]
-    ell = len(a)
-
-    def poly(w):
-        return math.fsum(
-            m[j] * math.prod(w - a[i] for i in range(ell) if i != j)
-            for j in range(ell))
-
-    def dpoly(w):
-        total = 0.0
-        for j in range(ell):
-            for skip in range(ell):
-                if skip == j:
-                    continue
-                total += m[j] * math.prod(
-                    w - a[i] for i in range(ell) if i != j and i != skip)
-        return total
-
-    out = []
-    for k in range(ell - 1):
-        width = a[k + 1] - a[k]
-        lo = max(a[k] + 1e-14 * width, float(np.nextafter(a[k], a[k + 1])))
-        hi = min(a[k + 1] - 1e-14 * width, float(np.nextafter(a[k + 1], a[k])))
-        flo = _deriv_raw(lo, a, m)  # +inf side: positive
-        fhi = _deriv_raw(hi, a, m)
-        if not (flo > 0 > fhi):
-            raise BracketFailure(f"derivative does not change sign in ({a[k]}, {a[k + 1]})")
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if _deriv_raw(mid, a, m) > 0:
-                lo = mid
-            else:
-                hi = mid
-        w = 0.5 * (lo + hi)
-        for _ in range(3):
-            d = dpoly(w)
-            if d == 0.0:
-                break
-            step = poly(w) / d
-            if abs(step) > width:
-                break
-            w -= step
-        out.append(min(max(w, a[k]), a[k + 1]))
-    return np.array(out)
-
-
-def _bisect_green_zero(a, m, cap, lo, hi, f_lo_positive):
-    """Zero of the Green's function on (lo, hi) given the sign at lo."""
-    def g(w):
-        return _green_scalar(w, a, m, cap)
-
-    if (g(lo) > 0) != f_lo_positive:
-        raise BracketFailure(f"no bracket for a boundary zero on ({lo}, {hi})")
-    x0, x1 = lo, hi
+    a = np.asarray(a, dtype=float)
+    m = np.asarray(m, dtype=float)
+    left, right = a[:-1], a[1:]
+    width = right - left
+    lo = np.maximum(left + 1e-14 * width, np.nextafter(left, right))
+    hi = np.minimum(right - 1e-14 * width, np.nextafter(right, left))
+    bracketed = (_deriv_values(lo, a, m) > 0) & (_deriv_values(hi, a, m) < 0)
+    if not np.all(bracketed):
+        k = int(np.argmin(bracketed))
+        raise BracketFailure(
+            f"derivative does not change sign in ({left[k]}, {right[k]})")
     for _ in range(90):
-        mid = 0.5 * (x0 + x1)
-        if (g(mid) > 0) == f_lo_positive:
-            x0 = mid
-        else:
-            x1 = mid
-    w = 0.5 * (x0 + x1)
-    for _ in range(2):
-        d = _deriv_raw(w, a, m)
-        if d != 0.0 and np.isfinite(d):
-            w -= g(w) / d
-    return w
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break  # adjacent floats: further halvings cannot move w
+        positive = _deriv_values(mid, a, m) > 0
+        lo = np.where(positive, mid, lo)
+        hi = np.where(positive, hi, mid)
+    w = 0.5 * (lo + hi)
+    polishing = np.ones(w.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            inv = 1.0 / (w[:, None] - a)
+            step = (inv @ m) / -((inv * inv) @ m)
+            polishing &= np.abs(step) <= width  # false for a zero f' (nan/inf)
+            w = np.where(polishing, w - step, w)
+    return np.clip(w, left, right)
 
 
 def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     """Real zeros c_1 < ... < c_{2l} of the Green's function of C \\ L.
 
-    The outermost zeros are bracketed by doubling an outward step until the
-    Green's function turns positive; interior pairs are bracketed against the
-    critical points, where the Green's function must be positive.
+    Each zero is bracketed by a point where g > 0 and one where g < 0.  The
+    positive ends: for the outermost zeros an outward step from a_1 (a_ell),
+    doubled until g turns positive; for the interior pair of each interval
+    (a_k, a_{k+1}) its critical point, where g must be positive.  The
+    negative ends: halving from the positive end toward the nearest center,
+    where g -> -inf.  All 2 ell brackets are then bisected at once (90
+    halvings, or fewer once every bracket is down to adjacent floats) and
+    polished by two Newton steps.  Raises BracketFailure when a
+    bracket cannot be formed.
     """
-    a = [float(v) for v in a]
-    m = [float(v) for v in m]
-    ell = len(a)
+    a = np.asarray(a, dtype=float)
+    m = np.asarray(m, dtype=float)
+    ell = a.size
     if crit is None:
         crit = crit_points(a, m)
+    crit = np.asarray(crit, dtype=float)
 
     def g(w):
-        return _green_scalar(w, a, m, cap)
+        return _green_values(w, a, m, cap)
 
-    def inward_negative(center, toward):
-        # point between center and `toward` where g < 0 (exists: g -> -inf)
-        x = toward
-        for _ in range(1100):
-            x = center + 0.5 * (x - center)
-            if x == center:
-                raise BracketFailure("bracket collapsed onto a center")
-            if g(x) < 0:
-                return x
-        raise BracketFailure(f"no negative value of g found near center {center}")
-
-    out = []
-    # leftmost zero
-    r = max(cap, 1e-12)
+    # outermost positive ends, left and right at once
+    ends = a[[0, -1]]
+    outward = np.array([-1.0, 1.0])
+    r = np.full(2, max(cap, 1e-12))
     for _ in range(200):
-        if g(a[0] - r) > 0:
+        positive = g(ends + outward * r) > 0
+        if positive.all():
             break
-        r *= 2.0
+        r = np.where(positive, r, 2.0 * r)
     else:
-        raise BracketFailure("g stayed nonpositive arbitrarily far left")
-    neg = inward_negative(a[0], a[0] - r)
-    out.append(_bisect_green_zero(a, m, cap, a[0] - r, neg, True))
-    # interior pairs around each critical point
-    for k in range(ell - 1):
-        if g(crit[k]) <= 0:
-            raise BracketFailure(
-                f"Green's function nonpositive at critical point {crit[k]}")
-        neg = inward_negative(a[k], crit[k])
-        out.append(_bisect_green_zero(a, m, cap, neg, crit[k], False))
-        neg = inward_negative(a[k + 1], crit[k])
-        out.append(_bisect_green_zero(a, m, cap, crit[k], neg, True))
-    # rightmost zero
-    r = max(cap, 1e-12)
-    for _ in range(200):
-        if g(a[-1] + r) > 0:
+        side = "left" if not positive[0] else "right"
+        raise BracketFailure(f"g stayed nonpositive arbitrarily far {side}")
+    nonpositive = g(crit) <= 0
+    if np.any(nonpositive):
+        k = int(np.argmax(nonpositive))
+        raise BracketFailure(f"Green's function nonpositive at critical point {crit[k]}")
+    pos = np.concatenate(([a[0] - r[0]], np.repeat(crit, 2), [a[-1] + r[1]]))
+    # negative ends: halve from the positive end toward the nearest center
+    center = np.repeat(a, 2)
+    neg = pos.copy()
+    searching = np.arange(2 * ell)
+    for _ in range(1100):
+        neg[searching] = center[searching] + 0.5 * (neg[searching] - center[searching])
+        if np.any(neg[searching] == center[searching]):
+            raise BracketFailure("bracket collapsed onto a center")
+        searching = searching[~(g(neg[searching]) < 0)]
+        if searching.size == 0:
             break
-        r *= 2.0
     else:
-        raise BracketFailure("g stayed nonpositive arbitrarily far right")
-    neg = inward_negative(a[-1], a[-1] + r)
-    out.append(_bisect_green_zero(a, m, cap, neg, a[-1] + r, False))
-    return np.array(out)
+        raise BracketFailure(
+            f"no negative value of g found near center {center[searching[0]]}")
+    # zeros alternate: g falls through c_1, c_3, ... and rises through c_2, ...
+    falling = np.arange(2 * ell) % 2 == 0
+    x0 = np.where(falling, pos, neg)
+    x1 = np.where(falling, neg, pos)
+    mismatched = (g(x0) > 0) != falling
+    if np.any(mismatched):
+        k = int(np.argmax(mismatched))
+        raise BracketFailure(f"no bracket for a boundary zero on ({x0[k]}, {x1[k]})")
+    for _ in range(90):
+        mid = 0.5 * (x0 + x1)
+        if np.all((mid == x0) | (mid == x1)):
+            break  # adjacent floats: further halvings cannot move w
+        keep_lo = (g(mid) > 0) == falling
+        x0 = np.where(keep_lo, mid, x0)
+        x1 = np.where(keep_lo, x1, mid)
+    w = 0.5 * (x0 + x1)
+    for _ in range(2):
+        with np.errstate(divide="ignore"):
+            d = _deriv_values(w, a, m)
+        ok = (d != 0.0) & np.isfinite(d)
+        w[ok] -= g(w[ok]) / d[ok]
+    return w
 
 
 def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):

@@ -200,9 +200,13 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
 
 @dataclass(frozen=True)
 class GridPoint:
+    """One point of a batch.  A failed point carries its error as
+    "<exception type>: <message>"."""
+
     z: complex
     status: str  # converged | skipped | failed
     result: MapResult | None = None
+    error: str | None = None
 
 
 def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
@@ -216,8 +220,8 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
             out.append(GridPoint(z, "converged", map_point(z, E, dom, data, tol, cfg)))
         except InsideE:
             out.append(GridPoint(z, "skipped"))
-        except WalshMapError:
-            out.append(GridPoint(z, "failed"))
+        except WalshMapError as exc:
+            out.append(GridPoint(z, "failed", error=f"{type(exc).__name__}: {exc}"))
     return out
 
 

@@ -3,6 +3,12 @@
 All rules double their node count until two successive estimates agree to
 tolerance.  Integrands must accept numpy arrays (vectorized evaluation).
 
+The Chebyshev rule also takes vector-valued integrands, returning a (K, m)
+block for m nodes: the K components share one node set and each stops on
+its own, keeping the estimate of the first level at which it met the
+tolerance.  Its nodes reach the integrand in blocks of at most 1024, so a
+K-row integrand never holds more than K x 1024 values at once.
+
 * inverse-square-root endpoint singularities on a finite interval
   -> cosine substitution + Gauss-Chebyshev midpoint rule,
 * semi-infinite tails with O(1/x^2) decay and an inverse-square-root
@@ -54,11 +60,46 @@ class QuadConfig:
 DEFAULT_CONFIG = QuadConfig()
 
 
+# nodes per integrand call: bounds the (K, block) temporaries of vector rules,
+# whose peaks otherwise stay in the resident memory of the process
+_CHEB_BLOCK = 1024
+
+
+def _chebyshev_sum(f, fd, mid, hw, n):
+    """Midpoint-rule sum at n nodes, evaluated in node blocks.
+
+    The block sums are added pairwise, which for n a power-of-two multiple
+    of the block is numpy's pairwise summation of all n terms at once: a
+    running total would add up to n / 1024 roundings, enough to stall the
+    tightest tolerances.
+    """
+    sums = []
+    for start in range(0, n, _CHEB_BLOCK):
+        t = (np.arange(start, min(n, start + _CHEB_BLOCK)) + 0.5) * (np.pi / n)
+        # endpoint distances computed in t, free of 1 - cos(t) cancellation
+        d_lo = 2.0 * hw * np.cos(0.5 * t) ** 2
+        d_hi = 2.0 * hw * np.sin(0.5 * t) ** 2
+        x = mid + hw * np.cos(t)
+        vals = fd(x, d_lo, d_hi) if fd is not None else f(x)
+        sums.append(np.sum(vals * (hw * np.sin(t)), axis=-1))
+    while len(sums) > 1:
+        sums = [sum(sums[i:i + 2]) for i in range(0, len(sums), 2)]
+    return sums[0] * (np.pi / n)
+
+
 def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     """Integrate f over [lo, hi], tolerating 1/sqrt singularities at both ends.
 
     The substitution x = mid + hw*cos(t) turns the endpoint singularities into
     a smooth integrand in t, summed by the midpoint rule with doubling N.
+
+    The integrand may be vector-valued: given m nodes it returns either m
+    values or a (K, m) block, and the rule then integrates all K components
+    on one shared node set.  Stopping is per component: each keeps the
+    estimate of the first level at which it met the tolerance, and doubling
+    goes on until every component has, so each component equals what a
+    scalar call on it alone returns.  Nodes are passed to the integrand in
+    blocks of at most 1024, whose sums are accumulated.
 
     Parameters
     ----------
@@ -72,6 +113,11 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
         d_hi = hi - x are supplied to full precision.
     with_estimate : bool
         Also return the doubling error estimate |last - previous|.
+
+    Returns a float for a scalar integrand and an array of K estimates (and
+    K error estimates) for a (K, m) one.  NoConvergence carries ``best`` and
+    ``estimate`` in the same shape: a converged component's kept value and
+    estimate, an unconverged one's last.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not hi > lo:
@@ -80,25 +126,38 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     hw = 0.5 * (hi - lo)
 
     prev = None
-    err = np.inf
     n = 16
     for _ in range(cfg.max_level + 1):
-        t = (np.arange(n) + 0.5) * (np.pi / n)
-        # endpoint distances computed in t, free of 1 - cos(t) cancellation
-        d_lo = 2.0 * hw * np.cos(0.5 * t) ** 2
-        d_hi = 2.0 * hw * np.sin(0.5 * t) ** 2
-        x = mid + hw * np.cos(t)
-        vals = fd(x, d_lo, d_hi) if fd is not None else f(x)
-        est = float(np.sum(vals * (hw * np.sin(t)))) * (np.pi / n)
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= cfg.tolerance(est):
-                return (est, err) if with_estimate else est
+        raw = _chebyshev_sum(f, fd, mid, hw, n)
+        est = np.atleast_1d(raw)
+        if prev is None:
+            value = est.copy()
+            error = np.full(est.shape, np.inf)
+            done = np.zeros(est.shape, dtype=bool)
+        else:
+            err = np.abs(est - prev)
+            new = ~done & (err <= cfg.tolerance(est))
+            value[new] = est[new]
+            error[new] = err[new]
+            done |= new
+            if done.all():
+                break
         prev = est
         n *= 2
-    raise NoConvergence(
-        f"Chebyshev rule did not reach tolerance on [{lo}, {hi}] "
-        f"(last estimate {prev!r})", best=prev, estimate=err)
+    else:
+        best = np.where(done, value, prev)
+        estimate = np.where(done, error, err)
+        if np.ndim(raw) == 0:
+            best, estimate = float(best[0]), float(estimate[0])
+            last = repr(best)
+        else:
+            last = f"{int(np.sum(~done))} of {done.size} components unconverged"
+        raise NoConvergence(
+            f"Chebyshev rule did not reach tolerance on [{lo}, {hi}] "
+            f"(last estimate {last})", best=best, estimate=estimate)
+    if np.ndim(raw) == 0:
+        value, error = float(value[0]), float(error[0])
+    return (value, error) if with_estimate else value
 
 
 # tanh-sinh truncation: exp(-2q(TMAX)) ~ 5e-38 keeps every node representable

@@ -186,6 +186,11 @@ def _check_table1(cfg, abstol, reltol, seed):
     return ok, "; ".join(details)
 
 
+# at min_length = 1e-2 a draw is kept with probability about 0.14 at
+# ell = 10 and 1.5e-4 at ell = 20; at ell = 30 practically never
+_MAX_DRAWS = 10_000
+
+
 def random_interval_set(rng, ell: int, min_length: float = 1e-2):
     """Sorted 2*ell uniform draws on [-1, 1]; redraw while any component or
     gap is shorter than min_length.
@@ -195,10 +200,14 @@ def random_interval_set(rng, ell: int, min_length: float = 1e-2):
     still converge but can take a few steps more (covered by a robustness
     test rather than this battery).
     """
-    while True:
+    for _ in range(_MAX_DRAWS):
         b = np.sort(rng.uniform(-1.0, 1.0, size=2 * ell))
         if np.min(np.diff(b)) >= min_length:
             return [[b[2 * j], b[2 * j + 1]] for j in range(ell)]
+    raise ValueError(
+        f"no draw of {ell} intervals on [-1, 1] kept every component and gap "
+        f">= min_length {min_length} in {_MAX_DRAWS} draws; lower ell or "
+        f"min_length")
 
 
 def _stress(cfg, abstol, reltol, seed, ell, count):

@@ -1,0 +1,149 @@
+"""Scalar reference versions of the L-side root finders.
+
+These are the per-root loops that lemniscatic.crit_points and
+lemniscatic.boundary_abscissae replaced with array-wide bisection; they stay
+here as oracles for the array versions.
+"""
+
+import math
+
+import numpy as np
+
+from walshmap.errors import BracketFailure, PoleAtCenter
+
+
+def green_scalar(w, a, m, cap):
+    total = -math.log(cap)
+    for aj, mj in zip(a, m):
+        d = abs(w - aj)
+        if d == 0.0:
+            raise PoleAtCenter(f"Green's function evaluated at center {aj}")
+        total += mj * math.log(d)
+    return total
+
+
+def deriv_scalar(w, a, m):
+    return math.fsum(mj / (w - aj) for aj, mj in zip(a, m))
+
+
+def crit_points(a, m):
+    """Bisection on the sign of sum m_j/(w - a_j), one gap at a time, then
+    Newton polish on the polynomial form sum m_j prod_{i != j} (w - a_i)."""
+    a = [float(v) for v in a]
+    m = [float(v) for v in m]
+    ell = len(a)
+
+    def poly(w):
+        return math.fsum(
+            m[j] * math.prod(w - a[i] for i in range(ell) if i != j)
+            for j in range(ell))
+
+    def dpoly(w):
+        total = 0.0
+        for j in range(ell):
+            for skip in range(ell):
+                if skip == j:
+                    continue
+                total += m[j] * math.prod(
+                    w - a[i] for i in range(ell) if i != j and i != skip)
+        return total
+
+    out = []
+    for k in range(ell - 1):
+        width = a[k + 1] - a[k]
+        lo = max(a[k] + 1e-14 * width, float(np.nextafter(a[k], a[k + 1])))
+        hi = min(a[k + 1] - 1e-14 * width, float(np.nextafter(a[k + 1], a[k])))
+        flo = deriv_scalar(lo, a, m)
+        fhi = deriv_scalar(hi, a, m)
+        if not (flo > 0 > fhi):
+            raise BracketFailure(f"derivative does not change sign in ({a[k]}, {a[k + 1]})")
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if deriv_scalar(mid, a, m) > 0:
+                lo = mid
+            else:
+                hi = mid
+        w = 0.5 * (lo + hi)
+        for _ in range(3):
+            d = dpoly(w)
+            if d == 0.0:
+                break
+            step = poly(w) / d
+            if abs(step) > width:
+                break
+            w -= step
+        out.append(min(max(w, a[k]), a[k + 1]))
+    return np.array(out)
+
+
+def _bisect_green_zero(a, m, cap, lo, hi, f_lo_positive):
+    def g(w):
+        return green_scalar(w, a, m, cap)
+
+    if (g(lo) > 0) != f_lo_positive:
+        raise BracketFailure(f"no bracket for a boundary zero on ({lo}, {hi})")
+    x0, x1 = lo, hi
+    for _ in range(90):
+        mid = 0.5 * (x0 + x1)
+        if (g(mid) > 0) == f_lo_positive:
+            x0 = mid
+        else:
+            x1 = mid
+    w = 0.5 * (x0 + x1)
+    for _ in range(2):
+        d = deriv_scalar(w, a, m)
+        if d != 0.0 and np.isfinite(d):
+            w -= g(w) / d
+    return w
+
+
+def boundary_abscissae(a, m, cap, crit=None):
+    """Each real zero of g bracketed and bisected on its own: the outermost
+    by outward doubling, the interior pairs against the critical points."""
+    a = [float(v) for v in a]
+    m = [float(v) for v in m]
+    ell = len(a)
+    if crit is None:
+        crit = crit_points(a, m)
+
+    def g(w):
+        return green_scalar(w, a, m, cap)
+
+    def inward_negative(center, toward):
+        x = toward
+        for _ in range(1100):
+            x = center + 0.5 * (x - center)
+            if x == center:
+                raise BracketFailure("bracket collapsed onto a center")
+            if g(x) < 0:
+                return x
+        raise BracketFailure(f"no negative value of g found near center {center}")
+
+    out = []
+    r = max(cap, 1e-12)
+    for _ in range(200):
+        if g(a[0] - r) > 0:
+            break
+        r *= 2.0
+    else:
+        raise BracketFailure("g stayed nonpositive arbitrarily far left")
+    neg = inward_negative(a[0], a[0] - r)
+    out.append(_bisect_green_zero(a, m, cap, a[0] - r, neg, True))
+    for k in range(ell - 1):
+        if g(crit[k]) <= 0:
+            raise BracketFailure(
+                f"Green's function nonpositive at critical point {crit[k]}")
+        neg = inward_negative(a[k], crit[k])
+        out.append(_bisect_green_zero(a, m, cap, neg, crit[k], False))
+        neg = inward_negative(a[k + 1], crit[k])
+        out.append(_bisect_green_zero(a, m, cap, crit[k], neg, True))
+    r = max(cap, 1e-12)
+    for _ in range(200):
+        if g(a[-1] + r) > 0:
+            break
+        r *= 2.0
+    else:
+        raise BracketFailure("g stayed nonpositive arbitrarily far right")
+    neg = inward_negative(a[-1], a[-1] + r)
+    out.append(_bisect_green_zero(a, m, cap, neg, a[-1] + r, False))
+    return np.array(out)

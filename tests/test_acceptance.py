@@ -7,7 +7,10 @@ so `pytest -v tests/test_acceptance.py` reads as a per-criterion report.
 
 import time
 
-from walshmap.verify import run_checks
+import numpy as np
+import pytest
+
+from walshmap.verify import random_interval_set, run_checks
 
 
 def run(name, **kwargs):
@@ -71,3 +74,25 @@ def test_criterion_8_touching_interval_remark():
     # independently computed reference to 1e-10; the report flags that the
     # second center falls outside its component
     run("final_remark")
+
+
+def test_random_interval_set_gives_up_on_unreachable_floor():
+    # 30 components with every length >= 1e-2 on [-1, 1]: practically no
+    # uniform draw qualifies, so the sampler must stop and say why
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"30 intervals.*min_length 0\.01"):
+        random_interval_set(np.random.default_rng(0), 30)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_random_interval_set_draws_unchanged_by_the_cap():
+    def unbounded(rng, ell, min_length=1e-2):
+        while True:
+            b = np.sort(rng.uniform(-1.0, 1.0, size=2 * ell))
+            if np.min(np.diff(b)) >= min_length:
+                return [[b[2 * j], b[2 * j + 1]] for j in range(ell)]
+
+    for ell in (5, 10):
+        capped, plain = np.random.default_rng(ell), np.random.default_rng(ell)
+        for _ in range(20):
+            assert random_interval_set(capped, ell) == unbounded(plain, ell)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -139,6 +141,20 @@ def test_grid_deterministic(tmp_path, capsys):
     run_cli(capsys, *args, "--output", str(f1))
     run_cli(capsys, *args, "--output", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_grid_failed_rows_carry_the_error(capsys):
+    args = ("grid", "--intervals=-1,-0.3;0.1,1", "--x-range=-1.5,3",
+            "--y-range=1e-6,1", "--nx", "2", "--ny", "1")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["status"] for r in rows] == ["failed", "converged"]
+    assert rows[0]["error"].startswith("NoConvergence: segment rule")
+    assert rows[1]["error"] == ""
+    code, out, _ = run_cli(capsys, *args, "--format", "doc")
+    doc = json.loads(out)
+    assert doc[0]["error"] == rows[0]["error"] and doc[1]["error"] is None
 
 
 def test_grid_all_skipped_exits_3(capsys):

@@ -302,3 +302,46 @@ def test_rational_fit_on_computed_preimage_masses():
 
 def test_rational_fit_single():
     assert rational_mass_fit([1.0]) == (1, (1,))
+
+
+def test_gap_system_vector_rows_match_scalar_calls(three_interval, monkeypatch):
+    import walshmap.green as green
+    from walshmap.green import _endpoint_weight_fd, _gap_system
+    from walshmap.quadrature import integrate_chebyshev
+
+    E = three_interval.domain
+    b = E.endpoints
+    roots = np.array([0.4 * b[2 * k - 1] + 0.6 * b[2 * k] for k in range(1, E.ell)])
+    blocks = []
+
+    def recording(f, lo, hi, cfg=None, **kwargs):
+        blocks.append((lo, hi, kwargs["fd"]))
+        return integrate_chebyshev(f, lo, hi, cfg, **kwargs)
+
+    monkeypatch.setattr(green, "integrate_chebyshev", recording)
+    F, J = _gap_system(E, roots, green.DEFAULT_CONFIG)
+    monkeypatch.undo()
+    assert len(blocks) == E.ell - 1  # one vector-valued call per gap
+    n = E.ell - 1
+    for i, (lo, hi, fd) in enumerate(blocks):
+        # the same (K, m) integrand, integrated one row at a time
+        rows = [integrate_chebyshev(None, lo, hi, fd=lambda x, dl, dh, r=r: fd(x, dl, dh)[r])
+                for r in range(n + 1)]
+        np.testing.assert_array_max_ulp(F[i], rows[0], maxulp=2)
+        np.testing.assert_array_max_ulp(J[i], -np.array(rows[1:]), maxulp=2)
+        # and the products written out factor by factor
+        _, _, weight = _endpoint_weight_fd(E, 2 * i + 1, 2 * i + 2)
+
+        def product(x, d_lo, d_hi, skip=None):
+            out = weight(x, d_lo, d_hi)
+            for j, z in enumerate(roots):
+                if j != skip:
+                    out = out * (x - z)
+            return out
+
+        assert F[i] == pytest.approx(integrate_chebyshev(None, lo, hi, fd=product),
+                                     rel=1e-13)
+        for j in range(n):
+            direct = -integrate_chebyshev(
+                None, lo, hi, fd=lambda x, dl, dh, j=j: product(x, dl, dh, skip=j))
+            assert J[i, j] == pytest.approx(direct, rel=1e-13)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshmap.api import solve
-from walshmap.errors import PoleAtCenter
+from walshmap.errors import BracketFailure, PoleAtCenter
 from walshmap.lemniscatic import (LemniscaticDomain, boundary_abscissae,
                                   centers_general, centers_three, centers_two,
                                   crit_points, green, green_deriv)
 
 import reference_values as ref
+import scalar_oracles as oracle
 
 
 def disk_domain():
@@ -89,6 +90,53 @@ def test_crit_points_against_companion_oracle():
         poly += m[j] * pj
     oracle = np.sort(np.roots(poly[::-1]).real)
     assert np.max(np.abs(np.sort(got) - oracle)) < 1e-10
+
+
+@st.composite
+def lemniscatic_data(draw):
+    """Centers with spacings in [0.05, 1], masses in [0.05, 1] (one of them
+    negative in some draws, which leaves a critical-point bracket without a
+    sign change), and a capacity set by the margin by which g stays positive
+    at the lowest critical point (negative margins leave no boundary
+    bracket)."""
+    ell = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=ell - 1, max_size=ell - 1))
+    a = draw(st.floats(-3.0, 3.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    m = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=ell, max_size=ell)))
+    m /= m.sum()
+    if draw(st.integers(0, 9)) == 0:
+        m[draw(st.integers(0, ell - 1))] *= -1.0
+    margin = draw(st.one_of(st.floats(-1.0, -0.05), st.floats(0.05, 2.0)))
+    return a, m, margin
+
+
+def _agree(new, old):
+    scale = max(float(np.max(np.abs(old))), 1e-300)
+    return float(np.max(np.abs(new - old))) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(lemniscatic_data())
+def test_array_root_finders_match_scalar_oracles(data):
+    a, m, margin = data
+    try:
+        w_ref = oracle.crit_points(a, m)
+    except BracketFailure:
+        with pytest.raises(BracketFailure):
+            crit_points(a, m)
+        return
+    w = crit_points(a, m)
+    if w.size:
+        assert _agree(w, w_ref)
+    g0 = min((oracle.green_scalar(wk, a, m, 1.0) for wk in w_ref), default=0.0)
+    cap = math.exp(g0 - margin)
+    try:
+        c_ref = oracle.boundary_abscissae(a, m, cap, crit=w_ref)
+    except BracketFailure:
+        with pytest.raises(BracketFailure):
+            boundary_abscissae(a, m, cap, crit=w_ref)
+        return
+    assert _agree(boundary_abscissae(a, m, cap, crit=w_ref), c_ref)
 
 
 def test_boundary_abscissae_disk():

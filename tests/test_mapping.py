@@ -120,6 +120,15 @@ def test_grid_statuses_and_green_identity(two_interval):
         assert abs(g_e - green_level(p.result.w, wm.lemniscatic)) < 1e-9
 
 
+def test_grid_failed_point_carries_its_error(two_interval):
+    # near-axis point left of b_4: the straight path from b_4 passes within
+    # 1e-6 of the branch points, and the segment rule gives up
+    failed, ok = two_interval.map_grid([complex(-1.5, 1e-6), complex(0.0, 0.5)])
+    assert failed.status == "failed" and failed.result is None
+    assert failed.error.startswith("NoConvergence: segment rule did not reach tolerance")
+    assert ok.status == "converged" and ok.error is None
+
+
 def test_grid_empty():
     from walshmap.api import solve
     wm = solve([[-1, 1]])

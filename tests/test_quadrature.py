@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshmap.errors import NoConvergence
-from walshmap.quadrature import (QuadConfig, integrate_chebyshev,
+from walshmap.quadrature import (_CHEB_BLOCK, QuadConfig, _chebyshev_sum,
+                                 integrate_chebyshev,
                                  integrate_segment_complex, integrate_tail)
 
 import reference_values as ref
@@ -76,6 +77,61 @@ def test_chebyshev_no_convergence_on_discontinuity():
         integrate_chebyshev(lambda x: np.sign(x - 0.123), -1.0, 1.0, cfg)
     assert err.value.best is not None
     assert err.value.estimate > 0
+
+
+# --- vector-valued Chebyshev rule ----------------------------------------------
+
+# components that stop after 32, 128 and 16384 nodes at LOOSE: the last one
+# takes the rule past one node block
+ROWS = (lambda x: np.cos(x) / np.sqrt(1.0 - x * x),
+        lambda x: 1.0 / (1.0 + 100.0 * x * x),
+        lambda x: np.sqrt(np.abs(x - 0.3)))
+LOOSE = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)
+
+
+def test_vector_rule_matches_scalar_rule_per_component():
+    nodes = []
+
+    def block(x):
+        nodes.append(x.size)
+        return np.vstack([f(x) for f in ROWS])
+
+    vec, err = integrate_chebyshev(block, -1.0, 1.0, LOOSE, with_estimate=True)
+    assert vec.shape == err.shape == (len(ROWS),)
+    assert max(nodes) == _CHEB_BLOCK and sum(nodes) > 4 * _CHEB_BLOCK
+    for k, f in enumerate(ROWS):
+        v, e = integrate_chebyshev(f, -1.0, 1.0, LOOSE, with_estimate=True)
+        assert isinstance(v, float) and isinstance(e, float)
+        np.testing.assert_array_max_ulp(vec[k], v, maxulp=2)
+        np.testing.assert_array_max_ulp(err[k], e, maxulp=2)
+
+
+def test_vector_rule_keeps_early_component_value():
+    levels = []
+
+    def block(x):
+        levels.append(x.size)
+        return np.vstack((ROWS[0](x), ROWS[2](x)))
+
+    vec = integrate_chebyshev(block, -1.0, 1.0, LOOSE)
+    early = integrate_chebyshev(ROWS[0], -1.0, 1.0, LOOSE)
+    last = _chebyshev_sum(ROWS[0], None, 0.0, 1.0, 16384)
+    assert sum(levels) == 32752  # the slow component ran to 16384 nodes
+    assert vec[0] == early       # ... the fast one kept its 32-node value
+    assert last != early
+
+
+def test_vector_rule_no_convergence_carries_arrays():
+    cfg = QuadConfig(max_level=4)
+    with pytest.raises(NoConvergence) as err:
+        integrate_chebyshev(lambda x: np.vstack((ROWS[0](x), np.sign(x - 0.123))),
+                            -1.0, 1.0, cfg)
+    best, estimate = err.value.best, err.value.estimate
+    assert best.shape == estimate.shape == (2,)
+    assert best[0] == integrate_chebyshev(ROWS[0], -1.0, 1.0, cfg)
+    assert estimate[0] <= cfg.tolerance(best[0])
+    assert estimate[1] > cfg.tolerance(best[1])
+    assert "1 of 2 components" in str(err.value)
 
 
 # --- semi-infinite tails -------------------------------------------------------
