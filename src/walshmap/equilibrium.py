@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationDefect, OutsideSupport, PadTooLarge
-from .green import GreenData, _endpoint_weight_fd
+from .green import GreenData, _endpoint_weight_fd, _plain_deriv
 from .intervals import IntervalUnion, locate
 from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
                          integrate_segment_complex)
@@ -113,18 +113,7 @@ def contour_mass(E: IntervalUnion, data: GreenData, j: int, pad: float,
             raise PadTooLarge(
                 f"pad {pad} reaches component {i + 1}; shrink the rectangle")
 
-    roots = np.asarray(data.roots, dtype=complex)
-    ends = np.asarray(b, dtype=complex)
-
-    def f(z):
-        num = np.ones_like(z)
-        for zk in roots:
-            num = num * (z - zk)
-        den = np.ones_like(z)
-        for bj in ends:
-            den = den * np.sqrt(z - bj)
-        return num / den
-
+    f = _plain_deriv(E, data.roots)
     corners = [complex(lo, -pad), complex(hi, -pad), complex(hi, pad),
                complex(lo, pad), complex(lo, -pad)]
     total = 0j

@@ -37,11 +37,13 @@ class NotOnCut(WalshMapError):
 
 
 class SingularSystem(WalshMapError):
-    """Moment matrix numerically singular (quadrature failure)."""
+    """Gap-condition Jacobian singular or not finite, or a gap condition
+    missed at the solved roots (quadrature failure)."""
 
 
 class RootNotBracketed(WalshMapError):
-    """Expected sign change missing in a gap."""
+    """Expected sign change missing in a gap, or a root that no damped
+    Newton step keeps inside its gap."""
 
 
 class PathOnCut(WalshMapError):

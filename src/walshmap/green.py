@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapacityMismatch, NoConvergence, NotOnCut, OnCutError,
-                     PathOnCut, RootNotBracketed, SingularSystem)
+from .errors import (CapacityMismatch, NotOnCut, OnCutError, PathOnCut,
+                     RootNotBracketed, SingularSystem)
 from .intervals import IntervalUnion, locate
 from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
                          integrate_segment_complex, integrate_tail)
@@ -118,58 +118,6 @@ def _endpoint_weight_fd(E: IntervalUnion, i_lo: int, i_hi: int):
     return float(lo), float(hi), weight
 
 
-def _seed_coeffs(E: IntervalUnion, cfg: QuadConfig) -> np.ndarray:
-    """First pass at the numerator polynomial from the moment system.
-
-    Assembled in a Chebyshev basis on the rescaled hull with equilibrated
-    rows.  For clustered sets the system's conditioning caps the coefficient
-    accuracy near cond * eps, so the result only seeds the root refinement.
-    """
-    ell = E.ell
-    b = E.endpoints
-    center = 0.5 * (b[0] + b[-1])
-    scale = 0.5 * (b[-1] - b[0])
-    tight = QuadConfig(abs_tol=max(cfg.abs_tol / 100.0, 1e-14),
-                       rel_tol=max(cfg.rel_tol / 100.0, 1e-14),
-                       max_level=cfg.max_level)
-
-    n = ell - 1
-    degrees = np.arange(ell)[:, None]
-    moments = np.empty((n, ell))
-    for k in range(1, ell):
-        lo, hi, weight = _endpoint_weight_fd(E, 2 * k - 1, 2 * k)
-
-        def fd(x, d_lo, d_hi, weight=weight):
-            y = np.clip((x - center) / scale, -1.0, 1.0)
-            return np.cos(degrees * np.arccos(y)) * weight(x, d_lo, d_hi)
-
-        try:
-            moments[k - 1] = integrate_chebyshev(None, lo, hi, tight, fd=fd)
-        except NoConvergence as exc:
-            # a moment the tight rule misses is kept if it meets cfg; the
-            # converged ones meet the tight tolerance and are kept as they are
-            ok = exc.estimate <= np.maximum(cfg.tolerance(exc.best),
-                                            tight.tolerance(exc.best))
-            if not np.all(ok):
-                raise
-            moments[k - 1] = exc.best
-
-    # monic leading monomial fixes the top Chebyshev coefficient; narrow gaps
-    # carry huge 1/sqrt|H| weight, so equilibrate the rows before elimination
-    lead = 1.0 if ell == 2 else 2.0 ** (2 - ell)
-    row_scale = moments[:, 0].copy()
-    M = moments[:, :n] / row_scale[:, None]
-    rhs = -lead * moments[:, n] / row_scale
-    cheb_low = _solve_partial_pivot(M, rhs)
-    cheb_low += _solve_partial_pivot(M, rhs - M @ cheb_low)
-    coeffs_y = np.polynomial.chebyshev.cheb2poly(np.append(cheb_low, lead))
-
-    poly_y = np.polynomial.Polynomial(coeffs_y)
-    affine = np.polynomial.Polynomial([-center / scale, 1.0 / scale])
-    poly_x = scale ** (ell - 1) * poly_y(affine)
-    return poly_x.coef / poly_x.coef[-1]  # enforce exact monicity
-
-
 def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig, want_jacobian=True):
     """Residuals F_i = integral over gap i of prod(x - z_k)/sqrt|H| and the
     Jacobian dF_i/dz_j = -integral of the product with factor j removed.
@@ -209,34 +157,50 @@ def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig, want_jacobian=True):
     return F, J
 
 
+# Newton steps on the gap conditions, and halvings of one step, before giving
+# up; from the gap midpoints the benchmark's sets stop after 4 or 5 steps
+_NEWTON_STEPS = 20
+_MAX_HALVINGS = 40
+
+
 def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
     """Numerator roots and coefficients to quadrature accuracy.
 
-    The moment-system seed is polished by Newton on the gap conditions in
-    root space, which is well conditioned (one root per gap, diagonally
-    dominant Jacobian) even when the coefficient problem is not.
+    Damped Newton on the gap conditions in root space, started from the gap
+    midpoints.  Root space is well conditioned (one root per gap, diagonally
+    dominant Jacobian) even where the coefficient problem is not.  Each step
+    is halved until every root stays strictly inside its gap.  The iteration
+    stops on a full step no larger than 1e-14 of the gap width or 4 ulp of
+    the root; every gap condition is then re-verified at the result.
     """
     ell = E.ell
     if ell == 1:
         return np.array([1.0]), np.array([])
-    seed = _seed_coeffs(E, cfg)
-    roots = critical_points(E, seed)
-    b = E.endpoints
-    scale = None
-    for _ in range(4):
+    b = np.asarray(E.endpoints)
+    lo, hi = b[1:-1:2], b[2:-1:2]
+    roots = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
         F, J = _gap_system(E, roots, cfg)
+        if not np.all(np.isfinite(J)):
+            raise SingularSystem("gap-condition Jacobian is not finite")
         scale = np.abs(J) @ np.maximum(np.abs(roots), 1.0)
-        if np.all(np.abs(F) <= cfg.tolerance(1.0) * scale):
-            break
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"gap-condition Jacobian singular: {exc}")
-        roots = roots + delta
-        for k in range(1, ell):  # refinement must stay inside the gaps
-            if not b[2 * k - 1] < roots[k - 1] < b[2 * k]:
-                raise RootNotBracketed(
-                    f"refined root left gap {k}: {roots[k - 1]}")
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = roots + t * delta
+            if np.all((lo < trial) & (trial < hi)):
+                break
+            t *= 0.5
+        else:
+            k = int(np.argmin(np.minimum(trial - lo, hi - trial))) + 1
+            raise RootNotBracketed(f"Newton step cannot keep root {k} in its gap")
+        roots = trial
+        if t == 1.0 and np.all(np.abs(delta) <= np.maximum(
+                1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots)))):
+            break
     # final verification of every gap condition at the refined roots; the
     # scale is the roundoff amplification |J| |z| eps of representing them
     F, _ = _gap_system(E, roots, cfg, want_jacobian=False)
@@ -251,42 +215,20 @@ def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
 def green_poly(E: IntervalUnion, cfg: QuadConfig | None = None) -> np.ndarray:
     """Monic numerator polynomial of the Green's derivative (ascending coeffs).
 
-    A moment-system solve (Chebyshev basis on the rescaled hull, equilibrated
-    rows, one refinement pass) seeds Newton on the gap conditions in root
-    space; every gap condition is re-verified at the result.
+    Built from its roots, which damped Newton on the gap conditions finds
+    one per bounded gap; every gap condition is re-verified at the result.
     """
     coeffs, _ = _solve_numerator(E, cfg or DEFAULT_CONFIG)
     return coeffs
-
-
-def _solve_partial_pivot(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Dense LU with partial pivoting; raises SingularSystem on pivot collapse."""
-    n = M.shape[0]
-    A = np.hstack([M.astype(float), rhs.reshape(-1, 1).astype(float)])
-    pivots = []
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(A[col:, col])))
-        if A[piv, col] == 0.0:
-            raise SingularSystem("moment matrix is exactly singular")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-        pivots.append(abs(A[col, col]))
-        A[col + 1:, col:] -= np.outer(A[col + 1:, col] / A[col, col], A[col, col:])
-    if min(pivots) / max(pivots) < 1e-13:
-        raise SingularSystem(
-            f"moment matrix numerically singular (pivot ratio "
-            f"{min(pivots) / max(pivots):.2e})")
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (A[row, n] - A[row, row + 1:n] @ x[row + 1:]) / A[row, row]
-    return x
 
 
 def critical_points(E: IntervalUnion, coeffs) -> np.ndarray:
     """Roots of the numerator polynomial, one per bounded gap.
 
     Bisection bracketed on each gap down to width 1e-10, then three Newton
-    polish steps with the analytic derivative.
+    polish steps with the analytic derivative.  The solve does not call this:
+    it finds the roots directly (see green_poly); this is for coefficients
+    from elsewhere.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     dcoeffs = np.polynomial.polynomial.polyder(coeffs)
@@ -373,19 +315,7 @@ def green_real(z: float, E: IntervalUnion, data: GreenData,
 
 def _plain_deriv(E: IntervalUnion, roots):
     """Vectorized N/S for points comfortably away from every endpoint."""
-    ends = np.asarray(E.endpoints, dtype=complex)
-    roots = np.asarray(roots, dtype=complex)
-
-    def f(z):
-        num = np.ones_like(z)
-        for zk in roots:
-            num = num * (z - zk)
-        den = np.ones_like(z)
-        for bj in ends:
-            den = den * np.sqrt(z - bj)
-        return num / den
-
-    return f
+    return _deriv_integrand(E, roots, 0.0)
 
 
 def _green_integral(E: IntervalUnion, roots, base: float, z: complex,
@@ -505,21 +435,23 @@ def capacity(E: IntervalUnion, data_or_roots, cfg: QuadConfig | None = None,
     """
     cfg = cfg or DEFAULT_CONFIG
     roots = data_or_roots.roots if isinstance(data_or_roots, GreenData) else data_or_roots
-    cap1, cap2 = _capacity_both(E, roots, cfg, beta_right, beta_left)
-    cap = 0.5 * (cap1 + cap2)
-    if abs(cap1 - cap2) > 100.0 * cfg.tolerance(cap):
-        raise CapacityMismatch(
-            f"capacity formulas disagree: {cap1!r} vs {cap2!r}")
+    cap, _ = _capacity_both(E, roots, cfg, beta_right, beta_left)
     return cap
 
 
 def _capacity_both(E, roots, cfg, beta_right=None, beta_left=None):
+    """Mean of the two tail formulas and their discrepancy; raises
+    CapacityMismatch when they disagree by more than 100 tolerances."""
     b = E.endpoints
     beta_right = b[-1] - 1.0 if beta_right is None else beta_right
     beta_left = b[0] + 1.0 if beta_left is None else beta_left
     cap1 = _capacity_one(E, roots, +1, beta_right, cfg)
     cap2 = _capacity_one(E, roots, -1, beta_left, cfg)
-    return cap1, cap2
+    cap = 0.5 * (cap1 + cap2)
+    if abs(cap1 - cap2) > 100.0 * cfg.tolerance(cap):
+        raise CapacityMismatch(
+            f"capacity formulas disagree: {cap1!r} vs {cap2!r}")
+    return cap, abs(cap1 - cap2)
 
 
 def alpha_coefficient(E: IntervalUnion, roots) -> float:
@@ -551,16 +483,13 @@ def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:
     cfg = cfg or DEFAULT_CONFIG
     coeffs, roots = _solve_numerator(E, cfg)
     green_at_roots = tuple(_green_real(E, roots, float(z), cfg) for z in roots)
-    cap1, cap2 = _capacity_both(E, roots, cfg)
-    cap = 0.5 * (cap1 + cap2)
-    if abs(cap1 - cap2) > 100.0 * cfg.tolerance(cap):
-        raise CapacityMismatch(f"capacity formulas disagree: {cap1!r} vs {cap2!r}")
+    cap, mismatch = _capacity_both(E, roots, cfg)
     return GreenData(
         domain=E,
         coeffs=tuple(float(c) for c in coeffs),
         roots=tuple(float(z) for z in roots),
         green_at_roots=green_at_roots,
         capacity=cap,
-        capacity_mismatch=abs(cap1 - cap2),
+        capacity_mismatch=mismatch,
         alpha=alpha_coefficient(E, roots),
     )

@@ -210,6 +210,21 @@ def random_interval_set(rng, ell: int, min_length: float = 1e-2):
         f"min_length")
 
 
+def worst_invariant(wm) -> float:
+    """Largest violation of the solve invariants: the masses sum to 1,
+    m.a = alpha, g_L vanishes at the boundary abscissae, and
+    g_L(w_k) = g_E(z_k) at the critical points."""
+    dom, data = wm.lemniscatic, wm.green
+    a = np.array(dom.centers)
+    return max(
+        abs(math.fsum(wm.exponents.m) - 1.0),
+        abs(float(np.array(wm.exponents.m) @ a) - data.alpha),
+        max(abs(green_level(c, dom)) for c in dom.boundary_c),
+        max(abs(green_level(w, dom) - g)
+            for w, g in zip(dom.crit_w, data.green_at_roots)),
+    )
+
+
 def _stress(cfg, abstol, reltol, seed, ell, count):
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
@@ -217,17 +232,8 @@ def _stress(cfg, abstol, reltol, seed, ell, count):
     worst_inv = 0.0
     for _ in range(count):
         wm = solve(random_interval_set(rng, ell), cfg, abstol, reltol)
-        dom, data = wm.lemniscatic, wm.green
-        worst_iter = max(worst_iter, dom.outer_iterations)
-        a = np.array(dom.centers)
-        invariants = [
-            abs(math.fsum(wm.exponents.m) - 1.0),
-            abs(float(np.array(wm.exponents.m) @ a) - data.alpha),
-            max(abs(green_level(c, dom)) for c in dom.boundary_c),
-            max(abs(green_level(w, dom) - g)
-                for w, g in zip(dom.crit_w, data.green_at_roots)),
-        ]
-        worst_inv = max(worst_inv, max(invariants))
+        worst_iter = max(worst_iter, wm.lemniscatic.outer_iterations)
+        worst_inv = max(worst_inv, worst_invariant(wm))
     elapsed = time.perf_counter() - t0
     ok = worst_iter <= 7 and worst_inv < 1e-10
     return ok, (f"{count} sets of {ell} intervals: max {worst_iter} steps, "

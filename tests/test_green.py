@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from walshmap.api import solve
 from walshmap.errors import (CapacityMismatch, NotOnCut, OnCutError,
                              PathOnCut, RootNotBracketed)
 from walshmap.green import (alpha_coefficient, capacity, critical_points,
                             green_complex, green_poly, green_real,
                             rational_mass_fit, sqrt_branch, sqrt_branch_rim)
 from walshmap.intervals import parse_domain
+from walshmap.quadrature import QuadConfig
+from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
 
@@ -142,6 +145,45 @@ def test_gap_conditions_by_independent_quadrature(three_interval):
             f *= x - z
         val = np.sum(f / np.sqrt(absH) * hw * np.sin(t)) * np.pi / n
         assert abs(val) < 1e-10
+
+
+def test_cantor_levels_4_to_6_solve_with_falling_capacity():
+    caps = []
+    for level in (4, 5, 6):
+        wm = solve(ref.cantor_pairs(level))
+        assert worst_invariant(wm) < 1e-10
+        caps.append(wm.green.capacity)
+    assert caps[0] > caps[1] > caps[2]
+    np.testing.assert_allclose(caps, [0.22288729075, 0.22193812912, 0.22145420501],
+                               rtol=0, atol=1e-11)
+    assert abs(caps[1] - 0.2219381291) < 1e-10  # independent level-5 value
+
+
+def dirichlet_intervals(rng, ell, floor=0.25):
+    """`ell` intervals filling [-1, 1]: the 2 ell - 1 component and gap
+    lengths are a Dirichlet split of the hull, none below `floor` times the
+    mean length."""
+    n = 2 * ell - 1
+    lengths = floor * 2.0 / n + (1.0 - floor) * 2.0 * rng.dirichlet(np.ones(n))
+    b = -1.0 + np.concatenate(([0.0], np.cumsum(lengths)))
+    b[-1] = 1.0
+    return [[float(b[2 * j]), float(b[2 * j + 1])] for j in range(ell)]
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_forty_interval_sets_solve(seed):
+    wm = solve(dirichlet_intervals(np.random.default_rng(seed), 40))
+    assert worst_invariant(wm) < 1e-10
+
+
+def test_solved_roots_are_a_newton_fixed_point():
+    from walshmap.green import _gap_system
+
+    wm = solve(random_interval_set(np.random.default_rng(3), 10))
+    b = np.asarray(wm.domain.endpoints)
+    F, J = _gap_system(wm.domain, wm.green.roots, QuadConfig(1e-15, 1e-15, max_level=16))
+    step = np.linalg.solve(J, -F)
+    assert np.all(np.abs(step) <= 1e-14 * (b[2:-1:2] - b[1:-1:2]))
 
 
 def test_missing_bracket_raises(two_interval):
