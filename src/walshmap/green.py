@@ -265,26 +265,42 @@ def critical_points(E: IntervalUnion, coeffs) -> np.ndarray:
     return np.array(roots)
 
 
+# nodes per N/S evaluation: bounds the (2 ell, block) square-root temporaries,
+# whose peaks otherwise stay in the resident memory of the process
+_NS_BLOCK = 256
+
+
+def _ns_ratio(r_off, e_off):
+    """fd(t) = prod(t + r_k) / prod(sqrt(t + e_j)) at the nodes t (a 1-D
+    array), for root offsets r (ell - 1) and endpoint offsets e (2 ell) to
+    a common base.
+
+    Root k is paired against component k's endpoints, so every factor is
+    O(1) and no partial product can overflow.  Each t + e_j gets its own
+    principal square root: the root of a product could change the branch.
+    """
+    r_off, e_off = r_off[:, None], e_off[:, None]
+
+    def fd(t):
+        out = np.empty(t.shape, dtype=np.result_type(t, float))
+        for start in range(0, t.size, _NS_BLOCK):
+            tb = t[start:start + _NS_BLOCK]
+            sq = np.sqrt(tb + e_off)
+            ratio = (tb + r_off) / (sq[0:-2:2] * sq[1:-2:2])
+            out[start:start + _NS_BLOCK] = np.prod(ratio, axis=0) / (sq[-2] * sq[-1])
+        return out
+
+    return fd
+
+
 def _deriv_integrand(E: IntervalUnion, roots, base: float):
     """fd(offset) evaluating N(base+offset)/S(base+offset) from exact offsets.
 
     `base` must be an endpoint of E so that the local 1/sqrt factor is
     represented by the offset alone.
     """
-    b = E.endpoints
-    b_off = [base - bj for bj in b]
-    r_off = [base - zk for zk in roots]
-
-    def fd(offset):
-        num = np.ones_like(offset)
-        for off in r_off:
-            num = num * (off + offset)
-        den = np.ones_like(offset)
-        for off in b_off:
-            den = den * np.sqrt(off + offset)
-        return num / den
-
-    return fd
+    return _ns_ratio(base - np.asarray(roots, dtype=float),
+                     base - np.asarray(E.endpoints))
 
 
 def _green_real(E: IntervalUnion, roots, x: float, cfg: QuadConfig) -> float:
@@ -323,10 +339,12 @@ def _green_integral(E: IntervalUnion, roots, base: float, z: complex,
     """Integral of N/S along the straight segment from the endpoint `base`
     to z.
 
-    The segment is subdivided at its closest-approach points to any other
-    endpoint that comes within a tenth of the path length: a branch point
-    near the middle of a Gauss panel stalls the rule, while one just beyond
-    a panel end is harmless.
+    The segment is subdivided at its closest-approach point to any other
+    endpoint that comes within a tenth of the path length and closer to the
+    path than that point lies to the base: a branch point near the middle
+    of a Gauss panel stalls the rule, while one just beyond a panel end is
+    harmless.  (An endpoint behind the base projects next to it, and a knot
+    there would start a panel beside the base singularity.)
     """
     z = complex(z)
     span = z - base
@@ -339,7 +357,7 @@ def _green_integral(E: IntervalUnion, roots, base: float, z: complex,
         s = ((bj - base) * span.conjugate()).real / length2
         if not 1e-9 < s < 1.0 - 1e-9:
             continue
-        if abs(base + span * s - bj) < 0.1 * length:
+        if abs(base + span * s - bj) < min(0.1, s) * length:
             splits.append(s)
     # far targets: the integrand decays like 1/zeta over many decades, which a
     # single Gauss panel cannot resolve; subdivide geometrically beyond the set
@@ -383,38 +401,16 @@ def green_complex(z: complex, E: IntervalUnion, data: GreenData,
     return _green_integral(E, data.roots, base, z, cfg)
 
 
-def _tail_ratio_fd(E: IntervalUnion, roots, side: int):
-    """Magnitude of N/S on an unbounded gap as a function of the distance to
-    the outermost endpoint; the factors are paired root-against-component so
-    no partial product can overflow however far out the tail rule samples."""
-    b = E.endpoints
-    ell = E.ell
-    if side > 0:
-        base = b[-1]
-        r_off = [base - zk for zk in roots]
-        comp_off = [(base - b[2 * i], base - b[2 * i + 1]) for i in range(ell - 1)]
-        solo = base - b[-2]
-    else:
-        base = b[0]
-        r_off = [zk - base for zk in roots]
-        comp_off = [(b[2 * i] - base, b[2 * i + 1] - base) for i in range(1, ell)]
-        solo = b[1] - base
-
-    def fd(delta):
-        val = 1.0 / (np.sqrt(delta) * np.sqrt(delta + solo))
-        for off, (c1, c2) in zip(r_off, comp_off):
-            val = val * ((delta + off) / np.sqrt((delta + c1) * (delta + c2)))
-        return val
-
-    return base, fd
-
-
 def _capacity_one(E: IntervalUnion, roots, side: int, beta: float,
                   cfg: QuadConfig) -> float:
-    base, ratio = _tail_ratio_fd(E, roots, side)
+    b = np.asarray(E.endpoints)
+    base = b[-1] if side > 0 else b[0]
     shift = side * (base - beta)  # > 0 on either legal side
     if shift <= 0:
         raise ValueError("beta must lie strictly on the far side of the endpoint")
+    # every offset is >= 0, so this is |N/S| at distance delta, in reals
+    ratio = _ns_ratio(side * (base - np.asarray(roots, dtype=float)),
+                      side * (base - b))
 
     def fd(delta):
         # on both tails the signed integrand reduces to 1/|x-beta| - |N/S|

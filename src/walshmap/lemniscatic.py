@@ -74,6 +74,17 @@ def _green_values(w, a, m, cap):
     return np.log(d) @ m - math.log(cap)
 
 
+def _outer_reach(cap, t):
+    """Distance beyond a_1 (left) or a_ell (right) at which g exceeds t:
+    every |w - a_j| >= dist(w, [a_1, a_ell]), so g(w) >= log(dist / cap).
+    Raises BracketFailure when the distance overflows."""
+    try:
+        return math.exp(t + math.log(2.0 * cap))
+    except OverflowError:
+        raise BracketFailure(
+            f"g exceeds {t:.6g} only beyond the floating-point range") from None
+
+
 def _deriv_values(w, a, m):
     """sum m_j / (w - a_j) at every point of the array w."""
     return (1.0 / (w[..., None] - a)) @ m
@@ -143,13 +154,13 @@ def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     """Real zeros c_1 < ... < c_{2l} of the Green's function of C \\ L.
 
     Each zero is bracketed by a point where g > 0 and one where g < 0.  The
-    positive ends: for the outermost zeros an outward step from a_1 (a_ell),
-    doubled until g turns positive; for the interior pair of each interval
-    (a_k, a_{k+1}) its critical point, where g must be positive.  The
-    negative ends: halving from the positive end toward the nearest center,
-    where g -> -inf.  All 2 ell brackets are then bisected at once (90
-    halvings, or fewer once every bracket is down to adjacent floats) and
-    polished by two Newton steps.  Raises BracketFailure when a
+    positive ends: for the outermost zeros the points 2 cap beyond a_1 and
+    a_ell, where g >= log 2 (see _outer_reach); for the interior pair of
+    each interval (a_k, a_{k+1}) its critical point, where g must be
+    positive.  The negative ends: halving from the positive end toward the
+    nearest center, where g -> -inf.  All 2 ell brackets are then bisected
+    at once (90 halvings, or fewer once every bracket is down to adjacent
+    floats) and polished by two Newton steps.  Raises BracketFailure when a
     bracket cannot be formed.
     """
     a = np.asarray(a, dtype=float)
@@ -162,23 +173,12 @@ def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     def g(w):
         return _green_values(w, a, m, cap)
 
-    # outermost positive ends, left and right at once
-    ends = a[[0, -1]]
-    outward = np.array([-1.0, 1.0])
-    r = np.full(2, max(cap, 1e-12))
-    for _ in range(200):
-        positive = g(ends + outward * r) > 0
-        if positive.all():
-            break
-        r = np.where(positive, r, 2.0 * r)
-    else:
-        side = "left" if not positive[0] else "right"
-        raise BracketFailure(f"g stayed nonpositive arbitrarily far {side}")
     nonpositive = g(crit) <= 0
     if np.any(nonpositive):
         k = int(np.argmax(nonpositive))
         raise BracketFailure(f"Green's function nonpositive at critical point {crit[k]}")
-    pos = np.concatenate(([a[0] - r[0]], np.repeat(crit, 2), [a[-1] + r[1]]))
+    r = _outer_reach(cap, 0.0)
+    pos = np.concatenate(([a[0] - r], np.repeat(crit, 2), [a[-1] + r]))
     # negative ends: halve from the positive end toward the nearest center
     center = np.repeat(a, 2)
     neg = pos.copy()

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketFailure, InsideE, NoConvergence,
-                     RayBracketFailure, WalshMapError)
+from .errors import InsideE, NoConvergence, RayBracketFailure, WalshMapError
 from .green import (GreenData, _green_integral, _green_real, green_complex)
 from .intervals import IntervalUnion, locate
-from .lemniscatic import LemniscaticDomain, _green_scalar
+from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
@@ -128,18 +127,6 @@ def _solve_real_bracketed(target, lo, hi, increasing, w0, dom, tol, max_iter=200
                         best=w, estimate=res)
 
 
-def _expand_bracket(dom, start, direction, target, max_doublings=200):
-    """Grow an outward bracket from `start` until g exceeds target."""
-    a, m, cap = dom.centers, dom.exponents.m, dom.capacity
-    width = max(dom.capacity, 1e-12)
-    for _ in range(max_doublings):
-        probe = start + direction * width
-        if _green_scalar(probe, a, m, cap) > target:
-            return probe
-        width *= 2.0
-    raise BracketFailure("could not bracket the map image in the unbounded gap")
-
-
 def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
               data: GreenData, tol: float = 1e-12,
               cfg: QuadConfig | None = None) -> MapResult:
@@ -165,11 +152,11 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
         k = loc.index
         target = _green_real(E, data.roots, x, cfg)
         if k == 0:
-            lo = _expand_bracket(dom, dom.boundary_c[0], -1.0, target)
+            lo = dom.centers[0] - _outer_reach(dom.capacity, max(target, 0.0))
             w, res, it = _solve_real_bracketed(
                 target, lo, dom.boundary_c[0], False, x, dom, tol)
         elif k == E.ell:
-            hi = _expand_bracket(dom, dom.boundary_c[-1], +1.0, target)
+            hi = dom.centers[-1] + _outer_reach(dom.capacity, max(target, 0.0))
             w, res, it = _solve_real_bracketed(
                 target, dom.boundary_c[-1], hi, True, x, dom, tol)
         else:

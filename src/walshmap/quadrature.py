@@ -22,7 +22,10 @@ Each rule also accepts a singular-aware callback (``fd``) that receives the
 distance(s) to the singular endpoint(s) computed without cancellation.  A
 plain callback ``f(x)`` cannot resolve points closer to an endpoint than one
 ulp of the endpoint itself, which caps the attainable accuracy of 1/sqrt
-integrands near 1e-8; internal callers therefore always pass ``fd``.
+integrands near 1e-8; internal callers therefore pass ``fd`` whenever a
+singular endpoint lies on the path, and a plain ``f`` only on segments that
+stay away from every endpoint (the Green integral's panels after the first,
+and the contour-mass rectangle).
 """
 
 from dataclasses import dataclass

@@ -387,3 +387,44 @@ def test_gap_system_vector_rows_match_scalar_calls(three_interval, monkeypatch):
             direct = -integrate_chebyshev(
                 None, lo, hi, fd=lambda x, dl, dh, j=j: product(x, dl, dh, skip=j))
             assert J[i, j] == pytest.approx(direct, rel=1e-13)
+
+
+# --- the paired N/S evaluator ------------------------------------------------------
+
+@pytest.mark.parametrize("ell", range(1, 13))
+def test_ns_evaluator_matches_product_over_branch(ell):
+    from walshmap.green import _deriv_integrand, _plain_deriv
+
+    rng = np.random.default_rng(ell)
+    wm = solve(random_interval_set(rng, ell))
+    E, data = wm.domain, wm.green
+    b = E.endpoints
+    z = (rng.uniform(-3.0, 3.0, 200)
+         + 1j * rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-3.0, 1.0, 200))
+    # N as the product over its roots: polyval of the rounded coefficients
+    # is itself off by up to 5e-12 relative at ell = 11
+    expected = np.prod(z[:, None] - np.asarray(data.roots), axis=1) / sqrt_branch(E, z)
+    for base in (b[0], b[-1]):
+        got = _deriv_integrand(E, data.roots, base)(z - base)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(_plain_deriv(E, data.roots)(z), expected,
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_ns_evaluator_tails_are_abs_ratio(three_interval, side):
+    # the capacity tails evaluate |N/S| in real arithmetic from offsets that
+    # are all nonnegative: side * (base - roots) and side * (base - b)
+    from walshmap.green import _ns_ratio
+
+    E, data = three_interval.domain, three_interval.green
+    b = np.asarray(E.endpoints)
+    base = b[-1] if side > 0 else b[0]
+    x = base + side * np.logspace(-3.0, 8.0, 60)
+    delta = side * (x - base)
+    ratio = _ns_ratio(side * (base - np.asarray(data.roots)), side * (base - b))
+    got = ratio(delta)
+    assert got.dtype == np.float64
+    expected = np.abs(np.prod(x[:, None] - np.asarray(data.roots), axis=1)
+                      / sqrt_branch(E, x + 0j))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)

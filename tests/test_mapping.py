@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from walshmap.errors import InsideE
-from walshmap.green import green_complex
+from walshmap.api import solve
+from walshmap.errors import BracketFailure, InsideE
+from walshmap.green import _green_integral, green_complex
 from walshmap.lemniscatic import green as green_level
 from walshmap.mapping import branch_offset, map_grid, map_point, trace_boundary
+from walshmap.verify import random_interval_set
 
 import reference_values as ref
 
@@ -195,3 +197,51 @@ def test_concurrent_map_matches_sequential(two_interval):
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda z: wm.map_point(z).w, zs))
     assert threaded == sequential
+
+
+def _green_from_left(wm, z):
+    """g_E(z) integrated from the leftmost endpoint, a path other than the
+    map's."""
+    return _green_integral(wm.domain, wm.green.roots, wm.domain.endpoints[0],
+                           complex(z), wm.config).real
+
+
+def test_far_points_beside_the_base_map(two_interval, three_interval):
+    # an endpoint behind the base must not put a knot next to the base
+    # singularity, where the next panel raised NoConvergence
+    ten = solve(random_interval_set(np.random.default_rng(4), 10))
+    for wm in (two_interval, three_interval, ten):
+        for z in (1e4j, -1e4j):
+            w = wm.map_point(z).w
+            assert abs(green_level(w, wm.lemniscatic) - _green_from_left(wm, z)) < 1e-9
+            assert abs(w - z) < 1e-2
+
+
+def test_far_real_points_map_beyond_doubling_reach(two_interval):
+    # the outer brackets come from g_L >= log(dist / cap); 200 doublings from
+    # the capacity ran out near 1e61
+    for x in (1e61, -1e61, 1e100, 1e200):
+        w = two_interval.map_point(x).w
+        assert w.imag == 0.0
+        assert abs(w.real / x - 1.0) <= 1e-12
+
+
+def test_outer_bracket_overflow_is_a_typed_error():
+    wm = solve([[1e-6 * lo, 1e-6 * hi] for lo, hi in ref.TWO_INTERVAL["pairs"]])
+    w = wm.map_point(1e307).w
+    assert abs(w.real / 1e307 - 1.0) <= 1e-10
+    with pytest.raises(BracketFailure):
+        wm.map_point(1e308)
+    with pytest.raises(BracketFailure):
+        wm.map_point(-1e308)
+
+
+def test_sixty_intervals_map_a_far_point():
+    # N and S each grow like |z|^60: multiplied out they overflow at 1e6
+    rng = np.random.default_rng(60)
+    pieces = 0.25 / 119 + 0.75 * rng.dirichlet(np.ones(119))
+    b = -1.0 + 2.0 * np.concatenate(([0.0], np.cumsum(pieces)))
+    wm = solve([[b[2 * j], b[2 * j + 1]] for j in range(60)])
+    z = 1e6 * cmath.exp(0.7j)
+    w = wm.map_point(z).w
+    assert abs(green_level(w, wm.lemniscatic) - _green_from_left(wm, z)) <= 1e-9
