@@ -5,9 +5,9 @@ of real intervals: capacity, equilibrium masses, centers, and map evaluation.
 from . import errors
 from .api import WalshMap, solve
 from .equilibrium import ExponentVector, contour_mass, density, exponents
-from .green import (GreenData, alpha_coefficient, capacity, critical_points,
-                    green_complex, green_data, green_poly, green_real,
-                    rational_mass_fit, sqrt_branch, sqrt_branch_rim)
+from .green import (GreenData, alpha_coefficient, capacity, green_complex,
+                    green_data, green_poly, green_real, sqrt_branch,
+                    sqrt_branch_rim)
 from .intervals import Gap, IntervalUnion, Location, locate, parse_domain
 from .lemniscatic import (LemniscaticDomain, boundary_abscissae, centers_general,
                           centers_three, centers_two, solve_domain)
@@ -23,9 +23,9 @@ __all__ = [
     "IntervalUnion", "LemniscaticDomain", "Location", "MapResult", "QuadConfig",
     "WalshMap", "alpha_coefficient", "boundary_abscissae", "branch_offset",
     "capacity", "centers_general", "centers_three", "centers_two",
-    "contour_mass", "critical_points", "density", "errors", "exponents",
+    "contour_mass", "density", "errors", "exponents",
     "green_complex", "green_data", "green_poly", "green_real",
     "integrate_chebyshev", "integrate_segment_complex", "integrate_tail",
-    "locate", "map_grid", "map_point", "parse_domain", "rational_mass_fit",
+    "locate", "map_grid", "map_point", "parse_domain",
     "solve", "solve_domain", "sqrt_branch", "sqrt_branch_rim", "trace_boundary",
 ]

@@ -15,10 +15,14 @@ class DegenerateError(WalshMapError):
     """An input interval has zero or negative length."""
 
 
-# --- quadrature --------------------------------------------------------------
+# --- quadrature and Newton ---------------------------------------------------
 
 class NoConvergence(WalshMapError):
-    """Node doubling exhausted without meeting the requested tolerance."""
+    """An iteration ended short of its tolerance: a quadrature rule's node
+    doubling, or damped Newton (newton.damped_newton) when no halving of a
+    step is taken or the steps run out.  The map raises it for a point whose
+    equation stalls, centers_three for a residual stalled above 1e-10.
+    best is the last estimate or iterate, estimate its error or residual."""
 
     def __init__(self, message, best=None, estimate=None):
         super().__init__(message)
@@ -37,13 +41,14 @@ class NotOnCut(WalshMapError):
 
 
 class SingularSystem(WalshMapError):
-    """Gap-condition Jacobian singular or not finite, or a gap condition
-    missed at the solved roots (quadrature failure)."""
+    """Gap-condition Jacobian singular or not finite at a Newton iterate of
+    the numerator roots, or a gap condition missed at the solved roots."""
 
 
 class RootNotBracketed(WalshMapError):
-    """Expected sign change missing in a gap, or a root that no damped
-    Newton step keeps inside its gap."""
+    """Damped Newton on the gap conditions stalled: no halving of a step
+    keeps every numerator root inside its gap and lowers the residual, or
+    the steps ran out."""
 
 
 class PathOnCut(WalshMapError):

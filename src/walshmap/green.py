@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapacityMismatch, NotOnCut, OnCutError, PathOnCut,
-                     RootNotBracketed, SingularSystem)
+from .errors import (CapacityMismatch, NoConvergence, NotOnCut, OnCutError,
+                     PathOnCut, RootNotBracketed, SingularSystem)
 from .intervals import IntervalUnion, locate
+from .newton import damped_newton
 from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
                          integrate_segment_complex, integrate_tail)
 
@@ -27,12 +28,10 @@ __all__ = [
     "sqrt_branch",
     "sqrt_branch_rim",
     "green_poly",
-    "critical_points",
     "green_real",
     "green_complex",
     "capacity",
     "alpha_coefficient",
-    "rational_mass_fit",
     "green_data",
 ]
 
@@ -158,7 +157,7 @@ def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig, want_jacobian=True):
 
 
 # Newton steps on the gap conditions, and halvings of one step, before giving
-# up; from the gap midpoints the benchmark's sets stop after 4 or 5 steps
+# up; from the gap midpoints the benchmark's sets stop after 3 or 4 steps
 _NEWTON_STEPS = 20
 _MAX_HALVINGS = 40
 
@@ -168,47 +167,47 @@ def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
 
     Damped Newton on the gap conditions in root space, started from the gap
     midpoints.  Root space is well conditioned (one root per gap, diagonally
-    dominant Jacobian) even where the coefficient problem is not.  Each step
-    is halved until every root stays strictly inside its gap.  The iteration
-    stops on a full step no larger than 1e-14 of the gap width or 4 ulp of
-    the root; every gap condition is then re-verified at the result.
+    dominant Jacobian) even where the coefficient problem is not.  The
+    residual is each gap condition over its roundoff scale |J| max(|z|, 1),
+    the amplification of representing the roots; a step is halved until
+    every root stays strictly inside its gap and the residual falls.  The
+    iteration stops at a full step no larger than 1e-14 of the gap width or
+    4 ulp of the root, and every gap condition is then checked at the last
+    residual.  Raises SingularSystem for a singular or non-finite Jacobian
+    or a gap condition missed at the result, and RootNotBracketed when no
+    halving of a step is taken.
     """
     ell = E.ell
     if ell == 1:
         return np.array([1.0]), np.array([])
     b = np.asarray(E.endpoints)
     lo, hi = b[1:-1:2], b[2:-1:2]
-    roots = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
+
+    def fun(roots):
         F, J = _gap_system(E, roots, cfg)
         if not np.all(np.isfinite(J)):
             raise SingularSystem("gap-condition Jacobian is not finite")
-        scale = np.abs(J) @ np.maximum(np.abs(roots), 1.0)
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"gap-condition Jacobian singular: {exc}")
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = roots + t * delta
-            if np.all((lo < trial) & (trial < hi)):
-                break
-            t *= 0.5
-        else:
-            k = int(np.argmin(np.minimum(trial - lo, hi - trial))) + 1
-            raise RootNotBracketed(f"Newton step cannot keep root {k} in its gap")
-        roots = trial
-        if t == 1.0 and np.all(np.abs(delta) <= np.maximum(
-                1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots)))):
-            break
-    # final verification of every gap condition at the refined roots; the
-    # scale is the roundoff amplification |J| |z| eps of representing them
-    F, _ = _gap_system(E, roots, cfg, want_jacobian=False)
-    bad = np.abs(F) > 10.0 * cfg.tolerance(1.0) * scale
-    if np.any(bad):
-        k = int(np.argmax(np.abs(F) / scale)) + 1
+        return F / (np.abs(J) @ np.maximum(np.abs(roots), 1.0)), delta
+
+    try:
+        roots, F, _ = damped_newton(
+            fun, 0.5 * (lo + hi),
+            admissible=lambda roots: np.all((lo < roots) & (roots < hi)),
+            step_tol=lambda roots: np.maximum(
+                1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots))),
+            max_steps=_NEWTON_STEPS, max_halvings=_MAX_HALVINGS)
+    except NoConvergence as exc:
+        if np.shape(exc.best) != lo.shape:
+            raise  # a gap rule's, whose best has a row per root and one for F
+        raise RootNotBracketed(f"gap conditions unsolved: {exc}") from exc
+    k = int(np.argmax(np.abs(F)))
+    if abs(F[k]) > 10.0 * cfg.tolerance(1.0):
         raise SingularSystem(
-            f"gap condition violated on gap {k}: residual {F[k - 1]:.3e}")
+            f"gap condition violated on gap {k + 1}: scaled residual {F[k]:.3e}")
     return np.polynomial.polynomial.polyfromroots(roots), roots
 
 
@@ -220,49 +219,6 @@ def green_poly(E: IntervalUnion, cfg: QuadConfig | None = None) -> np.ndarray:
     """
     coeffs, _ = _solve_numerator(E, cfg or DEFAULT_CONFIG)
     return coeffs
-
-
-def critical_points(E: IntervalUnion, coeffs) -> np.ndarray:
-    """Roots of the numerator polynomial, one per bounded gap.
-
-    Bisection bracketed on each gap down to width 1e-10, then three Newton
-    polish steps with the analytic derivative.  The solve does not call this:
-    it finds the roots directly (see green_poly); this is for coefficients
-    from elsewhere.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-    b = E.endpoints
-    roots = []
-    for k in range(1, E.ell):
-        lo, hi = b[2 * k - 1], b[2 * k]
-        flo = np.polynomial.polynomial.polyval(lo, coeffs)
-        fhi = np.polynomial.polynomial.polyval(hi, coeffs)
-        if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
-            raise RootNotBracketed(
-                f"no sign change of the numerator polynomial on gap {k}")
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            fm = np.polynomial.polynomial.polyval(mid, coeffs)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        z = 0.5 * (lo + hi)
-        for _ in range(3):
-            fz = np.polynomial.polynomial.polyval(z, coeffs)
-            dz = np.polynomial.polynomial.polyval(z, dcoeffs)
-            if dz == 0.0:
-                break
-            step = fz / dz
-            if abs(step) > 2.0 * max(hi - lo, 1e-10):
-                break  # polishing must stay inside the bisection bracket
-            z -= step
-        roots.append(z)
-    return np.array(roots)
 
 
 # nodes per N/S evaluation: bounds the (2 ell, block) square-root temporaries,
@@ -455,23 +411,6 @@ def alpha_coefficient(E: IntervalUnion, roots) -> float:
     half the endpoint sum minus the critical-point sum.  Equals the
     mass-weighted sum of the lemniscatic centers."""
     return 0.5 * math.fsum(E.endpoints) - math.fsum(float(r) for r in roots)
-
-
-def rational_mass_fit(m, tol: float = 1e-6, max_denominator: int = 64):
-    """Search a common denominator n <= max_denominator with m_j ~ n_j/n.
-
-    Returns (n, (n_1, ..., n_ell)) for the smallest fitting n, or None.  A fit
-    signals (numerically, within tol) that E may be a polynomial pre-image;
-    no claim is made beyond the tolerance.
-    """
-    m = [float(v) for v in m]
-    for n in range(1, max_denominator + 1):
-        counts = [round(v * n) for v in m]
-        if any(c < 1 for c in counts) or sum(counts) != n:
-            continue
-        if all(abs(v - c / n) <= tol for v, c in zip(m, counts)):
-            return n, tuple(counts)
-    return None
 
 
 def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:

@@ -2,10 +2,11 @@
 
 L = {w : prod |w - a_j|^(m_j) <= capacity} has the same capacity, Green's
 function values and critical-point structure as E; the centers a_j are
-recovered from that correspondence.  Three solver paths exist: explicit
-formulas for two components, the nonlinear critical-point system for three,
-and the general fixed-point iteration (centers step + critical-point step)
-for any count.
+recovered from that correspondence.  solve_domain dispatches two solver
+paths: explicit formulas for one and two components, and the general
+fixed-point iteration (centers step + critical-point step) for three or
+more.  The critical-point system for three components, centers_three, is a
+separate route that cross-checks the iteration.
 """
 
 import math
@@ -18,6 +19,7 @@ from .errors import (BracketFailure, MaxIterExceeded, NoConvergence,
 from .equilibrium import ExponentVector
 from .green import GreenData
 from .intervals import IntervalUnion
+from .newton import damped_newton
 
 __all__ = [
     "LemniscaticDomain",
@@ -228,52 +230,41 @@ def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):
     return data.alpha - m2 * beta, data.alpha + m1 * beta
 
 
+def _center_newton(a, w, m, targets):
+    """Residual of the center equations sum m_j log|w_i - a_j| = targets_i
+    and sum m_j a_j = targets[-1] at the critical points w, and the full
+    Newton step.  A singular Jacobian gives a NaN step, which no damped
+    trial accepts."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log(np.abs(w[:, None] - a[None, :])) @ m
+        J = np.empty((a.size, a.size))
+        J[:-1, :] = -m[None, :] / (w[:, None] - a[None, :])
+    J[-1, :] = m
+    F = np.append(vals, m @ a) - targets
+    try:
+        return F, np.linalg.solve(J, -F)
+    except np.linalg.LinAlgError:
+        return F, np.full(a.size, np.nan)
+
+
 def _center_system(w, m, g_targets, alpha, cap, a0):
-    """Newton (analytic Jacobian, residual-halving) for the center equations
-    at fixed critical points w.  Returns (a, final residual norm)."""
+    """Damped Newton for the center equations at fixed critical points w,
+    keeping the centers ordered.  Returns (a, final residual norm); a stall
+    returns the last iterate."""
     m = np.asarray(m, dtype=float)
     w = np.asarray(w, dtype=float)
     targets = np.append(np.asarray(g_targets, dtype=float) + math.log(cap), alpha)
-    a = np.array(a0, dtype=float)
-    ell = a.size
-
-    def residual(avec):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log(np.abs(w[:, None] - avec[None, :])) @ m
-        return np.append(vals, m @ avec) - targets
-
-    F = residual(a)
-    nf = float(np.max(np.abs(F)))
-    for _ in range(80):
-        if nf < 1e-14:
-            break
-        J = np.empty((ell, ell))
-        J[:-1, :] = -m[None, :] / (w[:, None] - a[None, :])
-        J[-1, :] = m
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        accepted = False
-        d = 1.0
-        for _ in range(20):
-            trial = a + d * step
-            Ft = residual(trial)
-            nft = float(np.max(np.abs(Ft)))
+    try:
+        a, F, _ = damped_newton(
+            lambda a: _center_newton(a, w, m, targets), np.array(a0, dtype=float),
             # a disordering trial counts as a failed step: the fixed-w system
             # can have spurious stationary points outside the ordered cone
-            if np.isfinite(nft) and nft < nf and np.all(np.diff(trial) > 0):
-                accepted = True
-                break
-            d *= 0.5
-        if not accepted:
-            break
-        a, F, nf = trial, Ft, nft
-        if d * float(np.max(np.abs(step))) < 1e-15 * max(1.0, float(np.max(np.abs(a)))):
-            break
-    return a, nf
+            admissible=lambda a: np.all(np.diff(a) > 0),
+            tol=1e-14, step_tol=lambda a: 1e-15 * max(1.0, float(np.max(np.abs(a)))),
+            max_steps=80, max_halvings=20)
+    except NoConvergence as exc:
+        return exc.best, exc.estimate
+    return a, float(np.max(np.abs(F)))
 
 
 def centers_three(E: IntervalUnion, m, cap: float, data: GreenData,
@@ -282,14 +273,13 @@ def centers_three(E: IntervalUnion, m, cap: float, data: GreenData,
 
     The two critical points are the explicit quadratic roots, so the three
     unknown centers satisfy two Green's-value equations plus the weighted
-    center sum, solved by Newton with the analytic Jacobian (the critical
-    points are stationary, so their sensitivity drops out).
+    center sum, solved by damped Newton with the analytic Jacobian (the
+    critical points are stationary, so their sensitivity drops out).
+    Raises NoConvergence when the residual stalls above 1e-10.
     """
     m = np.asarray(m, dtype=float)
-    g1, g2 = data.green_at_roots
-    alpha = data.alpha
     b = E.endpoints
-    a = np.array([(b[0] + b[1]) / 2, (b[2] + b[3]) / 2, (b[4] + b[5]) / 2])
+    targets = np.append(np.asarray(data.green_at_roots) + math.log(cap), data.alpha)
 
     def crit_quadratic(avec):
         S = avec.sum()
@@ -299,38 +289,18 @@ def centers_three(E: IntervalUnion, m, cap: float, data: GreenData,
         disc = math.sqrt(max(B * B - 4.0 * C, 0.0))
         return np.array([(B - disc) / 2.0, (B + disc) / 2.0])
 
-    def residual(avec):
-        w = crit_quadratic(avec)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log(np.abs(w[:, None] - avec[None, :])) @ m
-        return np.append(vals - math.log(cap) - np.array([g1, g2]),
-                         m @ avec - alpha), w
-
-    F, w = residual(a)
-    nf = float(np.max(np.abs(F)))
-    for _ in range(max_iter):
-        if nf < 1e-14:
-            return a
-        J = np.empty((3, 3))
-        J[:2, :] = -m[None, :] / (w[:, None] - a[None, :])
-        J[2, :] = m
-        step = np.linalg.solve(J, -F)
-        accepted = False
-        d = 1.0
-        for _ in range(20):
-            trial = a + d * step
-            Ft, wt = residual(trial)
-            nft = float(np.max(np.abs(Ft)))
-            if np.isfinite(nft) and nft < nf:
-                accepted = True
-                break
-            d *= 0.5
-        if not accepted:
-            break
-        a, F, w, nf = trial, Ft, wt, nft
-    if nf < 1e-10:
-        return a
-    raise NoConvergence(f"three-center system stalled at residual {nf:.3e}")
+    try:
+        a, _, _ = damped_newton(
+            lambda a: _center_newton(a, crit_quadratic(a), m, targets),
+            np.array([(b[0] + b[1]) / 2, (b[2] + b[3]) / 2, (b[4] + b[5]) / 2]),
+            tol=1e-14, max_steps=max_iter, max_halvings=20)
+    except NoConvergence as exc:
+        if exc.estimate < 1e-10:
+            return exc.best
+        raise NoConvergence(
+            f"three-center system stalled at residual {exc.estimate:.3e}",
+            best=exc.best, estimate=exc.estimate) from exc
+    return a
 
 
 def centers_general(E: IntervalUnion, m, cap: float, data: GreenData,

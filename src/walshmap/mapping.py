@@ -5,22 +5,26 @@ axis (and right of the last endpoint) the complex equation
 
     sum m_j Log(w - a_j) - log(cap) = integral of N/S from b_{2l} to z
 
-with principal logarithms, solved by damped Newton from w = z; inside a real
-gap the real equation g(w) = g_E(z) restricted to the uniqueness interval of
-the gap, solved by bracketed (safeguarded) Newton.  Endpoints map to the
-boundary abscissae directly.
+with principal logarithms, solved by damped Newton in the half-plane of z
+(the map preserves each half-plane); inside a real gap the real equation
+g(w) = g_E(z) on the uniqueness interval of the gap, solved by damped Newton
+kept inside that interval.  Both start from the real-axis correspondence of
+the gap (and, for off-axis points near E, of the component) under Re z; see
+_complex_start.  Endpoints map to the boundary abscissae directly.
 """
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsideE, NoConvergence, RayBracketFailure, WalshMapError
+from .errors import InsideE, RayBracketFailure, WalshMapError
 from .green import (GreenData, _green_integral, _green_real, green_complex)
 from .intervals import IntervalUnion, locate
 from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
+from .newton import damped_newton
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
@@ -33,7 +37,6 @@ __all__ = [
     "trace_boundary",
 ]
 
-_DAMPING = [2.0 ** (-k) for k in range(11)]
 _NEAR_BOUNDARY = 1e-9
 
 
@@ -59,72 +62,67 @@ def _distance_to_E(E: IntervalUnion, z: complex) -> float:
     return best
 
 
-def _f1(w: complex, a, m, logcap: float) -> complex:
-    total = -logcap + 0j
-    for aj, mj in zip(a, m):
-        total += mj * cmath.log(w - aj)
-    return total
-
-
-def _solve_complex(z, target, dom, tol, max_iter=200):
+def _equation(dom: LemniscaticDomain, target, log):
+    """damped_newton's fun for sum m_j log(w - a_j) - log(cap) = target,
+    with log = cmath.log for the complex equation and log|.| for the real
+    one.  A vanishing derivative gives a NaN step, which no trial accepts."""
     a, m = dom.centers, dom.exponents.m
-    logcap = math.log(dom.capacity)
-    w = complex(z)
-    F = _f1(w, a, m, logcap) - target
-    res = abs(F)
-    for it in range(max_iter):
-        if res < tol:
-            return w, res, it
-        deriv = sum(mj / (w - aj) for aj, mj in zip(a, m))
-        step = F / deriv
-        trial, Ft = w, F
-        for d in _DAMPING:
-            cand = w - d * step
-            if any(cand == aj for aj in a):
-                continue
-            Fc = _f1(cand, a, m, logcap) - target
-            trial, Ft = cand, Fc
-            if abs(Fc) < res:
-                break
-        w, F, res = trial, Ft, abs(Ft)
-    if res < tol:
-        return w, res, max_iter
-    raise NoConvergence(f"complex map equation stalled at residual {res:.3e}",
-                        best=w, estimate=res)
+    shift = math.log(dom.capacity) + target
+
+    def fun(w):
+        F, deriv = -shift, 0.0
+        for aj, mj in zip(a, m):
+            d = w - aj
+            F += mj * log(d)
+            deriv += mj / d
+        return F, (-F / deriv if deriv else math.nan)
+
+    return fun
 
 
-def _solve_real_bracketed(target, lo, hi, increasing, w0, dom, tol, max_iter=200):
-    """Safeguarded Newton for g(w) = target on a bracket where g is monotone.
+def _real_log(d):
+    return math.log(abs(d))
 
-    Newton steps leaving the bracket are replaced by bisection midpoints.
+
+def _gap_image(x, k, E, dom, data):
+    """Piecewise-linear guess of the image of x in gap k: b_{2k-1} -> c_{2k-1},
+    z_k -> w_k, b_{2k} -> c_{2k} on a bounded gap, x itself on the unbounded
+    ones."""
+    if k == 0 or k == E.ell:
+        return x
+    b = E.endpoints
+    zk, wk = data.roots[k - 1], dom.crit_w[k - 1]
+    if x < zk:
+        c = dom.boundary_c[2 * k - 1]
+        return c + (x - b[2 * k - 1]) / (zk - b[2 * k - 1]) * (wk - c)
+    c = dom.boundary_c[2 * k]
+    return wk + (x - zk) / (b[2 * k] - zk) * (c - wk)
+
+
+def _complex_start(z, E, dom, data):
+    """Newton start for an off-axis z.
+
+    Far from the axis (|Im z| at least half the width of the gap or
+    component under Re z, or over an unbounded gap) the start is z.  Nearer,
+    the image lies close to the image of Re z, which can be far from z, and
+    near a critical point the equation has a second root across the axis;
+    Newton from z can stall between the two.  The start follows the
+    real-axis correspondence instead, shifted by i Im z: over a bounded gap
+    the gap image of Re z (_gap_image), over component j the same fraction
+    of the arc from c_{2j-1} to c_{2j} around a_j, on the side of z.
     """
-    a, m = dom.centers, dom.exponents.m
-    cap = dom.capacity
-
-    def g(w):
-        return _green_scalar(w, a, m, cap)
-
-    w = w0 if lo < w0 < hi else 0.5 * (lo + hi)
-    res = abs(g(w) - target)
-    for it in range(max_iter):
-        if res < tol:
-            return w, res, it
-        diff = g(w) - target
-        # maintain the bracket
-        if (diff > 0) == increasing:
-            hi = min(hi, w)
-        else:
-            lo = max(lo, w)
-        deriv = sum(mj / (w - aj) for aj, mj in zip(a, m))
-        trial = w - diff / deriv if deriv != 0.0 else lo
-        if not lo < trial < hi:
-            trial = 0.5 * (lo + hi)
-        w = trial
-        res = abs(g(w) - target)
-    if res < tol:
-        return w, res, max_iter
-    raise NoConvergence(f"real map equation stalled at residual {res:.3e}",
-                        best=w, estimate=res)
+    x, y = z.real, z.imag
+    b = E.endpoints
+    i = bisect.bisect_right(b, x)
+    if i == 0 or i == len(b) or abs(y) >= 0.5 * (b[i] - b[i - 1]):
+        return z
+    if i % 2 == 0:
+        return complex(_gap_image(x, i // 2, E, dom, data), y)
+    j = i // 2
+    s = (x - b[i - 1]) / (b[i] - b[i - 1])
+    a, c_lo, c_hi = dom.centers[j], dom.boundary_c[2 * j], dom.boundary_c[2 * j + 1]
+    r = (1.0 - s) * (a - c_lo) + s * (c_hi - a)
+    return a + cmath.rect(r, math.copysign(math.pi * (1.0 - s), y)) + 1j * y
 
 
 def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
@@ -134,8 +132,10 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
 
     Endpoints return their boundary abscissae; interior points of E raise
     InsideE.  Real gap points are solved on the uniqueness bracket of their
-    gap, everything else through the complex equation with initial point z.
-    Off-axis points within 1e-9 of E are evaluated but flagged near_boundary.
+    gap from the gap image of z (see _gap_image), everything else through
+    the complex equation, kept in the half-plane of z, from the start of
+    _complex_start.  Off-axis points within 1e-9 of E are evaluated but
+    flagged near_boundary.  Raises NoConvergence when Newton stalls.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -153,35 +153,36 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
         target = _green_real(E, data.roots, x, cfg)
         if k == 0:
             lo = dom.centers[0] - _outer_reach(dom.capacity, max(target, 0.0))
-            w, res, it = _solve_real_bracketed(
-                target, lo, dom.boundary_c[0], False, x, dom, tol)
+            hi = dom.boundary_c[0]
         elif k == E.ell:
+            lo = dom.boundary_c[-1]
             hi = dom.centers[-1] + _outer_reach(dom.capacity, max(target, 0.0))
-            w, res, it = _solve_real_bracketed(
-                target, dom.boundary_c[-1], hi, True, x, dom, tol)
         else:
-            zk = data.roots[k - 1]
-            wk = dom.crit_w[k - 1]
-            b = E.endpoints
+            zk, wk = data.roots[k - 1], dom.crit_w[k - 1]
             if x == zk:
                 res = abs(_green_scalar(wk, dom.centers, dom.exponents.m,
                                         dom.capacity) - target)
                 return MapResult(complex(wk), res, 0, "real_gap", k)
             if x < zk:
-                c_lo = dom.boundary_c[2 * k - 1]
-                w0 = c_lo + (x - b[2 * k - 1]) / (zk - b[2 * k - 1]) * (wk - c_lo)
-                w, res, it = _solve_real_bracketed(target, c_lo, wk, True, w0,
-                                                   dom, tol)
+                lo, hi = dom.boundary_c[2 * k - 1], wk
             else:
-                c_hi = dom.boundary_c[2 * k]
-                w0 = wk + (x - zk) / (b[2 * k] - zk) * (c_hi - wk)
-                w, res, it = _solve_real_bracketed(target, wk, c_hi, False, w0,
-                                                   dom, tol)
-        return MapResult(complex(w), res, it, "real_gap", k)
+                lo, hi = wk, dom.boundary_c[2 * k]
+        w0 = _gap_image(x, k, E, dom, data)
+        w, F, it = damped_newton(
+            _equation(dom, target, _real_log), w0 if lo < w0 < hi else 0.5 * (lo + hi),
+            # bound by default values: cells for lo and hi would cost every
+            # call of map_point, the endpoint branch included
+            admissible=lambda w, lo=lo, hi=hi: lo < w < hi, tol=tol,
+            max_steps=200, max_halvings=40)
+        return MapResult(complex(w), abs(F), it, "real_gap", k)
 
     target = green_complex(z, E, data, cfg)
-    w, res, it = _solve_complex(z, target, dom, tol)
-    return MapResult(w, res, it, "complex",
+    # the map keeps each half-plane
+    same_side = (lambda w: w.imag > 0.0) if z.imag > 0.0 else (lambda w: w.imag < 0.0)
+    w, F, it = damped_newton(
+        _equation(dom, target, cmath.log), _complex_start(z, E, dom, data),
+        admissible=same_side, tol=tol, max_steps=200, max_halvings=11)
+    return MapResult(w, abs(F), it, "complex",
                      near_boundary=_distance_to_E(E, z) < _NEAR_BOUNDARY)
 
 

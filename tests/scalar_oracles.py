@@ -1,15 +1,19 @@
-"""Scalar reference versions of the L-side root finders.
+"""Scalar reference versions of the L-side root finders, and E-side oracles
+that the solve does not use.
 
-These are the per-root loops that lemniscatic.crit_points and
-lemniscatic.boundary_abscissae replaced with array-wide bisection; they stay
-here as oracles for the array versions.
+crit_points and boundary_abscissae are the per-root loops that
+lemniscatic.crit_points and lemniscatic.boundary_abscissae replaced with
+array-wide bisection; they stay here as oracles for the array versions.
+critical_points finds the numerator roots from coefficients (the solve finds
+the roots directly), and rational_mass_fit tests masses for a common
+denominator, a sign of a polynomial pre-image.
 """
 
 import math
 
 import numpy as np
 
-from walshmap.errors import BracketFailure, PoleAtCenter
+from walshmap.errors import BracketFailure, PoleAtCenter, RootNotBracketed
 
 
 def green_scalar(w, a, m, cap):
@@ -147,3 +151,62 @@ def boundary_abscissae(a, m, cap, crit=None):
     neg = inward_negative(a[-1], a[-1] + r)
     out.append(_bisect_green_zero(a, m, cap, neg, a[-1] + r, False))
     return np.array(out)
+
+
+def critical_points(E, coeffs):
+    """Roots of the numerator polynomial with coefficients coeffs, one per
+    bounded gap of E.
+
+    Bisection bracketed on each gap down to width 1e-10, then three Newton
+    polish steps with the analytic derivative.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
+    b = E.endpoints
+    roots = []
+    for k in range(1, E.ell):
+        lo, hi = b[2 * k - 1], b[2 * k]
+        flo = np.polynomial.polynomial.polyval(lo, coeffs)
+        fhi = np.polynomial.polynomial.polyval(hi, coeffs)
+        if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
+            raise RootNotBracketed(
+                f"no sign change of the numerator polynomial on gap {k}")
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            fm = np.polynomial.polynomial.polyval(mid, coeffs)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        z = 0.5 * (lo + hi)
+        for _ in range(3):
+            fz = np.polynomial.polynomial.polyval(z, coeffs)
+            dz = np.polynomial.polynomial.polyval(z, dcoeffs)
+            if dz == 0.0:
+                break
+            step = fz / dz
+            if abs(step) > 2.0 * max(hi - lo, 1e-10):
+                break  # polishing must stay inside the bisection bracket
+            z -= step
+        roots.append(z)
+    return np.array(roots)
+
+
+def rational_mass_fit(m, tol: float = 1e-6, max_denominator: int = 64):
+    """Search a common denominator n <= max_denominator with m_j ~ n_j/n.
+
+    Returns (n, (n_1, ..., n_ell)) for the smallest fitting n, or None.  A fit
+    signals (numerically, within tol) that E may be a polynomial pre-image;
+    no claim is made beyond the tolerance.
+    """
+    m = [float(v) for v in m]
+    for n in range(1, max_denominator + 1):
+        counts = [round(v * n) for v in m]
+        if any(c < 1 for c in counts) or sum(counts) != n:
+            continue
+        if all(abs(v - c / n) <= tol for v, c in zip(m, counts)):
+            return n, tuple(counts)
+    return None

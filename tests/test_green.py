@@ -7,14 +7,15 @@ import pytest
 from walshmap.api import solve
 from walshmap.errors import (CapacityMismatch, NotOnCut, OnCutError,
                              PathOnCut, RootNotBracketed)
-from walshmap.green import (alpha_coefficient, capacity, critical_points,
-                            green_complex, green_poly, green_real,
-                            rational_mass_fit, sqrt_branch, sqrt_branch_rim)
+from walshmap.green import (alpha_coefficient, capacity, green_complex,
+                            green_poly, green_real, sqrt_branch,
+                            sqrt_branch_rim)
 from walshmap.intervals import parse_domain
 from walshmap.quadrature import QuadConfig
 from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
+from scalar_oracles import critical_points, rational_mass_fit
 
 
 # --- square-root branch --------------------------------------------------------

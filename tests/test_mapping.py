@@ -245,3 +245,35 @@ def test_sixty_intervals_map_a_far_point():
     z = 1e6 * cmath.exp(0.7j)
     w = wm.map_point(z).w
     assert abs(green_level(w, wm.lemniscatic) - _green_from_left(wm, z)) <= 1e-9
+
+
+def test_near_axis_points_over_a_gap_map(three_interval):
+    # near a critical point the map equation has a root in each half-plane;
+    # Newton from z itself stalled here (residual 3.1e-3) on every point
+    wm = three_interval
+    for x in 0.3939 + np.linspace(-2e-3, 2e-3, 81):
+        z = complex(x, -1.2e-3)
+        w = wm.map_point(z).w
+        assert w.imag < 0.0
+        assert abs(green_level(w, wm.lemniscatic) - _green_from_left(wm, z)) <= 1e-9
+
+
+def test_near_axis_points_over_a_component_map_into_their_half_plane():
+    # Newton from z, or from z's gap image, takes no step that lowers the
+    # residual here; the start on the arc around a_1 does
+    wm = solve(ref.TOUCHING["pairs"])
+    for z in (0.9433 - 1.2e-4j, 0.9010 + 1.2e-3j):
+        w = wm.map_point(z).w
+        assert (w.imag > 0.0) == (z.imag > 0.0) and w.imag != 0.0
+        assert abs(green_level(w, wm.lemniscatic) - _green_from_left(wm, z)) <= 1e-9
+
+
+def test_points_well_off_the_axis_start_from_z(three_interval):
+    from walshmap.mapping import _complex_start
+    for wm in (three_interval, solve(ref.TOUCHING["pairs"])):
+        for lo, hi in wm.domain.components:
+            for z in (complex(0.5 * (lo + hi), 1.0), complex(0.5 * (lo + hi), -1.0)):
+                assert _complex_start(z, wm.domain, wm.lemniscatic, wm.green) == z
+                w = wm.map_point(z).w
+                assert (w.imag > 0.0) == (z.imag > 0.0)
+                assert abs(green_level(w, wm.lemniscatic) - _green_from_left(wm, z)) <= 1e-9

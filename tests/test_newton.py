@@ -1,0 +1,69 @@
+import math
+
+import numpy as np
+import pytest
+
+from walshmap.errors import NoConvergence
+from walshmap.newton import damped_newton
+
+
+def recording(fun):
+    """fun, with every point it is evaluated at appended to .calls."""
+    def wrapped(x):
+        wrapped.calls.append(x)
+        return fun(x)
+    wrapped.calls = []
+    return wrapped
+
+
+def test_inadmissible_trial_is_halved():
+    # the full step lands on the root 3, outside x < 2; the halved one is
+    # taken, and the single step allowed then runs out
+    fun = recording(lambda x: (x - 3.0, 3.0 - x))
+    with pytest.raises(NoConvergence) as err:
+        damped_newton(fun, 0.0, admissible=lambda x: x < 2.0, max_steps=1,
+                      max_halvings=10)
+    assert fun.calls == [0.0, 1.5]  # the inadmissible 3.0 is never evaluated
+    assert err.value.best == 1.5 and err.value.estimate == 1.5
+
+
+def test_step_that_raises_the_residual_is_halved():
+    # plain Newton on atan diverges from x = 2; the full step there raises
+    # |F| from 1.107 to 1.295 and is refused
+    fun = recording(lambda x: (math.atan(x), -math.atan(x) * (1.0 + x * x)))
+    x, F, steps = damped_newton(fun, 2.0, tol=1e-14, max_steps=20, max_halvings=10)
+    delta = -math.atan(2.0) * 5.0
+    assert fun.calls[1:3] == [2.0 + delta, 2.0 + 0.5 * delta]
+    assert abs(x) <= 1e-14 and abs(F) <= 1e-14 and steps >= 3
+
+
+def test_residual_stop():
+    fun = recording(lambda x: (x - np.array([1.0, 2.0]), np.array([1.0, 2.0]) - x))
+    x, F, steps = damped_newton(fun, np.zeros(2), max_steps=5, max_halvings=5)
+    assert steps == 1 and np.all(x == [1.0, 2.0]) and np.all(F == 0.0)
+    assert len(fun.calls) == 2
+
+
+def test_step_stop():
+    # a step of half the distance to the root: the residual never reaches
+    # tol = 0, and the iteration stops once the full step is within 1e-3
+    x, F, steps = damped_newton(lambda x: (x - 1.0, 0.5 * (1.0 - x)), 0.0,
+                                step_tol=lambda x: 1e-3, max_steps=50,
+                                max_halvings=5)
+    assert steps == 9 and x == 1.0 - 2.0 ** -9 and F == x - 1.0
+
+
+def test_stall_carries_best_and_estimate_for_scalar_residual():
+    # every trial along delta = +1 raises 1 + x^2 from x = 0.5
+    with pytest.raises(NoConvergence) as err:
+        damped_newton(lambda x: (1.0 + x * x, 1.0), 0.5, max_steps=10, max_halvings=8)
+    assert err.value.best == 0.5 and err.value.estimate == 1.25
+
+
+def test_stall_carries_best_and_estimate_for_array_residual():
+    def fun(x):
+        return np.array([1.0 + x[0] ** 2, 0.5]), np.array([1.0])
+
+    with pytest.raises(NoConvergence) as err:
+        damped_newton(fun, np.array([0.5]), max_steps=10, max_halvings=8)
+    assert np.all(err.value.best == [0.5]) and err.value.estimate == 1.25
