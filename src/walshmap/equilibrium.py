@@ -10,8 +10,6 @@ derivative around the component.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NormalizationDefect, OutsideSupport, PadTooLarge
 from .green import GreenData, _endpoint_weight_fd, _plain_deriv
 from .intervals import IntervalUnion, locate
@@ -71,19 +69,11 @@ def exponents(E: IntervalUnion, data: GreenData,
     ell = E.ell
     if ell == 1:
         return ExponentVector((1.0,), 0.0)
-    roots = np.asarray(data.roots)
     raw = []
     for j in range(1, ell + 1):
-        lo, hi, weight = _endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1)
+        lo, hi, fd = _endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1, data.roots)
         sign = (-1.0) ** (ell - j)
-
-        def fd(x, d_lo, d_hi, sign=sign, weight=weight):
-            num = np.ones_like(x)
-            for zk in roots:
-                num = num * (x - zk)
-            return sign / math.pi * num * weight(x, d_lo, d_hi)
-
-        raw.append(integrate_chebyshev(None, lo, hi, cfg, fd=fd))
+        raw.append(sign / math.pi * integrate_chebyshev(None, lo, hi, cfg, fd=fd))
     total = math.fsum(raw)
     defect = abs(total - 1.0)
     if defect > 1e-8:

@@ -98,23 +98,45 @@ def sqrt_branch_rim(E: IntervalUnion, x, side: int) -> complex:
     return side * 1j * (-1) ** (E.ell - loc.index) * math.sqrt(absH)
 
 
-def _endpoint_weight_fd(E: IntervalUnion, i_lo: int, i_hi: int):
-    """Integrand builder for 1/sqrt|H| on [b[i_lo], b[i_hi]] (a bounded gap
-    I_k is (2k-1, 2k), the j-th component (2j-2, 2j-1)) with exact endpoint
-    distances; multiply the returned weight by any polynomial factor."""
+def _endpoint_weight_fd(E: IntervalUnion, i_lo: int, i_hi: int, roots=(),
+                        leave_one_out=False):
+    """Bounds and integrand fd(x, d_lo, d_hi) = prod(x - z_k)/sqrt|H| over
+    the roots z_k on [b[i_lo], b[i_hi]] (a bounded gap I_k is (2k-1, 2k),
+    the j-th component (2j-2, 2j-1)), with exact endpoint distances; with
+    no roots it is the weight 1/sqrt|H| alone.
+
+    With leave_one_out the integrand is a block for the vector-valued
+    Chebyshev rule: row 0 the full product, row 1 + j the product without
+    factor j, from prefix and suffix products, so no factor is divided out.
+    """
     b = np.asarray(E.endpoints)
     lo, hi = b[i_lo], b[i_hi]
     lo_off = (lo - np.delete(b, [i_lo, i_hi]))[:, None]
+    roots = np.asarray(roots, dtype=float)[:, None]
+    n = len(roots)
 
-    def weight(x, d_lo, d_hi):
+    def fd(x, d_lo, d_hi):
         # row 0 is d_lo * d_hi, so the product runs in the order of a
         # left-to-right loop over the factors
         factors = np.empty((len(lo_off) + 1,) + np.shape(d_lo))
         factors[0] = d_lo * d_hi
         np.abs(np.add(lo_off, d_lo, out=factors[1:]), out=factors[1:])
-        return 1.0 / np.sqrt(np.prod(factors, axis=0))
+        weight = 1.0 / np.sqrt(np.prod(factors, axis=0))
+        if n == 0:
+            return weight
+        factors = x - roots
+        prefix = np.cumprod(factors, axis=0)
+        if not leave_one_out:
+            return prefix[-1] * weight
+        # row 1 + j: (factors before j) * (factors after j)
+        rows = np.ones((n + 1,) + x.shape)
+        rows[0] = prefix[-1]
+        rows[2:] = prefix[:-1]
+        rows[1:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
+        rows *= weight
+        return rows
 
-    return float(lo), float(hi), weight
+    return float(lo), float(hi), fd
 
 
 def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig, want_jacobian=True):
@@ -122,31 +144,15 @@ def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig, want_jacobian=True):
     Jacobian dF_i/dz_j = -integral of the product with factor j removed.
 
     One vector-valued quadrature per gap integrates F_i and its Jacobian row
-    on a shared node set; the leave-one-out products come from prefix and
-    suffix products, so no factor is divided out.
+    on a shared node set (see _endpoint_weight_fd).
     """
     ell = E.ell
     n = ell - 1
-    roots = np.asarray(roots, dtype=float)[:, None]
     F = np.empty(n)
     J = np.empty((n, n)) if want_jacobian else None
     for i in range(1, ell):
-        lo, hi, weight = _endpoint_weight_fd(E, 2 * i - 1, 2 * i)
-
-        def fd(x, d_lo, d_hi, weight=weight):
-            factors = x - roots
-            prefix = np.cumprod(factors, axis=0)
-            if not want_jacobian:
-                return prefix[-1] * weight(x, d_lo, d_hi)
-            # row 0: the full product; row 1 + j: the product without factor
-            # j, as (factors before j) * (factors after j)
-            rows = np.ones((n + 1,) + x.shape)
-            rows[0] = prefix[-1]
-            rows[2:] = prefix[:-1]
-            rows[1:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
-            rows *= weight(x, d_lo, d_hi)
-            return rows
-
+        lo, hi, fd = _endpoint_weight_fd(E, 2 * i - 1, 2 * i, roots,
+                                         leave_one_out=want_jacobian)
         out = integrate_chebyshev(None, lo, hi, cfg, fd=fd)
         if want_jacobian:
             F[i - 1] = out[0]

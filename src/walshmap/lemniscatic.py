@@ -110,18 +110,28 @@ def green_deriv(w, dom: LemniscaticDomain):
     return complex(out) if out.ndim == 0 else out
 
 
+def _bisect(f, pos, neg):
+    """Midpoints of the array brackets (pos, neg), where f(pos) > 0 >= f(neg),
+    after bisecting all of them at once on the sign of f: 90 halvings, or
+    fewer once every bracket is down to adjacent floats and halving cannot
+    move it."""
+    for _ in range(90):
+        mid = 0.5 * (pos + neg)
+        if np.all((mid == pos) | (mid == neg)):
+            break
+        up = f(mid) > 0
+        pos = np.where(up, mid, pos)
+        neg = np.where(up, neg, mid)
+    return 0.5 * (pos + neg)
+
+
 def crit_points(a, m) -> np.ndarray:
     """Critical points of the Green's function of the lemniscatic domain, one
     per interval (a_k, a_{k+1}): zeros of f(w) = sum m_j / (w - a_j).
 
-    f falls from +inf to -inf across each interval.  All ell - 1 brackets,
-    set just inside the centers, are bisected at once on the sign of f (90
-    halvings, or fewer once every bracket is down to adjacent floats and
-    halving cannot move it), then polished by three Newton steps on f with
-    f' = -sum m_j / (w - a_j)^2.  A root's polish ends at a zero f' or at a
-    step longer than its interval, and every root is clamped into its
-    interval.  Raises BracketFailure when f does not change sign on a
-    bracket.
+    f falls from +inf to -inf across each interval, so the brackets set just
+    inside the centers are bisected by _bisect, with no polish.  Raises
+    BracketFailure when f does not change sign on a bracket.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -134,22 +144,7 @@ def crit_points(a, m) -> np.ndarray:
         k = int(np.argmin(bracketed))
         raise BracketFailure(
             f"derivative does not change sign in ({left[k]}, {right[k]})")
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break  # adjacent floats: further halvings cannot move w
-        positive = _deriv_values(mid, a, m) > 0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-    w = 0.5 * (lo + hi)
-    polishing = np.ones(w.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            inv = 1.0 / (w[:, None] - a)
-            step = (inv @ m) / -((inv * inv) @ m)
-            polishing &= np.abs(step) <= width  # false for a zero f' (nan/inf)
-            w = np.where(polishing, w - step, w)
-    return np.clip(w, left, right)
+    return _bisect(lambda w: _deriv_values(w, a, m), lo, hi)
 
 
 def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
@@ -160,10 +155,9 @@ def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     a_ell, where g >= log 2 (see _outer_reach); for the interior pair of
     each interval (a_k, a_{k+1}) its critical point, where g must be
     positive.  The negative ends: halving from the positive end toward the
-    nearest center, where g -> -inf.  All 2 ell brackets are then bisected
-    at once (90 halvings, or fewer once every bracket is down to adjacent
-    floats) and polished by two Newton steps.  Raises BracketFailure when a
-    bracket cannot be formed.
+    nearest center, where g -> -inf.  All 2 ell brackets are bisected by
+    _bisect, with no polish.  Raises BracketFailure when a bracket cannot be
+    formed.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -195,28 +189,7 @@ def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     else:
         raise BracketFailure(
             f"no negative value of g found near center {center[searching[0]]}")
-    # zeros alternate: g falls through c_1, c_3, ... and rises through c_2, ...
-    falling = np.arange(2 * ell) % 2 == 0
-    x0 = np.where(falling, pos, neg)
-    x1 = np.where(falling, neg, pos)
-    mismatched = (g(x0) > 0) != falling
-    if np.any(mismatched):
-        k = int(np.argmax(mismatched))
-        raise BracketFailure(f"no bracket for a boundary zero on ({x0[k]}, {x1[k]})")
-    for _ in range(90):
-        mid = 0.5 * (x0 + x1)
-        if np.all((mid == x0) | (mid == x1)):
-            break  # adjacent floats: further halvings cannot move w
-        keep_lo = (g(mid) > 0) == falling
-        x0 = np.where(keep_lo, mid, x0)
-        x1 = np.where(keep_lo, x1, mid)
-    w = 0.5 * (x0 + x1)
-    for _ in range(2):
-        with np.errstate(divide="ignore"):
-            d = _deriv_values(w, a, m)
-        ok = (d != 0.0) & np.isfinite(d)
-        w[ok] -= g(w[ok]) / d[ok]
-    return w
+    return _bisect(g, pos, neg)
 
 
 def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import InsideE, RayBracketFailure, WalshMapError
 from .green import (GreenData, _green_integral, _green_real, green_complex)
 from .intervals import IntervalUnion, locate
-from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
+from .lemniscatic import (LemniscaticDomain, _bisect, _green_scalar, _green_values,
+                          _outer_reach)
 from .newton import damped_newton
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
@@ -134,8 +135,9 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     InsideE.  Real gap points are solved on the uniqueness bracket of their
     gap from the gap image of z (see _gap_image), everything else through
     the complex equation, kept in the half-plane of z, from the start of
-    _complex_start.  Off-axis points within 1e-9 of E are evaluated but
-    flagged near_boundary.  Raises NoConvergence when Newton stalls.
+    _complex_start.  Off-axis points closer to E than 1e-9 of its hull
+    width b_{2l} - b_1 are evaluated but flagged near_boundary.  Raises
+    NoConvergence when Newton stalls.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -182,8 +184,9 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     w, F, it = damped_newton(
         _equation(dom, target, cmath.log), _complex_start(z, E, dom, data),
         admissible=same_side, tol=tol, max_steps=200, max_halvings=11)
+    hull = E.endpoints[-1] - E.endpoints[0]
     return MapResult(w, abs(F), it, "complex",
-                     near_boundary=_distance_to_E(E, z) < _NEAR_BOUNDARY)
+                     near_boundary=_distance_to_E(E, z) < _NEAR_BOUNDARY * hull)
 
 
 @dataclass(frozen=True)
@@ -245,56 +248,76 @@ class BoundaryTrace:
 
 
 def _trace_component(dom, j, n_rays):
+    """Closed polyline of n_rays points on the boundary of the lobe of L
+    around center j, one per ray, at the first level crossing of each ray.
+
+    Both bracket ends come from geometry.  Inner end: the smaller on-axis
+    radius min(a_j - c_{2j-1}, c_{2j} - a_j), halved until
+    m_j log r + sum_{i != j} m_i log(|a_i - a_j| + r) < log cap, so the whole
+    disk lies in L.  Outer end: where the ray meets the vertical line through
+    a neighboring critical point w_k (along which g only grows from
+    g(w_k) > 0), the line 2 cap beyond an outermost center (see _outer_reach)
+    or the band |Im w| = 2 cap (beyond which g >= log 2).  L between these
+    bounds is this lobe alone, so every sign change before the outer end is
+    the lobe's own.  Each ray marches by a factor of 1.1 from the inner end
+    until g > 0, never past its outer end, and the bracket is bisected by
+    _bisect.  Raises RayBracketFailure for an inner disk below the float
+    spacing at the center, a ray that reaches its outer end inside L, or a
+    ray that re-enters L just beyond its crossing (tangency or a wiggle).
+    """
     a = np.asarray(dom.centers)
     m = np.asarray(dom.exponents.m)
-    logcap = math.log(dom.capacity)
+    cap = dom.capacity
+    c = dom.boundary_c
     center = a[j]
-    span = (a[-1] - a[0]) + 4.0 * dom.capacity + 1.0
+    r_in = min(center - c[2 * j], c[2 * j + 1] - center)
+    # sum_i m_i log(|a_i - a_j| + r) bounds g + log cap on the disk of radius r
+    while np.log(np.abs(a - center) + r_in) @ m >= math.log(cap):
+        r_in *= 0.5
+        if r_in < np.spacing(abs(center)):
+            raise RayBracketFailure(f"no disk inside L around center {center}")
+    reach = _outer_reach(cap, 0.0)
+    left = dom.crit_w[j - 1] if j > 0 else a[0] - reach
+    right = dom.crit_w[j] if j < len(a) - 1 else a[-1] + reach
+    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False))
+    with np.errstate(divide="ignore"):
+        r_out = np.minimum(
+            np.where(ray.real > 0, right - center, center - left) / np.abs(ray.real),
+            2.0 * cap / np.abs(ray.imag))
 
-    def gvals(r, theta):
-        w = center + r * np.exp(1j * theta)
-        return np.log(np.abs(w[:, None] - a[None, :])) @ m - logcap
+    def level(r, rays=slice(None)):
+        return _green_values(center + r * ray[rays], a, m, cap)
 
-    theta = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
-    r0 = span * 1e-9
-    while np.any(gvals(np.full(n_rays, r0), theta) >= 0):
-        r0 *= 1e-2
-        if r0 < 1e-290:
-            raise RayBracketFailure("no inner radius with negative level found")
-    # outward march to the first level crossing on every ray
-    n_steps = int(np.ceil(np.log(span / r0) / np.log(1.1))) + 1
-    radii = r0 * 1.1 ** np.arange(n_steps)
-    signs = np.empty((n_steps, n_rays), dtype=bool)
-    for i, r in enumerate(radii):
-        signs[i] = gvals(np.full(n_rays, r), theta) > 0
-    if not np.all(np.any(signs, axis=0)):
-        raise RayBracketFailure(f"some rays from center {center} never escape")
-    first = np.argmax(signs, axis=0)  # first radius with g > 0
-    hi = radii[first]
-    lo = radii[first - 1]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        pos = gvals(mid, theta) > 0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    r = 0.5 * (lo + hi)
-    # star-shapedness probe: immediately outside the crossing the ray must
-    # stay outside its own lobe (tangency or a wiggle re-enters at once;
-    # deeper re-entries belong to neighboring components and are fine)
+    neg = np.full(n_rays, r_in)
+    pos = np.minimum(1.1 * neg, r_out)
+    marching = np.flatnonzero(level(pos) <= 0)
+    while marching.size:
+        if np.any(pos[marching] == r_out[marching]):
+            raise RayBracketFailure(
+                f"rays from center {center} reach their outer end inside L")
+        neg[marching] = pos[marching]
+        pos[marching] = np.minimum(1.1 * pos[marching], r_out[marching])
+        marching = marching[level(pos[marching], marching) <= 0]
+    r = _bisect(level, pos, neg)
+    # immediately outside the crossing the ray must stay outside L
     for factor in (1.005, 1.02, 1.05):
-        if np.any(gvals(r * factor, theta) <= 0):
+        if np.any(level(np.minimum(r * factor, r_out)) <= 0):
             raise RayBracketFailure(
                 f"rays from center {center} re-enter the level set")
-    pts = center + r * np.exp(1j * theta)
+    pts = center + r * ray
     return np.append(pts, pts[:1])
 
 
 def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> list[BoundaryTrace]:
     """Trace each boundary component of L by radial bisection of the Green's
-    level set along rays from its center.
+    level set along rays from its center, bracketed between a disk inside
+    the lobe and the critical lines and band that enclose it (see
+    _trace_component).
 
-    A component whose rays cross the level set more than once (star-shaped
-    sampling assumption violated) is reported unsampled rather than wrong.
+    A ray may re-enter L beyond its outer end, but that part of L belongs to
+    a neighboring lobe.  A component whose rays cannot be bracketed, or
+    re-enter L right after their crossing (star-shaped sampling assumption
+    violated), is reported unsampled rather than wrong.
     """
     out = []
     for j, center in enumerate(dom.centers):

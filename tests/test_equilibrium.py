@@ -82,6 +82,31 @@ def test_component_masses_against_midpoint_oracle(three_interval):
         assert abs(clustered_midpoint_mass(three_interval, j) - got) < 1e-9
 
 
+@pytest.mark.parametrize("ell", [2, 5, 12])
+def test_masses_match_the_product_written_out(ell):
+    # the masses integrate the same product integrand as the gap conditions;
+    # here the numerator is multiplied out factor by factor instead
+    from walshmap.green import _endpoint_weight_fd
+    from walshmap.quadrature import integrate_chebyshev
+    from walshmap.verify import random_interval_set
+
+    wm = solve(random_interval_set(np.random.default_rng(ell), ell))
+    E, roots = wm.domain, wm.green.roots
+    raw = []
+    for j in range(1, ell + 1):
+        lo, hi, weight = _endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1)
+
+        def product(x, d_lo, d_hi, j=j, weight=weight):
+            out = (-1.0) ** (ell - j) / math.pi * weight(x, d_lo, d_hi)
+            for z in roots:
+                out = out * (x - z)
+            return out
+
+        raw.append(integrate_chebyshev(None, lo, hi, fd=product))
+    expected = np.array(raw) / math.fsum(raw)
+    np.testing.assert_allclose(exponents(E, wm.green).m, expected, rtol=1e-14, atol=0)
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.floats(0.05, 0.9), st.floats(1.05, 3.0))
 def test_symmetric_sets_have_palindromic_masses(inner, outer):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, PoleAtCenter
-from walshmap.lemniscatic import (LemniscaticDomain, boundary_abscissae,
+from walshmap.lemniscatic import (LemniscaticDomain, _bisect, boundary_abscissae,
                                   centers_general, centers_three, centers_two,
                                   crit_points, green, green_deriv)
 
@@ -137,6 +137,19 @@ def test_array_root_finders_match_scalar_oracles(data):
             boundary_abscissae(a, m, cap, crit=w_ref)
         return
     assert _agree(boundary_abscissae(a, m, cap, crit=w_ref), c_ref)
+
+
+def test_bisect_brackets_of_either_orientation():
+    # f(pos) > 0 >= f(neg), whichever end is larger; zeros at -0.3 and 0.7
+    pos = np.array([1.0, -1.0])
+    neg = np.array([0.0, 0.0])
+    got = _bisect(lambda x: (x - 0.7) * (x + 0.3), pos, neg)
+    assert got[0] == pytest.approx(0.7, abs=1e-15)
+    assert got[1] == pytest.approx(-0.3, abs=1e-15)
+    # a bracket already down to adjacent floats stays put
+    x = np.array([0.5])
+    assert _bisect(lambda v: v - 0.5, np.nextafter(x, 1.0), x)[0] in (
+        x[0], np.nextafter(x[0], 1.0))
 
 
 def test_boundary_abscissae_disk():

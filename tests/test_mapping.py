@@ -186,6 +186,52 @@ def test_trace_boundary_two_interval(two_interval):
         assert abs(left - dom.boundary_c[2 * j]) < 1e-9
 
 
+def test_trace_boundary_lobe_below_float_spacing_is_unsampled():
+    from walshmap.equilibrium import ExponentVector
+    from walshmap.lemniscatic import LemniscaticDomain
+
+    # a disk of radius 1e-16 about 1.0, whose abscissae are the floats next
+    # to 1.0: no disk inside it is as wide as the float spacing at its
+    # center, so no ray can be bracketed
+    dom = LemniscaticDomain(centers=(1.0,), exponents=ExponentVector((1.0,), 0.0),
+                            capacity=1e-16, crit_w=(),
+                            boundary_c=(np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)),
+                            outer_iterations=0, inner_residual=0.0)
+    [trace] = trace_boundary(dom, 16)
+    assert not trace.sampled and trace.points is None
+
+
+@pytest.mark.parametrize("pairs", [
+    [[-1.0, -1e-4], [1e-4, 1.0]],
+    [[-1.0, 0.4999], [0.5001, 1.0]],
+    [[-1.0, -0.3], [-0.2998, 0.4], [0.4001, 1.0]],
+])
+def test_trace_boundary_narrow_gaps(pairs):
+    # lobes that nearly touch: a ray must stop at its own lobe's boundary,
+    # not cross the neck into the neighbor and stop on the far side of it
+    dom = solve(pairs).lemniscatic
+    hull = pairs[-1][1] - pairs[0][0]
+    traces = trace_boundary(dom, 64)
+    assert all(t.sampled for t in traces)
+    s = np.linspace(0.0, 1.0, 2002)[1:-1]
+    for j, tr in enumerate(traces):
+        assert abs(tr.points[0] - dom.boundary_c[2 * j + 1]) < 1e-12 * hull
+        assert abs(tr.points[32] - dom.boundary_c[2 * j]) < 1e-12 * hull
+        # every traced point is the first crossing of its ray
+        for p in tr.points[:-1]:
+            inner = dom.centers[j] + s * (p - dom.centers[j])
+            assert np.max(green_level(inner, dom)) < 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_near_boundary_flag_is_scale_covariant(scale):
+    pairs = [[scale * lo, scale * hi] for lo, hi in ref.TWO_INTERVAL["pairs"]]
+    wm = solve(pairs)
+    hull = pairs[-1][1] - pairs[0][0]
+    assert wm.map_point(complex(0.5 * scale, 5e-10 * hull)).near_boundary
+    assert not wm.map_point(complex(0.5 * scale, 1e-7 * hull)).near_boundary
+
+
 def test_concurrent_map_matches_sequential(two_interval):
     # immutable inputs and pure evaluation: threads must agree with the
     # sequential answers bit for bit
