@@ -10,6 +10,8 @@ derivative around the component.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NormalizationDefect, OutsideSupport, PadTooLarge
 from .green import GreenData, _endpoint_weight_fd, _plain_deriv
 from .intervals import IntervalUnion, locate
@@ -87,9 +89,9 @@ def contour_mass(E: IntervalUnion, data: GreenData, j: int, pad: float,
     """Mass of component j by a contour integral of the Green's derivative.
 
     Integrates N/S counterclockwise over the rectangle with horizontal pad
-    and half-height `pad` around component j (1-based).  Test oracle, not a
-    production path; raises PadTooLarge if the rectangle would reach another
-    component.
+    and half-height `pad` around component j (1-based), its four sides in
+    one vector call of the segment rule.  Test oracle, not a production
+    path; raises PadTooLarge if the rectangle would reach another component.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not 1 <= j <= E.ell:
@@ -103,10 +105,8 @@ def contour_mass(E: IntervalUnion, data: GreenData, j: int, pad: float,
             raise PadTooLarge(
                 f"pad {pad} reaches component {i + 1}; shrink the rectangle")
 
-    f = _plain_deriv(E, data.roots)
-    corners = [complex(lo, -pad), complex(hi, -pad), complex(hi, pad),
-               complex(lo, pad), complex(lo, -pad)]
-    total = 0j
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        total += integrate_segment_complex(f, z0, z1, cfg=cfg)
-    return (total / (2j * math.pi)).real
+    corners = np.array([complex(lo, -pad), complex(hi, -pad), complex(hi, pad),
+                        complex(lo, pad), complex(lo, -pad)])
+    sides = integrate_segment_complex(_plain_deriv(E, data.roots), corners[:-1],
+                                      corners[1:], cfg=cfg)
+    return (sum(sides) / (2j * math.pi)).real

@@ -233,9 +233,10 @@ _NS_BLOCK = 256
 
 
 def _ns_ratio(r_off, e_off):
-    """fd(t) = prod(t + r_k) / prod(sqrt(t + e_j)) at the nodes t (a 1-D
-    array), for root offsets r (ell - 1) and endpoint offsets e (2 ell) to
-    a common base.
+    """fd(t) = prod(t + r_k) / prod(sqrt(t + e_j)) at the nodes t (an array
+    of any shape), for root offsets r (ell - 1) and endpoint offsets e
+    (2 ell) to a common base.  The nodes are evaluated in blocks of the
+    flattened array.
 
     Root k is paired against component k's endpoints, so every factor is
     O(1) and no partial product can overflow.  Each t + e_j gets its own
@@ -243,14 +244,22 @@ def _ns_ratio(r_off, e_off):
     """
     r_off, e_off = r_off[:, None], e_off[:, None]
 
+    def block(tb):
+        sq = tb + e_off
+        np.sqrt(sq, out=sq)
+        den = np.multiply(sq[0:-2:2], sq[1:-2:2], out=sq[0:-2:2])
+        ratio = tb + r_off
+        ratio /= den
+        return np.multiply.reduce(ratio) / (sq[-2] * sq[-1])
+
     def fd(t):
-        out = np.empty(t.shape, dtype=np.result_type(t, float))
-        for start in range(0, t.size, _NS_BLOCK):
-            tb = t[start:start + _NS_BLOCK]
-            sq = np.sqrt(tb + e_off)
-            ratio = (tb + r_off) / (sq[0:-2:2] * sq[1:-2:2])
-            out[start:start + _NS_BLOCK] = np.prod(ratio, axis=0) / (sq[-2] * sq[-1])
-        return out
+        flat = t.reshape(-1)
+        if flat.size <= _NS_BLOCK:
+            return block(flat).reshape(t.shape)
+        out = np.empty(flat.shape, dtype=np.result_type(t, float))
+        for start in range(0, flat.size, _NS_BLOCK):
+            out[start:start + _NS_BLOCK] = block(flat[start:start + _NS_BLOCK])
+        return out.reshape(t.shape)
 
     return fd
 
@@ -296,10 +305,9 @@ def _plain_deriv(E: IntervalUnion, roots):
     return _deriv_integrand(E, roots, 0.0)
 
 
-def _green_integral(E: IntervalUnion, roots, base: float, z: complex,
-                    cfg: QuadConfig) -> complex:
-    """Integral of N/S along the straight segment from the endpoint `base`
-    to z.
+def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
+    """Vertices after `base` of the straight path from the endpoint `base` to
+    z: its knots, then z.
 
     The segment is subdivided at its closest-approach point to any other
     endpoint that comes within a tenth of the path length and closer to the
@@ -308,7 +316,6 @@ def _green_integral(E: IntervalUnion, roots, base: float, z: complex,
     harmless.  (An endpoint behind the base projects next to it, and a knot
     there would start a panel beside the base singularity.)
     """
-    z = complex(z)
     span = z - base
     length = abs(span)
     length2 = length * length
@@ -333,33 +340,74 @@ def _green_integral(E: IntervalUnion, roots, base: float, z: complex,
     for s in splits:
         if not knots or s > knots[-1] * (1.0 + 1e-6):
             knots.append(s)
+    return [base + span * s for s in knots] + [z]
 
-    fd = _deriv_integrand(E, roots, base)
-    if not knots:
-        return integrate_segment_complex(None, base, z, singular_at_start=True,
-                                         cfg=cfg, fd=fd)
-    points = [base + span * s for s in knots] + [z]
-    total = integrate_segment_complex(None, base, points[0],
-                                      singular_at_start=True, cfg=cfg, fd=fd)
-    f = _plain_deriv(E, roots)
-    for z0, z1 in zip(points[:-1], points[1:]):
-        total += integrate_segment_complex(f, z0, z1, cfg=cfg)
+
+def _green_integral(E: IntervalUnion, roots, base: float, z,
+                    cfg: QuadConfig):
+    """Integral of N/S along the straight segment from the endpoint `base`
+    to z, a complex number or an array of them, in panels between the
+    vertices of _path.
+
+    Every point's first panel, singular at the base, goes into one vector
+    call of the segment rule, and every later panel into one more; each
+    point's panels are then added in path order.  For a scalar z a panel
+    that does not converge raises its NoConvergence.  For an array the
+    other points are unaffected: the result has z's shape, and if any point
+    failed, NoConvergence is raised with that result as its best, NaN at
+    each failed point (a converged panel is finite).
+    """
+    z = np.asarray(z, dtype=complex)
+    paths = [_path(E, base, p) for p in z.reshape(-1).tolist()]
+    # one row of vertices per point, padded with z: the padding panels from
+    # z to z have zero length and add nothing
+    width = max(map(len, paths), default=1)
+    verts = np.array([path + path[-1:] * (width - len(path)) for path in paths],
+                     dtype=complex).reshape(z.shape + (width,))
+
+    def panels(f, z0, z1, singular_at_start=False, fd=None):
+        """Panel values, NaN where a panel did not converge."""
+        try:
+            return integrate_segment_complex(f, z0, z1, singular_at_start, cfg, fd=fd)
+        except NoConvergence as exc:
+            if not z.ndim:
+                raise
+            # the rule's own stopping test picks out the unconverged panels
+            return np.where(exc.estimate <= cfg.tolerance(exc.best), exc.best, np.nan)
+
+    total = panels(None, base, verts[..., 0], True, _deriv_integrand(E, roots, base))
+    if width > 1:
+        later = panels(_plain_deriv(E, roots), verts[..., :-1], verts[..., 1:])
+        for k in range(width - 1):
+            total = total + later[..., k]
+    if not z.ndim:
+        return complex(total)
+    failed = np.count_nonzero(np.isnan(total))
+    if failed:
+        raise NoConvergence(f"Green's integral did not converge at {failed} of "
+                            f"{total.size} points", best=total)
     return total
 
 
-def green_complex(z: complex, E: IntervalUnion, data: GreenData,
-                  cfg: QuadConfig | None = None) -> complex:
+def green_complex(z, E: IntervalUnion, data: GreenData,
+                  cfg: QuadConfig | None = None):
     """Complex Green's integral from the rightmost endpoint along the straight
     segment to z; its real part is the Green's function.
+
+    z may be an array: every point's path is integrated at once (see
+    _green_integral) and the result has z's shape.  A point whose path does
+    not converge fails alone; NoConvergence then carries the whole result
+    as best, NaN at each failed point.
 
     Defined on the complement of (-inf, b_{2l}]; raises PathOnCut on that
     half-line (use green_real / rim conventions there).
     """
     cfg = cfg or DEFAULT_CONFIG
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     base = E.endpoints[-1]
-    if z.imag == 0.0 and z.real <= base:
-        raise PathOnCut(f"z = {z} lies on the excluded half-line")
+    for p in z.reshape(-1).tolist():
+        if p.imag == 0.0 and p.real <= base:
+            raise PathOnCut(f"z = {p} lies on the excluded half-line")
     return _green_integral(E, data.roots, base, z, cfg)
 
 

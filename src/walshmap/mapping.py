@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsideE, RayBracketFailure, WalshMapError
+from .errors import InsideE, NoConvergence, RayBracketFailure, WalshMapError
 from .green import (GreenData, _green_integral, _green_real, green_complex)
 from .intervals import IntervalUnion, locate
 from .lemniscatic import (LemniscaticDomain, _bisect, _green_scalar, _green_values,
@@ -178,7 +178,12 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             max_steps=200, max_halvings=40)
         return MapResult(complex(w), abs(F), it, "real_gap", k)
 
-    target = green_complex(z, E, data, cfg)
+    return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data, tol)
+
+
+def _complex_image(z, target, E, dom, data, tol):
+    """Image of the off-axis z whose Green's integral is `target`, by damped
+    Newton on the complex equation in the half-plane of z."""
     # the map keeps each half-plane
     same_side = (lambda w: w.imag > 0.0) if z.imag > 0.0 else (lambda w: w.imag < 0.0)
     w, F, it = damped_newton(
@@ -203,12 +208,30 @@ class GridPoint:
 def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
              tol: float = 1e-12, cfg: QuadConfig | None = None) -> list[GridPoint]:
     """Map a batch of points, skipping interior points of E and recording
-    failures per point; never aborts the batch, order preserved."""
+    failures per point; never aborts the batch, order preserved.
+
+    The Green targets of all off-axis points come from one green_complex
+    call, and each point then runs map_point's Newton on its own target.
+    Real-axis points, and off-axis points whose target did not converge,
+    go through map_point, which raises the point's own error.  Every point
+    gets what map_point gives it.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    zs = [complex(z) for z in zs]
+    try:
+        targets = green_complex([z for z in zs if z.imag != 0.0], E, data, cfg)
+    except NoConvergence as exc:
+        targets = exc.best  # NaN where a point's path did not converge
+    targets = iter(targets.tolist())
     out = []
     for z in zs:
-        z = complex(z)
+        target = next(targets) if z.imag != 0.0 else None
         try:
-            out.append(GridPoint(z, "converged", map_point(z, E, dom, data, tol, cfg)))
+            if target is None or cmath.isnan(target):
+                res = map_point(z, E, dom, data, tol, cfg)
+            else:
+                res = _complex_image(z, target, E, dom, data, tol)
+            out.append(GridPoint(z, "converged", res))
         except InsideE:
             out.append(GridPoint(z, "skipped"))
         except WalshMapError as exc:

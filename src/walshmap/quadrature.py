@@ -9,6 +9,12 @@ its own, keeping the estimate of the first level at which it met the
 tolerance.  Its nodes reach the integrand in blocks of at most 1024, so a
 K-row integrand never holds more than K x 1024 values at once.
 
+The segment rule likewise takes arrays of P segments (panels): at each
+order one integrand call per chunk receives the offsets of every panel
+still doubling, as a (panels, n) block, and each panel stops on its own.
+Chunks hold whole panels, so each panel's sum is the one a call on it
+alone forms, and at most _SEG_BLOCK nodes unless one panel has more.
+
 * inverse-square-root endpoint singularities on a finite interval
   -> cosine substitution + Gauss-Chebyshev midpoint rule,
 * semi-infinite tails with O(1/x^2) decay and an inverse-square-root
@@ -66,6 +72,7 @@ DEFAULT_CONFIG = QuadConfig()
 # nodes per integrand call: bounds the (K, block) temporaries of vector rules,
 # whose peaks otherwise stay in the resident memory of the process
 _CHEB_BLOCK = 1024
+_SEG_BLOCK = 2048
 
 
 def _chebyshev_sum(f, fd, mid, hw, n):
@@ -219,50 +226,111 @@ def integrate_tail(f, lo, direction=1, cfg=None, *, fd=None, with_estimate=False
 
 @lru_cache(maxsize=None)
 def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes mapped to [0, 1], and the weights on [-1, 1].
+
+    Both are stored complex: a product with complex values would convert
+    them on every call, to the same numbers."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    return (0.5 * (u + 1.0)).astype(complex), w.astype(complex)
 
 
 def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
                               fd=None, with_estimate=False):
-    """Integrate f along the straight segment from z0 to z1.
+    """Integrate f along the straight segments from z0 to z1.
 
-    f must be analytic on the open segment; with singular_at_start it may have
-    an inverse-square-root singularity at z0, removed by the substitution
-    zeta = z0 + (z1 - z0) s^2.  Gauss-Legendre with doubling order.
+    f must be analytic on each open segment; with singular_at_start it may
+    have an inverse-square-root singularity at z0, removed by the
+    substitution zeta = z0 + (z1 - z0) s^2.  Gauss-Legendre with doubling
+    order.
 
-    ``fd(offset)``, when given, receives the exact complex offset zeta - z0.
+    z0 and z1 may be arrays (broadcast against each other) of P panels, all
+    integrated at once: at each order one integrand call per node chunk
+    receives the offsets of every panel still doubling, as a (panels, n)
+    block.  Stopping is per panel: each keeps the estimate of the level at
+    which |est - prev| met the tolerance, so each equals what a call on it
+    alone returns.  A zero-length panel gives 0j.  Node chunks hold whole
+    panels and at most 2048 nodes (or one panel).
+
+    ``fd(offset)``, when given, receives the exact complex offsets zeta - z0.
+
+    Returns a complex for scalar z0 and z1, else an array of their broadcast
+    shape (and error estimates alike with ``with_estimate``).  NoConvergence
+    carries ``best`` and ``estimate`` in the same shape: a converged panel's
+    kept value and estimate, an unconverged one's last; its message names
+    the first unconverged panel.
     """
     cfg = cfg or DEFAULT_CONFIG
-    z0 = complex(z0)
-    z1 = complex(z1)
+    z0, z1 = np.asarray(z0, dtype=complex), np.asarray(z1, dtype=complex)
     span = z1 - z0
-    if span == 0:
-        return (0j, 0.0) if with_estimate else 0j
+    shape = span.shape
+    value = np.zeros(span.size, dtype=complex)
+    error = np.zeros(span.size)
+    flat = span.reshape(-1)
+    active = flat.nonzero()[0]
+    # the still-doubling panels' spans and starts (read by f only), as columns
+    sp = flat[active, None]
+    if fd is None:
+        at = (z0 if z0.shape == shape else np.broadcast_to(z0, shape)).reshape(-1)[active, None]
+    else:
+        at = sp
 
-    def evaluate(offset):
-        if fd is not None:
-            return fd(offset)
-        return f(z0 + offset)
+    def evaluate(offset, starts):
+        return fd(offset) if fd is not None else f(starts + offset)
 
-    prev = None
-    err = np.inf
+    prev = err = None
     n = 16
     # Gauss rules above n=2048 cost more to construct than they repay
     for _ in range(min(cfg.max_level, 7) + 1):
-        u, w = _leggauss(n)
-        s = 0.5 * (u + 1.0)
-        if singular_at_start:
-            # d zeta = 2 span s ds and ds = du/2
-            vals = evaluate(span * s * s) * (span * s)
-        else:
-            vals = evaluate(span * s) * (0.5 * span)
-        est = complex(np.sum(vals * w))
+        if not active.size:
+            break
+        s, w = _leggauss(n)
+        chunk = max(1, _SEG_BLOCK // n)
+        parts = []
+        for lo in range(0, active.size, chunk):
+            spc = sp[lo:lo + chunk]
+            if singular_at_start:
+                # d zeta = 2 span s ds and ds = du/2
+                jac = spc * s
+                vals = evaluate(jac * s, at[lo:lo + chunk])
+            else:
+                jac = 0.5 * spc
+                vals = evaluate(spc * s, at[lo:lo + chunk])
+            vals = vals * jac
+            vals *= w
+            parts.append(np.add.reduce(vals, axis=-1))
+        est = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if prev is not None:
-            err = abs(est - prev)
-            if err <= cfg.tolerance(abs(est)):
-                return (est, err) if with_estimate else est
+            err = np.abs(est - prev)
+            done = err <= cfg.tolerance(est)
+            settled = np.count_nonzero(done)
+            if settled == active.size:
+                value[active], error[active] = est, err
+                active = active[:0]
+                break
+            if settled:
+                value[active[done]] = est[done]
+                error[active[done]] = err[done]
+                keep = ~done
+                active, est, err = active[keep], est[keep], err[keep]
+                sp, at = sp[keep], at[keep]
         prev = est
         n *= 2
-    raise NoConvergence(
-        f"segment rule did not reach tolerance on [{z0}, {z1}] "
-        f"(last estimate {prev!r})", best=prev, estimate=err)
+    if active.size:
+        value[active] = prev
+        error[active] = err
+        i = active[0]
+        more = f" and {active.size - 1} more panels" if active.size > 1 else ""
+        best, estimate = value.reshape(shape), error.reshape(shape)
+        if not shape:
+            best, estimate = complex(best), float(estimate)
+        raise NoConvergence(
+            f"segment rule did not reach tolerance on "
+            f"[{complex(np.broadcast_to(z0, shape).flat[i])}, "
+            f"{complex(np.broadcast_to(z1, shape).flat[i])}] "
+            f"(last estimate {complex(prev[0])!r}){more}",
+            best=best, estimate=estimate)
+    if not shape:
+        value, error = complex(value[0]), float(error[0])
+    else:
+        value, error = value.reshape(shape), error.reshape(shape)
+    return (value, error) if with_estimate else value

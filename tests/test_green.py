@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from walshmap.api import solve
-from walshmap.errors import (CapacityMismatch, NotOnCut, OnCutError,
-                             PathOnCut, RootNotBracketed)
+from walshmap.errors import (CapacityMismatch, NoConvergence, NotOnCut,
+                             OnCutError, PathOnCut, RootNotBracketed)
 from walshmap.green import (alpha_coefficient, capacity, green_complex,
                             green_poly, green_real, sqrt_branch,
                             sqrt_branch_rim)
@@ -269,6 +269,30 @@ def test_green_asymptotics_both_directions(two_interval):
 def test_green_complex_rejects_cut(two_interval):
     with pytest.raises(PathOnCut):
         green_complex(-3.0, two_interval.domain, two_interval.green)
+
+
+def test_green_complex_batch_matches_points(three_interval):
+    # near and far points with knotted paths, and one whose path passes
+    # within 1e-6 of every branch point: it alone fails, as NaN in best
+    wm = three_interval
+    zs = np.array([[0.3 + 0.7j, -0.45 + 1e-3j, 2e3 - 5e2j],
+                   [-1.5 + 1e-6j, 0.95 - 0.02j, 1e4j]])
+    with pytest.raises(NoConvergence) as err:
+        green_complex(zs, wm.domain, wm.green)
+    best = err.value.best
+    assert best.shape == zs.shape and "1 of 6 points" in str(err.value)
+    for z, got in zip(zs.flat, best.flat):
+        if z == -1.5 + 1e-6j:
+            assert np.isnan(got)
+            with pytest.raises(NoConvergence):
+                green_complex(z, wm.domain, wm.green)
+        else:
+            assert got == green_complex(z, wm.domain, wm.green)
+    ok = np.delete(zs.ravel(), 3)
+    assert np.array_equal(green_complex(ok, wm.domain, wm.green),
+                          np.delete(best.ravel(), 3))
+    with pytest.raises(PathOnCut):
+        green_complex([1j, -3.0], wm.domain, wm.green)
 
 
 # --- capacity and alpha ----------------------------------------------------------

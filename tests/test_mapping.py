@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from walshmap.api import solve
-from walshmap.errors import BracketFailure, InsideE
+from walshmap.errors import BracketFailure, InsideE, WalshMapError
 from walshmap.green import _green_integral, green_complex
 from walshmap.lemniscatic import green as green_level
 from walshmap.mapping import branch_offset, map_grid, map_point, trace_boundary
@@ -323,3 +323,45 @@ def test_points_well_off_the_axis_start_from_z(three_interval):
                 w = wm.map_point(z).w
                 assert (w.imag > 0.0) == (z.imag > 0.0)
                 assert abs(green_level(w, wm.lemniscatic) - _green_from_left(wm, z)) <= 1e-9
+
+
+def _mixed_points(E):
+    """Off-axis points near and far, real-gap points, every endpoint,
+    interior points of E, and a near-axis point left of E whose Green path
+    does not converge, placed in the middle of the list."""
+    b = E.endpoints
+    lo, hi = E.components[0]
+    zs = [complex(x, y) for x in np.linspace(b[0] - 0.4, b[-1] + 0.4, 9)
+          for y in (-0.7, -1e-3, 0.35)]
+    zs += [1e4j, -1e4j]
+    zs += [complex(0.5 * (b[2 * k - 1] + b[2 * k])) for k in range(1, E.ell)]
+    zs += [complex(b[0] - 0.5), complex(b[-1] + 0.5)]
+    zs += [complex(x) for x in b]
+    zs += [complex(0.5 * (lo + hi)), complex(0.25 * lo + 0.75 * hi)]
+    zs.insert(len(zs) // 2, complex(-1.5, 1e-6))
+    return zs
+
+
+def test_grid_matches_map_point(three_interval):
+    ten = solve(random_interval_set(np.random.default_rng(3), 10))
+    for wm in (three_interval, ten):
+        zs = _mixed_points(wm.domain)
+        points = wm.map_grid(zs)
+        assert [p.z for p in points] == zs
+        statuses = {p.status for p in points}
+        assert statuses == {"converged", "skipped", "failed"}
+        for p in points:
+            try:
+                one = wm.map_point(p.z)
+            except InsideE:
+                assert p.status == "skipped"
+                continue
+            except WalshMapError as exc:
+                assert p.status == "failed"
+                assert p.error == f"{type(exc).__name__}: {exc}"
+                continue
+            res = p.result
+            assert p.status == "converged"
+            assert (res.branch, res.index, res.iterations, res.near_boundary) == (
+                one.branch, one.index, one.iterations, one.near_boundary)
+            assert abs(res.w - one.w) <= 1e-14 * abs(one.w)

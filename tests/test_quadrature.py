@@ -209,3 +209,82 @@ def test_segment_orientation_antisymmetry():
 
 def test_segment_zero_length():
     assert integrate_segment_complex(lambda z: z, 1.0, 1.0) == 0j
+
+
+# --- vector segment rule -------------------------------------------------------
+
+# panels that stop at different orders: short and long, towards and away
+# from the pole of 1/(z + 2), and one of zero length
+STARTS = np.array([0.0, 0.5j, -1.0 + 0.2j, 1.5 - 1.5j, 0.3, 2.0])
+ENDS = np.array([0.1, 3.0 + 0.5j, -1.9 + 0.1j, -1.5 + 1.5j, 0.3, 2.0 + 1e-3j])
+
+
+def rational(z):
+    return np.exp(z) / (z + 2.0)
+
+
+def sqrt_start(offset):
+    # 1/sqrt singularity at every panel's start, given the exact offset
+    return np.cos(offset) / np.sqrt(offset)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_segment_batch_matches_scalar_calls(singular):
+    kwargs = {"fd": sqrt_start} if singular else {}
+    f = None if singular else rational
+    vec, err = integrate_segment_complex(f, STARTS, ENDS, singular,
+                                         with_estimate=True, **kwargs)
+    assert vec.shape == err.shape == STARTS.shape
+    for z0, z1, v, e in zip(STARTS, ENDS, vec, err):
+        one, one_err = integrate_segment_complex(f, complex(z0), complex(z1), singular,
+                                                 with_estimate=True, **kwargs)
+        assert isinstance(one, complex) and isinstance(one_err, float)
+        np.testing.assert_array_max_ulp([v.real, v.imag, e],
+                                        [one.real, one.imag, one_err], maxulp=2)
+
+
+def test_segment_batch_keeps_early_panel_value():
+    rows = []
+
+    def fd(offset):
+        rows.append(offset.shape)
+        return np.exp(offset) / (offset - 0.5 - 0.02j)
+
+    # the short panel settles after 32 nodes, the one near the pole at 0.5
+    # needs many more
+    vec = integrate_segment_complex(None, 0.0, np.array([0.05, 1.0]), fd=fd)
+    assert rows[:3] == [(2, 16), (2, 32), (1, 64)] and rows[-1] == (1, 1024)
+    assert vec[0] == integrate_segment_complex(None, 0.0, 0.05, fd=fd)
+
+
+def test_segment_zero_length_panels_give_zero():
+    seen = []
+
+    def f(z):
+        seen.append(z.shape[0])
+        return z
+
+    vec = integrate_segment_complex(f, np.array([1.0, 0.0, 2j]),
+                                    np.array([1.0, 1.0, 2j]))
+    assert vec[0] == 0j and vec[2] == 0j
+    assert abs(vec[1] - 0.5) < 1e-15
+    assert set(seen) == {1}  # the integrand never sees an empty panel
+
+
+def test_segment_no_convergence_carries_arrays():
+    # rough where Im z varies: only the two slanted panels fail
+    rough = lambda z: np.cos(1e6 * z.imag)
+    z0 = np.array([[0.0, 1.0], [2.0, 3.0]])
+    z1 = np.array([[1.0, 1.0 + 1j], [3.0, 3.5 + 1j]])
+    with pytest.raises(NoConvergence) as err:
+        integrate_segment_complex(rough, z0, z1)
+    best, estimate = err.value.best, err.value.estimate
+    assert best.shape == estimate.shape == (2, 2)
+    assert best[0, 0] == integrate_segment_complex(rough, 0.0, 1.0) == 1.0
+    assert best[1, 0] == integrate_segment_complex(rough, 2.0, 3.0) == 1.0
+    cfg = QuadConfig()
+    assert np.all(estimate[:, 0] <= cfg.tolerance(best[:, 0]))
+    assert np.all(estimate[:, 1] > cfg.tolerance(best[:, 1]))
+    assert str(err.value).startswith(
+        "segment rule did not reach tolerance on [(1+0j), (1+1j)]")
+    assert str(err.value).endswith("and 1 more panels")
