@@ -254,7 +254,7 @@ def _ns_ratio(r_off, e_off):
 
     def fd(t):
         flat = t.reshape(-1)
-        if flat.size <= _NS_BLOCK:
+        if flat.size <= _NS_BLOCK:  # one block (a single point's panels): no buffer
             return block(flat).reshape(t.shape)
         out = np.empty(flat.shape, dtype=np.result_type(t, float))
         for start in range(0, flat.size, _NS_BLOCK):
@@ -351,8 +351,9 @@ def _green_integral(E: IntervalUnion, roots, base: float, z,
 
     Every point's first panel, singular at the base, goes into one vector
     call of the segment rule, and every later panel into one more; each
-    point's panels are then added in path order.  For a scalar z a panel
-    that does not converge raises its NoConvergence.  For an array the
+    point's panels are then added in path order.  For a scalar z the first
+    panel that does not converge raises NoConvergence with its own message,
+    last estimate (best) and error estimate, both scalars.  For an array the
     other points are unaffected: the result has z's shape, and if any point
     failed, NoConvergence is raised with that result as its best, NaN at
     each failed point (a converged panel is finite).
@@ -370,10 +371,16 @@ def _green_integral(E: IntervalUnion, roots, base: float, z,
         try:
             return integrate_segment_complex(f, z0, z1, singular_at_start, cfg, fd=fd)
         except NoConvergence as exc:
-            if not z.ndim:
-                raise
             # the rule's own stopping test picks out the unconverged panels
-            return np.where(exc.estimate <= cfg.tolerance(exc.best), exc.best, np.nan)
+            failed = ~(exc.estimate <= cfg.tolerance(exc.best))
+            if z.ndim:
+                return np.where(failed, np.nan, exc.best)
+            # one point: the payload of its first failing panel, which the
+            # message names, as for a path integrated panel by panel
+            i = np.argmax(np.ravel(failed))
+            exc.best = complex(np.ravel(exc.best)[i])
+            exc.estimate = float(np.ravel(exc.estimate)[i])
+            raise
 
     total = panels(None, base, verts[..., 0], True, _deriv_integrand(E, roots, base))
     if width > 1:
@@ -397,7 +404,8 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     z may be an array: every point's path is integrated at once (see
     _green_integral) and the result has z's shape.  A point whose path does
     not converge fails alone; NoConvergence then carries the whole result
-    as best, NaN at each failed point.
+    as best, NaN at each failed point.  For a scalar z it is the first
+    failing panel's, with scalar best and estimate.
 
     Defined on the complement of (-inf, b_{2l}]; raises PathOnCut on that
     half-line (use green_real / rim conventions there).

@@ -15,6 +15,7 @@ _complex_start.  Endpoints map to the boundary abscissae directly.
 
 import bisect
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 _NEAR_BOUNDARY = 1e-9
+
+# points per green_complex call of map_grid: bounds the paths and panel
+# arrays a batch holds at once
+_GRID_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,8 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     the complex equation, kept in the half-plane of z, from the start of
     _complex_start.  Off-axis points closer to E than 1e-9 of its hull
     width b_{2l} - b_1 are evaluated but flagged near_boundary.  Raises
-    NoConvergence when Newton stalls.
+    NoConvergence when Newton stalls or a panel of the Green's integral
+    does not converge (see green_complex).
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -210,32 +216,33 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     """Map a batch of points, skipping interior points of E and recording
     failures per point; never aborts the batch, order preserved.
 
-    The Green targets of all off-axis points come from one green_complex
-    call, and each point then runs map_point's Newton on its own target.
-    Real-axis points, and off-axis points whose target did not converge,
-    go through map_point, which raises the point's own error.  Every point
-    gets what map_point gives it.
+    The Green targets of the off-axis points come from one green_complex
+    call per batch of _GRID_BATCH points, and each point then runs
+    map_point's Newton on its own target.  Real-axis points, and off-axis
+    points whose target did not converge, go through map_point, which
+    raises the point's own error.  Every point gets what map_point gives it.
     """
     cfg = cfg or DEFAULT_CONFIG
-    zs = [complex(z) for z in zs]
-    try:
-        targets = green_complex([z for z in zs if z.imag != 0.0], E, data, cfg)
-    except NoConvergence as exc:
-        targets = exc.best  # NaN where a point's path did not converge
-    targets = iter(targets.tolist())
+    points = iter(zs)
     out = []
-    for z in zs:
-        target = next(targets) if z.imag != 0.0 else None
+    while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
         try:
-            if target is None or cmath.isnan(target):
-                res = map_point(z, E, dom, data, tol, cfg)
-            else:
-                res = _complex_image(z, target, E, dom, data, tol)
-            out.append(GridPoint(z, "converged", res))
-        except InsideE:
-            out.append(GridPoint(z, "skipped"))
-        except WalshMapError as exc:
-            out.append(GridPoint(z, "failed", error=f"{type(exc).__name__}: {exc}"))
+            targets = green_complex([z for z in batch if z.imag != 0.0], E, data, cfg)
+        except NoConvergence as exc:
+            targets = exc.best  # NaN where a point's path did not converge
+        targets = iter(targets.tolist())
+        for z in batch:
+            target = next(targets) if z.imag != 0.0 else None
+            try:
+                if target is None or cmath.isnan(target):
+                    res = map_point(z, E, dom, data, tol, cfg)
+                else:
+                    res = _complex_image(z, target, E, dom, data, tol)
+                out.append(GridPoint(z, "converged", res))
+            except InsideE:
+                out.append(GridPoint(z, "skipped"))
+            except WalshMapError as exc:
+                out.append(GridPoint(z, "failed", error=f"{type(exc).__name__}: {exc}"))
     return out
 
 

@@ -135,7 +135,7 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     mid = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
 
-    prev = None
+    prev = err = None
     n = 16
     for _ in range(cfg.max_level + 1):
         raw = _chebyshev_sum(f, fd, mid, hw, n)
@@ -257,7 +257,7 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
     shape (and error estimates alike with ``with_estimate``).  NoConvergence
     carries ``best`` and ``estimate`` in the same shape: a converged panel's
     kept value and estimate, an unconverged one's last; its message names
-    the first unconverged panel.
+    the first unconverged panel and its last estimate.
     """
     cfg = cfg or DEFAULT_CONFIG
     z0, z1 = np.asarray(z0, dtype=complex), np.asarray(z1, dtype=complex)
@@ -270,7 +270,9 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
     # the still-doubling panels' spans and starts (read by f only), as columns
     sp = flat[active, None]
     if fd is None:
-        at = (z0 if z0.shape == shape else np.broadcast_to(z0, shape)).reshape(-1)[active, None]
+        origin = np.empty(shape, dtype=complex)
+        origin[...] = z0
+        at = origin.reshape(-1)[active, None]
     else:
         at = sp
 
@@ -285,7 +287,7 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
             break
         s, w = _leggauss(n)
         chunk = max(1, _SEG_BLOCK // n)
-        parts = []
+        est = np.empty(active.size, dtype=complex)
         for lo in range(0, active.size, chunk):
             spc = sp[lo:lo + chunk]
             if singular_at_start:
@@ -297,29 +299,27 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
                 vals = evaluate(spc * s, at[lo:lo + chunk])
             vals = vals * jac
             vals *= w
-            parts.append(np.add.reduce(vals, axis=-1))
-        est = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            np.add.reduce(vals, axis=-1, out=est[lo:lo + chunk])
         if prev is not None:
             err = np.abs(est - prev)
             done = err <= cfg.tolerance(est)
-            settled = np.count_nonzero(done)
-            if settled == active.size:
+            # every panel settled: a whole-array write and no compaction,
+            # how the one or few panels of a single point usually end
+            if np.count_nonzero(done) == active.size:
                 value[active], error[active] = est, err
                 active = active[:0]
                 break
-            if settled:
-                value[active[done]] = est[done]
-                error[active[done]] = err[done]
-                keep = ~done
-                active, est, err = active[keep], est[keep], err[keep]
-                sp, at = sp[keep], at[keep]
+            value[active[done]] = est[done]
+            error[active[done]] = err[done]
+            keep = ~done
+            active, est, err = active[keep], est[keep], err[keep]
+            sp, at = sp[keep], at[keep]
         prev = est
         n *= 2
     if active.size:
         value[active] = prev
         error[active] = err
         i = active[0]
-        more = f" and {active.size - 1} more panels" if active.size > 1 else ""
         best, estimate = value.reshape(shape), error.reshape(shape)
         if not shape:
             best, estimate = complex(best), float(estimate)
@@ -327,7 +327,7 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
             f"segment rule did not reach tolerance on "
             f"[{complex(np.broadcast_to(z0, shape).flat[i])}, "
             f"{complex(np.broadcast_to(z1, shape).flat[i])}] "
-            f"(last estimate {complex(prev[0])!r}){more}",
+            f"(last estimate {complex(value[i])!r})",
             best=best, estimate=estimate)
     if not shape:
         value, error = complex(value[0]), float(error[0])

@@ -7,11 +7,11 @@ import pytest
 from walshmap.api import solve
 from walshmap.errors import (CapacityMismatch, NoConvergence, NotOnCut,
                              OnCutError, PathOnCut, RootNotBracketed)
-from walshmap.green import (alpha_coefficient, capacity, green_complex,
-                            green_poly, green_real, sqrt_branch,
+from walshmap.green import (_path, _plain_deriv, alpha_coefficient, capacity,
+                            green_complex, green_poly, green_real, sqrt_branch,
                             sqrt_branch_rim)
 from walshmap.intervals import parse_domain
-from walshmap.quadrature import QuadConfig
+from walshmap.quadrature import QuadConfig, integrate_segment_complex
 from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
@@ -294,6 +294,28 @@ def test_green_complex_batch_matches_points(three_interval):
     with pytest.raises(PathOnCut):
         green_complex([1j, -3.0], wm.domain, wm.green)
 
+
+
+def test_green_complex_scalar_failure_is_first_failing_panel():
+    # the path fails in a later panel: the scalar target raises that
+    # panel's own error, with scalar best and estimate
+    wm = solve(random_interval_set(np.random.default_rng(7), 6))
+    E, z = wm.domain, -5e4 + 100j
+    with pytest.raises(NoConvergence) as err:
+        green_complex(z, E, wm.green)
+    verts = _path(E, E.endpoints[-1], z)
+    f = _plain_deriv(E, wm.green.roots)
+    for z0, z1 in zip(verts[:-1], verts[1:]):
+        try:
+            integrate_segment_complex(f, z0, z1)
+        except NoConvergence as exc:
+            one = exc
+            break
+    else:
+        pytest.fail("no later panel fails")
+    assert str(err.value) == str(one)
+    assert isinstance(err.value.best, complex) and isinstance(err.value.estimate, float)
+    assert err.value.best == one.best and err.value.estimate == one.estimate
 
 # --- capacity and alpha ----------------------------------------------------------
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from walshmap import mapping
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, InsideE, WalshMapError
 from walshmap.green import _green_integral, green_complex
@@ -365,3 +366,12 @@ def test_grid_matches_map_point(three_interval):
             assert (res.branch, res.index, res.iterations, res.near_boundary) == (
                 one.branch, one.index, one.iterations, one.near_boundary)
             assert abs(res.w - one.w) <= 1e-14 * abs(one.w)
+
+
+def test_grid_batches_give_the_same_points(three_interval, monkeypatch):
+    # batches of green targets split the list anywhere, failing point
+    # included, and any iterable of points is taken
+    zs = _mixed_points(three_interval.domain)
+    whole = three_interval.map_grid(zs)
+    monkeypatch.setattr(mapping, "_GRID_BATCH", 4)
+    assert three_interval.map_grid(iter(zs)) == whole
