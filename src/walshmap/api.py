@@ -44,6 +44,6 @@ def solve(intervals, cfg: QuadConfig | None = None, abstol: float = 1e-13,
     cfg = cfg or DEFAULT_CONFIG
     E = intervals if isinstance(intervals, IntervalUnion) else parse_domain(intervals)
     data = green_data(E, cfg)
-    m = exponents(E, data, cfg)
+    m = exponents(E, data)
     dom = solve_domain(E, data, m, abstol=abstol, reltol=reltol)
     return WalshMap(E, data, m, dom, cfg)

@@ -3,7 +3,8 @@
 Everything on the E side: the analytic square-root branch of the endpoint
 polynomial, the monic numerator polynomial of the Green's derivative, its
 roots (the critical points), the real and complex Green's function, the
-logarithmic capacity, and the 1/z^2 Laurent coefficient alpha.
+equilibrium masses of the components, the logarithmic capacity, and the
+1/z^2 Laurent coefficient alpha.
 
 Twice the Wirtinger derivative of the Green's function is N(z)/S(z), where
 S = sqrt_branch is the square root of prod(z - b_j) that behaves like z^ell
@@ -11,6 +12,8 @@ at infinity and N is the monic degree ell-1 polynomial whose integral over
 every bounded gap of E vanishes.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +45,9 @@ class GreenData:
 
     coeffs holds the full ascending coefficients of the monic numerator
     polynomial (last entry 1.0); roots are its zeros, one per bounded gap,
-    which are exactly the critical points of the Green's function.
+    which are exactly the critical points of the Green's function.  masses
+    are the equilibrium masses of the components as integrated, before
+    equilibrium.exponents checks and renormalizes them.
     Immutable; all evaluation helpers are pure.
     """
 
@@ -50,6 +55,7 @@ class GreenData:
     coeffs: tuple[float, ...]
     roots: tuple[float, ...]
     green_at_roots: tuple[float, ...]
+    masses: tuple[float, ...]
     capacity: float
     capacity_mismatch: float
     alpha: float
@@ -233,45 +239,49 @@ _NS_BLOCK = 256
 
 
 def _ns_ratio(r_off, e_off):
-    """fd(t) = prod(t + r_k) / prod(sqrt(t + e_j)) at the nodes t (an array
-    of any shape), for root offsets r (ell - 1) and endpoint offsets e
-    (2 ell) to a common base.  The nodes are evaluated in blocks of the
-    flattened array.
+    """fd(t, base=None) = prod(t + r_k) / prod(sqrt(t + e_j)) at the nodes t,
+    for root offsets r (ell - 1) and endpoint offsets e (2 ell) to a
+    common base.  The last axis of t holds the nodes of one panel (a 1-D t
+    is one panel).  A real `base`, a scalar or one value per panel (shape
+    t.shape[:-1] + (1,)), moves the offsets of each panel first, to
+    base + r_k and base + e_j, so an endpoint equal to the base is at
+    offset exactly 0.  Nodes are evaluated in blocks of at most _NS_BLOCK:
+    whole panels, or pieces of one.
 
     Root k is paired against component k's endpoints, so every factor is
     O(1) and no partial product can overflow.  Each t + e_j gets its own
     principal square root: the root of a product could change the branch.
     """
-    r_off, e_off = r_off[:, None], e_off[:, None]
+    r_off, e_off = r_off[:, None, None], e_off[:, None, None]
 
-    def block(tb):
-        sq = tb + e_off
+    def block(tb, r, e):
+        sq = tb + e
         np.sqrt(sq, out=sq)
         den = np.multiply(sq[0:-2:2], sq[1:-2:2], out=sq[0:-2:2])
-        ratio = tb + r_off
+        ratio = tb + r
         ratio /= den
         return np.multiply.reduce(ratio) / (sq[-2] * sq[-1])
 
-    def fd(t):
-        flat = t.reshape(-1)
-        if flat.size <= _NS_BLOCK:  # one block (a single point's panels): no buffer
-            return block(flat).reshape(t.shape)
-        out = np.empty(flat.shape, dtype=np.result_type(t, float))
-        for start in range(0, flat.size, _NS_BLOCK):
-            out[start:start + _NS_BLOCK] = block(flat[start:start + _NS_BLOCK])
+    def fd(t, base=None):
+        panels = t.reshape(-1, t.shape[-1])
+        r, e = r_off, e_off
+        if base is not None:
+            column = np.asarray(base).reshape(1, -1, 1)
+            r, e = column + r, column + e
+        if panels.size <= _NS_BLOCK:  # one block (a single point's panels): no buffer
+            return block(panels, r, e).reshape(t.shape)
+        out = np.empty(panels.shape, dtype=np.result_type(t, float))
+        count, n = panels.shape
+        step = max(1, _NS_BLOCK // n)
+        for i in range(0, count, step):
+            rows = slice(i, i + step)
+            ri, ei = (r[:, rows], e[:, rows]) if r.shape[1] > 1 else (r, e)
+            for j in range(0, n, _NS_BLOCK):
+                cols = slice(j, j + _NS_BLOCK)
+                out[rows, cols] = block(panels[rows, cols], ri, ei)
         return out.reshape(t.shape)
 
     return fd
-
-
-def _deriv_integrand(E: IntervalUnion, roots, base: float):
-    """fd(offset) evaluating N(base+offset)/S(base+offset) from exact offsets.
-
-    `base` must be an endpoint of E so that the local 1/sqrt factor is
-    represented by the offset alone.
-    """
-    return _ns_ratio(base - np.asarray(roots, dtype=float),
-                     base - np.asarray(E.endpoints))
 
 
 def _green_real(E: IntervalUnion, roots, x: float, cfg: QuadConfig) -> float:
@@ -301,8 +311,10 @@ def green_real(z: float, E: IntervalUnion, data: GreenData,
 
 
 def _plain_deriv(E: IntervalUnion, roots):
-    """Vectorized N/S for points comfortably away from every endpoint."""
-    return _deriv_integrand(E, roots, 0.0)
+    """Vectorized N/S: f(z) at points comfortably away from every endpoint,
+    and f(offset, base) from an endpoint `base` (see _ns_ratio), which
+    represents the local 1/sqrt factor by the offset alone."""
+    return _ns_ratio(-np.asarray(roots, dtype=float), -np.asarray(E.endpoints))
 
 
 def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
@@ -343,15 +355,16 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
     return [base + span * s for s in knots] + [z]
 
 
-def _green_integral(E: IntervalUnion, roots, base: float, z,
-                    cfg: QuadConfig):
+def _green_integral(E: IntervalUnion, roots, base, z, cfg: QuadConfig):
     """Integral of N/S along the straight segment from the endpoint `base`
     to z, a complex number or an array of them, in panels between the
-    vertices of _path.
+    vertices of _path.  base is one endpoint, or an array of them that
+    broadcasts against z (a base per point).
 
-    Every point's first panel, singular at the base, goes into one vector
-    call of the segment rule, and every later panel into one more; each
-    point's panels are then added in path order.  For a scalar z the first
+    Every point's first panel, singular at its base, goes into one vector
+    call of the segment rule, which hands each panel's base to the
+    integrand, and every later panel into one more; each point's panels
+    are then added in path order.  For a scalar z the first
     panel that does not converge raises NoConvergence with its own message,
     last estimate (best) and error estimate, both scalars.  For an array the
     other points are unaffected: the result has z's shape, and if any point
@@ -359,7 +372,10 @@ def _green_integral(E: IntervalUnion, roots, base: float, z,
     each failed point (a converged panel is finite).
     """
     z = np.asarray(z, dtype=complex)
-    paths = [_path(E, base, p) for p in z.reshape(-1).tolist()]
+    bases = np.empty(z.shape)
+    bases[...] = base
+    paths = [_path(E, b, p) for b, p in zip(bases.reshape(-1).tolist(),
+                                            z.reshape(-1).tolist())]
     # one row of vertices per point, padded with z: the padding panels from
     # z to z have zero length and add nothing
     width = max(map(len, paths), default=1)
@@ -382,9 +398,11 @@ def _green_integral(E: IntervalUnion, roots, base: float, z,
             exc.estimate = float(np.ravel(exc.estimate)[i])
             raise
 
-    total = panels(None, base, verts[..., 0], True, _deriv_integrand(E, roots, base))
+    ratio = _plain_deriv(E, roots)
+    total = panels(None, bases, verts[..., 0], True,
+                   lambda offset, start: ratio(offset, start.real))
     if width > 1:
-        later = panels(_plain_deriv(E, roots), verts[..., :-1], verts[..., 1:])
+        later = panels(ratio, verts[..., :-1], verts[..., 1:])
         for k in range(width - 1):
             total = total + later[..., k]
     if not z.ndim:
@@ -398,8 +416,16 @@ def _green_integral(E: IntervalUnion, roots, base: float, z,
 
 def green_complex(z, E: IntervalUnion, data: GreenData,
                   cfg: QuadConfig | None = None):
-    """Complex Green's integral from the rightmost endpoint along the straight
-    segment to z; its real part is the Green's function.
+    """Complex Green's function: the integral of N/S from b_{2l} to z, the
+    branch analytic off (-inf, b_{2l}]; its real part is the Green's
+    function.
+
+    Each point is integrated along the straight segment from the endpoint
+    b_i nearest Re z, so no other endpoint lies under its path (a path
+    that runs along the set within |Im z| of its endpoints does not
+    converge near the axis), and the change of base is added exactly:
+    i pi (m_{k+1} + ... + m_ell) sign(Im z) for a base on gap
+    k = (i + 1) // 2 (0-based i), with the normalized masses of data.
 
     z may be an array: every point's path is integrated at once (see
     _green_integral) and the result has z's shape.  A point whose path does
@@ -407,16 +433,34 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     as best, NaN at each failed point.  For a scalar z it is the first
     failing panel's, with scalar best and estimate.
 
-    Defined on the complement of (-inf, b_{2l}]; raises PathOnCut on that
-    half-line (use green_real / rim conventions there).
+    Raises PathOnCut on the half-line (-inf, b_{2l}] (use green_real / rim
+    conventions there).
     """
     cfg = cfg or DEFAULT_CONFIG
     z = np.asarray(z, dtype=complex)
-    base = E.endpoints[-1]
+    b = E.endpoints
+    # pi (m_{k+1} + ... + m_ell) for k = 0 .. ell, with the masses normalized
+    scale = math.pi / math.fsum(data.masses)
+    tail = [scale * v for v in itertools.accumulate(reversed(data.masses),
+                                                    initial=0.0)][::-1]
+    bases, jumps = [], []
     for p in z.reshape(-1).tolist():
-        if p.imag == 0.0 and p.real <= base:
+        x = p.real
+        if p.imag == 0.0 and x <= b[-1]:
             raise PathOnCut(f"z = {p} lies on the excluded half-line")
-    return _green_integral(E, data.roots, base, z, cfg)
+        i = bisect.bisect_right(b, x)  # b[i - 1] <= x < b[i]
+        if i == len(b) or (i > 0 and x - b[i - 1] <= b[i] - x):
+            i -= 1
+        bases.append(b[i])
+        jumps.append(complex(0.0, math.copysign(tail[(i + 1) // 2], p.imag)))
+    jump = np.array(jumps).reshape(z.shape)
+    try:
+        total = _green_integral(E, data.roots, np.reshape(bases, z.shape), z, cfg)
+    except NoConvergence as exc:
+        if z.ndim:
+            exc.best = exc.best + jump  # NaN stays at each failed point
+        raise
+    return total + jump if z.ndim else complex(total + jump)
 
 
 def _capacity_one(E: IntervalUnion, roots, side: int, beta: float,
@@ -475,17 +519,38 @@ def alpha_coefficient(E: IntervalUnion, roots) -> float:
     return 0.5 * math.fsum(E.endpoints) - math.fsum(float(r) for r in roots)
 
 
+def _component_masses(E: IntervalUnion, roots, cfg: QuadConfig):
+    """Equilibrium masses: the density |N|/(pi sqrt|H|) integrated over each
+    component, not renormalized.
+
+    On component j the numerator polynomial has constant sign (-1)^(ell-j),
+    which is used instead of abs() to keep the integrand smooth for the
+    Chebyshev rule.
+    """
+    ell = E.ell
+    if ell == 1:
+        return (1.0,)
+    raw = []
+    for j in range(1, ell + 1):
+        lo, hi, fd = _endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1, roots)
+        sign = (-1.0) ** (ell - j)
+        raw.append(sign / math.pi * integrate_chebyshev(None, lo, hi, cfg, fd=fd))
+    return tuple(raw)
+
+
 def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:
     """Compute the full Green's-function data set for E."""
     cfg = cfg or DEFAULT_CONFIG
     coeffs, roots = _solve_numerator(E, cfg)
     green_at_roots = tuple(_green_real(E, roots, float(z), cfg) for z in roots)
+    masses = _component_masses(E, roots, cfg)
     cap, mismatch = _capacity_both(E, roots, cfg)
     return GreenData(
         domain=E,
         coeffs=tuple(float(c) for c in coeffs),
         roots=tuple(float(z) for z in roots),
         green_at_roots=green_at_roots,
+        masses=masses,
         capacity=cap,
         capacity_mismatch=mismatch,
         alpha=alpha_coefficient(E, roots),

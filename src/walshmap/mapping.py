@@ -6,7 +6,9 @@ axis (and right of the last endpoint) the complex equation
     sum m_j Log(w - a_j) - log(cap) = integral of N/S from b_{2l} to z
 
 with principal logarithms, solved by damped Newton in the half-plane of z
-(the map preserves each half-plane); inside a real gap the real equation
+(the map preserves each half-plane).  The right side is green_complex: the
+integral from the endpoint nearest Re z plus the exact branch offset to
+b_{2l}, so no path runs along the set.  Inside a real gap the real equation
 g(w) = g_E(z) on the uniqueness interval of the gap, solved by damped Newton
 kept inside that interval.  Both start from the real-axis correspondence of
 the gap (and, for off-axis points near E, of the component) under Re z; see
@@ -140,10 +142,11 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     InsideE.  Real gap points are solved on the uniqueness bracket of their
     gap from the gap image of z (see _gap_image), everything else through
     the complex equation, kept in the half-plane of z, from the start of
-    _complex_start.  Off-axis points closer to E than 1e-9 of its hull
-    width b_{2l} - b_1 are evaluated but flagged near_boundary.  Raises
-    NoConvergence when Newton stalls or a panel of the Green's integral
-    does not converge (see green_complex).
+    _complex_start; its right side is green_complex's integral from the
+    endpoint nearest Re z, plus the branch offset.  Off-axis points closer
+    to E than 1e-9 of its hull width b_{2l} - b_1 are evaluated but flagged
+    near_boundary.  Raises NoConvergence when Newton stalls or a panel of
+    the Green's integral does not converge (see green_complex).
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -195,9 +198,10 @@ def _complex_image(z, target, E, dom, data, tol):
     w, F, it = damped_newton(
         _equation(dom, target, cmath.log), _complex_start(z, E, dom, data),
         admissible=same_side, tol=tol, max_steps=200, max_halvings=11)
-    hull = E.endpoints[-1] - E.endpoints[0]
+    near = _NEAR_BOUNDARY * (E.endpoints[-1] - E.endpoints[0])
+    # the distance to E is at least |Im z|, so most points skip its loop
     return MapResult(w, abs(F), it, "complex",
-                     near_boundary=_distance_to_E(E, z) < _NEAR_BOUNDARY * hull)
+                     near_boundary=abs(z.imag) < near and _distance_to_E(E, z) < near)
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,8 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
 def branch_offset(E: IntervalUnion, data: GreenData, k: int, z: complex,
                   edge: str = "left", cfg: QuadConfig | None = None) -> complex:
     """Difference between the Green's integral based at an endpoint of gap k
-    and the one based at the rightmost endpoint (test oracle).
+    and the one based at the rightmost endpoint, two integrals of N/S along
+    straight paths (test oracle for the base change of green_complex).
 
     For off-axis z the value is -i pi (m_{k+1} + ... + m_ell) in the upper
     half-plane and its conjugate below; for the rightmost base it vanishes.
@@ -266,8 +271,8 @@ def branch_offset(E: IntervalUnion, data: GreenData, k: int, z: complex,
         base = b[2 * k]
     else:
         raise ValueError("edge must be 'left' or 'right'")
-    seg = _green_integral(E, data.roots, base, complex(z), cfg)
-    return seg - green_complex(z, E, data, cfg)
+    return (_green_integral(E, data.roots, base, complex(z), cfg)
+            - _green_integral(E, data.roots, b[-1], complex(z), cfg))
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,8 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
     alone returns.  A zero-length panel gives 0j.  Node chunks hold whole
     panels and at most 2048 nodes (or one panel).
 
-    ``fd(offset)``, when given, receives the exact complex offsets zeta - z0.
+    ``fd(offset, start)``, when given, receives the exact complex offsets
+    zeta - z0 and, as a column, the start z0 of each panel in the block.
 
     Returns a complex for scalar z0 and z1, else an array of their broadcast
     shape (and error estimates alike with ``with_estimate``).  NoConvergence
@@ -267,17 +268,14 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
     error = np.zeros(span.size)
     flat = span.reshape(-1)
     active = flat.nonzero()[0]
-    # the still-doubling panels' spans and starts (read by f only), as columns
+    # the still-doubling panels' spans and starts, as columns
     sp = flat[active, None]
-    if fd is None:
-        origin = np.empty(shape, dtype=complex)
-        origin[...] = z0
-        at = origin.reshape(-1)[active, None]
-    else:
-        at = sp
+    origin = np.empty(shape, dtype=complex)
+    origin[...] = z0
+    at = origin.reshape(-1)[active, None]
 
     def evaluate(offset, starts):
-        return fd(offset) if fd is not None else f(starts + offset)
+        return fd(offset, starts) if fd is not None else f(starts + offset)
 
     prev = err = None
     n = 16

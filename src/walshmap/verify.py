@@ -175,7 +175,7 @@ def _check_table1(cfg, abstol, reltol, seed):
     details = []
     for name, E, (m_exact, a_exact, _cap), iter_range in cases:
         data = green_data(E, cfg)
-        m = exponents(E, data, cfg)
+        m = exponents(E, data)
         a, w, iters, resid = centers_general(E, m.m, data.capacity, data,
                                              abstol, reltol)
         a_err = float(np.max(np.abs(np.array(a) - np.array(a_exact))))
@@ -249,10 +249,12 @@ def _check_stress10(cfg, abstol, reltol, seed):
 
 
 def _green_indep(wm, z):
-    """Green's function via the integral based at the leftmost endpoint (an
-    independent path; the base change only shifts the imaginary part)."""
-    return _green_integral(wm.domain, wm.green.roots, wm.domain.endpoints[0],
-                           z, wm.config).real
+    """Green's function via the integral based at the outer endpoint farther
+    from Re z, a path other than the map's (which starts at the endpoint
+    nearest Re z); the base change only shifts the imaginary part."""
+    b = wm.domain.endpoints
+    base = b[0] if abs(z.real - b[0]) > abs(z.real - b[-1]) else b[-1]
+    return _green_integral(wm.domain, wm.green.roots, base, z, wm.config).real
 
 
 def _check_map_suite(cfg, abstol, reltol, seed):
@@ -344,7 +346,7 @@ def _check_exponents_double(cfg, abstol, reltol, seed):
     for pairs in sets:
         E = parse_domain(pairs)
         data = green_data(E, cfg)
-        m = exponents(E, data, cfg)
+        m = exponents(E, data)
         b = E.endpoints
         for j in range(1, E.ell + 1):
             margins = []

@@ -7,9 +7,9 @@ import pytest
 from walshmap.api import solve
 from walshmap.errors import (CapacityMismatch, NoConvergence, NotOnCut,
                              OnCutError, PathOnCut, RootNotBracketed)
-from walshmap.green import (_path, _plain_deriv, alpha_coefficient, capacity,
-                            green_complex, green_poly, green_real, sqrt_branch,
-                            sqrt_branch_rim)
+from walshmap.green import (_green_integral, _path, _plain_deriv, alpha_coefficient,
+                            capacity, green_complex, green_poly, green_real,
+                            sqrt_branch, sqrt_branch_rim)
 from walshmap.intervals import parse_domain
 from walshmap.quadrature import QuadConfig, integrate_segment_complex
 from walshmap.verify import random_interval_set, worst_invariant
@@ -271,38 +271,50 @@ def test_green_complex_rejects_cut(two_interval):
         green_complex(-3.0, two_interval.domain, two_interval.green)
 
 
-def test_green_complex_batch_matches_points(three_interval):
-    # near and far points with knotted paths, and one whose path passes
-    # within 1e-6 of every branch point: it alone fails, as NaN in best
-    wm = three_interval
-    zs = np.array([[0.3 + 0.7j, -0.45 + 1e-3j, 2e3 - 5e2j],
-                   [-1.5 + 1e-6j, 0.95 - 0.02j, 1e4j]])
+# a set with a narrow gap: a Green path that starts at an edge of the gap
+# passes the other edge within a small fraction of its length, which the 128
+# nodes of a segment rule capped at max_level=3 do not resolve
+NARROW_GAP = [[-1.0, -1e-4], [1e-4, 1.0]]
+FEW_NODES = QuadConfig(max_level=3)
+
+
+def test_green_complex_batch_matches_points():
+    # near and far points with knotted paths, and one whose path starts at
+    # the narrow gap's edge -1e-4: under FEW_NODES it alone fails, as NaN in
+    # best
+    wm = solve(NARROW_GAP)
+    fails = -0.5 + 1j
+    zs = np.array([[0.7 + 0.7j, -0.75 + 1e-3j, 2e3 - 5e2j],
+                   [fails, 0.95 - 0.02j, 0.9 + 1e4j]])
     with pytest.raises(NoConvergence) as err:
-        green_complex(zs, wm.domain, wm.green)
+        green_complex(zs, wm.domain, wm.green, FEW_NODES)
     best = err.value.best
     assert best.shape == zs.shape and "1 of 6 points" in str(err.value)
     for z, got in zip(zs.flat, best.flat):
-        if z == -1.5 + 1e-6j:
+        if z == fails:
             assert np.isnan(got)
-            with pytest.raises(NoConvergence):
-                green_complex(z, wm.domain, wm.green)
+            with pytest.raises(NoConvergence) as one:
+                green_complex(z, wm.domain, wm.green, FEW_NODES)
+            assert isinstance(one.value.best, complex)
+            assert isinstance(one.value.estimate, float)
         else:
-            assert got == green_complex(z, wm.domain, wm.green)
+            assert got == green_complex(z, wm.domain, wm.green, FEW_NODES)
     ok = np.delete(zs.ravel(), 3)
-    assert np.array_equal(green_complex(ok, wm.domain, wm.green),
+    assert np.array_equal(green_complex(ok, wm.domain, wm.green, FEW_NODES),
                           np.delete(best.ravel(), 3))
     with pytest.raises(PathOnCut):
         green_complex([1j, -3.0], wm.domain, wm.green)
 
 
-
 def test_green_complex_scalar_failure_is_first_failing_panel():
-    # the path fails in a later panel: the scalar target raises that
-    # panel's own error, with scalar best and estimate
+    # the integral from b_2l of -5e4+100j passes the set at a height of about
+    # 2e-3 and fails in a later panel: the scalar integral raises that
+    # panel's own error, with scalar best and estimate (green_complex's
+    # paths from the nearest endpoint have knots only far from the set)
     wm = solve(random_interval_set(np.random.default_rng(7), 6))
     E, z = wm.domain, -5e4 + 100j
     with pytest.raises(NoConvergence) as err:
-        green_complex(z, E, wm.green)
+        _green_integral(E, wm.green.roots, E.endpoints[-1], z, wm.config)
     verts = _path(E, E.endpoints[-1], z)
     f = _plain_deriv(E, wm.green.roots)
     for z0, z1 in zip(verts[:-1], verts[1:]):
@@ -316,6 +328,25 @@ def test_green_complex_scalar_failure_is_first_failing_panel():
     assert str(err.value) == str(one)
     assert isinstance(err.value.best, complex) and isinstance(err.value.estimate, float)
     assert err.value.best == one.best and err.value.estimate == one.estimate
+
+
+def test_green_complex_jump_matches_the_other_edge_of_the_gap(three_interval):
+    # green_complex bases each point at the endpoint nearest Re z and adds
+    # i pi (m_{k+1} + ... + m_ell) sign(Im z); the integral from the other
+    # edge of the same gap, plus the same jump, is another path to it
+    wm = three_interval
+    E, m = wm.domain, wm.exponents.m
+    b = E.endpoints
+    for k in range(1, E.ell):
+        lo, hi = b[2 * k - 1], b[2 * k]
+        for x in (lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)):
+            for y in (0.3, -0.05, 1e-6):
+                z = complex(x, y)
+                other = hi if x - lo < hi - x else lo
+                jump = 1j * math.pi * math.fsum(m[k:]) * math.copysign(1.0, y)
+                want = _green_integral(E, wm.green.roots, other, z, wm.config) + jump
+                assert abs(green_complex(z, E, wm.green) - want) <= 1e-12 * abs(want)
+
 
 # --- capacity and alpha ----------------------------------------------------------
 
@@ -440,7 +471,7 @@ def test_gap_system_vector_rows_match_scalar_calls(three_interval, monkeypatch):
 
 @pytest.mark.parametrize("ell", range(1, 13))
 def test_ns_evaluator_matches_product_over_branch(ell):
-    from walshmap.green import _deriv_integrand, _plain_deriv
+    from walshmap.green import _plain_deriv
 
     rng = np.random.default_rng(ell)
     wm = solve(random_interval_set(rng, ell))
@@ -452,7 +483,7 @@ def test_ns_evaluator_matches_product_over_branch(ell):
     # is itself off by up to 5e-12 relative at ell = 11
     expected = np.prod(z[:, None] - np.asarray(data.roots), axis=1) / sqrt_branch(E, z)
     for base in (b[0], b[-1]):
-        got = _deriv_integrand(E, data.roots, base)(z - base)
+        got = _plain_deriv(E, data.roots)(z - base, base)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(_plain_deriv(E, data.roots)(z), expected,
                                rtol=1e-12, atol=0.0)

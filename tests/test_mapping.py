@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from walshmap import mapping
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, InsideE, WalshMapError
-from walshmap.green import _green_integral, green_complex
+from walshmap.green import _green_integral
 from walshmap.lemniscatic import green as green_level
 from walshmap.mapping import branch_offset, map_grid, map_point, trace_boundary
+from walshmap.quadrature import QuadConfig
 from walshmap.verify import random_interval_set
 
 import reference_values as ref
@@ -119,14 +121,26 @@ def test_grid_statuses_and_green_identity(two_interval):
     for p in points:
         if p.status != "converged" or p.z.imag == 0.0:
             continue
-        g_e = green_complex(p.z, wm.domain, wm.green).real
+        # the raw integral from b_4, not the map's own path
+        g_e = _green_integral(wm.domain, wm.green.roots, wm.domain.endpoints[-1],
+                              p.z, wm.config).real
         assert abs(g_e - green_level(p.result.w, wm.lemniscatic)) < 1e-9
 
 
-def test_grid_failed_point_carries_its_error(two_interval):
-    # near-axis point left of b_4: the straight path from b_4 passes within
-    # 1e-6 of the branch points, and the segment rule gives up
-    failed, ok = two_interval.map_grid([complex(-1.5, 1e-6), complex(0.0, 0.5)])
+# QuadConfig(max_level=3) caps the segment rule at 128 nodes.  A Green path
+# that starts at an edge of a narrow gap passes the gap's other edge within
+# a small fraction of its length, which 128 nodes do not resolve.
+FEW_NODES = QuadConfig(max_level=3)
+NARROW_GAP = [[-1.0, -1e-4], [1e-4, 1.0]]
+NARROW_THREE = [[-1.0, -0.3], [-0.2998, 0.4], [0.4001, 1.0]]
+
+
+def test_grid_failed_point_carries_its_error():
+    # under FEW_NODES the path of -0.5+1j, from -1e-4, does not converge;
+    # the path of -1.5+0.5j, from -1, does
+    wm = solve(NARROW_GAP)
+    failed, ok = map_grid([complex(-0.5, 1.0), complex(-1.5, 0.5)], wm.domain,
+                          wm.lemniscatic, wm.green, cfg=FEW_NODES)
     assert failed.status == "failed" and failed.result is None
     assert failed.error.startswith("NoConvergence: segment rule did not reach tolerance")
     assert ok.status == "converged" and ok.error is None
@@ -328,9 +342,11 @@ def test_points_well_off_the_axis_start_from_z(three_interval):
 
 def _mixed_points(E):
     """Off-axis points near and far, real-gap points, every endpoint,
-    interior points of E, and a near-axis point left of E whose Green path
-    does not converge, placed in the middle of the list."""
+    interior points of E, and, in the middle of the list, a point 10 hull
+    widths above the left edge of the narrowest gap, whose Green path does
+    not converge under FEW_NODES."""
     b = E.endpoints
+    k = int(np.argmin(np.diff(b)[1::2]))  # gap k + 1 is (b[2k + 1], b[2k + 2])
     lo, hi = E.components[0]
     zs = [complex(x, y) for x in np.linspace(b[0] - 0.4, b[-1] + 0.4, 9)
           for y in (-0.7, -1e-3, 0.35)]
@@ -339,13 +355,15 @@ def _mixed_points(E):
     zs += [complex(b[0] - 0.5), complex(b[-1] + 0.5)]
     zs += [complex(x) for x in b]
     zs += [complex(0.5 * (lo + hi)), complex(0.25 * lo + 0.75 * hi)]
-    zs.insert(len(zs) // 2, complex(-1.5, 1e-6))
+    zs.insert(len(zs) // 2, complex(b[2 * k + 1], 10.0 * (b[-1] - b[0])))
     return zs
 
 
-def test_grid_matches_map_point(three_interval):
+def test_grid_matches_map_point():
+    # the 10-interval set's narrowest gap is 0.0115 wide, NARROW_THREE's 1e-4
     ten = solve(random_interval_set(np.random.default_rng(3), 10))
-    for wm in (three_interval, ten):
+    for wm in (solve(NARROW_THREE), ten):
+        wm = dataclasses.replace(wm, config=FEW_NODES)
         zs = _mixed_points(wm.domain)
         points = wm.map_grid(zs)
         assert [p.z for p in points] == zs
@@ -368,10 +386,63 @@ def test_grid_matches_map_point(three_interval):
             assert abs(res.w - one.w) <= 1e-14 * abs(one.w)
 
 
-def test_grid_batches_give_the_same_points(three_interval, monkeypatch):
+def test_grid_batches_give_the_same_points(monkeypatch):
     # batches of green targets split the list anywhere, failing point
     # included, and any iterable of points is taken
-    zs = _mixed_points(three_interval.domain)
-    whole = three_interval.map_grid(zs)
+    wm = dataclasses.replace(solve(NARROW_THREE), config=FEW_NODES)
+    zs = _mixed_points(wm.domain)
+    whole = wm.map_grid(zs)
+    assert "failed" in {p.status for p in whole}
     monkeypatch.setattr(mapping, "_GRID_BATCH", 4)
-    assert three_interval.map_grid(iter(zs)) == whole
+    assert wm.map_grid(iter(zs)) == whole
+
+
+# --- near-axis and far points that the Green path from b_2l failed on ---------
+
+NEAR_AXIS_SETS = ([[-1.0, -0.2], [0.3, 1.0]], [[-1.0, -0.5], [-0.1, 0.2], [0.6, 1.0]])
+
+
+@pytest.mark.parametrize("pairs", NEAR_AXIS_SETS)
+def test_near_axis_grids_map(pairs):
+    # the path from b_2l passed within |Im z| of every branch point: 70-73
+    # and 85 of these 121 points failed at every height from 1e-4 down
+    wm = solve(pairs)
+    E = wm.domain
+    xs = np.linspace(-1.5, 1.5, 121)
+    # over the gaps, away from E, Phi(x + iy) - Phi(x) = Phi'(x) iy + O(y^2)
+    gap = {x: wm.map_point(x).w for x in xs
+           if not E.contains(x) and min(abs(x - e) for e in E.endpoints) >= 0.02}
+    slope = {}
+    for y in (1e-6, 1e-3, 1e-4, 1e-8, 1e-10, 1e-12):
+        points = wm.map_grid([complex(x, y) for x in xs])
+        assert all(p.status == "converged" and p.result.w.imag > 0.0 for p in points)
+        for p in points:
+            if p.z.real in gap:
+                step = abs(p.result.w - gap[p.z.real])
+                assert 1.0 * y <= step <= 3.0 * y
+                slope.setdefault(p.z.real, step / y)  # first at 1e-6
+                assert abs(step - slope[p.z.real] * y) <= 100.0 * y * y + 1e-13
+
+
+def test_far_points_left_of_the_set_map(two_interval, three_interval):
+    # the path from b_2l ran along the whole set at a height of about 1e-4
+    ten = solve(random_interval_set(np.random.default_rng(4), 10))
+    z = -1e4 + 1j
+    for wm in (two_interval, three_interval, ten):
+        res = wm.map_point(z)
+        # Phi(z) = z + O(1/z): a wrong branch offset would turn w by its angle
+        assert res.w.imag > 0.0 and abs(res.w - z) < 1e-4
+        assert abs(wm.map_point(z.conjugate()).w - res.w.conjugate()) <= 1e-14 * abs(z)
+        assert abs(green_level(res.w, wm.lemniscatic) - _green_from_left(wm, z)) < 1e-9
+
+
+def test_cantor2_row_below_the_axis_maps(cantor2):
+    # grid_dense (seed 905): the 13 points left of E of a jittered row at
+    # Im z = -2.4e-4, whose paths from b_2l = 1 failed
+    y = -0.00024054969107106632
+    xs = -0.39937037939348297 + (1.8 / 59) * np.arange(13)
+    points = cantor2.map_grid([complex(x, y) for x in xs])
+    for p in points:
+        assert p.status == "converged" and p.result.w.imag < 0.0
+        ratio = abs(p.result.w - cantor2.map_point(p.z.real).w) / abs(y)
+        assert 1.0 <= ratio <= 3.0

@@ -223,7 +223,7 @@ def rational(z):
     return np.exp(z) / (z + 2.0)
 
 
-def sqrt_start(offset):
+def sqrt_start(offset, start):
     # 1/sqrt singularity at every panel's start, given the exact offset
     return np.cos(offset) / np.sqrt(offset)
 
@@ -246,7 +246,7 @@ def test_segment_batch_matches_scalar_calls(singular):
 def test_segment_batch_keeps_early_panel_value():
     rows = []
 
-    def fd(offset):
+    def fd(offset, start):
         rows.append(offset.shape)
         return np.exp(offset) / (offset - 0.5 - 0.02j)
 
