@@ -19,9 +19,10 @@ class DegenerateError(WalshMapError):
 
 class NoConvergence(WalshMapError):
     """An iteration ended short of its tolerance: a quadrature rule's node
-    doubling, or damped Newton (newton.damped_newton) when no halving of a
-    step is taken or the steps run out.  The map raises it for a point whose
-    equation stalls, centers_three for a residual stalled above 1e-10.
+    doubling, or damped Newton (newton.damped_newton, or its masked twin for
+    the points of a map_grid batch) when no halving of a step is taken or the
+    steps run out.  The map raises it for a point whose equation stalls,
+    centers_three for a residual stalled above 1e-10.
     best is the last estimate or iterate, estimate its error or residual."""
 
     def __init__(self, message, best=None, estimate=None):

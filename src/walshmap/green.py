@@ -327,15 +327,23 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
     of a Gauss panel stalls the rule, while one just beyond a panel end is
     harmless.  (An endpoint behind the base projects next to it, and a knot
     there would start a panel beside the base singularity.)
+
+    Only endpoints strictly within |Re z - base| of Re z can split: a split
+    needs 0 < s < 1 and a distance below s times the length, so
+    0 < (b_j - base) / (Re z - base) < 2.  The loop scans that slice of the
+    endpoints, ends included against rounding; it holds no endpoint but the
+    base for the nearest-endpoint bases of green_complex and the gap-edge
+    bases of _green_real.
     """
     span = z - base
     length = abs(span)
-    length2 = length * length
     splits = []
-    for bj in E.endpoints:
+    b = E.endpoints
+    x, reach = z.real, abs(z.real - base)
+    for bj in b[bisect.bisect_left(b, x - reach):bisect.bisect_right(b, x + reach)]:
         if bj == base:
             continue
-        s = ((bj - base) * span.conjugate()).real / length2
+        s = ((bj - base) * span.conjugate()).real / (length * length)
         if not 1e-9 < s < 1.0 - 1e-9:
             continue
         if abs(base + span * s - bj) < min(0.1, s) * length:
@@ -347,6 +355,8 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
     while d < 0.5 * length:
         splits.append(d / length)
         d *= 8.0
+    if not splits:
+        return [z]
     splits.sort()
     knots = []
     for s in splits:

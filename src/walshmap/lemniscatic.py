@@ -110,19 +110,55 @@ def green_deriv(w, dom: LemniscaticDomain):
     return complex(out) if out.ndim == 0 else out
 
 
-def _bisect(f, pos, neg):
-    """Midpoints of the array brackets (pos, neg), where f(pos) > 0 >= f(neg),
-    after bisecting all of them at once on the sign of f: 90 halvings, or
-    fewer once every bracket is down to adjacent floats and halving cannot
-    move it."""
-    for _ in range(90):
+# evaluations of f per _bisect call at most; plain halving needs about 60 to
+# shrink a bracket of the set's size to adjacent floats
+_BISECT_STEPS = 90
+
+
+def _bisect(f, pos, neg, start=None):
+    """Zeros of f in the array brackets (pos, neg), where f(pos) > 0 >= f(neg),
+    by Newton's method safeguarded by bisection.  f(x) returns f and its
+    slope at every point of the array x.
+
+    Each bracket starts at its point of start (default: its midpoint).
+    Every evaluation moves the end of the same sign as f to the point, and
+    the next point is the Newton step from it when that lands strictly
+    inside the bracket, the midpoint otherwise.  A bracket stops at its
+    point when f vanishes there, when the Newton step is within two float
+    spacings of it, or when a Newton step below sqrt(eps) of the point did
+    not halve |f| (f's rounding noise then outweighs the step); or at the
+    midpoint of its ends once they are adjacent floats.  All brackets are
+    evaluated together until the last one stops, at most _BISECT_STEPS
+    times; one still open then returns its midpoint.
+    """
+    pos = np.array(pos, dtype=float)
+    neg = np.array(neg, dtype=float)
+    x = root = 0.5 * (pos + neg) if start is None else np.array(start, dtype=float)
+    live = np.ones(x.shape, dtype=bool)
+    small_newton = np.zeros(x.shape, dtype=bool)
+    f_prev = np.full(x.shape, np.inf)
+    for _ in range(_BISECT_STEPS):
+        fx, slope = f(x)
+        up = fx > 0
+        pos = np.where(up, x, pos)
+        neg = np.where(up, neg, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / slope
         mid = 0.5 * (pos + neg)
-        if np.all((mid == pos) | (mid == neg)):
-            break
-        up = f(mid) > 0
-        pos = np.where(up, mid, pos)
-        neg = np.where(up, neg, mid)
-    return 0.5 * (pos + neg)
+        at_x = ((fx == 0.0) | (np.abs(step) <= 2.0 * np.spacing(np.abs(x)))
+                | (small_newton & (np.abs(fx) >= 0.5 * f_prev)))
+        adjacent = (mid == pos) | (mid == neg)
+        stop = live & (at_x | adjacent)
+        root = np.where(stop, np.where(at_x, x, mid), root)
+        live &= ~stop
+        if not live.any():
+            return root
+        newton = x - step
+        inside = (newton - pos) * (newton - neg) < 0.0
+        small_newton = inside & (np.abs(step) <= 1.5e-8 * np.abs(x))
+        f_prev = np.abs(fx)
+        x = np.where(live, np.where(inside, newton, mid), x)
+    return np.where(live, 0.5 * (pos + neg), root)
 
 
 def crit_points(a, m) -> np.ndarray:
@@ -130,8 +166,9 @@ def crit_points(a, m) -> np.ndarray:
     per interval (a_k, a_{k+1}): zeros of f(w) = sum m_j / (w - a_j).
 
     f falls from +inf to -inf across each interval, so the brackets set just
-    inside the centers are bisected by _bisect, with no polish.  Raises
-    BracketFailure when f does not change sign on a bracket.
+    inside the centers are solved by _bisect from their midpoints, with the
+    slope -sum m_j / (w - a_j)^2.  Raises BracketFailure when f does not
+    change sign on a bracket.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -144,7 +181,12 @@ def crit_points(a, m) -> np.ndarray:
         k = int(np.argmin(bracketed))
         raise BracketFailure(
             f"derivative does not change sign in ({left[k]}, {right[k]})")
-    return _bisect(lambda w: _deriv_values(w, a, m), lo, hi)
+
+    def f(w):
+        inv = 1.0 / (w[:, None] - a)
+        return inv @ m, -(inv * inv) @ m
+
+    return _bisect(f, lo, hi)
 
 
 def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
@@ -155,9 +197,12 @@ def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     a_ell, where g >= log 2 (see _outer_reach); for the interior pair of
     each interval (a_k, a_{k+1}) its critical point, where g must be
     positive.  The negative ends: halving from the positive end toward the
-    nearest center, where g -> -inf.  All 2 ell brackets are bisected by
-    _bisect, with no polish.  Raises BracketFailure when a bracket cannot be
-    formed.
+    nearest center, where g -> -inf; each positive end then moves to the
+    last halving point where g > 0, so the two ends lie within a factor 2
+    in distance from the center.  All 2 ell brackets are solved by _bisect
+    from their negative ends, with the slope sum m_j / (w - a_j): there g
+    is concave in the distance from the center and Newton does not
+    overshoot.  Raises BracketFailure when a bracket cannot be formed.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -169,13 +214,17 @@ def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     def g(w):
         return _green_values(w, a, m, cap)
 
+    def g_slope(w):
+        return g(w), _deriv_values(w, a, m)
+
     nonpositive = g(crit) <= 0
     if np.any(nonpositive):
         k = int(np.argmax(nonpositive))
         raise BracketFailure(f"Green's function nonpositive at critical point {crit[k]}")
     r = _outer_reach(cap, 0.0)
     pos = np.concatenate(([a[0] - r], np.repeat(crit, 2), [a[-1] + r]))
-    # negative ends: halve from the positive end toward the nearest center
+    # negative ends: halve from the positive end toward the nearest center;
+    # each positive end moves along to the last point where g > 0
     center = np.repeat(a, 2)
     neg = pos.copy()
     searching = np.arange(2 * ell)
@@ -183,13 +232,15 @@ def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
         neg[searching] = center[searching] + 0.5 * (neg[searching] - center[searching])
         if np.any(neg[searching] == center[searching]):
             raise BracketFailure("bracket collapsed onto a center")
-        searching = searching[~(g(neg[searching]) < 0)]
+        vals = g(neg[searching])
+        pos[searching[vals > 0]] = neg[searching[vals > 0]]
+        searching = searching[~(vals < 0)]
         if searching.size == 0:
             break
     else:
         raise BracketFailure(
             f"no negative value of g found near center {center[searching[0]]}")
-    return _bisect(g, pos, neg)
+    return _bisect(g_slope, pos, neg, start=neg)
 
 
 def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):

@@ -13,6 +13,12 @@ g(w) = g_E(z) on the uniqueness interval of the gap, solved by damped Newton
 kept inside that interval.  Both start from the real-axis correspondence of
 the gap (and, for off-axis points near E, of the component) under Re z; see
 _complex_start.  Endpoints map to the boundary abscissae directly.
+
+map_point solves one point with the scalar damped_newton.  map_grid solves
+the complex equations of a whole batch at once with damped_newton_masked,
+each point with its own damping, half-plane test and stop, so it takes the
+steps map_point takes; for one point numpy's per-call cost would make the
+batch several times slower than the scalar loop.
 """
 
 import bisect
@@ -26,9 +32,9 @@ import numpy as np
 from .errors import InsideE, NoConvergence, RayBracketFailure, WalshMapError
 from .green import (GreenData, _green_integral, _green_real, green_complex)
 from .intervals import IntervalUnion, locate
-from .lemniscatic import (LemniscaticDomain, _bisect, _green_scalar, _green_values,
-                          _outer_reach)
-from .newton import damped_newton
+from .lemniscatic import (LemniscaticDomain, _bisect, _deriv_values, _green_scalar,
+                          _green_values, _outer_reach)
+from .newton import damped_newton, damped_newton_masked
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
@@ -46,6 +52,12 @@ _NEAR_BOUNDARY = 1e-9
 # points per green_complex call of map_grid: bounds the paths and panel
 # arrays a batch holds at once
 _GRID_BATCH = 1024
+
+# relative distance |r / tol - 1| of a Newton residual r from tol within which
+# map_grid takes map_point's scalar iterates for a point instead of the batch
+# ones: the two round a residual differently by up to about 1e-15, which is
+# 1e-3 of the default tol = 1e-12
+_TIE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -198,10 +210,55 @@ def _complex_image(z, target, E, dom, data, tol):
     w, F, it = damped_newton(
         _equation(dom, target, cmath.log), _complex_start(z, E, dom, data),
         admissible=same_side, tol=tol, max_steps=200, max_halvings=11)
+    return _complex_result(z, w, abs(F), it, E)
+
+
+def _complex_result(z, w, residual, iterations, E):
     near = _NEAR_BOUNDARY * (E.endpoints[-1] - E.endpoints[0])
     # the distance to E is at least |Im z|, so most points skip its loop
-    return MapResult(w, abs(F), it, "complex",
+    return MapResult(w, residual, iterations, "complex",
                      near_boundary=abs(z.imag) < near and _distance_to_E(E, z) < near)
+
+
+def _complex_images(zs, targets, E, dom, data, tol):
+    """_complex_image for every point of the list zs at once, by one masked
+    damped Newton (damped_newton_masked) on the array targets: a MapResult
+    or the NoConvergence that _complex_image raises, per point."""
+    a = np.array(dom.centers)[:, None]
+    m = np.array(dom.exponents.m)[:, None]
+    shift = math.log(dom.capacity) + targets
+    side = np.sign(np.array([z.imag for z in zs]))
+
+    def fun(w, idx):
+        # _equation's sums in its order, -shift first, one row per center;
+        # Log from its real and imaginary parts, six times faster than
+        # numpy's complex log
+        d = w - a
+        terms = m * (np.log(np.abs(d)) + 1j * np.arctan2(d.imag, d.real))
+        terms[0] -= shift[idx]
+        F = terms.sum(axis=0)
+        deriv = (m / d).sum(axis=0)
+        if deriv.all():  # off the axis Im(deriv) != 0 unless it underflows
+            return F, -F / deriv
+        delta = np.full_like(F, np.nan)
+        return F, np.divide(-F, deriv, out=delta, where=deriv != 0.0)
+
+    w, F, steps, failures, margin = damped_newton_masked(
+        fun, np.array([_complex_start(z, E, dom, data) for z in zs], dtype=complex),
+        admissible=lambda w, idx: w.imag * side[idx] > 0.0, tol=tol,
+        max_steps=200, max_halvings=11)
+    out = [_complex_result(z, wi, abs(Fi), it, E)
+           for z, wi, Fi, it in zip(zs, w.tolist(), F.tolist(), steps.tolist())]
+    for i, exc in failures.items():
+        out[i] = exc
+    # a residual this near tol may stop map_point's scalar iteration, which
+    # rounds differently, a step earlier or later: take its iterates
+    for i in np.flatnonzero(margin < _TIE).tolist():
+        try:
+            out[i] = _complex_image(zs[i], targets[i].item(), E, dom, data, tol)
+        except NoConvergence as exc:
+            out[i] = exc
+    return out
 
 
 @dataclass(frozen=True)
@@ -221,8 +278,9 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     failures per point; never aborts the batch, order preserved.
 
     The Green targets of the off-axis points come from one green_complex
-    call per batch of _GRID_BATCH points, and each point then runs
-    map_point's Newton on its own target.  Real-axis points, and off-axis
+    call per batch of _GRID_BATCH points, and their complex equations from
+    one masked damped Newton (_complex_images), which builds each failed
+    point's error as map_point raises it.  Real-axis points, and off-axis
     points whose target did not converge, go through map_point, which
     raises the point's own error.  Every point gets what map_point gives it.
     """
@@ -230,23 +288,29 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     points = iter(zs)
     out = []
     while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
+        off = [z for z in batch if z.imag != 0.0]
         try:
-            targets = green_complex([z for z in batch if z.imag != 0.0], E, data, cfg)
+            targets = green_complex(off, E, data, cfg)
         except NoConvergence as exc:
             targets = exc.best  # NaN where a point's path did not converge
-        targets = iter(targets.tolist())
+        solved = ~np.isnan(targets)
+        images = iter(_complex_images([z for z, ok in zip(off, solved) if ok],
+                                      targets[solved], E, dom, data, tol))
+        solved = iter(solved.tolist())
         for z in batch:
-            target = next(targets) if z.imag != 0.0 else None
-            try:
-                if target is None or cmath.isnan(target):
+            if z.imag != 0.0 and next(solved):
+                res = next(images)
+            else:
+                try:
                     res = map_point(z, E, dom, data, tol, cfg)
-                else:
-                    res = _complex_image(z, target, E, dom, data, tol)
-                out.append(GridPoint(z, "converged", res))
-            except InsideE:
+                except WalshMapError as exc:
+                    res = exc
+            if isinstance(res, InsideE):
                 out.append(GridPoint(z, "skipped"))
-            except WalshMapError as exc:
-                out.append(GridPoint(z, "failed", error=f"{type(exc).__name__}: {exc}"))
+            elif isinstance(res, WalshMapError):
+                out.append(GridPoint(z, "failed", error=f"{type(res).__name__}: {res}"))
+            else:
+                out.append(GridPoint(z, "converged", res))
     return out
 
 
@@ -295,10 +359,12 @@ def _trace_component(dom, j, n_rays):
     or the band |Im w| = 2 cap (beyond which g >= log 2).  L between these
     bounds is this lobe alone, so every sign change before the outer end is
     the lobe's own.  Each ray marches by a factor of 1.1 from the inner end
-    until g > 0, never past its outer end, and the bracket is bisected by
-    _bisect.  Raises RayBracketFailure for an inner disk below the float
-    spacing at the center, a ray that reaches its outer end inside L, or a
-    ray that re-enters L just beyond its crossing (tangency or a wiggle).
+    until g > 0, never past its outer end, and _bisect solves the bracket by
+    Newton's method in r from its inner end, where g is concave in r and
+    Newton does not overshoot.  Raises RayBracketFailure for an inner disk
+    below the float spacing at the center, a ray that reaches its outer end
+    inside L, or a ray that re-enters L just beyond its crossing (tangency
+    or a wiggle).
     """
     a = np.asarray(dom.centers)
     m = np.asarray(dom.exponents.m)
@@ -333,7 +399,13 @@ def _trace_component(dom, j, n_rays):
         neg[marching] = pos[marching]
         pos[marching] = np.minimum(1.1 * pos[marching], r_out[marching])
         marching = marching[level(pos[marching], marching) <= 0]
-    r = _bisect(level, pos, neg)
+
+    def level_slope(r):
+        w = center + r * ray
+        # d/dr g(center + r e^{i theta}) = Re(e^{i theta} sum m_j / (w - a_j))
+        return _green_values(w, a, m, cap), (ray * _deriv_values(w, a, m)).real
+
+    r = _bisect(level_slope, pos, neg, start=neg)
     # immediately outside the crossing the ray must stay outside L
     for factor in (1.005, 1.02, 1.05):
         if np.any(level(np.minimum(r * factor, r_out)) <= 0):
@@ -344,9 +416,9 @@ def _trace_component(dom, j, n_rays):
 
 
 def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> list[BoundaryTrace]:
-    """Trace each boundary component of L by radial bisection of the Green's
-    level set along rays from its center, bracketed between a disk inside
-    the lobe and the critical lines and band that enclose it (see
+    """Trace each boundary component of L by radial root finding of the
+    Green's level set along rays from its center, bracketed between a disk
+    inside the lobe and the critical lines and band that enclose it (see
     _trace_component).
 
     A ray may re-enter L beyond its outer end, but that part of L belongs to

@@ -4,9 +4,12 @@ that the solve does not use.
 crit_points and boundary_abscissae are the per-root loops that
 lemniscatic.crit_points and lemniscatic.boundary_abscissae replaced with
 array-wide bisection; they stay here as oracles for the array versions.
-critical_points finds the numerator roots from coefficients (the solve finds
-the roots directly), and rational_mass_fit tests masses for a common
-denominator, a sign of a polynomial pre-image.
+halving_bisect is the plain array bisection that lemniscatic._bisect
+replaced with a Newton-safeguarded one.  path is green._path with its
+endpoint test run on every endpoint.  critical_points finds the numerator
+roots from coefficients (the solve finds the roots directly), and
+rational_mass_fit tests masses for a common denominator, a sign of a
+polynomial pre-image.
 """
 
 import math
@@ -78,6 +81,48 @@ def crit_points(a, m):
             w -= step
         out.append(min(max(w, a[k]), a[k + 1]))
     return np.array(out)
+
+
+def halving_bisect(f, pos, neg):
+    """Midpoints of the array brackets (pos, neg), where f(pos) > 0 >= f(neg),
+    after bisecting all of them at once on the sign of f: 90 halvings, or
+    fewer once every bracket is down to adjacent floats."""
+    for _ in range(90):
+        mid = 0.5 * (pos + neg)
+        if np.all((mid == pos) | (mid == neg)):
+            break
+        up = f(mid) > 0
+        pos = np.where(up, mid, pos)
+        neg = np.where(up, neg, mid)
+    return 0.5 * (pos + neg)
+
+
+def path(E, base, z):
+    """Vertices after base of the straight path from base to z, testing
+    every endpoint for a split."""
+    span = z - base
+    length = abs(span)
+    length2 = length * length
+    splits = []
+    for bj in E.endpoints:
+        if bj == base:
+            continue
+        s = ((bj - base) * span.conjugate()).real / length2
+        if not 1e-9 < s < 1.0 - 1e-9:
+            continue
+        if abs(base + span * s - bj) < min(0.1, s) * length:
+            splits.append(s)
+    hull = E.endpoints[-1] - E.endpoints[0]
+    d = 4.0 * hull
+    while d < 0.5 * length:
+        splits.append(d / length)
+        d *= 8.0
+    splits.sort()
+    knots = []
+    for s in splits:
+        if not knots or s > knots[-1] * (1.0 + 1e-6):
+            knots.append(s)
+    return [base + span * s for s in knots] + [z]
 
 
 def _bisect_green_zero(a, m, cap, lo, hi, f_lo_positive):

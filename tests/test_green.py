@@ -10,12 +10,12 @@ from walshmap.errors import (CapacityMismatch, NoConvergence, NotOnCut,
 from walshmap.green import (_green_integral, _path, _plain_deriv, alpha_coefficient,
                             capacity, green_complex, green_poly, green_real,
                             sqrt_branch, sqrt_branch_rim)
-from walshmap.intervals import parse_domain
+from walshmap.intervals import IntervalUnion, parse_domain
 from walshmap.quadrature import QuadConfig, integrate_segment_complex
 from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
-from scalar_oracles import critical_points, rational_mass_fit
+from scalar_oracles import critical_points, path, rational_mass_fit
 
 
 # --- square-root branch --------------------------------------------------------
@@ -346,6 +346,47 @@ def test_green_complex_jump_matches_the_other_edge_of_the_gap(three_interval):
                 jump = 1j * math.pi * math.fsum(m[k:]) * math.copysign(1.0, y)
                 want = _green_integral(E, wm.green.roots, other, z, wm.config) + jump
                 assert abs(green_complex(z, E, wm.green) - want) <= 1e-12 * abs(want)
+
+
+def _path_triples(rng):
+    """An interval set (narrow gaps and scaled or shifted frames in some
+    draws), every endpoint as base, and one point z: near the axis, far, or
+    ordinary."""
+    ell = int(rng.integers(1, 12))
+    b = np.sort(rng.uniform(-1.0, 1.0, 2 * ell))
+    b = b[0] + np.concatenate(([0.0], np.cumsum(np.maximum(np.diff(b), 1e-3))))
+    for k in range(1, ell):
+        if rng.random() < 0.3:  # a narrow gap
+            b[2 * k:] += b[2 * k - 1] + 10.0 ** -rng.uniform(3, 9) - b[2 * k]
+    scale = 10.0 ** rng.uniform(-6, 6)
+    b = scale * (b + rng.choice([0.0, 1e3, -1e5]))
+    E = IntervalUnion(tuple(float(v) for v in b))
+    b0, hull = E.endpoints[0], E.endpoints[-1] - E.endpoints[0]
+    kind = rng.integers(3)
+    if kind == 0:  # near the axis, around an endpoint
+        x = rng.choice(E.endpoints) + hull * rng.uniform(-0.1, 0.1) * 10.0 ** -rng.uniform(0, 6)
+        z = complex(x, rng.choice([-1.0, 1.0]) * hull * 10.0 ** -rng.uniform(0, 12))
+    elif kind == 1:  # far
+        z = b0 + hull * 10.0 ** rng.uniform(0.5, 6) * cmath.exp(2j * np.pi * rng.random())
+    else:
+        z = complex(b0 + hull * rng.uniform(-0.5, 1.5), hull * rng.uniform(-1.0, 1.0))
+    return E, z
+
+
+def test_path_scans_only_the_endpoints_that_can_split():
+    rng = np.random.default_rng(2024)
+    triples = split = 0
+    while triples < 5000:
+        E, z = _path_triples(rng)
+        if z.imag == 0.0:
+            continue
+        for base in E.endpoints:
+            want = path(E, base, z)
+            assert _path(E, base, z) == want
+            triples += 1
+            hull = E.endpoints[-1] - E.endpoints[0]
+            split += len(want) > 1 and abs(want[0] - base) < 4.0 * hull
+    assert split > 500  # endpoint splits happen, not only far-field knots
 
 
 # --- capacity and alpha ----------------------------------------------------------

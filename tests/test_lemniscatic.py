@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walshmap import lemniscatic
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, PoleAtCenter
 from walshmap.lemniscatic import (LemniscaticDomain, _bisect, boundary_abscissae,
                                   centers_general, centers_three, centers_two,
                                   crit_points, green, green_deriv)
+from walshmap.verify import random_interval_set
 
 import reference_values as ref
 import scalar_oracles as oracle
@@ -143,13 +145,56 @@ def test_bisect_brackets_of_either_orientation():
     # f(pos) > 0 >= f(neg), whichever end is larger; zeros at -0.3 and 0.7
     pos = np.array([1.0, -1.0])
     neg = np.array([0.0, 0.0])
-    got = _bisect(lambda x: (x - 0.7) * (x + 0.3), pos, neg)
+    got = _bisect(lambda x: ((x - 0.7) * (x + 0.3), 2.0 * x - 0.4), pos, neg)
     assert got[0] == pytest.approx(0.7, abs=1e-15)
     assert got[1] == pytest.approx(-0.3, abs=1e-15)
     # a bracket already down to adjacent floats stays put
     x = np.array([0.5])
-    assert _bisect(lambda v: v - 0.5, np.nextafter(x, 1.0), x)[0] in (
+    assert _bisect(lambda v: (v - 0.5, np.ones_like(v)), np.nextafter(x, 1.0), x)[0] in (
         x[0], np.nextafter(x[0], 1.0))
+
+
+def _random_lemniscatic(ell, seed):
+    E = random_interval_set(np.random.default_rng(seed), ell, 1e-2 if ell < 40 else 1e-3)
+    dom = solve(E).lemniscatic
+    return np.array(dom.centers), np.array(dom.exponents.m), dom.capacity
+
+
+@pytest.mark.parametrize("ell, seed", [(3, s) for s in range(6)]
+                         + [(10, s) for s in range(6)] + [(40, s) for s in range(3)])
+def test_newton_bisect_matches_halving_and_is_cheap(ell, seed, monkeypatch):
+    # at most 15 evaluations of f per call; against plain halving of the same
+    # brackets, agreement to 2 ulps or within f's rounding window, the
+    # rounding of its ell-term sum (ell eps sum_j |term_j|) over |f'|: any
+    # point inside it is a zero of the computed f, and near 0 it spans many
+    # ulps of the root itself
+    a, m, cap = _random_lemniscatic(ell, seed)
+    evals = []
+
+    def counted(f, pos, neg, start=None):
+        def f_counted(x):
+            evals[-1] += 1
+            return f(x)
+        evals.append(0)
+        return _bisect(f_counted, pos, neg, start)
+
+    monkeypatch.setattr(lemniscatic, "_bisect", counted)
+    w = crit_points(a, m)
+    c = boundary_abscissae(a, m, cap, crit=w)
+    assert len(evals) == 2 and max(evals) <= 15
+    monkeypatch.setattr(lemniscatic, "_bisect",
+                        lambda f, pos, neg, start=None:
+                        oracle.halving_bisect(lambda x: f(x)[0], pos, neg))
+    w_old = crit_points(a, m)
+    c_old = boundary_abscissae(a, m, cap, crit=w)
+    eps = np.finfo(float).eps
+    d = w_old[:, None] - a
+    window = ell * eps * np.abs(m / d).sum(1) / np.abs((m / d ** 2).sum(1))
+    assert np.all(np.abs(w - w_old) <= 2.0 * np.spacing(np.abs(w_old)) + 4.0 * window)
+    d = c_old[:, None] - a
+    window = ell * eps * ((np.abs(m * np.log(np.abs(d)))).sum(1) + abs(math.log(cap))) \
+        / np.abs((m / d).sum(1))
+    assert np.all(np.abs(c - c_old) <= 2.0 * np.spacing(np.abs(c_old)) + 4.0 * window)
 
 
 def test_boundary_abscissae_disk():

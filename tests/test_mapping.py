@@ -216,6 +216,17 @@ def test_trace_boundary_lobe_below_float_spacing_is_unsampled():
     assert not trace.sampled and trace.points is None
 
 
+def test_trace_boundary_points_lie_on_the_level_set(two_interval, three_interval, cantor2):
+    # the Newton-safeguarded bisection stops within f's rounding noise: every
+    # traced point of 256 per lobe keeps g_L at rounding level
+    ten = solve(random_interval_set(np.random.default_rng(5), 10))
+    for wm in (two_interval, three_interval, cantor2, ten):
+        traces = trace_boundary(wm.lemniscatic, 256)
+        assert all(t.sampled for t in traces)
+        for tr in traces:
+            assert np.max(np.abs(green_level(tr.points, wm.lemniscatic))) <= 1e-13
+
+
 @pytest.mark.parametrize("pairs", [
     [[-1.0, -1e-4], [1e-4, 1.0]],
     [[-1.0, 0.4999], [0.5001, 1.0]],
@@ -359,6 +370,27 @@ def _mixed_points(E):
     return zs
 
 
+def _assert_grid_gives_map_point(wm, points):
+    """Every point of a map_grid batch has map_point's status and error, or
+    its branch, index, iterations and near_boundary flag, and its image to
+    1e-14."""
+    for p in points:
+        try:
+            one = wm.map_point(p.z)
+        except InsideE:
+            assert p.status == "skipped"
+            continue
+        except WalshMapError as exc:
+            assert p.status == "failed"
+            assert p.error == f"{type(exc).__name__}: {exc}"
+            continue
+        res = p.result
+        assert p.status == "converged"
+        assert (res.branch, res.index, res.iterations, res.near_boundary) == (
+            one.branch, one.index, one.iterations, one.near_boundary)
+        assert abs(res.w - one.w) <= 1e-14 * abs(one.w)
+
+
 def test_grid_matches_map_point():
     # the 10-interval set's narrowest gap is 0.0115 wide, NARROW_THREE's 1e-4
     ten = solve(random_interval_set(np.random.default_rng(3), 10))
@@ -369,21 +401,31 @@ def test_grid_matches_map_point():
         assert [p.z for p in points] == zs
         statuses = {p.status for p in points}
         assert statuses == {"converged", "skipped", "failed"}
-        for p in points:
-            try:
-                one = wm.map_point(p.z)
-            except InsideE:
-                assert p.status == "skipped"
-                continue
-            except WalshMapError as exc:
-                assert p.status == "failed"
-                assert p.error == f"{type(exc).__name__}: {exc}"
-                continue
-            res = p.result
-            assert p.status == "converged"
-            assert (res.branch, res.index, res.iterations, res.near_boundary) == (
-                one.branch, one.index, one.iterations, one.near_boundary)
-            assert abs(res.w - one.w) <= 1e-14 * abs(one.w)
+        _assert_grid_gives_map_point(wm, points)
+
+
+@pytest.mark.parametrize("pairs, z", [
+    ([[-1.0, 0.4999], [0.5001, 1.0]], 0.4999 + 1e-3j),
+    (NARROW_THREE, 0.4 + 1e-3j),
+    ([[-1.0, -0.5], [-0.4, -0.399999], [0.2, 1.0]], -0.4 + 1e-6j),
+    ([[-1.0, -1e-8], [1e-8, 1.0]], 1e-9j),
+])
+def test_grid_matches_map_point_beside_narrow_neighbours(pairs, z, monkeypatch):
+    # points whose height is comparable to a narrow gap or component next to
+    # them, where the map's Newton may stall, among ordinary points, in one
+    # batch and in batches of four
+    wm = solve(pairs)
+    zs = [z, z.conjugate(), 0.3 + 0.5j, complex(z.real, 0.5), -1.5 + 0.2j,
+          2.0 - 1.0j, complex(z.real, -0.05), complex(z.real)]
+    points = wm.map_grid(zs)
+    assert [p.z for p in points] == zs
+    _assert_grid_gives_map_point(wm, points)
+    monkeypatch.setattr(mapping, "_GRID_BATCH", 4)
+    assert wm.map_grid(zs) == points
+    # every point whose residual came within 2 tol takes map_point's own
+    # iterates, as a tie of the stop test does
+    monkeypatch.setattr(mapping, "_TIE", 1.0)
+    _assert_grid_gives_map_point(wm, wm.map_grid(zs))
 
 
 def test_grid_batches_give_the_same_points(monkeypatch):

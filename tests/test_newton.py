@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from walshmap.errors import NoConvergence
-from walshmap.newton import damped_newton
+from walshmap.newton import damped_newton, damped_newton_masked
 
 
 def recording(fun):
@@ -67,3 +68,57 @@ def test_stall_carries_best_and_estimate_for_array_residual():
     with pytest.raises(NoConvergence) as err:
         damped_newton(fun, np.array([0.5]), max_steps=10, max_halvings=8)
     assert np.all(err.value.best == [0.5]) and err.value.estimate == 1.25
+
+
+# --- the masked twin --------------------------------------------------------
+
+# one equation per element: converges at once, needs halvings (atan from 2),
+# is refused by the admissibility test x < 1.5 until halved (an overshooting
+# step), stalls (1 + x^2 along +1), runs out of steps (a step of half the
+# distance to the root) and has a zero derivative (x^2 - 1 at 0, NaN step)
+MASKED_X0 = np.array([1.0, 2.0, 0.0, 0.5, 0.0, 0.0])
+
+
+def masked_fun(x, kind):
+    # an element's index is its kind of equation
+    F = np.select([kind == 1, kind == 3, kind == 5],
+                  [np.arctan(x), 1.0 + x * x, x * x - 1.0], x - 1.0)
+    slope_step = np.full_like(x, np.nan)
+    np.divide(-F, 2.0 * x, out=slope_step, where=2.0 * x != 0.0)
+    delta = np.select([kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+                      [1.0 - x, -np.arctan(x) * (1.0 + x * x), 2.0 * (1.0 - x),
+                       np.ones_like(x), 0.5 * (1.0 - x)], slope_step)
+    return F, delta
+
+
+def test_masked_kernel_matches_scalar_kernel_per_element():
+    options = dict(tol=1e-14, max_steps=12, max_halvings=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, F, steps, failures, margin = damped_newton_masked(
+            masked_fun, MASKED_X0, admissible=lambda x, idx: x < 1.5, **options)
+    assert sorted(failures) == [3, 4, 5]
+    for i, x0 in enumerate(MASKED_X0.tolist()):
+        def one(v, i=i):
+            F, delta = masked_fun(np.array([v]), np.array([i]))
+            return F[0], delta[0]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                xs, Fs, ss = damped_newton(one, x0, admissible=lambda v: v < 1.5,
+                                           **options)
+            except NoConvergence as exc:
+                got = failures[i]
+                assert (str(got), got.best, got.estimate) == (
+                    str(exc), exc.best, exc.estimate)
+                assert x[i] == exc.best and abs(F[i]) == exc.estimate
+                continue
+        assert i not in failures
+        assert (x[i], F[i], steps[i]) == (xs, Fs, ss)
+    assert steps.tolist()[:3] == [0, 5, 1]
+    # the element that starts at its root is at |0 / tol - 1| = 1 from tol
+    assert margin[0] == 1.0 and np.all(margin > 0.0)
+    for i in (3, 5):
+        assert str(failures[i]).startswith("no damped Newton step lowers the residual")
+    assert str(failures[4]).startswith("Newton iteration stopped after 12 steps")
