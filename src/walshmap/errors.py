@@ -23,12 +23,15 @@ class NoConvergence(WalshMapError):
     the points of a map_grid batch) when no halving of a step is taken or the
     steps run out.  The map raises it for a point whose equation stalls,
     centers_three for a residual stalled above 1e-10.
-    best is the last estimate or iterate, estimate its error or residual."""
+    best is the last estimate or iterate, estimate its error or residual;
+    a batch of Green's integrals sets failures, each failed point's error
+    by flat index, as damped_newton_masked returns them."""
 
     def __init__(self, message, best=None, estimate=None):
         super().__init__(message)
         self.best = best
         self.estimate = estimate
+        self.failures = None
 
 
 # --- Green's function side (E) -----------------------------------------------
@@ -96,6 +99,10 @@ class OrderViolation(WalshMapError):
 
 class InsideE(WalshMapError):
     """Map evaluation requested in the interior of E."""
+
+
+class NotFinite(WalshMapError, ValueError):
+    """Map or Green's function requested at an infinite or NaN point."""
 
 
 class RayBracketFailure(WalshMapError):

@@ -13,18 +13,20 @@ every bounded gap of E vanishes.
 """
 
 import bisect
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapacityMismatch, NoConvergence, NotOnCut, OnCutError,
-                     PathOnCut, RootNotBracketed, SingularSystem)
+from .errors import (CapacityMismatch, NoConvergence, NotFinite, NotOnCut,
+                     OnCutError, PathOnCut, RootNotBracketed, SingularSystem)
 from .intervals import IntervalUnion, locate
 from .newton import damped_newton
-from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
-                         integrate_segment_complex, integrate_tail)
+from .quadrature import (DEFAULT_CONFIG, QuadConfig, _panel_failure,
+                         integrate_chebyshev, integrate_segment_complex,
+                         integrate_tail)
 
 __all__ = [
     "GreenData",
@@ -76,14 +78,13 @@ def sqrt_branch(E: IntervalUnion, z) -> complex:
         for j in range(E.ell):
             if np.any(on_axis & (b[2 * j] <= x) & (x <= b[2 * j + 1])):
                 raise OnCutError("sqrt_branch evaluated on E; use sqrt_branch_rim")
+    out = np.ones_like(z)
     for bj in b:
         d = z - bj
         # values this close to an endpoint are indistinguishable from the cut
         if np.any(np.abs(d) < 1e-300):
             raise OnCutError(f"evaluation point within 1e-300 of endpoint {bj}")
-    out = np.ones_like(z)
-    for bj in b:
-        out = out * np.sqrt(z - bj)
+        out = out * np.sqrt(d)
     return out if out.ndim else complex(out)
 
 
@@ -145,26 +146,21 @@ def _endpoint_weight_fd(E: IntervalUnion, i_lo: int, i_hi: int, roots=(),
     return float(lo), float(hi), fd
 
 
-def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig, want_jacobian=True):
+def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig):
     """Residuals F_i = integral over gap i of prod(x - z_k)/sqrt|H| and the
     Jacobian dF_i/dz_j = -integral of the product with factor j removed.
 
     One vector-valued quadrature per gap integrates F_i and its Jacobian row
     on a shared node set (see _endpoint_weight_fd).
     """
-    ell = E.ell
-    n = ell - 1
+    n = E.ell - 1
     F = np.empty(n)
-    J = np.empty((n, n)) if want_jacobian else None
-    for i in range(1, ell):
-        lo, hi, fd = _endpoint_weight_fd(E, 2 * i - 1, 2 * i, roots,
-                                         leave_one_out=want_jacobian)
+    J = np.empty((n, n))
+    for i in range(n):
+        lo, hi, fd = _endpoint_weight_fd(E, 2 * i + 1, 2 * i + 2, roots,
+                                         leave_one_out=True)
         out = integrate_chebyshev(None, lo, hi, cfg, fd=fd)
-        if want_jacobian:
-            F[i - 1] = out[0]
-            J[i - 1] = -out[1:]
-        else:
-            F[i - 1] = out
+        F[i], J[i] = out[0], -out[1:]
     return F, J
 
 
@@ -284,29 +280,33 @@ def _ns_ratio(r_off, e_off):
     return fd
 
 
+def _require_finite(z):
+    if not cmath.isfinite(z):
+        raise NotFinite(f"z = {z} is not finite")
+
+
+def _nearest_endpoint(b, x: float) -> int:
+    """Index of the endpoint of b nearest x (the left on a tie): the base."""
+    i = bisect.bisect_right(b, x)  # b[i - 1] <= x < b[i]
+    if i == len(b) or (i > 0 and x - b[i - 1] <= b[i] - x):
+        i -= 1
+    return i
+
+
 def _green_real(E: IntervalUnion, roots, x: float, cfg: QuadConfig) -> float:
+    """Green's function at real x: 0 on E, else the integral from the nearest
+    endpoint, where a rounding of up to 100 abs_tol below 0 reads 0."""
     if E.contains(x):
         return 0.0
-    loc = locate(E, complex(x))
-    k = loc.index
     b = E.endpoints
-    if k == 0:
-        base = b[0]
-    elif k == E.ell:
-        base = b[-1]
-    else:
-        lo, hi = b[2 * k - 1], b[2 * k]
-        base = lo if x - lo <= hi - x else hi
-    val = _green_integral(E, roots, base, complex(x), cfg).real
-    if val < 0.0:
-        val = max(val, 0.0) if val > -100.0 * cfg.abs_tol else val
-    return val
+    val = _green_integral(E, roots, b[_nearest_endpoint(b, x)], complex(x), cfg).real
+    return 0.0 if -100.0 * cfg.abs_tol < val < 0.0 else val
 
 
 def green_real(z: float, E: IntervalUnion, data: GreenData,
                cfg: QuadConfig | None = None) -> float:
-    """Green's function at real z, integrated from the nearest endpoint of the
-    surrounding gap.  Zero on E itself."""
+    """Green's function at real z (see _green_real); NotFinite unless finite."""
+    _require_finite(z)
     return _green_real(E, data.roots, float(z), cfg or DEFAULT_CONFIG)
 
 
@@ -331,9 +331,8 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
     Only endpoints strictly within |Re z - base| of Re z can split: a split
     needs 0 < s < 1 and a distance below s times the length, so
     0 < (b_j - base) / (Re z - base) < 2.  The loop scans that slice of the
-    endpoints, ends included against rounding; it holds no endpoint but the
-    base for the nearest-endpoint bases of green_complex and the gap-edge
-    bases of _green_real.
+    endpoints, ends included against rounding: for the base _nearest_endpoint
+    picks, the base alone.
     """
     span = z - base
     length = abs(span)
@@ -373,13 +372,13 @@ def _green_integral(E: IntervalUnion, roots, base, z, cfg: QuadConfig):
 
     Every point's first panel, singular at its base, goes into one vector
     call of the segment rule, which hands each panel's base to the
-    integrand, and every later panel into one more; each point's panels
-    are then added in path order.  For a scalar z the first
-    panel that does not converge raises NoConvergence with its own message,
-    last estimate (best) and error estimate, both scalars.  For an array the
-    other points are unaffected: the result has z's shape, and if any point
-    failed, NoConvergence is raised with that result as its best, NaN at
-    each failed point (a converged panel is finite).
+    integrand, and every later panel into one more (zero-length ones, which
+    the rule skips, where the first failed); each point's panels are then
+    added in path order.  A point fails with the error the rule raises for
+    its first unconverged panel alone (_panel_failure), which a scalar z
+    raises.  For an array the other points are unaffected: NoConvergence
+    carries the result as best, NaN at each failed point (a converged panel
+    is finite), and failures, each failed point's error by flat index.
     """
     z = np.asarray(z, dtype=complex)
     bases = np.empty(z.shape)
@@ -391,37 +390,40 @@ def _green_integral(E: IntervalUnion, roots, base, z, cfg: QuadConfig):
     width = max(map(len, paths), default=1)
     verts = np.array([path + path[-1:] * (width - len(path)) for path in paths],
                      dtype=complex).reshape(z.shape + (width,))
+    failures = {}
 
     def panels(f, z0, z1, singular_at_start=False, fd=None):
-        """Panel values, NaN where a panel did not converge."""
+        """Panel values, NaN where a panel did not converge (see failures)."""
         try:
             return integrate_segment_complex(f, z0, z1, singular_at_start, cfg, fd=fd)
         except NoConvergence as exc:
             # the rule's own stopping test picks out the unconverged panels
-            failed = ~(exc.estimate <= cfg.tolerance(exc.best))
-            if z.ndim:
-                return np.where(failed, np.nan, exc.best)
-            # one point: the payload of its first failing panel, which the
-            # message names, as for a path integrated panel by panel
-            i = np.argmax(np.ravel(failed))
-            exc.best = complex(np.ravel(exc.best)[i])
-            exc.estimate = float(np.ravel(exc.estimate)[i])
-            raise
+            failed = ~np.less_equal(exc.estimate, cfg.tolerance(exc.best))
+            # a row of panels per point; a point fails in one call only
+            rows = [np.reshape(a, (z.size, -1))
+                    for a in (z0, z1, exc.best, exc.estimate, failed)]
+            for i in np.flatnonzero(rows[-1].any(axis=1)).tolist():
+                k = np.argmax(rows[-1][i])
+                failures[i] = _panel_failure(*(row[i, k] for row in rows[:-1]))
+            return np.where(failed, np.nan, exc.best)
 
     ratio = _plain_deriv(E, roots)
     total = panels(None, bases, verts[..., 0], True,
                    lambda offset, start: ratio(offset, start.real))
     if width > 1:
+        if failures:  # a point whose first panel failed: zero-length later ones
+            verts = np.where(np.isnan(total)[..., None], z[..., None], verts)
         later = panels(ratio, verts[..., :-1], verts[..., 1:])
         for k in range(width - 1):
             total = total + later[..., k]
+    if not failures:
+        return total if z.ndim else complex(total)
     if not z.ndim:
-        return complex(total)
-    failed = np.count_nonzero(np.isnan(total))
-    if failed:
-        raise NoConvergence(f"Green's integral did not converge at {failed} of "
-                            f"{total.size} points", best=total)
-    return total
+        raise failures[0]
+    exc = NoConvergence(f"Green's integral did not converge at {len(failures)} "
+                        f"of {total.size} points", best=total)
+    exc.failures = failures
+    raise exc
 
 
 def green_complex(z, E: IntervalUnion, data: GreenData,
@@ -431,20 +433,17 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     function.
 
     Each point is integrated along the straight segment from the endpoint
-    b_i nearest Re z, so no other endpoint lies under its path (a path
-    that runs along the set within |Im z| of its endpoints does not
-    converge near the axis), and the change of base is added exactly:
-    i pi (m_{k+1} + ... + m_ell) sign(Im z) for a base on gap
+    b_i nearest Re z (_nearest_endpoint), so no other endpoint lies under
+    its path (a path that runs along the set within |Im z| of its endpoints
+    does not converge near the axis), and the change of base is added
+    exactly: i pi (m_{k+1} + ... + m_ell) sign(Im z) for a base on gap
     k = (i + 1) // 2 (0-based i), with the normalized masses of data.
 
-    z may be an array: every point's path is integrated at once (see
-    _green_integral) and the result has z's shape.  A point whose path does
-    not converge fails alone; NoConvergence then carries the whole result
-    as best, NaN at each failed point.  For a scalar z it is the first
-    failing panel's, with scalar best and estimate.
-
-    Raises PathOnCut on the half-line (-inf, b_{2l}] (use green_real / rim
-    conventions there).
+    z may be an array: every point's path is integrated at once, and a
+    point whose path does not converge fails alone, NaN in best and its
+    own error, the one a scalar z raises, in failures (see _green_integral).
+    Raises NotFinite for an infinite or NaN coordinate, and PathOnCut on
+    the half-line (-inf, b_{2l}] (use green_real / rim conventions there).
     """
     cfg = cfg or DEFAULT_CONFIG
     z = np.asarray(z, dtype=complex)
@@ -455,12 +454,11 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
                                                     initial=0.0)][::-1]
     bases, jumps = [], []
     for p in z.reshape(-1).tolist():
+        _require_finite(p)
         x = p.real
         if p.imag == 0.0 and x <= b[-1]:
             raise PathOnCut(f"z = {p} lies on the excluded half-line")
-        i = bisect.bisect_right(b, x)  # b[i - 1] <= x < b[i]
-        if i == len(b) or (i > 0 and x - b[i - 1] <= b[i] - x):
-            i -= 1
+        i = _nearest_endpoint(b, x)
         bases.append(b[i])
         jumps.append(complex(0.0, math.copysign(tail[(i + 1) // 2], p.imag)))
     jump = np.array(jumps).reshape(z.shape)
@@ -552,7 +550,13 @@ def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:
     """Compute the full Green's-function data set for E."""
     cfg = cfg or DEFAULT_CONFIG
     coeffs, roots = _solve_numerator(E, cfg)
-    green_at_roots = tuple(_green_real(E, roots, float(z), cfg) for z in roots)
+    # every critical value in one call, each based and rounded as in _green_real
+    bases = [E.endpoints[_nearest_endpoint(E.endpoints, z)] for z in roots]
+    try:
+        g = _green_integral(E, roots, bases, roots, cfg).real.tolist()
+    except NoConvergence as exc:  # the first failing root's own error
+        raise exc.failures[min(exc.failures)] from None
+    green_at_roots = tuple(0.0 if -100.0 * cfg.abs_tol < v < 0.0 else v for v in g)
     masses = _component_masses(E, roots, cfg)
     cap, mismatch = _capacity_both(E, roots, cfg)
     return GreenData(

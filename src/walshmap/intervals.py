@@ -4,10 +4,12 @@ Components are numbered 1..ell from left to right; the open gaps of the real
 line are numbered 0..ell, with gap 0 = (-inf, b_1) and gap ell = (b_{2l}, +inf).
 """
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateError, OverlapError
+from .errors import DegenerateError, NotFinite, OverlapError
 
 __all__ = ["Gap", "IntervalUnion", "Location", "locate", "parse_domain"]
 
@@ -108,21 +110,16 @@ def locate(E: IntervalUnion, z: complex) -> Location:
     """Classify z as inside a component, in a gap, or off the real axis.
 
     Containment uses exact comparison against the endpoints; callers needing
-    fuzz apply it themselves.
+    fuzz apply it themselves.  Raises NotFinite for a NaN coordinate.
     """
     z = complex(z)
+    if cmath.isnan(z):
+        raise NotFinite(f"z = {z} is not a number")
     if z.imag != 0.0:
         return Location("off_axis")
     x = z.real
     b = E.endpoints
-    for j in range(E.ell):
-        if b[2 * j] <= x <= b[2 * j + 1]:
-            return Location("inside", j + 1)
-    if x < b[0]:
-        return Location("gap", 0)
-    if x > b[-1]:
-        return Location("gap", E.ell)
-    for k in range(1, E.ell):
-        if b[2 * k - 1] < x < b[2 * k]:
-            return Location("gap", k)
-    raise AssertionError("unreachable: real x neither in E nor in a gap")
+    i = bisect.bisect_right(b, x)  # b[i - 1] <= x < b[i]: x is in E if i is odd
+    if i % 2 or (i and x == b[i - 1]):
+        return Location("inside", (i + 1) // 2)
+    return Location("gap", i // 2)

@@ -14,11 +14,8 @@ kept inside that interval.  Both start from the real-axis correspondence of
 the gap (and, for off-axis points near E, of the component) under Re z; see
 _complex_start.  Endpoints map to the boundary abscissae directly.
 
-map_point solves one point with the scalar damped_newton.  map_grid solves
-the complex equations of a whole batch at once with damped_newton_masked,
-each point with its own damping, half-plane test and stop, so it takes the
-steps map_point takes; for one point numpy's per-call cost would make the
-batch several times slower than the scalar loop.
+map_point solves one point with the scalar damped_newton, map_grid a batch
+with damped_newton_masked (a one-point numpy batch costs several times more).
 """
 
 import bisect
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsideE, NoConvergence, RayBracketFailure, WalshMapError
-from .green import (GreenData, _green_integral, _green_real, green_complex)
+from .green import GreenData, _green_integral, _green_real, _require_finite, green_complex
 from .intervals import IntervalUnion, locate
 from .lemniscatic import (LemniscaticDomain, _bisect, _deriv_values, _green_scalar,
                           _green_values, _outer_reach)
@@ -157,11 +154,13 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     _complex_start; its right side is green_complex's integral from the
     endpoint nearest Re z, plus the branch offset.  Off-axis points closer
     to E than 1e-9 of its hull width b_{2l} - b_1 are evaluated but flagged
-    near_boundary.  Raises NoConvergence when Newton stalls or a panel of
-    the Green's integral does not converge (see green_complex).
+    near_boundary.  Raises NotFinite for an infinite or NaN coordinate, and
+    NoConvergence when Newton stalls or a panel of the Green's integral does
+    not converge (see green_complex).
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
+    _require_finite(z)
     if z.imag == 0.0:
         x = z.real
         if x in E.endpoints:
@@ -277,34 +276,36 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     """Map a batch of points, skipping interior points of E and recording
     failures per point; never aborts the batch, order preserved.
 
-    The Green targets of the off-axis points come from one green_complex
-    call per batch of _GRID_BATCH points, and their complex equations from
-    one masked damped Newton (_complex_images), which builds each failed
-    point's error as map_point raises it.  Real-axis points, and off-axis
-    points whose target did not converge, go through map_point, which
-    raises the point's own error.  Every point gets what map_point gives it.
+    The Green targets of the finite off-axis points come from one
+    green_complex call per batch of _GRID_BATCH points, and their complex
+    equations from one masked damped Newton (_complex_images); each builds
+    a failed point's error as map_point raises it.  Only real-axis points
+    go through map_point.  Every point gets what map_point gives it.
     """
     cfg = cfg or DEFAULT_CONFIG
     points = iter(zs)
     out = []
     while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
-        off = [z for z in batch if z.imag != 0.0]
+        off = [z for z in batch if z.imag != 0.0 and cmath.isfinite(z)]
         try:
-            targets = green_complex(off, E, data, cfg)
+            targets, failures = green_complex(off, E, data, cfg), {}
         except NoConvergence as exc:
-            targets = exc.best  # NaN where a point's path did not converge
+            # NaN where a point's path did not converge, its error in failures
+            targets, failures = exc.best, exc.failures
         solved = ~np.isnan(targets)
         images = iter(_complex_images([z for z, ok in zip(off, solved) if ok],
                                       targets[solved], E, dom, data, tol))
-        solved = iter(solved.tolist())
+        results = (next(images) if ok else failures[i]
+                   for i, ok in enumerate(solved.tolist()))
         for z in batch:
-            if z.imag != 0.0 and next(solved):
-                res = next(images)
-            else:
-                try:
+            try:
+                if z.imag == 0.0:
                     res = map_point(z, E, dom, data, tol, cfg)
-                except WalshMapError as exc:
-                    res = exc
+                else:
+                    _require_finite(z)
+                    res = next(results)
+            except WalshMapError as exc:
+                res = exc
             if isinstance(res, InsideE):
                 out.append(GridPoint(z, "skipped"))
             elif isinstance(res, WalshMapError):
@@ -424,8 +425,11 @@ def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> li
     A ray may re-enter L beyond its outer end, but that part of L belongs to
     a neighboring lobe.  A component whose rays cannot be bracketed, or
     re-enter L right after their crossing (star-shaped sampling assumption
-    violated), is reported unsampled rather than wrong.
+    violated), is reported unsampled rather than wrong.  Raises ValueError
+    for fewer than one point per component.
     """
+    if points_per_component < 1:
+        raise ValueError(f"points_per_component {points_per_component} < 1")
     out = []
     for j, center in enumerate(dom.centers):
         try:

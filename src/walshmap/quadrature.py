@@ -3,17 +3,9 @@
 All rules double their node count until two successive estimates agree to
 tolerance.  Integrands must accept numpy arrays (vectorized evaluation).
 
-The Chebyshev rule also takes vector-valued integrands, returning a (K, m)
-block for m nodes: the K components share one node set and each stops on
-its own, keeping the estimate of the first level at which it met the
-tolerance.  Its nodes reach the integrand in blocks of at most 1024, so a
-K-row integrand never holds more than K x 1024 values at once.
-
-The segment rule likewise takes arrays of P segments (panels): at each
-order one integrand call per chunk receives the offsets of every panel
-still doubling, as a (panels, n) block, and each panel stops on its own.
-Chunks hold whole panels, so each panel's sum is the one a call on it
-alone forms, and at most _SEG_BLOCK nodes unless one panel has more.
+The Chebyshev rule also integrates the K rows of a vector-valued integrand,
+and the segment rule arrays of panels, in bounded node blocks; each row or
+panel stops on its own, with the value a call on it alone returns.
 
 * inverse-square-root endpoint singularities on a finite interval
   -> cosine substitution + Gauss-Chebyshev midpoint rule,
@@ -234,6 +226,13 @@ def _leggauss(n):
     return (0.5 * (u + 1.0)).astype(complex), w.astype(complex)
 
 
+def _panel_failure(z0, z1, best, estimate):
+    """The segment rule's NoConvergence for the panel z0 -> z1 alone."""
+    return NoConvergence(
+        f"segment rule did not reach tolerance on [{complex(z0)}, {complex(z1)}] "
+        f"(last estimate {complex(best)!r})", best=complex(best), estimate=float(estimate))
+
+
 def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
                               fd=None, with_estimate=False):
     """Integrate f along the straight segments from z0 to z1.
@@ -315,18 +314,13 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
         prev = est
         n *= 2
     if active.size:
-        value[active] = prev
-        error[active] = err
+        value[active], error[active] = prev, err
         i = active[0]
-        best, estimate = value.reshape(shape), error.reshape(shape)
-        if not shape:
-            best, estimate = complex(best), float(estimate)
-        raise NoConvergence(
-            f"segment rule did not reach tolerance on "
-            f"[{complex(np.broadcast_to(z0, shape).flat[i])}, "
-            f"{complex(np.broadcast_to(z1, shape).flat[i])}] "
-            f"(last estimate {complex(value[i])!r})",
-            best=best, estimate=estimate)
+        exc = _panel_failure(origin.flat[i], np.broadcast_to(z1, shape).flat[i],
+                             value[i], error[i])
+        if shape:
+            exc.best, exc.estimate = value.reshape(shape), error.reshape(shape)
+        raise exc
     if not shape:
         value, error = complex(value[0]), float(error[0])
     else:

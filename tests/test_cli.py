@@ -120,6 +120,12 @@ def test_phi_inside_set_exits_2(capsys):
     assert json.loads(err)["error"]["type"] == "InsideE"
 
 
+def test_phi_non_finite_point_exits_2(capsys):
+    code, _, err = run_cli(capsys, "phi", "--intervals=-1,-0.3;0.1,1", "--z=nan")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "NotFinite"
+
+
 def test_grid_csv_contract(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     code, _, _ = run_cli(capsys, "grid", "--intervals=-1,-0.3;0.1,1",
@@ -191,6 +197,12 @@ def test_boundary_doc(capsys):
     assert doc[0]["sampled"] is True
     pts = np.array([complex(re, im) for re, im in doc[0]["points"]])
     assert np.max(np.abs(np.abs(pts) - 0.5)) < 1e-9
+
+
+def test_boundary_without_points_exits_2(capsys):
+    code, _, err = run_cli(capsys, "boundary", "--intervals=-1,1", "--points", "0")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_boundary_csv(capsys):

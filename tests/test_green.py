@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from walshmap.api import solve
-from walshmap.errors import (CapacityMismatch, NoConvergence, NotOnCut,
+from walshmap import green
+from walshmap.errors import (CapacityMismatch, NoConvergence, NotFinite, NotOnCut,
                              OnCutError, PathOnCut, RootNotBracketed)
-from walshmap.green import (_green_integral, _path, _plain_deriv, alpha_coefficient,
-                            capacity, green_complex, green_poly, green_real,
+from walshmap.green import (_green_integral, _green_real, _path, _plain_deriv,
+                            _solve_numerator, alpha_coefficient, capacity,
+                            green_complex, green_data, green_poly, green_real,
                             sqrt_branch, sqrt_branch_rim)
 from walshmap.intervals import IntervalUnion, parse_domain
 from walshmap.quadrature import QuadConfig, integrate_segment_complex
@@ -177,6 +179,48 @@ def test_forty_interval_sets_solve(seed):
     assert worst_invariant(wm) < 1e-10
 
 
+@pytest.mark.parametrize("ell", [2, 10, 40])
+def test_critical_values_match_green_real_bit_for_bit(ell):
+    # green_data integrates every critical value in one batch; each is the
+    # value green_real gives at its root alone
+    E = parse_domain(dirichlet_intervals(np.random.default_rng(ell), ell))
+    data = green_data(E)
+    assert data.green_at_roots == tuple(green_real(z, E, data) for z in data.roots)
+
+
+def test_critical_value_failure_is_the_first_failing_roots_own(monkeypatch):
+    # an integrand scaled by the node count on every path based at an edge of
+    # gaps 2 and 3 fails their two roots alone; green_data raises the error
+    # of the first, the one _green_real raises there
+    E = parse_domain(dirichlet_intervals(np.random.default_rng(5), 6))
+    bad = E.endpoints[3:7]
+    plain = green._plain_deriv
+
+    def poisoned(E, roots):
+        ratio = plain(E, roots)
+
+        def fd(t, base=None):
+            out = ratio(t, base)
+            if base is None:
+                return out
+            return np.where(np.isin(base, bad), out * t.shape[-1], out)
+        return fd
+
+    monkeypatch.setattr(green, "_plain_deriv", poisoned)
+    _, roots = _solve_numerator(E, green.DEFAULT_CONFIG)
+    failed = []
+    for z in roots:
+        try:
+            _green_real(E, roots, float(z), green.DEFAULT_CONFIG)
+        except NoConvergence as exc:
+            failed.append(exc)
+    assert len(failed) == 2
+    with pytest.raises(NoConvergence) as err:
+        green_data(E)
+    assert (str(err.value), err.value.best, err.value.estimate) == (
+        str(failed[0]), failed[0].best, failed[0].estimate)
+
+
 def test_solved_roots_are_a_newton_fixed_point():
     from walshmap.green import _gap_system
 
@@ -297,6 +341,9 @@ def test_green_complex_batch_matches_points():
                 green_complex(z, wm.domain, wm.green, FEW_NODES)
             assert isinstance(one.value.best, complex)
             assert isinstance(one.value.estimate, float)
+            own = err.value.failures[3]
+            assert (str(own), own.best, own.estimate) == (
+                str(one.value), one.value.best, one.value.estimate)
         else:
             assert got == green_complex(z, wm.domain, wm.green, FEW_NODES)
     ok = np.delete(zs.ravel(), 3)
@@ -328,6 +375,54 @@ def test_green_complex_scalar_failure_is_first_failing_panel():
     assert str(err.value) == str(one)
     assert isinstance(err.value.best, complex) and isinstance(err.value.estimate, float)
     assert err.value.best == one.best and err.value.estimate == one.estimate
+
+
+def test_green_integral_batch_failures_are_each_points_own(monkeypatch):
+    # from b_2l of this set -5e4+10j fails in its first panel and -5e4+100j
+    # in a later one, while -1e5+1e3j converges: in one batch each failed
+    # point carries the error its scalar integral raises, and the point
+    # whose first panel failed sends only zero-length later panels
+    wm = solve(random_interval_set(np.random.default_rng(7), 6))
+    E, roots, base = wm.domain, wm.green.roots, wm.domain.endpoints[-1]
+    zs = np.array([-5e4 + 10j, -5e4 + 100j, -1e5 + 1e3j])
+    calls = []
+
+    def recording(f, z0, z1, *args, **kwargs):
+        calls.append((np.copy(z0), np.copy(z1)))
+        return integrate_segment_complex(f, z0, z1, *args, **kwargs)
+
+    monkeypatch.setattr(green, "integrate_segment_complex", recording)
+    with pytest.raises(NoConvergence) as err:
+        _green_integral(E, roots, base, zs, wm.config)
+    monkeypatch.undo()
+    assert "2 of 3 points" in str(err.value) and sorted(err.value.failures) == [0, 1]
+    assert np.isnan(err.value.best[:2]).all()
+    assert err.value.best[2] == _green_integral(E, roots, base, zs[2], wm.config)
+    for i in (0, 1):
+        with pytest.raises(NoConvergence) as one:
+            _green_integral(E, roots, base, zs[i], wm.config)
+        own = err.value.failures[i]
+        assert (str(own), own.best, own.estimate) == (
+            str(one.value), one.value.best, one.value.estimate)
+    assert f"[{complex(base)}, " in str(err.value.failures[0])  # its first panel
+    later_z0, later_z1 = calls[1]
+    assert np.all(later_z0[0] == zs[0]) and np.all(later_z1[0] == zs[0])
+    assert not np.all(later_z0[1] == later_z1[1])
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(1.0, math.inf),
+                               complex(math.inf, 0.0)])
+def test_green_complex_rejects_non_finite_points(two_interval, z):
+    with pytest.raises(NotFinite):
+        green_complex(z, two_interval.domain, two_interval.green)
+    with pytest.raises(NotFinite):
+        green_complex([0.5 + 0.5j, z], two_interval.domain, two_interval.green)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_green_real_rejects_non_finite_points(two_interval, x):
+    with pytest.raises(NotFinite):
+        green_real(x, two_interval.domain, two_interval.green)
 
 
 def test_green_complex_jump_matches_the_other_edge_of_the_gap(three_interval):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from walshmap.errors import DegenerateError, OverlapError
+from walshmap.errors import DegenerateError, NotFinite, OverlapError
 from walshmap.intervals import IntervalUnion, locate, parse_domain
 
 
@@ -57,6 +57,14 @@ def test_locate_examples():
     assert locate(E, 1 + 2j).kind == "off_axis"
     assert locate(E, -5.0).index == 0
     assert locate(E, 5.0).index == E.ell
+
+
+def test_locate_rejects_nan():
+    E = parse_domain([[-1, -0.3], [0.1, 1]])
+    for z in (math.nan, complex(0.5, math.nan)):
+        with pytest.raises(NotFinite):
+            locate(E, z)
+    assert locate(E, math.inf).index == 2 and locate(E, -math.inf).index == 0
 
 
 def test_every_endpoint_is_inside():

@@ -7,7 +7,7 @@ import pytest
 
 from walshmap import mapping
 from walshmap.api import solve
-from walshmap.errors import BracketFailure, InsideE, WalshMapError
+from walshmap.errors import BracketFailure, InsideE, NotFinite, WalshMapError
 from walshmap.green import _green_integral
 from walshmap.lemniscatic import green as green_level
 from walshmap.mapping import branch_offset, map_grid, map_point, trace_boundary
@@ -185,6 +185,11 @@ def test_trace_boundary_disk(single_interval):
     assert pts[0] == pts[-1]  # closed polyline
     radii = np.abs(pts - single_interval.lemniscatic.centers[0])
     assert np.max(np.abs(radii - single_interval.green.capacity)) < 1e-10
+
+
+def test_trace_boundary_needs_a_point_per_component(two_interval):
+    with pytest.raises(ValueError):
+        trace_boundary(two_interval.lemniscatic, 0)
 
 
 def test_trace_boundary_two_interval(two_interval):
@@ -426,6 +431,38 @@ def test_grid_matches_map_point_beside_narrow_neighbours(pairs, z, monkeypatch):
     # iterates, as a tie of the stop test does
     monkeypatch.setattr(mapping, "_TIE", 1.0)
     _assert_grid_gives_map_point(wm, wm.map_grid(zs))
+
+
+def test_grid_calls_map_point_only_on_the_axis(monkeypatch):
+    # an off-axis point whose Green target failed takes its error from the
+    # batch, so no off-axis point is integrated again through map_point
+    ten = solve(random_interval_set(np.random.default_rng(3), 10))
+    for wm in (solve(NARROW_THREE), ten):
+        wm = dataclasses.replace(wm, config=FEW_NODES)
+        zs = _mixed_points(wm.domain)
+        calls = []
+
+        def recording(z, *args, **kwargs):
+            calls.append(z)
+            return map_point(z, *args, **kwargs)
+
+        monkeypatch.setattr(mapping, "map_point", recording)
+        points = wm.map_grid(zs)
+        monkeypatch.undo()
+        assert "failed" in {p.status for p in points if p.z.imag != 0.0}
+        assert calls == [z for z in zs if z.imag == 0.0]
+
+
+@pytest.mark.parametrize("z", [complex(math.nan), complex(math.inf), complex(-math.inf),
+                               complex(1.0, math.inf), complex(math.nan, 1.0)])
+def test_non_finite_points_fail_with_not_finite(two_interval, z):
+    # rejected before any quadrature, alone and in a batch beside a finite point
+    wm = two_interval
+    with pytest.raises(NotFinite):
+        wm.map_point(z)
+    bad, good = wm.map_grid([z, 0.5 + 0.5j])
+    assert bad.status == "failed" and bad.error.startswith("NotFinite: ")
+    assert good == wm.map_grid([0.5 + 0.5j])[0] and good.status == "converged"
 
 
 def test_grid_batches_give_the_same_points(monkeypatch):

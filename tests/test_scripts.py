@@ -1,0 +1,28 @@
+"""The scripts under scripts/ run end to end at small sizes."""
+
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_iteration_profile_runs():
+    proc = run_script("iteration_profile.py", "--ell", "5", "--count", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "2 random sets with 5 components" in proc.stdout
+
+
+def test_export_figure_data_writes_every_csv(tmp_path):
+    proc = run_script("export_figure_data.py", "--n", "5", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = {"two_intervals", "three_intervals", "cantor_level2"}
+    assert {p.name for p in tmp_path.iterdir()} == {
+        f"{name}_{kind}.csv" for name in names for kind in ("grid", "boundary")}
+    for path in tmp_path.iterdir():
+        assert len(path.read_text().splitlines()) > 1
