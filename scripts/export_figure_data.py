@@ -15,7 +15,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from walshmap.api import solve
-from walshmap.cli import grid_csv
+from walshmap.cli import boundary_csv, grid_csv
 from walshmap.mapping import trace_boundary
 
 SETS = {
@@ -33,13 +33,8 @@ def export(name, pairs, x_range, y_range, outdir, n):
     ys = [y_range[0] + i * (y_range[1] - y_range[0]) / (n - 1) for i in range(n)]
     points = wm.map_grid([complex(x, y) for y in ys for x in xs])
     (outdir / f"{name}_grid.csv").write_text(grid_csv(points))
-
-    rows = ["component,w_re,w_im"]
-    for j, trace in enumerate(trace_boundary(wm.lemniscatic, 256)):
-        if trace.sampled:
-            rows += [f"{j + 1},{float(w.real)!r},{float(w.imag)!r}"
-                     for w in trace.points]
-    (outdir / f"{name}_boundary.csv").write_text("\n".join(rows) + "\n")
+    (outdir / f"{name}_boundary.csv").write_text(
+        boundary_csv(trace_boundary(wm.lemniscatic, 256)))
 
     converged = sum(p.status == "converged" for p in points)
     print(f"{name}: {converged}/{len(points)} grid points mapped, "

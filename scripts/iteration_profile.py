@@ -9,7 +9,6 @@ outer iteration counts together with the worst invariant defects:
 
 import argparse
 import collections
-import math
 import pathlib
 import sys
 import time
@@ -19,8 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from walshmap.api import solve
-from walshmap.lemniscatic import green
-from walshmap.verify import random_interval_set
+from walshmap.verify import random_interval_set, worst_invariant
 
 
 def main():
@@ -43,16 +41,7 @@ def main():
             sys.exit(f"iteration_profile: {exc}")
         wm = solve(pairs)
         histogram[wm.lemniscatic.outer_iterations] += 1
-        dom = wm.lemniscatic
-        defect = max(
-            abs(math.fsum(wm.exponents.m) - 1.0),
-            abs(float(np.array(wm.exponents.m) @ np.array(dom.centers))
-                - wm.green.alpha),
-            max(abs(green(c, dom)) for c in dom.boundary_c),
-            max((abs(green(w, dom) - g) for w, g in
-                 zip(dom.crit_w, wm.green.green_at_roots)), default=0.0),
-        )
-        worst = max(worst, defect)
+        worst = max(worst, worst_invariant(wm))
     elapsed = time.perf_counter() - t0
 
     print(f"{args.count} random sets with {args.ell} components "

@@ -2,7 +2,9 @@
 boundary export, and the verification battery.
 
 Exit codes: 0 success, 2 input error, 3 solver nonconvergence, 4 internal
-consistency failure (the verify command exits 1 when a check fails).
+consistency failure (the verify command exits 1 when a check fails); an
+error's class sets its code (errors.InputError and its siblings), and a
+plain ValueError is an input error.
 """
 
 import argparse
@@ -18,15 +20,6 @@ from .quadrature import QuadConfig
 from .verify import CHECK_NAMES, run_checks
 
 GRID_HEADER = "z_re,z_im,w_re,w_im,status,residual,error"
-
-_INPUT_ERRORS = (errors.OverlapError, errors.DegenerateError, errors.InsideE,
-                 errors.NotOnCut, errors.OutsideSupport, errors.PathOnCut,
-                 ValueError)
-_SOLVER_ERRORS = (errors.NoConvergence, errors.MaxIterExceeded,
-                  errors.RootNotBracketed, errors.BracketFailure,
-                  errors.RayBracketFailure)
-_CONSISTENCY_ERRORS = (errors.CapacityMismatch, errors.SingularSystem,
-                       errors.OrderViolation, errors.NormalizationDefect)
 
 
 def _parse_intervals_arg(text: str) -> list[list[float]]:
@@ -195,6 +188,16 @@ def grid_csv(points) -> str:
     return "\n".join(rows) + "\n"
 
 
+def boundary_csv(traces) -> str:
+    """CSV text of the sampled points of boundary traces, one row per point
+    with its 1-based component; unsampled components have no rows."""
+    rows = ["component,w_re,w_im"]
+    for j, tr in enumerate(traces):
+        if tr.sampled:
+            rows += [f"{j + 1},{float(w.real)!r},{float(w.imag)!r}" for w in tr.points]
+    return "\n".join(rows) + "\n"
+
+
 def _cmd_grid(args) -> int:
     if args.nx < 1 or args.ny < 1:
         raise ValueError("grid counts must be >= 1")
@@ -219,12 +222,7 @@ def _cmd_boundary(args) -> int:
     wm = solve(_intervals_from(args), _quad_config(args), args.abstol, args.reltol)
     traces = trace_boundary(wm.lemniscatic, args.points)
     if args.format == "csv":
-        rows = ["component,w_re,w_im"]
-        for j, tr in enumerate(traces):
-            if tr.sampled:
-                rows += [f"{j + 1},{float(w.real)!r},{float(w.imag)!r}"
-                         for w in tr.points]
-        _emit("\n".join(rows) + "\n", args.output)
+        _emit(boundary_csv(traces), args.output)
     else:
         doc = [{"center": float(tr.center), "sampled": tr.sampled,
                 "points": None if tr.points is None else
@@ -313,24 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_record(exc: Exception, code: int) -> str:
-    return json.dumps({"error": {"type": type(exc).__name__,
-                                 "message": str(exc), "exit_code": code}})
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(_error_record(exc, 2), file=sys.stderr)
-        return 2
-    except _SOLVER_ERRORS as exc:
-        print(_error_record(exc, 3), file=sys.stderr)
-        return 3
-    except _CONSISTENCY_ERRORS as exc:
-        print(_error_record(exc, 4), file=sys.stderr)
-        return 4
+    except (errors.WalshMapError, ValueError) as exc:
+        code = getattr(exc, "exit_code", 2)  # a plain ValueError is bad input
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc),
+                                    "exit_code": code}}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

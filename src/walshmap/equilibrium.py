@@ -89,8 +89,8 @@ def contour_mass(E: IntervalUnion, data: GreenData, j: int, pad: float,
     cfg = cfg or DEFAULT_CONFIG
     if not 1 <= j <= E.ell:
         raise ValueError(f"component index {j} out of range")
-    if pad <= 0:
-        raise ValueError("pad must be positive")
+    if not 0 < pad < math.inf:
+        raise ValueError(f"pad must be positive and finite, got {pad}")
     b = E.endpoints
     lo, hi = b[2 * j - 2] - pad, b[2 * j - 1] + pad
     for i in range(E.ell):

@@ -24,9 +24,8 @@ from .errors import (CapacityMismatch, NoConvergence, NotFinite, NotOnCut,
                      OnCutError, PathOnCut, RootNotBracketed, SingularSystem)
 from .intervals import IntervalUnion, locate
 from .newton import damped_newton
-from .quadrature import (DEFAULT_CONFIG, QuadConfig, _panel_failure,
-                         integrate_chebyshev, integrate_segment_complex,
-                         integrate_tail)
+from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
+                         integrate_segment_complex, integrate_tail)
 
 __all__ = [
     "GreenData",
@@ -68,9 +67,12 @@ def sqrt_branch(E: IntervalUnion, z) -> complex:
 
     Computed as the product of principal square roots sqrt(z - b_j), which is
     analytic exactly off E; on the bounded gaps it is real with sign
-    (-1)^(ell - k).  Raises OnCutError on E itself (use sqrt_branch_rim).
+    (-1)^(ell - k).  Raises OnCutError on E itself (use sqrt_branch_rim), and
+    NotFinite at an infinite or NaN point.
     """
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():  # name the first non-finite point
+        _require_finite(complex(z.flat[np.argmin(np.isfinite(z))]))
     b = E.endpoints
     on_axis = z.imag == 0.0
     if np.any(on_axis):
@@ -397,15 +399,15 @@ def _green_integral(E: IntervalUnion, roots, base, z, cfg: QuadConfig):
         try:
             return integrate_segment_complex(f, z0, z1, singular_at_start, cfg, fd=fd)
         except NoConvergence as exc:
-            # the rule's own stopping test picks out the unconverged panels
-            failed = ~np.less_equal(exc.estimate, cfg.tolerance(exc.best))
-            # a row of panels per point; a point fails in one call only
-            rows = [np.reshape(a, (z.size, -1))
-                    for a in (z0, z1, exc.best, exc.estimate, failed)]
-            for i in np.flatnonzero(rows[-1].any(axis=1)).tolist():
-                k = np.argmax(rows[-1][i])
-                failures[i] = _panel_failure(*(row[i, k] for row in rows[:-1]))
-            return np.where(failed, np.nan, exc.best)
+            own = exc.failures or {0: exc}  # a scalar call raises its panel's own
+            # a row of panels per point; in flat order a point's first failed
+            # panel comes first
+            per_point = np.size(exc.best) // z.size
+            for i, panel_exc in own.items():
+                failures.setdefault(i // per_point, panel_exc)
+            best = np.array(exc.best, dtype=complex)
+            best.flat[list(own)] = np.nan
+            return best
 
     ratio = _plain_deriv(E, roots)
     total = panels(None, bases, verts[..., 0], True,

@@ -323,8 +323,10 @@ def branch_offset(E: IntervalUnion, data: GreenData, k: int, z: complex,
 
     For off-axis z the value is -i pi (m_{k+1} + ... + m_ell) in the upper
     half-plane and its conjugate below; for the rightmost base it vanishes.
+    Raises NotFinite for an infinite or NaN z.
     """
     cfg = cfg or DEFAULT_CONFIG
+    _require_finite(complex(z))
     b = E.endpoints
     if not 0 <= k <= E.ell:
         raise ValueError(f"gap index {k} out of range")

@@ -1,7 +1,9 @@
 """Integration engine for the three integral shapes the solver needs.
 
 All rules double their node count until two successive estimates agree to
-tolerance.  Integrands must accept numpy arrays (vectorized evaluation).
+tolerance, in one loop (_doubling) that holds the one stop rule: each rule
+supplies only its sum at each level.  Integrands must accept numpy arrays
+(vectorized evaluation).
 
 The Chebyshev rule also integrates the K rows of a vector-valued integrand,
 and the segment rule arrays of panels, in bounded node blocks; each row or
@@ -67,6 +69,49 @@ _CHEB_BLOCK = 1024
 _SEG_BLOCK = 2048
 
 
+def _doubling(level_sums, size, levels, cfg, active=None, dtype=float):
+    """Double `size` independent integrals until each stops, for `levels`:
+    the one stop rule of every quadrature rule here.
+
+    level_sums(level, active) returns the estimates at that level of the
+    integrals in `active`, an index array, or of all while active is None
+    (a numpy scalar for one integral, cheaper than a one-element array).
+    One stops at the first estimate est within the tolerance of cfg at est
+    of its previous one, keeping est and their difference; one not in the
+    initial `active` is 0 with error 0.  Returns value and error arrays and
+    the sorted indices of those never stopped, at their last estimates.
+    """
+    value = np.zeros(size, dtype)
+    error = np.zeros(size)
+    if active is not None and not active.size:
+        return value, error, active
+    prev = err = None
+    for level in range(levels):
+        est = level_sums(level, active)
+        if prev is not None:
+            err = abs(est - prev)
+            done = err <= cfg.tolerance(est)
+            settled = np.count_nonzero(done)
+            # every integral settled: a whole-array write and no compaction,
+            # how the one or few panels of a single point usually end
+            if settled == est.size:
+                if active is None:
+                    return est, err, np.arange(0)
+                value[active], error[active] = est, err
+                return value, error, active[:0]
+            if settled:
+                if active is None:
+                    active = np.arange(size)
+                value[active[done]], error[active[done]] = est[done], err[done]
+                keep = ~done
+                active, est, err = active[keep], est[keep], err[keep]
+        prev = est
+    if active is None:
+        active = np.arange(size)
+    value[active], error[active] = prev, err
+    return value, error, active
+
+
 def _chebyshev_sum(f, fd, mid, hw, n):
     """Midpoint-rule sum at n nodes, evaluated in node blocks.
 
@@ -103,18 +148,9 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     scalar call on it alone returns.  Nodes are passed to the integrand in
     blocks of at most 1024, whose sums are accumulated.
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand f(x).  Ignored when ``fd`` is given.
-    lo, hi : float
-        Integration bounds, lo < hi.
-    cfg : QuadConfig, optional
-    fd : callable, optional
-        Singular-aware form fd(x, d_lo, d_hi) where d_lo = x - lo and
-        d_hi = hi - x are supplied to full precision.
-    with_estimate : bool
-        Also return the doubling error estimate |last - previous|.
+    ``fd(x, d_lo, d_hi)``, when given, replaces f and receives d_lo = x - lo
+    and d_hi = hi - x to full precision.  with_estimate also returns the
+    doubling error estimate |last - previous|.
 
     Returns a float for a scalar integrand and an array of K estimates (and
     K error estimates) for a (K, m) one.  NoConvergence carries ``best`` and
@@ -126,39 +162,23 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
         raise ValueError("need lo < hi")
     mid = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
+    first = _chebyshev_sum(f, fd, mid, hw, 16)  # its shape: one row or K
 
-    prev = err = None
-    n = 16
-    for _ in range(cfg.max_level + 1):
-        raw = _chebyshev_sum(f, fd, mid, hw, n)
-        est = np.atleast_1d(raw)
-        if prev is None:
-            value = est.copy()
-            error = np.full(est.shape, np.inf)
-            done = np.zeros(est.shape, dtype=bool)
-        else:
-            err = np.abs(est - prev)
-            new = ~done & (err <= cfg.tolerance(est))
-            value[new] = est[new]
-            error[new] = err[new]
-            done |= new
-            if done.all():
-                break
-        prev = est
-        n *= 2
-    else:
-        best = np.where(done, value, prev)
-        estimate = np.where(done, error, err)
-        if np.ndim(raw) == 0:
-            best, estimate = float(best[0]), float(estimate[0])
-            last = repr(best)
-        else:
-            last = f"{int(np.sum(~done))} of {done.size} components unconverged"
+    def level_sums(level, active):
+        # every row shares the nodes: the whole block, then the active rows
+        est = _chebyshev_sum(f, fd, mid, hw, 16 << level) if level else first
+        return est if active is None else est[active]
+
+    value, error, failed = _doubling(level_sums, np.size(first),
+                                     cfg.max_level + 1, cfg)
+    if np.ndim(first) == 0:
+        value, error = value.item(), error.item()
+    if failed.size:
+        last = (repr(value) if np.ndim(first) == 0 else
+                f"{failed.size} of {np.size(first)} components unconverged")
         raise NoConvergence(
             f"Chebyshev rule did not reach tolerance on [{lo}, {hi}] "
-            f"(last estimate {last})", best=best, estimate=estimate)
-    if np.ndim(raw) == 0:
-        value, error = float(value[0]), float(error[0])
+            f"(last estimate {last})", best=value, estimate=error)
     return (value, error) if with_estimate else value
 
 
@@ -196,24 +216,22 @@ def integrate_tail(f, lo, direction=1, cfg=None, *, fd=None, with_estimate=False
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    def node_sum(level):
+    acc = 0.0  # the weighted sum of every node so far
+
+    def level_sums(level, active):
+        nonlocal acc
         delta, weight = _ts_nodes(level)
         vals = fd(delta) if fd is not None else f(lo + direction * delta)
-        return float(np.sum(weight * vals))
+        acc += float(np.sum(weight * vals))
+        return np.float64(acc * (0.5 / 2 ** level))
 
-    acc = node_sum(0)
-    prev = 0.5 * acc
-    err = np.inf
-    for level in range(1, cfg.max_level + 1):
-        acc += node_sum(level)
-        est = acc * (0.5 / 2 ** level)
-        err = abs(est - prev)
-        if err <= cfg.tolerance(est):
-            return (est, err) if with_estimate else est
-        prev = est
-    raise NoConvergence(
-        f"tanh-sinh tail rule did not reach tolerance at lo={lo} "
-        f"(last estimate {prev!r})", best=prev, estimate=err)
+    value, error, failed = _doubling(level_sums, 1, cfg.max_level + 1, cfg)
+    value, error = value.item(), error.item()
+    if failed.size:
+        raise NoConvergence(
+            f"tanh-sinh tail rule did not reach tolerance at lo={lo} "
+            f"(last estimate {value!r})", best=value, estimate=error)
+    return (value, error) if with_estimate else value
 
 
 @lru_cache(maxsize=None)
@@ -257,72 +275,53 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
     shape (and error estimates alike with ``with_estimate``).  NoConvergence
     carries ``best`` and ``estimate`` in the same shape: a converged panel's
     kept value and estimate, an unconverged one's last; its message names
-    the first unconverged panel and its last estimate.
+    the first unconverged panel and its last estimate.  For arrays it also
+    carries ``failures``, each unconverged panel's own error (the one a call
+    on it alone raises) by flat index.
     """
     cfg = cfg or DEFAULT_CONFIG
     z0, z1 = np.asarray(z0, dtype=complex), np.asarray(z1, dtype=complex)
     span = z1 - z0
     shape = span.shape
-    value = np.zeros(span.size, dtype=complex)
-    error = np.zeros(span.size)
     flat = span.reshape(-1)
-    active = flat.nonzero()[0]
-    # the still-doubling panels' spans and starts, as columns
-    sp = flat[active, None]
     origin = np.empty(shape, dtype=complex)
     origin[...] = z0
-    at = origin.reshape(-1)[active, None]
+    starts = origin.reshape(-1)
+    # the active panels' spans and starts, as columns
+    sp = at = None
 
-    def evaluate(offset, starts):
-        return fd(offset, starts) if fd is not None else f(starts + offset)
-
-    prev = err = None
-    n = 16
-    # Gauss rules above n=2048 cost more to construct than they repay
-    for _ in range(min(cfg.max_level, 7) + 1):
-        if not active.size:
-            break
+    def level_sums(level, active):
+        nonlocal sp, at
+        if sp is None or len(sp) != active.size:  # the active set shrank
+            sp, at = flat[active, None], starts[active, None]
+        n = 16 << level
         s, w = _leggauss(n)
         chunk = max(1, _SEG_BLOCK // n)
         est = np.empty(active.size, dtype=complex)
         for lo in range(0, active.size, chunk):
-            spc = sp[lo:lo + chunk]
-            if singular_at_start:
-                # d zeta = 2 span s ds and ds = du/2
-                jac = spc * s
-                vals = evaluate(jac * s, at[lo:lo + chunk])
-            else:
-                jac = 0.5 * spc
-                vals = evaluate(spc * s, at[lo:lo + chunk])
+            spc, start = sp[lo:lo + chunk], at[lo:lo + chunk]
+            # singular at start: d zeta = 2 span s ds and ds = du/2
+            jac = spc * s if singular_at_start else 0.5 * spc
+            offset = jac * s if singular_at_start else spc * s
+            vals = fd(offset, start) if fd is not None else f(start + offset)
             vals = vals * jac
             vals *= w
             np.add.reduce(vals, axis=-1, out=est[lo:lo + chunk])
-        if prev is not None:
-            err = np.abs(est - prev)
-            done = err <= cfg.tolerance(est)
-            # every panel settled: a whole-array write and no compaction,
-            # how the one or few panels of a single point usually end
-            if np.count_nonzero(done) == active.size:
-                value[active], error[active] = est, err
-                active = active[:0]
-                break
-            value[active[done]] = est[done]
-            error[active[done]] = err[done]
-            keep = ~done
-            active, est, err = active[keep], est[keep], err[keep]
-            sp, at = sp[keep], at[keep]
-        prev = est
-        n *= 2
-    if active.size:
-        value[active], error[active] = prev, err
-        i = active[0]
-        exc = _panel_failure(origin.flat[i], np.broadcast_to(z1, shape).flat[i],
-                             value[i], error[i])
+        return est
+
+    # Gauss rules above n=2048 cost more to construct than they repay
+    value, error, failed = _doubling(level_sums, span.size, min(cfg.max_level, 7) + 1,
+                                     cfg, flat.nonzero()[0], complex)
+    value, error = value.reshape(shape), error.reshape(shape)
+    if failed.size:
+        ends = np.broadcast_to(z1, shape).reshape(-1)
+        failures = {i: _panel_failure(starts[i], ends[i], value.flat[i], error.flat[i])
+                    for i in failed.tolist()}
+        exc = failures[int(failed[0])]
         if shape:
-            exc.best, exc.estimate = value.reshape(shape), error.reshape(shape)
+            exc = NoConvergence(str(exc), best=value, estimate=error)
+            exc.failures = failures
         raise exc
     if not shape:
-        value, error = complex(value[0]), float(error[0])
-    else:
-        value, error = value.reshape(shape), error.reshape(shape)
+        value, error = complex(value), float(error)
     return (value, error) if with_estimate else value

@@ -220,8 +220,8 @@ def worst_invariant(wm) -> float:
         abs(math.fsum(wm.exponents.m) - 1.0),
         abs(float(np.array(wm.exponents.m) @ a) - data.alpha),
         max(abs(green_level(c, dom)) for c in dom.boundary_c),
-        max(abs(green_level(w, dom) - g)
-            for w, g in zip(dom.crit_w, data.green_at_roots)),
+        max((abs(green_level(w, dom) - g)
+             for w, g in zip(dom.crit_w, data.green_at_roots)), default=0.0),
     )
 
 

@@ -6,7 +6,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from walshmap import cli, errors
 from walshmap.cli import GRID_HEADER, main
 
 import reference_values as ref
@@ -243,3 +245,35 @@ def test_console_entry_point_runs():
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}, cwd=".")
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["w"][0] - 0.5 * (3 + math.sqrt(8))) < 1e-10
+
+
+def test_every_error_has_one_exit_category():
+    # the class of an error sets the command line's exit code
+    categories = (errors.InputError, errors.SolverError, errors.ConsistencyError)
+    assert [c.exit_code for c in categories] == [2, 3, 4]
+    seen, todo = [], list(errors.WalshMapError.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls not in categories:
+            seen.append(cls)
+            assert sum(issubclass(cls, c) for c in categories) == 1, cls.__name__
+    assert set(seen) == {c for c in vars(errors).values() if isinstance(c, type)
+                         and issubclass(c, errors.WalshMapError)
+                         and c not in categories + (errors.WalshMapError,)}
+    assert issubclass(errors.NotFinite, ValueError)
+    for cls in (errors.OnCutError, errors.PoleAtCenter, errors.PadTooLarge):
+        assert cls.exit_code == 2
+
+
+@pytest.mark.parametrize("exc, code", [
+    (errors.PadTooLarge("x"), 2), (errors.OnCutError("x"), 2), (ValueError("x"), 2),
+    (errors.BracketFailure("x"), 3), (errors.OrderViolation("x"), 4)])
+def test_main_exits_with_the_error_class_code(monkeypatch, capsys, exc, code):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_params", raising)
+    assert main(["params", "--intervals=-1,1"]) == code
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["exit_code"]) == (type(exc).__name__, code)

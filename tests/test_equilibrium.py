@@ -148,6 +148,14 @@ def test_contour_masses_sum_to_one(three_interval):
     assert abs(total - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("pad", [math.nan, math.inf, 0.0, -0.1])
+def test_contour_pad_must_be_positive_and_finite(single_interval, two_interval, pad):
+    # a one-interval set has no other component for PadTooLarge to catch
+    for wm in (single_interval, two_interval):
+        with pytest.raises(ValueError, match="pad must be positive and finite"):
+            contour_mass(wm.domain, wm.green, 1, pad)
+
+
 def test_contour_pad_too_large(two_interval):
     with pytest.raises(PadTooLarge):
         contour_mass(two_interval.domain, two_interval.green, 1, 0.5)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ def test_branch_rejects_points_on_cut(single_interval):
         sqrt_branch(single_interval.domain, 0.5)
     with pytest.raises(OnCutError):
         sqrt_branch(single_interval.domain, 1.0 + 1e-310j)
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(2.0, math.inf)])
+def test_branch_rejects_non_finite_points(single_interval, z):
+    # the first non-finite point is named, for a scalar and in an array
+    with pytest.raises(NotFinite, match=f"z = {re.escape(str(complex(z)))} "):
+        sqrt_branch(single_interval.domain, z)
+    with pytest.raises(NotFinite, match=f"z = {re.escape(str(complex(z)))} "):
+        sqrt_branch(single_interval.domain, [2.0, z, math.nan])
 
 
 def test_rim_values_conjugate(two_interval):
@@ -148,6 +158,11 @@ def test_gap_conditions_by_independent_quadrature(three_interval):
             f *= x - z
         val = np.sum(f / np.sqrt(absH) * hw * np.sin(t)) * np.pi / n
         assert abs(val) < 1e-10
+
+
+def test_worst_invariant_of_one_interval(single_interval):
+    # no critical points: the last invariant is an empty maximum
+    assert worst_invariant(single_interval) < 1e-12
 
 
 def test_cantor_levels_4_to_6_solve_with_falling_capacity():

@@ -178,6 +178,13 @@ def test_branch_offsets_two_interval(two_interval):
         branch_offset(wm.domain, wm.green, 7, 1j)
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(0.5, math.inf)])
+def test_branch_offset_rejects_non_finite_points(two_interval, z):
+    # rejected before any quadrature, which would warn on NaN
+    with pytest.raises(NotFinite):
+        branch_offset(two_interval.domain, two_interval.green, 1, z)
+
+
 def test_trace_boundary_disk(single_interval):
     traces = trace_boundary(single_interval.lemniscatic, 32)
     assert len(traces) == 1 and traces[0].sampled

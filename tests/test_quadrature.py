@@ -153,6 +153,16 @@ def test_tail_endpoint_singularity():
     assert abs(v - math.pi * math.sqrt(2.0) / 8.0) < 1e-12
 
 
+def test_tail_no_convergence_carries_floats():
+    # cos does not decay: the nested trapezoid sums never settle
+    with pytest.raises(NoConvergence) as err:
+        integrate_tail(np.cos, 0.0, 1, QuadConfig(max_level=4))
+    assert isinstance(err.value.best, float) and isinstance(err.value.estimate, float)
+    assert err.value.estimate > QuadConfig().tolerance(err.value.best)
+    assert str(err.value).startswith(
+        "tanh-sinh tail rule did not reach tolerance at lo=0.0")
+
+
 def test_tail_capacity_consistency():
     # tail formula for the two-interval set: capacity = exp(integral) when the
     # shift parameter sits one unit inside the last endpoint
@@ -291,3 +301,11 @@ def test_segment_no_convergence_carries_arrays():
     assert str(err.value) == str(one.value)
     assert str(err.value).startswith(
         "segment rule did not reach tolerance on [(1+0j), (1+1j)]")
+    # each failed panel carries the error a call on it alone raises
+    assert set(err.value.failures) == {1, 3}
+    for i in (1, 3):
+        with pytest.raises(NoConvergence) as own:
+            integrate_segment_complex(rough, z0.flat[i], z1.flat[i])
+        panel = err.value.failures[i]
+        assert (str(panel), panel.best, panel.estimate) == (
+            str(own.value), own.value.best, own.value.estimate)

@@ -13,9 +13,10 @@ def run_script(name, *args):
 
 
 def test_iteration_profile_runs():
-    proc = run_script("iteration_profile.py", "--ell", "5", "--count", "2")
-    assert proc.returncode == 0, proc.stderr
-    assert "2 random sets with 5 components" in proc.stdout
+    for ell in ("5", "1"):  # one interval has no critical points
+        proc = run_script("iteration_profile.py", "--ell", ell, "--count", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert f"2 random sets with {ell} components" in proc.stdout
 
 
 def test_export_figure_data_writes_every_csv(tmp_path):
