@@ -107,63 +107,94 @@ def sqrt_branch_rim(E: IntervalUnion, x, side: int) -> complex:
     return side * 1j * (-1) ** (E.ell - loc.index) * math.sqrt(absH)
 
 
-def _endpoint_weight_fd(E: IntervalUnion, i_lo: int, i_hi: int, roots=(),
-                        leave_one_out=False):
-    """Bounds and integrand fd(x, d_lo, d_hi) = prod(x - z_k)/sqrt|H| over
-    the roots z_k on [b[i_lo], b[i_hi]] (a bounded gap I_k is (2k-1, 2k),
-    the j-th component (2j-2, 2j-1)), with exact endpoint distances; with
-    no roots it is the weight 1/sqrt|H| alone.
+# endpoint distances per block of _product_integrals' integrand: bounds its
+# (2 ell, nodes) temporaries, which at ell >= 80 outgrow the cache and
+# double the cost per node
+_PRODUCT_BLOCK = 32768
 
-    With leave_one_out the integrand is a block for the vector-valued
-    Chebyshev rule: row 0 the full product, row 1 + j the product without
-    factor j, from prefix and suffix products, so no factor is divided out.
+
+def _product_integrals(E: IntervalUnion, first, roots, cfg: QuadConfig,
+                       leave_one_out=False):
+    """Integrals of prod(x - z_k)/sqrt|H| over the intervals [b[i], b[i + 1]]
+    for i in first (a bounded gap at odd i, a component at even i), all in
+    one call of the array Chebyshev rule, whose integrand receives the
+    indices into first of its rows of nodes.  Raises the first failing
+    interval's own NoConvergence.
+
+    Root k is paired with the endpoints of its own gap,
+    (x - z_k)/sqrt(|x - b[2k + 1]| |x - b[2k + 2]|), and sqrt(|x - b[0]|
+    |x - b[-1]|) is divided out last, so each factor is near 1 away from its
+    own gap and no partial product underflows: on Cantor level 8 the product
+    of all the endpoint distances does.  The distances to the interval's own endpoints are the
+    exact d_lo and d_hi, the others (b[i] - b_j) + d_lo.
+
+    With leave_one_out the integrand is a block: row 0 the product, row
+    1 + j the product without the factor x - z_j, from prefix and suffix
+    products of the paired factors divided by pair j, so no factor is
+    divided out; the result is then a row of K = ell integrals per interval.
     """
     b = np.asarray(E.endpoints)
-    lo, hi = b[i_lo], b[i_hi]
-    lo_off = (lo - np.delete(b, [i_lo, i_hi]))[:, None]
-    roots = np.asarray(roots, dtype=float)[:, None]
-    n = len(roots)
+    first = np.asarray(first)
+    lo_off = (b[first] - b[:, None])[:, :, None]  # (2 ell, P, 1)
+    roots = np.asarray(roots, dtype=float)[:, None, None]
+    lead = (len(roots) + 1,) if leave_one_out else ()
 
-    def fd(x, d_lo, d_hi):
-        # row 0 is d_lo * d_hi, so the product runs in the order of a
-        # left-to-right loop over the factors
-        factors = np.empty((len(lo_off) + 1,) + np.shape(d_lo))
-        factors[0] = d_lo * d_hi
-        np.abs(np.add(lo_off, d_lo, out=factors[1:]), out=factors[1:])
-        weight = 1.0 / np.sqrt(np.prod(factors, axis=0))
-        if n == 0:
-            return weight
-        factors = x - roots
-        prefix = np.cumprod(factors, axis=0)
+    def block(x, d_lo, d_hi, idx):
+        dist = lo_off[:, idx] + d_lo
+        np.abs(dist, out=dist)
+        own = np.arange(len(idx))
+        dist[first[idx], own] = d_lo
+        dist[first[idx] + 1, own] = d_hi
+        outer = np.sqrt(dist[0] * dist[-1])
+        # 1/sqrt of the pairs over the gaps' endpoints, then the paired root
+        # factors, in the rows of dist: the largest temporary
+        inv = np.multiply(dist[1:-1:2], dist[2:-1:2], out=dist[1:-1:2])
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        ratio = np.subtract(x, roots, out=dist[2:-1:2])
+        ratio *= inv
+        prefix = np.cumprod(ratio, axis=0)
         if not leave_one_out:
-            return prefix[-1] * weight
-        # row 1 + j: (factors before j) * (factors after j)
-        rows = np.ones((n + 1,) + x.shape)
-        rows[0] = prefix[-1]
-        rows[2:] = prefix[:-1]
-        rows[1:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
-        rows *= weight
-        return rows
+            return prefix[-1] / outer
+        # row 1 + j: (factors before j) * (factors after j) / pair j
+        out = np.empty(lead + x.shape)
+        out[0] = prefix[-1]
+        out[1] = 1.0
+        out[2:] = prefix[:-1]
+        out[1:-1] *= np.cumprod(ratio[:0:-1], axis=0)[::-1]
+        out[1:] *= inv
+        out /= outer
+        return out
 
-    return float(lo), float(hi), fd
+    def fd(x, d_lo, d_hi, idx):
+        # blocks of whole intervals, about _PRODUCT_BLOCK distances each
+        count, n = x.shape
+        step = max(1, _PRODUCT_BLOCK // (len(b) * n))
+        if step >= count:
+            return block(x, d_lo, d_hi, idx)
+        out = np.empty(lead + x.shape)
+        for i in range(0, count, step):
+            at = slice(i, i + step)
+            out[..., at, :] = block(x[at], d_lo[at], d_hi[at], idx[at])
+        return out
+
+    try:
+        return integrate_chebyshev(None, b[first], b[first + 1], cfg, fd=fd)
+    except NoConvergence as exc:
+        raise exc.failures[min(exc.failures)] from None
 
 
 def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig):
     """Residuals F_i = integral over gap i of prod(x - z_k)/sqrt|H| and the
     Jacobian dF_i/dz_j = -integral of the product with factor j removed.
 
-    One vector-valued quadrature per gap integrates F_i and its Jacobian row
-    on a shared node set (see _endpoint_weight_fd).
+    One quadrature call integrates F and the Jacobian rows of every gap, on
+    node sets shared per gap, with the paired factors of _product_integrals;
+    it raises the error of the first gap that fails.
     """
-    n = E.ell - 1
-    F = np.empty(n)
-    J = np.empty((n, n))
-    for i in range(n):
-        lo, hi, fd = _endpoint_weight_fd(E, 2 * i + 1, 2 * i + 2, roots,
-                                         leave_one_out=True)
-        out = integrate_chebyshev(None, lo, hi, cfg, fd=fd)
-        F[i], J[i] = out[0], -out[1:]
-    return F, J
+    out = _product_integrals(E, np.arange(1, 2 * E.ell - 2, 2), roots, cfg,
+                             leave_one_out=True)
+    return out[:, 0], -out[:, 1:]
 
 
 # Newton steps on the gap conditions, and halvings of one step, before giving
@@ -535,17 +566,15 @@ def _component_masses(E: IntervalUnion, roots, cfg: QuadConfig):
 
     On component j the numerator polynomial has constant sign (-1)^(ell-j),
     which is used instead of abs() to keep the integrand smooth for the
-    Chebyshev rule.
+    Chebyshev rule.  One quadrature call integrates every component, with
+    the paired factors of _product_integrals; it raises the error of the
+    first component that fails.
     """
     ell = E.ell
     if ell == 1:
         return (1.0,)
-    raw = []
-    for j in range(1, ell + 1):
-        lo, hi, fd = _endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1, roots)
-        sign = (-1.0) ** (ell - j)
-        raw.append(sign / math.pi * integrate_chebyshev(None, lo, hi, cfg, fd=fd))
-    return tuple(raw)
+    out = _product_integrals(E, np.arange(0, 2 * ell, 2), roots, cfg)
+    return tuple((-1.0) ** (ell - j) / math.pi * v for j, v in enumerate(out.tolist(), 1))
 
 
 def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:

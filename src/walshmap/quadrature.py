@@ -5,9 +5,11 @@ tolerance, in one loop (_doubling) that holds the one stop rule: each rule
 supplies only its sum at each level.  Integrands must accept numpy arrays
 (vectorized evaluation).
 
-The Chebyshev rule also integrates the K rows of a vector-valued integrand,
-and the segment rule arrays of panels, in bounded node blocks; each row or
-panel stops on its own, with the value a call on it alone returns.
+The Chebyshev rule also integrates the K rows of a vector-valued integrand
+over an array of intervals, and the segment rule arrays of panels, in
+bounded node blocks; each row of each interval, or each panel, stops on its
+own, with the value a call on it alone returns, and an array call that
+fails carries each failed interval's or panel's own error.
 
 * inverse-square-root endpoint singularities on a finite interval
   -> cosine substitution + Gauss-Chebyshev midpoint rule,
@@ -28,6 +30,7 @@ stay away from every endpoint (the Green integral's panels after the first,
 and the contour-mass rectangle).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,8 +67,11 @@ DEFAULT_CONFIG = QuadConfig()
 
 
 # nodes per integrand call: bounds the (K, block) temporaries of vector rules,
-# whose peaks otherwise stay in the resident memory of the process
+# whose peaks otherwise stay in the resident memory of the process.  An array
+# of intervals is evaluated in chunks of whole intervals and about
+# _CHEB_CHUNK nodes, one interval's nodes in blocks of _CHEB_BLOCK.
 _CHEB_BLOCK = 1024
+_CHEB_CHUNK = 256
 _SEG_BLOCK = 2048
 
 
@@ -112,13 +118,15 @@ def _doubling(level_sums, size, levels, cfg, active=None, dtype=float):
     return value, error, active
 
 
-def _chebyshev_sum(f, fd, mid, hw, n):
+def _chebyshev_sum(f, fd, mid, hw, n, *rest):
     """Midpoint-rule sum at n nodes, evaluated in node blocks.
 
-    The block sums are added pairwise, which for n a power-of-two multiple
-    of the block is numpy's pairwise summation of all n terms at once: a
-    running total would add up to n / 1024 roundings, enough to stall the
-    tightest tolerances.
+    mid and hw are one interval's scalars, or columns of several intervals
+    whose nodes then lie along the last axis; rest is passed on to the
+    integrand.  The block sums are added pairwise, which for n a
+    power-of-two multiple of the block is numpy's pairwise summation of all
+    n terms at once: a running total would add up to n / 1024 roundings,
+    enough to stall the tightest tolerances.
     """
     sums = []
     for start in range(0, n, _CHEB_BLOCK):
@@ -127,11 +135,21 @@ def _chebyshev_sum(f, fd, mid, hw, n):
         d_lo = 2.0 * hw * np.cos(0.5 * t) ** 2
         d_hi = 2.0 * hw * np.sin(0.5 * t) ** 2
         x = mid + hw * np.cos(t)
-        vals = fd(x, d_lo, d_hi) if fd is not None else f(x)
+        vals = fd(x, d_lo, d_hi, *rest) if fd is not None else f(x, *rest)
         sums.append(np.sum(vals * (hw * np.sin(t)), axis=-1))
     while len(sums) > 1:
         sums = [sum(sums[i:i + 2]) for i in range(0, len(sums), 2)]
     return sums[0] * (np.pi / n)
+
+
+def _interval_failure(lo, hi, best, estimate, unconverged):
+    """The Chebyshev rule's NoConvergence for [lo, hi] alone, where
+    `unconverged` rows of a vector-valued integrand did not stop."""
+    last = (repr(best) if np.ndim(best) == 0 else
+            f"{unconverged} of {np.size(best)} components unconverged")
+    return NoConvergence(
+        f"Chebyshev rule did not reach tolerance on [{lo}, {hi}] "
+        f"(last estimate {last})", best=best, estimate=estimate)
 
 
 def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
@@ -148,37 +166,82 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     scalar call on it alone returns.  Nodes are passed to the integrand in
     blocks of at most 1024, whose sums are accumulated.
 
+    lo and hi may be 1-D arrays of P intervals, all integrated at once on
+    the same t nodes: the integrand then receives a (p, m) block of nodes,
+    a row per interval, and as one more positional argument the indices of
+    those p intervals, and returns a (p, m) or (K, p, m) block.  Each
+    (interval, component) stops on its own, and an interval is no longer
+    evaluated once all its components have, so each equals what a call on
+    that interval alone returns; but one that never converges keeps every
+    other unconverged interval doubling to max_level beside it, where calls
+    one interval at a time could stop at the first failure.  Chunks hold
+    whole intervals and about 256 nodes (or one interval).
+
     ``fd(x, d_lo, d_hi)``, when given, replaces f and receives d_lo = x - lo
     and d_hi = hi - x to full precision.  with_estimate also returns the
     doubling error estimate |last - previous|.
 
     Returns a float for a scalar integrand and an array of K estimates (and
-    K error estimates) for a (K, m) one.  NoConvergence carries ``best`` and
-    ``estimate`` in the same shape: a converged component's kept value and
-    estimate, an unconverged one's last.
+    K error estimates) for a (K, m) one; for P intervals, arrays of shape
+    (P,) or (P, K).  NoConvergence carries ``best`` and ``estimate`` in the
+    same shape: a converged component's kept value and estimate, an
+    unconverged one's last.  For arrays it also carries ``failures``, each
+    unconverged interval's own error (the one a call on it alone raises) by
+    index, and the message of the first.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not hi > lo:
+    lo, hi = np.broadcast_arrays(np.asarray(lo), np.asarray(hi))
+    if not (lo.size and np.all(hi > lo)):
         raise ValueError("need lo < hi")
+    shape = lo.shape  # () for one interval, else (P,)
     mid = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
-    first = _chebyshev_sum(f, fd, mid, hw, 16)  # its shape: one row or K
+
+    def sums(n, chunk):
+        """The sums at n nodes of the intervals in chunk, a row per interval."""
+        if not shape:
+            return _chebyshev_sum(f, fd, mid, hw, n)[None]
+        return _chebyshev_sum(f, fd, mid[chunk, None], hw[chunk, None], n, chunk).T
+
+    def level_est(level, intervals):
+        n = 16 << level
+        step = max(1, _CHEB_CHUNK // n)
+        parts = [sums(n, intervals[i:i + step]) for i in range(0, intervals.size, step)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    first = level_est(0, np.arange(lo.size))  # its shape: (P,) or (P, K)
+    rows = np.size(first) // lo.size
 
     def level_sums(level, active):
-        # every row shares the nodes: the whole block, then the active rows
-        est = _chebyshev_sum(f, fd, mid, hw, 16 << level) if level else first
-        return est if active is None else est[active]
+        if active is None:
+            return (level_est(level, np.arange(lo.size)) if level else first).reshape(-1)
+        # the intervals of the active rows: active is sorted, so each
+        # interval's rows are adjacent
+        q = active // rows
+        new = np.r_[True, q[1:] != q[:-1]]
+        est = level_est(level, q[new]).reshape(-1, rows)
+        return est[np.cumsum(new) - 1, active % rows]
 
-    value, error, failed = _doubling(level_sums, np.size(first),
-                                     cfg.max_level + 1, cfg)
-    if np.ndim(first) == 0:
-        value, error = value.item(), error.item()
+    value, error, failed = _doubling(level_sums, first.size, cfg.max_level + 1, cfg)
+    value, error = value.reshape(first.shape), error.reshape(first.shape)
     if failed.size:
-        last = (repr(value) if np.ndim(first) == 0 else
-                f"{failed.size} of {np.size(first)} components unconverged")
-        raise NoConvergence(
-            f"Chebyshev rule did not reach tolerance on [{lo}, {hi}] "
-            f"(last estimate {last})", best=value, estimate=error)
+        # unconverged rows per interval, in interval order
+        unconverged = Counter((failed // rows).tolist())
+        ends = lo.reshape(-1).tolist(), hi.reshape(-1).tolist()
+        failures = {}
+        for i, n in unconverged.items():
+            best, estimate = ((value[i].item(), error[i].item()) if value.ndim == 1
+                              else (value[i].copy(), error[i].copy()))
+            failures[i] = _interval_failure(ends[0][i], ends[1][i], best, estimate, n)
+        exc = failures[int(failed[0]) // rows]
+        if shape:
+            exc = NoConvergence(str(exc), best=value, estimate=error)
+            exc.failures = failures
+        raise exc
+    if not shape:
+        value, error = value[0], error[0]
+        if value.ndim == 0:
+            value, error = value.item(), error.item()
     return (value, error) if with_estimate else value
 
 

@@ -9,7 +9,9 @@ replaced with a Newton-safeguarded one.  path is green._path with its
 endpoint test run on every endpoint.  critical_points finds the numerator
 roots from coefficients (the solve finds the roots directly), and
 rational_mass_fit tests masses for a common denominator, a sign of a
-polynomial pre-image.
+polynomial pre-image.  endpoint_weight_fd is the weight 1/sqrt|H| as one
+product of every endpoint distance, which green._product_integrals
+replaced with factors paired per gap.
 """
 
 import math
@@ -255,3 +257,20 @@ def rational_mass_fit(m, tol: float = 1e-6, max_denominator: int = 64):
         if all(abs(v - c / n) <= tol for v, c in zip(m, counts)):
             return n, tuple(counts)
     return None
+
+
+def endpoint_weight_fd(E, i_lo, i_hi):
+    """Bounds and integrand fd(x, d_lo, d_hi) = 1/sqrt|H| of the scalar
+    Chebyshev rule on [b[i_lo], b[i_hi]], with the exact distances to those
+    two endpoints and (b[i_lo] - b_j) + d_lo to the others."""
+    b = np.asarray(E.endpoints)
+    lo, hi = b[i_lo], b[i_hi]
+    lo_off = (lo - np.delete(b, [i_lo, i_hi]))[:, None]
+
+    def fd(x, d_lo, d_hi):
+        factors = np.empty((len(lo_off) + 1,) + np.shape(d_lo))
+        factors[0] = d_lo * d_hi
+        np.abs(np.add(lo_off, d_lo, out=factors[1:]), out=factors[1:])
+        return 1.0 / np.sqrt(np.prod(factors, axis=0))
+
+    return float(lo), float(hi), fd

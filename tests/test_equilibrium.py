@@ -86,15 +86,15 @@ def test_component_masses_against_midpoint_oracle(three_interval):
 def test_masses_match_the_product_written_out(ell):
     # the masses integrate the same product integrand as the gap conditions;
     # here the numerator is multiplied out factor by factor instead
-    from walshmap.green import _endpoint_weight_fd
     from walshmap.quadrature import integrate_chebyshev
     from walshmap.verify import random_interval_set
+    from scalar_oracles import endpoint_weight_fd
 
     wm = solve(random_interval_set(np.random.default_rng(ell), ell))
     E, roots = wm.domain, wm.green.roots
     raw = []
     for j in range(1, ell + 1):
-        lo, hi, weight = _endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1)
+        lo, hi, weight = endpoint_weight_fd(E, 2 * j - 2, 2 * j - 1)
 
         def product(x, d_lo, d_hi, j=j, weight=weight):
             out = (-1.0) ** (ell - j) / math.pi * weight(x, d_lo, d_hi)

@@ -18,7 +18,7 @@ from walshmap.quadrature import QuadConfig, integrate_segment_complex
 from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
-from scalar_oracles import critical_points, path, rational_mass_fit
+from scalar_oracles import critical_points, endpoint_weight_fd, path, rational_mass_fit
 
 
 # --- square-root branch --------------------------------------------------------
@@ -175,6 +175,49 @@ def test_cantor_levels_4_to_6_solve_with_falling_capacity():
     np.testing.assert_allclose(caps, [0.22288729075, 0.22193812912, 0.22145420501],
                                rtol=0, atol=1e-11)
     assert abs(caps[1] - 0.2219381291) < 1e-10  # independent level-5 value
+
+
+def test_cantor_level_8_solves_below_level_7():
+    # the product of all 510 endpoint distances underflowed in 130 of its 255
+    # gaps, and the numerator Newton raised NoConvergence on [1/81, 2/81]
+    wm = solve(ref.cantor_pairs(8))
+    assert wm.green.capacity < 0.2212071787343  # level 7's capacity
+    assert worst_invariant(wm) <= 1e-12
+
+
+def test_numerator_batch_raises_first_failing_gaps_own_error():
+    # gaps 1 and 2 border a component of width 1e-5 and fail at max_level 5;
+    # gap 0 converges.  All gaps double in one call, which raises the error
+    # that gap 1 raises alone at the Newton start, the gap midpoints.  Each
+    # gap alone: its block of the recorded integrand, in a scalar call
+    from walshmap.quadrature import integrate_chebyshev
+
+    E = parse_domain([[-1, -0.5], [-0.3, 0.3], [0.4, 0.40001], [0.6, 1]])
+    cfg = QuadConfig(max_level=5)
+    calls = []
+
+    def recording(f, lo, hi, cfg=None, **kwargs):
+        calls.append((lo, hi, kwargs["fd"]))
+        return integrate_chebyshev(f, lo, hi, cfg, **kwargs)
+
+    with pytest.raises(NoConvergence) as err, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(green, "integrate_chebyshev", recording)
+        _solve_numerator(E, cfg)
+    (lo, hi, fd), = calls  # the first Newton pass, at the gap midpoints
+    own = []
+    for g in range(E.ell - 1):
+        try:
+            integrate_chebyshev(
+                None, float(lo[g]), float(hi[g]), cfg,
+                fd=lambda x, dl, dh, g=g: fd(x[None], dl[None], dh[None], np.array([g]))[:, 0])
+        except NoConvergence as exc:
+            own.append((g, exc))
+    assert [g for g, _ in own] == [1, 2]
+    first = own[0][1]
+    assert str(err.value) == str(first)
+    assert err.value.best.shape == (E.ell,)  # the gap's F row and Jacobian row
+    np.testing.assert_array_equal(err.value.best, first.best)
+    np.testing.assert_array_equal(err.value.estimate, first.estimate)
 
 
 def dirichlet_intervals(rng, ell, floor=0.25):
@@ -577,31 +620,35 @@ def test_rational_fit_single():
 
 def test_gap_system_vector_rows_match_scalar_calls(three_interval, monkeypatch):
     import walshmap.green as green
-    from walshmap.green import _endpoint_weight_fd, _gap_system
+    from walshmap.green import _gap_system
     from walshmap.quadrature import integrate_chebyshev
 
     E = three_interval.domain
     b = E.endpoints
     roots = np.array([0.4 * b[2 * k - 1] + 0.6 * b[2 * k] for k in range(1, E.ell)])
-    blocks = []
+    calls = []
 
     def recording(f, lo, hi, cfg=None, **kwargs):
-        blocks.append((lo, hi, kwargs["fd"]))
+        calls.append((lo, hi, kwargs["fd"]))
         return integrate_chebyshev(f, lo, hi, cfg, **kwargs)
 
     monkeypatch.setattr(green, "integrate_chebyshev", recording)
     F, J = _gap_system(E, roots, green.DEFAULT_CONFIG)
     monkeypatch.undo()
-    assert len(blocks) == E.ell - 1  # one vector-valued call per gap
+    assert len(calls) == 1  # one vector-valued call for all gaps
+    (lo, hi, fd), = calls
     n = E.ell - 1
-    for i, (lo, hi, fd) in enumerate(blocks):
-        # the same (K, m) integrand, integrated one row at a time
-        rows = [integrate_chebyshev(None, lo, hi, fd=lambda x, dl, dh, r=r: fd(x, dl, dh)[r])
-                for r in range(n + 1)]
+    assert np.shape(lo) == np.shape(hi) == (n,)
+    for i in range(n):
+        # gap i's block of the same integrand, integrated one row at a time
+        def row(r, i=i):
+            return lambda x, dl, dh: fd(x[None], dl[None], dh[None], np.array([i]))[r, 0]
+
+        rows = [integrate_chebyshev(None, lo[i], hi[i], fd=row(r)) for r in range(n + 1)]
         np.testing.assert_array_max_ulp(F[i], rows[0], maxulp=2)
         np.testing.assert_array_max_ulp(J[i], -np.array(rows[1:]), maxulp=2)
         # and the products written out factor by factor
-        _, _, weight = _endpoint_weight_fd(E, 2 * i + 1, 2 * i + 2)
+        _, _, weight = endpoint_weight_fd(E, 2 * i + 1, 2 * i + 2)
 
         def product(x, d_lo, d_hi, skip=None):
             out = weight(x, d_lo, d_hi)
@@ -610,11 +657,11 @@ def test_gap_system_vector_rows_match_scalar_calls(three_interval, monkeypatch):
                     out = out * (x - z)
             return out
 
-        assert F[i] == pytest.approx(integrate_chebyshev(None, lo, hi, fd=product),
+        assert F[i] == pytest.approx(integrate_chebyshev(None, lo[i], hi[i], fd=product),
                                      rel=1e-13)
         for j in range(n):
             direct = -integrate_chebyshev(
-                None, lo, hi, fd=lambda x, dl, dh, j=j: product(x, dl, dh, skip=j))
+                None, lo[i], hi[i], fd=lambda x, dl, dh, j=j: product(x, dl, dh, skip=j))
             assert J[i, j] == pytest.approx(direct, rel=1e-13)
 
 

@@ -134,6 +134,71 @@ def test_vector_rule_no_convergence_carries_arrays():
     assert "1 of 2 components" in str(err.value)
 
 
+# --- arrays of intervals ---------------------------------------------------------
+
+# sqrt|x - 0.3| needs 16384 nodes at LOOSE on [-1, 1], past one node block,
+# and few on the intervals that do not contain 0.3
+LO, HI = np.array([-1.0, 0.5, 0.31, -0.2]), np.array([1.0, 2.0, 0.9, 0.2])
+
+
+def interval_rows(k):
+    """An integrand of k rows (a plain one for k = 0) that records the node
+    count and the interval indices of each call."""
+    calls = []
+
+    def f(x, *idx):
+        calls.append((x.shape[-1],) + tuple(np.ravel(idx).tolist()))
+        rows = (ROWS[2](x), np.exp(x), 1.0 / (1.0 + 100.0 * x * x))[:max(k, 1)]
+        return np.stack(rows) if k else rows[0]
+
+    return f, calls
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_interval_array_matches_scalar_calls(k):
+    f, calls = interval_rows(k)
+    vec, err = integrate_chebyshev(f, LO, HI, LOOSE, with_estimate=True)
+    assert vec.shape == err.shape == (len(LO),) + ((k,) if k else ())
+    # the early intervals are dropped once all their rows stopped; interval 0
+    # runs alone to 16384 nodes, in blocks of 1024
+    assert [c for c in calls if c[0] == 16] == [(16, 0, 1, 2, 3)]
+    assert calls[-1] == (1024, 0) and sum(c[0] for c in calls if c[1:] == (0,)) > 16384
+    for i in range(len(LO)):
+        v, e = integrate_chebyshev(f, LO[i], HI[i], LOOSE, with_estimate=True)
+        assert np.array_equal(vec[i], v) and np.array_equal(err[i], e)
+        assert isinstance(v, float) if not k else v.shape == (k,)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_interval_array_no_convergence_carries_failures(k):
+    # the cusp fails on intervals 0 and 3, which contain it; the rest,
+    # smooth over the Chebyshev weight, converge
+    cfg = QuadConfig(max_level=4)
+
+    def fd(x, d_lo, d_hi, *idx):
+        rows = (np.sqrt(np.abs(x - 0.123)), np.exp(x))[:max(k, 1)]
+        return (np.stack(rows) if k else rows[0]) / np.sqrt(d_lo * d_hi)
+
+    with pytest.raises(NoConvergence) as err:
+        integrate_chebyshev(None, LO, HI, cfg, fd=fd)
+    exc = err.value
+    assert exc.best.shape == exc.estimate.shape == (len(LO),) + ((k,) if k else ())
+    assert sorted(exc.failures) == [0, 3]
+    assert str(exc) == str(exc.failures[0])
+    for i in range(len(LO)):
+        try:
+            v = integrate_chebyshev(None, LO[i], HI[i], cfg, fd=fd)
+        except NoConvergence as own:
+            got = exc.failures[i]
+            assert str(got) == str(own)
+            assert np.array_equal(got.best, own.best)
+            assert np.array_equal(got.estimate, own.estimate)
+            assert type(got.best) is type(own.best)
+            assert np.array_equal(exc.best[i], own.best)
+        else:
+            assert i not in exc.failures and np.array_equal(exc.best[i], v)
+
+
 # --- semi-infinite tails -------------------------------------------------------
 
 def test_tail_inverse_square():
