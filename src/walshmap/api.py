@@ -26,17 +26,14 @@ class WalshMap:
     lemniscatic: LemniscaticDomain
     config: QuadConfig
 
-    def map_point(self, z: complex, tol: float = 1e-12) -> MapResult:
-        return map_point(z, self.domain, self.lemniscatic, self.green, tol,
-                         self.config)
+    def map_point(self, z: complex) -> MapResult:
+        return map_point(z, self.domain, self.lemniscatic, self.green, self.config)
 
-    def map_grid(self, zs, tol: float = 1e-12) -> list[GridPoint]:
-        return map_grid(zs, self.domain, self.lemniscatic, self.green, tol,
-                        self.config)
+    def map_grid(self, zs) -> list[GridPoint]:
+        return map_grid(zs, self.domain, self.lemniscatic, self.green, self.config)
 
 
-def solve(intervals, cfg: QuadConfig | None = None, abstol: float = 1e-13,
-          reltol: float = 1e-13) -> WalshMap:
+def solve(intervals, cfg: QuadConfig | None = None) -> WalshMap:
     """Compute every lemniscatic parameter for a union of real intervals.
 
     `intervals` is either an IntervalUnion or a sequence of [lo, hi] pairs.
@@ -45,5 +42,5 @@ def solve(intervals, cfg: QuadConfig | None = None, abstol: float = 1e-13,
     E = intervals if isinstance(intervals, IntervalUnion) else parse_domain(intervals)
     data = green_data(E, cfg)
     m = exponents(E, data)
-    dom = solve_domain(E, data, m, abstol=abstol, reltol=reltol)
+    dom = solve_domain(E, data, m)
     return WalshMap(E, data, m, dom, cfg)

@@ -144,7 +144,7 @@ def _pretty_params(report: dict) -> str:
 
 
 def _cmd_params(args) -> int:
-    wm = solve(_intervals_from(args), _quad_config(args), args.abstol, args.reltol)
+    wm = solve(_intervals_from(args), _quad_config(args))
     report = _params_report(wm)
     text = _pretty_params(report) if args.pretty else json.dumps(report, indent=2) + "\n"
     _emit(text, args.output)
@@ -152,8 +152,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    wm = solve(_intervals_from(args), _quad_config(args), args.abstol, args.reltol)
-    res = wm.map_point(_parse_z(args.z), tol=args.tol)
+    wm = solve(_intervals_from(args), _quad_config(args))
+    res = wm.map_point(_parse_z(args.z))
     report = {
         "z": [_parse_z(args.z).real, _parse_z(args.z).imag],
         "w": [res.w.real, res.w.imag],
@@ -201,11 +201,11 @@ def boundary_csv(traces) -> str:
 def _cmd_grid(args) -> int:
     if args.nx < 1 or args.ny < 1:
         raise ValueError("grid counts must be >= 1")
-    wm = solve(_intervals_from(args), _quad_config(args), args.abstol, args.reltol)
+    wm = solve(_intervals_from(args), _quad_config(args))
     xs = np.linspace(*_range(args.x_range), args.nx)
     ys = np.linspace(*_range(args.y_range), args.ny)
     zs = [complex(x, y) for y in ys for x in xs]  # row-major in y
-    points = wm.map_grid(zs, tol=args.tol)
+    points = wm.map_grid(zs)
     if args.format == "csv":
         _emit(grid_csv(points), args.output)
     else:
@@ -219,7 +219,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    wm = solve(_intervals_from(args), _quad_config(args), args.abstol, args.reltol)
+    wm = solve(_intervals_from(args), _quad_config(args))
     traces = trace_boundary(wm.lemniscatic, args.points)
     if args.format == "csv":
         _emit(boundary_csv(traces), args.output)
@@ -234,8 +234,7 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = args.only.split(",") if args.only else None
-    results = run_checks(names, quad_tol=args.quad_tol, abstol=args.abstol,
-                         reltol=args.reltol, seed=args.seed)
+    results = run_checks(names, quad_tol=args.quad_tol, seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name:<18} "
               f"[{r.seconds:6.2f}s] {r.detail}")
@@ -258,10 +257,6 @@ def _add_common(parser):
                         help="file with {'intervals': [[lo,hi],...]} or 'lo hi' lines")
     parser.add_argument("--quad-tol", type=float, default=1e-12,
                         help="quadrature tolerance (default 1e-12)")
-    parser.add_argument("--abstol", type=float, default=1e-13,
-                        help="centers iteration absolute tolerance")
-    parser.add_argument("--reltol", type=float, default=1e-13,
-                        help="centers iteration relative tolerance")
     parser.add_argument("--output", help="write the report to this file")
 
 
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="evaluate the conformal map at one point")
     _add_common(p)
     p.add_argument("--z", required=True, help="evaluation point 're' or 're,im'")
-    p.add_argument("--tol", type=float, default=1e-12, help="map solver tolerance")
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("grid", help="map a rectangular grid and export the rows")
@@ -289,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-range", required=True, help="'lo,hi' imaginary range")
     p.add_argument("--nx", type=int, required=True)
     p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("csv", "doc"), default="csv")
     p.set_defaults(func=_cmd_grid)
 
@@ -303,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help=f"comma-separated check names "
                                   f"({', '.join(CHECK_NAMES)})")
     p.add_argument("--quad-tol", type=float, default=1e-12)
-    p.add_argument("--abstol", type=float, default=1e-13)
-    p.add_argument("--reltol", type=float, default=1e-13)
     p.add_argument("--seed", type=int, default=2025,
                    help="seed for the random stress checks")
     p.set_defaults(func=_cmd_verify)

@@ -203,40 +203,42 @@ _NEWTON_STEPS = 20
 _MAX_HALVINGS = 40
 
 
+def _numerator_step(E: IntervalUnion, roots, cfg: QuadConfig):
+    """_solve_numerator's scaled gap residual at the roots and full step."""
+    F, J = _gap_system(E, roots, cfg)
+    if not np.all(np.isfinite(J)):
+        raise SingularSystem("gap-condition Jacobian is not finite")
+    try:
+        delta = np.linalg.solve(J, -F)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"gap-condition Jacobian singular: {exc}")
+    t, s = E.frame
+    return F / (np.abs(J) @ np.maximum(np.abs(roots - t), s)), delta
+
+
 def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
     """Numerator roots and coefficients to quadrature accuracy.
 
     Damped Newton on the gap conditions in root space, started from the gap
     midpoints.  Root space is well conditioned (one root per gap, diagonally
     dominant Jacobian) even where the coefficient problem is not.  The
-    residual is each gap condition over its roundoff scale |J| max(|z|, 1),
-    the amplification of representing the roots; a step is halved until
-    every root stays strictly inside its gap and the residual falls.  The
-    iteration stops at a full step no larger than 1e-14 of the gap width or
-    4 ulp of the root, and every gap condition is then checked at the last
-    residual.  Raises SingularSystem for a singular or non-finite Jacobian
-    or a gap condition missed at the result, and RootNotBracketed when no
-    halving of a step is taken.
+    residual is each gap condition over its roundoff scale |J| max(|z - t|, s),
+    the amplification of representing the roots in the frame (t, s) of E; a
+    step is halved until every root stays strictly inside its gap and the
+    residual falls.  The iteration stops at a full step no larger than 1e-14
+    of the gap width or 4 ulp of the root, and every gap condition is then
+    checked at the last residual.  Raises SingularSystem for a singular or
+    non-finite Jacobian or a gap condition missed at the result, and
+    RootNotBracketed when no halving of a step is taken.
     """
     ell = E.ell
     if ell == 1:
         return np.array([1.0]), np.array([])
     b = np.asarray(E.endpoints)
     lo, hi = b[1:-1:2], b[2:-1:2]
-
-    def fun(roots):
-        F, J = _gap_system(E, roots, cfg)
-        if not np.all(np.isfinite(J)):
-            raise SingularSystem("gap-condition Jacobian is not finite")
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"gap-condition Jacobian singular: {exc}")
-        return F / (np.abs(J) @ np.maximum(np.abs(roots), 1.0)), delta
-
     try:
         roots, F, _ = damped_newton(
-            fun, 0.5 * (lo + hi),
+            lambda roots: _numerator_step(E, roots, cfg), 0.5 * (lo + hi),
             admissible=lambda roots: np.all((lo < roots) & (roots < hi)),
             step_tol=lambda roots: np.maximum(
                 1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots))),
@@ -326,14 +328,18 @@ def _nearest_endpoint(b, x: float) -> int:
     return i
 
 
+def _nonnegative(g: float, cfg: QuadConfig) -> float:
+    return 0.0 if -100.0 * cfg.abs_tol < g < 0.0 else g
+
+
 def _green_real(E: IntervalUnion, roots, x: float, cfg: QuadConfig) -> float:
     """Green's function at real x: 0 on E, else the integral from the nearest
     endpoint, where a rounding of up to 100 abs_tol below 0 reads 0."""
     if E.contains(x):
         return 0.0
     b = E.endpoints
-    val = _green_integral(E, roots, b[_nearest_endpoint(b, x)], complex(x), cfg).real
-    return 0.0 if -100.0 * cfg.abs_tol < val < 0.0 else val
+    return _nonnegative(
+        _green_integral(E, roots, b[_nearest_endpoint(b, x)], complex(x), cfg).real, cfg)
 
 
 def green_real(z: float, E: IntervalUnion, data: GreenData,
@@ -382,8 +388,7 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
             splits.append(s)
     # far targets: the integrand decays like 1/zeta over many decades, which a
     # single Gauss panel cannot resolve; subdivide geometrically beyond the set
-    hull = E.endpoints[-1] - E.endpoints[0]
-    d = 4.0 * hull
+    d = 8.0 * E.frame[1]  # four hull widths
     while d < 0.5 * length:
         splits.append(d / length)
         d *= 8.0
@@ -587,7 +592,7 @@ def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:
         g = _green_integral(E, roots, bases, roots, cfg).real.tolist()
     except NoConvergence as exc:  # the first failing root's own error
         raise exc.failures[min(exc.failures)] from None
-    green_at_roots = tuple(0.0 if -100.0 * cfg.abs_tol < v < 0.0 else v for v in g)
+    green_at_roots = tuple(_nonnegative(v, cfg) for v in g)
     masses = _component_masses(E, roots, cfg)
     cap, mismatch = _capacity_both(E, roots, cfg)
     return GreenData(

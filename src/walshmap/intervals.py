@@ -53,6 +53,12 @@ class IntervalUnion:
         return len(self.endpoints) // 2
 
     @property
+    def frame(self) -> tuple[float, float]:
+        """Midpoint t and half-width s of the hull: every stop test's frame."""
+        b = self.endpoints
+        return (b[0] + b[-1]) / 2, (b[-1] - b[0]) / 2
+
+    @property
     def components(self) -> list[tuple[float, float]]:
         b = self.endpoints
         return [(b[2 * j], b[2 * j + 1]) for j in range(self.ell)]

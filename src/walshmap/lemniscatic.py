@@ -42,6 +42,8 @@ class LemniscaticDomain:
     outer_iterations counts the centers-iteration steps that exceeded the
     stopping tolerance (the final sub-tolerance step is not counted, matching
     how iteration counts are usually reported for this scheme).
+    inner_residual is the last center solve's residual in the frame of E:
+    Green's values, and the center sum in half-widths (IntervalUnion.frame).
     """
 
     centers: tuple[float, ...]
@@ -254,45 +256,43 @@ def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):
     return data.alpha - m2 * beta, data.alpha + m1 * beta
 
 
-def _center_newton(a, w, m, targets):
+def _center_newton(a, w, m, targets, s):
     """Residual of the center equations sum m_j log|w_i - a_j| = targets_i
-    and sum m_j a_j = targets[-1] at the critical points w, and the full
-    Newton step.  A singular Jacobian gives a NaN step, which no damped
-    trial accepts."""
+    and sum m_j a_j = targets[-1] at the critical points w, the center sum in
+    units of the half-width s, and the full Newton step.  A singular
+    Jacobian gives a NaN step, which no damped trial accepts."""
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.log(np.abs(w[:, None] - a[None, :])) @ m
         J = np.empty((a.size, a.size))
         J[:-1, :] = -m[None, :] / (w[:, None] - a[None, :])
-    J[-1, :] = m
-    F = np.append(vals, m @ a) - targets
+    J[-1, :] = m / s
+    F = np.append(vals - targets[:-1], (m @ a - targets[-1]) / s)
     try:
         return F, np.linalg.solve(J, -F)
     except np.linalg.LinAlgError:
         return F, np.full(a.size, np.nan)
 
 
-def _center_system(w, m, g_targets, alpha, cap, a0):
+def _center_system(w, m, targets, a0, t, s):
     """Damped Newton for the center equations at fixed critical points w,
-    keeping the centers ordered.  Returns (a, final residual norm); a stall
-    returns the last iterate."""
-    m = np.asarray(m, dtype=float)
-    w = np.asarray(w, dtype=float)
-    targets = np.append(np.asarray(g_targets, dtype=float) + math.log(cap), alpha)
+    keeping the centers ordered, to a residual of 1e-14 or a full step within
+    1e-15 max(s, max|a - t|) in the frame (t, s), or 2 ulp of a (binding only
+    if |t| > s).  Returns (a, residual norm), the last iterate on a stall."""
     try:
         a, F, _ = damped_newton(
-            lambda a: _center_newton(a, w, m, targets), np.array(a0, dtype=float),
+            lambda a: _center_newton(a, w, m, targets, s), np.array(a0, dtype=float),
             # a disordering trial counts as a failed step: the fixed-w system
             # can have spurious stationary points outside the ordered cone
             admissible=lambda a: np.all(np.diff(a) > 0),
-            tol=1e-14, step_tol=lambda a: 1e-15 * max(1.0, float(np.max(np.abs(a)))),
+            tol=1e-14, step_tol=lambda a: np.maximum(
+                1e-15 * max(s, float(np.max(np.abs(a - t)))), 2.0 * np.spacing(np.abs(a))),
             max_steps=80, max_halvings=20)
     except NoConvergence as exc:
         return exc.best, exc.estimate
     return a, float(np.max(np.abs(F)))
 
 
-def centers_three(E: IntervalUnion, m, cap: float, data: GreenData,
-                  max_iter: int = 100):
+def centers_three(E: IntervalUnion, m, cap: float, data: GreenData):
     """Three-component centers from the critical-point system.
 
     The two critical points are the explicit quadratic roots, so the three
@@ -315,9 +315,9 @@ def centers_three(E: IntervalUnion, m, cap: float, data: GreenData,
 
     try:
         a, _, _ = damped_newton(
-            lambda a: _center_newton(a, crit_quadratic(a), m, targets),
+            lambda a: _center_newton(a, crit_quadratic(a), m, targets, E.frame[1]),
             np.array([(b[0] + b[1]) / 2, (b[2] + b[3]) / 2, (b[4] + b[5]) / 2]),
-            tol=1e-14, max_steps=max_iter, max_halvings=20)
+            tol=1e-14, max_steps=100, max_halvings=20)
     except NoConvergence as exc:
         if exc.estimate < 1e-10:
             return exc.best
@@ -327,28 +327,31 @@ def centers_three(E: IntervalUnion, m, cap: float, data: GreenData,
     return a
 
 
-def centers_general(E: IntervalUnion, m, cap: float, data: GreenData,
-                    abstol: float = 1e-13, reltol: float = 1e-13):
+def centers_general(E: IntervalUnion, m, cap: float, data: GreenData):
     """General centers iteration: alternate the fixed-critical-point center
     solve with a critical-point update, from component/gap midpoints.
 
-    Returns (centers, crit_w, outer_iterations, inner_residual);
-    outer_iterations counts steps that exceeded the stopping tolerance.
+    It stops once every center moves by less than 1e-13 (s + |a - t|) in the
+    frame (t, s) of E, or 4 ulp if larger.  Returns (centers, crit_w,
+    outer_iterations, inner_residual), counting the steps above that bound.
     """
     if E.ell < 2:
         raise ValueError("need at least two components")
     b = E.endpoints
     ell = E.ell
+    t, s = E.frame
+    m = np.asarray(m, dtype=float)
+    targets = np.append(np.asarray(data.green_at_roots) + math.log(cap), data.alpha)
     a = np.array([(b[2 * j] + b[2 * j + 1]) / 2 for j in range(ell)])
     w = np.array([(b[2 * j + 1] + b[2 * j + 2]) / 2 for j in range(ell - 1)])
-    g_targets = data.green_at_roots
     productive = 0
     for _ in range(50):
-        a_new, resid = _center_system(w, m, g_targets, data.alpha, cap, a)
+        a_new, resid = _center_system(w, m, targets, a, t, s)
         if np.any(np.diff(a_new) <= 0):
             raise OrderViolation(f"center iterate out of order: {a_new}")
         w = crit_points(a_new, m)
-        converged = bool(np.all(np.abs(a_new - a) < abstol + reltol * np.abs(a)))
+        step_tol = np.maximum(1e-13 * (s + np.abs(a - t)), 4.0 * np.spacing(np.abs(a)))
+        converged = bool(np.all(np.abs(a_new - a) < step_tol))
         a = a_new
         if converged:
             return a, w, productive, resid
@@ -356,8 +359,7 @@ def centers_general(E: IntervalUnion, m, cap: float, data: GreenData,
     raise MaxIterExceeded("center iteration did not converge in 50 outer steps")
 
 
-def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector,
-                 abstol: float = 1e-13, reltol: float = 1e-13) -> LemniscaticDomain:
+def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> LemniscaticDomain:
     """Dispatch to the right centers path and assemble the full domain.
 
     One component forces a_1 = alpha (disk); two components are explicit;
@@ -376,8 +378,7 @@ def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector,
         resid = abs(_green_scalar(float(w[0]), a, m.m, cap) - data.green_at_roots[0])
         iterations = 0
     else:
-        a, w, iterations, resid = centers_general(E, m.m, cap, data,
-                                                  abstol=abstol, reltol=reltol)
+        a, w, iterations, resid = centers_general(E, m.m, cap, data)
     if np.any(np.diff(a) <= 0):
         raise OrderViolation(f"centers out of order: {a}")
     interlaced = np.empty(2 * ell - 1)

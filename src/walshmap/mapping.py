@@ -50,10 +50,13 @@ _NEAR_BOUNDARY = 1e-9
 # arrays a batch holds at once
 _GRID_BATCH = 1024
 
-# relative distance |r / tol - 1| of a Newton residual r from tol within which
-# map_grid takes map_point's scalar iterates for a point instead of the batch
-# ones: the two round a residual differently by up to about 1e-15, which is
-# 1e-3 of the default tol = 1e-12
+# the map's Newton stop: its equations compare Green's values, free of scale
+_TOL = 1e-12
+
+# relative distance |r / _TOL - 1| of a Newton residual r from _TOL within
+# which map_grid takes map_point's scalar iterates for a point instead of the
+# batch ones: the two round a residual differently by up to about 1e-15,
+# which is 1e-3 of _TOL
 _TIE = 1e-2
 
 
@@ -143,8 +146,7 @@ def _complex_start(z, E, dom, data):
 
 
 def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
-              data: GreenData, tol: float = 1e-12,
-              cfg: QuadConfig | None = None) -> MapResult:
+              data: GreenData, cfg: QuadConfig | None = None) -> MapResult:
     """Image of z under the normalized conformal map.
 
     Endpoints return their boundary abscissae; interior points of E raise
@@ -194,32 +196,32 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             _equation(dom, target, _real_log), w0 if lo < w0 < hi else 0.5 * (lo + hi),
             # bound by default values: cells for lo and hi would cost every
             # call of map_point, the endpoint branch included
-            admissible=lambda w, lo=lo, hi=hi: lo < w < hi, tol=tol,
+            admissible=lambda w, lo=lo, hi=hi: lo < w < hi, tol=_TOL,
             max_steps=200, max_halvings=40)
         return MapResult(complex(w), abs(F), it, "real_gap", k)
 
-    return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data, tol)
+    return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data)
 
 
-def _complex_image(z, target, E, dom, data, tol):
+def _complex_image(z, target, E, dom, data):
     """Image of the off-axis z whose Green's integral is `target`, by damped
     Newton on the complex equation in the half-plane of z."""
     # the map keeps each half-plane
     same_side = (lambda w: w.imag > 0.0) if z.imag > 0.0 else (lambda w: w.imag < 0.0)
     w, F, it = damped_newton(
         _equation(dom, target, cmath.log), _complex_start(z, E, dom, data),
-        admissible=same_side, tol=tol, max_steps=200, max_halvings=11)
+        admissible=same_side, tol=_TOL, max_steps=200, max_halvings=11)
     return _complex_result(z, w, abs(F), it, E)
 
 
 def _complex_result(z, w, residual, iterations, E):
-    near = _NEAR_BOUNDARY * (E.endpoints[-1] - E.endpoints[0])
+    near = _NEAR_BOUNDARY * 2.0 * E.frame[1]
     # the distance to E is at least |Im z|, so most points skip its loop
     return MapResult(w, residual, iterations, "complex",
                      near_boundary=abs(z.imag) < near and _distance_to_E(E, z) < near)
 
 
-def _complex_images(zs, targets, E, dom, data, tol):
+def _complex_images(zs, targets, E, dom, data):
     """_complex_image for every point of the list zs at once, by one masked
     damped Newton (damped_newton_masked) on the array targets: a MapResult
     or the NoConvergence that _complex_image raises, per point."""
@@ -244,17 +246,17 @@ def _complex_images(zs, targets, E, dom, data, tol):
 
     w, F, steps, failures, margin = damped_newton_masked(
         fun, np.array([_complex_start(z, E, dom, data) for z in zs], dtype=complex),
-        admissible=lambda w, idx: w.imag * side[idx] > 0.0, tol=tol,
+        admissible=lambda w, idx: w.imag * side[idx] > 0.0, tol=_TOL,
         max_steps=200, max_halvings=11)
     out = [_complex_result(z, wi, abs(Fi), it, E)
            for z, wi, Fi, it in zip(zs, w.tolist(), F.tolist(), steps.tolist())]
     for i, exc in failures.items():
         out[i] = exc
-    # a residual this near tol may stop map_point's scalar iteration, which
+    # a residual this near _TOL may stop map_point's scalar iteration, which
     # rounds differently, a step earlier or later: take its iterates
     for i in np.flatnonzero(margin < _TIE).tolist():
         try:
-            out[i] = _complex_image(zs[i], targets[i].item(), E, dom, data, tol)
+            out[i] = _complex_image(zs[i], targets[i].item(), E, dom, data)
         except NoConvergence as exc:
             out[i] = exc
     return out
@@ -272,7 +274,7 @@ class GridPoint:
 
 
 def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
-             tol: float = 1e-12, cfg: QuadConfig | None = None) -> list[GridPoint]:
+             cfg: QuadConfig | None = None) -> list[GridPoint]:
     """Map a batch of points, skipping interior points of E and recording
     failures per point; never aborts the batch, order preserved.
 
@@ -294,13 +296,13 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
             targets, failures = exc.best, exc.failures
         solved = ~np.isnan(targets)
         images = iter(_complex_images([z for z, ok in zip(off, solved) if ok],
-                                      targets[solved], E, dom, data, tol))
+                                      targets[solved], E, dom, data))
         results = (next(images) if ok else failures[i]
                    for i, ok in enumerate(solved.tolist()))
         for z in batch:
             try:
                 if z.imag == 0.0:
-                    res = map_point(z, E, dom, data, tol, cfg)
+                    res = map_point(z, E, dom, data, cfg)
                 else:
                     _require_finite(z)
                     res = next(results)

@@ -114,9 +114,9 @@ def symmetric_triple_exact(t: float):
 
 # --- checks ------------------------------------------------------------------
 
-def _check_ex44(cfg, abstol, reltol, seed):
+def _check_ex44(cfg, seed):
     t0 = time.perf_counter()
-    wm = solve(TWO_INTERVAL_SET, cfg, abstol, reltol)
+    wm = solve(TWO_INTERVAL_SET, cfg)
     elapsed = time.perf_counter() - t0
     m1, m2 = wm.exponents.m
     g1 = wm.green.green_at_roots[0]
@@ -131,8 +131,8 @@ def _check_ex44(cfg, abstol, reltol, seed):
     return ok, f"max |value - published| = {worst:.2e}, runtime {elapsed:.3f}s"
 
 
-def _check_ex55(cfg, abstol, reltol, seed):
-    wm = solve(THREE_INTERVAL_SET, cfg, abstol, reltol)
+def _check_ex55(cfg, seed):
+    wm = solve(THREE_INTERVAL_SET, cfg)
     ref = THREE_INTERVAL_PUBLISHED
     worst = max(
         max(abs(a - b) for a, b in zip(wm.exponents.m, ref["m"])),
@@ -147,7 +147,7 @@ def _check_ex55(cfg, abstol, reltol, seed):
                 f"{route_gap:.2e}, {iters} outer steps")
 
 
-def _check_cantor(cfg, abstol, reltol, seed):
+def _check_cantor(cfg, seed):
     """Levels 2 and 3 against their published capacities; levels 2 to 8
     solve, each in under 5 s, with falling capacities and every invariant
     within 1e-12."""
@@ -157,7 +157,7 @@ def _check_cantor(cfg, abstol, reltol, seed):
     for k in range(2, 9):
         t0 = time.perf_counter()
         try:
-            wm = solve(cantor_pairs(k), cfg, abstol, reltol)
+            wm = solve(cantor_pairs(k), cfg)
         except WalshMapError as exc:
             ok = False
             details.append(f"level {k}: {type(exc).__name__}: {exc}")
@@ -176,7 +176,7 @@ def _check_cantor(cfg, abstol, reltol, seed):
     return ok, "; ".join(details)
 
 
-def _check_table1(cfg, abstol, reltol, seed):
+def _check_table1(cfg, seed):
     cases = [
         ("pair b3=1 b4=2", parse_domain([[-2, -1], [1, 2]]),
          symmetric_pair_exact(1.0, 2.0), (0, 2)),
@@ -191,8 +191,7 @@ def _check_table1(cfg, abstol, reltol, seed):
     for name, E, (m_exact, a_exact, _cap), iter_range in cases:
         data = green_data(E, cfg)
         m = exponents(E, data)
-        a, w, iters, resid = centers_general(E, m.m, data.capacity, data,
-                                             abstol, reltol)
+        a, w, iters, resid = centers_general(E, m.m, data.capacity, data)
         a_err = float(np.max(np.abs(np.array(a) - np.array(a_exact))))
         m_err = float(np.max(np.abs(np.array(m.m) - np.array(m_exact))))
         ok &= a_err < 1e-10 and m_err < 1e-10
@@ -240,13 +239,13 @@ def worst_invariant(wm) -> float:
     )
 
 
-def _stress(cfg, abstol, reltol, seed, ell, count):
+def _stress(cfg, seed, ell, count):
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     worst_iter = 0
     worst_inv = 0.0
     for _ in range(count):
-        wm = solve(random_interval_set(rng, ell), cfg, abstol, reltol)
+        wm = solve(random_interval_set(rng, ell), cfg)
         worst_iter = max(worst_iter, wm.lemniscatic.outer_iterations)
         worst_inv = max(worst_inv, worst_invariant(wm))
     elapsed = time.perf_counter() - t0
@@ -255,12 +254,12 @@ def _stress(cfg, abstol, reltol, seed, ell, count):
                 f"worst invariant {worst_inv:.2e}, {elapsed:.1f}s")
 
 
-def _check_stress5(cfg, abstol, reltol, seed):
-    return _stress(cfg, abstol, reltol, seed, 5, 100)
+def _check_stress5(cfg, seed):
+    return _stress(cfg, seed, 5, 100)
 
 
-def _check_stress10(cfg, abstol, reltol, seed):
-    return _stress(cfg, abstol, reltol, seed, 10, 100)
+def _check_stress10(cfg, seed):
+    return _stress(cfg, seed, 10, 100)
 
 
 def _green_indep(wm, z):
@@ -272,12 +271,12 @@ def _green_indep(wm, z):
     return _green_integral(wm.domain, wm.green.roots, base, z, wm.config).real
 
 
-def _check_map_suite(cfg, abstol, reltol, seed):
+def _check_map_suite(cfg, seed):
     details = []
     ok = True
 
     # (a) single interval against the explicit half Joukowsky inverse
-    wm = solve([[-1.0, 1.0]], cfg, abstol, reltol)
+    wm = solve([[-1.0, 1.0]], cfg)
     rng = np.random.default_rng(seed)
     pts = []
     pts += list(1.0 + 10.0 ** rng.uniform(-2, 1, 40))        # right gap
@@ -295,7 +294,7 @@ def _check_map_suite(cfg, abstol, reltol, seed):
 
     # (b) Green identity on 40x40 off-axis grids, independent Green evaluation
     for pairs, xr in ((TWO_INTERVAL_SET, (-2, 2)), (THREE_INTERVAL_SET, (-3, 3))):
-        wm = solve(pairs, cfg, abstol, reltol)
+        wm = solve(pairs, cfg)
         xs = np.linspace(*xr, 40)
         ys = np.linspace(-2, 2, 40)
         worst = 0.0
@@ -311,7 +310,7 @@ def _check_map_suite(cfg, abstol, reltol, seed):
     # (c) endpoints map to the boundary abscissae
     worst = 0.0
     for pairs in (TWO_INTERVAL_SET, THREE_INTERVAL_SET):
-        wm = solve(pairs, cfg, abstol, reltol)
+        wm = solve(pairs, cfg)
         for j, bj in enumerate(wm.domain.endpoints):
             res = wm.map_point(bj)
             worst = max(worst, abs(res.w - wm.lemniscatic.boundary_c[j]),
@@ -322,7 +321,7 @@ def _check_map_suite(cfg, abstol, reltol, seed):
     # (d) strict monotonicity on every gap
     mono_ok = True
     for pairs in (TWO_INTERVAL_SET, THREE_INTERVAL_SET):
-        wm = solve(pairs, cfg, abstol, reltol)
+        wm = solve(pairs, cfg)
         b = wm.domain.endpoints
         gaps = [(b[0] - 3.0, b[0] - 1e-6)]
         gaps += [(b[2 * k - 1] + 1e-6 * (b[2 * k] - b[2 * k - 1]),
@@ -338,7 +337,7 @@ def _check_map_suite(cfg, abstol, reltol, seed):
     # (e) branch offsets against the mass partial sums
     worst = 0.0
     for pairs in (TWO_INTERVAL_SET, THREE_INTERVAL_SET):
-        wm = solve(pairs, cfg, abstol, reltol)
+        wm = solve(pairs, cfg)
         msum = np.cumsum(wm.exponents.m[::-1])[::-1]  # m_k + ... + m_ell
         for k in range(1, wm.domain.ell):
             for edge in ("left", "right"):
@@ -353,7 +352,7 @@ def _check_map_suite(cfg, abstol, reltol, seed):
     return ok, "; ".join(details)
 
 
-def _check_exponents_double(cfg, abstol, reltol, seed):
+def _check_exponents_double(cfg, seed):
     sets = [TWO_INTERVAL_SET, THREE_INTERVAL_SET, TOUCHING_SET,
             [[-2, -1], [1, 2]], cantor_pairs(2),
             [[-1, -0.6], [-0.4, 0.4], [0.6, 1]]]
@@ -375,8 +374,8 @@ def _check_exponents_double(cfg, abstol, reltol, seed):
     return ok, f"max |contour - density integral| = {worst:.2e}"
 
 
-def _check_final_remark(cfg, abstol, reltol, seed):
-    wm = solve(TOUCHING_SET, cfg, abstol, reltol)
+def _check_final_remark(cfg, seed):
+    wm = solve(TOUCHING_SET, cfg)
     a = wm.lemniscatic.centers
     # printed values are truncations: require digit-for-digit consistency
     digits_ok = all(math.floor(abs(aj) * 1e4) / 1e4 == abs(p)
@@ -403,8 +402,7 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_checks(names=None, quad_tol: float = 1e-12, abstol: float = 1e-13,
-               reltol: float = 1e-13, seed: int = 2025) -> list[CheckResult]:
+def run_checks(names=None, quad_tol: float = 1e-12, seed: int = 2025) -> list[CheckResult]:
     """Run the named checks (all by default) and collect their verdicts."""
     names = list(names) if names else list(CHECK_NAMES)
     unknown = [n for n in names if n not in _CHECKS]
@@ -416,7 +414,7 @@ def run_checks(names=None, quad_tol: float = 1e-12, abstol: float = 1e-13,
     for name in names:
         t0 = time.perf_counter()
         try:
-            passed, detail = _CHECKS[name](cfg, abstol, reltol, seed)
+            passed, detail = _CHECKS[name](cfg, seed)
         except WalshMapError as exc:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         out.append(CheckResult(name, passed, detail, time.perf_counter() - t0))

@@ -9,6 +9,8 @@ only good to their displayed digits; these carry full double precision.
 
 import math
 
+import numpy as np
+
 TWO_INTERVAL = {
     "pairs": [[-1.0, -0.3], [0.1, 1.0]],
     "z1": -0.102095451178535484,
@@ -77,3 +79,14 @@ def cantor_pairs(k: int) -> list[list[float]]:
         iv = [t for (lo, hi) in iv
               for t in ((lo, lo + (hi - lo) / 3), (hi - (hi - lo) / 3, hi))]
     return [list(p) for p in iv]
+
+
+def dirichlet_intervals(rng, ell, floor=0.25):
+    """`ell` intervals filling [-1, 1]: the 2 ell - 1 component and gap
+    lengths are a Dirichlet split of the hull, none below `floor` times the
+    mean length."""
+    n = 2 * ell - 1
+    lengths = floor * 2.0 / n + (1.0 - floor) * 2.0 * rng.dirichlet(np.ones(n))
+    b = -1.0 + np.concatenate(([0.0], np.cumsum(lengths)))
+    b[-1] = 1.0
+    return [[float(b[2 * j]), float(b[2 * j + 1])] for j in range(ell)]

@@ -10,6 +10,7 @@ import pytest
 
 from walshmap import cli, errors
 from walshmap.cli import GRID_HEADER, main
+from walshmap.quadrature import QuadConfig
 
 import reference_values as ref
 
@@ -277,3 +278,44 @@ def test_main_exits_with_the_error_class_code(monkeypatch, capsys, exc, code):
     assert main(["params", "--intervals=-1,1"]) == code
     record = json.loads(capsys.readouterr().err)["error"]
     assert (record["type"], record["exit_code"]) == (type(exc).__name__, code)
+
+
+_COMMANDS = {
+    "params": ["params", "--intervals=-1,1"],
+    "phi": ["phi", "--intervals=-1,1", "--z", "3"],
+    "grid": ["grid", "--intervals=-1,1", "--x-range=-2,2", "--y-range=-1,1",
+             "--nx=2", "--ny=2"],
+    "boundary": ["boundary", "--intervals=-1,1"],
+    "verify": ["verify", "--only", "ex44"],
+}
+
+
+_REMOVED_FLAGS = [(name, flag) for name in _COMMANDS
+                  for flag in ("--abstol=1e-13", "--reltol=1e-13")]
+_REMOVED_FLAGS += [("phi", "--tol=1e-12"), ("grid", "--tol=1e-12")]
+
+
+@pytest.mark.parametrize("name, flag", _REMOVED_FLAGS)
+def test_stop_tolerance_flags_are_rejected(capsys, name, flag):
+    # every stop test is fixed and measured in the set's own frame
+    with pytest.raises(SystemExit) as exit_:
+        main(_COMMANDS[name] + [flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_quad_tol_reaches_the_quadrature_config(monkeypatch, capsys, name):
+    from walshmap import api, verify
+
+    seen = []
+
+    def recording(intervals, cfg=None):
+        seen.append(cfg)
+        return api.solve(intervals, cfg)
+
+    monkeypatch.setattr(cli, "solve", recording)
+    monkeypatch.setattr(verify, "solve", recording)
+    assert main(_COMMANDS[name] + ["--quad-tol=1e-10"]) == 0
+    capsys.readouterr()
+    assert seen and all(cfg == QuadConfig(abs_tol=1e-10, rel_tol=1e-10) for cfg in seen)

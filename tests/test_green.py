@@ -9,10 +9,10 @@ from walshmap.api import solve
 from walshmap import green
 from walshmap.errors import (CapacityMismatch, NoConvergence, NotFinite, NotOnCut,
                              OnCutError, PathOnCut, RootNotBracketed)
-from walshmap.green import (_green_integral, _green_real, _path, _plain_deriv,
-                            _solve_numerator, alpha_coefficient, capacity,
-                            green_complex, green_data, green_poly, green_real,
-                            sqrt_branch, sqrt_branch_rim)
+from walshmap.green import (_green_integral, _green_real, _numerator_step, _path,
+                            _plain_deriv, _solve_numerator, alpha_coefficient,
+                            capacity, green_complex, green_data, green_poly,
+                            green_real, sqrt_branch, sqrt_branch_rim)
 from walshmap.intervals import IntervalUnion, parse_domain
 from walshmap.quadrature import QuadConfig, integrate_segment_complex
 from walshmap.verify import random_interval_set, worst_invariant
@@ -220,20 +220,9 @@ def test_numerator_batch_raises_first_failing_gaps_own_error():
     np.testing.assert_array_equal(err.value.estimate, first.estimate)
 
 
-def dirichlet_intervals(rng, ell, floor=0.25):
-    """`ell` intervals filling [-1, 1]: the 2 ell - 1 component and gap
-    lengths are a Dirichlet split of the hull, none below `floor` times the
-    mean length."""
-    n = 2 * ell - 1
-    lengths = floor * 2.0 / n + (1.0 - floor) * 2.0 * rng.dirichlet(np.ones(n))
-    b = -1.0 + np.concatenate(([0.0], np.cumsum(lengths)))
-    b[-1] = 1.0
-    return [[float(b[2 * j]), float(b[2 * j + 1])] for j in range(ell)]
-
-
 @pytest.mark.parametrize("seed", [2, 5])
 def test_forty_interval_sets_solve(seed):
-    wm = solve(dirichlet_intervals(np.random.default_rng(seed), 40))
+    wm = solve(ref.dirichlet_intervals(np.random.default_rng(seed), 40))
     assert worst_invariant(wm) < 1e-10
 
 
@@ -241,7 +230,7 @@ def test_forty_interval_sets_solve(seed):
 def test_critical_values_match_green_real_bit_for_bit(ell):
     # green_data integrates every critical value in one batch; each is the
     # value green_real gives at its root alone
-    E = parse_domain(dirichlet_intervals(np.random.default_rng(ell), ell))
+    E = parse_domain(ref.dirichlet_intervals(np.random.default_rng(ell), ell))
     data = green_data(E)
     assert data.green_at_roots == tuple(green_real(z, E, data) for z in data.roots)
 
@@ -250,7 +239,7 @@ def test_critical_value_failure_is_the_first_failing_roots_own(monkeypatch):
     # an integrand scaled by the node count on every path based at an edge of
     # gaps 2 and 3 fails their two roots alone; green_data raises the error
     # of the first, the one _green_real raises there
-    E = parse_domain(dirichlet_intervals(np.random.default_rng(5), 6))
+    E = parse_domain(ref.dirichlet_intervals(np.random.default_rng(5), 6))
     bad = E.endpoints[3:7]
     plain = green._plain_deriv
 
@@ -287,6 +276,22 @@ def test_solved_roots_are_a_newton_fixed_point():
     F, J = _gap_system(wm.domain, wm.green.roots, QuadConfig(1e-15, 1e-15, max_level=16))
     step = np.linalg.solve(J, -F)
     assert np.all(np.abs(step) <= 1e-14 * (b[2:-1:2] - b[1:-1:2]))
+
+
+def test_gap_residual_flags_a_miss_at_every_scale():
+    # roots moved by 1e-6 of the half-width miss their gap conditions by a
+    # scaled residual of about 1e-6 at every scale, far above the final
+    # check's 10 tolerances; with the unit floor max(|z|, 1) the residual
+    # read 2.1e-15 at scale 1e-9, which that check let pass
+    cfg = green.DEFAULT_CONFIG
+    got = []
+    for scale in (1e-9, 1.0, 1e9):
+        E = parse_domain([[scale * lo, scale * hi] for lo, hi in ref.THREE_INTERVAL["pairs"]])
+        _, roots = _solve_numerator(E, cfg)
+        F, _ = _numerator_step(E, roots + 1e-6 * E.frame[1], cfg)
+        got.append(float(np.max(np.abs(F))))
+    assert got[1] > 1e4 * 10.0 * cfg.tolerance(1.0)
+    np.testing.assert_allclose(got, got[1], rtol=1e-6)
 
 
 def test_missing_bracket_raises(two_interval):

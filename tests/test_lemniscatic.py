@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from walshmap import lemniscatic
 from walshmap.api import solve
-from walshmap.errors import BracketFailure, PoleAtCenter
+from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter
 from walshmap.lemniscatic import (LemniscaticDomain, _bisect, boundary_abscissae,
                                   centers_general, centers_three, centers_two,
                                   crit_points, green, green_deriv)
+from walshmap.newton import damped_newton
 from walshmap.verify import random_interval_set
 
 import reference_values as ref
@@ -299,3 +300,67 @@ def test_hard_separation_still_converges():
         assert max(abs(green(c, dom)) for c in dom.boundary_c) < 1e-10
         assert max(abs(green(w, dom) - g) for w, g in
                    zip(dom.crit_w, wm.green.green_at_roots)) < 1e-10
+
+
+def _covariance_defect(unit, other, scale):
+    """Largest deviation of the solve of scale * E (scale -1: the reflection
+    -E) from the unit solve of E: capacity, centers, critical points and
+    boundary abscissae mapped back and measured in half-widths of E, and
+    the masses, reversed under reflection."""
+    s = unit.domain.frame[1]
+    back = (lambda v: np.asarray(v) / scale) if scale > 0 else (
+        lambda v: -np.asarray(v)[::-1])
+    flip = (lambda v: np.asarray(v)) if scale > 0 else (lambda v: np.asarray(v)[::-1])
+    u, o = unit.lemniscatic, other.lemniscatic
+    lengths = [abs(other.green.capacity / abs(scale) - unit.green.capacity)]
+    lengths += [np.max(np.abs(back(getattr(o, f)) - getattr(u, f)), initial=0.0)
+                for f in ("centers", "crit_w", "boundary_c")]
+    masses = np.max(np.abs(flip(other.exponents.m) - unit.exponents.m))
+    return max(max(lengths) / s, masses)
+
+
+def test_solve_is_scale_and_reflection_covariant():
+    # every stop test is measured in the set's own frame, so the same set at
+    # any scale, or reflected, takes the same steps to the same numbers; with
+    # unit floors a set at scale 1e-9 stopped early, its centers off by up
+    # to 4.5e-8 of the half-width
+    rng = np.random.default_rng(11)
+    sets = [random_interval_set(rng, k) for k in (3, 4, 5, 6, 8, 10)]
+    sets.append(ref.cantor_pairs(3))
+    for pairs in sets:
+        unit = solve(pairs)
+        for scale in (1e-9, 1e-5, 1e5, 1e9, -1.0):
+            other = solve([sorted((scale * lo, scale * hi)) for lo, hi in pairs])
+            assert other.lemniscatic.outer_iterations == unit.lemniscatic.outer_iterations
+            assert _covariance_defect(unit, other, scale) <= 1e-13
+
+
+def test_outer_steps_do_not_depend_on_the_scale():
+    # the six 6-interval Dirichlet draws: with unit floors their step counts
+    # read, for example, 2, 3, 4, 4, 5, 4 over these scales
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        pairs = ref.dirichlet_intervals(rng, 6)
+        steps = {solve([[scale * lo, scale * hi] for lo, hi in pairs])
+                 .lemniscatic.outer_iterations
+                 for scale in (1e-9, 1e-5, 1.0, 1e5, 1e6, 1e9)}
+        assert len(steps) == 1
+
+
+def test_center_solve_of_a_shifted_set_stops_at_its_rounding(monkeypatch):
+    # on a set shifted by more than its half-width (|t| > s) a center step
+    # cannot fall below 1e-15 s, under the rounding of a; the 2-ulp floor
+    # stops it there instead of a stall
+    stalls = []
+
+    def counting(*args, **kwargs):
+        try:
+            return damped_newton(*args, **kwargs)
+        except NoConvergence as exc:
+            stalls.append(exc)
+            raise
+
+    monkeypatch.setattr(lemniscatic, "damped_newton", counting)
+    for shift in (1e2, 1e3, 1e5):
+        solve([[lo + shift, hi + shift] for lo, hi in ref.THREE_INTERVAL["pairs"]])
+    assert stalls == []
