@@ -10,6 +10,15 @@ Twice the Wirtinger derivative of the Green's function is N(z)/S(z), where
 S = sqrt_branch is the square root of prod(z - b_j) that behaves like z^ell
 at infinity and N is the monic degree ell-1 polynomial whose integral over
 every bounded gap of E vanishes.
+
+The Green's function is the log potential of the equilibrium measure mu_E,
+so outside the hull disk, at zeta = (z - t)/s in the frame (t, s) of E,
+
+    G(z) = log(z - t) - log cap - sum_{k >= 1} c_k / (k zeta^k)
+
+with the moments c_k of mu_E in that frame (GreenData.moments, from the
+roots alone).  Green targets at |z - t| >= 2 s come from this series; nearer
+ones integrate N/S from the endpoint nearest Re z.
 """
 
 import bisect
@@ -17,6 +26,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +59,8 @@ class GreenData:
     which are exactly the critical points of the Green's function.  masses
     are the equilibrium masses of the components as integrated, before
     equilibrium.exponents checks and renormalizes them.
-    Immutable; all evaluation helpers are pure.
+    Immutable; all evaluation helpers are pure.  The moments and the
+    constants of the Green targets are derived on first use and cached.
     """
 
     domain: IntervalUnion
@@ -60,6 +71,27 @@ class GreenData:
     capacity: float
     capacity_mismatch: float
     alpha: float
+
+    @cached_property
+    def moments(self) -> tuple[float, ...]:
+        """Moments c_0 = 1, c_1, ..., c_K of the equilibrium measure in the
+        frame (t, s) of the domain, c_k = integral of ((x - t)/s)^k dmu_E,
+        for K = _LAURENT_TERMS (see _moments); built on first use."""
+        return _moments(self.domain, self.roots)
+
+    @cached_property
+    def _targets(self):
+        """What every Green target of the set reads, built on first use: the
+        frame midpoint t, half-width s and far radius _FAR_RADIUS s, log cap,
+        the Laurent terms c_k / k from k = K down to 1, and the branch jumps
+        pi (m_{k+1} + ... + m_ell) for k = 0 .. ell, masses normalized."""
+        t, s = self.domain.frame
+        c = self.moments
+        scale = math.pi / math.fsum(self.masses)
+        jumps = [scale * v for v in itertools.accumulate(reversed(self.masses),
+                                                         initial=0.0)][::-1]
+        return (t, s, _FAR_RADIUS * s, math.log(self.capacity),
+                [c[k] / k for k in range(len(c) - 1, 0, -1)], jumps)
 
 
 def sqrt_branch(E: IntervalUnion, z) -> complex:
@@ -332,21 +364,65 @@ def _nonnegative(g: float, cfg: QuadConfig) -> float:
     return 0.0 if -100.0 * cfg.abs_tol < g < 0.0 else g
 
 
-def _green_real(E: IntervalUnion, roots, x: float, cfg: QuadConfig) -> float:
-    """Green's function at real x: 0 on E, else the integral from the nearest
-    endpoint, where a rounding of up to 100 abs_tol below 0 reads 0."""
+# Laurent terms of the far field and the radius, in half-widths s, from which
+# Green targets use it: |c_k| <= 1, so at |zeta| >= 2 the truncation error is
+# at most sum_{k > K} 2^-k / k <= 2^-K / (K + 1) = 6.2e-16
+_LAURENT_TERMS = 45
+_FAR_RADIUS = 2.0
+
+
+def _moments(E: IntervalUnion, roots) -> tuple[float, ...]:
+    """Moments c_0 = 1, ..., c_K of the equilibrium measure in the frame
+    (t, s) of E, from the roots and endpoints alone, with no quadrature.
+
+    With zeta = (z - t)/s and the roots z~_k and endpoints b~_j in the
+    frame, (z - t) N/S = prod(1 - z~_k/zeta) / prod(1 - b~_j/zeta)^(1/2) =
+    sum_n c_n zeta^-n: the derivative of the series of G.  Its logarithm is
+    -sum_m p_m zeta^-m / m with the power sums p_m = sum z~_k^m -
+    1/2 sum b~_j^m, so n c_n = -sum_{m=1..n} p_m c_{n-m}.
+    """
+    t, s = E.frame
+    x = (np.concatenate((np.asarray(roots, dtype=float), E.endpoints)) - t) / s
+    weight = np.where(np.arange(x.size) < len(roots), 1.0, -0.5)
+    powers = x ** np.arange(1, _LAURENT_TERMS + 1)[:, None]
+    p = [math.fsum(row) for row in (weight * powers).tolist()]
+    c = [1.0]
+    for n in range(1, _LAURENT_TERMS + 1):
+        c.append(-math.fsum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
+    return tuple(c)
+
+
+def _laurent_green(data: GreenData, z: complex) -> complex:
+    """G(z) from the Laurent series at infinity truncated at K terms, by
+    Horner in Python complex arithmetic; for |z - t| >= _FAR_RADIUS s."""
+    t, s, _, log_cap, terms, _ = data._targets
+    d = z - t
+    u = s / d
+    acc = 0.0
+    for c in terms:
+        acc = (acc + c) * u
+    return cmath.log(d) - log_cap - acc
+
+
+def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) -> float:
+    """Green's function at real x: 0 on E, the Laurent series at |x - t| >=
+    2 s, else the integral from the nearest endpoint, where a rounding of up
+    to 100 abs_tol below 0 reads 0."""
     if E.contains(x):
         return 0.0
+    t, _, reach, _, _, _ = data._targets
+    if abs(x - t) >= reach:
+        return _laurent_green(data, complex(x)).real
     b = E.endpoints
-    return _nonnegative(
-        _green_integral(E, roots, b[_nearest_endpoint(b, x)], complex(x), cfg).real, cfg)
+    return _nonnegative(_green_integral(
+        E, data.roots, b[_nearest_endpoint(b, x)], complex(x), cfg).real, cfg)
 
 
 def green_real(z: float, E: IntervalUnion, data: GreenData,
                cfg: QuadConfig | None = None) -> float:
     """Green's function at real z (see _green_real); NotFinite unless finite."""
     _require_finite(z)
-    return _green_real(E, data.roots, float(z), cfg or DEFAULT_CONFIG)
+    return _green_real(E, data, float(z), cfg or DEFAULT_CONFIG)
 
 
 def _plain_deriv(E: IntervalUnion, roots):
@@ -386,7 +462,8 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
             continue
         if abs(base + span * s - bj) < min(0.1, s) * length:
             splits.append(s)
-    # far targets: the integrand decays like 1/zeta over many decades, which a
+    # far targets (of direct integrals: green_complex takes the Laurent series
+    # there): the integrand decays like 1/zeta over many decades, which a
     # single Gauss panel cannot resolve; subdivide geometrically beyond the set
     d = 8.0 * E.frame[1]  # four hull widths
     while d < 0.5 * length:
@@ -458,10 +535,16 @@ def _green_integral(E: IntervalUnion, roots, base, z, cfg: QuadConfig):
         return total if z.ndim else complex(total)
     if not z.ndim:
         raise failures[0]
+    raise _batch_failure(total, failures)
+
+
+def _batch_failure(best, failures):
+    """The NoConvergence of a batch of Green targets: best, NaN at each
+    failed point, and failures, each failed point's own error by flat index."""
     exc = NoConvergence(f"Green's integral did not converge at {len(failures)} "
-                        f"of {total.size} points", best=total)
+                        f"of {best.size} points", best=best)
     exc.failures = failures
-    raise exc
+    return exc
 
 
 def green_complex(z, E: IntervalUnion, data: GreenData,
@@ -470,43 +553,57 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     branch analytic off (-inf, b_{2l}]; its real part is the Green's
     function.
 
-    Each point is integrated along the straight segment from the endpoint
-    b_i nearest Re z (_nearest_endpoint), so no other endpoint lies under
-    its path (a path that runs along the set within |Im z| of its endpoints
-    does not converge near the axis), and the change of base is added
-    exactly: i pi (m_{k+1} + ... + m_ell) sign(Im z) for a base on gap
-    k = (i + 1) // 2 (0-based i), with the normalized masses of data.
+    A point at |z - t| >= 2 s in the frame (t, s) of E takes the Laurent
+    series at infinity (_laurent_green), whose truncation error is below
+    6.2e-16.  Every nearer point is integrated along the straight segment
+    from the endpoint b_i nearest Re z (_nearest_endpoint), one panel, so no
+    other endpoint lies under its path (a path that runs along the set
+    within |Im z| of its endpoints does not converge near the axis), and the
+    change of base is added exactly: i pi (m_{k+1} + ... + m_ell) sign(Im z)
+    for a base on gap k = (i + 1) // 2 (0-based i), with the normalized
+    masses of data.
 
-    z may be an array: every point's path is integrated at once, and a
-    point whose path does not converge fails alone, NaN in best and its
-    own error, the one a scalar z raises, in failures (see _green_integral).
-    Raises NotFinite for an infinite or NaN coordinate, and PathOnCut on
-    the half-line (-inf, b_{2l}] (use green_real / rim conventions there).
+    z may be an array: the series runs point by point, as for a scalar z,
+    and every nearer point's path is integrated at once; a point whose path
+    does not converge fails alone, NaN in best and its own error, the one a
+    scalar z raises, in failures (see _green_integral).  Raises NotFinite
+    for an infinite or NaN coordinate, and PathOnCut on the half-line
+    (-inf, b_{2l}] (use green_real / rim conventions there).
     """
     cfg = cfg or DEFAULT_CONFIG
     z = np.asarray(z, dtype=complex)
     b = E.endpoints
-    # pi (m_{k+1} + ... + m_ell) for k = 0 .. ell, with the masses normalized
-    scale = math.pi / math.fsum(data.masses)
-    tail = [scale * v for v in itertools.accumulate(reversed(data.masses),
-                                                    initial=0.0)][::-1]
-    bases, jumps = [], []
-    for p in z.reshape(-1).tolist():
+    t, _, reach, _, _, jumps = data._targets
+    flat = z.reshape(-1)
+    points = flat.tolist()
+    # the series value of a far point; the branch jump of a nearer one, to
+    # which its integral is added
+    values, near, bases = [], [], []
+    for p in points:
         _require_finite(p)
         x = p.real
         if p.imag == 0.0 and x <= b[-1]:
             raise PathOnCut(f"z = {p} lies on the excluded half-line")
+        if abs(p - t) >= reach:
+            values.append(_laurent_green(data, p))
+            continue
         i = _nearest_endpoint(b, x)
+        near.append(len(values))
         bases.append(b[i])
-        jumps.append(complex(0.0, math.copysign(tail[(i + 1) // 2], p.imag)))
-    jump = np.array(jumps).reshape(z.shape)
-    try:
-        total = _green_integral(E, data.roots, np.reshape(bases, z.shape), z, cfg)
-    except NoConvergence as exc:
-        if z.ndim:
-            exc.best = exc.best + jump  # NaN stays at each failed point
-        raise
-    return total + jump if z.ndim else complex(total + jump)
+        values.append(complex(0.0, math.copysign(jumps[(i + 1) // 2], p.imag)))
+    if not z.ndim:
+        if near:  # a scalar call raises its panel's own error
+            return values[0] + _green_integral(E, data.roots, bases[0], points[0], cfg)
+        return values[0]
+    total = np.array(values, dtype=complex)
+    if near:
+        try:
+            total[near] += _green_integral(E, data.roots, np.array(bases), flat[near], cfg)
+        except NoConvergence as exc:
+            total[near] += exc.best  # NaN stays at each failed point
+            raise _batch_failure(total.reshape(z.shape), {
+                near[i]: err for i, err in exc.failures.items()}) from None
+    return total.reshape(z.shape)
 
 
 def _capacity_one(E: IntervalUnion, roots, side: int, beta: float,

@@ -90,3 +90,29 @@ def dirichlet_intervals(rng, ell, floor=0.25):
     b = -1.0 + np.concatenate(([0.0], np.cumsum(lengths)))
     b[-1] = 1.0
     return [[float(b[2 * j]), float(b[2 * j + 1])] for j in range(ell)]
+
+
+def preimage_pairs(n: int, sigma: float, kappa: float) -> list[list[float]]:
+    """The n intervals of the polynomial pre-image E = {x : |T_n(x) - sigma|
+    <= kappa}, |sigma| + kappa < 1: its endpoints are cos((2 pi j +-
+    arccos(sigma +- kappa)) / n) in [-1, 1].  Exact data: every mass is 1/n
+    and the capacity kappa^(1/n) / 2 (preimage_green gives g_E).  See Sete &
+    Liesen, "Properties and examples of Faber-Walsh polynomials", CMFT 17
+    (2017)."""
+    angles = []
+    for v in (sigma - kappa, sigma + kappa):
+        theta = math.acos(v)
+        angles += [(2.0 * math.pi * j + sign * theta) / n
+                   for j in range(n + 1) for sign in (1.0, -1.0)]
+    b = sorted(math.cos(a) for a in angles if 0.0 <= a <= math.pi)
+    assert len(b) == 2 * n
+    return [[b[2 * j], b[2 * j + 1]] for j in range(n)]
+
+
+def preimage_green(z, n: int, sigma: float, kappa: float) -> float:
+    """g_E(z) = (1/n) log|P + sqrt(P^2 - 1)| of the pre-image set of
+    preimage_pairs, P = (T_n(z) - sigma) / kappa, on the branch of modulus
+    >= 1 (the larger of P +- sqrt(P^2 - 1), which has no cancellation)."""
+    P = (np.polynomial.chebyshev.chebval(complex(z), [0.0] * n + [1.0]) - sigma) / kappa
+    root = np.sqrt(P * P - 1.0)
+    return math.log(max(abs(P + root), abs(P - root))) / n

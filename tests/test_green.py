@@ -253,12 +253,12 @@ def test_critical_value_failure_is_the_first_failing_roots_own(monkeypatch):
             return np.where(np.isin(base, bad), out * t.shape[-1], out)
         return fd
 
+    data = green_data(E)  # its roots do not integrate N/S
     monkeypatch.setattr(green, "_plain_deriv", poisoned)
-    _, roots = _solve_numerator(E, green.DEFAULT_CONFIG)
     failed = []
-    for z in roots:
+    for z in data.roots:
         try:
-            _green_real(E, roots, float(z), green.DEFAULT_CONFIG)
+            _green_real(E, data, z, green.DEFAULT_CONFIG)
         except NoConvergence as exc:
             failed.append(exc)
     assert len(failed) == 2
@@ -347,8 +347,10 @@ def test_green_positive_off_the_set(three_interval):
 
 
 def test_green_complex_single_interval_closed_form(single_interval):
+    # all but the first two lie at |z| >= 2, where the Laurent series gives G
     wm = single_interval
-    for z in (2.0, 5.0, 1.5 + 0.5j, -0.3 + 2.0j, 0.1 - 1.2j):
+    for z in (1.5 + 0.5j, 0.1 - 1.2j, 2.0, 5.0, -0.3 + 2.0j, 3j, -2.0 + 1e-9j,
+              10.0 * cmath.exp(2j), 1e3 + 1j, 1e6 * cmath.exp(-1j)):
         got = green_complex(z, wm.domain, wm.green)
         want = cmath.log(z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0))
         assert abs(got - want) < 1e-12
@@ -386,9 +388,9 @@ FEW_NODES = QuadConfig(max_level=3)
 
 
 def test_green_complex_batch_matches_points():
-    # near and far points with knotted paths, and one whose path starts at
-    # the narrow gap's edge -1e-4: under FEW_NODES it alone fails, as NaN in
-    # best
+    # near points, far ones that take the series, and one whose path starts
+    # at the narrow gap's edge -1e-4: under FEW_NODES it alone fails, as NaN
+    # in best
     wm = solve(NARROW_GAP)
     fails = -0.5 + 1j
     zs = np.array([[0.7 + 0.7j, -0.75 + 1e-3j, 2e3 - 5e2j],
@@ -545,6 +547,142 @@ def test_path_scans_only_the_endpoints_that_can_split():
             hull = E.endpoints[-1] - E.endpoints[0]
             split += len(want) > 1 and abs(want[0] - base) < 4.0 * hull
     assert split > 500  # endpoint splits happen, not only far-field knots
+
+
+# --- the far field: the Laurent series of G at infinity --------------------------
+
+def test_moments_of_the_unit_interval_are_exact(single_interval):
+    # the arcsine measure: c_2k = C(2k, k) / 4^k, odd moments 0
+    c = single_interval.green.moments
+    assert len(c) == green._LAURENT_TERMS + 1
+    assert c == tuple(0.0 if k % 2 else math.comb(k, k // 2) / 4 ** (k // 2)
+                      for k in range(len(c)))
+
+
+def test_far_series_tail_bound():
+    # |c_k| <= 1, so at |zeta| >= R the terms beyond K sum to at most
+    # sum_{k > K} R^-k / k <= R^-K / (K + 1); the unit interval's tail at
+    # zeta = R, where every term is positive, stays under it
+    K, R = green._LAURENT_TERMS, green._FAR_RADIUS
+    bound = R ** -K / (K + 1)
+    assert (K, R) == (45, 2.0) and bound <= 6.2e-16
+    tail = math.fsum(math.comb(k, k // 2) / 4 ** (k // 2) / (k * R ** k)
+                     for k in range(K + 2, 400, 2))
+    assert 0.0 < tail <= bound
+
+
+def test_first_moment_gives_alpha(two_interval, three_interval):
+    # alpha, the 1/z^2 coefficient of N/S, is the mean of mu_E: s c_1 + t
+    shifted = solve([[lo + 1e3, hi + 1e3] for lo, hi in ref.TWO_INTERVAL["pairs"]])
+    for wm in (two_interval, three_interval, shifted):
+        t, s = wm.domain.frame
+        alpha = wm.green.alpha
+        assert abs(s * wm.green.moments[1] + t - alpha) <= 4.0 * np.spacing(max(abs(alpha), s))
+
+
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   random_interval_set(np.random.default_rng(11), 10),
+                                   ref.cantor_pairs(3)])
+def test_moments_are_affine_covariant(pairs):
+    # moments in the set's own frame: unchanged under x -> scale x + shift,
+    # c_k -> (-1)^k c_k under a reflection
+    base = np.array(solve(pairs).green.moments)
+    sign = (-1.0) ** np.arange(base.size)
+    for scale, shift in ((1e-6, 0.0), (1e6, 3e6), (-1.0, 0.0), (-1e3, 2e3), (1e-9, -2e-9)):
+        got = solve([sorted([scale * lo + shift, scale * hi + shift]) for lo, hi in pairs])
+        want = base * sign if scale < 0 else base
+        np.testing.assert_allclose(got.green.moments, want, rtol=0, atol=1e-14)
+
+
+def _far_points(rng, E, count):
+    """count points at |z - t| from 2 s to 1e6 s in the frame (t, s) of E."""
+    t, s = E.frame
+    r = s * 10.0 ** rng.uniform(math.log10(2.0), 6.0, count)
+    return t + r * np.exp(2j * np.pi * rng.random(count))
+
+
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("kappa", [0.5, 0.7])
+def test_polynomial_preimage_oracle(n, kappa):
+    # E = {x : |T_n(x) - sigma| <= kappa}: masses 1/n, capacity
+    # kappa^(1/n) / 2 and g_E in closed form (reference_values)
+    from walshmap.lemniscatic import green as green_level
+
+    sigma = 0.2
+    wm = solve(ref.preimage_pairs(n, sigma, kappa))
+    assert abs(wm.green.capacity / (kappa ** (1.0 / n) / 2.0) - 1.0) <= 1e-13
+    np.testing.assert_allclose(wm.exponents.m, 1.0 / n, rtol=0, atol=1e-13)
+    for z in _far_points(np.random.default_rng(n), wm.domain, 100):
+        want = ref.preimage_green(z, n, sigma, kappa)
+        assert abs(green_complex(z, wm.domain, wm.green).real - want) <= 1e-12
+        assert abs(green_level(wm.map_point(z).w, wm.lemniscatic) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   random_interval_set(np.random.default_rng(4), 10),
+                                   ref.cantor_pairs(3), [[999.0, 999.7], [1000.1, 1001.0]],
+                                   [[1e-6 * lo, 1e-6 * hi] for lo, hi in ref.TWO_INTERVAL["pairs"]]])
+def test_direct_far_integral_converges_and_matches_the_series(pairs):
+    # the oracles that integrate N/S along a path the map no longer takes
+    # (the benchmark's green_E, verify's, branch_offset and these tests'
+    # paths from b_1) rely on _path's far-field knots out to 1e6 s
+    wm = solve(pairs)
+    E, roots = wm.domain, wm.green.roots
+    b = E.endpoints
+    for z in _far_points(np.random.default_rng(1), E, 25):
+        want = green_complex(z, E, wm.green)
+        assert want == green._laurent_green(wm.green, complex(z))
+        for base in (b[0], b[-1], b[green._nearest_endpoint(b, z.real)]):
+            got = _green_integral(E, roots, base, z, wm.config)
+            assert abs(got.real - want.real) <= 1e-12
+        assert abs(_green_integral(E, roots, b[-1], z, wm.config) - want) <= 1e-12
+
+
+def test_green_targets_switch_to_the_series_at_two_half_widths(three_interval, monkeypatch):
+    # real and complex points on either side of |z - t| = 2 s: only the
+    # nearer ones are integrated
+    E, data = three_interval.domain, three_interval.green
+    t, s = E.frame
+    inside = np.nextafter(2.0 * s, 0.0)
+    zs = [t + 2.0 * s, t - 2.0 * s * 1j, t + inside, t + inside * 1j]
+    calls = []
+
+    def recording(E, roots, base, z, cfg):
+        calls.append(z)
+        return _green_integral(E, roots, base, z, cfg)
+
+    monkeypatch.setattr(green, "_green_integral", recording)
+    green_real(zs[0].real, E, data)
+    green_real(zs[2].real, E, data)
+    for z in zs:
+        green_complex(z, E, data)
+    assert calls == [zs[2], zs[2], zs[3]]
+
+
+def test_green_complex_paths_are_one_panel(three_interval, monkeypatch):
+    # within the far radius the path from the endpoint nearest Re z is
+    # shorter than 3 s, under the far-field knots' 16 s, and no other
+    # endpoint splits it; a batch makes one segment call
+    rng = np.random.default_rng(2026)
+    count = 0
+    while count < 5000:
+        E, z = _path_triples(rng)
+        t, s = E.frame
+        if z.imag == 0.0 or abs(z - t) >= 2.0 * s:
+            continue
+        b = E.endpoints
+        assert _path(E, b[green._nearest_endpoint(b, z.real)], z) == [z]
+        count += 1
+    E, data = three_interval.domain, three_interval.green
+    calls = []
+
+    def recording(f, z0, z1, singular_at_start=False, *args, **kwargs):
+        calls.append(singular_at_start)
+        return integrate_segment_complex(f, z0, z1, singular_at_start, *args, **kwargs)
+
+    monkeypatch.setattr(green, "integrate_segment_complex", recording)
+    green_complex([0.3 + 1e-9j, -2.5 + 0.1j, 4.0 - 3.0j, 1e5j, 0.35 + 0.01j], E, data)
+    assert calls == [True]
 
 
 # --- capacity and alpha ----------------------------------------------------------

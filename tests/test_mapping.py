@@ -365,9 +365,10 @@ def test_points_well_off_the_axis_start_from_z(three_interval):
 
 def _mixed_points(E):
     """Off-axis points near and far, real-gap points, every endpoint,
-    interior points of E, and, in the middle of the list, a point 10 hull
-    widths above the left edge of the narrowest gap, whose Green path does
-    not converge under FEW_NODES."""
+    interior points of E, and, in the middle of the list, a point one
+    half-width s above the left edge of the narrowest gap: inside the radius
+    2 s within which Green targets are integrated, its path from that edge
+    passes the gap's other edge and does not converge under FEW_NODES."""
     b = E.endpoints
     k = int(np.argmin(np.diff(b)[1::2]))  # gap k + 1 is (b[2k + 1], b[2k + 2])
     lo, hi = E.components[0]
@@ -378,8 +379,17 @@ def _mixed_points(E):
     zs += [complex(b[0] - 0.5), complex(b[-1] + 0.5)]
     zs += [complex(x) for x in b]
     zs += [complex(0.5 * (lo + hi)), complex(0.25 * lo + 0.75 * hi)]
-    zs.insert(len(zs) // 2, complex(b[2 * k + 1], 10.0 * (b[-1] - b[0])))
+    zs.insert(len(zs) // 2, complex(b[2 * k + 1], E.frame[1]))
     return zs
+
+
+def _ten_with_a_narrow_gap():
+    """random_interval_set(default_rng(3), 10), whose narrowest gap is 0.0115
+    wide, with that gap closed to 1e-4 by moving every interval right of it."""
+    b = np.ravel(random_interval_set(np.random.default_rng(3), 10))
+    k = int(np.argmin(np.diff(b)[1::2]))
+    b[2 * k + 2:] -= b[2 * k + 2] - b[2 * k + 1] - 1e-4
+    return solve(b.reshape(-1, 2).tolist())
 
 
 def _assert_grid_gives_map_point(wm, points):
@@ -404,9 +414,7 @@ def _assert_grid_gives_map_point(wm, points):
 
 
 def test_grid_matches_map_point():
-    # the 10-interval set's narrowest gap is 0.0115 wide, NARROW_THREE's 1e-4
-    ten = solve(random_interval_set(np.random.default_rng(3), 10))
-    for wm in (solve(NARROW_THREE), ten):
+    for wm in (solve(NARROW_THREE), _ten_with_a_narrow_gap()):
         wm = dataclasses.replace(wm, config=FEW_NODES)
         zs = _mixed_points(wm.domain)
         points = wm.map_grid(zs)
@@ -443,8 +451,7 @@ def test_grid_matches_map_point_beside_narrow_neighbours(pairs, z, monkeypatch):
 def test_grid_calls_map_point_only_on_the_axis(monkeypatch):
     # an off-axis point whose Green target failed takes its error from the
     # batch, so no off-axis point is integrated again through map_point
-    ten = solve(random_interval_set(np.random.default_rng(3), 10))
-    for wm in (solve(NARROW_THREE), ten):
+    for wm in (solve(NARROW_THREE), _ten_with_a_narrow_gap()):
         wm = dataclasses.replace(wm, config=FEW_NODES)
         zs = _mixed_points(wm.domain)
         calls = []
