@@ -11,14 +11,16 @@ S = sqrt_branch is the square root of prod(z - b_j) that behaves like z^ell
 at infinity and N is the monic degree ell-1 polynomial whose integral over
 every bounded gap of E vanishes.
 
-The Green's function is the log potential of the equilibrium measure mu_E,
-so outside the hull disk, at zeta = (z - t)/s in the frame (t, s) of E,
+The Green's function is the log potential of the equilibrium measure mu_E.
+In the frame (t, s) of E, with zeta = (z - t)/s and the Joukowski variable
+v = zeta + sqrt(zeta - 1) sqrt(zeta + 1), |v| > 1 off the hull segment,
 
-    G(z) = log(z - t) - log cap - sum_{k >= 1} c_k / (k zeta^k)
+    G(z) = log(s v / 2) - log cap - sum_{k >= 1} (e_k / k) v^-k
 
-with the moments c_k of mu_E in that frame (GreenData.moments, from the
-roots alone).  Green targets at |z - t| >= 2 s come from this series; nearer
-ones integrate N/S from the endpoint nearest Re z.
+with e_k = 2 int T_k((x - t)/s) dmu_E, the Chebyshev moments of mu_E
+(GreenData.chebyshev_moments, from the roots and endpoints alone).  Green
+targets outside the ellipse |v| = 1.5 around the hull come from this series;
+points inside it integrate N/S from the endpoint nearest Re z.
 """
 
 import bisect
@@ -59,8 +61,8 @@ class GreenData:
     which are exactly the critical points of the Green's function.  masses
     are the equilibrium masses of the components as integrated, before
     equilibrium.exponents checks and renormalizes them.
-    Immutable; all evaluation helpers are pure.  The moments and the
-    constants of the Green targets are derived on first use and cached.
+    Immutable; all evaluation helpers are pure.  The Chebyshev moments and
+    the constants of the Green targets are derived on first use and cached.
     """
 
     domain: IntervalUnion
@@ -73,25 +75,26 @@ class GreenData:
     alpha: float
 
     @cached_property
-    def moments(self) -> tuple[float, ...]:
-        """Moments c_0 = 1, c_1, ..., c_K of the equilibrium measure in the
-        frame (t, s) of the domain, c_k = integral of ((x - t)/s)^k dmu_E,
-        for K = _LAURENT_TERMS (see _moments); built on first use."""
-        return _moments(self.domain, self.roots)
+    def chebyshev_moments(self) -> tuple[float, ...]:
+        """e_0 = 1 and e_k = 2 integral of T_k((x - t)/s) dmu_E for k = 1 ..
+        _CHEBYSHEV_TERMS in the frame (t, s) of the domain, so |e_k| <= 2
+        (see _chebyshev_moments); built on first use."""
+        return _chebyshev_moments(self.domain, self.roots)
 
     @cached_property
     def _targets(self):
         """What every Green target of the set reads, built on first use: the
-        frame midpoint t, half-width s and far radius _FAR_RADIUS s, log cap,
-        the Laurent terms c_k / k from k = K down to 1, and the branch jumps
-        pi (m_{k+1} + ... + m_ell) for k = 0 .. ell, masses normalized."""
+        frame midpoint t and half-width s, the focal sum (V + 1/V) s of the
+        ellipse |v| = V = _ELLIPSE, log cap, the series terms e_k / k from
+        k = K down to 1, and the branch jumps pi (m_{k+1} + ... + m_ell) for
+        k = 0 .. ell, masses normalized."""
         t, s = self.domain.frame
-        c = self.moments
+        e = self.chebyshev_moments
         scale = math.pi / math.fsum(self.masses)
         jumps = [scale * v for v in itertools.accumulate(reversed(self.masses),
                                                          initial=0.0)][::-1]
-        return (t, s, _FAR_RADIUS * s, math.log(self.capacity),
-                [c[k] / k for k in range(len(c) - 1, 0, -1)], jumps)
+        return (t, s, (_ELLIPSE + 1.0 / _ELLIPSE) * s, math.log(self.capacity),
+                [e[k] / k for k in range(len(e) - 1, 0, -1)], jumps)
 
 
 def sqrt_branch(E: IntervalUnion, z) -> complex:
@@ -364,56 +367,101 @@ def _nonnegative(g: float, cfg: QuadConfig) -> float:
     return 0.0 if -100.0 * cfg.abs_tol < g < 0.0 else g
 
 
-# Laurent terms of the far field and the radius, in half-widths s, from which
-# Green targets use it: |c_k| <= 1, so at |zeta| >= 2 the truncation error is
-# at most sum_{k > K} 2^-k / k <= 2^-K / (K + 1) = 6.2e-16
-_LAURENT_TERMS = 45
-_FAR_RADIUS = 2.0
+# Chebyshev terms K of the far field; the ellipse |v| = V, in the Joukowski
+# variable of the frame, outside which Green targets use it; and the
+# truncation error each point's terms meet: |e_k| <= 2, so n terms leave at
+# most _tail_bound(n, |1/v|), 6.3e-18 at n = K and |v| = V
+_CHEBYSHEV_TERMS = 90
+_ELLIPSE = 1.5
+_TAIL = 6.2e-16
 
 
-def _moments(E: IntervalUnion, roots) -> tuple[float, ...]:
-    """Moments c_0 = 1, ..., c_K of the equilibrium measure in the frame
-    (t, s) of E, from the roots and endpoints alone, with no quadrature.
+def _tail_bound(n: int, r: float) -> float:
+    """Bound 2 r^(n+1) / ((n + 1)(1 - r)) on sum_{k > n} |e_k| r^k / k."""
+    return 2.0 * r ** (n + 1) / ((n + 1) * (1.0 - r))
 
-    With zeta = (z - t)/s and the roots z~_k and endpoints b~_j in the
-    frame, (z - t) N/S = prod(1 - z~_k/zeta) / prod(1 - b~_j/zeta)^(1/2) =
-    sum_n c_n zeta^-n: the derivative of the series of G.  Its logarithm is
-    -sum_m p_m zeta^-m / m with the power sums p_m = sum z~_k^m -
-    1/2 sum b~_j^m, so n c_n = -sum_{m=1..n} p_m c_{n-m}.
+
+def _term_radii() -> list[float]:
+    """For n = 1 .. K, the largest |r| < 1 at which n terms meet _TAIL: the
+    fixed point of r = (_TAIL (n + 1)(1 - r) / 2)^(1/(n + 1)), then lowered
+    an ulp at a time until _tail_bound(n, r) <= _TAIL in floats."""
+    radii = []
+    for n in range(1, _CHEBYSHEV_TERMS + 1):
+        r = 0.5
+        for _ in range(40):
+            r = (0.5 * _TAIL * (n + 1) * (1.0 - r)) ** (1.0 / (n + 1))
+        while _tail_bound(n, r) > _TAIL:
+            r = math.nextafter(r, 0.0)
+        radii.append(r)
+    return radii
+
+
+# increasing: the first entry at or above |r| names the point's term count
+_TERM_RADII = _term_radii()
+
+
+def _terms_needed(r: float) -> int:
+    """Fewest terms, at most K, whose tail at |1/v| = r meets _TAIL."""
+    return min(bisect.bisect_left(_TERM_RADII, r) + 1, _CHEBYSHEV_TERMS)
+
+
+def _chebyshev_moments(E: IntervalUnion, roots) -> tuple[float, ...]:
+    """e_0 = 1, ..., e_K, twice the Chebyshev moments of the equilibrium
+    measure in the frame (t, s) of E, from the roots and endpoints alone,
+    with no quadrature.
+
+    With zeta = (v + 1/v)/2 and r = 1/v, each factor zeta - x~ of N/S is
+    (v/2)(1 - 2 x~ r + r^2), whose logarithm is log(v/2) -
+    sum_m 2 T_m(x~) r^m / m.  The outer endpoints +-1 cancel exactly
+    against d zeta / dv = (1 - r^2)/2, so dG/dv = (1/v) sum_n e_n r^n with
+    log sum_n e_n r^n = -sum_m Q_m r^m / m, where Q_m = 2 sum_k T_m(z~_k) -
+    sum_{interior j} T_m(b~_j); so n e_n = -sum_{m=1..n} Q_m e_{n-m}.
     """
     t, s = E.frame
-    x = (np.concatenate((np.asarray(roots, dtype=float), E.endpoints)) - t) / s
-    weight = np.where(np.arange(x.size) < len(roots), 1.0, -0.5)
-    powers = x ** np.arange(1, _LAURENT_TERMS + 1)[:, None]
-    p = [math.fsum(row) for row in (weight * powers).tolist()]
-    c = [1.0]
-    for n in range(1, _LAURENT_TERMS + 1):
-        c.append(-math.fsum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
-    return tuple(c)
+    x = (np.concatenate((np.asarray(roots, dtype=float), E.endpoints[1:-1])) - t) / s
+    weight = np.where(np.arange(x.size) < len(roots), 2.0, -1.0)
+    cheb = np.polynomial.chebyshev.chebvander(x, _CHEBYSHEV_TERMS)[:, 1:]
+    q = [math.fsum(row) for row in (weight * cheb.T).tolist()]
+    e = [1.0]
+    for n in range(1, _CHEBYSHEV_TERMS + 1):
+        e.append(math.fsum(-q[m - 1] * e[n - m] for m in range(1, n + 1)) / n)
+    return tuple(e)
 
 
-def _laurent_green(data: GreenData, z: complex) -> complex:
-    """G(z) from the Laurent series at infinity truncated at K terms, by
-    Horner in Python complex arithmetic; for |z - t| >= _FAR_RADIUS s."""
+def _series_green(data: GreenData, z: complex) -> complex:
+    """G(z) from the Chebyshev series, by Horner in Python complex arithmetic
+    on the fewest terms that meet _TAIL; for points outside the ellipse.
+
+    It is formed in u = s/(z - t), never in zeta, so it cannot overflow:
+    q = sqrt(1 - u^2) (principal), r = u/(1 + q) = 1/v and
+    G = log(z - t) + log((1 + q)/2) - log cap - sum (e_k / k) r^k.
+    """
     t, s, _, log_cap, terms, _ = data._targets
     d = z - t
     u = s / d
+    q = cmath.sqrt(1.0 - u * u)
+    r = u / (1.0 + q)
     acc = 0.0
-    for c in terms:
-        acc = (acc + c) * u
-    return cmath.log(d) - log_cap - acc
+    for e in terms[_CHEBYSHEV_TERMS - _terms_needed(abs(r)):]:
+        acc = (acc + e) * r
+    return cmath.log(d) + cmath.log(0.5 * (1.0 + q)) - log_cap - acc
+
+
+def _outside_ellipse(p, b, reach) -> bool:
+    """Whether p lies on or outside the ellipse |v| = V: its focal sum
+    |p - b_1| + |p - b_2l| against (V + 1/V) s."""
+    return abs(p - b[0]) + abs(p - b[-1]) >= reach
 
 
 def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) -> float:
-    """Green's function at real x: 0 on E, the Laurent series at |x - t| >=
-    2 s, else the integral from the nearest endpoint, where a rounding of up
-    to 100 abs_tol below 0 reads 0."""
+    """Green's function at real x: 0 on E, the Chebyshev series outside the
+    ellipse, else the integral from the nearest endpoint, where a rounding of
+    up to 100 abs_tol below 0 reads 0."""
     if E.contains(x):
         return 0.0
-    t, _, reach, _, _, _ = data._targets
-    if abs(x - t) >= reach:
-        return _laurent_green(data, complex(x)).real
     b = E.endpoints
+    if _outside_ellipse(x, b, data._targets[2]):
+        return _series_green(data, complex(x)).real
     return _nonnegative(_green_integral(
         E, data.roots, b[_nearest_endpoint(b, x)], complex(x), cfg).real, cfg)
 
@@ -462,8 +510,8 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
             continue
         if abs(base + span * s - bj) < min(0.1, s) * length:
             splits.append(s)
-    # far targets (of direct integrals: green_complex takes the Laurent series
-    # there): the integrand decays like 1/zeta over many decades, which a
+    # far targets (of direct integrals: green_complex takes the Chebyshev
+    # series there): the integrand decays like 1/zeta over many decades, which a
     # single Gauss panel cannot resolve; subdivide geometrically beyond the set
     d = 8.0 * E.frame[1]  # four hull widths
     while d < 0.5 * length:
@@ -553,9 +601,10 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     branch analytic off (-inf, b_{2l}]; its real part is the Green's
     function.
 
-    A point at |z - t| >= 2 s in the frame (t, s) of E takes the Laurent
-    series at infinity (_laurent_green), whose truncation error is below
-    6.2e-16.  Every nearer point is integrated along the straight segment
+    A point on or outside the ellipse |v| = 1.5 around the hull, in the
+    Joukowski variable v of the frame (t, s) of E, takes the Chebyshev series
+    (_series_green) on the fewest terms whose truncation error is below
+    6.2e-16.  Every point inside it is integrated along the straight segment
     from the endpoint b_i nearest Re z (_nearest_endpoint), one panel, so no
     other endpoint lies under its path (a path that runs along the set
     within |Im z| of its endpoints does not converge near the axis), and the
@@ -564,7 +613,7 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     masses of data.
 
     z may be an array: the series runs point by point, as for a scalar z,
-    and every nearer point's path is integrated at once; a point whose path
+    and every inner point's path is integrated at once; a point whose path
     does not converge fails alone, NaN in best and its own error, the one a
     scalar z raises, in failures (see _green_integral).  Raises NotFinite
     for an infinite or NaN coordinate, and PathOnCut on the half-line
@@ -573,10 +622,10 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     cfg = cfg or DEFAULT_CONFIG
     z = np.asarray(z, dtype=complex)
     b = E.endpoints
-    t, _, reach, _, _, jumps = data._targets
+    _, _, reach, _, _, jumps = data._targets
     flat = z.reshape(-1)
     points = flat.tolist()
-    # the series value of a far point; the branch jump of a nearer one, to
+    # the series value of an outer point; the branch jump of an inner one, to
     # which its integral is added
     values, near, bases = [], [], []
     for p in points:
@@ -584,8 +633,8 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
         x = p.real
         if p.imag == 0.0 and x <= b[-1]:
             raise PathOnCut(f"z = {p} lies on the excluded half-line")
-        if abs(p - t) >= reach:
-            values.append(_laurent_green(data, p))
+        if _outside_ellipse(p, b, reach):
+            values.append(_series_green(data, p))
             continue
         i = _nearest_endpoint(b, x)
         near.append(len(values))

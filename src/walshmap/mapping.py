@@ -6,12 +6,13 @@ axis (and right of the last endpoint) the complex equation
     sum m_j Log(w - a_j) - log(cap) = integral of N/S from b_{2l} to z
 
 with principal logarithms, solved by damped Newton in the half-plane of z
-(the map preserves each half-plane).  The right side is green_complex: at
-|z - t| >= 2 s in the frame (t, s) of E the Laurent series of G at infinity,
-nearer the integral from the endpoint nearest Re z plus the exact branch
-offset to b_{2l}, so no path runs along the set.  Inside a real gap the real
-equation g(w) = g_E(z) on the uniqueness interval of the gap (g_E from the
-same series on the unbounded gaps beyond 2 s), solved by damped Newton
+(the map preserves each half-plane).  The right side is green_complex:
+outside the ellipse |v| = 1.5 around the hull, in the Joukowski variable v
+of the frame (t, s) of E, the Chebyshev series of G; inside it the integral
+from the endpoint nearest Re z plus the exact branch offset to b_{2l}, so no
+path runs along the set.  Inside a real gap the real equation g(w) = g_E(z)
+on the uniqueness interval of the gap (g_E from the same series on the
+unbounded gaps outside the ellipse), solved by damped Newton
 kept inside that interval.  Both start from the real-axis correspondence of
 the gap (and, for off-axis points near E, of the component) under Re z; see
 _complex_start.  Endpoints map to the boundary abscissae directly.
@@ -155,11 +156,11 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     InsideE.  Real gap points are solved on the uniqueness bracket of their
     gap from the gap image of z (see _gap_image), everything else through
     the complex equation, kept in the half-plane of z, from the start of
-    _complex_start; its right side is green_complex's Laurent series at
-    |z - t| >= 2 s, or its integral from the endpoint nearest Re z plus the
-    branch offset.  Off-axis points closer
-    to E than 1e-9 of its hull width b_{2l} - b_1 are evaluated but flagged
-    near_boundary.  Raises NotFinite for an infinite or NaN coordinate, and
+    _complex_start; its right side is green_complex's Chebyshev series
+    outside the ellipse |v| = 1.5 around the hull, or inside it the integral
+    from the endpoint nearest Re z plus the branch offset.  Off-axis points
+    closer to E than 1e-9 of its hull width b_{2l} - b_1 are evaluated but
+    flagged near_boundary.  Raises NotFinite for an infinite or NaN coordinate, and
     NoConvergence when Newton stalls or a panel of the Green's integral does
     not converge (see green_complex).
     """

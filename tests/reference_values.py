@@ -112,7 +112,9 @@ def preimage_pairs(n: int, sigma: float, kappa: float) -> list[list[float]]:
 def preimage_green(z, n: int, sigma: float, kappa: float) -> float:
     """g_E(z) = (1/n) log|P + sqrt(P^2 - 1)| of the pre-image set of
     preimage_pairs, P = (T_n(z) - sigma) / kappa, on the branch of modulus
-    >= 1 (the larger of P +- sqrt(P^2 - 1), which has no cancellation)."""
+    >= 1: log|P| plus the log of the larger of |1 +- sqrt(1 - 1/P^2)|, which
+    has no cancellation, and no overflow where P^2 does."""
     P = (np.polynomial.chebyshev.chebval(complex(z), [0.0] * n + [1.0]) - sigma) / kappa
-    root = np.sqrt(P * P - 1.0)
-    return math.log(max(abs(P + root), abs(P - root))) / n
+    inv = 1.0 / P
+    root = np.sqrt(1.0 - inv * inv)
+    return (math.log(abs(P)) + math.log(max(abs(1.0 + root), abs(1.0 - root)))) / n

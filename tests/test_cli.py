@@ -153,12 +153,12 @@ def test_grid_deterministic(tmp_path, capsys):
 
 
 def test_grid_failed_rows_carry_the_error(capsys):
-    # the Green path of -0.5+1j starts at -1e-7, 2e-7 from the endpoint 1e-7
-    # across the narrow gap: at 2048 nodes the segment rule's estimates still
-    # differ by about 4e-14, above the 1e-15 quadrature tolerance; the path
-    # of 2+1j, from 1, converges
-    args = ("grid", "--intervals=-1,-1e-7;1e-7,1", "--quad-tol=1e-15",
-            "--x-range=-0.5,2", "--y-range=1,2", "--nx", "2", "--ny", "1")
+    # the Green path of -0.2+0.3j, inside the ellipse |v| = 1.5 around the
+    # hull, starts at -1e-8, 2e-8 from the endpoint 1e-8 across the narrow
+    # gap: at 2048 nodes the segment rule does not reach the 1e-15
+    # quadrature tolerance; 2+0.3j, outside the ellipse, takes the series
+    args = ("grid", "--intervals=-1,-1e-8;1e-8,1", "--quad-tol=1e-15",
+            "--x-range=-0.2,2", "--y-range=0.3,2", "--nx", "2", "--ny", "1")
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))

@@ -14,7 +14,7 @@ from walshmap.green import (_green_integral, _green_real, _numerator_step, _path
                             capacity, green_complex, green_data, green_poly,
                             green_real, sqrt_branch, sqrt_branch_rim)
 from walshmap.intervals import IntervalUnion, parse_domain
-from walshmap.quadrature import QuadConfig, integrate_segment_complex
+from walshmap.quadrature import QuadConfig, integrate_chebyshev, integrate_segment_complex
 from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
@@ -347,9 +347,10 @@ def test_green_positive_off_the_set(three_interval):
 
 
 def test_green_complex_single_interval_closed_form(single_interval):
-    # all but the first two lie at |z| >= 2, where the Laurent series gives G
+    # all but the first two lie outside the ellipse |v| = 1.5, where the
+    # Chebyshev series gives G
     wm = single_interval
-    for z in (1.5 + 0.5j, 0.1 - 1.2j, 2.0, 5.0, -0.3 + 2.0j, 3j, -2.0 + 1e-9j,
+    for z in (0.3 + 0.2j, -0.9 - 0.05j, 1.5 + 0.5j, 0.1 - 1.2j, 2.0, 5.0, -0.3 + 2.0j, 3j, -2.0 + 1e-9j,
               10.0 * cmath.exp(2j), 1e3 + 1j, 1e6 * cmath.exp(-1j)):
         got = green_complex(z, wm.domain, wm.green)
         want = cmath.log(z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0))
@@ -388,11 +389,11 @@ FEW_NODES = QuadConfig(max_level=3)
 
 
 def test_green_complex_batch_matches_points():
-    # near points, far ones that take the series, and one whose path starts
-    # at the narrow gap's edge -1e-4: under FEW_NODES it alone fails, as NaN
-    # in best
+    # inner points, outer ones that take the series, and one whose path
+    # starts at the narrow gap's edge -1e-4, a quarter half-width above it:
+    # under FEW_NODES it alone fails, as NaN in best
     wm = solve(NARROW_GAP)
-    fails = -0.5 + 1j
+    fails = -1e-4 + 0.25j
     zs = np.array([[0.7 + 0.7j, -0.75 + 1e-3j, 2e3 - 5e2j],
                    [fails, 0.95 - 0.02j, 0.9 + 1e4j]])
     with pytest.raises(NoConvergence) as err:
@@ -549,59 +550,131 @@ def test_path_scans_only_the_endpoints_that_can_split():
     assert split > 500  # endpoint splits happen, not only far-field knots
 
 
-# --- the far field: the Laurent series of G at infinity --------------------------
+# --- the far field: the Chebyshev series of G outside the ellipse |v| = 1.5 ----
+
+def _ellipse_point(E, v):
+    """z = t + s (v + 1/v) / 2: the point of Joukowski variable v in the frame
+    (t, s) of E."""
+    t, s = E.frame
+    return t + s * 0.5 * (v + 1.0 / v)
+
+
+def _joukowski(E, z):
+    """v = zeta + sqrt(zeta - 1) sqrt(zeta + 1), zeta = (z - t)/s, |v| > 1."""
+    t, s = E.frame
+    zeta = (z - t) / s
+    return zeta + cmath.sqrt(zeta - 1.0) * cmath.sqrt(zeta + 1.0)
+
 
 def test_moments_of_the_unit_interval_are_exact(single_interval):
-    # the arcsine measure: c_2k = C(2k, k) / 4^k, odd moments 0
-    c = single_interval.green.moments
-    assert len(c) == green._LAURENT_TERMS + 1
-    assert c == tuple(0.0 if k % 2 else math.comb(k, k // 2) / 4 ** (k // 2)
-                      for k in range(len(c)))
+    # the arcsine measure: e_k = 2 int T_k dmu = 0 for k >= 1, bit for bit,
+    # and G = log(z + sqrt(z - 1) sqrt(z + 1)) on and outside the ellipse
+    wm = single_interval
+    e = wm.green.chebyshev_moments
+    assert len(e) == green._CHEBYSHEV_TERMS + 1
+    assert e == (1.0,) + (0.0,) * green._CHEBYSHEV_TERMS
+    assert all(math.copysign(1.0, v) == 1.0 for v in e)
+    for theta in np.linspace(0.0, 2.0 * math.pi, 13):
+        for rho in (1.5, 1.5 * (1.0 + 1e-15), 2.3, 40.0):
+            z = _ellipse_point(wm.domain, rho * cmath.exp(1j * theta))
+            got = green._series_green(wm.green, z)
+            want = cmath.log(z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0))
+            assert abs(got - want) <= 4.0 * np.spacing(max(abs(want), 1.0))
 
 
-def test_far_series_tail_bound():
-    # |c_k| <= 1, so at |zeta| >= R the terms beyond K sum to at most
-    # sum_{k > K} R^-k / k <= R^-K / (K + 1); the unit interval's tail at
-    # zeta = R, where every term is positive, stays under it
-    K, R = green._LAURENT_TERMS, green._FAR_RADIUS
-    bound = R ** -K / (K + 1)
-    assert (K, R) == (45, 2.0) and bound <= 6.2e-16
-    tail = math.fsum(math.comb(k, k // 2) / 4 ** (k // 2) / (k * R ** k)
-                     for k in range(K + 2, 400, 2))
-    assert 0.0 < tail <= bound
+def test_far_series_tail_bound(two_interval, three_interval):
+    # |e_k| <= 2, so past n terms the series leaves at most
+    # 2 |r|^(n+1) / ((n + 1)(1 - |r|)) at r = 1/v: 6.3e-18 with all K terms
+    # on the ellipse; the terms that a point's own n leaves out of the K
+    # stay under that bound
+    K, V = green._CHEBYSHEV_TERMS, green._ELLIPSE
+    assert (K, V, green._TAIL) == (90, 1.5, 6.2e-16)
+    assert green._tail_bound(K, 1.0 / V) <= 6.3e-18
+    assert green._terms_needed(1.0 / V) < K
+    rng = np.random.default_rng(18)
+    for wm in (two_interval, three_interval, solve(ref.cantor_pairs(3))):
+        terms = wm.green._targets[4]
+        e = np.array(wm.green.chebyshev_moments)
+        assert np.all(np.abs(e) <= 2.0)
+        for rho in 10.0 ** rng.uniform(math.log10(V), 3.0, 40):
+            r = cmath.exp(2j * math.pi * rng.random()) / rho
+            n = green._terms_needed(abs(r))
+            left_out = sum(terms[k] * r ** (K - k) for k in range(K - n))
+            assert abs(left_out) <= green._tail_bound(n, abs(r))
+
+
+def test_series_terms_meet_the_bound_and_fall_far_out():
+    # the fewest terms that meet the bound, at most K, and at most the 45 of
+    # the former disk series wherever |v| >= 2.3
+    K = green._CHEBYSHEV_TERMS
+    for rho in np.geomspace(1.5, 1e8, 400):
+        r = 1.0 / rho
+        n = green._terms_needed(r)
+        assert 1 <= n <= K and green._tail_bound(n, r) <= green._TAIL
+        assert n == 1 or green._tail_bound(n - 1, r) > green._TAIL
+        if rho >= 2.3:
+            assert n <= 45
+    assert green._terms_needed(1.0 / 20.0) <= 13
 
 
 def test_first_moment_gives_alpha(two_interval, three_interval):
-    # alpha, the 1/z^2 coefficient of N/S, is the mean of mu_E: s c_1 + t
+    # alpha, the 1/z^2 coefficient of N/S, is the mean of mu_E: s e_1 / 2 + t
     shifted = solve([[lo + 1e3, hi + 1e3] for lo, hi in ref.TWO_INTERVAL["pairs"]])
     for wm in (two_interval, three_interval, shifted):
         t, s = wm.domain.frame
         alpha = wm.green.alpha
-        assert abs(s * wm.green.moments[1] + t - alpha) <= 4.0 * np.spacing(max(abs(alpha), s))
+        got = s * wm.green.chebyshev_moments[1] / 2.0 + t
+        assert abs(got - alpha) <= 4.0 * np.spacing(max(abs(alpha), s))
 
 
 @pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
                                    random_interval_set(np.random.default_rng(11), 10),
                                    ref.cantor_pairs(3)])
 def test_moments_are_affine_covariant(pairs):
-    # moments in the set's own frame: unchanged under x -> scale x + shift,
-    # c_k -> (-1)^k c_k under a reflection
-    base = np.array(solve(pairs).green.moments)
+    # Chebyshev moments in the set's own frame: unchanged under x -> scale x
+    # + shift, e_k -> (-1)^k e_k under a reflection.  The roots are stored
+    # in the user's frame, and their rounding reaches e_k through T_k' <= k^2:
+    # measured 1.3e-14 on the 10-interval set
+    base = np.array(solve(pairs).green.chebyshev_moments)
     sign = (-1.0) ** np.arange(base.size)
     for scale, shift in ((1e-6, 0.0), (1e6, 3e6), (-1.0, 0.0), (-1e3, 2e3), (1e-9, -2e-9)):
         got = solve([sorted([scale * lo + shift, scale * hi + shift]) for lo, hi in pairs])
         want = base * sign if scale < 0 else base
-        np.testing.assert_allclose(got.green.moments, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.green.chebyshev_moments, want, rtol=0, atol=2e-14)
+
+
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   ref.cantor_pairs(3)])
+def test_chebyshev_moments_match_quadrature_of_the_density(pairs):
+    # e_k = 2 int T_k((x - t)/s) |N(x)| / (pi sqrt|H(x)|) dx over the
+    # components, by the Chebyshev rule: the roots alone give the integrals.
+    # The rule's own rounding on the oscillating T_k reaches 1.2e-14
+    wm = solve(pairs)
+    E, K = wm.domain, green._CHEBYSHEV_TERMS
+    t, s = E.frame
+    roots = np.array(wm.green.roots)[:, None]
+    total = np.zeros(K + 1)
+    for j in range(E.ell):
+        lo, hi, weight = endpoint_weight_fd(E, 2 * j, 2 * j + 1)
+
+        def fd(x, d_lo, d_hi):
+            density = np.abs(np.prod(x - roots, axis=0)) * weight(x, d_lo, d_hi) / math.pi
+            return np.polynomial.chebyshev.chebvander((x - t) / s, K).T * density
+
+        total += integrate_chebyshev(None, lo, hi, QuadConfig(1e-15, 1e-15), fd=fd)
+    want = np.concatenate(([1.0], 2.0 * total[1:]))
+    assert abs(total[0] - 1.0) <= 1e-14
+    np.testing.assert_allclose(wm.green.chebyshev_moments, want, rtol=0, atol=2e-14)
 
 
 def _far_points(rng, E, count):
-    """count points at |z - t| from 2 s to 1e6 s in the frame (t, s) of E."""
-    t, s = E.frame
-    r = s * 10.0 ** rng.uniform(math.log10(2.0), 6.0, count)
-    return t + r * np.exp(2j * np.pi * rng.random(count))
+    """count points on or outside the ellipse |v| = 1.5, out to |z - t| =
+    1e6 s, in the frame (t, s) of E."""
+    rho = 10.0 ** rng.uniform(math.log10(1.5), math.log10(2e6), count)
+    return [_ellipse_point(E, v) for v in rho * np.exp(2j * np.pi * rng.random(count))]
 
 
-@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("n", [4, 10, 40])
 @pytest.mark.parametrize("kappa", [0.5, 0.7])
 def test_polynomial_preimage_oracle(n, kappa):
     # E = {x : |T_n(x) - sigma| <= kappa}: masses 1/n, capacity
@@ -631,20 +704,36 @@ def test_direct_far_integral_converges_and_matches_the_series(pairs):
     b = E.endpoints
     for z in _far_points(np.random.default_rng(1), E, 25):
         want = green_complex(z, E, wm.green)
-        assert want == green._laurent_green(wm.green, complex(z))
+        if green._outside_ellipse(z, b, wm.green._targets[2]):
+            assert want == green._series_green(wm.green, complex(z))
         for base in (b[0], b[-1], b[green._nearest_endpoint(b, z.real)]):
             got = _green_integral(E, roots, base, z, wm.config)
             assert abs(got.real - want.real) <= 1e-12
         assert abs(_green_integral(E, roots, b[-1], z, wm.config) - want) <= 1e-12
 
 
-def test_green_targets_switch_to_the_series_at_two_half_widths(three_interval, monkeypatch):
-    # real and complex points on either side of |z - t| = 2 s: only the
-    # nearer ones are integrated
+def _ellipse_crossing(E, reach, direction):
+    """The points z = t + lam direction on either side of the ellipse's
+    focal-sum test, one float step of lam apart: (inside, outside)."""
+    t, _ = E.frame
+    b = E.endpoints
+    lo, hi = 0.0, 4.0 * reach
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return t + lo * direction, t + hi * direction
+        if green._outside_ellipse(t + mid * direction, b, reach):
+            hi = mid
+        else:
+            lo = mid
+
+
+def test_green_targets_switch_to_the_series_on_the_ellipse(three_interval, monkeypatch):
+    # along rays from t, on the axis and off it, the last point inside the
+    # ellipse |v| = 1.5 is integrated and the first one outside, 1 ulp
+    # further, is not; both lie within a few ulp of |v| = 1.5
     E, data = three_interval.domain, three_interval.green
-    t, s = E.frame
-    inside = np.nextafter(2.0 * s, 0.0)
-    zs = [t + 2.0 * s, t - 2.0 * s * 1j, t + inside, t + inside * 1j]
+    reach = data._targets[2]
     calls = []
 
     def recording(E, roots, base, z, cfg):
@@ -652,23 +741,39 @@ def test_green_targets_switch_to_the_series_at_two_half_widths(three_interval, m
         return _green_integral(E, roots, base, z, cfg)
 
     monkeypatch.setattr(green, "_green_integral", recording)
-    green_real(zs[0].real, E, data)
-    green_real(zs[2].real, E, data)
-    for z in zs:
-        green_complex(z, E, data)
-    assert calls == [zs[2], zs[2], zs[3]]
+    for direction in (1.0, -1.0):
+        inner, outer = _ellipse_crossing(E, reach, direction)
+        for z in (inner, outer):
+            assert abs(abs(_joukowski(E, z)) - 1.5) <= 8.0 * np.spacing(1.5)
+        calls.clear()
+        green_real(outer.real, E, data)
+        assert calls == []
+        green_real(inner.real, E, data)
+        assert calls == [inner]
+        if direction > 0.0:  # green_complex excludes the left half-line
+            calls.clear()
+            green_complex(outer, E, data)
+            green_complex(inner, E, data)
+            assert calls == [inner]
+    for direction in (1j, -1j, cmath.exp(0.7j), cmath.exp(-2.9j)):
+        inner, outer = _ellipse_crossing(E, reach, direction)
+        assert abs(abs(_joukowski(E, outer)) - 1.5) <= 8.0 * np.spacing(1.5)
+        calls.clear()
+        green_complex(outer, E, data)
+        green_complex(inner, E, data)
+        assert calls == [inner]
 
 
 def test_green_complex_paths_are_one_panel(three_interval, monkeypatch):
-    # within the far radius the path from the endpoint nearest Re z is
-    # shorter than 3 s, under the far-field knots' 16 s, and no other
+    # inside the ellipse |v| = 1.5 the path from the endpoint nearest Re z
+    # is shorter than 3 s, under the far-field knots' 16 s, and no other
     # endpoint splits it; a batch makes one segment call
     rng = np.random.default_rng(2026)
     count = 0
     while count < 5000:
         E, z = _path_triples(rng)
-        t, s = E.frame
-        if z.imag == 0.0 or abs(z - t) >= 2.0 * s:
+        reach = (green._ELLIPSE + 1.0 / green._ELLIPSE) * E.frame[1]
+        if z.imag == 0.0 or green._outside_ellipse(z, E.endpoints, reach):
             continue
         b = E.endpoints
         assert _path(E, b[green._nearest_endpoint(b, z.real)], z) == [z]

@@ -136,10 +136,11 @@ NARROW_THREE = [[-1.0, -0.3], [-0.2998, 0.4], [0.4001, 1.0]]
 
 
 def test_grid_failed_point_carries_its_error():
-    # under FEW_NODES the path of -0.5+1j, from -1e-4, does not converge;
-    # the path of -1.5+0.5j, from -1, does
+    # under FEW_NODES the path of -1e-4+0.25j, a quarter half-width above
+    # the narrow gap's left edge, does not converge; the path of -0.9+0.2j,
+    # from -1, does (both lie inside the ellipse |v| = 1.5)
     wm = solve(NARROW_GAP)
-    failed, ok = map_grid([complex(-0.5, 1.0), complex(-1.5, 0.5)], wm.domain,
+    failed, ok = map_grid([complex(-1e-4, 0.25), complex(-0.9, 0.2)], wm.domain,
                           wm.lemniscatic, wm.green, cfg=FEW_NODES)
     assert failed.status == "failed" and failed.result is None
     assert failed.error.startswith("NoConvergence: segment rule did not reach tolerance")
@@ -365,10 +366,11 @@ def test_points_well_off_the_axis_start_from_z(three_interval):
 
 def _mixed_points(E):
     """Off-axis points near and far, real-gap points, every endpoint,
-    interior points of E, and, in the middle of the list, a point one
-    half-width s above the left edge of the narrowest gap: inside the radius
-    2 s within which Green targets are integrated, its path from that edge
-    passes the gap's other edge and does not converge under FEW_NODES."""
+    interior points of E, and, in the middle of the list, a point a quarter
+    half-width s above the left edge of the narrowest gap: inside the
+    ellipse |v| = 1.5 within which Green targets are integrated, its path
+    from that edge passes the gap's other edge and does not converge under
+    FEW_NODES."""
     b = E.endpoints
     k = int(np.argmin(np.diff(b)[1::2]))  # gap k + 1 is (b[2k + 1], b[2k + 2])
     lo, hi = E.components[0]
@@ -379,7 +381,7 @@ def _mixed_points(E):
     zs += [complex(b[0] - 0.5), complex(b[-1] + 0.5)]
     zs += [complex(x) for x in b]
     zs += [complex(0.5 * (lo + hi)), complex(0.25 * lo + 0.75 * hi)]
-    zs.insert(len(zs) // 2, complex(b[2 * k + 1], E.frame[1]))
+    zs.insert(len(zs) // 2, complex(b[2 * k + 1], 0.25 * E.frame[1]))
     return zs
 
 
