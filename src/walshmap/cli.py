@@ -226,7 +226,8 @@ def _cmd_boundary(args) -> int:
     else:
         doc = [{"center": float(tr.center), "sampled": tr.sampled,
                 "points": None if tr.points is None else
-                [[float(w.real), float(w.imag)] for w in tr.points]}
+                [[float(w.real), float(w.imag)] for w in tr.points],
+                "reason": tr.reason}
                for tr in traces]
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0

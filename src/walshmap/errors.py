@@ -121,7 +121,3 @@ class InsideE(InputError):
 
 class NotFinite(InputError, ValueError):
     """Map or Green's function requested at an infinite or NaN point."""
-
-
-class RayBracketFailure(SolverError):
-    """A boundary-tracing ray crossed the level set more than once."""

@@ -655,7 +655,7 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     return total.reshape(z.shape)
 
 
-def _capacity_one(E: IntervalUnion, roots, side: int, beta: float,
+def _capacity_one(E: IntervalUnion, roots, side: int, beta: float, unit: float,
                   cfg: QuadConfig) -> float:
     b = np.asarray(E.endpoints)
     base = b[-1] if side > 0 else b[0]
@@ -666,9 +666,11 @@ def _capacity_one(E: IntervalUnion, roots, side: int, beta: float,
     ratio = _ns_ratio(side * (base - np.asarray(roots, dtype=float)),
                       side * (base - b))
 
-    def fd(delta):
-        # on both tails the signed integrand reduces to 1/|x-beta| - |N/S|
-        return 1.0 / (delta + shift) - ratio(delta)
+    def fd(u):
+        # in u = delta / unit, whose nodes span the set's scale; on both
+        # tails the signed integrand reduces to 1/|x-beta| - |N/S|
+        delta = unit * u
+        return unit * (1.0 / (delta + shift) - ratio(delta))
 
     integral = integrate_tail(None, base, side, cfg, fd=fd)
     return shift * math.exp(integral)
@@ -679,9 +681,10 @@ def capacity(E: IntervalUnion, data_or_roots, cfg: QuadConfig | None = None,
              beta_left: float | None = None) -> float:
     """Logarithmic capacity as the mean of the two tail formulas.
 
-    Evaluates the right-tail formula with beta_right (default b_{2l} - 1) and
-    the left-tail formula with beta_left (default b_1 + 1); their discrepancy
-    is a built-in consistency diagnostic.
+    Evaluates the right-tail formula with beta_right (default b_{2l} - p) and
+    the left-tail formula with beta_left (default b_1 + p), where p is the
+    power of two nearest the half-width of the hull; their discrepancy is a
+    built-in consistency diagnostic.
     """
     cfg = cfg or DEFAULT_CONFIG
     roots = data_or_roots.roots if isinstance(data_or_roots, GreenData) else data_or_roots
@@ -691,12 +694,18 @@ def capacity(E: IntervalUnion, data_or_roots, cfg: QuadConfig | None = None,
 
 def _capacity_both(E, roots, cfg, beta_right=None, beta_left=None):
     """Mean of the two tail formulas and their discrepancy; raises
-    CapacityMismatch when they disagree by more than 100 tolerances."""
+    CapacityMismatch when they disagree by more than 100 tolerances.
+
+    Both tails are integrated in units of p, the power of two nearest the
+    half-width s of the hull: the tail rule's nodes span 5e-38..2e37 from
+    the endpoint, so in absolute units they miss a set far from unit scale.
+    Scaling by p is exact, and p = 1 for s in [0.71, 1.41)."""
     b = E.endpoints
-    beta_right = b[-1] - 1.0 if beta_right is None else beta_right
-    beta_left = b[0] + 1.0 if beta_left is None else beta_left
-    cap1 = _capacity_one(E, roots, +1, beta_right, cfg)
-    cap2 = _capacity_one(E, roots, -1, beta_left, cfg)
+    unit = math.ldexp(1.0, round(math.log2(E.frame[1])))
+    beta_right = b[-1] - unit if beta_right is None else beta_right
+    beta_left = b[0] + unit if beta_left is None else beta_left
+    cap1 = _capacity_one(E, roots, +1, beta_right, unit, cfg)
+    cap2 = _capacity_one(E, roots, -1, beta_left, unit, cfg)
     cap = 0.5 * (cap1 + cap2)
     if abs(cap1 - cap2) > 100.0 * cfg.tolerance(cap):
         raise CapacityMismatch(

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsideE, NoConvergence, RayBracketFailure, WalshMapError
+from .errors import InsideE, NoConvergence, WalshMapError
 from .green import GreenData, _green_integral, _green_real, _require_finite, green_complex
 from .intervals import IntervalUnion, locate
-from .lemniscatic import (LemniscaticDomain, _bisect, _deriv_values, _green_scalar,
-                          _green_values, _outer_reach)
+from .lemniscatic import LemniscaticDomain, _bisect, _green_scalar, _outer_reach
 from .newton import damped_newton, damped_newton_masked
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
@@ -350,99 +349,177 @@ def branch_offset(E: IntervalUnion, data: GreenData, k: int, z: complex,
 
 @dataclass(frozen=True)
 class BoundaryTrace:
+    """One lobe of L: a closed polyline on its boundary around center, or
+    for an unsampled lobe None, with the message of the check it failed in
+    reason."""
+
     center: float
     points: np.ndarray | None  # closed polyline; None if unsampled
     sampled: bool
+    reason: str | None = None
 
 
-def _trace_component(dom, j, n_rays):
-    """Closed polyline of n_rays points on the boundary of the lobe of L
-    around center j, one per ray, at the first level crossing of each ray.
+# bisections of log r after the inner disk's halving: they shrink its last
+# factor 2 to 2^(2^-10), within 7e-4
+_DISK_STEPS = 10
 
-    Both bracket ends come from geometry.  Inner end: the smaller on-axis
-    radius min(a_j - c_{2j-1}, c_{2j} - a_j), halved until
-    m_j log r + sum_{i != j} m_i log(|a_i - a_j| + r) < log cap, so the whole
-    disk lies in L.  Outer end: where the ray meets the vertical line through
-    a neighboring critical point w_k (along which g only grows from
-    g(w_k) > 0), the line 2 cap beyond an outermost center (see _outer_reach)
-    or the band |Im w| = 2 cap (beyond which g >= log 2).  L between these
-    bounds is this lobe alone, so every sign change before the outer end is
-    the lobe's own.  Each ray marches by a factor of 1.1 from the inner end
-    until g > 0, never past its outer end, and _bisect solves the bracket by
-    Newton's method in r from its inner end, where g is concave in r and
-    Newton does not overshoot.  Raises RayBracketFailure for an inner disk
-    below the float spacing at the center, a ray that reaches its outer end
-    inside L, or a ray that re-enters L just beyond its crossing (tangency
-    or a wiggle).
-    """
-    a = np.asarray(dom.centers)
-    m = np.asarray(dom.exponents.m)
-    cap = dom.capacity
-    c = dom.boundary_c
-    center = a[j]
-    r_in = min(center - c[2 * j], c[2 * j + 1] - center)
-    # sum_i m_i log(|a_i - a_j| + r) bounds g + log cap on the disk of radius r
-    while np.log(np.abs(a - center) + r_in) @ m >= math.log(cap):
-        r_in *= 0.5
-        if r_in < np.spacing(abs(center)):
-            raise RayBracketFailure(f"no disk inside L around center {center}")
-    reach = _outer_reach(cap, 0.0)
-    left = dom.crit_w[j - 1] if j > 0 else a[0] - reach
-    right = dom.crit_w[j] if j < len(a) - 1 else a[-1] + reach
-    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False))
-    with np.errstate(divide="ignore"):
-        r_out = np.minimum(
-            np.where(ray.real > 0, right - center, center - left) / np.abs(ray.real),
-            2.0 * cap / np.abs(ray.imag))
 
-    def level(r, rays=slice(None)):
-        return _green_values(center + r * ray[rays], a, m, cap)
+# center distances per block of a level pass: bounds its (ell, rays)
+# temporaries, which otherwise grow as ell^2 n and stay in the resident
+# memory of the process
+_TRACE_BLOCK = 32768
 
-    neg = np.full(n_rays, r_in)
-    pos = np.minimum(1.1 * neg, r_out)
-    marching = np.flatnonzero(level(pos) <= 0)
-    while marching.size:
-        if np.any(pos[marching] == r_out[marching]):
-            raise RayBracketFailure(
-                f"rays from center {center} reach their outer end inside L")
-        neg[marching] = pos[marching]
-        pos[marching] = np.minimum(1.1 * pos[marching], r_out[marching])
-        marching = marching[level(pos[marching], marching) <= 0]
 
-    def level_slope(r):
-        w = center + r * ray
-        # d/dr g(center + r e^{i theta}) = Re(e^{i theta} sum m_j / (w - a_j))
-        return _green_values(w, a, m, cap), (ray * _deriv_values(w, a, m)).real
+def _blocks(ell, count):
+    step = max(1, _TRACE_BLOCK // ell)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
-    r = _bisect(level_slope, pos, neg, start=neg)
-    # immediately outside the crossing the ray must stay outside L
-    for factor in (1.005, 1.02, 1.05):
-        if np.any(level(np.minimum(r * factor, r_out)) <= 0):
-            raise RayBracketFailure(
-                f"rays from center {center} re-enter the level set")
-    pts = center + r * ray
-    return np.append(pts, pts[:1])
+
+def _level(center, a, cos, sin, r, m, log_cap):
+    """g_L at radius r along each ray, in the trace's unit: ray k leaves
+    center[k] in the direction (cos_k, sin_k), and a is the column of every
+    center."""
+    out = np.empty(r.size)
+    for k in _blocks(a.size, r.size):
+        dy = r[k] * sin[k]
+        q = center[k] - a
+        q += r[k] * cos[k]
+        q *= q
+        q += dy * dy
+        out[k] = 0.5 * (m @ np.log(q, out=q)) - log_cap
+    return out
+
+
+def _level_slope(center, a, cos, sin, r, m, log_cap):
+    """_level and its derivative in r, sum m_i (dx cos + dy sin) / q_i, from
+    the same squared distances q = dx^2 + dy^2."""
+    g, slope = np.empty(r.size), np.empty(r.size)
+    for k in _blocks(a.size, r.size):
+        dy = r[k] * sin[k]
+        dx = center[k] - a
+        dx += r[k] * cos[k]
+        q = dx * dx
+        q += dy * dy
+        dx *= cos[k]
+        dx += dy * sin[k]
+        dx /= q
+        g[k] = 0.5 * (m @ np.log(q, out=q)) - log_cap
+        slope[k] = m @ dx
+    return g, slope
 
 
 def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> list[BoundaryTrace]:
     """Trace each boundary component of L by radial root finding of the
-    Green's level set along rays from its center, bracketed between a disk
-    inside the lobe and the critical lines and band that enclose it (see
-    _trace_component).
+    Green's level set along points_per_component rays from its center, one
+    point per ray at the ray's first level crossing, the rays of every lobe
+    in one batch.
 
-    A ray may re-enter L beyond its outer end, but that part of L belongs to
-    a neighboring lobe.  A component whose rays cannot be bracketed, or
-    re-enter L right after their crossing (star-shaped sampling assumption
-    violated), is reported unsampled rather than wrong.  Raises ValueError
+    Both bracket ends come from geometry.  Inner end: a disk inside the
+    lobe.  Its radius starts at the smaller on-axis distance
+    min(a_j - c_{2j-1}, c_{2j} - a_j) and is halved until
+    m_j log r + sum_{i != j} m_i log(|a_i - a_j| + r) < log cap, so the whole
+    disk lies in L.  That bound increases in r, so a bisection of log r
+    between the radius and twice it then widens the disk to within 7e-4 of
+    the largest radius the bound admits.  Outer end: where the ray meets the vertical
+    line through a neighboring critical point w_k (along which g only grows
+    from g(w_k) > 0), the line 2 cap beyond an outermost center (see
+    _outer_reach) or the band |Im w| = 2 cap (beyond which g >= log 2).  L
+    between these bounds is this lobe alone, so every sign change before
+    the outer end is the lobe's own; a ray may re-enter L beyond its outer
+    end, but that part of L belongs to a neighboring lobe.  Each ray
+    marches by a factor of 1.1 from the inner end until g > 0, never past
+    its outer end, and _bisect solves the bracket by Newton's method in r
+    from its inner end, where g is concave in r and Newton does not
+    overshoot.  g and its radial slope come from the real squared distances
+    to the centers, in a power-of-two unit near cap, so extreme scales
+    neither overflow nor underflow.
+
+    A lobe is reported unsampled, with the failed check in reason, when its
+    inner disk falls below the float spacing at its center, one of its rays
+    reaches its outer end inside L, or one re-enters L at 1.005, 1.02 or
+    1.05 times its crossing (tangency or a wiggle: the star-shaped sampling
+    assumption fails); the other lobes are unaffected.  Raises ValueError
     for fewer than one point per component.
     """
-    if points_per_component < 1:
-        raise ValueError(f"points_per_component {points_per_component} < 1")
-    out = []
-    for j, center in enumerate(dom.centers):
-        try:
-            pts = _trace_component(dom, j, points_per_component)
-            out.append(BoundaryTrace(center, pts, True))
-        except RayBracketFailure:
-            out.append(BoundaryTrace(center, None, False))
-    return out
+    n = points_per_component
+    if n < 1:
+        raise ValueError(f"points_per_component {n} < 1")
+    a = np.asarray(dom.centers)
+    m = np.asarray(dom.exponents.m)
+    c = np.asarray(dom.boundary_c)
+    cap = dom.capacity
+    unit = math.ldexp(1.0, round(math.log2(cap)))
+    log_cap = math.log(cap / unit)
+    reasons = [None] * a.size
+
+    gaps = np.abs(a[:, None] - a) / unit
+
+    def bound(lobes, r):  # of g + log cap on each lobe's disk of radius r
+        return np.log(gaps[lobes] + r[:, None]) @ m
+
+    r_in = np.minimum(a - c[0::2], c[1::2] - a) / unit
+    floor = np.spacing(np.abs(a)) / unit
+    lobes = np.arange(a.size)
+    while lobes.size:
+        lobes = lobes[bound(lobes, r_in[lobes]) >= log_cap]
+        r_in[lobes] *= 0.5
+        tiny = r_in[lobes] < floor[lobes]
+        for j in lobes[tiny].tolist():
+            reasons[j] = f"no disk inside L around center {a[j]}"
+        lobes = lobes[~tiny]
+    live = np.flatnonzero([reason is None for reason in reasons])
+    lo, hi = r_in[live], 2.0 * r_in[live]
+    for _ in range(_DISK_STEPS):
+        mid = np.sqrt(lo * hi)
+        inside = bound(live, mid) < log_cap
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    r_in[live] = lo
+
+    reach = _outer_reach(cap, 0.0)
+    crit = np.asarray(dom.crit_w, dtype=float)
+    left = np.concatenate(([a[0] - reach], crit))
+    right = np.concatenate((crit, [a[-1] + reach]))
+    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    with np.errstate(divide="ignore"):
+        r_out = np.minimum(
+            np.where(ray.real > 0, (right - a)[:, None], (a - left)[:, None]) / np.abs(ray.real),
+            2.0 * cap / np.abs(ray.imag)) / unit
+    # the rays of every lobe with a disk, the centers in the trace's unit
+    lobe = np.repeat(live, n)
+    a_unit = a / unit
+    center, column = a_unit[lobe], a_unit[:, None]
+    cos, sin = np.tile(ray.real, live.size), np.tile(ray.imag, live.size)
+    r_out = r_out[live].reshape(-1)
+
+    neg = r_in[lobe]
+    pos = np.minimum(1.1 * neg, r_out)
+    marching = np.flatnonzero(_level(center, column, cos, sin, pos, m, log_cap) <= 0)
+    while marching.size:
+        at_end = pos[marching] == r_out[marching]
+        if at_end.any():
+            ended = np.unique(lobe[marching[at_end]])
+            for j in ended.tolist():
+                reasons[j] = f"rays from center {a[j]} reach their outer end inside L"
+            marching = marching[~np.isin(lobe[marching], ended)]
+        neg[marching] = pos[marching]
+        pos[marching] = np.minimum(1.1 * pos[marching], r_out[marching])
+        marching = marching[_level(center[marching], column, cos[marching],
+                                   sin[marching], pos[marching], m, log_cap) <= 0]
+    bracketed = np.array([reason is None for reason in reasons])[lobe]
+    if not bracketed.all():
+        lobe, center, cos, sin, r_out, pos, neg = (
+            v[bracketed] for v in (lobe, center, cos, sin, r_out, pos, neg))
+
+    r = _bisect(lambda r: _level_slope(center, column, cos, sin, r, m, log_cap),
+                pos, neg, start=neg)
+    # immediately outside the crossing the ray must stay outside L
+    for factor in (1.005, 1.02, 1.05):
+        inside = _level(center, column, cos, sin, np.minimum(r * factor, r_out),
+                        m, log_cap) <= 0
+        for j in np.unique(lobe[inside]).tolist():
+            reasons[j] = reasons[j] or f"rays from center {a[j]} re-enter the level set"
+    pts = (a[lobe] + (r * unit) * (cos + 1j * sin)).reshape(-1, n)
+    closed = dict(zip(lobe[::n].tolist(), np.concatenate((pts, pts[:, :1]), axis=1)))
+    return [BoundaryTrace(center, None, False, reasons[j]) if reasons[j]
+            else BoundaryTrace(center, closed[j], True)
+            for j, center in enumerate(dom.centers)]

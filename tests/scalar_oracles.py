@@ -11,7 +11,9 @@ roots from coefficients (the solve finds the roots directly), and
 rational_mass_fit tests masses for a common denominator, a sign of a
 polynomial pre-image.  endpoint_weight_fd is the weight 1/sqrt|H| as one
 product of every endpoint distance, which green._product_integrals
-replaced with factors paired per gap.
+replaced with factors paired per gap.  trace_lobe is the one-lobe boundary
+trace, in complex arithmetic from an inner disk found by halving alone,
+that mapping.trace_boundary replaced with one batch over every lobe.
 """
 
 import math
@@ -19,6 +21,7 @@ import math
 import numpy as np
 
 from walshmap.errors import BracketFailure, PoleAtCenter, RootNotBracketed
+from walshmap.lemniscatic import _bisect, _deriv_values, _green_values, _outer_reach
 
 
 def green_scalar(w, a, m, cap):
@@ -274,3 +277,52 @@ def endpoint_weight_fd(E, i_lo, i_hi):
         return 1.0 / np.sqrt(np.prod(factors, axis=0))
 
     return float(lo), float(hi), fd
+
+
+def trace_lobe(dom, j, n_rays):
+    """The closed polyline of trace_boundary on the lobe around center j, or
+    None where it reports the lobe unsampled: the inner disk halved from the
+    nearer on-axis crossing, never widened again, and each ray's g and slope
+    from complex w - a_i."""
+    a = np.asarray(dom.centers)
+    m = np.asarray(dom.exponents.m)
+    cap = dom.capacity
+    c = dom.boundary_c
+    center = a[j]
+    r_in = min(center - c[2 * j], c[2 * j + 1] - center)
+    while np.log(np.abs(a - center) + r_in) @ m >= math.log(cap):
+        r_in *= 0.5
+        if r_in < np.spacing(abs(center)):
+            return None
+    reach = _outer_reach(cap, 0.0)
+    left = dom.crit_w[j - 1] if j > 0 else a[0] - reach
+    right = dom.crit_w[j] if j < len(a) - 1 else a[-1] + reach
+    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False))
+    with np.errstate(divide="ignore"):
+        r_out = np.minimum(
+            np.where(ray.real > 0, right - center, center - left) / np.abs(ray.real),
+            2.0 * cap / np.abs(ray.imag))
+
+    def level(r, rays=slice(None)):
+        return _green_values(center + r * ray[rays], a, m, cap)
+
+    neg = np.full(n_rays, r_in)
+    pos = np.minimum(1.1 * neg, r_out)
+    marching = np.flatnonzero(level(pos) <= 0)
+    while marching.size:
+        if np.any(pos[marching] == r_out[marching]):
+            return None
+        neg[marching] = pos[marching]
+        pos[marching] = np.minimum(1.1 * pos[marching], r_out[marching])
+        marching = marching[level(pos[marching], marching) <= 0]
+
+    def level_slope(r):
+        w = center + r * ray
+        return _green_values(w, a, m, cap), (ray * _deriv_values(w, a, m)).real
+
+    r = _bisect(level_slope, pos, neg, start=neg)
+    for factor in (1.005, 1.02, 1.05):
+        if np.any(level(np.minimum(r * factor, r_out)) <= 0):
+            return None
+    pts = center + r * ray
+    return np.append(pts, pts[:1])

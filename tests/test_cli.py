@@ -10,6 +10,7 @@ import pytest
 
 from walshmap import cli, errors
 from walshmap.cli import GRID_HEADER, main
+from walshmap.mapping import BoundaryTrace
 from walshmap.quadrature import QuadConfig
 
 import reference_values as ref
@@ -193,13 +194,20 @@ def test_grid_bad_counts(capsys):
     assert code == 2
 
 
-def test_boundary_doc(capsys):
+def test_boundary_doc(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "boundary", "--intervals=-1,1", "--points", "16")
     assert code == 0
     doc = json.loads(out)
-    assert doc[0]["sampled"] is True
+    assert doc[0]["sampled"] is True and doc[0]["reason"] is None
     pts = np.array([complex(re, im) for re, im in doc[0]["points"]])
     assert np.max(np.abs(np.abs(pts) - 0.5)) < 1e-9
+    # an unsampled lobe carries the message of the check it failed
+    unsampled = BoundaryTrace(0.5, None, False, "no disk inside L around center 0.5")
+    monkeypatch.setattr(cli, "trace_boundary", lambda dom, n: [unsampled])
+    code, out, _ = run_cli(capsys, "boundary", "--intervals=-1,1", "--points", "16")
+    assert code == 0
+    assert json.loads(out) == [{"center": 0.5, "sampled": False, "points": None,
+                                "reason": "no disk inside L around center 0.5"}]
 
 
 def test_boundary_without_points_exits_2(capsys):

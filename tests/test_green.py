@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -811,6 +812,25 @@ def test_capacity_invariant_under_shift_choice(two_interval):
     for br, bl in ((0.5, 0.0), (-2.0, 3.0), (0.999, -0.999)):
         v = capacity(wm.domain, wm.green, beta_right=br, beta_left=bl)
         assert abs(v - base) < 1e-10
+
+
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   ref.cantor_pairs(2)])
+def test_capacity_is_scale_covariant_from_1e_minus_40_to_1e40(pairs):
+    # the tail rule's nodes span 5e-38..2e37 from the endpoint: in absolute
+    # units the default beta = b_{2l} - 1 equalled b_{2l} at 1e16 (ValueError),
+    # drifted by 3.5e-9 at 1e-20 and stopped converging at 1e-24; in units of
+    # the power of two nearest the half-width every scale solves
+    base = solve(pairs)
+    s = base.domain.frame[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-40, 41):
+            scale = 10.0 ** k
+            wm = solve([[scale * lo, scale * hi] for lo, hi in pairs])
+            assert abs(wm.green.capacity / scale - base.green.capacity) <= 1e-13 * base.green.capacity
+            centers = np.array(wm.lemniscatic.centers) / scale
+            assert np.max(np.abs(centers - base.lemniscatic.centers)) <= 1e-13 * s
 
 
 def test_capacity_mismatch_guard(two_interval):

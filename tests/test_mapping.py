@@ -15,6 +15,7 @@ from walshmap.quadrature import QuadConfig
 from walshmap.verify import random_interval_set
 
 import reference_values as ref
+from scalar_oracles import trace_lobe
 
 
 def joukowski_half(z):
@@ -227,6 +228,7 @@ def test_trace_boundary_lobe_below_float_spacing_is_unsampled():
                             outer_iterations=0, inner_residual=0.0)
     [trace] = trace_boundary(dom, 16)
     assert not trace.sampled and trace.points is None
+    assert trace.reason == "no disk inside L around center 1.0"
 
 
 def test_trace_boundary_points_lie_on_the_level_set(two_interval, three_interval, cantor2):
@@ -260,6 +262,67 @@ def test_trace_boundary_narrow_gaps(pairs):
         for p in tr.points[:-1]:
             inner = dom.centers[j] + s * (p - dom.centers[j])
             assert np.max(green_level(inner, dom)) < 0.0
+
+
+@pytest.mark.parametrize("pairs", [ref.THREE_INTERVAL["pairs"],
+                                   ref.dirichlet_intervals(np.random.default_rng(3), 5)])
+def test_trace_boundary_failures_stay_per_lobe(pairs):
+    # the critical line left of the last lobe moved inside it, halfway from
+    # c_{2l-1} to a_l: that lobe's leftward rays reach their outer end inside
+    # L, and the batch drops that lobe alone
+    dom = solve(pairs).lemniscatic
+    k = dom.ell - 1
+    bad = dataclasses.replace(dom, crit_w=dom.crit_w[:-1] + (
+        0.5 * (dom.boundary_c[2 * k] + dom.centers[k]),))
+    got, good = trace_boundary(bad, 64), trace_boundary(dom, 64)
+    assert [t.sampled for t in got] == [True] * k + [False]
+    assert got[k].points is None
+    assert got[k].reason == f"rays from center {dom.centers[k]} reach their outer end inside L"
+    assert trace_lobe(bad, k, 64) is None
+    for j in range(k):
+        scale = np.max(np.abs(good[j].points))
+        assert np.max(np.abs(got[j].points - good[j].points)) <= 2e-15 * scale
+        assert np.max(np.abs(got[j].points - trace_lobe(bad, j, 64))) <= 2e-15 * scale
+
+
+def test_trace_boundary_passes_do_not_grow_with_ell(monkeypatch):
+    # every level and slope pass runs over the rays of all lobes at once
+    for pairs in (ref.TWO_INTERVAL["pairs"],
+                  ref.dirichlet_intervals(np.random.default_rng(0), 40)):
+        dom = solve(pairs).lemniscatic
+        calls = {"_level": 0, "_level_slope": 0}
+        for name in calls:
+            def counting(*args, name=name, real=getattr(mapping, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(mapping, name, counting)
+        traces = trace_boundary(dom, 64)
+        monkeypatch.undo()
+        assert all(t.sampled for t in traces)
+        assert calls["_level"] <= 20 and calls["_level_slope"] <= 12
+
+
+def test_trace_boundary_blocks_give_the_same_points(monkeypatch, three_interval):
+    # a level pass works in blocks of _TRACE_BLOCK center distances; blocks
+    # of a few rays each must trace the same points
+    whole = trace_boundary(three_interval.lemniscatic, 64)
+    monkeypatch.setattr(mapping, "_TRACE_BLOCK", 20)
+    for tr, ref_tr in zip(trace_boundary(three_interval.lemniscatic, 64), whole):
+        assert np.max(np.abs(tr.points - ref_tr.points)) <= 1e-15 * np.max(np.abs(ref_tr.points))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-40, 1e40, 1e150])
+def test_trace_boundary_at_extreme_scales(scale):
+    # the squared distances are taken in a power-of-two unit near the
+    # capacity, so they neither overflow nor underflow
+    pairs = ref.THREE_INTERVAL["pairs"]
+    at_one = trace_boundary(solve(pairs).lemniscatic, 64)
+    traces = trace_boundary(solve([[scale * lo, scale * hi] for lo, hi in pairs]).lemniscatic, 64)
+    assert all(t.sampled for t in traces)
+    for tr, ref_tr in zip(traces, at_one):
+        expected = scale * ref_tr.points
+        assert np.max(np.abs(tr.points - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
