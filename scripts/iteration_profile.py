@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Profile the centers iteration over random interval sets.
+"""Profile the centers' damped Newton over random interval sets.
 
 Draws seeded random unions, runs the full solve, and prints a histogram of
-outer iteration counts together with the worst invariant defects:
+the centers' Newton step counts (LemniscaticDomain.outer_iterations)
+together with the worst invariant defects:
 
     python scripts/iteration_profile.py --ell 10 --count 200 --seed 1
 """
@@ -48,7 +49,7 @@ def main():
           f"(min length {args.min_length:g}, seed {args.seed})")
     for steps in sorted(histogram):
         bar = "#" * histogram[steps]
-        print(f"  {steps:2d} outer steps: {histogram[steps]:4d} {bar}")
+        print(f"  {steps:2d} Newton steps: {histogram[steps]:4d} {bar}")
     print(f"worst invariant defect: {worst:.3e}")
     print(f"total {elapsed:.1f}s ({1e3 * elapsed / args.count:.1f} ms per set)")
 

@@ -10,7 +10,7 @@ from .green import (GreenData, alpha_coefficient, capacity, green_complex,
                     sqrt_branch_rim)
 from .intervals import Gap, IntervalUnion, Location, locate, parse_domain
 from .lemniscatic import (LemniscaticDomain, boundary_abscissae, centers_general,
-                          centers_three, centers_two, solve_domain)
+                          centers_two, solve_domain)
 from .mapping import (BoundaryTrace, GridPoint, MapResult, branch_offset,
                       map_grid, map_point, trace_boundary)
 from .quadrature import (QuadConfig, integrate_chebyshev,
@@ -22,7 +22,7 @@ __all__ = [
     "BoundaryTrace", "ExponentVector", "Gap", "GreenData", "GridPoint",
     "IntervalUnion", "LemniscaticDomain", "Location", "MapResult", "QuadConfig",
     "WalshMap", "alpha_coefficient", "boundary_abscissae", "branch_offset",
-    "capacity", "centers_general", "centers_three", "centers_two",
+    "capacity", "centers_general", "centers_two",
     "contour_mass", "density", "errors", "exponents",
     "green_complex", "green_data", "green_poly", "green_real",
     "integrate_chebyshev", "integrate_segment_complex", "integrate_tail",

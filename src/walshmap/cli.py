@@ -248,7 +248,7 @@ def _cmd_verify(args) -> int:
 
 
 def _quad_config(args) -> QuadConfig:
-    return QuadConfig(abs_tol=args.quad_tol, rel_tol=args.quad_tol)
+    return QuadConfig(tol=args.quad_tol)
 
 
 def _add_common(parser):

@@ -38,8 +38,8 @@ class NoConvergence(SolverError):
     """An iteration ended short of its tolerance: a quadrature rule's node
     doubling, or damped Newton (newton.damped_newton, or its masked twin for
     the points of a map_grid batch) when no halving of a step is taken or the
-    steps run out.  The map raises it for a point whose equation stalls,
-    centers_three for a residual stalled above 1e-10.
+    steps run out.  The map raises it for a point whose equation stalls, and
+    solve_domain and centers_general for a stalled center Newton.
     best is the last estimate or iterate, estimate its error or residual;
     failures, each failed element's own error by flat index, is set by an
     array call of the segment rule (per panel) and a batch of Green's
@@ -106,7 +106,7 @@ class BracketFailure(SolverError):
 
 
 class MaxIterExceeded(SolverError):
-    """Center iteration did not converge within the outer cap."""
+    """The paper's centers iteration (centers_general) ran out of steps."""
 
 
 class OrderViolation(ConsistencyError):

@@ -364,7 +364,7 @@ def _nearest_endpoint(b, x: float) -> int:
 
 
 def _nonnegative(g: float, cfg: QuadConfig) -> float:
-    return 0.0 if -100.0 * cfg.abs_tol < g < 0.0 else g
+    return 0.0 if -100.0 * cfg.tol < g < 0.0 else g
 
 
 # Chebyshev terms K of the far field; the ellipse |v| = V, in the Joukowski
@@ -456,7 +456,7 @@ def _outside_ellipse(p, b, reach) -> bool:
 def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) -> float:
     """Green's function at real x: 0 on E, the Chebyshev series outside the
     ellipse, else the integral from the nearest endpoint, where a rounding of
-    up to 100 abs_tol below 0 reads 0."""
+    up to 100 tol below 0 reads 0."""
     if E.contains(x):
         return 0.0
     b = E.endpoints
@@ -701,7 +701,7 @@ def _capacity_both(E, roots, cfg, beta_right=None, beta_left=None):
     the endpoint, so in absolute units they miss a set far from unit scale.
     Scaling by p is exact, and p = 1 for s in [0.71, 1.41)."""
     b = E.endpoints
-    unit = math.ldexp(1.0, round(math.log2(E.frame[1])))
+    unit = E.unit
     beta_right = b[-1] - unit if beta_right is None else beta_right
     beta_left = b[0] + unit if beta_left is None else beta_left
     cap1 = _capacity_one(E, roots, +1, beta_right, unit, cfg)

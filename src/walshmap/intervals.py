@@ -59,6 +59,11 @@ class IntervalUnion:
         return (b[0] + b[-1]) / 2, (b[-1] - b[0]) / 2
 
     @property
+    def unit(self) -> float:
+        """Power of two nearest the half-width: an exact unit of length."""
+        return math.ldexp(1.0, round(math.log2(self.frame[1])))
+
+    @property
     def components(self) -> list[tuple[float, float]]:
         b = self.endpoints
         return [(b[2 * j], b[2 * j + 1]) for j in range(self.ell)]

@@ -2,11 +2,12 @@
 
 L = {w : prod |w - a_j|^(m_j) <= capacity} has the same capacity, Green's
 function values and critical-point structure as E; the centers a_j are
-recovered from that correspondence.  solve_domain dispatches two solver
-paths: explicit formulas for one and two components, and the general
-fixed-point iteration (centers step + critical-point step) for three or
-more.  The critical-point system for three components, centers_three, is a
-separate route that cross-checks the iteration.
+recovered from that correspondence.  solve_domain takes explicit formulas
+for one and two components, and for three or more one damped Newton on the
+centers with the critical points w = crit_points(a) at every trial.  The
+paper's alternating iteration (a center solve at fixed critical points, then
+a critical-point update), centers_general, runs on the same center solve and
+reproduces the paper's step counts.
 """
 
 import math
@@ -28,7 +29,6 @@ __all__ = [
     "crit_points",
     "boundary_abscissae",
     "centers_two",
-    "centers_three",
     "centers_general",
     "solve_domain",
 ]
@@ -39,10 +39,8 @@ class LemniscaticDomain:
     """Converged lemniscatic data: centers, masses, capacity, critical points
     w_1..w_{ell-1} and the real zeros c_1..c_{2l} of the Green's function.
 
-    outer_iterations counts the centers-iteration steps that exceeded the
-    stopping tolerance (the final sub-tolerance step is not counted, matching
-    how iteration counts are usually reported for this scheme).
-    inner_residual is the last center solve's residual in the frame of E:
+    outer_iterations counts the steps of the centers' damped Newton (0 for
+    one and two components), and inner_residual is its final residual:
     Green's values, and the center sum in half-widths (IntervalUnion.frame).
     """
 
@@ -256,13 +254,13 @@ def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):
     return data.alpha - m2 * beta, data.alpha + m1 * beta
 
 
-def _center_newton(a, w, m, targets, s):
-    """Residual of the center equations sum m_j log|w_i - a_j| = targets_i
-    and sum m_j a_j = targets[-1] at the critical points w, the center sum in
-    units of the half-width s, and the full Newton step.  A singular
-    Jacobian gives a NaN step, which no damped trial accepts."""
+def _center_newton(a, w, m, targets, s, p):
+    """Residual of the center equations sum m_j log(|w_i - a_j| / p) =
+    targets_i at the critical points w, in units of p, and sum m_j a_j =
+    targets[-1] in units of the half-width s; and the full Newton step.  A
+    singular Jacobian gives a NaN step, which no damped trial accepts."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(np.abs(w[:, None] - a[None, :])) @ m
+        vals = np.log(np.abs(w[:, None] - a[None, :]) / p) @ m
         J = np.empty((a.size, a.size))
         J[:-1, :] = -m[None, :] / (w[:, None] - a[None, :])
     J[-1, :] = m / s
@@ -273,82 +271,60 @@ def _center_newton(a, w, m, targets, s):
         return F, np.full(a.size, np.nan)
 
 
-def _center_system(w, m, targets, a0, t, s):
-    """Damped Newton for the center equations at fixed critical points w,
-    keeping the centers ordered, to a residual of 1e-14 or a full step within
-    1e-15 max(s, max|a - t|) in the frame (t, s), or 2 ulp of a (binding only
-    if |t| > s).  Returns (a, residual norm), the last iterate on a stall."""
+def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
+    """Damped Newton for the centers from a0, keeping them ordered: at the
+    fixed critical points w, or, without w, at w = crit_points(a) on every
+    trial.  The Jacobian is the same either way, since each w_i is a zero of
+    g_L' and its motion drops out.
+
+    The Green's-value rows are in units of p = E.unit, against
+    g_E(z_k) + log(cap / p).  It stops at a residual of 1e-14, or at a full
+    step within 1e-15 max(s, max|a - t|) in the frame (t, s) of E or 2 ulp
+    of a (binding only if |t| > s).  Returns (a, steps, residual norm);
+    raises NoConvergence naming the stall and its residual.
+    """
+    t, s = E.frame
+    p = E.unit
+    m = np.asarray(m, dtype=float)
+    targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
     try:
-        a, F, _ = damped_newton(
-            lambda a: _center_newton(a, w, m, targets, s), np.array(a0, dtype=float),
+        a, F, steps = damped_newton(
+            lambda a: _center_newton(a, crit_points(a, m) if w is None else w,
+                                     m, targets, s, p),
+            np.array(a0, dtype=float),
             # a disordering trial counts as a failed step: the fixed-w system
-            # can have spurious stationary points outside the ordered cone
+            # can have spurious stationary points outside the ordered cone,
+            # and crit_points brackets between consecutive centers
             admissible=lambda a: np.all(np.diff(a) > 0),
             tol=1e-14, step_tol=lambda a: np.maximum(
                 1e-15 * max(s, float(np.max(np.abs(a - t)))), 2.0 * np.spacing(np.abs(a))),
             max_steps=80, max_halvings=20)
     except NoConvergence as exc:
-        return exc.best, exc.estimate
-    return a, float(np.max(np.abs(F)))
-
-
-def centers_three(E: IntervalUnion, m, cap: float, data: GreenData):
-    """Three-component centers from the critical-point system.
-
-    The two critical points are the explicit quadratic roots, so the three
-    unknown centers satisfy two Green's-value equations plus the weighted
-    center sum, solved by damped Newton with the analytic Jacobian (the
-    critical points are stationary, so their sensitivity drops out).
-    Raises NoConvergence when the residual stalls above 1e-10.
-    """
-    m = np.asarray(m, dtype=float)
-    b = E.endpoints
-    targets = np.append(np.asarray(data.green_at_roots) + math.log(cap), data.alpha)
-
-    def crit_quadratic(avec):
-        S = avec.sum()
-        B = float(m @ (S - avec))
-        C = float(m[0] * avec[1] * avec[2] + m[1] * avec[0] * avec[2]
-                  + m[2] * avec[0] * avec[1])
-        disc = math.sqrt(max(B * B - 4.0 * C, 0.0))
-        return np.array([(B - disc) / 2.0, (B + disc) / 2.0])
-
-    try:
-        a, _, _ = damped_newton(
-            lambda a: _center_newton(a, crit_quadratic(a), m, targets, E.frame[1]),
-            np.array([(b[0] + b[1]) / 2, (b[2] + b[3]) / 2, (b[4] + b[5]) / 2]),
-            tol=1e-14, max_steps=100, max_halvings=20)
-    except NoConvergence as exc:
-        if exc.estimate < 1e-10:
-            return exc.best
-        raise NoConvergence(
-            f"three-center system stalled at residual {exc.estimate:.3e}",
-            best=exc.best, estimate=exc.estimate) from exc
-    return a
+        raise NoConvergence(f"center Newton stalled: {exc}", best=exc.best,
+                            estimate=exc.estimate) from exc
+    return a, steps, float(np.max(np.abs(F)))
 
 
 def centers_general(E: IntervalUnion, m, cap: float, data: GreenData):
-    """General centers iteration: alternate the fixed-critical-point center
-    solve with a critical-point update, from component/gap midpoints.
+    """The paper's centers iteration: alternate the center solve at fixed
+    critical points with a critical-point update, from the component and gap
+    midpoints.
 
     It stops once every center moves by less than 1e-13 (s + |a - t|) in the
     frame (t, s) of E, or 4 ulp if larger.  Returns (centers, crit_w,
     outer_iterations, inner_residual), counting the steps above that bound.
+    Raises NoConvergence when a center solve stalls, MaxIterExceeded after
+    50 outer steps.
     """
     if E.ell < 2:
         raise ValueError("need at least two components")
-    b = E.endpoints
-    ell = E.ell
+    b = np.asarray(E.endpoints)
     t, s = E.frame
-    m = np.asarray(m, dtype=float)
-    targets = np.append(np.asarray(data.green_at_roots) + math.log(cap), data.alpha)
-    a = np.array([(b[2 * j] + b[2 * j + 1]) / 2 for j in range(ell)])
-    w = np.array([(b[2 * j + 1] + b[2 * j + 2]) / 2 for j in range(ell - 1)])
+    a = 0.5 * (b[::2] + b[1::2])
+    w = 0.5 * (b[1:-1:2] + b[2::2])
     productive = 0
     for _ in range(50):
-        a_new, resid = _center_system(w, m, targets, a, t, s)
-        if np.any(np.diff(a_new) <= 0):
-            raise OrderViolation(f"center iterate out of order: {a_new}")
+        a_new, _, resid = _center_solve(E, m, cap, data, a, w)
         w = crit_points(a_new, m)
         step_tol = np.maximum(1e-13 * (s + np.abs(a - t)), 4.0 * np.spacing(np.abs(a)))
         converged = bool(np.all(np.abs(a_new - a) < step_tol))
@@ -360,11 +336,11 @@ def centers_general(E: IntervalUnion, m, cap: float, data: GreenData):
 
 
 def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> LemniscaticDomain:
-    """Dispatch to the right centers path and assemble the full domain.
+    """Solve for the centers and assemble the full domain.
 
     One component forces a_1 = alpha (disk); two components are explicit;
-    three or more run the general iteration (the three-center system solver
-    stays available as a cross-check path).
+    three or more run the centers' damped Newton from the component
+    midpoints, with w = crit_points(a) at every trial (_center_solve).
     """
     cap = data.capacity
     ell = E.ell
@@ -378,7 +354,9 @@ def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> Lemnis
         resid = abs(_green_scalar(float(w[0]), a, m.m, cap) - data.green_at_roots[0])
         iterations = 0
     else:
-        a, w, iterations, resid = centers_general(E, m.m, cap, data)
+        b = np.asarray(E.endpoints)
+        a, iterations, resid = _center_solve(E, m.m, cap, data, 0.5 * (b[::2] + b[1::2]))
+        w = crit_points(a, m.m)
     if np.any(np.diff(a) <= 0):
         raise OrderViolation(f"centers out of order: {a}")
     interlaced = np.empty(2 * ell - 1)

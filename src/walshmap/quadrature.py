@@ -49,18 +49,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    tol: float = 1e-12  # absolute and relative alike
     max_level: int = 12  # node-doubling cap
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
         if self.max_level < 3:
             raise ValueError("max_level must be >= 3")
 
     def tolerance(self, value: float) -> float:
-        return self.abs_tol + self.rel_tol * abs(value)
+        return self.tol + self.tol * abs(value)
 
 
 DEFAULT_CONFIG = QuadConfig()

@@ -26,26 +26,28 @@ def test_criterion_1_two_interval_regression():
 
 
 def test_criterion_2_three_interval_regression():
-    # published masses/capacity/centers within 5e-5; the nonlinear-system and
-    # general-iteration center routes agree to 1e-7; at most 4 outer steps
+    # published masses/capacity/centers within 5e-5; the centers' Newton of
+    # solve and the paper's iteration (centers_general) agree to 1e-7; the
+    # paper's iteration takes at most 4 outer steps
     run("ex55")
 
 
 def test_criterion_3_cantor_capacities():
-    # 11 significant digits on both capacity values; 2 and 3 outer steps;
-    # under five seconds each
+    # 11 significant digits on both capacity values; 2 and 3 outer steps of
+    # the paper's iteration; under five seconds each
     run("cantor")
 
 
 def test_criterion_4_closed_form_table():
-    # iteration counts 1/4/4 within +-1 and closed-form centers and masses
-    # reproduced below 1e-10 on the three analytic families
+    # the paper's iteration counts 1/4/4 within +-1 and closed-form centers
+    # and masses reproduced below 1e-10 on the three analytic families
     run("table1")
 
 
 def test_criterion_5_random_stress():
-    # 100 seeded 5-interval and 100 seeded 10-interval sets: convergence
-    # within 7 outer steps, full invariant battery, combined under 60 s
+    # 100 seeded 5-interval and 100 seeded 10-interval sets: the paper's
+    # iteration converges within 7 outer steps, full invariant battery,
+    # combined under 60 s
     t0 = time.perf_counter()
     run("stress5")
     run("stress10")

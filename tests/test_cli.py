@@ -326,4 +326,4 @@ def test_quad_tol_reaches_the_quadrature_config(monkeypatch, capsys, name):
     monkeypatch.setattr(verify, "solve", recording)
     assert main(_COMMANDS[name] + ["--quad-tol=1e-10"]) == 0
     capsys.readouterr()
-    assert seen and all(cfg == QuadConfig(abs_tol=1e-10, rel_tol=1e-10) for cfg in seen)
+    assert seen and all(cfg == QuadConfig(tol=1e-10) for cfg in seen)

@@ -274,7 +274,7 @@ def test_solved_roots_are_a_newton_fixed_point():
 
     wm = solve(random_interval_set(np.random.default_rng(3), 10))
     b = np.asarray(wm.domain.endpoints)
-    F, J = _gap_system(wm.domain, wm.green.roots, QuadConfig(1e-15, 1e-15, max_level=16))
+    F, J = _gap_system(wm.domain, wm.green.roots, QuadConfig(1e-15, max_level=16))
     step = np.linalg.solve(J, -F)
     assert np.all(np.abs(step) <= 1e-14 * (b[2:-1:2] - b[1:-1:2]))
 
@@ -662,7 +662,7 @@ def test_chebyshev_moments_match_quadrature_of_the_density(pairs):
             density = np.abs(np.prod(x - roots, axis=0)) * weight(x, d_lo, d_hi) / math.pi
             return np.polynomial.chebyshev.chebvander((x - t) / s, K).T * density
 
-        total += integrate_chebyshev(None, lo, hi, QuadConfig(1e-15, 1e-15), fd=fd)
+        total += integrate_chebyshev(None, lo, hi, QuadConfig(1e-15), fd=fd)
     want = np.concatenate(([1.0], 2.0 * total[1:]))
     assert abs(total[0] - 1.0) <= 1e-14
     np.testing.assert_allclose(wm.green.chebyshev_moments, want, rtol=0, atol=2e-14)

@@ -8,7 +8,7 @@ from walshmap import lemniscatic
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter
 from walshmap.lemniscatic import (LemniscaticDomain, _bisect, boundary_abscissae,
-                                  centers_general, centers_three, centers_two,
+                                  centers_general, centers_two,
                                   crit_points, green, green_deriv)
 from walshmap.newton import damped_newton
 from walshmap.verify import random_interval_set
@@ -247,16 +247,19 @@ def test_scale_shift_equivariance_three_intervals():
                          - np.array(base.exponents.m))) < 1e-10
 
 
+def _paper_iteration(wm):
+    return centers_general(wm.domain, wm.exponents.m, wm.green.capacity, wm.green)
+
+
 def test_centers_three_routes_agree(three_interval):
     wm = three_interval
-    a_sys = centers_three(wm.domain, wm.exponents.m, wm.green.capacity, wm.green)
-    assert np.max(np.abs(a_sys - np.array(wm.lemniscatic.centers))) < 1e-7
-    assert np.max(np.abs(a_sys - np.array(ref.THREE_INTERVAL["a"]))) < 1e-12
+    a_newton = np.array(wm.lemniscatic.centers)
+    assert np.max(np.abs(a_newton - _paper_iteration(wm)[0])) < 1e-7
+    assert np.max(np.abs(a_newton - np.array(ref.THREE_INTERVAL["a"]))) < 1e-12
 
 
 def test_centers_three_symmetric_triple():
-    wm = solve([[-1, -0.6], [-0.4, 0.4], [0.6, 1]])
-    a = centers_three(wm.domain, wm.exponents.m, wm.green.capacity, wm.green)
+    a = solve([[-1, -0.6], [-0.4, 0.4], [0.6, 1]]).lemniscatic.centers
     assert abs(a[1]) < 1e-10
 
 
@@ -271,7 +274,8 @@ def test_general_matches_explicit_two_centers(two_interval):
 def test_cantor_level2_centers_and_steps(cantor2):
     dom = cantor2.lemniscatic
     assert np.max(np.abs(np.array(dom.centers) - np.array(ref.CANTOR2["a"]))) < 1e-10
-    assert dom.outer_iterations <= ref.CANTOR2["steps"]
+    assert _paper_iteration(cantor2)[2] <= ref.CANTOR2["steps"]
+    assert dom.outer_iterations <= 3
 
 
 def test_mass_weighted_center_sum(three_interval, cantor2):
@@ -281,9 +285,69 @@ def test_mass_weighted_center_sum(three_interval, cantor2):
 
 
 def test_solved_domains_expose_iteration_diagnostics(three_interval):
+    _, _, steps, resid = _paper_iteration(three_interval)
+    assert steps == 4
+    assert resid < 1e-13
     dom = three_interval.lemniscatic
-    assert dom.outer_iterations == 4
+    assert dom.outer_iterations == 3
     assert dom.inner_residual < 1e-13
+
+
+# sets on which the paper's iteration fails: its center solve at fixed
+# critical points stalls at residual 0.03-0.65; endpoint lists b_1..b_2l
+CENTER_STALL_SETS = [
+    # a center far from its own component (the second at 0.539)
+    [-1.0, 0.9955155483153479, 0.9962619416684313, 0.9966839037245725,
+     0.9994714589022802, 1.0],
+    [-1.0, 0.0, 1e-3, 1e-3 + 1e-6, 0.1, 1.0],
+    # component and gap lengths spread over 4, 8 and 12 decades
+    [-1.0, -0.9992470584437506, -0.8805968981648555, -0.8796113851426258,
+     -0.8581796453469499, 0.9995586136300467, 0.9997665435758825, 1.0],
+    [-1.0, -0.9998540806869235, -0.9996229705200153, -0.4760676185157733,
+     -0.47606683521965343, 1.0],
+    [-1.0, -0.9999940151026413, -0.9999934688834086, -0.9999644203021472,
+     -0.9999596289904075, -0.8884926899856673, -0.8884887039909091,
+     -0.8837406446380947, -0.732392824092704, -0.7135645912698911,
+     -0.7135478386822163, 0.43162989624959724, 0.6550559028046603, 1.0],
+    [-1.0, -0.9871242327348063, -0.9871201658863233, 0.9999078965093022,
+     0.9999087054695086, 0.999999992062613, 0.9999999923419476, 1.0],
+    [-1.0, -0.9998235314931564, -0.9998167088453982, -0.9983407155691648,
+     -0.9983397499127692, -0.9982752133927945, -0.9668409802749954, 1.0],
+    # the stalled iterate was taken as converged, and g_L came out
+    # nonpositive at a critical point
+    [-1.0, -0.9999857101617444, -0.999984203182825, -0.8819610350125068,
+     -0.8819607328391099, -0.8819606873403562, -0.8819555002683185,
+     -0.8766999287273312, -0.8492235420925236, 0.08285762202242553,
+     0.08285986282310343, 0.0828773629976427, 0.08287748159554176,
+     0.0832563446079615, 0.9955760790782897, 0.9994357906512217,
+     0.9999868641096523, 1.0],
+]
+
+
+@pytest.mark.parametrize("b", CENTER_STALL_SETS)
+def test_centers_solve_where_the_paper_iteration_stalls(b):
+    wm = solve([b[i:i + 2] for i in range(0, len(b), 2)])
+    dom = wm.lemniscatic
+    assert abs(float(np.array(wm.exponents.m) @ np.array(dom.centers))
+               - wm.green.alpha) <= 1e-12
+    assert max(abs(green(w, dom) - g)
+               for w, g in zip(dom.crit_w, wm.green.green_at_roots)) <= 1e-12
+
+
+def test_paper_iteration_names_its_stall():
+    b = CENTER_STALL_SETS[0]
+    wm = solve([b[i:i + 2] for i in range(0, len(b), 2)])
+    with pytest.raises(NoConvergence, match=r"center Newton stalled: .* residual \d"):
+        _paper_iteration(wm)
+
+
+@pytest.mark.parametrize("pairs", [
+    *(ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell in (5, 10, 20, 40)),
+    *(ref.cantor_pairs(k) for k in range(2, 7))])
+def test_newton_centers_match_the_paper_iteration(pairs):
+    wm = solve(pairs)
+    a = np.array(wm.lemniscatic.centers)
+    assert np.max(np.abs(a - _paper_iteration(wm)[0])) <= 1e-14 * np.max(np.abs(a))
 
 
 def test_hard_separation_still_converges():

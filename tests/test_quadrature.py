@@ -14,7 +14,7 @@ import reference_values as ref
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        QuadConfig(abs_tol=0.0)
+        QuadConfig(tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_level=2)
 
@@ -86,7 +86,7 @@ def test_chebyshev_no_convergence_on_discontinuity():
 ROWS = (lambda x: np.cos(x) / np.sqrt(1.0 - x * x),
         lambda x: 1.0 / (1.0 + 100.0 * x * x),
         lambda x: np.sqrt(np.abs(x - 0.3)))
-LOOSE = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)
+LOOSE = QuadConfig(tol=1e-6)
 
 
 def test_vector_rule_matches_scalar_rule_per_component():
