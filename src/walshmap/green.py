@@ -449,8 +449,12 @@ def _series_green(data: GreenData, z: complex) -> complex:
 
 def _outside_ellipse(p, b, reach) -> bool:
     """Whether p lies on or outside the ellipse |v| = V: its focal sum
-    |p - b_1| + |p - b_2l| against (V + 1/V) s."""
-    return abs(p - b[0]) + abs(p - b[-1]) >= reach
+    |p - b_1| + |p - b_2l| against (V + 1/V) s.  A distance above the float
+    range, which Python's complex abs raises on, lies outside."""
+    try:
+        return abs(p - b[0]) + abs(p - b[-1]) >= reach
+    except OverflowError:
+        return True
 
 
 def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) -> float:

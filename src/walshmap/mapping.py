@@ -1,24 +1,35 @@
 """Evaluation of the normalized conformal map onto the lemniscatic complement.
 
-The image w of a point z solves a Green's-function equation: off the real
-axis (and right of the last endpoint) the complex equation
+Outside the ellipse |v| = 1.5 around the hull, in the Joukowski variable v
+of the frame (t, s) of E, Phi is its series (s/2) v + t + sum d_k v^-k,
+whose coefficients follow in closed form from the Chebyshev moments of
+GreenData, the centers and the masses (_Series).  They are built once per
+domain on first use, with a certificate: the map equation's largest
+residual on the ellipse, which bounds it outside.  When that is at most the
+Newton's stop _TOL, every off-axis point outside the ellipse, and every real
+one there on the two unbounded gaps, takes the series: no Green target, no
+Newton.
+
+Every other point solves a Green's-function equation: off the real axis
+(and right of the last endpoint) the complex equation
 
     sum m_j Log(w - a_j) - log(cap) = integral of N/S from b_{2l} to z
 
 with principal logarithms, solved by damped Newton in the half-plane of z
 (the map preserves each half-plane).  The right side is green_complex:
-outside the ellipse |v| = 1.5 around the hull, in the Joukowski variable v
-of the frame (t, s) of E, the Chebyshev series of G; inside it the integral
-from the endpoint nearest Re z plus the exact branch offset to b_{2l}, so no
-path runs along the set.  Inside a real gap the real equation g(w) = g_E(z)
-on the uniqueness interval of the gap (g_E from the same series on the
-unbounded gaps outside the ellipse), solved by damped Newton
-kept inside that interval.  Both start from the real-axis correspondence of
-the gap (and, for off-axis points near E, of the component) under Re z; see
-_complex_start.  Endpoints map to the boundary abscissae directly.
+outside the ellipse (on a domain whose series is not certified) the
+Chebyshev series of G; inside it the integral from the endpoint nearest
+Re z plus the exact branch offset to b_{2l}, so no path runs along the set.
+Inside a real gap the real equation g(w) = g_E(z) on the uniqueness
+interval of the gap, solved by damped Newton kept inside that interval.
+Both start from the real-axis correspondence of the gap (and, for off-axis
+points near E, of the component) under Re z; see _complex_start.  Endpoints
+map to the boundary abscissae directly.
 
-map_point solves one point with the scalar damped_newton, map_grid a batch
-with damped_newton_masked (a one-point numpy batch costs several times more).
+map_point solves one point with the scalar damped_newton and sums the
+series by a scalar Horner; map_grid solves a batch with
+damped_newton_masked and sums the series of all its outer points at once (a
+one-point numpy batch costs several times more).
 """
 
 import bisect
@@ -26,11 +37,13 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsideE, NoConvergence, WalshMapError
-from .green import GreenData, _green_integral, _green_real, _require_finite, green_complex
+from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, _TAIL, GreenData, _green_integral,
+                    _green_real, _outside_ellipse, _require_finite, green_complex)
 from .intervals import IntervalUnion, locate
 from .lemniscatic import LemniscaticDomain, _bisect, _green_scalar, _outer_reach
 from .newton import damped_newton, damped_newton_masked
@@ -66,7 +79,11 @@ _TIE = 1e-2
 class MapResult:
     """One map evaluation: image point, equation residual, Newton iteration
     count, and which equation branch produced it ("complex", "real_gap" with
-    the gap index, or "boundary" with the 1-based endpoint index)."""
+    the gap index, or "boundary" with the 1-based endpoint index).
+
+    A point mapped by Phi's series outside the ellipse reports its domain's
+    certificate as residual (a bound on the map equation's residual there),
+    0 iterations, and "complex", or "real_gap" with index 0 or ell."""
 
     w: complex
     residual: float
@@ -152,16 +169,22 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     """Image of z under the normalized conformal map.
 
     Endpoints return their boundary abscissae; interior points of E raise
-    InsideE.  Real gap points are solved on the uniqueness bracket of their
-    gap from the gap image of z (see _gap_image), everything else through
-    the complex equation, kept in the half-plane of z, from the start of
-    _complex_start; its right side is green_complex's Chebyshev series
-    outside the ellipse |v| = 1.5 around the hull, or inside it the integral
-    from the endpoint nearest Re z plus the branch offset.  Off-axis points
-    closer to E than 1e-9 of its hull width b_{2l} - b_1 are evaluated but
-    flagged near_boundary.  Raises NotFinite for an infinite or NaN coordinate, and
-    NoConvergence when Newton stalls or a panel of the Green's integral does
-    not converge (see green_complex).
+    InsideE.  A point on or outside the ellipse |v| = 1.5 around the hull,
+    off the axis or on an unbounded gap, takes Phi's series when its domain's
+    certificate is within _TOL: a Horner on the fewest terms whose tail
+    meets 6.2e-16 s, reported with the certificate as residual and 0
+    iterations (see MapResult).  Other real gap points are solved on the
+    uniqueness bracket of their gap from the gap image of z (see
+    _gap_image), everything else through the complex equation, kept in the
+    half-plane of z, from the start of _complex_start; its right side is
+    green_complex's Chebyshev series outside the ellipse, or inside it the
+    integral from the endpoint nearest Re z plus the branch offset.
+    Off-axis points closer to E than 1e-9 of its hull width b_{2l} - b_1 are
+    evaluated but flagged near_boundary.  Raises NotFinite for an infinite or
+    NaN coordinate, NoConvergence when Newton stalls or a panel of the
+    Green's integral does not converge (see green_complex), and
+    BracketFailure when the Newton's bracket on an unbounded gap leaves the
+    float range (only on a domain whose series is not certified).
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -173,6 +196,9 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             c = dom.boundary_c[j]
             res = abs(_green_scalar(c, dom.centers, dom.exponents.m, dom.capacity))
             return MapResult(complex(c), res, 0, "boundary", j + 1)
+        if series := _outer_series(x, E, dom, data):
+            return MapResult(complex(_series_point(series, x, math.sqrt)), series.bound, 0,
+                             "real_gap", 0 if x < series.t else E.ell)
         loc = locate(E, z)
         if loc.inside:
             raise InsideE(f"z = {z} lies inside component {loc.index}")
@@ -203,6 +229,8 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             max_steps=200, max_halvings=40)
         return MapResult(complex(w), abs(F), it, "real_gap", k)
 
+    if series := _outer_series(z, E, dom, data):
+        return MapResult(_series_point(series, z, cmath.sqrt), series.bound, 0, "complex")
     return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data)
 
 
@@ -265,6 +293,174 @@ def _complex_images(zs, targets, E, dom, data):
     return out
 
 
+# --- Phi outside the ellipse: its series in the Joukowski variable ----------
+
+# points of the circle |v| = _ELLIPSE at which _certificate evaluates the map
+# equation
+_CIRCLE = 256
+
+
+def _series_radii(count):
+    """For n = 1 .. count, the largest float r at which the bound
+    2 r^(n+1) / (1 - r) on the tail left by n terms of Phi's series, in units
+    of s, meets _TAIL (see _Series); increasing, found by bisection."""
+    radii = []
+    for n in range(1, count + 1):
+        lo, hi = 0.0, 1.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if 2.0 * mid ** (n + 1) / (1.0 - mid) <= _TAIL:
+                lo = mid
+            else:
+                hi = mid
+        radii.append(lo)
+    return radii
+
+
+# increasing: the first entry at or above |r| names the point's term count
+_SERIES_RADII = _series_radii(_CHEBYSHEV_TERMS - 1)
+
+
+class _Series(NamedTuple):
+    """Phi outside the ellipse |v| = _ELLIPSE around the hull of one domain.
+
+    In the Joukowski variable v of the frame (t, s), z - t = (s/2)(v + 1/v),
+    Phi is analytic on |v| > 1 and
+
+        Phi = (s/2) v + t + sum_{k >= 1} d_k v^-k.
+
+    coeffs holds d_1 .. d_{K-1} (_series_coefficients) and terms the same in
+    Horner's order.  The tail left by n terms at |1/v| = r is at most
+    max_k |d_k| r^(n+1) / (1 - r), and |d_k| <= max over |v| = 1 of
+    |Phi - (s/2) v - t| <= 2 s: there Phi lies on the boundary of L or on
+    its real gaps, within cap + max |a_j - t| <= (3/2) s of t.  A point takes
+    the fewest terms whose bound meets _TAIL s (_SERIES_RADII).
+
+    bound is the certificate: the largest map-equation residual of the
+    series on |v| = _ELLIPSE (_certificate), which bounds it on and outside
+    the ellipse.  data is the Green data the series was built from.
+    """
+
+    data: GreenData
+    t: float
+    s: float
+    coeffs: np.ndarray
+    terms: list
+    bound: float
+
+
+def _series(dom: LemniscaticDomain, data: GreenData) -> _Series:
+    """dom's series for data, built on first use and kept on dom.  Two
+    threads may both build it: they build the same, and either one is
+    kept."""
+    series = dom.__dict__.get("_series")
+    if series is None or series.data is not data:
+        t, s = data.domain.frame
+        d = _series_coefficients(dom, data)
+        series = _Series(data, t, s, d, d[::-1].tolist(), _certificate(dom, data, t, s, d))
+        dom.__dict__["_series"] = series  # frozen, but not its cache
+    return series
+
+
+def _series_coefficients(dom: LemniscaticDomain, data: GreenData) -> np.ndarray:
+    """d_1 .. d_{K-1} of Phi's series, from the Chebyshev moments e_k of
+    GreenData.chebyshev_moments, the centers and the masses alone.
+
+    With r = 1/v and beta_j = 2 (t - a_j)/s, Phi - a_j = (s v / 2) f_j(r) with
+    f_j = 1 + beta_j r + sum_k delta_k r^(k+1), delta_k = 2 d_k / s, and the
+    map equation reads sum_j m_j log f_j(r) = -sum_k (e_k / k) r^k.  The
+    coefficients G_jn = n g_jn of g_j = log f_j follow from the power-series
+    log recurrence G_jn = n f_jn - sum_{k<n} G_jk f_j(n-k) (Brent & Kung
+    1978), in which f_jn = delta_(n-1) for n >= 2 enters linearly; so order n
+    of sum_j m_j G_jn = -e_n gives delta_(n-1), one order at a time.
+    """
+    t, s = data.domain.frame
+    e = data.chebyshev_moments
+    count = len(e) - 1
+    a = np.asarray(dom.centers)
+    m = np.asarray(dom.exponents.m)
+    beta = 2.0 * (t - a) / s
+    G = np.empty((a.size, count))  # column n - 1: G_jn
+    G[:, 0] = beta
+    delta = np.zeros(count)  # delta[k] = delta_k, delta[0] unused
+    total = math.fsum(dom.exponents.m)
+    for n in range(2, count + 1):
+        # sum_{k<n} G_jk f_j(n-k): f_j1 = beta_j, f_ji = delta_(i-1) after it
+        S = G[:, n - 2] * beta
+        if n > 2:
+            S += G[:, :n - 2] @ delta[n - 2:0:-1]
+        delta[n - 1] = (m @ S - e[n]) / (n * total)
+        G[:, n - 1] = n * delta[n - 1] - S
+    return 0.5 * s * delta[1:]
+
+
+def _series_map(z: np.ndarray, t: float, s: float, d: np.ndarray,
+                count: int | None = None):
+    """Phi at every point of the complex array z, outside the ellipse, from
+    every term of its series, and the powers r^1 .. r^count of r = 1/v
+    (default: as many as terms).
+
+    It is formed in u = s/(z - t), never in zeta, so it cannot overflow:
+    q = sqrt(1 - u^2) (principal), r = u/(1 + q) and
+    Phi = t + (0.5 (z - t))(1 + q) + sum d_k r^k.
+    """
+    dz = z - t
+    with np.errstate(over="ignore"):  # u of a |z - t| above the float range is 0
+        u = s / dz
+    q = np.sqrt(1.0 - u * u)
+    r = u / (1.0 + q)
+    powers = np.cumprod(np.broadcast_to(r[:, None], (r.size, count or d.size)), axis=1)
+    # einsum sums each row alone; a BLAS product rounds by the batch's size
+    tail = np.einsum("ik,k->i", powers[:, :d.size], d)
+    return t + (0.5 * dz) * (1.0 + q) + tail, dz, q, powers
+
+
+def _certificate(dom: LemniscaticDomain, data: GreenData, t: float, s: float,
+                 d: np.ndarray) -> float:
+    """Largest residual |sum m_j Log(Phi_s - a_j) - log cap - G(z)| of the
+    series Phi_s at _CIRCLE points of |v| = _ELLIPSE off the real axis, with
+    G from the Chebyshev series of green_complex.
+
+    Phi_s - Phi is analytic on |v| > 1 and vanishes at infinity, and so is
+    the residual: by the maximum principle its largest value on and outside
+    the ellipse lies on it.
+    """
+    v = _ELLIPSE * np.exp(2j * np.pi * (np.arange(_CIRCLE) + 0.5) / _CIRCLE)
+    z = t + 0.5 * s * (v + 1.0 / v)
+    e = data.chebyshev_moments
+    w, dz, q, powers = _series_map(z, t, s, d, len(e) - 1)
+    series = powers @ (np.asarray(e[1:]) / np.arange(1, len(e)))
+    G = np.log(dz) + np.log(0.5 * (1.0 + q)) - math.log(data.capacity) - series
+    F = (np.log(w[:, None] - np.asarray(dom.centers)) @ np.asarray(dom.exponents.m)
+         - math.log(dom.capacity) - G)
+    return float(np.max(np.abs(F)))
+
+
+def _outer_series(z, E: IntervalUnion, dom: LemniscaticDomain,
+                  data: GreenData) -> _Series | None:
+    """dom's series when z lies on or outside the ellipse and the series is
+    certified within _TOL, else None: z takes the Newton."""
+    if not _outside_ellipse(z, E.endpoints, data._targets[2]):
+        return None
+    series = _series(dom, data)
+    return series if series.bound <= _TOL else None
+
+
+def _series_point(series: _Series, z, sqrt):
+    """Phi(z) from the series by Horner in Python scalars on the fewest terms
+    that meet _TAIL s, with sqrt math.sqrt for a real z (a float) and
+    cmath.sqrt otherwise."""
+    dz = z - series.t
+    u = series.s / dz
+    q = sqrt(1.0 - u * u)
+    r = u / (1.0 + q)
+    terms = series.terms
+    acc = 0.0
+    for d in terms[len(terms) - min(bisect.bisect_left(_SERIES_RADII, abs(r)) + 1,
+                                    len(terms)):]:
+        acc = (acc + d) * r
+    return series.t + (0.5 * dz) * (1.0 + q) + acc
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One point of a batch.  A failed point carries its error as
@@ -281,27 +477,43 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     """Map a batch of points, skipping interior points of E and recording
     failures per point; never aborts the batch, order preserved.
 
-    The Green targets of the finite off-axis points come from one
-    green_complex call per batch of _GRID_BATCH points, and their complex
-    equations from one masked damped Newton (_complex_images); each builds
-    a failed point's error as map_point raises it.  Only real-axis points
-    go through map_point.  Every point gets what map_point gives it.
+    Finite off-axis points on or outside the ellipse |v| = 1.5 take Phi's
+    series (_series_map) at once, as map_point does, when it is certified.
+    The Green targets of the others come from one green_complex call per
+    batch of _GRID_BATCH points, and their complex equations from one masked
+    damped Newton (_complex_images); each builds a failed point's error as
+    map_point raises it.  Only real-axis points go through map_point.  Every
+    point gets what map_point gives it, a series image within rounding.
     """
     cfg = cfg or DEFAULT_CONFIG
+    b, reach = E.endpoints, data._targets[2]
     points = iter(zs)
     out = []
     while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
         off = [z for z in batch if z.imag != 0.0 and cmath.isfinite(z)]
-        try:
-            targets, failures = green_complex(off, E, data, cfg), {}
-        except NoConvergence as exc:
-            # NaN where a point's path did not converge, its error in failures
-            targets, failures = exc.best, exc.failures
-        solved = ~np.isnan(targets)
-        images = iter(_complex_images([z for z, ok in zip(off, solved) if ok],
-                                      targets[solved], E, dom, data))
-        results = (next(images) if ok else failures[i]
-                   for i, ok in enumerate(solved.tolist()))
+        far = [_outside_ellipse(z, b, reach) for z in off]
+        if any(far):
+            series = _series(dom, data)
+            if series.bound > _TOL:
+                far = [False] * len(off)
+        outer = [z for z, f in zip(off, far) if f]
+        inner = [z for z, f in zip(off, far) if not f]
+        by_series = by_newton = iter(())
+        if outer:
+            w = _series_map(np.array(outer), series.t, series.s, series.coeffs)[0]
+            by_series = iter([MapResult(wi, series.bound, 0, "complex") for wi in w.tolist()])
+        if inner:
+            try:
+                targets, failures = green_complex(inner, E, data, cfg), {}
+            except NoConvergence as exc:
+                # NaN where a point's path did not converge, its error in failures
+                targets, failures = exc.best, exc.failures
+            solved = ~np.isnan(targets)
+            images = iter(_complex_images([z for z, ok in zip(inner, solved) if ok],
+                                          targets[solved], E, dom, data))
+            by_newton = iter([next(images) if ok else failures[i]
+                              for i, ok in enumerate(solved.tolist())])
+        results = (next(by_series) if f else next(by_newton) for f in far)
         for z in batch:
             try:
                 if z.imag == 0.0:

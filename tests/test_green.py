@@ -679,17 +679,34 @@ def _far_points(rng, E, count):
 @pytest.mark.parametrize("kappa", [0.5, 0.7])
 def test_polynomial_preimage_oracle(n, kappa):
     # E = {x : |T_n(x) - sigma| <= kappa}: masses 1/n, capacity
-    # kappa^(1/n) / 2 and g_E in closed form (reference_values)
+    # kappa^(1/n) / 2 and g_E in closed form (reference_values), through
+    # map_point and map_grid, at points out to 1e6 s and between the ellipse
+    # and |z - t| = 2 s
+    from walshmap import mapping
     from walshmap.lemniscatic import green as green_level
 
     sigma = 0.2
     wm = solve(ref.preimage_pairs(n, sigma, kappa))
+    E = wm.domain
     assert abs(wm.green.capacity / (kappa ** (1.0 / n) / 2.0) - 1.0) <= 1e-13
     np.testing.assert_allclose(wm.exponents.m, 1.0 / n, rtol=0, atol=1e-13)
-    for z in _far_points(np.random.default_rng(n), wm.domain, 100):
+    rng = np.random.default_rng(n)
+    zs = _far_points(rng, E, 100)
+    zs += [_ellipse_point(E, v) for v in rng.uniform(1.5, 4.0, 50) * np.exp(2j * np.pi * rng.random(50))]
+    series = 0
+    for z, p in zip(zs, wm.map_grid(zs)):
         want = ref.preimage_green(z, n, sigma, kappa)
-        assert abs(green_complex(z, wm.domain, wm.green).real - want) <= 1e-12
-        assert abs(green_level(wm.map_point(z).w, wm.lemniscatic) - want) <= 1e-12
+        g_e = green_complex(z, E, wm.green).real
+        assert abs(g_e - want) <= 1e-12
+        outer = mapping._outer_series(z, E, wm.lemniscatic, wm.green) is not None
+        series += outer
+        for w in (wm.map_point(z).w, p.result.w):
+            g_l = green_level(w, wm.lemniscatic)
+            assert abs(g_l - want) <= 1e-12
+            # at a series point to the rounding of g_E itself; the closed form
+            # differs from it by the capacity's own error, up to 2e-14
+            assert not outer or abs(g_l - g_e) <= 1e-14
+    assert series >= 140
 
 
 @pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],

@@ -1,14 +1,15 @@
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from walshmap import mapping
+from walshmap import cli, mapping
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, InsideE, NotFinite, WalshMapError
-from walshmap.green import _green_integral
+from walshmap.green import _green_integral, green_complex
 from walshmap.lemniscatic import green as green_level
 from walshmap.mapping import branch_offset, map_grid, map_point, trace_boundary
 from walshmap.quadrature import QuadConfig
@@ -347,6 +348,36 @@ def test_concurrent_map_matches_sequential(two_interval):
     assert threaded == sequential
 
 
+def test_concurrent_first_use_builds_one_series():
+    # threads that map a fresh domain's outer points race to build its
+    # series; each build is the same, so every image matches the sequential
+    # one bit for bit
+    import sys
+    import threading
+    zs = [3.0 * cmath.exp(1j * theta) for theta in np.linspace(0.1, 6.0, 12)]
+    sequential = [solve(ref.THREE_INTERVAL["pairs"]).map_point(z).w for z in zs]
+    wm = solve(ref.THREE_INTERVAL["pairs"])
+    results, start = {}, threading.Barrier(8)
+
+    def work(k):
+        start.wait(timeout=10)
+        results[k] = [wm.map_point(z).w for z in zs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(results[k] == sequential for k in range(8))
+    assert all(wm.map_point(z).iterations == 0 for z in zs)  # every one by the series
+
+
 def _green_from_left(wm, z):
     """g_E(z) integrated from the leftmost endpoint, a path other than the
     map's."""
@@ -374,14 +405,24 @@ def test_far_real_points_map_beyond_doubling_reach(two_interval):
         assert abs(w.real / x - 1.0) <= 1e-12
 
 
-def test_outer_bracket_overflow_is_a_typed_error():
-    wm = solve([[1e-6 * lo, 1e-6 * hi] for lo, hi in ref.TWO_INTERVAL["pairs"]])
-    w = wm.map_point(1e307).w
-    assert abs(w.real / 1e307 - 1.0) <= 1e-10
-    with pytest.raises(BracketFailure):
-        wm.map_point(1e308)
-    with pytest.raises(BracketFailure):
-        wm.map_point(-1e308)
+def test_outer_bracket_overflow_is_a_typed_error(monkeypatch):
+    # +-1e308 lie outside the ellipse, where Phi's series maps them: Phi(x) =
+    # x + O(s^2 / x) is x itself in floats.  The Newton's outer bracket
+    # overflowed there and raised BracketFailure
+    pairs = [[1e-6 * lo, 1e-6 * hi] for lo, hi in ref.TWO_INTERVAL["pairs"]]
+    wm = solve(pairs)
+    for x in (1e307, 1e308, -1e308):
+        res = wm.map_point(x)
+        assert res.w == complex(x) and res.iterations == 0
+        assert (res.branch, res.index) == ("real_gap", 0 if x < 0.0 else 2)
+    # a domain whose series is not certified keeps the Newton, and its typed
+    # error
+    monkeypatch.setattr(mapping, "_certificate", lambda *args: 2.0 * mapping._TOL)
+    wm = solve(pairs)
+    assert wm.map_point(1e307).iterations == 0  # g_L(1e307) already meets _TOL
+    for x in (1e308, -1e308):
+        with pytest.raises(BracketFailure):
+            wm.map_point(x)
 
 
 def test_sixty_intervals_map_a_far_point():
@@ -604,3 +645,130 @@ def test_cantor2_row_below_the_axis_maps(cantor2):
         assert p.status == "converged" and p.result.w.imag < 0.0
         ratio = abs(p.result.w - cantor2.map_point(p.z.real).w) / abs(y)
         assert 1.0 <= ratio <= 3.0
+
+
+# --- Phi's series outside the ellipse |v| = 1.5 -------------------------------
+
+def _coefficients(pairs):
+    wm = solve(pairs)
+    return mapping._series(wm.lemniscatic, wm.green).coeffs, wm.domain.frame[1]
+
+
+def test_unit_interval_series_vanishes(single_interval):
+    # Phi = (z + sqrt(z - 1) sqrt(z + 1)) / 2 = v / 2: every d_k is 0
+    wm = single_interval
+    series = mapping._series(wm.lemniscatic, wm.green)
+    assert series.coeffs.tolist() == [0.0] * 89
+    assert series.bound <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_series_coefficients_are_affine_covariant(scale):
+    # Phi(scale z + shift) = scale Phi(z) + shift: d_k scales with the set,
+    # here shifted by three half-widths as well (3e6 at scale 1e6)
+    pairs = ref.THREE_INTERVAL["pairs"]
+    d, _ = _coefficients(pairs)
+    moved, s = _coefficients([[scale * lo + 3.0 * scale, scale * hi + 3.0 * scale]
+                              for lo, hi in pairs])
+    assert np.max(np.abs(moved - scale * d)) <= 1e-14 * s
+
+
+def test_series_coefficients_reflect():
+    # Phi_{-E}(z) = -Phi_E(-z) and v(-z) = -v(z): d_k(-E) = (-1)^(k+1) d_k
+    pairs = random_interval_set(np.random.default_rng(4), 10)
+    d, s = _coefficients(pairs)
+    mirrored, _ = _coefficients([[-hi, -lo] for lo, hi in reversed(pairs)])
+    sign = (-1.0) ** np.arange(2, d.size + 2)
+    assert np.max(np.abs(mirrored - sign * d)) <= 1e-14 * s
+
+
+@pytest.mark.parametrize("pairs", [
+    ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+    ref.dirichlet_intervals(np.random.default_rng(10), 10),
+    ref.dirichlet_intervals(np.random.default_rng(40), 40),
+    ref.dirichlet_intervals(np.random.default_rng(80), 80),
+], ids=["ell2", "ell3", "ell10", "ell40", "ell80"])
+def test_series_certificate(pairs):
+    # the map equation's residual on |v| = 1.5, which bounds it outside, and
+    # each point's image there agrees with the Newton's within its stop
+    wm = solve(pairs)
+    series = mapping._series(wm.lemniscatic, wm.green)
+    assert series.bound <= 1e-12
+    for theta in (0.3, 2.0, -1.1):
+        z = wm.domain.frame[0] + 2.0 * wm.domain.frame[1] * cmath.exp(1j * theta)
+        res = wm.map_point(z)
+        assert (res.iterations, res.residual, res.branch) == (0, series.bound, "complex")
+        newton = mapping._complex_image(z, green_complex(z, wm.domain, wm.green),
+                                        wm.domain, wm.lemniscatic, wm.green)
+        assert newton.iterations > 0
+        assert abs(res.w - newton.w) <= 2e-12 * max(1.0, abs(newton.w))
+
+
+# the Newton's images of the two-interval set before the series, with their
+# iteration counts: map_point's, then map_grid's
+NEWTON_IMAGES = {
+    2 + 1j: ((1.9664273183411012 + 1.0205289221678597j), (1.966427318341101 + 1.0205289221678595j), 3),
+    -1.5 - 2j: ((-1.4820463419301668 - 2.0253834405330493j),
+                (-1.4820463419301666 - 2.0253834405330493j), 3),
+    3e4j: ((9.803113236249211e-12 + 30000.000002704342j),
+           (9.803113236249213e-12 + 30000.000002704342j), 1),
+    2.5 + 0j: ((2.4640521525904657 + 0j), (2.4640521525904657 + 0j), 3),
+    -3.0 + 0j: ((-2.972567012609975 + 0j), (-2.972567012609975 + 0j), 3),
+}
+
+
+def test_uncertified_series_keeps_the_newton(monkeypatch):
+    # a certificate above _TOL sends every point of the domain to the Newton
+    monkeypatch.setattr(mapping, "_certificate", lambda *args: 2.0 * mapping._TOL)
+    wm = solve(ref.TWO_INTERVAL["pairs"])
+    zs = list(NEWTON_IMAGES)
+    for z, p in zip(zs, wm.map_grid(zs)):
+        point, grid, iterations = NEWTON_IMAGES[z]
+        for res, want in ((wm.map_point(z), point), (p.result, grid)):
+            assert res.iterations == iterations
+            assert abs(res.w - want) <= 1e-15 * abs(want)
+            assert res.residual < 1e-12
+
+
+def test_grid_takes_the_series_as_map_point_does(three_interval, monkeypatch):
+    # a row through the ellipse: outer points by the series in both entry
+    # points, inner ones by the Newton; any batch split gives the same points
+    wm = three_interval
+    zs = [complex(x, 0.3) for x in np.linspace(-4.0, 4.0, 41)] + [complex(x) for x in (-3.0, 3.0)]
+    points = wm.map_grid(zs)
+    outer = [z for z in zs if mapping._outer_series(z, wm.domain, wm.lemniscatic, wm.green)]
+    assert 0 < len(outer) < len(zs)
+    for p in points:
+        one = wm.map_point(p.z)
+        took = p.z in outer
+        assert (p.result.iterations == 0) == took and (one.iterations == 0) == took
+        if took:
+            assert abs(p.result.w - one.w) <= 1e-15 * abs(one.w)
+    assert {p.result.branch for p in points if p.z in outer and p.z.imag == 0.0} == {"real_gap"}
+    _assert_grid_gives_map_point(wm, points)
+    monkeypatch.setattr(mapping, "_GRID_BATCH", 3)
+    assert wm.map_grid(zs) == points
+
+
+@pytest.mark.parametrize("z", [complex(1.5e308, 1e308), complex(-1.7e308, 1.7e308)])
+def test_points_beyond_the_float_range_map(z, capsys):
+    # |z| overflows a double: the focal-sum test raised OverflowError from
+    # complex abs, in map_point, green_complex and a whole map_grid batch
+    wm = solve([[-1.0, -0.3], [0.1, 1.0]])
+
+    def near(w):  # |w / z - 1|, in halves so that the quotient cannot overflow
+        return abs((0.5 * w) / (0.5 * z) - 1.0)
+
+    res = wm.map_point(z)
+    assert near(res.w) <= 1e-12 and (res.branch, res.iterations) == ("complex", 0)
+    inner, far = wm.map_grid([0.5j, z])
+    assert inner == wm.map_grid([0.5j])[0]
+    assert far.status == "converged" and near(far.result.w) <= 1e-12
+    # G = log(z - t) - log cap + O(s / z)
+    g = green_complex(z, wm.domain, wm.green)
+    assert abs(g - (cmath.log(z) - math.log(wm.green.capacity))) <= 1e-12 * abs(g)
+    assert list(green_complex([z, 0.5j], wm.domain, wm.green)) == [
+        g, green_complex(0.5j, wm.domain, wm.green)]
+    assert cli.main(["phi", "--intervals=-1,-0.3;0.1,1", f"--z={z.real!r},{z.imag!r}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert near(complex(*report["w"])) <= 1e-12 and report["iterations"] == 0
