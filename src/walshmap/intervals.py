@@ -47,6 +47,9 @@ class IntervalUnion:
                     f"intervals touch or overlap at {b[i]} >= {b[i + 1]}; "
                     "components must be pairwise disjoint"
                 )
+        if not math.isfinite(b[-1] - b[0]):
+            raise DegenerateError(
+                f"hull width b_2l - b_1 = {b[-1]} - {b[0]} exceeds the float range")
 
     @property
     def ell(self) -> int:
@@ -54,9 +57,12 @@ class IntervalUnion:
 
     @property
     def frame(self) -> tuple[float, float]:
-        """Midpoint t and half-width s of the hull: every stop test's frame."""
+        """Midpoint t and half-width s of the hull: every stop test's frame.
+        Both are finite, as the hull's width is (a sum of endpoints beyond
+        the float range is halved first)."""
         b = self.endpoints
-        return (b[0] + b[-1]) / 2, (b[-1] - b[0]) / 2
+        t = (b[0] + b[-1]) / 2
+        return t if math.isfinite(t) else b[0] / 2 + b[-1] / 2, (b[-1] - b[0]) / 2
 
     @property
     def unit(self) -> float:

@@ -1,16 +1,28 @@
 """Evaluation of the normalized conformal map onto the lemniscatic complement.
 
-Outside the ellipse |v| = 1.5 around the hull, in the Joukowski variable v
-of the frame (t, s) of E, Phi is its series (s/2) v + t + sum d_k v^-k,
-whose coefficients follow in closed form from the Chebyshev moments of
-GreenData, the centers and the masses (_Series).  They are built once per
-domain on first use, with a certificate: the map equation's largest
-residual on the ellipse, which bounds it outside.  When that is at most the
-Newton's stop _TOL, every off-axis point outside the ellipse, and every real
-one there on the two unbounded gaps, takes the series: no Green target, no
-Newton.
+A point of C \\ E takes one of three regions, the same in map_point and
+map_grid.
 
-Every other point solves a Green's-function equation: off the real axis
+* Outer series.  Outside the ellipse |v| = 1.5 around the hull, in the
+  Joukowski variable v of the frame (t, s) of E, Phi is its series
+  (s/2) v + t + sum d_k v^-k, whose coefficients follow in closed form from
+  the Chebyshev moments of GreenData, the centers and the masses (_Series).
+  They are built once per domain on first use, with a certificate: the map
+  equation's largest residual on the ellipse, which bounds it outside.
+* Component series.  Inside the ellipse, near component E_j, in its own
+  Joukowski variable v_j, Phi is a Laurent series sum c_k v_j^k, fitted on
+  first use from the rim |v_j| = 1 and a circle |v_j| = rho_j = 0.8 R_j,
+  R_j the |v_j| of the nearest other endpoint (_fit), and certified by its
+  largest residual on both circles, which bounds it on the annulus between
+  them.  A point inside the ellipse takes the certified series of the
+  component beside Re z whose annulus holds it with the least |v_j| / rho_j.
+* Newton.  Every other point, and every point of a domain or component
+  whose certificate exceeds the Newton's stop _TOL.
+
+A series point takes no Green target and no Newton; it reports the
+certificate as its residual and 0 iterations.
+
+A Newton point solves a Green's-function equation: off the real axis
 (and right of the last endpoint) the complex equation
 
     sum m_j Log(w - a_j) - log(cap) = integral of N/S from b_{2l} to z
@@ -26,16 +38,17 @@ Both start from the real-axis correspondence of the gap (and, for off-axis
 points near E, of the component) under Re z; see _complex_start.  Endpoints
 map to the boundary abscissae directly.
 
-map_point solves one point with the scalar damped_newton and sums the
-series by a scalar Horner; map_grid solves a batch with
-damped_newton_masked and sums the series of all its outer points at once (a
-one-point numpy batch costs several times more).
+map_point solves one point with the scalar damped_newton and sums a series
+by a scalar Horner; map_grid solves a batch with damped_newton_masked, sums
+the outer series of all its outer points at once (a one-point numpy batch
+costs several times more) and a component's series by map_point's Horner.
 """
 
 import bisect
 import cmath
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,9 +94,10 @@ class MapResult:
     count, and which equation branch produced it ("complex", "real_gap" with
     the gap index, or "boundary" with the 1-based endpoint index).
 
-    A point mapped by Phi's series outside the ellipse reports its domain's
-    certificate as residual (a bound on the map equation's residual there),
-    0 iterations, and "complex", or "real_gap" with index 0 or ell."""
+    A point mapped by a series, outside the ellipse or a component's inside
+    it, reports that series' certificate as residual (a bound on the map
+    equation's residual there), 0 iterations, and "complex", or "real_gap"
+    with its gap index."""
 
     w: complex
     residual: float
@@ -148,7 +162,9 @@ def _complex_start(z, E, dom, data):
     Newton from z can stall between the two.  The start follows the
     real-axis correspondence instead, shifted by i Im z: over a bounded gap
     the gap image of Re z (_gap_image), over component j the same fraction
-    of the arc from c_{2j-1} to c_{2j} around a_j, on the side of z.
+    of the arc from c_{2j-1} to c_{2j} around a_j, on the side of z.  A
+    point x + 0j of E gets the arc's point on the upper side: a start for
+    the image of the rim x + i0.
     """
     x, y = z.real, z.imag
     b = E.endpoints
@@ -170,10 +186,13 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
 
     Endpoints return their boundary abscissae; interior points of E raise
     InsideE.  A point on or outside the ellipse |v| = 1.5 around the hull,
-    off the axis or on an unbounded gap, takes Phi's series when its domain's
-    certificate is within _TOL: a Horner on the fewest terms whose tail
-    meets 6.2e-16 s, reported with the certificate as residual and 0
-    iterations (see MapResult).  Other real gap points are solved on the
+    off the axis or on an unbounded gap, takes Phi's outer series when its
+    domain's certificate is within _TOL; a point inside it takes a
+    component's series, when one holds it in its annulus and is certified
+    (_component_series), a critical point z_k excepted.  Either is a Horner
+    on the fewest terms whose tail meets 6.2e-16 s, reported with the
+    certificate as residual and 0 iterations (see MapResult).  The Newton
+    takes every other point: real gap points are solved on the
     uniqueness bracket of their gap from the gap image of z (see
     _gap_image), everything else through the complex equation, kept in the
     half-plane of z, from the start of _complex_start; its right side is
@@ -203,6 +222,11 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
         if loc.inside:
             raise InsideE(f"z = {z} lies inside component {loc.index}")
         k = loc.index
+        # a critical point z_k keeps its exact image w_k, below
+        if (not 0 < k < E.ell or x != data.roots[k - 1]) and (
+                local := _component_series(x, E, dom, data)):
+            series, v = local
+            return MapResult(complex(_local_point(series, v)), series.bound, 0, "real_gap", k)
         target = _green_real(E, data, x, cfg)
         if k == 0:
             lo = dom.centers[0] - _outer_reach(dom.capacity, max(target, 0.0))
@@ -231,6 +255,8 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
 
     if series := _outer_series(z, E, dom, data):
         return MapResult(_series_point(series, z, cmath.sqrt), series.bound, 0, "complex")
+    if local := _local_image(z, E, dom, data):
+        return local
     return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data)
 
 
@@ -252,14 +278,12 @@ def _complex_result(z, w, residual, iterations, E):
                      near_boundary=abs(z.imag) < near and _distance_to_E(E, z) < near)
 
 
-def _complex_images(zs, targets, E, dom, data):
-    """_complex_image for every point of the list zs at once, by one masked
-    damped Newton (damped_newton_masked) on the array targets: a MapResult
-    or the NoConvergence that _complex_image raises, per point."""
+def _batch_equation(dom, targets):
+    """damped_newton_masked's fun for the complex map equations of the array
+    targets: fun(w, idx) gives (F, delta) for the elements idx at w."""
     a = np.array(dom.centers)[:, None]
     m = np.array(dom.exponents.m)[:, None]
     shift = math.log(dom.capacity) + targets
-    side = np.sign(np.array([z.imag for z in zs]))
 
     def fun(w, idx):
         # _equation's sums in its order, -shift first, one row per center;
@@ -275,8 +299,17 @@ def _complex_images(zs, targets, E, dom, data):
         delta = np.full_like(F, np.nan)
         return F, np.divide(-F, deriv, out=delta, where=deriv != 0.0)
 
+    return fun
+
+
+def _complex_images(zs, targets, E, dom, data):
+    """_complex_image for every point of the list zs at once, by one masked
+    damped Newton (damped_newton_masked) on the array targets: a MapResult
+    or the NoConvergence that _complex_image raises, per point."""
+    side = np.sign(np.array([z.imag for z in zs]))
+    starts = np.array([_complex_start(z, E, dom, data) for z in zs], dtype=complex)
     w, F, steps, failures, margin = damped_newton_masked(
-        fun, np.array([_complex_start(z, E, dom, data) for z in zs], dtype=complex),
+        _batch_equation(dom, targets), starts,
         admissible=lambda w, idx: w.imag * side[idx] > 0.0, tol=_TOL,
         max_steps=200, max_halvings=11)
     out = [_complex_result(z, wi, abs(Fi), it, E)
@@ -321,42 +354,55 @@ _SERIES_RADII = _series_radii(_CHEBYSHEV_TERMS - 1)
 
 
 class _Series(NamedTuple):
-    """Phi outside the ellipse |v| = _ELLIPSE around the hull of one domain.
+    """Phi as a Laurent series in a Joukowski variable v of a frame (t, s),
+    z - t = (s/2)(v + 1/v), |v| >= 1:
 
-    In the Joukowski variable v of the frame (t, s), z - t = (s/2)(v + 1/v),
-    Phi is analytic on |v| > 1 and
+        Phi = lead + sum_k c_k v^k + sum_k c_-k v^-k.
 
-        Phi = (s/2) v + t + sum_{k >= 1} d_k v^-k.
+    up holds c_1 .. c_K+ and down c_-1 .. c_-K-, each in Horner's order (the
+    highest power first).  Each part is summed by _horner on the fewest
+    terms whose tail bound meets _TAIL S, S the hull's half-width
+    (_SERIES_RADII): every coefficient obeys |c_+-k| <= 2 S radius^-k, so
+    the tail left by n terms at r = |v| / radius (up) or 1 / (radius |v|)
+    (down) is at most 2 S r^(n+1) / (1 - r).  bound is the certificate: the
+    largest map-equation residual of the whole series where it is used.
+    data is the Green data it was built from.
 
-    coeffs holds d_1 .. d_{K-1} (_series_coefficients) and terms the same in
-    Horner's order.  The tail left by n terms at |1/v| = r is at most
-    max_k |d_k| r^(n+1) / (1 - r), and |d_k| <= max over |v| = 1 of
-    |Phi - (s/2) v - t| <= 2 s: there Phi lies on the boundary of L or on
-    its real gaps, within cap + max |a_j - t| <= (3/2) s of t.  A point takes
-    the fewest terms whose bound meets _TAIL s (_SERIES_RADII).
-
-    bound is the certificate: the largest map-equation residual of the
-    series on |v| = _ELLIPSE (_certificate), which bounds it on and outside
-    the ellipse.  data is the Green data the series was built from.
+    Outside the ellipse |v| = _ELLIPSE around the hull (_series): the frame
+    is the hull's (s = S), up is empty, as the positive part is (s/2) v
+    alone, formed in u = s/(z - t) (_series_point); lead = t, radius = 1,
+    down holds d_1 .. d_{K-1} (_series_coefficients) and rho is infinite.
+    Near component j (_local_series): the frame is the component's, and the
+    series serves the annulus 1 <= |v| <= rho inside the ellipse through the
+    nearest other endpoint (_fit).
     """
 
     data: GreenData
     t: float
     s: float
-    coeffs: np.ndarray
-    terms: list
+    lead: float
+    up: list
+    down: list
+    radius: float
+    rho: float
     bound: float
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """c_-1 .. c_-K-: the outer series' d_1 .. d_{K-1}."""
+        return np.array(self.down[::-1])
 
 
 def _series(dom: LemniscaticDomain, data: GreenData) -> _Series:
-    """dom's series for data, built on first use and kept on dom.  Two
-    threads may both build it: they build the same, and either one is
-    kept."""
+    """dom's series outside the ellipse for data, built on first use and
+    kept on dom.  Two threads may both build it: they build the same, and
+    either one is kept."""
     series = dom.__dict__.get("_series")
     if series is None or series.data is not data:
         t, s = data.domain.frame
         d = _series_coefficients(dom, data)
-        series = _Series(data, t, s, d, d[::-1].tolist(), _certificate(dom, data, t, s, d))
+        series = _Series(data, t, s, t, [], d[::-1].tolist(), 1.0, math.inf,
+                         _certificate(dom, data, t, s, d))
         dom.__dict__["_series"] = series  # frozen, but not its cache
     return series
 
@@ -445,20 +491,255 @@ def _outer_series(z, E: IntervalUnion, dom: LemniscaticDomain,
     return series if series.bound <= _TOL else None
 
 
+def _horner(terms, x, r):
+    """sum d_k x^k, k = 1 .. n, by Horner in Python scalars over the last n
+    entries of terms (d_K .. d_1), n the fewest whose tail bound at r meets
+    _TAIL (see _Series), or all of them at an r beyond _SERIES_RADII."""
+    n = bisect.bisect_left(_SERIES_RADII, r) + 1
+    if n > len(_SERIES_RADII):
+        n = len(terms)
+    acc = 0.0
+    for d in terms[max(len(terms) - n, 0):]:
+        acc = (acc + d) * x
+    return acc
+
+
 def _series_point(series: _Series, z, sqrt):
-    """Phi(z) from the series by Horner in Python scalars on the fewest terms
-    that meet _TAIL s, with sqrt math.sqrt for a real z (a float) and
-    cmath.sqrt otherwise."""
+    """Phi(z) from the outer series, with sqrt math.sqrt for a real z (a
+    float) and cmath.sqrt otherwise."""
     dz = z - series.t
     u = series.s / dz
     q = sqrt(1.0 - u * u)
     r = u / (1.0 + q)
-    terms = series.terms
-    acc = 0.0
-    for d in terms[len(terms) - min(bisect.bisect_left(_SERIES_RADII, abs(r)) + 1,
-                                    len(terms)):]:
-        acc = (acc + d) * r
-    return series.t + (0.5 * dz) * (1.0 + q) + acc
+    return series.t + (0.5 * dz) * (1.0 + q) + _horner(series.down, r, abs(r))
+
+
+# --- Phi near a component: its Laurent series in the component's variable ---
+
+# the outer circle |v_j| = rho_j of component j's series, as a share of its
+# reach R_j (a lone component, whose reach is infinite, takes the hull's
+# ellipse); and the fewest nodes on each of the series' two circles
+_REACH = 0.8
+_NODES = 256
+
+# the rounding unit of a double
+_EPS = 2.0 ** -52
+
+
+def _joukowski(z, lo, hi, s):
+    """v with z - t = (s/2)(v + 1/v) and |v| >= 1 in the frame (t, s) of the
+    interval [lo, hi], for a float z off it, a complex z or a complex array.
+    It is formed from the exact differences zeta - 1 = (z - hi)/s and
+    zeta + 1 = (z - lo)/s, so a point near an endpoint keeps its accuracy."""
+    dm, dp = (z - hi) / s, (z - lo) / s
+    zeta = 0.5 * (dm + dp)
+    if isinstance(z, float):
+        return zeta + math.copysign(math.sqrt(dm * dp), zeta)
+    sqrt = np.sqrt if isinstance(z, np.ndarray) else cmath.sqrt
+    return zeta + sqrt(dm) * sqrt(dp)
+
+
+def _local_cache(dom: LemniscaticDomain, data: GreenData):
+    """(data, frames, built) for dom's components, kept on dom: per component
+    j its frame (lo, hi, s, R_j, rho_j), R_j = |v_j| at the nearest other
+    endpoint, and its series once built (_local_series), else None."""
+    local = dom.__dict__.get("_local")
+    if local is None or local[0] is not data:
+        b = data.domain.endpoints
+        frames = []
+        for j, (lo, hi) in enumerate(data.domain.components):
+            s = 0.5 * (hi - lo)
+            others = b[2 * j - 1:2 * j] + b[2 * j + 2:2 * j + 3]
+            R = min((abs(_joukowski(o, lo, hi, s)) for o in others), default=math.inf)
+            frames.append((lo, hi, s, R, _REACH * R if others else _ELLIPSE))
+        local = (data, frames, [None] * len(frames))
+        dom.__dict__["_local"] = local  # frozen, but not its cache
+    return local
+
+
+def _local_series(dom: LemniscaticDomain, data: GreenData, j: int) -> _Series:
+    """Component j's series, built on first use and kept on dom; two threads
+    may both build it, the same."""
+    _, frames, built = _local_cache(dom, data)
+    if built[j] is None:
+        built[j] = _fit(dom, data, j, *frames[j])
+    return built[j]
+
+
+def _fit(dom, data, j, lo, hi, s, R, rho) -> _Series:
+    """Component j's series Phi = sum c_k v^k, k = -K .. K, in its own
+    Joukowski variable v (frame (lo + s, s)).
+
+    Phi o z_j is analytic on the annulus 1/R < |v| < R, and its Laurent
+    coefficients are real, as Phi(conj z) = conj Phi(z).  n nodes on a circle
+    give them by the FFT; the upper half's images and their conjugates make
+    the circle.  The negative powers come from the rim |v| = 1, whose images
+    solve the map equation against G(x + i0) = i pi mu_E([x, b_2l]), from
+    partial masses (_rim_targets); the positive ones from |v| = rho, whose
+    images the Newton gives (_sample), so that a sample's error enters c_k
+    divided by rho^k.  n is _NODES, doubled until R^(n/2) >= 2^53 keeps the
+    aliasing of c_(n/2) onto the rim's coefficients below rounding.  Each
+    side keeps its terms up to the last whose largest value on the annulus
+    exceeds the rounding unit of the hull's half-width S (_kept), and
+    radius (see _Series) is the largest at or below R at which every kept
+    |c_+-k| radius^k <= 2 S.
+
+    The certificate is the largest map-equation residual between the nodes
+    of both circles (_local_certificate).  A component whose rho is at most
+    1, or one of whose samples fails, gets an infinite certificate.
+    """
+    E = data.domain
+    t = lo + s
+    uncertified = _Series(data, t, s, t, array("d"), array("d"), 1.0, rho, math.inf)
+    if not rho > 1.0:
+        return uncertified
+    n = _NODES
+    while (n // 2) * math.log(R) < 53.0 * math.log(2.0):
+        n *= 2
+    theta = 2.0 * np.pi * (np.arange(n // 2) + 0.5) / n
+    x = _rim_points(lo, hi, s, theta)
+    v = rho * np.exp(1j * theta)
+    z = t + (0.5 * s) * (v + 1.0 / v)
+    starts = np.array([_complex_start(complex(p), E, dom, data)
+                       for p in [*x.tolist(), *z.tolist()]])
+    try:
+        rim = _sample(dom, _rim_targets(E, data, j, x), starts[:x.size])
+        outer = _sample(dom, green_complex(z, E, data), starts[x.size:])
+    except NoConvergence:
+        return uncertified
+    if rim is None or outer is None:
+        return uncertified
+    k = np.arange(1, n // 2)
+    c = _fourier(rim, n)
+    c0, down = c[0].item(), c[n - k]
+    up = _fourier(outer, n)[k] / rho ** k
+    hull = E.frame[1]
+    up = up[:_kept(np.abs(up) * rho ** k, hull)]
+    down = down[:_kept(np.abs(down), hull)]
+    radius = min([R] + [(2.0 * hull / abs(ck)) ** (1.0 / i)
+                        for part in (up, down) for i, ck in enumerate(part.tolist(), 1) if ck])
+    series = _Series(data, t, s, c0, array("d", up[::-1]), array("d", down[::-1]), radius, rho,
+                     0.0)
+    return series._replace(bound=_local_certificate(dom, data, j, series, n))
+
+
+def _rim_points(lo, hi, s, theta):
+    """x = t + s cos(theta) on [lo, hi], from the nearer endpoint."""
+    half = 0.5 * theta
+    return np.where(theta < 0.5 * np.pi, hi - 2.0 * s * np.sin(half) ** 2,
+                    lo + 2.0 * s * np.cos(half) ** 2)
+
+
+def _rim_targets(E, data, j, x):
+    """G(x + i0) = i pi mu_E([x, b_2l]) at the points x of component j: its
+    partial mass from the nearer endpoint of the component, by the segment
+    rule singular at that endpoint (_green_integral), plus the branch offset
+    of the endpoint, pi times the masses right of it."""
+    lo, hi = E.components[j]
+    right = x > lo + 0.5 * (hi - lo)
+    jumps = data._targets[5]
+    g = _green_integral(E, data.roots, np.where(right, hi, lo), x.astype(complex), DEFAULT_CONFIG)
+    return 1j * (np.where(right, jumps[j + 1], jumps[j]) + g.imag)
+
+
+def _sample(dom, targets, starts):
+    """Images in the upper half-plane of the map equation's targets, by the
+    masked damped Newton from starts and one more full step, which squares
+    the residual that the stop at _TOL leaves; None if a point fails."""
+    fun = _batch_equation(dom, targets)
+    w, F, _, failures, _ = damped_newton_masked(
+        fun, starts, admissible=lambda w, idx: w.imag > 0.0, tol=_TOL,
+        max_steps=200, max_halvings=11)
+    if failures:
+        return None
+    every = np.arange(w.size)
+    polished = w + fun(w, every)[1]
+    better = (np.abs(fun(polished, every)[0]) < np.abs(F)) & (polished.imag > 0.0)
+    return np.where(better, polished, w)
+
+
+def _fourier(upper, n):
+    """Laurent coefficients c_0 .. c_(n-1) (index n - k for c_-k), real, of
+    the values at v = exp(2 pi i (k + 1/2) / n), k < n/2, given as upper,
+    and their conjugates on the lower half of the circle."""
+    full = np.concatenate((upper, np.conj(upper[::-1])))
+    k = np.arange(n)
+    k[n // 2:] -= n
+    return (np.fft.fft(full) * np.exp(-1j * np.pi * k / n)).real / n
+
+
+def _kept(size, s):
+    """The count of leading terms up to the last whose largest value on the
+    annulus, size, exceeds the rounding unit of s: the ones after it are
+    the samples' rounding noise."""
+    big = np.flatnonzero(size > _EPS * s)
+    return int(big[-1]) + 1 if big.size else 0
+
+
+def _local_values(series, v):
+    """The whole series at every point of the complex array v."""
+    up = np.polynomial.polynomial.polyval(v, [series.lead, *series.up[::-1]])
+    return up + np.polynomial.polynomial.polyval(1.0 / v, [0.0, *series.down[::-1]])
+
+
+def _local_certificate(dom, data, j, series, n) -> float:
+    """Largest residual |sum m_j Log(Phi_s - a_j) - log cap - G| of the series
+    Phi_s at the n/2 - 1 points between the nodes of each circle's upper
+    half, G from _rim_targets on the rim and green_complex on |v| = rho.
+
+    The residual is analytic on the annulus 1 <= |v| <= rho and symmetric
+    under conjugation, so by the maximum principle its largest value there
+    lies on the two circles.  A target that fails gives an infinite one."""
+    E = data.domain
+    theta = 2.0 * np.pi * np.arange(1, n // 2) / n
+    v = series.rho * np.exp(1j * theta)
+    z = series.t + (0.5 * series.s) * (v + 1.0 / v)
+    x = _rim_points(*E.components[j], series.s, theta)
+    try:
+        targets = np.concatenate((_rim_targets(E, data, j, x), green_complex(z, E, data)))
+    except NoConvergence:
+        return math.inf
+    w = _local_values(series, np.concatenate((np.exp(1j * theta), v)))
+    F = _batch_equation(dom, targets)(w, np.arange(w.size))[0]
+    return float(np.max(np.abs(F)))
+
+
+def _component_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData):
+    """(series, v) for a point z off E inside the ellipse: of the components
+    beside Re z (the one under it, or the two beside its gap), whose
+    annuli |v_j| <= rho_j hold z, the first by |v_j| / rho_j whose series is
+    certified within _TOL, and z's v_j; else None: z takes the Newton."""
+    if _outside_ellipse(z, E.endpoints, data._targets[2]):
+        return None
+    _, frames, _ = _local_cache(dom, data)
+    i = bisect.bisect_right(E.endpoints, z.real)
+    inside = []
+    for j in (i // 2,) if i % 2 else (i // 2 - 1, i // 2):
+        if 0 <= j < E.ell:
+            lo, hi, s, _, rho = frames[j]
+            v = _joukowski(z, lo, hi, s)
+            if abs(v) <= rho:
+                inside.append((abs(v) / rho, j, v))
+    for _, j, v in sorted(inside):
+        series = _local_series(dom, data, j)
+        if series.bound <= _TOL:
+            return series, v
+    return None
+
+
+def _local_point(series: _Series, v):
+    """Phi from a component's series at its variable v (see _Series)."""
+    size = abs(v)
+    return (series.lead + _horner(series.up, v, size / series.radius)
+            + _horner(series.down, 1.0 / v, 1.0 / (size * series.radius)))
+
+
+def _local_image(z, E, dom, data) -> MapResult | None:
+    """The MapResult of the off-axis z by a component's series, or None."""
+    if local := _component_series(z, E, dom, data):
+        series, v = local
+        return _complex_result(z, _local_point(series, v), series.bound, 0, E)
+    return None
 
 
 @dataclass(frozen=True)
@@ -478,12 +759,15 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     failures per point; never aborts the batch, order preserved.
 
     Finite off-axis points on or outside the ellipse |v| = 1.5 take Phi's
-    series (_series_map) at once, as map_point does, when it is certified.
-    The Green targets of the others come from one green_complex call per
-    batch of _GRID_BATCH points, and their complex equations from one masked
-    damped Newton (_complex_images); each builds a failed point's error as
-    map_point raises it.  Only real-axis points go through map_point.  Every
-    point gets what map_point gives it, a series image within rounding.
+    outer series (_series_map) at once, as map_point does, when it is
+    certified; points inside it that a certified component's series holds
+    take it point by point, by map_point's own evaluation.  The Green
+    targets of the others, the Newton's, come from one green_complex call
+    per batch of _GRID_BATCH points, and their complex equations from one
+    masked damped Newton (_complex_images); each builds a failed point's
+    error as map_point raises it.  Only real-axis points go through
+    map_point.  Every point gets what map_point gives it, an outer series
+    image within rounding, a component's series image exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     b, reach = E.endpoints, data._targets[2]
@@ -496,8 +780,11 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
             series = _series(dom, data)
             if series.bound > _TOL:
                 far = [False] * len(off)
+        # a component's series image of each point inside the ellipse, or
+        # None for the Newton's
+        local = [None if f else _local_image(z, E, dom, data) for z, f in zip(off, far)]
         outer = [z for z, f in zip(off, far) if f]
-        inner = [z for z, f in zip(off, far) if not f]
+        inner = [z for z, f, res in zip(off, far, local) if not f and res is None]
         by_series = by_newton = iter(())
         if outer:
             w = _series_map(np.array(outer), series.t, series.s, series.coeffs)[0]
@@ -513,7 +800,8 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
                                           targets[solved], E, dom, data))
             by_newton = iter([next(images) if ok else failures[i]
                               for i, ok in enumerate(solved.tolist())])
-        results = (next(by_series) if f else next(by_newton) for f in far)
+        results = (next(by_series) if f else res or next(by_newton)
+                   for f, res in zip(far, local))
         for z in batch:
             try:
                 if z.imag == 0.0:

@@ -19,7 +19,8 @@ from .green import _green_integral, green_data
 from .intervals import parse_domain
 from .lemniscatic import centers_general, solve_domain
 from .lemniscatic import green as green_level
-from .mapping import _outer_series, _series, branch_offset
+from .mapping import (_TOL, _component_series, _local_cache, _local_series, _outer_series,
+                      _series, branch_offset)
 from .quadrature import QuadConfig
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
@@ -303,27 +304,39 @@ def _check_map_suite(cfg, seed):
     details.append(f"single-interval oracle err {worst:.1e} over {len(pts)} pts")
 
     # (b) Green identity on 40x40 off-axis grids, independent Green evaluation;
-    # reported apart at the points that took Phi's series
+    # reported apart at the points that took Phi's series outside the ellipse
+    # and at those that took a component's series inside it
     for pairs, xr in ((TWO_INTERVAL_SET, (-2, 2)), (THREE_INTERVAL_SET, (-3, 3))):
         wm = solve(pairs, cfg)
+        E, dom, data = wm.domain, wm.lemniscatic, wm.green
         xs = np.linspace(*xr, 40)
         ys = np.linspace(-2, 2, 40)
-        worst = worst_series = 0.0
-        series = 0
+        worst = 0.0
+        worst_by = {"outer": 0.0, "local": 0.0}
+        count = {"outer": 0, "local": 0}
         for x in xs:
             for y in ys:
                 z = complex(x, y)
                 res = wm.map_point(z)
                 err = abs(_green_indep(wm, z) - green_level(res.w, wm.lemniscatic))
                 worst = max(worst, err)
-                if _outer_series(z, wm.domain, wm.lemniscatic, wm.green):
-                    series += 1
-                    worst_series = max(worst_series, err)
+                by = ("outer" if _outer_series(z, E, dom, data)
+                      else "local" if _component_series(z, E, dom, data) else None)
+                if by:
+                    count[by] += 1
+                    worst_by[by] = max(worst_by[by], err)
         ok &= worst <= 1e-9
-        bound = _series(wm.lemniscatic, wm.green).bound
-        details.append(f"Green identity {worst:.1e} on 40x40 grid, {series / 1600:.0%} "
-                       f"by the series (certificate {bound:.1e}, Green identity "
-                       f"{worst_series:.1e})")
+        bound = _series(dom, data).bound
+        local = [_local_series(dom, data, j) for j in range(E.ell)]
+        certified = [series for series in local if series.bound <= _TOL]
+        reach = "/".join(sorted({f"{f[4] / f[3]:.2g}" for f in _local_cache(dom, data)[1]}))
+        details.append(
+            f"Green identity {worst:.1e} on 40x40 grid, {count['outer'] / 1600:.0%} by the "
+            f"series (certificate {bound:.1e}, Green identity {worst_by['outer']:.1e}), "
+            f"{count['local'] / 1600:.0%} by a component's (largest certificate "
+            f"{max((c.bound for c in certified), default=math.nan):.1e}, rho/R {reach}, "
+            f"{len(local) - len(certified)} uncertified, "
+            f"Green identity {worst_by['local']:.1e})")
 
     # (c) endpoints map to the boundary abscissae
     worst = 0.0

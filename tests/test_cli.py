@@ -96,6 +96,17 @@ def test_overlap_is_input_error(capsys):
     assert json.loads(err)["error"]["type"] == "OverlapError"
 
 
+def test_hull_wider_than_the_float_range_is_input_error(capsys):
+    # exited with an untyped OverflowError from IntervalUnion.unit
+    code, out, err = run_cli(capsys, "params", "--intervals=-1.7e308,1.7e308")
+    assert code == 2 and out == ""
+    line, = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "DegenerateError",
+        "message": "hull width b_2l - b_1 = 1.7e+308 - -1.7e+308 exceeds the float range",
+        "exit_code": 2}
+
+
 def test_phi_single_interval(capsys):
     code, out, _ = run_cli(capsys, "phi", "--intervals=-1,1", "--z", "2")
     assert code == 0

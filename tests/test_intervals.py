@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from walshmap.api import solve
 from walshmap.errors import DegenerateError, NotFinite, OverlapError
 from walshmap.intervals import IntervalUnion, locate, parse_domain
 
@@ -101,3 +102,22 @@ def test_parse_idempotent_and_tiling(values):
     for x in values + [v + 1e-3 for v in values] + [-1e9, 1e9]:
         loc = locate(E, x)
         assert (loc.kind == "inside") == E.contains(x)
+
+
+@pytest.mark.parametrize("pairs", [[[-1.7e308, 1.7e308]], [[-1e308, 0.0], [1.0, 1e308]]])
+def test_hull_wider_than_the_float_range_rejected(pairs):
+    # the hull's width overflowed to inf, and IntervalUnion.unit raised an
+    # untyped OverflowError from it
+    with pytest.raises(DegenerateError,
+                       match="hull width b_2l - b_1 = .* exceeds the float range"):
+        parse_domain(pairs)
+    with pytest.raises(DegenerateError, match="hull width"):
+        solve(pairs)
+
+
+def test_frame_and_unit_stay_finite_near_the_float_range():
+    # b_1 + b_2l overflows; b_1 / 2 + b_2l / 2 does not
+    E = parse_domain([[1e308, 1.5e308], [1.6e308, 1.7e308]])
+    t, s = E.frame
+    assert t == 1e308 / 2 + 1.7e308 / 2 and s == (1.7e308 - 1e308) / 2
+    assert math.isfinite(t) and E.unit == 2.0 ** 1022

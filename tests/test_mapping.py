@@ -8,8 +8,8 @@ import pytest
 
 from walshmap import cli, mapping
 from walshmap.api import solve
-from walshmap.errors import BracketFailure, InsideE, NotFinite, WalshMapError
-from walshmap.green import _green_integral, green_complex
+from walshmap.errors import BracketFailure, InsideE, NoConvergence, NotFinite, WalshMapError
+from walshmap.green import _green_integral, green_complex, green_real
 from walshmap.lemniscatic import green as green_level
 from walshmap.mapping import branch_offset, map_grid, map_point, trace_boundary
 from walshmap.quadrature import QuadConfig
@@ -350,11 +350,14 @@ def test_concurrent_map_matches_sequential(two_interval):
 
 def test_concurrent_first_use_builds_one_series():
     # threads that map a fresh domain's outer points race to build its
-    # series; each build is the same, so every image matches the sequential
-    # one bit for bit
+    # series, and its inner points, each in a component's annulus (two over
+    # the gaps, on the axis), to build the series of its components; each
+    # build is the same, so every image matches the sequential one bit for
+    # bit
     import sys
     import threading
     zs = [3.0 * cmath.exp(1j * theta) for theta in np.linspace(0.1, 6.0, 12)]
+    zs += [-1.45 + 0.2j, -0.25 - 0.15j, 1.35 + 0.3j, -0.8 + 0j, 0.35 + 0j]
     sequential = [solve(ref.THREE_INTERVAL["pairs"]).map_point(z).w for z in zs]
     wm = solve(ref.THREE_INTERVAL["pairs"])
     results, start = {}, threading.Barrier(8)
@@ -732,9 +735,12 @@ def test_uncertified_series_keeps_the_newton(monkeypatch):
 
 def test_grid_takes_the_series_as_map_point_does(three_interval, monkeypatch):
     # a row through the ellipse: outer points by the series in both entry
-    # points, inner ones by the Newton; any batch split gives the same points
+    # points, inner ones by the Newton; any batch split gives the same points.
+    # At Im z = 0.6 the row passes above every component's annulus (the
+    # highest, of the third component, reaches 0.54), which would map its
+    # inner points by a component's series
     wm = three_interval
-    zs = [complex(x, 0.3) for x in np.linspace(-4.0, 4.0, 41)] + [complex(x) for x in (-3.0, 3.0)]
+    zs = [complex(x, 0.6) for x in np.linspace(-4.0, 4.0, 41)] + [complex(x) for x in (-3.0, 3.0)]
     points = wm.map_grid(zs)
     outer = [z for z in zs if mapping._outer_series(z, wm.domain, wm.lemniscatic, wm.green)]
     assert 0 < len(outer) < len(zs)
@@ -772,3 +778,191 @@ def test_points_beyond_the_float_range_map(z, capsys):
     assert cli.main(["phi", "--intervals=-1,-0.3;0.1,1", f"--z={z.real!r},{z.imag!r}"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert near(complex(*report["w"])) <= 1e-12 and report["iterations"] == 0
+
+
+# --- Phi near a component: its Laurent series in the component's variable ----
+
+def _series_points(wm, count, rng):
+    """count points z_j(v) per component j, |v| log-uniform on [1, rho_j]
+    and arg v uniform, that lie off the axis and take a component's series,
+    each with the j it was drawn for."""
+    E, dom, data = wm.domain, wm.lemniscatic, wm.green
+    _, frames, _ = mapping._local_cache(dom, data)
+    out = []
+    for j, (lo, hi, s, _, rho) in enumerate(frames):
+        points = []
+        while len(points) < count:
+            v = cmath.rect(math.exp(rng.uniform(0.0, math.log(rho))),
+                           rng.uniform(-math.pi, math.pi))
+            z = lo + s + 0.5 * s * (v + 1.0 / v)
+            if z.imag != 0.0 and mapping._component_series(z, E, dom, data):
+                points.append(z)
+        out += [(j, z) for z in points]
+    return out
+
+
+def _polished(wm, z, w):
+    """w after one more full Newton step on z's complex map equation: the
+    Newton stops at a residual of 1e-12, which leaves up to 3e-11 of s in
+    its image where the equation's derivative is small."""
+    from walshmap.mapping import _equation
+    target = green_complex(z, wm.domain, wm.green)
+    _, delta = _equation(wm.lemniscatic, target, cmath.log)(w)
+    return w + delta
+
+
+@pytest.mark.parametrize("pairs", [
+    ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"], ref.cantor_pairs(2),
+    ref.dirichlet_intervals(np.random.default_rng(10), 10),
+], ids=["two", "three", "cantor2", "ten"])
+def test_local_series_matches_the_newton(pairs, monkeypatch):
+    # 200 points per component inside its annulus 1 <= |v_j| <= rho_j: every
+    # one takes a certified series, reported as a series point, within 4e-15
+    # of the hull half-width of the whole series (the terms each point
+    # leaves out are below 6.2e-16 s on either side) and within 1e-12 s of
+    # the Newton's image, which the points take with the component series
+    # switched off
+    wm = solve(pairs)
+    s = wm.domain.frame[1]
+    points = _series_points(wm, 200, np.random.default_rng(22))
+    images = {z: wm.map_point(z) for _, z in points}
+    for j, z in points:
+        series, v = mapping._component_series(z, wm.domain, wm.lemniscatic, wm.green)
+        assert series.bound <= 1e-12
+        assert abs(images[z].w - mapping._local_values(series, np.array([v]))[0]) <= 4e-15 * s
+    monkeypatch.setattr(mapping, "_component_series", lambda *args: None)
+    for _, z in points:
+        res, newton = images[z], wm.map_point(z)
+        assert (res.iterations, res.branch) == (0, "complex") and res.residual <= 1e-12
+        assert newton.iterations > 0
+        assert abs(res.w - _polished(wm, z, newton.w)) <= 1e-12 * s
+
+
+def test_local_series_on_gaps_and_near_endpoints(two_interval):
+    # real gap points take the series as real_gap with their gap index, and
+    # so do the unbounded gaps inside the ellipse; points within 1e-13 of an
+    # endpoint keep their accuracy, as v is formed from z - b
+    wm = two_interval
+    b = wm.domain.endpoints
+    for x, k in ((-0.1, 1), (0.05, 1), (-1.02, 0), (1.05, 2), (b[1] + 1e-13, 1),
+                 (b[3] + 1e-12, 2)):
+        res = wm.map_point(x)
+        assert (res.branch, res.index, res.iterations) == ("real_gap", k, 0)
+        assert res.w.imag == 0.0
+        g = green_real(x, wm.domain, wm.green)
+        assert abs(green_level(res.w, wm.lemniscatic) - g) <= 1e-13
+    # the critical point keeps its exact image
+    assert wm.map_point(wm.green.roots[0]).w == wm.lemniscatic.crit_w[0]
+    for z in (b[1] + 1e-13j, complex(b[2] - 1e-12, 1e-13), complex(b[0], -1e-14)):
+        res = wm.map_point(z)
+        assert res.iterations == 0 and res.near_boundary
+        g = green_complex(z, wm.domain, wm.green).real
+        assert abs(green_level(res.w, wm.lemniscatic) - g) <= 1e-13
+
+
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   ref.cantor_pairs(2)], ids=["two", "three", "cantor2"])
+def test_local_series_conjugation_is_exact(pairs):
+    wm = solve(pairs)
+    for _, z in _series_points(wm, 30, np.random.default_rng(5)):
+        up, down = wm.map_point(z), wm.map_point(z.conjugate())
+        assert down.w == up.w.conjugate() and down.iterations == up.iterations == 0
+
+
+def _laurent(wm, j):
+    """c_-K .. c_K of component j's series, as a dict by power."""
+    series = mapping._local_series(wm.lemniscatic, wm.green, j)
+    out = {0: series.lead}
+    out.update({k: c for k, c in enumerate(series.up[::-1], 1)})
+    out.update({-k: c for k, c in enumerate(series.down[::-1], 1)})
+    return out
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -20, 2.0 ** 30])
+def test_local_series_coefficients_are_covariant(scale):
+    # Phi_{pE}(p z) = p Phi_E(z) for a power of two p, and Phi_{-E}(z) =
+    # -Phi_E(-z) with v_j(-z) = -v_j(z) on the mirrored component:
+    # c_k(pE) = p c_k and c_k(-E) = -(-1)^k c_k.  Powers past a trimmed end
+    # read 0, within the rounding unit of s
+    pairs = ref.dirichlet_intervals(np.random.default_rng(10), 10)
+    wm = solve(pairs)
+    s = wm.domain.frame[1]
+    scaled = solve([[scale * lo, scale * hi] for lo, hi in pairs])
+    mirrored = solve([[-hi, -lo] for lo, hi in reversed(pairs)])
+    ell = wm.domain.ell
+    for j in range(ell):
+        c, c_scaled = _laurent(wm, j), _laurent(scaled, j)
+        c_mirrored = _laurent(mirrored, ell - 1 - j)
+        for k in set(c) | set(c_scaled) | set(c_mirrored):
+            assert abs(c_scaled.get(k, 0.0) - scale * c.get(k, 0.0)) <= 1e-14 * scale * s
+            assert abs(c_mirrored.get(k, 0.0) + (-1) ** (k % 2) * c.get(k, 0.0)) <= 1e-14 * s
+
+
+def test_grid_takes_the_local_series_as_map_point_does(monkeypatch):
+    # the same scalar evaluation in both entry points: series images equal
+    # bit for bit, in any batch split
+    for pairs in (ref.THREE_INTERVAL["pairs"], ref.cantor_pairs(2)):
+        wm = solve(pairs)
+        b = wm.domain.endpoints
+        zs = [z for _, z in _series_points(wm, 12, np.random.default_rng(8))]
+        zs += [complex(x) for x in np.linspace(b[0] - 0.05, b[-1] + 0.05, 9)]  # gaps, E
+        points = wm.map_grid(zs)
+        for p in points:
+            if p.status == "converged":
+                one = wm.map_point(p.z)
+                assert p.result == one
+        _assert_grid_gives_map_point(wm, points)
+        for batch in (1, 5):
+            monkeypatch.setattr(mapping, "_GRID_BATCH", batch)
+            assert wm.map_grid(zs) == points
+        monkeypatch.undo()
+
+
+# the Newton's images of two-interval points inside the ellipse before the
+# component series, with their iteration counts: map_point's, then map_grid's
+INNER_NEWTON_IMAGES = {
+    0.5 + 0.1j: ((0.4922655330225258 + 0.2801157930275928j),
+                 (0.49226553302252585 + 0.28011579302759276j), 4, 4),
+    -0.6 - 0.2j: ((-0.5687508104279734 - 0.3097052688518227j),
+                  (-0.5687508104279734 - 0.3097052688518227j), 4, 4),
+    0.3j: ((0.028453809667494265 + 0.3704320185560112j),
+           (0.02845380966749399 + 0.37043201855601104j), 4, 4),
+    -0.1 + 0j: ((-0.07393213603035123 + 0j), (-0.07393213603035123 + 0j), 4, 4),
+    1.05 + 0j: ((0.8916724261227986 + 0j), (0.8916724261227986 + 0j), 5, 5),
+    -1.02 + 0j: ((-0.8611741017062731 + 0j), (-0.8611741017062731 + 0j), 5, 5),
+}
+
+
+def test_uncertified_local_series_keeps_the_newton(monkeypatch):
+    # each point takes a component's series; with every certificate forced
+    # above _TOL, both entry points give the Newton's images again
+    wm = solve(ref.TWO_INTERVAL["pairs"])
+    zs = list(INNER_NEWTON_IMAGES)
+    assert all(p.result.iterations == 0 for p in wm.map_grid(zs))
+    monkeypatch.setattr(mapping, "_local_certificate", lambda *args: 2.0 * mapping._TOL)
+    wm = solve(ref.TWO_INTERVAL["pairs"])
+    for z, p in zip(zs, wm.map_grid(zs)):
+        point, grid, iterations, grid_iterations = INNER_NEWTON_IMAGES[z]
+        for res, want, it in ((wm.map_point(z), point, iterations),
+                              (p.result, grid, grid_iterations)):
+            assert res.iterations == it
+            assert abs(res.w - want) <= 1e-15 * abs(want)
+            assert res.residual < 1e-12
+
+
+@pytest.mark.parametrize("pairs, z", [
+    ([[-1.0, 0.4999], [0.5001, 1.0]], 0.4999 + 1e-3j),
+    (NARROW_THREE, 0.4 + 1e-3j),
+    ([[-1.0, -0.5], [-0.4, -0.399999], [0.2, 1.0]], -0.4 + 1e-6j),
+    ([[-1.0, -1e-8], [1e-8, 1.0]], 1e-9j),
+])
+def test_points_beside_narrow_neighbours_keep_the_newton(pairs, z):
+    # beside a gap or component 1e-4 of the hull wide or narrower no series
+    # covers these points: the annuli of the components beside a narrow gap
+    # do not reach past |v_j| = 1 (rho_j <= 1), and the tiny component's rim
+    # samples stall at the map equation's rounding, 1.1e-12, so its series
+    # is not certified.  Each keeps the Newton's stall
+    wm = solve(pairs)
+    assert mapping._component_series(z, wm.domain, wm.lemniscatic, wm.green) is None
+    with pytest.raises(NoConvergence, match="no damped Newton step lowers the residual"):
+        wm.map_point(z)
