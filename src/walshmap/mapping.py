@@ -12,9 +12,10 @@ map_grid.
 * Component series.  Inside the ellipse, near component E_j, in its own
   Joukowski variable v_j, Phi is a Laurent series sum c_k v_j^k, fitted on
   first use from the rim |v_j| = 1 and a circle |v_j| = rho_j = 0.8 R_j,
-  R_j the |v_j| of the nearest other endpoint (_fit), and certified by its
-  largest residual on both circles, which bounds it on the annulus between
-  them.  A point inside the ellipse takes the certified series of the
+  R_j the |v_j| of the nearest other endpoint (_fit), against Green's
+  values from one FFT of N/S on that circle, with no quadrature
+  (_green_circles), and certified by its largest residual on both circles,
+  which bounds it on the annulus between them.  A point inside the ellipse takes the certified series of the
   component beside Re z whose annulus holds it with the least |v_j| / rho_j.
 * Newton.  Every other point, and every point of a domain or component
   whose certificate exceeds the Newton's stop _TOL.
@@ -215,7 +216,8 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             c = dom.boundary_c[j]
             res = abs(_green_scalar(c, dom.centers, dom.exponents.m, dom.capacity))
             return MapResult(complex(c), res, 0, "boundary", j + 1)
-        if series := _outer_series(x, E, dom, data):
+        outside = _outside_ellipse(x, E.endpoints, data._targets[2])
+        if outside and (series := _certified(dom, data)):
             return MapResult(complex(_series_point(series, x, math.sqrt)), series.bound, 0,
                              "real_gap", 0 if x < series.t else E.ell)
         loc = locate(E, z)
@@ -223,8 +225,8 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             raise InsideE(f"z = {z} lies inside component {loc.index}")
         k = loc.index
         # a critical point z_k keeps its exact image w_k, below
-        if (not 0 < k < E.ell or x != data.roots[k - 1]) and (
-                local := _component_series(x, E, dom, data)):
+        if not outside and (not 0 < k < E.ell or x != data.roots[k - 1]) and (
+                local := _annulus_series(x, E, dom, data)):
             series, v = local
             return MapResult(complex(_local_point(series, v)), series.bound, 0, "real_gap", k)
         target = _green_real(E, data, x, cfg)
@@ -253,9 +255,10 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             max_steps=200, max_halvings=40)
         return MapResult(complex(w), abs(F), it, "real_gap", k)
 
-    if series := _outer_series(z, E, dom, data):
-        return MapResult(_series_point(series, z, cmath.sqrt), series.bound, 0, "complex")
-    if local := _local_image(z, E, dom, data):
+    if _outside_ellipse(z, E.endpoints, data._targets[2]):
+        if series := _certified(dom, data):
+            return MapResult(_series_point(series, z, cmath.sqrt), series.bound, 0, "complex")
+    elif local := _local_image(z, E, dom, data):
         return local
     return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data)
 
@@ -365,16 +368,17 @@ class _Series(NamedTuple):
     (_SERIES_RADII): every coefficient obeys |c_+-k| <= 2 S radius^-k, so
     the tail left by n terms at r = |v| / radius (up) or 1 / (radius |v|)
     (down) is at most 2 S r^(n+1) / (1 - r).  bound is the certificate: the
-    largest map-equation residual of the whole series where it is used.
-    data is the Green data it was built from.
+    largest map-equation residual of the series, as _horner sums it, where
+    it is used.  data is the Green data it was built from.
 
     Outside the ellipse |v| = _ELLIPSE around the hull (_series): the frame
     is the hull's (s = S), up is empty, as the positive part is (s/2) v
     alone, formed in u = s/(z - t) (_series_point); lead = t, radius = 1,
-    down holds d_1 .. d_{K-1} (_series_coefficients) and rho is infinite.
+    down holds d_1 .. d_{K-1} (_series_coefficients), coeffs the same in
+    increasing order as an array for _series_map, and rho is infinite.
     Near component j (_local_series): the frame is the component's, and the
     series serves the annulus 1 <= |v| <= rho inside the ellipse through the
-    nearest other endpoint (_fit).
+    nearest other endpoint (_fit); coeffs is None.
     """
 
     data: GreenData
@@ -386,11 +390,7 @@ class _Series(NamedTuple):
     radius: float
     rho: float
     bound: float
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """c_-1 .. c_-K-: the outer series' d_1 .. d_{K-1}."""
-        return np.array(self.down[::-1])
+    coeffs: np.ndarray | None
 
 
 def _series(dom: LemniscaticDomain, data: GreenData) -> _Series:
@@ -402,7 +402,7 @@ def _series(dom: LemniscaticDomain, data: GreenData) -> _Series:
         t, s = data.domain.frame
         d = _series_coefficients(dom, data)
         series = _Series(data, t, s, t, [], d[::-1].tolist(), 1.0, math.inf,
-                         _certificate(dom, data, t, s, d))
+                         _certificate(dom, data, t, s, d), d)
         dom.__dict__["_series"] = series  # frozen, but not its cache
     return series
 
@@ -481,14 +481,19 @@ def _certificate(dom: LemniscaticDomain, data: GreenData, t: float, s: float,
     return float(np.max(np.abs(F)))
 
 
+def _certified(dom: LemniscaticDomain, data: GreenData) -> _Series | None:
+    """dom's outer series if its certificate is within _TOL, else None."""
+    series = _series(dom, data)
+    return series if series.bound <= _TOL else None
+
+
 def _outer_series(z, E: IntervalUnion, dom: LemniscaticDomain,
                   data: GreenData) -> _Series | None:
     """dom's series when z lies on or outside the ellipse and the series is
     certified within _TOL, else None: z takes the Newton."""
     if not _outside_ellipse(z, E.endpoints, data._targets[2]):
         return None
-    series = _series(dom, data)
-    return series if series.bound <= _TOL else None
+    return _certified(dom, data)
 
 
 def _horner(terms, x, r):
@@ -518,7 +523,8 @@ def _series_point(series: _Series, z, sqrt):
 
 # the outer circle |v_j| = rho_j of component j's series, as a share of its
 # reach R_j (a lone component, whose reach is infinite, takes the hull's
-# ellipse); and the fewest nodes on each of the series' two circles
+# ellipse); and the nodes on that circle, where the series' terms decay like
+# (rho_j/R_j)^k = 0.8^k
 _REACH = 0.8
 _NODES = 256
 
@@ -571,47 +577,47 @@ def _fit(dom, data, j, lo, hi, s, R, rho) -> _Series:
     Joukowski variable v (frame (lo + s, s)).
 
     Phi o z_j is analytic on the annulus 1/R < |v| < R, and its Laurent
-    coefficients are real, as Phi(conj z) = conj Phi(z).  n nodes on a circle
-    give them by the FFT; the upper half's images and their conjugates make
-    the circle.  The negative powers come from the rim |v| = 1, whose images
-    solve the map equation against G(x + i0) = i pi mu_E([x, b_2l]), from
-    partial masses (_rim_targets); the positive ones from |v| = rho, whose
-    images the Newton gives (_sample), so that a sample's error enters c_k
-    divided by rho^k.  n is _NODES, doubled until R^(n/2) >= 2^53 keeps the
-    aliasing of c_(n/2) onto the rim's coefficients below rounding.  Each
-    side keeps its terms up to the last whose largest value on the annulus
+    coefficients are real, as Phi(conj z) = conj Phi(z).  The nodes of a
+    circle give them by the FFT; the upper half's images and their
+    conjugates make the circle.  The negative powers come from the rim
+    |v| = 1 (_rim_nodes(R) nodes), the positive ones from |v| = rho (_NODES
+    nodes), so that a sample's error enters c_k divided by rho^k.  Every
+    node's image solves the map equation in one masked Newton (_sample)
+    against G from _green_circles, which takes no quadrature.  Each side
+    keeps its terms up to the last whose largest value on the annulus
     exceeds the rounding unit of the hull's half-width S (_kept), and
     radius (see _Series) is the largest at or below R at which every kept
     |c_+-k| radius^k <= 2 S.
 
     The certificate is the largest map-equation residual between the nodes
     of both circles (_local_certificate).  A component whose rho is at most
-    1, or one of whose samples fails, gets an infinite certificate.
+    1, whose N/Q is not resolved on its outer circle, or one of whose
+    samples fails, gets an infinite certificate.
     """
     E = data.domain
     t = lo + s
-    uncertified = _Series(data, t, s, t, array("d"), array("d"), 1.0, rho, math.inf)
+    uncertified = _Series(data, t, s, t, array("d"), array("d"), 1.0, rho, math.inf, None)
     if not rho > 1.0:
         return uncertified
-    n = _NODES
-    while (n // 2) * math.log(R) < 53.0 * math.log(2.0):
-        n *= 2
-    theta = 2.0 * np.pi * (np.arange(n // 2) + 0.5) / n
-    x = _rim_points(lo, hi, s, theta)
-    v = rho * np.exp(1j * theta)
+    m, n = _rim_nodes(R), _NODES
+    targets = _green_circles(E, data, j, s, rho, m, n)
+    if targets is None:
+        return uncertified
+    # the upper halves of both circles at 2m and 2n points: the nodes at
+    # odd i, the certificate's points between them at even i
+    x = _rim_points(lo, hi, s, np.pi * np.arange(1, m, 2) / m)
+    v = rho * np.exp(1j * np.pi * np.arange(1, n, 2) / n)
     z = t + (0.5 * s) * (v + 1.0 / v)
     starts = np.array([_complex_start(complex(p), E, dom, data)
                        for p in [*x.tolist(), *z.tolist()]])
-    try:
-        rim = _sample(dom, _rim_targets(E, data, j, x), starts[:x.size])
-        outer = _sample(dom, green_complex(z, E, data), starts[x.size:])
-    except NoConvergence:
+    images = _sample(dom, np.concatenate((targets[0][1::2], targets[1][1::2])), starts)
+    if images is None:
         return uncertified
-    if rim is None or outer is None:
-        return uncertified
+    rim, outer = images[:m // 2], images[m // 2:]
+    c = _fourier(rim, m)
+    k = np.arange(1, m // 2)
+    c0, down = c[0].item(), c[m - k]
     k = np.arange(1, n // 2)
-    c = _fourier(rim, n)
-    c0, down = c[0].item(), c[n - k]
     up = _fourier(outer, n)[k] / rho ** k
     hull = E.frame[1]
     up = up[:_kept(np.abs(up) * rho ** k, hull)]
@@ -619,8 +625,79 @@ def _fit(dom, data, j, lo, hi, s, R, rho) -> _Series:
     radius = min([R] + [(2.0 * hull / abs(ck)) ** (1.0 / i)
                         for part in (up, down) for i, ck in enumerate(part.tolist(), 1) if ck])
     series = _Series(data, t, s, c0, array("d", up[::-1]), array("d", down[::-1]), radius, rho,
-                     0.0)
-    return series._replace(bound=_local_certificate(dom, data, j, series, n))
+                     0.0, None)
+    return series._replace(bound=_local_certificate(dom, series, targets))
+
+
+def _rim_nodes(R):
+    """Nodes m on the rim of a component of reach R: the fewest, even and at
+    least 16, with R^(m/2) >= 2^53, which keeps the aliasing of c_(m/2), of
+    size R^(-m/2), onto the rim's coefficients below rounding."""
+    return max(16, 2 * math.ceil(53.0 * math.log(2.0) / math.log(R)))
+
+
+def _green_circles(E, data, j, s, rho, m, n):
+    """G on the rim of component j, G(x + i0) at v = exp(pi i k / m), and at
+    v = rho exp(pi i k / n) in its Joukowski variable, for k = 0 .. m and
+    k = 0 .. n; None if the spectrum below does not decay to rounding.
+
+    As sqrt((z - lo)(z - hi)) = (s/2)(v - 1/v) and dz = (s/2)(1 - v^-2) dv,
+    the Green's integral is G = G(hi) + integral of h(u) du / u from 1 to v,
+    where h = N / Q, Q = S / sqrt((z - lo)(z - hi)) the root over the other
+    endpoints (real positive times (-1)^(ell-j-1) on the axis beside E_j,
+    and analytic for |v| < R), and G(hi) = i pi mu_E([hi, b_2l]), the branch
+    jump of the gap right of E_j.  So h = sum h_k v^k with h_-k = h_k real.
+    One FFT of h at 2n points of |v| = rho gives b_k = h_k rho^k, which decay
+    like (rho/R)^k, and then, with h_k = b_k rho^-k (which does not amplify
+    the rounding of b_k):
+
+        G(rho) = G(hi) + b_0 log rho + sum_(k>0) b_k (1 - rho^-2k) / k,
+        G(rho e^it) = G(rho) + i b_0 t + sum_(k!=0) (b_k / k)(e^(ikt) - 1),
+        G(e^it) = G(hi) + i (h_0 t + 2 sum_(k>0) h_k sin(kt) / k).
+
+    Each root z_k of N is paired with the two endpoints p, q of the
+    component on its far side from E_j, and each distance has its own
+    root, so no factor or partial product can overflow or underflow.  The
+    circle lies right of every p, q on the left of E_j and left of every
+    one on its right, so sqrt(z - p), or sqrt(p - z) on the right, is
+    analytic on it."""
+    b = E.endpoints
+    theta = np.pi * np.arange(n + 1) / n
+    v = rho * np.exp(1j * theta)
+    z = (b[2 * j] + s) + (0.5 * s) * (v + 1.0 / v)
+    roots = np.array(data.roots)[:, None]
+    left = np.arange(1, E.ell)[:, None] <= j
+    # root k (1-based) over component k - 1 on the left of E_j, component k
+    # on its right
+    i = 2 * np.arange(1, E.ell)[:, None] - 2 * left
+    p, q = np.array(b)[i], np.array(b)[i + 1]
+    side = np.where(left, 1.0, -1.0)
+    h = np.prod((z - roots) / (np.sqrt(side * (z - p)) * np.sqrt(side * (z - q))), axis=0)
+    h *= (-1.0) ** (E.ell - j - 1)
+    coeffs = np.fft.fft(np.concatenate((h, np.conj(h[n - 1:0:-1])))).real / (2 * n)
+    # b_k decays like 0.8^k, so the modes around n are the rounding of the
+    # ell factors of h, some 1e-16 .. 1e-15 of the largest, unless h is not
+    # resolved
+    if np.max(np.abs(coeffs[3 * n // 4:5 * n // 4 + 1])) > 1e3 * _EPS * np.max(np.abs(coeffs)):
+        return None
+    k = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
+    k[0] = 1.0
+    outer = coeffs / k
+    outer[0] = 0.0
+    pos = np.arange(1, n)
+    jump = 1j * data._targets[5][j + 1]
+    at_rho = jump + coeffs[0] * math.log(rho) + np.sum(coeffs[pos] * (1.0 - rho ** (-2.0 * pos))
+                                                        / pos)
+    # sum_k a_k e^(ikt) at t = pi i / n is 2n times the inverse FFT
+    outer_G = (at_rho + 1j * coeffs[0] * theta + (2 * n) * np.fft.ifft(outer)[:n + 1]
+               - np.sum(outer))
+    # h_k for k >= m is below R^-m, which is below rounding
+    pos = pos[:m - 1]
+    rim = np.zeros(2 * m)
+    rim[pos] = coeffs[pos] * rho ** -pos / pos
+    rim_G = jump + 1j * (coeffs[0] * np.pi * np.arange(m + 1) / m
+                         + 2.0 * ((2 * m) * np.fft.ifft(rim)[:m + 1]).imag)
+    return rim_G, outer_G
 
 
 def _rim_points(lo, hi, s, theta):
@@ -628,18 +705,6 @@ def _rim_points(lo, hi, s, theta):
     half = 0.5 * theta
     return np.where(theta < 0.5 * np.pi, hi - 2.0 * s * np.sin(half) ** 2,
                     lo + 2.0 * s * np.cos(half) ** 2)
-
-
-def _rim_targets(E, data, j, x):
-    """G(x + i0) = i pi mu_E([x, b_2l]) at the points x of component j: its
-    partial mass from the nearer endpoint of the component, by the segment
-    rule singular at that endpoint (_green_integral), plus the branch offset
-    of the endpoint, pi times the masses right of it."""
-    lo, hi = E.components[j]
-    right = x > lo + 0.5 * (hi - lo)
-    jumps = data._targets[5]
-    g = _green_integral(E, data.roots, np.where(right, hi, lo), x.astype(complex), DEFAULT_CONFIG)
-    return 1j * (np.where(right, jumps[j + 1], jumps[j]) + g.imag)
 
 
 def _sample(dom, targets, starts):
@@ -676,41 +741,38 @@ def _kept(size, s):
     return int(big[-1]) + 1 if big.size else 0
 
 
-def _local_values(series, v):
-    """The whole series at every point of the complex array v."""
-    up = np.polynomial.polynomial.polyval(v, [series.lead, *series.up[::-1]])
-    return up + np.polynomial.polynomial.polyval(1.0 / v, [0.0, *series.down[::-1]])
-
-
-def _local_certificate(dom, data, j, series, n) -> float:
+def _local_certificate(dom, series, targets) -> float:
     """Largest residual |sum m_j Log(Phi_s - a_j) - log cap - G| of the series
-    Phi_s at the n/2 - 1 points between the nodes of each circle's upper
-    half, G from _rim_targets on the rim and green_complex on |v| = rho.
+    Phi_s, as _local_point sums it, at the points between the nodes of each
+    circle's upper half: the even k of _green_circles' targets.
 
     The residual is analytic on the annulus 1 <= |v| <= rho and symmetric
     under conjugation, so by the maximum principle its largest value there
-    lies on the two circles.  A target that fails gives an infinite one."""
-    E = data.domain
-    theta = 2.0 * np.pi * np.arange(1, n // 2) / n
-    v = series.rho * np.exp(1j * theta)
-    z = series.t + (0.5 * series.s) * (v + 1.0 / v)
-    x = _rim_points(*E.components[j], series.s, theta)
-    try:
-        targets = np.concatenate((_rim_targets(E, data, j, x), green_complex(z, E, data)))
-    except NoConvergence:
-        return math.inf
-    w = _local_values(series, np.concatenate((np.exp(1j * theta), v)))
-    F = _batch_equation(dom, targets)(w, np.arange(w.size))[0]
+    lies on the two circles."""
+    values, between = [], []
+    for G, radius in zip(targets, (1.0, series.rho)):
+        n = G.size - 1
+        u = radius * np.exp(1j * np.pi * np.arange(2, n - 1, 2) / n)
+        values.append(_local_point(series, u, radius))
+        between.append(G[2:n - 1:2])
+    w, G = np.concatenate(values), np.concatenate(between)
+    F = _batch_equation(dom, G)(w, np.arange(w.size))[0]
     return float(np.max(np.abs(F)))
 
 
 def _component_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData):
+    """_annulus_series for a point z off E inside the ellipse, None for one
+    on or outside it."""
+    if _outside_ellipse(z, E.endpoints, data._targets[2]):
+        return None
+    return _annulus_series(z, E, dom, data)
+
+
+def _annulus_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData):
     """(series, v) for a point z off E inside the ellipse: of the components
     beside Re z (the one under it, or the two beside its gap), whose
     annuli |v_j| <= rho_j hold z, the first by |v_j| / rho_j whose series is
     certified within _TOL, and z's v_j; else None: z takes the Newton."""
-    if _outside_ellipse(z, E.endpoints, data._targets[2]):
-        return None
     _, frames, _ = _local_cache(dom, data)
     i = bisect.bisect_right(E.endpoints, z.real)
     inside = []
@@ -727,16 +789,18 @@ def _component_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenDa
     return None
 
 
-def _local_point(series: _Series, v):
-    """Phi from a component's series at its variable v (see _Series)."""
-    size = abs(v)
+def _local_point(series: _Series, v, size=None):
+    """Phi from a component's series at its variable v (see _Series), or at
+    every point of an array v on the circle |v| = size."""
+    size = abs(v) if size is None else size
     return (series.lead + _horner(series.up, v, size / series.radius)
             + _horner(series.down, 1.0 / v, 1.0 / (size * series.radius)))
 
 
 def _local_image(z, E, dom, data) -> MapResult | None:
-    """The MapResult of the off-axis z by a component's series, or None."""
-    if local := _component_series(z, E, dom, data):
+    """The MapResult of the off-axis z inside the ellipse by a component's
+    series, or None."""
+    if local := _annulus_series(z, E, dom, data):
         series, v = local
         return _complex_result(z, _local_point(series, v), series.bound, 0, E)
     return None
@@ -775,14 +839,12 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     out = []
     while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
         off = [z for z in batch if z.imag != 0.0 and cmath.isfinite(z)]
-        far = [_outside_ellipse(z, b, reach) for z in off]
-        if any(far):
-            series = _series(dom, data)
-            if series.bound > _TOL:
-                far = [False] * len(off)
+        outside = [_outside_ellipse(z, b, reach) for z in off]
+        series = _certified(dom, data) if any(outside) else None
+        far = outside if series else [False] * len(off)
         # a component's series image of each point inside the ellipse, or
         # None for the Newton's
-        local = [None if f else _local_image(z, E, dom, data) for z, f in zip(off, far)]
+        local = [None if o else _local_image(z, E, dom, data) for z, o in zip(off, outside)]
         outer = [z for z, f in zip(off, far) if f]
         inner = [z for z, f, res in zip(off, far, local) if not f and res is None]
         by_series = by_newton = iter(())

@@ -790,8 +790,10 @@ def _series_points(wm, count, rng):
     _, frames, _ = mapping._local_cache(dom, data)
     out = []
     for j, (lo, hi, s, _, rho) in enumerate(frames):
-        points = []
+        points, tries = [], 0
         while len(points) < count:
+            tries += 1
+            assert tries <= 100 * count, f"component {j}'s series takes too few points"
             v = cmath.rect(math.exp(rng.uniform(0.0, math.log(rho))),
                            rng.uniform(-math.pi, math.pi))
             z = lo + s + 0.5 * s * (v + 1.0 / v)
@@ -817,25 +819,58 @@ def _polished(wm, z, w):
 ], ids=["two", "three", "cantor2", "ten"])
 def test_local_series_matches_the_newton(pairs, monkeypatch):
     # 200 points per component inside its annulus 1 <= |v_j| <= rho_j: every
-    # one takes a certified series, reported as a series point, within 4e-15
-    # of the hull half-width of the whole series (the terms each point
-    # leaves out are below 6.2e-16 s on either side) and within 1e-12 s of
-    # the Newton's image, which the points take with the component series
-    # switched off
+    # one takes a certified series, reported as a series point, whose map
+    # equation's residual against the Green's integral by quadrature the
+    # certificate bounds (up to the quadrature's 1e-14), and lies within
+    # 1e-12 s of the Newton's image, which the points take with the
+    # component series switched off
+    from walshmap.mapping import _equation
     wm = solve(pairs)
     s = wm.domain.frame[1]
     points = _series_points(wm, 200, np.random.default_rng(22))
     images = {z: wm.map_point(z) for _, z in points}
     for j, z in points:
-        series, v = mapping._component_series(z, wm.domain, wm.lemniscatic, wm.green)
+        series, _ = mapping._component_series(z, wm.domain, wm.lemniscatic, wm.green)
         assert series.bound <= 1e-12
-        assert abs(images[z].w - mapping._local_values(series, np.array([v]))[0]) <= 4e-15 * s
-    monkeypatch.setattr(mapping, "_component_series", lambda *args: None)
+        target = green_complex(z, wm.domain, wm.green)
+        F, _ = _equation(wm.lemniscatic, target, cmath.log)(images[z].w)
+        assert abs(F) <= series.bound + 1e-14
+    monkeypatch.setattr(mapping, "_annulus_series", lambda *args: None)
     for _, z in points:
         res, newton = images[z], wm.map_point(z)
         assert (res.iterations, res.branch) == (0, "complex") and res.residual <= 1e-12
         assert newton.iterations > 0
         assert abs(res.w - _polished(wm, z, newton.w)) <= 1e-12 * s
+
+
+@pytest.mark.parametrize("pairs", [
+    ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"], ref.cantor_pairs(2),
+    ref.dirichlet_intervals(np.random.default_rng(10), 10),
+], ids=["two", "three", "cantor2", "ten"])
+def test_green_circles_match_the_quadrature(pairs):
+    # the Green's values every component series is fitted and certified
+    # against come from one FFT of N/Q on its outer circle; the quadrature
+    # gives the same: on the rim G(x + i0) = i pi mu_E([x, b_2l]) by the
+    # segment rule from the nearer endpoint of the component, on the outer
+    # circle green_complex
+    wm = solve(pairs)
+    E, data = wm.domain, wm.green
+    jumps = data._targets[5]
+    _, frames, _ = mapping._local_cache(wm.lemniscatic, data)
+    for j, (lo, hi, s, R, rho) in enumerate(frames):
+        m, n = mapping._rim_nodes(R), mapping._NODES
+        rim, outer = mapping._green_circles(E, data, j, s, rho, m, n)
+        k = np.arange(1, m)
+        x = mapping._rim_points(lo, hi, s, np.pi * k / m)
+        right = x > lo + s
+        g = _green_integral(E, data.roots, np.where(right, hi, lo), x.astype(complex),
+                            wm.config)
+        assert np.max(np.abs(rim[k] - 1j * (np.where(right, jumps[j + 1], jumps[j]) + g.imag))) \
+            <= 1e-14
+        k = np.arange(1, n, 3)
+        v = rho * np.exp(1j * np.pi * k / n)
+        z = lo + s + 0.5 * s * (v + 1.0 / v)
+        assert np.max(np.abs(outer[k] - green_complex(z, E, data))) <= 1e-14
 
 
 def test_local_series_on_gaps_and_near_endpoints(two_interval):
@@ -896,6 +931,23 @@ def test_local_series_coefficients_are_covariant(scale):
         for k in set(c) | set(c_scaled) | set(c_mirrored):
             assert abs(c_scaled.get(k, 0.0) - scale * c.get(k, 0.0)) <= 1e-14 * scale * s
             assert abs(c_mirrored.get(k, 0.0) + (-1) ** (k % 2) * c.get(k, 0.0)) <= 1e-14 * s
+
+
+def test_local_series_near_the_top_of_the_float_range(monkeypatch):
+    # a 10-interval set scaled by 2^511, where a product of two endpoint
+    # distances leaves the float range: N/Q takes one root per distance, so
+    # every component's series is certified, and its images agree with the
+    # Newton's
+    pairs = ref.dirichlet_intervals(np.random.default_rng(10), 10)
+    wm = solve([[2.0 ** 511 * lo, 2.0 ** 511 * hi] for lo, hi in pairs])
+    s = wm.domain.frame[1]
+    for j in range(wm.domain.ell):
+        assert mapping._local_series(wm.lemniscatic, wm.green, j).bound <= 1e-12
+    points = [z for _, z in _series_points(wm, 3, np.random.default_rng(7))]
+    images = [wm.map_point(z) for z in points]
+    monkeypatch.setattr(mapping, "_annulus_series", lambda *args: None)
+    for z, res in zip(points, images):
+        assert abs(res.w - _polished(wm, z, wm.map_point(z).w)) <= 1e-12 * s
 
 
 def test_grid_takes_the_local_series_as_map_point_does(monkeypatch):
