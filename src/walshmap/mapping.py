@@ -40,9 +40,13 @@ points near E, of the component) under Re z; see _complex_start.  Endpoints
 map to the boundary abscissae directly.
 
 map_point solves one point with the scalar damped_newton and sums a series
-by a scalar Horner; map_grid solves a batch with damped_newton_masked, sums
-the outer series of all its outer points at once (a one-point numpy batch
-costs several times more) and a component's series by map_point's Horner.
+by a scalar Horner.  map_grid sorts each slice of its points into these
+regions in one array pass (finite, off the axis, outside the ellipse), sums
+the outer series of all its outer points at once with no Python per point
+but its two result tuples (a one-point numpy batch costs several times
+more), a component's series by map_point's Horner, and solves the Newton's
+points with damped_newton_masked.  Both return immutable named tuples,
+MapResult and GridPoint.
 """
 
 import bisect
@@ -89,8 +93,7 @@ _TOL = 1e-12
 _TIE = 1e-2
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(NamedTuple):
     """One map evaluation: image point, equation residual, Newton iteration
     count, and which equation branch produced it ("complex", "real_gap" with
     the gap index, or "boundary" with the 1-based endpoint index).
@@ -610,7 +613,8 @@ def _fit(dom, data, j, lo, hi, s, R, rho) -> _Series:
     z = t + (0.5 * s) * (v + 1.0 / v)
     starts = np.array([_complex_start(complex(p), E, dom, data)
                        for p in [*x.tolist(), *z.tolist()]])
-    images = _sample(dom, np.concatenate((targets[0][1::2], targets[1][1::2])), starts)
+    images = _sample(dom, np.concatenate((targets[0][1::2], targets[1][1::2])), starts,
+                     m // 2)
     if images is None:
         return uncertified
     rim, outer = images[:m // 2], images[m // 2:]
@@ -707,16 +711,36 @@ def _rim_points(lo, hi, s, theta):
                     lo + 2.0 * s * np.cos(half) ** 2)
 
 
-def _sample(dom, targets, starts):
+def _sample(dom, targets, starts, rim):
     """Images in the upper half-plane of the map equation's targets, by the
     masked damped Newton from starts and one more full step, which squares
-    the residual that the stop at _TOL leaves; None if a point fails."""
+    the residual that the stop at _TOL leaves; None if a point fails.
+
+    The points are the nodes of two circles' upper halves, each in the order
+    of its angles, the first rim of them on the first circle.  A node whose
+    Newton fails (from _complex_start, which can lie too far from its image)
+    restarts from the image of the nearest converged node on its own circle,
+    in one more masked Newton over the failed nodes alone; it fails only if
+    that fails too."""
     fun = _batch_equation(dom, targets)
-    w, F, _, failures, _ = damped_newton_masked(
-        fun, starts, admissible=lambda w, idx: w.imag > 0.0, tol=_TOL,
-        max_steps=200, max_halvings=11)
+    upper = dict(admissible=lambda w, idx: w.imag > 0.0, tol=_TOL, max_steps=200,
+                 max_halvings=11)
+    w, F, _, failures, _ = damped_newton_masked(fun, starts, **upper)
     if failures:
-        return None
+        failed = np.array(sorted(failures))
+        circle = np.arange(w.size) >= rim
+        converged = np.ones(w.size, dtype=bool)
+        converged[failed] = False
+        restarts = []
+        for i in failed.tolist():
+            near = np.flatnonzero(converged & (circle == circle[i]))
+            if not near.size:
+                return None
+            restarts.append(w[near[np.argmin(np.abs(near - i))]])
+        w[failed], F[failed], _, failures, _ = damped_newton_masked(
+            _batch_equation(dom, targets[failed]), np.array(restarts), **upper)
+        if failures:
+            return None
     every = np.arange(w.size)
     polished = w + fun(w, every)[1]
     better = (np.abs(fun(polished, every)[0]) < np.abs(F)) & (polished.imag > 0.0)
@@ -806,8 +830,7 @@ def _local_image(z, E, dom, data) -> MapResult | None:
     return None
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     """One point of a batch.  A failed point carries its error as
     "<exception type>: <message>"."""
 
@@ -822,64 +845,76 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     """Map a batch of points, skipping interior points of E and recording
     failures per point; never aborts the batch, order preserved.
 
-    Finite off-axis points on or outside the ellipse |v| = 1.5 take Phi's
-    outer series (_series_map) at once, as map_point does, when it is
-    certified; points inside it that a certified component's series holds
-    take it point by point, by map_point's own evaluation.  The Green
+    Each slice of _GRID_BATCH points is classified in one array pass: the
+    focal-sum test of the ellipse |v| = 1.5 (an overflowing distance reads
+    as outside) splits the finite off-axis points.  Those on or outside it
+    take Phi's outer series (_series_map) at once, as map_point does, when it
+    is certified; points inside it that a certified component's series
+    holds take it point by point, by map_point's own evaluation.  The Green
     targets of the others, the Newton's, come from one green_complex call
-    per batch of _GRID_BATCH points, and their complex equations from one
-    masked damped Newton (_complex_images); each builds a failed point's
-    error as map_point raises it.  Only real-axis points go through
-    map_point.  Every point gets what map_point gives it, an outer series
-    image within rounding, a component's series image exactly.
+    per slice, and their complex equations from one masked damped Newton
+    (_complex_images); each builds a failed point's error as map_point
+    raises it.  Only real-axis points go through map_point, and a point that
+    is not finite fails map_point's finiteness check.  Every point gets what map_point gives it, an
+    outer series image within rounding, a component's series image exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     b, reach = E.endpoints, data._targets[2]
     points = iter(zs)
     out = []
     while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
-        off = [z for z in batch if z.imag != 0.0 and cmath.isfinite(z)]
-        outside = [_outside_ellipse(z, b, reach) for z in off]
-        series = _certified(dom, data) if any(outside) else None
-        far = outside if series else [False] * len(off)
-        # a component's series image of each point inside the ellipse, or
-        # None for the Newton's
-        local = [None if o else _local_image(z, E, dom, data) for z, o in zip(off, outside)]
-        outer = [z for z, f in zip(off, far) if f]
-        inner = [z for z, f, res in zip(off, far, local) if not f and res is None]
-        by_series = by_newton = iter(())
-        if outer:
-            w = _series_map(np.array(outer), series.t, series.s, series.coeffs)[0]
-            by_series = iter([MapResult(wi, series.bound, 0, "complex") for wi in w.tolist()])
+        at = np.array(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            off = np.isfinite(at) & (at.imag != 0.0)
+            outside = off & (np.abs(at - b[0]) + np.abs(at - b[-1]) >= reach)
+        series = _certified(dom, data) if outside.any() else None
+        rows = [None] * len(batch)
+        if series:
+            outer, bound = np.flatnonzero(outside), series.bound
+            w = _series_map(at[outer], series.t, series.s, series.coeffs)[0]
+            for i, wi in zip(outer.tolist(), w.tolist()):
+                rows[i] = GridPoint(batch[i], "converged", MapResult(wi, bound, 0, "complex"))
+        # the Newton's points: inside the ellipse those that no component's
+        # series takes, outside it all of them when the series is not certified
+        inner = [] if series else np.flatnonzero(outside).tolist()
+        for i in np.flatnonzero(off & ~outside).tolist():
+            if res := _local_image(batch[i], E, dom, data):
+                rows[i] = GridPoint(batch[i], "converged", res)
+            else:
+                inner.append(i)
         if inner:
+            inner.sort()
+            newton = [batch[i] for i in inner]
             try:
-                targets, failures = green_complex(inner, E, data, cfg), {}
+                targets, failures = green_complex(newton, E, data, cfg), {}
             except NoConvergence as exc:
                 # NaN where a point's path did not converge, its error in failures
                 targets, failures = exc.best, exc.failures
             solved = ~np.isnan(targets)
-            images = iter(_complex_images([z for z, ok in zip(inner, solved) if ok],
+            images = iter(_complex_images([z for z, ok in zip(newton, solved) if ok],
                                           targets[solved], E, dom, data))
-            by_newton = iter([next(images) if ok else failures[i]
-                              for i, ok in enumerate(solved.tolist())])
-        results = (next(by_series) if f else res or next(by_newton)
-                   for f, res in zip(far, local))
-        for z in batch:
+            for k, (i, ok) in enumerate(zip(inner, solved.tolist())):
+                rows[i] = _grid_point(batch[i], next(images) if ok else failures[k])
+        # the real axis, and the points that are not finite
+        for i in np.flatnonzero(~off).tolist():
             try:
-                if z.imag == 0.0:
-                    res = map_point(z, E, dom, data, cfg)
-                else:
-                    _require_finite(z)
-                    res = next(results)
+                if batch[i].imag != 0.0:
+                    _require_finite(batch[i])
+                res = map_point(batch[i], E, dom, data, cfg)
             except WalshMapError as exc:
                 res = exc
-            if isinstance(res, InsideE):
-                out.append(GridPoint(z, "skipped"))
-            elif isinstance(res, WalshMapError):
-                out.append(GridPoint(z, "failed", error=f"{type(res).__name__}: {res}"))
-            else:
-                out.append(GridPoint(z, "converged", res))
+            rows[i] = _grid_point(batch[i], res)
+        out += rows
     return out
+
+
+def _grid_point(z, res) -> GridPoint:
+    """z's GridPoint from its MapResult or the error mapping it raised."""
+    if isinstance(res, InsideE):
+        return GridPoint(z, "skipped")
+    if isinstance(res, WalshMapError):
+        return GridPoint(z, "failed", error=f"{type(res).__name__}: {res}")
+    return GridPoint(z, "converged", res)
 
 
 def branch_offset(E: IntervalUnion, data: GreenData, k: int, z: complex,

@@ -11,7 +11,8 @@ from walshmap.api import solve
 from walshmap.errors import BracketFailure, InsideE, NoConvergence, NotFinite, WalshMapError
 from walshmap.green import _green_integral, green_complex, green_real
 from walshmap.lemniscatic import green as green_level
-from walshmap.mapping import branch_offset, map_grid, map_point, trace_boundary
+from walshmap.mapping import (GridPoint, MapResult, branch_offset, map_grid, map_point,
+                              trace_boundary)
 from walshmap.quadrature import QuadConfig
 from walshmap.verify import random_interval_set
 
@@ -588,6 +589,63 @@ def test_non_finite_points_fail_with_not_finite(two_interval, z):
     assert good == wm.map_grid([0.5 + 0.5j])[0] and good.status == "converged"
 
 
+def test_grid_batches_are_independent_over_every_class(monkeypatch):
+    # one batch holds every class of point: outer series, component series,
+    # inner Newton (one of them with a Green target that fails under
+    # FEW_NODES), real gaps, endpoints, interior points of E, points that
+    # are not finite and one whose distances to the hull overflow.  Each
+    # point is what it is alone, in order, in batches of any size, and the
+    # array pass that classifies them raises no RuntimeWarning (an error
+    # under the tests' warning filter)
+    wm = dataclasses.replace(_ten_with_a_narrow_gap(), config=FEW_NODES)
+    E, dom, data = wm.domain, wm.lemniscatic, wm.green
+    zs = _mixed_points(E) + [complex(math.nan, 1.0), complex(math.inf),
+                             complex(1.5e308, 1e308)]
+    points = wm.map_grid(zs)
+    assert [p.z for p in points] == zs
+    off = [p.z for p in points if p.z.imag != 0.0 and cmath.isfinite(p.z)]
+    assert any(mapping._outer_series(z, E, dom, data) for z in off)
+    assert any(mapping._component_series(z, E, dom, data) for z in off)
+    assert any(p.result.iterations > 0 for p in points
+               if p.status == "converged" and p.result.branch == "complex")
+    assert {p.error.partition(":")[0] for p in points if p.status == "failed"} == {
+        "NoConvergence", "NotFinite"}
+    assert {p.result.branch for p in points if p.status == "converged"} == {
+        "complex", "real_gap", "boundary"}
+    assert "skipped" in {p.status for p in points}
+    for z, p in zip(zs, points):
+        assert wm.map_grid([z]) == [p]
+    for batch in (1, 3):
+        monkeypatch.setattr(mapping, "_GRID_BATCH", batch)
+        assert wm.map_grid(zs) == points
+
+
+def test_result_types_are_immutable_records(two_interval):
+    # MapResult and GridPoint compare field by field, take keywords and
+    # defaults, and refuse assignment; map_grid's results equal map_point's,
+    # an outer series image to rounding (a Horner on the fewest terms in
+    # map_point, every term at once in map_grid)
+    wm = two_interval
+    res = wm.map_point(0.5 + 0.5j)
+    with pytest.raises(AttributeError):
+        res.w = 0j
+    point = GridPoint(2j, "failed", error="NotFinite: z")
+    assert (point.result, point.error) == (None, "NotFinite: z")
+    with pytest.raises(AttributeError):
+        point.status = "converged"
+    assert MapResult(1j, 0.0, 0, "complex") == MapResult(
+        w=1j, residual=0.0, iterations=0, branch="complex", index=None, near_boundary=False)
+    outer, local, gap = 3.0 + 2.0j, 0.5 + 0.1j, 0.05
+    assert mapping._outer_series(outer, wm.domain, wm.lemniscatic, wm.green)
+    assert mapping._component_series(local, wm.domain, wm.lemniscatic, wm.green)
+    grid = wm.map_grid([outer, local, gap])
+    one = wm.map_point(outer)
+    assert grid[0].result._replace(w=one.w) == one
+    assert abs(grid[0].result.w - one.w) <= 1e-15 * abs(one.w)
+    assert grid[1] == GridPoint(local, "converged", wm.map_point(local))
+    assert grid[2] == GridPoint(gap, "converged", wm.map_point(gap))
+
+
 def test_grid_batches_give_the_same_points(monkeypatch):
     # batches of green targets split the list anywhere, failing point
     # included, and any iterable of points is taken
@@ -813,10 +871,28 @@ def _polished(wm, z, w):
     return w + delta
 
 
+# edge_domains(np.random.default_rng([2301, 0]))'s random10_0 of the
+# benchmark's inputs: the Newton from _complex_start of the node
+# 0.3747+0.0191j on component 4's outer circle, over the gap (0.36961,
+# 0.40772), stalls at residual 1.4e-2, and the component was not certified
+# until failed nodes restarted from a converged neighbour's image
+RESTARTED_TEN = [
+    [-1.0, -0.9725342128754965], [-0.9117767013332496, -0.7977752686415696],
+    [-0.6185713037134363, -0.46476615217333117], [-0.30516673628853175, -0.2569691272730176],
+    [-0.15971802803471868, 0.36960727098841195], [0.40771550550906777, 0.5490338110845012],
+    [0.6098182733436059, 0.6791259413141622], [0.7119686915159451, 0.7883925537709491],
+    [0.8521624806377062, 0.9130351787514195], [0.9639380346200688, 1.0]]
+
+
+def test_failed_circle_node_restarts_from_its_neighbour():
+    wm = solve(RESTARTED_TEN)
+    assert mapping._local_series(wm.lemniscatic, wm.green, 4).bound <= mapping._TOL
+
+
 @pytest.mark.parametrize("pairs", [
     ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"], ref.cantor_pairs(2),
-    ref.dirichlet_intervals(np.random.default_rng(10), 10),
-], ids=["two", "three", "cantor2", "ten"])
+    ref.dirichlet_intervals(np.random.default_rng(10), 10), RESTARTED_TEN,
+], ids=["two", "three", "cantor2", "ten", "restarted_ten"])
 def test_local_series_matches_the_newton(pairs, monkeypatch):
     # 200 points per component inside its annulus 1 <= |v_j| <= rho_j: every
     # one takes a certified series, reported as a series point, whose map
