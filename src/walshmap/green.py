@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (CapacityMismatch, NoConvergence, NotFinite, NotOnCut,
                      OnCutError, PathOnCut, RootNotBracketed, SingularSystem)
 from .intervals import IntervalUnion, locate
-from .newton import damped_newton
+from .newton import _bisect, damped_newton
 from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
                          integrate_segment_complex, integrate_tail)
 
@@ -233,7 +233,7 @@ def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig):
 
 
 # Newton steps on the gap conditions, and halvings of one step, before giving
-# up; from the gap midpoints the benchmark's sets stop after 3 or 4 steps
+# up; from the exact start every benchmark set stops at its first evaluation
 _NEWTON_STEPS = 20
 _MAX_HALVINGS = 40
 
@@ -251,29 +251,67 @@ def _numerator_step(E: IntervalUnion, roots, cfg: QuadConfig):
     return F / (np.abs(J) @ np.maximum(np.abs(roots - t), s)), delta
 
 
+def _exact_roots(E: IntervalUnion, lo, hi, cfg: QuadConfig):
+    """Roots of the numerator N solved exactly from one gap-system pass at
+    the gap midpoints m, one per gap (lo, hi).
+
+    The gap conditions are linear in N.  With q0 = prod_k (x - m_k) and
+    q_j = q0 / (x - m_j), which span the polynomials of degree at most
+    ell - 2, the pass gives F_i = integral over gap i of q0/sqrt|H| and
+    J_ij = -integral of q_j/sqrt|H|, so N = q0 - sum_j delta_j q_j with
+    J delta = -F meets every gap condition to quadrature accuracy.  No other
+    midpoint lies in gap i, so there N has the zeros of N / prod_{j != i}
+    (x - m_j) = g_i(x) = (x - m_i)(1 - sum_{j != i} delta_j / (x - m_j)) -
+    delta_i, which rises through its root; _bisect finds every g_i's root
+    on its gap's own bracket at once, with no quadrature.  Raises
+    SingularSystem as _numerator_step does, and RootNotBracketed naming the
+    first gap on whose ends g_i is not negative, then positive.
+    """
+    mid = 0.5 * (lo + hi)
+    _, delta = _numerator_step(E, mid, cfg)
+
+    def g(x):
+        d = x[:, None] - mid
+        np.fill_diagonal(d, np.inf)  # j != i
+        inv = 1.0 / d
+        rest = 1.0 - inv @ delta
+        return (x - mid) * rest - delta, rest + (x - mid) * ((inv * inv) @ delta)
+
+    bracketed = (g(lo)[0] < 0.0) & (g(hi)[0] > 0.0)
+    if not np.all(bracketed):
+        k = int(np.argmin(bracketed))
+        raise RootNotBracketed(
+            f"gap conditions unsolved: N from the midpoint pass has no root in "
+            f"gap {k + 1} ({lo[k]}, {hi[k]})")
+    return _bisect(g, hi, lo)
+
+
 def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
     """Numerator roots and coefficients to quadrature accuracy.
 
-    Damped Newton on the gap conditions in root space, started from the gap
-    midpoints.  Root space is well conditioned (one root per gap, diagonally
-    dominant Jacobian) even where the coefficient problem is not.  The
-    residual is each gap condition over its roundoff scale |J| max(|z - t|, s),
-    the amplification of representing the roots in the frame (t, s) of E; a
-    step is halved until every root stays strictly inside its gap and the
-    residual falls.  The iteration stops at a full step no larger than 1e-14
-    of the gap width or 4 ulp of the root, and every gap condition is then
-    checked at the last residual.  Raises SingularSystem for a singular or
-    non-finite Jacobian or a gap condition missed at the result, and
-    RootNotBracketed when no halving of a step is taken.
+    _exact_roots solves the linear gap conditions from one pass at the gap
+    midpoints; damped Newton on the gap conditions in root space then
+    confirms those roots, or refines them.  Root space is well conditioned
+    (one root per gap, diagonally dominant Jacobian) even where the
+    coefficient problem is not.  The residual is each gap condition over its
+    roundoff scale |J| max(|z - t|, s), the amplification of representing
+    the roots in the frame (t, s) of E; a step is halved until every root
+    stays strictly inside its gap and the residual falls.  The iteration
+    stops at a full step no larger than 1e-14 of the gap width or 4 ulp of
+    the root, and every gap condition is then checked at the last residual.
+    Raises SingularSystem for a singular or non-finite Jacobian or a gap
+    condition missed at the result, and RootNotBracketed when the solved N
+    has no root in a gap or no halving of a step is taken.
     """
     ell = E.ell
     if ell == 1:
         return np.array([1.0]), np.array([])
     b = np.asarray(E.endpoints)
     lo, hi = b[1:-1:2], b[2:-1:2]
+    start = _exact_roots(E, lo, hi, cfg)
     try:
         roots, F, _ = damped_newton(
-            lambda roots: _numerator_step(E, roots, cfg), 0.5 * (lo + hi),
+            lambda roots: _numerator_step(E, roots, cfg), start,
             admissible=lambda roots: np.all((lo < roots) & (roots < hi)),
             step_tol=lambda roots: np.maximum(
                 1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots))),
@@ -292,8 +330,9 @@ def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
 def green_poly(E: IntervalUnion, cfg: QuadConfig | None = None) -> np.ndarray:
     """Monic numerator polynomial of the Green's derivative (ascending coeffs).
 
-    Built from its roots, which damped Newton on the gap conditions finds
-    one per bounded gap; every gap condition is re-verified at the result.
+    Built from its roots, one per bounded gap, solved from the linear gap
+    conditions and confirmed by damped Newton (see _solve_numerator); every
+    gap condition is re-verified at the result.
     """
     coeffs, _ = _solve_numerator(E, cfg or DEFAULT_CONFIG)
     return coeffs

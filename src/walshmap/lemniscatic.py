@@ -20,7 +20,7 @@ from .errors import (BracketFailure, MaxIterExceeded, NoConvergence,
 from .equilibrium import ExponentVector
 from .green import GreenData
 from .intervals import IntervalUnion
-from .newton import damped_newton
+from .newton import _bisect, damped_newton
 
 __all__ = [
     "LemniscaticDomain",
@@ -108,57 +108,6 @@ def green_deriv(w, dom: LemniscaticDomain):
         raise PoleAtCenter("derivative evaluated at a center")
     out = _deriv_values(arr, np.asarray(dom.centers), np.asarray(dom.exponents.m))
     return complex(out) if out.ndim == 0 else out
-
-
-# evaluations of f per _bisect call at most; plain halving needs about 60 to
-# shrink a bracket of the set's size to adjacent floats
-_BISECT_STEPS = 90
-
-
-def _bisect(f, pos, neg, start=None):
-    """Zeros of f in the array brackets (pos, neg), where f(pos) > 0 >= f(neg),
-    by Newton's method safeguarded by bisection.  f(x) returns f and its
-    slope at every point of the array x.
-
-    Each bracket starts at its point of start (default: its midpoint).
-    Every evaluation moves the end of the same sign as f to the point, and
-    the next point is the Newton step from it when that lands strictly
-    inside the bracket, the midpoint otherwise.  A bracket stops at its
-    point when f vanishes there, when the Newton step is within two float
-    spacings of it, or when a Newton step below sqrt(eps) of the point did
-    not halve |f| (f's rounding noise then outweighs the step); or at the
-    midpoint of its ends once they are adjacent floats.  All brackets are
-    evaluated together until the last one stops, at most _BISECT_STEPS
-    times; one still open then returns its midpoint.
-    """
-    pos = np.array(pos, dtype=float)
-    neg = np.array(neg, dtype=float)
-    x = root = 0.5 * (pos + neg) if start is None else np.array(start, dtype=float)
-    live = np.ones(x.shape, dtype=bool)
-    small_newton = np.zeros(x.shape, dtype=bool)
-    f_prev = np.full(x.shape, np.inf)
-    for _ in range(_BISECT_STEPS):
-        fx, slope = f(x)
-        up = fx > 0
-        pos = np.where(up, x, pos)
-        neg = np.where(up, neg, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = fx / slope
-        mid = 0.5 * (pos + neg)
-        at_x = ((fx == 0.0) | (np.abs(step) <= 2.0 * np.spacing(np.abs(x)))
-                | (small_newton & (np.abs(fx) >= 0.5 * f_prev)))
-        adjacent = (mid == pos) | (mid == neg)
-        stop = live & (at_x | adjacent)
-        root = np.where(stop, np.where(at_x, x, mid), root)
-        live &= ~stop
-        if not live.any():
-            return root
-        newton = x - step
-        inside = (newton - pos) * (newton - neg) < 0.0
-        small_newton = inside & (np.abs(step) <= 1.5e-8 * np.abs(x))
-        f_prev = np.abs(fx)
-        x = np.where(live, np.where(inside, newton, mid), x)
-    return np.where(live, 0.5 * (pos + neg), root)
 
 
 def crit_points(a, m) -> np.ndarray:

@@ -63,8 +63,8 @@ from .errors import InsideE, NoConvergence, WalshMapError
 from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, _TAIL, GreenData, _green_integral,
                     _green_real, _outside_ellipse, _require_finite, green_complex)
 from .intervals import IntervalUnion, locate
-from .lemniscatic import LemniscaticDomain, _bisect, _green_scalar, _outer_reach
-from .newton import damped_newton, damped_newton_masked
+from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
+from .newton import _bisect, damped_newton, damped_newton_masked
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [

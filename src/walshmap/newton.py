@@ -1,10 +1,13 @@
-"""Damped Newton iteration shared by every nonlinear solve of the package.
+"""Newton kernels shared by every nonlinear solve of the package.
 
 The numerator roots, both center systems and the two map equations of a
 single point run through damped_newton; each caller supplies its residual,
 full Newton step, acceptance test and stopping rule.  map_grid solves the
 complex map equations of a whole batch of points with its masked twin,
 damped_newton_masked, which runs the same rule on every element at once.
+Real zeros in known brackets (the numerator roots' start, the critical
+points and real zeros of g_L, the boundary rays of L) come from _bisect,
+Newton's method safeguarded by bisection on arrays of brackets.
 """
 
 import numpy as np
@@ -127,3 +130,54 @@ def damped_newton_masked(fun, x, *, admissible, tol, max_steps, max_halvings):
             margin[near] = np.minimum(margin[near], np.abs(res[near] / tol - 1.0))
         live = live[~(res[live] <= tol)]
     return x, F, steps, failures, margin
+
+
+# evaluations of f per _bisect call at most; plain halving needs about 60 to
+# shrink a bracket of the set's size to adjacent floats
+_BISECT_STEPS = 90
+
+
+def _bisect(f, pos, neg, start=None):
+    """Zeros of f in the array brackets (pos, neg), where f(pos) > 0 >= f(neg),
+    by Newton's method safeguarded by bisection.  f(x) returns f and its
+    slope at every point of the array x.
+
+    Each bracket starts at its point of start (default: its midpoint).
+    Every evaluation moves the end of the same sign as f to the point, and
+    the next point is the Newton step from it when that lands strictly
+    inside the bracket, the midpoint otherwise.  A bracket stops at its
+    point when f vanishes there, when the Newton step is within two float
+    spacings of it, or when a Newton step below sqrt(eps) of the point did
+    not halve |f| (f's rounding noise then outweighs the step); or at the
+    midpoint of its ends once they are adjacent floats.  All brackets are
+    evaluated together until the last one stops, at most _BISECT_STEPS
+    times; one still open then returns its midpoint.
+    """
+    pos = np.array(pos, dtype=float)
+    neg = np.array(neg, dtype=float)
+    x = root = 0.5 * (pos + neg) if start is None else np.array(start, dtype=float)
+    live = np.ones(x.shape, dtype=bool)
+    small_newton = np.zeros(x.shape, dtype=bool)
+    f_prev = np.full(x.shape, np.inf)
+    for _ in range(_BISECT_STEPS):
+        fx, slope = f(x)
+        up = fx > 0
+        pos = np.where(up, x, pos)
+        neg = np.where(up, neg, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / slope
+        mid = 0.5 * (pos + neg)
+        at_x = ((fx == 0.0) | (np.abs(step) <= 2.0 * np.spacing(np.abs(x)))
+                | (small_newton & (np.abs(fx) >= 0.5 * f_prev)))
+        adjacent = (mid == pos) | (mid == neg)
+        stop = live & (at_x | adjacent)
+        root = np.where(stop, np.where(at_x, x, mid), root)
+        live &= ~stop
+        if not live.any():
+            return root
+        newton = x - step
+        inside = (newton - pos) * (newton - neg) < 0.0
+        small_newton = inside & (np.abs(step) <= 1.5e-8 * np.abs(x))
+        f_prev = np.abs(fx)
+        x = np.where(live, np.where(inside, newton, mid), x)
+    return np.where(live, 0.5 * (pos + neg), root)

@@ -4,7 +4,7 @@ that the solve does not use.
 crit_points and boundary_abscissae are the per-root loops that
 lemniscatic.crit_points and lemniscatic.boundary_abscissae replaced with
 array-wide bisection; they stay here as oracles for the array versions.
-halving_bisect is the plain array bisection that lemniscatic._bisect
+halving_bisect is the plain array bisection that newton._bisect
 replaced with a Newton-safeguarded one.  path is green._path with its
 endpoint test run on every endpoint.  critical_points finds the numerator
 roots from coefficients (the solve finds the roots directly), and
@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from walshmap.errors import BracketFailure, PoleAtCenter, RootNotBracketed
-from walshmap.lemniscatic import _bisect, _deriv_values, _green_values, _outer_reach
+from walshmap.lemniscatic import _deriv_values, _green_values, _outer_reach
+from walshmap.newton import _bisect
 
 
 def green_scalar(w, a, m, cap):

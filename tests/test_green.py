@@ -189,8 +189,8 @@ def test_cantor_level_8_solves_below_level_7():
 def test_numerator_batch_raises_first_failing_gaps_own_error():
     # gaps 1 and 2 border a component of width 1e-5 and fail at max_level 5;
     # gap 0 converges.  All gaps double in one call, which raises the error
-    # that gap 1 raises alone at the Newton start, the gap midpoints.  Each
-    # gap alone: its block of the recorded integrand, in a scalar call
+    # that gap 1 raises alone in the midpoint pass.  Each gap alone: its
+    # block of the recorded integrand, in a scalar call
     from walshmap.quadrature import integrate_chebyshev
 
     E = parse_domain([[-1, -0.5], [-0.3, 0.3], [0.4, 0.40001], [0.6, 1]])
@@ -204,7 +204,7 @@ def test_numerator_batch_raises_first_failing_gaps_own_error():
     with pytest.raises(NoConvergence) as err, pytest.MonkeyPatch.context() as mp:
         mp.setattr(green, "integrate_chebyshev", recording)
         _solve_numerator(E, cfg)
-    (lo, hi, fd), = calls  # the first Newton pass, at the gap midpoints
+    (lo, hi, fd), = calls  # the midpoint pass
     own = []
     for g in range(E.ell - 1):
         try:
@@ -219,6 +219,54 @@ def test_numerator_batch_raises_first_failing_gaps_own_error():
     assert err.value.best.shape == (E.ell,)  # the gap's F row and Jacobian row
     np.testing.assert_array_equal(err.value.best, first.best)
     np.testing.assert_array_equal(err.value.estimate, first.estimate)
+
+
+def test_tiny_gaps_beside_a_small_component_solve():
+    # from the gap midpoints the root-space Newton stalled ("no damped Newton
+    # step lowers the residual 9.376e-22"): its step test, 1e-14 of a 1e-8
+    # gap, lay under the rounding of the gap conditions
+    wm = solve([[-1.0, 0.0], [1e-8, 1e-4], [1e-4 + 1e-8, 1.0]])
+    assert worst_invariant(wm) <= 1e-12
+
+
+_PASS_SETS = ([ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell in (5, 10, 20, 40)]
+              + [ref.cantor_pairs(level) for level in (2, 3, 4, 5)])
+
+
+@pytest.mark.parametrize("pairs", _PASS_SETS, ids=["ell5", "ell10", "ell20", "ell40",
+                                                    "cantor2", "cantor3", "cantor4", "cantor5"])
+def test_numerator_takes_two_gap_passes(pairs, monkeypatch):
+    # the pass at the gap midpoints solves the linear gap conditions; the
+    # Newton's first evaluation, at the roots of that N, only confirms them
+    E = parse_domain(pairs)
+    plain = green._gap_system
+    calls = []
+
+    def counted(E, roots, cfg):
+        calls.append(np.array(roots))
+        return plain(E, roots, cfg)
+
+    monkeypatch.setattr(green, "_gap_system", counted)
+    green_data(E)
+    b = np.asarray(E.endpoints)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[0], 0.5 * (b[1:-1:2] + b[2:-1:2]))
+
+
+def test_midpoint_pass_with_no_root_in_a_gap_raises(monkeypatch):
+    # a residual that moves the solved coefficient delta_2 by the width of
+    # gap 2 moves N's root on that gap past its right edge
+    E = parse_domain(ref.THREE_INTERVAL["pairs"])
+    width = E.endpoints[4] - E.endpoints[3]
+    plain = green._gap_system
+
+    def shifted(E, roots, cfg):
+        F, J = plain(E, roots, cfg)
+        return F - J[:, 1] * width, J
+
+    monkeypatch.setattr(green, "_gap_system", shifted)
+    with pytest.raises(RootNotBracketed, match=r"no root in gap 2 \(0\.2, 0\.5\)"):
+        _solve_numerator(E, green.DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -690,6 +738,10 @@ def test_polynomial_preimage_oracle(n, kappa):
     E = wm.domain
     assert abs(wm.green.capacity / (kappa ** (1.0 / n) / 2.0) - 1.0) <= 1e-13
     np.testing.assert_allclose(wm.exponents.m, 1.0 / n, rtol=0, atol=1e-13)
+    # g_E = g_[sigma - kappa, sigma + kappa](T_n) / n: the critical points of
+    # g_E are those of T_n
+    np.testing.assert_allclose(wm.green.roots, np.cos(np.arange(n - 1, 0, -1) * np.pi / n),
+                               rtol=0, atol=8 * np.finfo(float).eps)
     rng = np.random.default_rng(n)
     zs = _far_points(rng, E, 100)
     zs += [_ellipse_point(E, v) for v in rng.uniform(1.5, 4.0, 50) * np.exp(2j * np.pi * rng.random(50))]

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from walshmap import lemniscatic
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter
-from walshmap.lemniscatic import (LemniscaticDomain, _bisect, boundary_abscissae,
+from walshmap.lemniscatic import (LemniscaticDomain, boundary_abscissae,
                                   centers_general, centers_two,
                                   crit_points, green, green_deriv)
-from walshmap.newton import damped_newton
+from walshmap.newton import _bisect, damped_newton
 from walshmap.verify import random_interval_set
 
 import reference_values as ref

@@ -27,3 +27,11 @@ def test_export_figure_data_writes_every_csv(tmp_path):
         f"{name}_{kind}.csv" for name in names for kind in ("grid", "boundary")}
     for path in tmp_path.iterdir():
         assert len(path.read_text().splitlines()) > 1
+
+
+def test_multiscale_sweep_runs():
+    proc = run_script("multiscale_sweep.py", "--count", "5", "--list")
+    assert proc.returncode == 0, proc.stderr
+    head, *by_decades = proc.stdout.splitlines()[:4]
+    assert head.startswith("5 multi-scale sets (seed 42): ")
+    assert [line.split(":")[0].strip() for line in by_decades] == ["D =  4", "D =  8", "D = 12"]
