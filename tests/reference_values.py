@@ -118,3 +118,48 @@ def preimage_green(z, n: int, sigma: float, kappa: float) -> float:
     inv = 1.0 / P
     root = np.sqrt(1.0 - inv * inv)
     return (math.log(abs(P)) + math.log(max(abs(1.0 + root), abs(1.0 - root)))) / n
+
+
+# Gauss-Legendre rules on [-1, 1]: (k, x_k, w_k) for the k-th largest node
+# of n, at k = 1, 2 (the outermost), n/4 and n/2 (the node nearest the
+# middle), rounded from these 40-digit values:
+#
+#   import mpmath as mp
+#   mp.mp.dps = 40
+#
+#   def legendre_pair(n, x):  # P_n(x), P_{n-1}(x)
+#       p_prev, p = mp.mpf(1), x
+#       for k in range(1, n):
+#           p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+#       return p, p_prev
+#
+#   def node_weight(n, k):
+#       x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
+#       for _ in range(10):
+#           p, p_prev = legendre_pair(n, x)
+#           x -= p * (1 - x * x) / (n * (p_prev - x * p))
+#       p, p_prev = legendre_pair(n, x)
+#       d = n * (p_prev - x * p) / (1 - x * x)
+#       return x, 2 / ((1 - x * x) * d * d)
+#
+# A second run, Newton from numpy's leggauss nodes, agreed in every digit.
+GAUSS_LEGENDRE = {
+    16: [
+        (1, 0.9894009349916499326, 0.027152459411754094852),
+        (2, 0.94457502307323257608, 0.062253523938647892863),
+        (4, 0.7554044083550030339, 0.12462897125553387205),
+        (8, 0.095012509837637440185, 0.18945061045506849629),
+    ],
+    64: [
+        (1, 0.99930504173577213946, 0.0017832807216964329473),
+        (2, 0.99634011677195527935, 0.0041470332605624676353),
+        (16, 0.71988185017161082685, 0.033805161837141609392),
+        (32, 0.024350292663424432509, 0.048690957009139720383),
+    ],
+    2048: [
+        (1, 0.99999931092710532958, 1.7683833666660711807e-6),
+        (2, 0.9999963693177449578, 4.1164558305822254428e-6),
+        (512, 0.70751330195323157477, 0.0010837995993926657207),
+        (1024, 0.00076680308814728576831, 0.0015336058757143302803),
+    ],
+}

@@ -165,12 +165,13 @@ def test_grid_deterministic(tmp_path, capsys):
 
 
 def test_grid_failed_rows_carry_the_error(capsys):
-    # the Green path of -0.2+0.3j, inside the ellipse |v| = 1.5 around the
-    # hull, starts at -1e-8, 2e-8 from the endpoint 1e-8 across the narrow
-    # gap: at 2048 nodes the segment rule does not reach the 1e-15
-    # quadrature tolerance; 2+0.3j, outside the ellipse, takes the series
-    args = ("grid", "--intervals=-1,-1e-8;1e-8,1", "--quad-tol=1e-15",
-            "--x-range=-0.2,2", "--y-range=0.3,2", "--nx", "2", "--ny", "1")
+    # the Green path of -0.2+6j, inside the ellipse |v| = 1.5 around the
+    # hull [-1, 101], starts at -1e-8, 2e-8 from the endpoint 1e-8 across
+    # the narrow gap, and is 6 long: at 2048 nodes the segment rule does not
+    # reach the 1e-15 quadrature tolerance (paths up to 3 long do);
+    # 250+6j, outside the ellipse, takes the series
+    args = ("grid", "--intervals=-1,-1e-8;1e-8,1;100,101", "--quad-tol=1e-15",
+            "--x-range=-0.2,250", "--y-range=6,7", "--nx", "2", "--ny", "1")
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))

@@ -469,12 +469,13 @@ def test_green_complex_batch_matches_points():
 
 
 def test_green_complex_scalar_failure_is_first_failing_panel():
-    # the integral from b_2l of -5e4+100j passes the set at a height of about
-    # 2e-3 and fails in a later panel: the scalar integral raises that
-    # panel's own error, with scalar best and estimate (green_complex's
-    # paths from the nearest endpoint have knots only far from the set)
+    # the integral from b_2l of -5e4+30j passes b_{2l-1} at a height of
+    # 7.8e-6 and fails in the panel that starts there: the scalar integral
+    # raises that panel's own error, with scalar best and estimate
+    # (green_complex's paths from the nearest endpoint have knots only far
+    # from the set)
     wm = solve(random_interval_set(np.random.default_rng(7), 6))
-    E, z = wm.domain, -5e4 + 100j
+    E, z = wm.domain, -5e4 + 30j
     with pytest.raises(NoConvergence) as err:
         _green_integral(E, wm.green.roots, E.endpoints[-1], z, wm.config)
     verts = _path(E, E.endpoints[-1], z)
@@ -493,13 +494,14 @@ def test_green_complex_scalar_failure_is_first_failing_panel():
 
 
 def test_green_integral_batch_failures_are_each_points_own(monkeypatch):
-    # from b_2l of this set -5e4+10j fails in its first panel and -5e4+100j
-    # in a later one, while -1e5+1e3j converges: in one batch each failed
-    # point carries the error its scalar integral raises, and the point
-    # whose first panel failed sends only zero-length later panels
+    # from b_2l of this set -5e4+1j fails in its first panel, which ends
+    # 2.6e-7 from b_{2l-1}, and -5e4+30j in a later one, while -1e5+1e3j
+    # converges: in one batch each failed point carries the error its
+    # scalar integral raises, and the point whose first panel failed sends
+    # only zero-length later panels
     wm = solve(random_interval_set(np.random.default_rng(7), 6))
     E, roots, base = wm.domain, wm.green.roots, wm.domain.endpoints[-1]
-    zs = np.array([-5e4 + 10j, -5e4 + 100j, -1e5 + 1e3j])
+    zs = np.array([-5e4 + 1j, -5e4 + 30j, -1e5 + 1e3j])
     calls = []
 
     def recording(f, z0, z1, *args, **kwargs):

@@ -150,6 +150,23 @@ def test_grid_failed_point_carries_its_error():
     assert ok.status == "converged" and ok.error is None
 
 
+def test_narrow_gap_point_maps_at_tight_quadrature():
+    # the Green path of -0.2+0.3j starts at -1e-8, 2e-8 from the endpoint
+    # 1e-8 across the narrow gap; with Gauss-Legendre end weights 6e-8 off
+    # the segment rule stalled short of a 1e-15 tolerance at 2048 nodes
+    pairs = [[-1.0, -1e-8], [1e-8, 1.0]]
+    z = -0.2 + 0.3j
+    wm = solve(pairs, QuadConfig(1e-15))
+    res = wm.map_point(z)
+    [p] = wm.map_grid([z])
+    assert p.status == "converged" and abs(p.result.w - res.w) <= 1e-15
+    g_l = green_level(res.w, wm.lemniscatic)
+    ref_wm = solve(pairs)
+    for base in (ref_wm.domain.endpoints[0], ref_wm.domain.endpoints[-1]):
+        g_e = _green_integral(ref_wm.domain, ref_wm.green.roots, base, z, ref_wm.config).real
+        assert abs(g_l - g_e) <= 1e-15
+
+
 def test_grid_empty():
     from walshmap.api import solve
     wm = solve([[-1, 1]])
@@ -1047,7 +1064,12 @@ def test_grid_takes_the_local_series_as_map_point_does(monkeypatch):
 
 
 # the Newton's images of two-interval points inside the ellipse before the
-# component series, with their iteration counts: map_point's, then map_grid's
+# component series, with their iteration counts: map_point's, then map_grid's.
+# -0.1 lies 2e-3 from the critical point z_1, where one ulp of the target
+# g_E(-0.1) moves the image by 1.5e-14: its image is the one from the
+# correctly rounded target 0.20382713105438582 (a 40-digit integral reads
+# 0.2038271310543858255), which correctly rounded 16- and 32-point
+# Gauss-Legendre tables give too
 INNER_NEWTON_IMAGES = {
     0.5 + 0.1j: ((0.4922655330225258 + 0.2801157930275928j),
                  (0.49226553302252585 + 0.28011579302759276j), 4, 4),
@@ -1055,7 +1077,7 @@ INNER_NEWTON_IMAGES = {
                   (-0.5687508104279734 - 0.3097052688518227j), 4, 4),
     0.3j: ((0.028453809667494265 + 0.3704320185560112j),
            (0.02845380966749399 + 0.37043201855601104j), 4, 4),
-    -0.1 + 0j: ((-0.07393213603035123 + 0j), (-0.07393213603035123 + 0j), 4, 4),
+    -0.1 + 0j: ((-0.07393213603036579 + 0j), (-0.07393213603036579 + 0j), 4, 4),
     1.05 + 0j: ((0.8916724261227986 + 0j), (0.8916724261227986 + 0j), 5, 5),
     -1.02 + 0j: ((-0.8611741017062731 + 0j), (-0.8611741017062731 + 0j), 5, 5),
 }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from walshmap.errors import NoConvergence
 from walshmap.quadrature import (_CHEB_BLOCK, QuadConfig, _chebyshev_sum,
-                                 integrate_chebyshev,
+                                 _gauss_legendre, _leggauss, integrate_chebyshev,
                                  integrate_segment_complex, integrate_tail)
 
 import reference_values as ref
@@ -17,6 +18,10 @@ def test_config_validation():
         QuadConfig(tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_level=2)
+    # a failing tail rule would build a table of 8 * 2^level nodes
+    with pytest.raises(ValueError, match=r"max_level must be in \[3, 20\], got 21"):
+        QuadConfig(max_level=21)
+    assert QuadConfig(max_level=20).max_level == 20
 
 
 # --- finite interval ----------------------------------------------------------
@@ -284,6 +289,53 @@ def test_segment_orientation_antisymmetry():
 
 def test_segment_zero_length():
     assert integrate_segment_complex(lambda z: z, 1.0, 1.0) == 0j
+
+
+# --- Gauss-Legendre tables -----------------------------------------------------
+
+# every order the segment rule reaches: 16 to 2048 nodes
+SEGMENT_ORDERS = [16 << k for k in range(8)]
+
+
+@pytest.mark.parametrize("n", SEGMENT_ORDERS)
+def test_gauss_legendre_rule_is_symmetric_and_sums_to_two(n):
+    u, w = _gauss_legendre(n)
+    assert u.shape == w.shape == (n,)
+    assert np.all(np.diff(u) > 0) and -1.0 < u[0] and u[-1] < 1.0
+    assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 4 * np.finfo(float).eps
+    s, ws = _leggauss(n)
+    assert np.array_equal(s, 0.5 * (u + 1.0)) and np.array_equal(ws, w)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_gauss_legendre_rule_integrates_even_powers(n):
+    # exact up to degree 2n - 1
+    u, w = _gauss_legendre(n)
+    for j in range(n):
+        assert abs(np.sum(w * u ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", sorted(ref.GAUSS_LEGENDRE))
+def test_gauss_legendre_rule_against_40_digit_values(n):
+    # numpy's leggauss misses the weights by 1.3e-12 at n = 64 and by
+    # 6.3e-8 at n = 2048, at the outermost nodes
+    u, w = _gauss_legendre(n)
+    for k, x, weight in ref.GAUSS_LEGENDRE[n]:
+        assert abs(u[n - k] - x) <= 2.3e-16
+        assert abs(w[n - k] - weight) <= 1e-12 * weight
+
+
+def test_gauss_legendre_table_builds_no_square_array():
+    # the companion matrix of order 2048 alone holds 33.5 MB
+    _leggauss.cache_clear()
+    tracemalloc.start()
+    try:
+        _leggauss(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- vector segment rule -------------------------------------------------------
