@@ -41,6 +41,7 @@ class NoConvergence(SolverError):
     steps run out.  The map raises it for a point whose equation stalls, and
     solve_domain and centers_general for a stalled center Newton.
     best is the last estimate or iterate, estimate its error or residual;
+    steps, the Newton steps taken to best, is set by the Newton kernels;
     failures, each failed element's own error by flat index, is set by an
     array call of the segment rule (per panel) and a batch of Green's
     integrals (per point), as damped_newton_masked returns them."""
@@ -49,6 +50,7 @@ class NoConvergence(SolverError):
         super().__init__(message)
         self.best = best
         self.estimate = estimate
+        self.steps = None
         self.failures = None
 
 

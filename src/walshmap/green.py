@@ -236,24 +236,39 @@ def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig):
 # up; from the exact start every benchmark set stops at its first evaluation
 _NEWTON_STEPS = 20
 _MAX_HALVINGS = 40
+# the midpoint Jacobian's step at the roots, against the roots' own Jacobian's
+# step, read 0.90-1.17 over the ladder sets, Cantor 6-8 and ell 80/160: a
+# residual-only check accepts the roots at a step within bound / _STEP_MARGIN
+_STEP_MARGIN = 1.5
+
+
+def _gap_step(F, J):
+    """The full Newton step J^-1 (-F) of the gap conditions; raises
+    SingularSystem for a singular or non-finite Jacobian."""
+    if not np.all(np.isfinite(J)):
+        raise SingularSystem("gap-condition Jacobian is not finite")
+    try:
+        return np.linalg.solve(J, -F)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"gap-condition Jacobian singular: {exc}")
+
+
+def _scaled_residual(E: IntervalUnion, F, J, roots):
+    """Each gap condition over its roundoff scale |J| max(|z - t|, s)."""
+    t, s = E.frame
+    return F / (np.abs(J) @ np.maximum(np.abs(roots - t), s))
 
 
 def _numerator_step(E: IntervalUnion, roots, cfg: QuadConfig):
     """_solve_numerator's scaled gap residual at the roots and full step."""
     F, J = _gap_system(E, roots, cfg)
-    if not np.all(np.isfinite(J)):
-        raise SingularSystem("gap-condition Jacobian is not finite")
-    try:
-        delta = np.linalg.solve(J, -F)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"gap-condition Jacobian singular: {exc}")
-    t, s = E.frame
-    return F / (np.abs(J) @ np.maximum(np.abs(roots - t), s)), delta
+    return _scaled_residual(E, F, J, roots), _gap_step(F, J)
 
 
 def _exact_roots(E: IntervalUnion, lo, hi, cfg: QuadConfig):
     """Roots of the numerator N solved exactly from one gap-system pass at
-    the gap midpoints m, one per gap (lo, hi).
+    the gap midpoints m, one per gap (lo, hi), and that pass's root-space
+    Jacobian J.
 
     The gap conditions are linear in N.  With q0 = prod_k (x - m_k) and
     q_j = q0 / (x - m_j), which span the polynomials of degree at most
@@ -264,11 +279,12 @@ def _exact_roots(E: IntervalUnion, lo, hi, cfg: QuadConfig):
     (x - m_j) = g_i(x) = (x - m_i)(1 - sum_{j != i} delta_j / (x - m_j)) -
     delta_i, which rises through its root; _bisect finds every g_i's root
     on its gap's own bracket at once, with no quadrature.  Raises
-    SingularSystem as _numerator_step does, and RootNotBracketed naming the
+    SingularSystem as _gap_step does, and RootNotBracketed naming the
     first gap on whose ends g_i is not negative, then positive.
     """
     mid = 0.5 * (lo + hi)
-    _, delta = _numerator_step(E, mid, cfg)
+    F, J = _gap_system(E, mid, cfg)
+    delta = _gap_step(F, J)
 
     def g(x):
         d = x[:, None] - mid
@@ -283,43 +299,52 @@ def _exact_roots(E: IntervalUnion, lo, hi, cfg: QuadConfig):
         raise RootNotBracketed(
             f"gap conditions unsolved: N from the midpoint pass has no root in "
             f"gap {k + 1} ({lo[k]}, {hi[k]})")
-    return _bisect(g, hi, lo)
+    return _bisect(g, hi, lo), J
 
 
 def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
     """Numerator roots and coefficients to quadrature accuracy.
 
     _exact_roots solves the linear gap conditions from one pass at the gap
-    midpoints; damped Newton on the gap conditions in root space then
-    confirms those roots, or refines them.  Root space is well conditioned
-    (one root per gap, diagonally dominant Jacobian) even where the
-    coefficient problem is not.  The residual is each gap condition over its
-    roundoff scale |J| max(|z - t|, s), the amplification of representing
-    the roots in the frame (t, s) of E; a step is halved until every root
-    stays strictly inside its gap and the residual falls.  The iteration
-    stops at a full step no larger than 1e-14 of the gap width or 4 ulp of
-    the root, and every gap condition is then checked at the last residual.
-    Raises SingularSystem for a singular or non-finite Jacobian or a gap
-    condition missed at the result, and RootNotBracketed when the solved N
-    has no root in a gap or no halving of a step is taken.
+    midpoints.  One residual-only pass at those roots confirms them: the
+    step J_mid^-1 (-F), with the midpoint pass's Jacobian, must lie within
+    the stopping bound below over _STEP_MARGIN, and the residual is then
+    scaled by |J_mid|.  Otherwise damped Newton on the gap conditions in
+    root space refines them.  Root space is well conditioned (one root per
+    gap, diagonally dominant Jacobian) even where the coefficient problem
+    is not.  The residual is each gap condition over its roundoff scale
+    |J| max(|z - t|, s), the amplification of representing the roots in the
+    frame (t, s) of E; a step is halved until every root stays strictly
+    inside its gap and the residual falls.  The iteration stops at a full
+    step no larger than 1e-14 of the gap width or 4 ulp of the root, and
+    every gap condition is then checked at the last residual.  Raises
+    SingularSystem for a singular or non-finite Jacobian or a gap condition
+    missed at the result, and RootNotBracketed when the solved N has no
+    root in a gap or no halving of a step is taken.
     """
     ell = E.ell
     if ell == 1:
         return np.array([1.0]), np.array([])
     b = np.asarray(E.endpoints)
     lo, hi = b[1:-1:2], b[2:-1:2]
-    start = _exact_roots(E, lo, hi, cfg)
-    try:
-        roots, F, _ = damped_newton(
-            lambda roots: _numerator_step(E, roots, cfg), start,
-            admissible=lambda roots: np.all((lo < roots) & (roots < hi)),
-            step_tol=lambda roots: np.maximum(
-                1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots))),
-            max_steps=_NEWTON_STEPS, max_halvings=_MAX_HALVINGS)
-    except NoConvergence as exc:
-        if np.shape(exc.best) != lo.shape:
-            raise  # a gap rule's, whose best has a row per root and one for F
-        raise RootNotBracketed(f"gap conditions unsolved: {exc}") from exc
+
+    def bound(roots):
+        return np.maximum(1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots)))
+
+    roots, J = _exact_roots(E, lo, hi, cfg)
+    F = _product_integrals(E, np.arange(1, 2 * ell - 2, 2), roots, cfg)
+    if np.all(np.abs(_gap_step(F, J)) <= bound(roots) / _STEP_MARGIN):
+        F = _scaled_residual(E, F, J, roots)
+    else:
+        try:
+            roots, F, _ = damped_newton(
+                lambda roots: _numerator_step(E, roots, cfg), roots,
+                admissible=lambda roots: np.all((lo < roots) & (roots < hi)),
+                step_tol=bound, max_steps=_NEWTON_STEPS, max_halvings=_MAX_HALVINGS)
+        except NoConvergence as exc:
+            if np.shape(exc.best) != lo.shape:
+                raise  # a gap rule's, whose best has a row per root and one for F
+            raise RootNotBracketed(f"gap conditions unsolved: {exc}") from exc
     k = int(np.argmax(np.abs(F)))
     if abs(F[k]) > 10.0 * cfg.tolerance(1.0):
         raise SingularSystem(
@@ -331,8 +356,9 @@ def green_poly(E: IntervalUnion, cfg: QuadConfig | None = None) -> np.ndarray:
     """Monic numerator polynomial of the Green's derivative (ascending coeffs).
 
     Built from its roots, one per bounded gap, solved from the linear gap
-    conditions and confirmed by damped Newton (see _solve_numerator); every
-    gap condition is re-verified at the result.
+    conditions and confirmed by one residual pass, or refined by damped
+    Newton (see _solve_numerator); every gap condition is re-verified at
+    the result.
     """
     coeffs, _ = _solve_numerator(E, cfg or DEFAULT_CONFIG)
     return coeffs

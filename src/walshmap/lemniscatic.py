@@ -4,10 +4,11 @@ L = {w : prod |w - a_j|^(m_j) <= capacity} has the same capacity, Green's
 function values and critical-point structure as E; the centers a_j are
 recovered from that correspondence.  solve_domain takes explicit formulas
 for one and two components, and for three or more one damped Newton on the
-centers with the critical points w = crit_points(a) at every trial.  The
-paper's alternating iteration (a center solve at fixed critical points, then
-a critical-point update), centers_general, runs on the same center solve and
-reproduces the paper's step counts.
+centers with the critical points w = crit_points(a) at every trial, each
+started from the first-order motion of the last trial's, and keeps the w of
+its final evaluation.  The paper's alternating iteration (a center solve at
+fixed critical points, then a critical-point update), centers_general, runs
+on the same center solve and reproduces the paper's step counts.
 """
 
 import math
@@ -110,14 +111,16 @@ def green_deriv(w, dom: LemniscaticDomain):
     return complex(out) if out.ndim == 0 else out
 
 
-def crit_points(a, m) -> np.ndarray:
+def crit_points(a, m, start=None) -> np.ndarray:
     """Critical points of the Green's function of the lemniscatic domain, one
     per interval (a_k, a_{k+1}): zeros of f(w) = sum m_j / (w - a_j).
 
     f falls from +inf to -inf across each interval, so the brackets set just
-    inside the centers are solved by _bisect from their midpoints, with the
-    slope -sum m_j / (w - a_j)^2.  Raises BracketFailure when f does not
-    change sign on a bracket.
+    inside the centers are solved by _bisect, with the slope
+    -sum m_j / (w - a_j)^2, from start (default: the bracket midpoints); an
+    entry of start outside its bracket's open interior starts at the
+    midpoint instead.  Raises BracketFailure when f does not change sign on
+    a bracket.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -130,12 +133,14 @@ def crit_points(a, m) -> np.ndarray:
         k = int(np.argmin(bracketed))
         raise BracketFailure(
             f"derivative does not change sign in ({left[k]}, {right[k]})")
+    if start is not None:
+        start = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
 
     def f(w):
         inv = 1.0 / (w[:, None] - a)
         return inv @ m, -(inv * inv) @ m
 
-    return _bisect(f, lo, hi)
+    return _bisect(f, lo, hi, start)
 
 
 def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
@@ -220,27 +225,58 @@ def _center_newton(a, w, m, targets, s, p):
         return F, np.full(a.size, np.nan)
 
 
+_EPS = np.finfo(float).eps
+
+
+def _rounding_floor(a, w, m, targets, p) -> float:
+    """The rounding of the center equations' Green rows at (a, w):
+    8 ell eps max_i (sum_j |m_j log(|w_i - a_j| / p)| + |targets_i|)."""
+    size = np.abs(np.log(np.abs(w[:, None] - a) / p) * m).sum(1)
+    return 8.0 * a.size * _EPS * float(np.max(size + np.abs(targets[:-1])))
+
+
 def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
     """Damped Newton for the centers from a0, keeping them ordered: at the
     fixed critical points w, or, without w, at w = crit_points(a) on every
     trial.  The Jacobian is the same either way, since each w_i is a zero of
     g_L' and its motion drops out.
 
+    Without w, the critical points follow the centers: each trial's
+    crit_points starts at the first-order motion of the last evaluation's
+    critical points, w + (q @ (a - a_last)) / q.sum(1) with
+    q_ij = m_j / (w_i - a_last,j)^2.
+
     The Green's-value rows are in units of p = E.unit, against
     g_E(z_k) + log(cap / p).  It stops at a residual of 1e-14, or at a full
     step within 1e-15 max(s, max|a - t|) in the frame (t, s) of E or 2 ulp
-    of a (binding only if |t| > s).  Returns (a, steps, residual norm);
-    raises NoConvergence naming the stall and its residual.
+    of a (binding only if |t| > s).  A Newton that ends short at a residual
+    within the rows' own rounding (_rounding_floor) has converged too: its
+    last iterate is returned, with w = crit_points(a) when w is not given.
+    Returns (a, w, steps, residual norm), w the critical points of the
+    returned centers; raises NoConvergence naming the stall and its
+    residual.
     """
     t, s = E.frame
     p = E.unit
     m = np.asarray(m, dtype=float)
     targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
+    last = []  # (a, w) of the last evaluation, when w follows a
+
+    def residual(a):
+        if w is not None:
+            return _center_newton(a, w, m, targets, s, p)
+        if last:
+            a_last, w_last = last.pop()
+            q = m / (w_last[:, None] - a_last) ** 2
+            w_a = crit_points(a, m, start=w_last + (q @ (a - a_last)) / q.sum(1))
+        else:
+            w_a = crit_points(a, m)
+        last.append((a, w_a))
+        return _center_newton(a, w_a, m, targets, s, p)
+
     try:
         a, F, steps = damped_newton(
-            lambda a: _center_newton(a, crit_points(a, m) if w is None else w,
-                                     m, targets, s, p),
-            np.array(a0, dtype=float),
+            residual, np.array(a0, dtype=float),
             # a disordering trial counts as a failed step: the fixed-w system
             # can have spurious stationary points outside the ordered cone,
             # and crit_points brackets between consecutive centers
@@ -249,9 +285,14 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
                 1e-15 * max(s, float(np.max(np.abs(a - t)))), 2.0 * np.spacing(np.abs(a))),
             max_steps=80, max_halvings=20)
     except NoConvergence as exc:
-        raise NoConvergence(f"center Newton stalled: {exc}", best=exc.best,
-                            estimate=exc.estimate) from exc
-    return a, steps, float(np.max(np.abs(F)))
+        a = exc.best
+        w_a = crit_points(a, m) if w is None else w
+        if not exc.estimate <= _rounding_floor(a, w_a, m, targets, p):
+            raise NoConvergence(f"center Newton stalled: {exc}", best=exc.best,
+                                estimate=exc.estimate) from exc
+        return a, w_a, exc.steps, exc.estimate
+    # the last evaluation is the returned iterate's
+    return a, last[0][1] if w is None else w, steps, float(np.max(np.abs(F)))
 
 
 def centers_general(E: IntervalUnion, m, cap: float, data: GreenData):
@@ -273,7 +314,7 @@ def centers_general(E: IntervalUnion, m, cap: float, data: GreenData):
     w = 0.5 * (b[1:-1:2] + b[2::2])
     productive = 0
     for _ in range(50):
-        a_new, _, resid = _center_solve(E, m, cap, data, a, w)
+        a_new, _, _, resid = _center_solve(E, m, cap, data, a, w)
         w = crit_points(a_new, m)
         step_tol = np.maximum(1e-13 * (s + np.abs(a - t)), 4.0 * np.spacing(np.abs(a)))
         converged = bool(np.all(np.abs(a_new - a) < step_tol))
@@ -289,7 +330,8 @@ def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> Lemnis
 
     One component forces a_1 = alpha (disk); two components are explicit;
     three or more run the centers' damped Newton from the component
-    midpoints, with w = crit_points(a) at every trial (_center_solve).
+    midpoints, with w = crit_points(a) at every trial (_center_solve), and
+    take the critical points of its returned centers from it.
     """
     cap = data.capacity
     ell = E.ell
@@ -304,8 +346,8 @@ def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> Lemnis
         iterations = 0
     else:
         b = np.asarray(E.endpoints)
-        a, iterations, resid = _center_solve(E, m.m, cap, data, 0.5 * (b[::2] + b[1::2]))
-        w = crit_points(a, m.m)
+        a, w, iterations, resid = _center_solve(E, m.m, cap, data,
+                                                0.5 * (b[::2] + b[1::2]))
     if np.any(np.diff(a) <= 0):
         raise OrderViolation(f"centers out of order: {a}")
     interlaced = np.empty(2 * ell - 1)

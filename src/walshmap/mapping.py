@@ -621,13 +621,20 @@ def _fit(dom, data, j, lo, hi, s, R, rho) -> _Series:
     c = _fourier(rim, m)
     k = np.arange(1, m // 2)
     c0, down = c[0].item(), c[m - k]
-    k = np.arange(1, n // 2)
-    up = _fourier(outer, n)[k] / rho ** k
     hull = E.frame[1]
-    up = up[:_kept(np.abs(up) * rho ** k, hull)]
+    # F_k = c_k rho^k, each kept term's largest value on the annulus; rho^k
+    # overflows for a wide circle, so c_k = F_k rho^-k is formed with the
+    # power of two of rho apart, and its radius bound from F_k
+    F = _fourier(outer, n)[1:n // 2]
+    F = F[:_kept(np.abs(F), hull)]
+    k = np.arange(1, F.size + 1)
+    frac, twos = math.frexp(rho)
+    up = np.ldexp(F / frac ** k, -twos * k)
     down = down[:_kept(np.abs(down), hull)]
-    radius = min([R] + [(2.0 * hull / abs(ck)) ** (1.0 / i)
-                        for part in (up, down) for i, ck in enumerate(part.tolist(), 1) if ck])
+    radius = min([R] + [rho * (2.0 * hull / abs(f)) ** (1.0 / i)
+                        for i, f in enumerate(F.tolist(), 1) if f]
+                 + [(2.0 * hull / abs(ck)) ** (1.0 / i)
+                    for i, ck in enumerate(down.tolist(), 1) if ck])
     series = _Series(data, t, s, c0, array("d", up[::-1]), array("d", down[::-1]), radius, rho,
                      0.0, None)
     return series._replace(bound=_local_certificate(dom, series, targets))
@@ -972,30 +979,40 @@ def _blocks(ell, count):
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _level(center, a, cos, sin, r, m, log_cap):
+def _trace_work(ell, count):
+    """The two (ell, block) temporaries of every level pass over count rays,
+    allocated once per trace: arrays this large are mapped fresh by the C
+    allocator, so each pass that allocated its own would fault them in."""
+    return np.empty((2, ell * min(max(1, _TRACE_BLOCK // ell), count)))
+
+
+def _level(center, a, cos, sin, r, m, log_cap, work):
     """g_L at radius r along each ray, in the trace's unit: ray k leaves
     center[k] in the direction (cos_k, sin_k), and a is the column of every
-    center."""
+    center; work (_trace_work) holds the squared distances."""
     out = np.empty(r.size)
     for k in _blocks(a.size, r.size):
-        dy = r[k] * sin[k]
-        q = center[k] - a
-        q += r[k] * cos[k]
+        rk = r[k]
+        dy = rk * sin[k]
+        q = np.subtract(center[k], a, out=work[0, :a.size * rk.size].reshape(a.size, -1))
+        q += rk * cos[k]
         q *= q
         q += dy * dy
         out[k] = 0.5 * (m @ np.log(q, out=q)) - log_cap
     return out
 
 
-def _level_slope(center, a, cos, sin, r, m, log_cap):
+def _level_slope(center, a, cos, sin, r, m, log_cap, work):
     """_level and its derivative in r, sum m_i (dx cos + dy sin) / q_i, from
     the same squared distances q = dx^2 + dy^2."""
     g, slope = np.empty(r.size), np.empty(r.size)
     for k in _blocks(a.size, r.size):
-        dy = r[k] * sin[k]
-        dx = center[k] - a
-        dx += r[k] * cos[k]
-        q = dx * dx
+        rk = r[k]
+        size = a.size * rk.size
+        dy = rk * sin[k]
+        dx = np.subtract(center[k], a, out=work[0, :size].reshape(a.size, -1))
+        dx += rk * cos[k]
+        q = np.multiply(dx, dx, out=work[1, :size].reshape(a.size, -1))
         q += dy * dy
         dx *= cos[k]
         dx += dy * sin[k]
@@ -1088,9 +1105,10 @@ def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> li
     cos, sin = np.tile(ray.real, live.size), np.tile(ray.imag, live.size)
     r_out = r_out[live].reshape(-1)
 
+    work = _trace_work(a.size, lobe.size)
     neg = r_in[lobe]
     pos = np.minimum(1.1 * neg, r_out)
-    marching = np.flatnonzero(_level(center, column, cos, sin, pos, m, log_cap) <= 0)
+    marching = np.flatnonzero(_level(center, column, cos, sin, pos, m, log_cap, work) <= 0)
     while marching.size:
         at_end = pos[marching] == r_out[marching]
         if at_end.any():
@@ -1101,18 +1119,18 @@ def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> li
         neg[marching] = pos[marching]
         pos[marching] = np.minimum(1.1 * pos[marching], r_out[marching])
         marching = marching[_level(center[marching], column, cos[marching],
-                                   sin[marching], pos[marching], m, log_cap) <= 0]
+                                   sin[marching], pos[marching], m, log_cap, work) <= 0]
     bracketed = np.array([reason is None for reason in reasons])[lobe]
     if not bracketed.all():
         lobe, center, cos, sin, r_out, pos, neg = (
             v[bracketed] for v in (lobe, center, cos, sin, r_out, pos, neg))
 
-    r = _bisect(lambda r: _level_slope(center, column, cos, sin, r, m, log_cap),
+    r = _bisect(lambda r: _level_slope(center, column, cos, sin, r, m, log_cap, work),
                 pos, neg, start=neg)
     # immediately outside the crossing the ray must stay outside L
     for factor in (1.005, 1.02, 1.05):
         inside = _level(center, column, cos, sin, np.minimum(r * factor, r_out),
-                        m, log_cap) <= 0
+                        m, log_cap, work) <= 0
         for j in np.unique(lobe[inside]).tolist():
             reasons[j] = reasons[j] or f"rays from center {a[j]} re-enter the level set"
     pts = (a[lobe] + (r * unit) * (cos + 1j * sin)).reshape(-1, n)

@@ -21,14 +21,18 @@ def _max_abs(F) -> float:
     return float(np.max(np.abs(F)))
 
 
-def _stalled(x, res):
-    return NoConvergence(f"no damped Newton step lowers the residual {res:.3e}",
-                         best=x, estimate=res)
+def _stalled(x, res, steps):
+    exc = NoConvergence(f"no damped Newton step lowers the residual {res:.3e}",
+                        best=x, estimate=res)
+    exc.steps = steps
+    return exc
 
 
 def _out_of_steps(max_steps, x, res):
-    return NoConvergence(f"Newton iteration stopped after {max_steps} steps at "
-                         f"residual {res:.3e}", best=x, estimate=res)
+    exc = NoConvergence(f"Newton iteration stopped after {max_steps} steps at "
+                        f"residual {res:.3e}", best=x, estimate=res)
+    exc.steps = max_steps
+    return exc
 
 
 def damped_newton(fun, x, *, admissible=None, tol=0.0, step_tol=None,
@@ -40,9 +44,9 @@ def damped_newton(fun, x, *, admissible=None, tol=0.0, step_tol=None,
     and takes the first trial that satisfies admissible(trial), when given,
     and has a smaller max|F| than x.  The iteration stops when max|F| <= tol,
     or when every entry of the full step at x is within step_tol(x).  Raises
-    NoConvergence, carrying the last iterate as best and its max|F| as
-    estimate, when no trial of a step is taken or max_steps steps do not
-    stop.
+    NoConvergence, carrying the last iterate as best, its max|F| as estimate
+    and the steps taken to it as steps, when no trial of a step is taken or
+    max_steps steps do not stop.
     """
     F, delta = fun(x)
     # plain abs for Python scalars: the map calls this several times a point
@@ -63,7 +67,7 @@ def damped_newton(fun, x, *, admissible=None, tol=0.0, step_tol=None,
                     break
             t *= 0.5
         else:
-            raise _stalled(x, res)
+            raise _stalled(x, res, steps)
         x, F, delta, res = trial, F_t, delta_t, res_t
         steps += 1
     return x, F, steps
@@ -122,7 +126,7 @@ def damped_newton_masked(fun, x, *, admissible, tol, max_steps, max_halvings):
             t *= 0.5
         else:
             for i in trying.tolist():
-                failures[i] = _stalled(x[i].item(), float(res[i]))
+                failures[i] = _stalled(x[i].item(), float(res[i]), taken)
         live = moved[0] if len(moved) == 1 else np.concatenate(moved or [live[:0]])
         steps[live] = taken + 1
         near = live[res[live] < 2.0 * tol]

@@ -50,14 +50,18 @@ __all__ = [
 ]
 
 
+# the least tol: one ulp of 1, under which no rule's sum can settle
+_MIN_TOL = 2.0 ** -52
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    tol: float = 1e-12  # absolute and relative alike
+    tol: float = 1e-12  # absolute and relative alike, 2^-52 or more
     max_level: int = 12  # node-doubling cap, 3 to 20
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not self.tol >= _MIN_TOL:
+            raise ValueError(f"tol must be at least 2^-52 = {_MIN_TOL!r}, got {self.tol!r}")
         # a failing tail rule builds a table of 8 * 2^max_level nodes, and
         # a failing Chebyshev rule sums 16 * 2^max_level nodes per interval
         if not 3 <= self.max_level <= 20:

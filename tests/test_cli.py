@@ -90,6 +90,14 @@ def test_missing_intervals_is_input_error(capsys):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_quad_tol_below_one_ulp_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "params", "--intervals=-1,-0.3;0.1,1", "--quad-tol=5e-17")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("tol must be at least 2^-52")
+
+
 def test_overlap_is_input_error(capsys):
     code, _, err = run_cli(capsys, "params", "--intervals=0,1;0.5,2")
     assert code == 2

@@ -233,24 +233,52 @@ _PASS_SETS = ([ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell 
               + [ref.cantor_pairs(level) for level in (2, 3, 4, 5)])
 
 
-@pytest.mark.parametrize("pairs", _PASS_SETS, ids=["ell5", "ell10", "ell20", "ell40",
-                                                    "cantor2", "cantor3", "cantor4", "cantor5"])
-def test_numerator_takes_two_gap_passes(pairs, monkeypatch):
-    # the pass at the gap midpoints solves the linear gap conditions; the
-    # Newton's first evaluation, at the roots of that N, only confirms them
-    E = parse_domain(pairs)
-    plain = green._gap_system
+def _counted_gap_passes(monkeypatch, shift=0.0):
+    """Record every gap pass of _product_integrals as (roots, leave_one_out),
+    adding shift to the residuals of the residual-only ones."""
+    plain = green._product_integrals
     calls = []
 
-    def counted(E, roots, cfg):
-        calls.append(np.array(roots))
-        return plain(E, roots, cfg)
+    def counted(E, first, roots, cfg, leave_one_out=False):
+        out = plain(E, first, roots, cfg, leave_one_out)
+        if first[0] == 1:  # the gaps, not the components
+            calls.append((np.array(roots), leave_one_out))
+            if not leave_one_out:
+                out = out + shift
+        return out
 
-    monkeypatch.setattr(green, "_gap_system", counted)
-    green_data(E)
+    monkeypatch.setattr(green, "_product_integrals", counted)
+    return calls
+
+
+_PASS_IDS = ["ell5", "ell10", "ell20", "ell40", "cantor2", "cantor3", "cantor4", "cantor5"]
+
+
+@pytest.mark.parametrize("pairs", _PASS_SETS, ids=_PASS_IDS)
+def test_numerator_takes_two_gap_passes(pairs, monkeypatch):
+    # one leave-one-out pass at the gap midpoints solves the linear gap
+    # conditions; one residual-only pass at the roots of that N confirms
+    # them, with the midpoint pass's Jacobian
+    E = parse_domain(pairs)
+    calls = _counted_gap_passes(monkeypatch)
+    data = green_data(E)
     b = np.asarray(E.endpoints)
-    assert len(calls) == 2
-    np.testing.assert_array_equal(calls[0], 0.5 * (b[1:-1:2] + b[2:-1:2]))
+    assert [loo for _, loo in calls] == [True, False]
+    np.testing.assert_array_equal(calls[0][0], 0.5 * (b[1:-1:2] + b[2:-1:2]))
+    np.testing.assert_array_equal(calls[1][0], data.roots)
+
+
+@pytest.mark.parametrize("pairs", _PASS_SETS[::3], ids=_PASS_IDS[::3])
+def test_residual_pass_above_the_bound_runs_the_newton(pairs, monkeypatch):
+    # gap residuals shifted by 1e-9 put the midpoint Jacobian's step far
+    # above the stopping bound: the damped Newton then runs from the same
+    # roots, whose own step is under the bound, and returns them unchanged
+    E = parse_domain(pairs)
+    expected = green_data(E).roots
+    calls = _counted_gap_passes(monkeypatch, shift=1e-9)
+    assert green_data(E).roots == expected
+    assert [loo for _, loo in calls] == [True, False, True]
+    np.testing.assert_array_equal(calls[2][0], calls[1][0])
 
 
 def test_midpoint_pass_with_no_root_in_a_gap_raises(monkeypatch):

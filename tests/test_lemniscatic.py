@@ -11,7 +11,7 @@ from walshmap.lemniscatic import (LemniscaticDomain, boundary_abscissae,
                                   centers_general, centers_two,
                                   crit_points, green, green_deriv)
 from walshmap.newton import _bisect, damped_newton
-from walshmap.verify import random_interval_set
+from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
 import scalar_oracles as oracle
@@ -278,6 +278,53 @@ def test_cantor_level2_centers_and_steps(cantor2):
     assert dom.outer_iterations <= 3
 
 
+@pytest.mark.parametrize("ell, seed", [(3, 0), (10, 1), (40, 0)])
+def test_crit_points_from_any_start_meet_the_halving_window(ell, seed, monkeypatch):
+    # a start inside its bracket, outside it, on a center or on a bracket
+    # end (outside the bracket's open interior: the midpoint instead) meets
+    # the window of test_newton_bisect_matches_halving_and_is_cheap
+    a, m, _ = _random_lemniscatic(ell, seed)
+    left, right = a[:-1], a[1:]
+    width = right - left
+    ends = (np.maximum(left + 1e-14 * width, np.nextafter(left, right)),
+            np.minimum(right - 1e-14 * width, np.nextafter(right, left)))
+    starts = [left + f * width for f in (0.01, 0.3, 0.99)] + [
+        crit_points(a, m) * (1.0 + 1e-12), left - width, right + width, left, right,
+        *ends, np.full(left.shape, np.nan)]
+    got = [crit_points(a, m, start) for start in starts]
+    monkeypatch.setattr(lemniscatic, "_bisect",
+                        lambda f, pos, neg, start=None:
+                        oracle.halving_bisect(lambda x: f(x)[0], pos, neg))
+    w_old = crit_points(a, m)
+    d = w_old[:, None] - a
+    window = ell * np.finfo(float).eps * np.abs(m / d).sum(1) / np.abs((m / d ** 2).sum(1))
+    for w in got:
+        assert np.all(np.abs(w - w_old) <= 2.0 * np.spacing(np.abs(w_old)) + 4.0 * window)
+
+
+@pytest.mark.parametrize("pairs", [ref.THREE_INTERVAL["pairs"], ref.cantor_pairs(3),
+                                   ref.dirichlet_intervals(np.random.default_rng(10), 10)])
+def test_solve_domain_keeps_the_center_solves_critical_points(pairs, monkeypatch):
+    # every crit_points call is one of the centers' Newton evaluations, and
+    # the domain's critical points are those of the last one
+    calls, evaluated = [], []
+    plain_crit, plain_newton = lemniscatic.crit_points, lemniscatic._center_newton
+
+    def crit(*args, **kwargs):
+        calls.append(args)
+        return plain_crit(*args, **kwargs)
+
+    def newton(a, w, *rest):
+        evaluated.append(w)
+        return plain_newton(a, w, *rest)
+
+    monkeypatch.setattr(lemniscatic, "crit_points", crit)
+    monkeypatch.setattr(lemniscatic, "_center_newton", newton)
+    dom = solve(pairs).lemniscatic
+    assert 0 < len(calls) <= len(evaluated)
+    assert dom.crit_w == tuple(evaluated[-1].tolist())
+
+
 def test_mass_weighted_center_sum(three_interval, cantor2):
     for wm in (three_interval, cantor2):
         lhs = float(np.array(wm.exponents.m) @ np.array(wm.lemniscatic.centers))
@@ -322,6 +369,45 @@ CENTER_STALL_SETS = [
      0.0832563446079615, 0.9955760790782897, 0.9994357906512217,
      0.9999868641096523, 1.0],
 ]
+
+
+# draws of scripts/multiscale_sweep.py (numpy.random.default_rng(42)), all at
+# 8 decades; endpoint lists b_1..b_2l
+SWEEP_SETS = [
+    # 66, 159 and 172: the numerator's leave-one-out confirming pass failed
+    # in the Chebyshev rule; the residual-only pass converges
+    [-1.0, -0.9999957732904947, -0.9999860067394843, -0.999985846525285,
+     -0.999985022594254, 0.9909250083322889, 0.9909594059452513, 0.9977093172946281,
+     0.9981927960880637, 0.9983399847426917, 0.9999971014824747, 1.0],
+    [-1.0, -0.9926573779245806, -0.9926566357501619, -0.9926565393021717,
+     -0.7739510491954966, -0.7515992536638884, -0.7515985713423751,
+     -0.7515948205591347, 0.2768737783034838, 0.2848373063404497, 0.2861549732905626,
+     0.2861599467376603, 0.2861641991049879, 0.28616423473521313, 0.29773826342470766,
+     0.2977383015340471, 0.29773832034835834, 0.30953039777841607, 0.9803715196070306,
+     0.9997649216625208, 0.9998669571266576, 1.0],
+    [-1.0, -0.9999998584949975, -0.9999990790363177, -0.9999971204829797,
+     -0.99994282018247, 0.9993806471846753, 0.9999957688814574, 1.0],
+    # 152 and 171: the centers' Newton stalls at residuals 1.8e-14 and
+    # 1.5e-14, within the rounding of its Green rows
+    [-1.0, -0.9999908535313204, -0.9998950402090201, -0.999721113268072,
+     -0.25010369292868373, -0.250093640440602, 0.7259985372308131, 0.7261752685507961,
+     0.7262042424915813, 0.7269280818556099, 0.7270799588848271, 0.7270878752224317,
+     0.7278139484126684, 0.7278150807078707, 0.727860264777765, 0.7301822933407942,
+     0.7303225139203433, 1.0],
+    [-1.0, -0.9983301039081682, -0.9924117684327151, -0.9924112287045497,
+     -0.9923984089274578, -0.9910122073354906, -0.18465797233607018,
+     -0.1620094121475658, -0.1620089696684518, -0.1574293675081806,
+     -0.1574243954975434, -0.09508528138566041, 0.25337635205215614,
+     0.25805670202606246, 0.2625599828051255, 0.2626027745202506, 0.26291367995754067,
+     0.9476052463505047, 0.9987959142253353, 1.0],
+]
+
+
+@pytest.mark.parametrize("b", SWEEP_SETS, ids=["draw66", "draw159", "draw172",
+                                               "draw152", "draw171"])
+def test_sweep_draws_solve(b):
+    wm = solve([b[i:i + 2] for i in range(0, len(b), 2)])
+    assert worst_invariant(wm) <= 1e-10
 
 
 @pytest.mark.parametrize("b", CENTER_STALL_SETS)

@@ -1116,3 +1116,14 @@ def test_points_beside_narrow_neighbours_keep_the_newton(pairs, z):
     assert mapping._component_series(z, wm.domain, wm.lemniscatic, wm.green) is None
     with pytest.raises(NoConvergence, match="no damped Newton step lowers the residual"):
         wm.map_point(z)
+
+
+def test_wide_outer_circle_fits_without_overflow():
+    # components 1 and 2 of this pre-image set have outer circles of radius
+    # rho = 4.0e4 in their Joukowski variables, and c_k = F_k rho^-k for k up
+    # to 127 overflowed in rho^k ("overflow encountered in power")
+    n, sigma, kappa = 4, 0.2, 1e-4
+    wm = solve(ref.preimage_pairs(n, sigma, kappa))
+    z = -0.5525118869667113 + 0.01234798941989344j
+    w = wm.map_point(z).w
+    assert abs(green_level(w, wm.lemniscatic) - ref.preimage_green(z, n, sigma, kappa)) <= 1e-12

@@ -24,6 +24,16 @@ def test_config_validation():
     assert QuadConfig(max_level=20).max_level == 20
 
 
+def test_tol_below_one_ulp_is_rejected_at_the_input():
+    # 5e-17 failed late, as NoConvergence from the tail rule of the solve
+    with pytest.raises(ValueError, match=r"tol must be at least 2\^-52 = 2\.220446049250313e-16, "
+                                         r"got 5e-17"):
+        QuadConfig(5e-17)
+    with pytest.raises(ValueError, match="tol must be at least"):
+        QuadConfig(float("nan"))
+    assert QuadConfig(2.3e-16).tol == 2.3e-16
+
+
 # --- finite interval ----------------------------------------------------------
 
 def test_chebyshev_weight_integrates_to_pi():
