@@ -6,10 +6,17 @@ the centers' Newton step counts (LemniscaticDomain.outer_iterations)
 together with the worst invariant defects:
 
     python scripts/iteration_profile.py --ell 10 --count 200 --seed 1
+
+With --nodes it also counts the Chebyshev rule's work: how many intervals
+it summed at each node count, and its node evaluations per drawn set.  The
+count wraps the rule and its integrand from outside the package, as the
+benchmark's tracing does, so it reads the same on any version of it.
 """
 
 import argparse
 import collections
+import functools
+import math
 import pathlib
 import sys
 import time
@@ -18,8 +25,49 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from walshmap import equilibrium, green
 from walshmap.api import solve
 from walshmap.verify import random_interval_set, worst_invariant
+
+
+def node_count(x, d_lo, d_hi):
+    """The node count n of the midpoint rule whose nodes x = mid + hw cos t,
+    t = (i + 1/2) pi / n, lie along the last axis of x (a block of at most
+    1024 of them): from the spacing of the first two t, which the exact
+    endpoint distances give as t = 2 atan(sqrt(d_hi / d_lo))."""
+    d_lo, d_hi = np.reshape(d_lo, (-1, x.shape[-1])), np.reshape(d_hi, (-1, x.shape[-1]))
+    t = 2.0 * np.arctan(np.sqrt(d_hi[0, :2] / d_lo[0, :2]))
+    return 1 << round(math.log2(math.pi / (t[1] - t[0])))
+
+
+def count_chebyshev(nodes):
+    """Wrap the Chebyshev rule where the solve reaches it, so that every
+    integrand call adds its node evaluations to nodes[n], n its level's
+    node count; returns the undo."""
+    saved = []
+
+    def wrap(rule):
+        @functools.wraps(rule)
+        def wrapper(f, lo, hi, cfg=None, *, fd=None, **kwargs):
+            if fd is None:  # a plain f, called through fd for its distances
+                def fd(x, d_lo, d_hi, *rest):
+                    return f(x, *rest)
+            inner = fd
+
+            def counted(x, d_lo, d_hi, *rest):
+                nodes[node_count(x, d_lo, d_hi)] += x.size
+                return inner(x, d_lo, d_hi, *rest)
+            return rule(None, lo, hi, cfg, fd=counted, **kwargs)
+        return wrapper
+
+    for module in (green, equilibrium):
+        saved.append((module, module.integrate_chebyshev))
+        module.integrate_chebyshev = wrap(module.integrate_chebyshev)
+
+    def undo():
+        for module, rule in saved:
+            module.integrate_chebyshev = rule
+    return undo
 
 
 def main():
@@ -29,20 +77,31 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--min-length", type=float, default=1e-2,
                         help="smallest allowed component/gap length")
+    parser.add_argument("--nodes", action="store_true",
+                        help="count the Chebyshev rule's intervals and nodes")
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
     histogram = collections.Counter()
+    nodes = collections.Counter()  # node evaluations by node count
+    per_set = []
     worst = 0.0
+    undo = count_chebyshev(nodes) if args.nodes else None
     t0 = time.perf_counter()
-    for _ in range(args.count):
-        try:
-            pairs = random_interval_set(rng, args.ell, args.min_length)
-        except ValueError as exc:
-            sys.exit(f"iteration_profile: {exc}")
-        wm = solve(pairs)
-        histogram[wm.lemniscatic.outer_iterations] += 1
-        worst = max(worst, worst_invariant(wm))
+    try:
+        for _ in range(args.count):
+            try:
+                pairs = random_interval_set(rng, args.ell, args.min_length)
+            except ValueError as exc:
+                sys.exit(f"iteration_profile: {exc}")
+            before = sum(nodes.values())
+            wm = solve(pairs)
+            per_set.append(sum(nodes.values()) - before)
+            histogram[wm.lemniscatic.outer_iterations] += 1
+            worst = max(worst, worst_invariant(wm))
+    finally:
+        if undo:
+            undo()
     elapsed = time.perf_counter() - t0
 
     print(f"{args.count} random sets with {args.ell} components "
@@ -51,6 +110,11 @@ def main():
         bar = "#" * histogram[steps]
         print(f"  {steps:2d} Newton steps: {histogram[steps]:4d} {bar}")
     print(f"worst invariant defect: {worst:.3e}")
+    if args.nodes:
+        print("Chebyshev intervals per node count: " + (", ".join(
+            f"{n}: {nodes[n] // n}" for n in sorted(nodes)) or "none"))
+        print(f"Chebyshev node evaluations per set: mean {np.mean(per_set):.1f}, "
+              f"min {min(per_set)}, max {max(per_set)}, total {sum(per_set)}")
     print(f"total {elapsed:.1f}s ({1e3 * elapsed / args.count:.1f} ms per set)")
 
 

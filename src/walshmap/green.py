@@ -369,6 +369,26 @@ def green_poly(E: IntervalUnion, cfg: QuadConfig | None = None) -> np.ndarray:
 _NS_BLOCK = 256
 
 
+def _blockwise(block, t, args, size):
+    """block(panels, *args) over the panels of t, a row each along its last
+    axis (a 1-D t is one panel), in blocks of at most `size` nodes: whole
+    panels, or pieces of one.  Each of args holds its panels along axis 1,
+    one per panel of t, or one for all of them."""
+    panels = t.reshape(-1, t.shape[-1])
+    if panels.size <= size:  # one block (a single point's panels): no buffer
+        return block(panels, *args).reshape(t.shape)
+    out = np.empty(panels.shape, dtype=np.result_type(t, float))
+    count, n = panels.shape
+    step = max(1, size // n)
+    for i in range(0, count, step):
+        rows = slice(i, i + step)
+        sub = [a[:, rows] if a.shape[1] > 1 else a for a in args]
+        for j in range(0, n, size):
+            cols = slice(j, j + size)
+            out[rows, cols] = block(panels[rows, cols], *sub)
+    return out.reshape(t.shape)
+
+
 def _ns_ratio(r_off, e_off):
     """fd(t, base=None) = prod(t + r_k) / prod(sqrt(t + e_j)) at the nodes t,
     for root offsets r (ell - 1) and endpoint offsets e (2 ell) to a
@@ -394,23 +414,50 @@ def _ns_ratio(r_off, e_off):
         return np.multiply.reduce(ratio) / (sq[-2] * sq[-1])
 
     def fd(t, base=None):
-        panels = t.reshape(-1, t.shape[-1])
         r, e = r_off, e_off
         if base is not None:
             column = np.asarray(base).reshape(1, -1, 1)
             r, e = column + r, column + e
-        if panels.size <= _NS_BLOCK:  # one block (a single point's panels): no buffer
-            return block(panels, r, e).reshape(t.shape)
-        out = np.empty(panels.shape, dtype=np.result_type(t, float))
-        count, n = panels.shape
-        step = max(1, _NS_BLOCK // n)
-        for i in range(0, count, step):
-            rows = slice(i, i + step)
-            ri, ei = (r[:, rows], e[:, rows]) if r.shape[1] > 1 else (r, e)
-            for j in range(0, n, _NS_BLOCK):
-                cols = slice(j, j + _NS_BLOCK)
-                out[rows, cols] = block(panels[rows, cols], ri, ei)
-        return out.reshape(t.shape)
+        return _blockwise(block, t, (r, e), _NS_BLOCK)
+
+    return fd
+
+
+def _gap_ratio(roots, b):
+    """fd(t, base) = N/S at the real x = base + t, in real arithmetic, for
+    real offsets t from an endpoint `base` (a scalar, or one per panel as
+    for _ns_ratio) into the gap beside it: gap k = (i + 1) // 2 for
+    base = b[i], the rays beyond the hull being gaps 0 and ell.
+
+    There sqrt_branch is (-1)^(ell - k) sqrt|H|, and N/S is that sign times
+    the paired factors of _product_integrals: root k's (x - z_k) over the
+    square roots of its own gap's endpoint distances, and the outer pair's
+    divided out last.  The base's own distance is exactly |t|, the others
+    |(base - b_j) + t|.  Nodes are evaluated in blocks of at most
+    _NS_BLOCK, as by _ns_ratio.
+    """
+    b = np.asarray(b, dtype=float)
+    ell = b.size // 2
+    # (-1)^(ell - k) for the gap k = (i + 1) // 2 beside each endpoint b[i]
+    signs = np.repeat((-1.0) ** (ell - np.arange(ell + 1)), 2)[1:-1]
+    roots, ends = np.asarray(roots, dtype=float)[:, None, None], b[:, None, None]
+
+    def block(tb, base, sign):
+        sq = tb - (ends - base)
+        np.abs(sq, out=sq)
+        np.sqrt(sq, out=sq)
+        ratio = tb - (roots - base)
+        ratio /= sq[1:-1:2]
+        ratio /= sq[2:-1:2]
+        out = np.multiply.reduce(ratio)
+        out /= sq[0] * sq[-1]
+        out *= sign[0]
+        return out
+
+    def fd(t, base):
+        column = np.reshape(base, (1, -1, 1))
+        sign = signs[np.searchsorted(b, column)]
+        return _blockwise(block, t, (column, sign), _NS_BLOCK)
 
     return fd
 
@@ -525,14 +572,18 @@ def _outside_ellipse(p, b, reach) -> bool:
 def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) -> float:
     """Green's function at real x: 0 on E, the Chebyshev series outside the
     ellipse, else the integral from the nearest endpoint, where a rounding of
-    up to 100 tol below 0 reads 0."""
+    up to 100 tol below 0 reads 0.  On a bounded gap that integral runs in
+    real arithmetic (_gap_integral), as green_data's critical values do;
+    beyond the hull it is _green_integral's."""
     if E.contains(x):
         return 0.0
     b = E.endpoints
     if _outside_ellipse(x, b, data._targets[2]):
         return _series_green(data, complex(x)).real
-    return _nonnegative(_green_integral(
-        E, data.roots, b[_nearest_endpoint(b, x)], complex(x), cfg).real, cfg)
+    base = b[_nearest_endpoint(b, x)]
+    if b[0] < x < b[-1]:
+        return _nonnegative(_gap_integral(E, data.roots, base, x, cfg), cfg)
+    return _nonnegative(_green_integral(E, data.roots, base, complex(x), cfg).real, cfg)
 
 
 def green_real(z: float, E: IntervalUnion, data: GreenData,
@@ -544,9 +595,32 @@ def green_real(z: float, E: IntervalUnion, data: GreenData,
 
 def _plain_deriv(E: IntervalUnion, roots):
     """Vectorized N/S: f(z) at points comfortably away from every endpoint,
-    and f(offset, base) from an endpoint `base` (see _ns_ratio), which
-    represents the local 1/sqrt factor by the offset alone."""
-    return _ns_ratio(-np.asarray(roots, dtype=float), -np.asarray(E.endpoints))
+    and f(offset, base) from an endpoint `base`, which represents the local
+    1/sqrt factor by the offset alone: complex offsets by _ns_ratio, and
+    real ones, along the gap beside the base, in real arithmetic by
+    _gap_ratio."""
+    roots, b = np.asarray(roots, dtype=float), np.asarray(E.endpoints)
+    ratio, gap = _ns_ratio(-roots, -b), _gap_ratio(roots, b)
+
+    def fd(t, base=None):
+        return ratio(t, base) if base is None or np.iscomplexobj(t) else gap(t, base)
+
+    return fd
+
+
+def _gap_integral(E: IntervalUnion, roots, base, x, cfg: QuadConfig):
+    """Integral of N/S along the real axis from the endpoint `base` to the
+    real x off E, the nearest endpoint of x (so no other endpoint lies on
+    the way), in real arithmetic: one panel of the segment rule, singular
+    at its base, whose offsets _plain_deriv takes as real.  base and x are
+    scalars, or arrays that broadcast (a base per point).  Returns a float
+    or an array, and raises what the segment rule raises: a scalar call its
+    panel's own NoConvergence, an array one with failures by flat index.
+    """
+    ratio = _plain_deriv(E, roots)
+    return integrate_segment_complex(
+        None, base, x, True, cfg,
+        fd=lambda offset, start: ratio(offset.real, start.real)).real
 
 
 def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
@@ -807,13 +881,21 @@ def _component_masses(E: IntervalUnion, roots, cfg: QuadConfig):
 
 
 def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:
-    """Compute the full Green's-function data set for E."""
+    """Compute the full Green's-function data set for E.
+
+    The numerator's roots come from the gap conditions (_solve_numerator),
+    and the masses from one Chebyshev call over the components.  The
+    critical values g_E(z_k) are integrals along each root's gap from its
+    nearest endpoint, in real arithmetic, all in one call of the segment
+    rule; each is based and rounded as _green_real does it at that root
+    alone, so the two agree bit for bit, and a failure raises the first
+    failing root's own error.
+    """
     cfg = cfg or DEFAULT_CONFIG
     coeffs, roots = _solve_numerator(E, cfg)
-    # every critical value in one call, each based and rounded as in _green_real
     bases = [E.endpoints[_nearest_endpoint(E.endpoints, z)] for z in roots]
     try:
-        g = _green_integral(E, roots, bases, roots, cfg).real.tolist()
+        g = _gap_integral(E, roots, np.array(bases), roots, cfg).tolist()
     except NoConvergence as exc:  # the first failing root's own error
         raise exc.failures[min(exc.failures)] from None
     green_at_roots = tuple(_nonnegative(v, cfg) for v in g)

@@ -112,11 +112,16 @@ class MapResult(NamedTuple):
 
 
 def _distance_to_E(E: IntervalUnion, z: complex) -> float:
-    best = math.inf
-    for lo, hi in E.components:
-        dx = max(lo - z.real, z.real - hi, 0.0)
-        best = min(best, math.hypot(dx, z.imag))
-    return best
+    """Distance from z to E: |Im z| over a component, else the nearer of the
+    two components beside the gap under Re z, found by bisection."""
+    b = E.endpoints
+    x, y = z.real, z.imag
+    i = bisect.bisect_right(b, x)  # b[i - 1] <= x < b[i]
+    if i % 2:
+        return math.hypot(0.0, y)
+    left = math.hypot(x - b[i - 1], y) if i else math.inf
+    right = math.hypot(b[i] - x, y) if i < len(b) else math.inf
+    return min(left, right)
 
 
 def _equation(dom: LemniscaticDomain, target, log):

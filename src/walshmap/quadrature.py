@@ -1,9 +1,12 @@
 """Integration engine for the three integral shapes the solver needs.
 
-All rules double their node count until two successive estimates agree to
+All rules double their node count until an estimate's error is within the
 tolerance, in one loop (_doubling) that holds the one stop rule: each rule
-supplies only its sum at each level.  Integrands must accept numpy arrays
-(vectorized evaluation).
+supplies only its sum at each level, whose error is its distance from the
+previous level's.  The Chebyshev rule's first level, of 32 nodes, hands in
+its own error with its sum, the largest of the sum's top four cosine
+coefficients, so it needs no coarser level to check it.  Integrands must
+accept numpy arrays (vectorized evaluation).
 
 The Chebyshev rule also integrates the K rows of a vector-valued integrand
 over an array of intervals, and the segment rule arrays of panels, in
@@ -12,7 +15,8 @@ own, with the value a call on it alone returns, and an array call that
 fails carries each failed interval's or panel's own error.
 
 * inverse-square-root endpoint singularities on a finite interval
-  -> cosine substitution + Gauss-Chebyshev midpoint rule,
+  -> cosine substitution + Gauss-Chebyshev midpoint rule of 32, 64, ...
+  nodes,
 * semi-infinite tails with O(1/x^2) decay and an inverse-square-root
   singularity at the finite endpoint
   -> log compactification + tanh-sinh (double exponential) trapezoid,
@@ -89,11 +93,14 @@ def _doubling(level_sums, size, levels, cfg, active=None, dtype=float):
 
     level_sums(level, active) returns the estimates at that level of the
     integrals in `active`, an index array, or of all while active is None
-    (a numpy scalar for one integral, cheaper than a one-element array).
-    One stops at the first estimate est within the tolerance of cfg at est
-    of its previous one, keeping est and their difference; one not in the
-    initial `active` is 0 with error 0.  Returns value and error arrays and
-    the sorted indices of those never stopped, at their last estimates.
+    (a numpy scalar for one integral, cheaper than a one-element array).  At
+    the first level a rule may return (estimates, errors) instead, with an
+    error that certifies the estimate on its own; every later level's error
+    is |est - prev|, the estimate's distance from the previous one.  One
+    stops at the first estimate est whose error is within the tolerance of
+    cfg at est, keeping est and that error; one not in the initial `active`
+    is 0 with error 0.  Returns value and error arrays and the sorted
+    indices of those never stopped, at their last estimates.
     """
     value = np.zeros(size, dtype)
     error = np.zeros(size)
@@ -102,8 +109,11 @@ def _doubling(level_sums, size, levels, cfg, active=None, dtype=float):
     prev = err = None
     for level in range(levels):
         est = level_sums(level, active)
-        if prev is not None:
+        if type(est) is tuple:
+            est, err = est
+        elif prev is not None:
             err = abs(est - prev)
+        if err is not None:
             done = err <= cfg.tolerance(est)
             settled = np.count_nonzero(done)
             # every integral settled: a whole-array write and no compaction,
@@ -126,7 +136,52 @@ def _doubling(level_sums, size, levels, cfg, active=None, dtype=float):
     return value, error, active
 
 
-def _chebyshev_sum(f, fd, mid, hw, n, *rest):
+# the Chebyshev rule's first level, and how many of its top cosine
+# coefficients certify it alone
+_CHEB_FIRST = 32
+_CHEB_TAIL = 4
+
+
+@lru_cache(maxsize=None)
+def _tail_weights(n):
+    """cos((n - j) t_i) = (-1)^i sin(j t_i) at the n midpoint angles t_i, a
+    row per j = 1 .. _CHEB_TAIL."""
+    t = (np.arange(n) + 0.5) * (np.pi / n)
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)
+    w = sign * np.sin(np.arange(1, _CHEB_TAIL + 1)[:, None] * t)
+    w.flags.writeable = False  # shared by every caller
+    return w
+
+
+def _tail(h):
+    """The certificate of a midpoint sum of the terms h (the last axis holds
+    the n nodes): the largest of its top cosine coefficients a_{n-j} =
+    (2/n) sum_i h_i cos((n - j) t_i), j = 1 .. _CHEB_TAIL.
+
+    The products are summed along the nodes of each row by einsum's own
+    loop, never a matrix product (BLAS rounds a row differently by the
+    shape of the block): so a row's certificate is what a call on that row
+    alone gives.
+    """
+    coef = np.einsum("...i,ji->...j", h, _tail_weights(h.shape[-1]))
+    return np.max(np.abs(coef), axis=-1) * (2.0 / h.shape[-1])
+
+
+def _angles(n, start):
+    """cos(t/2)^2, sin(t/2)^2, cos(t) and sin(t) at the midpoint angles
+    t = (i + 1/2) pi / n of the block of nodes i from start, read-only."""
+    t = (np.arange(start, min(n, start + _CHEB_BLOCK)) + 0.5) * (np.pi / n)
+    out = np.cos(0.5 * t) ** 2, np.sin(0.5 * t) ** 2, np.cos(t), np.sin(t)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+# the levels of one block, shared by every call: 64 KB in all
+_one_block_angles = lru_cache(maxsize=None)(_angles)
+
+
+def _chebyshev_sum(f, fd, mid, hw, n, *rest, tail=False):
     """Midpoint-rule sum at n nodes, evaluated in node blocks.
 
     mid and hw are one interval's scalars, or columns of several intervals
@@ -135,19 +190,27 @@ def _chebyshev_sum(f, fd, mid, hw, n, *rest):
     power-of-two multiple of the block is numpy's pairwise summation of all
     n terms at once: a running total would add up to n / 1024 roundings,
     enough to stall the tightest tolerances.
+
+    With tail (n at most one block) it also returns the sum's certificate
+    (_tail).
     """
     sums = []
+    angles = _one_block_angles if n <= _CHEB_BLOCK else _angles
     for start in range(0, n, _CHEB_BLOCK):
-        t = (np.arange(start, min(n, start + _CHEB_BLOCK)) + 0.5) * (np.pi / n)
+        half_cos2, half_sin2, cos, sin = angles(n, start)
         # endpoint distances computed in t, free of 1 - cos(t) cancellation
-        d_lo = 2.0 * hw * np.cos(0.5 * t) ** 2
-        d_hi = 2.0 * hw * np.sin(0.5 * t) ** 2
-        x = mid + hw * np.cos(t)
+        d_lo = 2.0 * hw * half_cos2
+        d_hi = 2.0 * hw * half_sin2
+        x = mid + hw * cos
         vals = fd(x, d_lo, d_hi, *rest) if fd is not None else f(x, *rest)
-        sums.append(np.sum(vals * (hw * np.sin(t)), axis=-1))
+        h = vals * (hw * sin)
+        sums.append(np.sum(h, axis=-1))
     while len(sums) > 1:
         sums = [sum(sums[i:i + 2]) for i in range(0, len(sums), 2)]
-    return sums[0] * (np.pi / n)
+    value = sums[0] * (np.pi / n)
+    if not tail:
+        return value
+    return value, _tail(h)
 
 
 def _interval_failure(lo, hi, best, estimate, unconverged):
@@ -164,7 +227,16 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     """Integrate f over [lo, hi], tolerating 1/sqrt singularities at both ends.
 
     The substitution x = mid + hw*cos(t) turns the endpoint singularities into
-    a smooth integrand in t, summed by the midpoint rule with doubling N.
+    a smooth integrand h(t) = f(x) hw sin(t) on [0, pi], summed by the
+    midpoint rule with doubling N.  The first level has 32 nodes and
+    certifies itself: it stops where its four top cosine coefficients
+    a_{32-j} = (2/32) sum_i (-1)^i h(t_i) sin(j t_i), j = 1 .. 4, are all
+    within the tolerance at the sum.  The sum's truncation error is the
+    aliased coefficients from a_64 on, far below these where the
+    coefficients of h decay: a tail test like the one that chops a
+    Chebyshev series (Aurentz & Trefethen, ACM TOMS 43, 2017).  From 64
+    nodes on a sum stops within the tolerance of the previous one.  So the
+    rule sums at most 16 * 2^max_level nodes.
 
     The integrand may be vector-valued: given m nodes it returns either m
     values or a (K, m) block, and the rule then integrates all K components
@@ -186,8 +258,9 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     whole intervals and about 256 nodes (or one interval).
 
     ``fd(x, d_lo, d_hi)``, when given, replaces f and receives d_lo = x - lo
-    and d_hi = hi - x to full precision.  with_estimate also returns the
-    doubling error estimate |last - previous|.
+    and d_hi = hi - x to full precision.  with_estimate also returns each
+    estimate's error: the largest top coefficient for one that stopped at
+    32 nodes, else |last - previous|.
 
     Returns a float for a scalar integrand and an array of K estimates (and
     K error estimates) for a (K, m) one; for P intervals, arrays of shape
@@ -205,32 +278,40 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     mid = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
 
-    def sums(n, chunk):
-        """The sums at n nodes of the intervals in chunk, a row per interval."""
+    def sums(n, chunk, tail):
+        """The sums at n nodes of the intervals in chunk, a row per interval,
+        and with tail their certificates alike."""
         if not shape:
-            return _chebyshev_sum(f, fd, mid, hw, n)[None]
-        return _chebyshev_sum(f, fd, mid[chunk, None], hw[chunk, None], n, chunk).T
+            out = _chebyshev_sum(f, fd, mid, hw, n, tail=tail)
+            return tuple(v[None] for v in out) if tail else out[None]
+        out = _chebyshev_sum(f, fd, mid[chunk, None], hw[chunk, None], n, chunk, tail=tail)
+        return tuple(v.T for v in out) if tail else out.T
 
     def level_est(level, intervals):
-        n = 16 << level
+        n = _CHEB_FIRST << level
         step = max(1, _CHEB_CHUNK // n)
-        parts = [sums(n, intervals[i:i + step]) for i in range(0, intervals.size, step)]
+        parts = [sums(n, intervals[i:i + step], not level)
+                 for i in range(0, intervals.size, step)]
+        if not level:  # every interval, with the certificates
+            return tuple(np.concatenate(part) for part in zip(*parts))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    first = level_est(0, np.arange(lo.size))  # its shape: (P,) or (P, K)
+    first, tail = level_est(0, np.arange(lo.size))  # shapes (P,) or (P, K)
     rows = np.size(first) // lo.size
 
     def level_sums(level, active):
+        if not level:
+            return first.reshape(-1), tail.reshape(-1)
         if active is None:
-            return (level_est(level, np.arange(lo.size)) if level else first).reshape(-1)
+            return level_est(level, np.arange(lo.size)).reshape(-1)
         # the intervals of the active rows: active is sorted, so each
         # interval's rows are adjacent
         q = active // rows
-        new = np.r_[True, q[1:] != q[:-1]]
+        new = np.concatenate(([True], q[1:] != q[:-1]))
         est = level_est(level, q[new]).reshape(-1, rows)
         return est[np.cumsum(new) - 1, active % rows]
 
-    value, error, failed = _doubling(level_sums, first.size, cfg.max_level + 1, cfg)
+    value, error, failed = _doubling(level_sums, first.size, cfg.max_level, cfg)
     value, error = value.reshape(first.shape), error.reshape(first.shape)
     if failed.size:
         # unconverged rows per interval, in interval order

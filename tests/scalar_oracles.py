@@ -14,6 +14,8 @@ product of every endpoint distance, which green._product_integrals
 replaced with factors paired per gap.  trace_lobe is the one-lobe boundary
 trace, in complex arithmetic from an inner disk found by halving alone,
 that mapping.trace_boundary replaced with one batch over every lobe.
+distance_to_E is the loop over every component that mapping._distance_to_E
+replaced with a bisection on the endpoints.
 """
 
 import math
@@ -202,6 +204,14 @@ def boundary_abscissae(a, m, cap, crit=None):
     neg = inward_negative(a[-1], a[-1] + r)
     out.append(_bisect_green_zero(a, m, cap, neg, a[-1] + r, False))
     return np.array(out)
+
+
+def distance_to_E(E, z):
+    best = math.inf
+    for lo, hi in E.components:
+        dx = max(lo - z.real, z.real - hi, 0.0)
+        best = min(best, math.hypot(dx, z.imag))
+    return best
 
 
 def critical_points(E, coeffs):

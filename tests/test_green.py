@@ -345,6 +345,38 @@ def test_critical_value_failure_is_the_first_failing_roots_own(monkeypatch):
         str(failed[0]), failed[0].best, failed[0].estimate)
 
 
+# sets whose gaps the real gap path runs along: the ladder's Dirichlet sets,
+# Cantor levels 2-6 and polynomial pre-images
+GAP_PATH_SETS = (
+    [(f"ell{ell}", ref.dirichlet_intervals(np.random.default_rng(ell), ell))
+     for ell in (5, 10, 20, 40)]
+    + [(f"cantor{k}", ref.cantor_pairs(k)) for k in range(2, 7)]
+    + [(f"preimage_{n}_{kappa}", ref.preimage_pairs(n, 0.2, kappa))
+       for n in (4, 10, 40) for kappa in (0.5, 1e-4)])
+
+
+@pytest.mark.parametrize("pairs", [p for _, p in GAP_PATH_SETS],
+                         ids=[name for name, _ in GAP_PATH_SETS])
+def test_gap_paths_match_the_complex_integral(pairs):
+    # the real integrand along a gap against the complex N/S on the same
+    # panel, at the roots and from 1e-9 to 0.9 half-gaps off either end.
+    # Each rounds a product of 2 ell factors: at the worst of these points
+    # on Cantor 6, ell = 40 and the n = 40 pre-image each is off by up to
+    # 1.0e-15 against 30-digit values, so beyond ell = 20 they may differ
+    # by twice that
+    wm = solve(pairs)
+    E, roots = wm.domain, np.asarray(wm.green.roots)
+    b = np.asarray(E.endpoints)
+    lo, hi = b[1:-1:2, None], b[2:-1:2, None]
+    u = 0.5 * (hi - lo) * np.array([1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9])
+    x = np.concatenate((roots, (lo + u).ravel(), (hi - u).ravel()))
+    bases = b[[green._nearest_endpoint(b, v) for v in x]]
+    real = green._gap_integral(E, roots, bases, x, wm.config)
+    full = _green_integral(E, roots, bases, x.astype(complex), wm.config).real
+    bound = 1e-15 if E.ell <= 20 else 2e-15
+    assert np.max(np.abs(real - full) / full) <= bound
+
+
 def test_solved_roots_are_a_newton_fixed_point():
     from walshmap.green import _gap_system
 

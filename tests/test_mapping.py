@@ -10,6 +10,7 @@ from walshmap import cli, mapping
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, InsideE, NoConvergence, NotFinite, WalshMapError
 from walshmap.green import _green_integral, green_complex, green_real
+from walshmap.intervals import parse_domain
 from walshmap.lemniscatic import green as green_level
 from walshmap.mapping import (GridPoint, MapResult, branch_offset, map_grid, map_point,
                               trace_boundary)
@@ -17,7 +18,7 @@ from walshmap.quadrature import QuadConfig
 from walshmap.verify import random_interval_set
 
 import reference_values as ref
-from scalar_oracles import trace_lobe
+from scalar_oracles import distance_to_E, trace_lobe
 
 
 def joukowski_half(z):
@@ -342,6 +343,25 @@ def test_trace_boundary_at_extreme_scales(scale):
     for tr, ref_tr in zip(traces, at_one):
         expected = scale * ref_tr.points
         assert np.max(np.abs(tr.points - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("pairs", [ref.dirichlet_intervals(np.random.default_rng(ell), ell)
+                                   for ell in (5, 10, 20, 40)] + [ref.cantor_pairs(4)],
+                         ids=["ell5", "ell10", "ell20", "ell40", "cantor4"])
+def test_distance_to_E_matches_the_component_loop(pairs):
+    # 2000 points a set: beyond the hull, over gaps, over components and on
+    # every endpoint, at heights 1 to 1e-300 of the half-width
+    E = parse_domain(pairs)
+    rng = np.random.default_rng(E.ell)
+    b = np.asarray(E.endpoints)
+    t, s = E.frame
+    i = rng.integers(0, 2 * E.ell - 1, 1500)  # [b_i, b_i+1]: a component or a gap
+    x = np.concatenate((b[i] + (b[i + 1] - b[i]) * rng.random(1500),
+                        t + s * rng.choice([-1.0, 1.0], 300) * (1.0 + rng.uniform(0.0, 2.0, 300)),
+                        rng.choice(b, 200)))
+    y = rng.choice([-1.0, 1.0], x.size) * s * 10.0 ** rng.uniform(-300.0, 0.0, x.size)
+    for z in x + 1j * y:
+        assert mapping._distance_to_E(E, z) == distance_to_E(E, z)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

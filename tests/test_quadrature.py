@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from walshmap.errors import NoConvergence
 from walshmap.quadrature import (_CHEB_BLOCK, QuadConfig, _chebyshev_sum,
-                                 _gauss_legendre, _leggauss, integrate_chebyshev,
+                                 _gauss_legendre, _leggauss, _tail, integrate_chebyshev,
                                  integrate_segment_complex, integrate_tail)
 
 import reference_values as ref
@@ -94,6 +94,78 @@ def test_chebyshev_no_convergence_on_discontinuity():
     assert err.value.estimate > 0
 
 
+# --- the self-certified first level --------------------------------------------
+
+# closed forms over the Chebyshev weight on [-1, 1]: pi J_0(1), pi / sqrt(101)
+# and pi I_0(1), rounded from 30-digit mpmath values
+CLOSED_FORMS = (
+    (lambda x: np.cos(x) / np.sqrt(1.0 - x * x), 2.403939430634413),
+    (lambda x: 1.0 / ((1.0 + 100.0 * x * x) * np.sqrt(1.0 - x * x)), 0.31260015268123315),
+    (lambda x: np.exp(x) / np.sqrt(1.0 - x * x), 3.977463260506423),
+)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("k", range(len(CLOSED_FORMS)))
+def test_closed_forms_within_tol_and_under_the_estimate(k, tol):
+    f, exact = CLOSED_FORMS[k]
+    v, est = integrate_chebyshev(f, -1.0, 1.0, QuadConfig(tol), with_estimate=True)
+    assert abs(v - exact) <= tol
+    # the estimate bounds the truncation error; the rounding of the sum and
+    # of f, 2-4 ulp of these positive integrals at 32 nodes, comes on top
+    assert abs(v - exact) <= est + 8.0 * np.finfo(float).eps * exact
+
+
+def test_smooth_integrand_takes_exactly_32_nodes():
+    nodes = []
+
+    def f(x):
+        nodes.append(x.size)
+        return np.exp(x) / np.sqrt(1.0 - x * x)
+
+    v, est = integrate_chebyshev(f, -1.0, 1.0, with_estimate=True)
+    assert nodes == [32]
+    assert est <= QuadConfig().tolerance(v)
+
+
+@pytest.mark.parametrize("max_level", [4, 12])
+def test_discontinuity_runs_to_max_level(max_level):
+    nodes = []
+
+    def f(x):
+        nodes.append(x.size)
+        return np.sign(x - 0.123)
+
+    with pytest.raises(NoConvergence):
+        integrate_chebyshev(f, -1.0, 1.0, QuadConfig(max_level=max_level))
+    # 32, 64, ... and 16 * 2^max_level nodes, in blocks of at most 1024
+    assert nodes[0] == 32 and sum(nodes) == 32 * (2 ** max_level - 1)
+    assert max(nodes) == min(16 << max_level, _CHEB_BLOCK)
+
+
+def test_tail_is_the_top_cosine_coefficients():
+    # a_{n-j} = (2/n) sum_i h_i cos((n - j) t_i), j = 1 .. 4
+    rng = np.random.default_rng(1)
+    h = rng.standard_normal((5, 32))
+    t = (np.arange(32) + 0.5) * (np.pi / 32)
+    direct = np.max(np.abs(h @ np.cos(np.outer(32 - np.arange(1, 5), t)).T), axis=-1) / 16.0
+    np.testing.assert_allclose(_tail(h), direct, rtol=1e-13)
+
+
+def test_tail_of_each_row_is_its_own():
+    # a row's certificate is the one a call on that row alone gives, as its
+    # value is: each stops on its own, whatever block it came in
+    rng = np.random.default_rng(2)
+    for K, p in ((1, 1), (3, 8), (41, 8)):
+        h = rng.standard_normal((K, p, 32)) * 10.0 ** rng.uniform(-5.0, 5.0, (K, p, 1))
+        block = _tail(h)
+        assert block.shape == (K, p)
+        for q in range(p):
+            assert np.array_equal(block[:, q], _tail(h[:, q]))
+            for k in range(K):
+                assert block[k, q] == _tail(h[k, q])
+
+
 # --- vector-valued Chebyshev rule ----------------------------------------------
 
 # components that stop after 32, 128 and 16384 nodes at LOOSE: the last one
@@ -131,7 +203,7 @@ def test_vector_rule_keeps_early_component_value():
     vec = integrate_chebyshev(block, -1.0, 1.0, LOOSE)
     early = integrate_chebyshev(ROWS[0], -1.0, 1.0, LOOSE)
     last = _chebyshev_sum(ROWS[0], None, 0.0, 1.0, 16384)
-    assert sum(levels) == 32752  # the slow component ran to 16384 nodes
+    assert sum(levels) == 32736  # the slow component ran from 32 to 16384 nodes
     assert vec[0] == early       # ... the fast one kept its 32-node value
     assert last != early
 
@@ -176,7 +248,7 @@ def test_interval_array_matches_scalar_calls(k):
     assert vec.shape == err.shape == (len(LO),) + ((k,) if k else ())
     # the early intervals are dropped once all their rows stopped; interval 0
     # runs alone to 16384 nodes, in blocks of 1024
-    assert [c for c in calls if c[0] == 16] == [(16, 0, 1, 2, 3)]
+    assert [c for c in calls if c[0] == 32] == [(32, 0, 1, 2, 3)]
     assert calls[-1] == (1024, 0) and sum(c[0] for c in calls if c[1:] == (0,)) > 16384
     for i in range(len(LO)):
         v, e = integrate_chebyshev(f, LO[i], HI[i], LOOSE, with_estimate=True)

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end at small sizes."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,18 @@ def test_iteration_profile_runs():
         proc = run_script("iteration_profile.py", "--ell", ell, "--count", "2")
         assert proc.returncode == 0, proc.stderr
         assert f"2 random sets with {ell} components" in proc.stdout
+
+
+def test_iteration_profile_counts_chebyshev_nodes():
+    proc = run_script("iteration_profile.py", "--ell", "5", "--count", "3", "--nodes")
+    assert proc.returncode == 0, proc.stderr
+    counts = re.search(r"Chebyshev intervals per node count: (.*)", proc.stdout).group(1)
+    per_count = {int(n): int(k) for n, k in (item.split(": ") for item in counts.split(", "))}
+    # the first level has 32 nodes, and every interval of the three solves'
+    # three array calls (4 gaps twice, 5 components) is summed there
+    assert min(per_count) == 32 and per_count[32] == 3 * (4 + 4 + 5)
+    total = int(re.search(r"total (\d+)\n", proc.stdout).group(1))
+    assert total == sum(n * k for n, k in per_count.items())
 
 
 def test_export_figure_data_writes_every_csv(tmp_path):
