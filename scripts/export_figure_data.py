@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from walshmap.api import solve
 from walshmap.cli import boundary_csv, grid_csv
-from walshmap.mapping import trace_boundary
+from walshmap.lemniscatic import trace_boundary
 
 SETS = {
     "two_intervals": ([[-1, -0.3], [0.1, 1]], (-2.0, 2.0), (-1.5, 1.5)),

@@ -11,6 +11,12 @@ With --nodes it also counts the Chebyshev rule's work: how many intervals
 it summed at each node count, and its node evaluations per drawn set.  The
 count wraps the rule and its integrand from outside the package, as the
 benchmark's tracing does, so it reads the same on any version of it.
+
+With --rays it prints, for each drawn set, the passes over rays of L that
+evaluate g_L: those of boundary_abscissae inside the solve, and those of one
+trace_boundary(dom, 256), each split into level and slope passes with the
+rays a pass, counted by wrapping lemniscatic._level and _level_slope from
+outside the package.
 """
 
 import argparse
@@ -25,7 +31,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from walshmap import equilibrium, green
+from walshmap import equilibrium, green, lemniscatic
 from walshmap.api import solve
 from walshmap.verify import random_interval_set, worst_invariant
 
@@ -70,6 +76,40 @@ def count_chebyshev(nodes):
     return undo
 
 
+RAY_PASSES = ("_level", "_level_slope")
+
+
+def count_rays(counts):
+    """Wrap lemniscatic's level and slope passes, so that every call adds
+    one to counts[name] and its rays to counts[name + "_rays"]; returns the
+    undo."""
+    saved = [(name, getattr(lemniscatic, name)) for name in RAY_PASSES]
+
+    def wrap(name, rule):
+        @functools.wraps(rule)
+        def wrapper(center, a, cos, sin, r, *rest):
+            counts[name] += 1
+            counts[name + "_rays"] += r.size
+            return rule(center, a, cos, sin, r, *rest)
+        return wrapper
+
+    for name, rule in saved:
+        setattr(lemniscatic, name, wrap(name, rule))
+
+    def undo():
+        for name, rule in saved:
+            setattr(lemniscatic, name, rule)
+    return undo
+
+
+def ray_passes(counts):
+    """'L level + S slope passes of R rays', R the rays a pass."""
+    passes = sum(counts[name] for name in RAY_PASSES)
+    rays = sum(counts[name + "_rays"] for name in RAY_PASSES)
+    return (f"{counts['_level']} level + {counts['_level_slope']} slope passes of "
+            f"{rays / max(passes, 1):.0f} rays")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--ell", type=int, default=10, help="components per set")
@@ -79,6 +119,9 @@ def main():
                         help="smallest allowed component/gap length")
     parser.add_argument("--nodes", action="store_true",
                         help="count the Chebyshev rule's intervals and nodes")
+    parser.add_argument("--rays", action="store_true",
+                        help="count the g_L passes of boundary_abscissae and of a "
+                             "256-ray trace_boundary per set")
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -86,21 +129,28 @@ def main():
     nodes = collections.Counter()  # node evaluations by node count
     per_set = []
     worst = 0.0
-    undo = count_chebyshev(nodes) if args.nodes else None
+    rays = collections.Counter()  # ray passes and their rays
+    undos = ([count_chebyshev(nodes)] if args.nodes else []) + (
+        [count_rays(rays)] if args.rays else [])
     t0 = time.perf_counter()
     try:
-        for _ in range(args.count):
+        for i in range(args.count):
             try:
                 pairs = random_interval_set(rng, args.ell, args.min_length)
             except ValueError as exc:
                 sys.exit(f"iteration_profile: {exc}")
-            before = sum(nodes.values())
+            before, before_rays = sum(nodes.values()), rays.copy()
             wm = solve(pairs)
             per_set.append(sum(nodes.values()) - before)
+            if args.rays:
+                in_solve, before_rays = rays - before_rays, rays.copy()
+                lemniscatic.trace_boundary(wm.lemniscatic, 256)
+                print(f"set {i}: boundary_abscissae {ray_passes(in_solve)}; "
+                      f"trace {ray_passes(rays - before_rays)}")
             histogram[wm.lemniscatic.outer_iterations] += 1
             worst = max(worst, worst_invariant(wm))
     finally:
-        if undo:
+        for undo in undos:
             undo()
     elapsed = time.perf_counter() - t0
 

@@ -9,10 +9,9 @@ from .green import (GreenData, alpha_coefficient, capacity, green_complex,
                     green_data, green_poly, green_real, sqrt_branch,
                     sqrt_branch_rim)
 from .intervals import Gap, IntervalUnion, Location, locate, parse_domain
-from .lemniscatic import (LemniscaticDomain, boundary_abscissae, centers_general,
-                          centers_two, solve_domain)
-from .mapping import (BoundaryTrace, GridPoint, MapResult, branch_offset,
-                      map_grid, map_point, trace_boundary)
+from .lemniscatic import (BoundaryTrace, LemniscaticDomain, boundary_abscissae,
+                          centers_general, centers_two, solve_domain, trace_boundary)
+from .mapping import GridPoint, MapResult, branch_offset, map_grid, map_point
 from .quadrature import (QuadConfig, integrate_chebyshev,
                          integrate_segment_complex, integrate_tail)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import errors
 from .api import solve
-from .mapping import trace_boundary
+from .lemniscatic import trace_boundary
 from .quadrature import QuadConfig
 from .verify import CHECK_NAMES, run_checks
 

@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,21 @@ __all__ = [
     "alpha_coefficient",
     "green_data",
 ]
+
+
+class _Targets(NamedTuple):
+    """What every Green target of a set reads (GreenData._targets): the
+    frame midpoint t and half-width s, the focal sum (V + 1/V) s of the
+    ellipse |v| = V = _ELLIPSE, log cap, the series terms e_k / k from k = K
+    down to 1, and the branch jumps pi (m_{k+1} + ... + m_ell) for
+    k = 0 .. ell, masses normalized."""
+
+    t: float
+    s: float
+    reach: float
+    log_cap: float
+    terms: list
+    jumps: list
 
 
 @dataclass(frozen=True)
@@ -82,19 +98,16 @@ class GreenData:
         return _chebyshev_moments(self.domain, self.roots)
 
     @cached_property
-    def _targets(self):
-        """What every Green target of the set reads, built on first use: the
-        frame midpoint t and half-width s, the focal sum (V + 1/V) s of the
-        ellipse |v| = V = _ELLIPSE, log cap, the series terms e_k / k from
-        k = K down to 1, and the branch jumps pi (m_{k+1} + ... + m_ell) for
-        k = 0 .. ell, masses normalized."""
+    def _targets(self) -> _Targets:
+        """What every Green target of the set reads (_Targets), built on
+        first use."""
         t, s = self.domain.frame
         e = self.chebyshev_moments
         scale = math.pi / math.fsum(self.masses)
         jumps = [scale * v for v in itertools.accumulate(reversed(self.masses),
                                                          initial=0.0)][::-1]
-        return (t, s, (_ELLIPSE + 1.0 / _ELLIPSE) * s, math.log(self.capacity),
-                [e[k] / k for k in range(len(e) - 1, 0, -1)], jumps)
+        return _Targets(t, s, (_ELLIPSE + 1.0 / _ELLIPSE) * s, math.log(self.capacity),
+                        [e[k] / k for k in range(len(e) - 1, 0, -1)], jumps)
 
 
 def sqrt_branch(E: IntervalUnion, z) -> complex:
@@ -493,23 +506,23 @@ def _tail_bound(n: int, r: float) -> float:
     return 2.0 * r ** (n + 1) / ((n + 1) * (1.0 - r))
 
 
-def _term_radii() -> list[float]:
-    """For n = 1 .. K, the largest |r| < 1 at which n terms meet _TAIL: the
-    fixed point of r = (_TAIL (n + 1)(1 - r) / 2)^(1/(n + 1)), then lowered
-    an ulp at a time until _tail_bound(n, r) <= _TAIL in floats."""
+def _tail_radii(bound, count) -> list[float]:
+    """For n = 1 .. count, the largest float r in [0, 1) at which the tail
+    bound(n, r) left by n terms meets _TAIL, found by bisection; increasing,
+    so the first entry at or above |r| names a point's term count."""
     radii = []
-    for n in range(1, _CHEBYSHEV_TERMS + 1):
-        r = 0.5
-        for _ in range(40):
-            r = (0.5 * _TAIL * (n + 1) * (1.0 - r)) ** (1.0 / (n + 1))
-        while _tail_bound(n, r) > _TAIL:
-            r = math.nextafter(r, 0.0)
-        radii.append(r)
+    for n in range(1, count + 1):
+        lo, hi = 0.0, 1.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if bound(n, mid) <= _TAIL:
+                lo = mid
+            else:
+                hi = mid
+        radii.append(lo)
     return radii
 
 
-# increasing: the first entry at or above |r| names the point's term count
-_TERM_RADII = _term_radii()
+_TERM_RADII = _tail_radii(_tail_bound, _CHEBYSHEV_TERMS)
 
 
 def _terms_needed(r: float) -> int:
@@ -578,7 +591,7 @@ def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) ->
     if E.contains(x):
         return 0.0
     b = E.endpoints
-    if _outside_ellipse(x, b, data._targets[2]):
+    if _outside_ellipse(x, b, data._targets.reach):
         return _series_green(data, complex(x)).real
     base = b[_nearest_endpoint(b, x)]
     if b[0] < x < b[-1]:
@@ -765,7 +778,7 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     cfg = cfg or DEFAULT_CONFIG
     z = np.asarray(z, dtype=complex)
     b = E.endpoints
-    _, _, reach, _, _, jumps = data._targets
+    reach, jumps = data._targets.reach, data._targets.jumps
     flat = z.reshape(-1)
     points = flat.tolist()
     # the series value of an outer point; the branch jump of an inner one, to

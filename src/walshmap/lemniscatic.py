@@ -9,6 +9,10 @@ started from the first-order motion of the last trial's, and keeps the w of
 its final evaluation.  The paper's alternating iteration (a center solve at
 fixed critical points, then a critical-point update), centers_general, runs
 on the same center solve and reproduces the paper's step counts.
+
+The boundary of L is solved along rays from the centers by one solver,
+_solve_rays: boundary_abscissae are the rays at angles pi and 0 of each
+lobe, and trace_boundary samples each lobe's boundary curve on n rays.
 """
 
 import math
@@ -29,6 +33,8 @@ __all__ = [
     "green_deriv",
     "crit_points",
     "boundary_abscissae",
+    "BoundaryTrace",
+    "trace_boundary",
     "centers_two",
     "centers_general",
     "solve_domain",
@@ -146,55 +152,205 @@ def crit_points(a, m, start=None) -> np.ndarray:
 def boundary_abscissae(a, m, cap, crit=None) -> np.ndarray:
     """Real zeros c_1 < ... < c_{2l} of the Green's function of C \\ L.
 
-    Each zero is bracketed by a point where g > 0 and one where g < 0.  The
-    positive ends: for the outermost zeros the points 2 cap beyond a_1 and
-    a_ell, where g >= log 2 (see _outer_reach); for the interior pair of
-    each interval (a_k, a_{k+1}) its critical point, where g must be
-    positive.  The negative ends: halving from the positive end toward the
-    nearest center, where g -> -inf; each positive end then moves to the
-    last halving point where g > 0, so the two ends lie within a factor 2
-    in distance from the center.  All 2 ell brackets are solved by _bisect
-    from their negative ends, with the slope sum m_j / (w - a_j): there g
-    is concave in the distance from the center and Newton does not
-    overshoot.  Raises BracketFailure when a bracket cannot be formed.
+    They are the rays at angles pi and 0 of each lobe (_solve_rays), which
+    end at the neighboring critical points, where g must be positive, or 2
+    cap beyond an outermost center, where g >= log 2 (see _outer_reach).
+    Raises BracketFailure when g is nonpositive at such an end, or when g is
+    not negative at the float floor of a center.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
-    ell = a.size
     if crit is None:
         crit = crit_points(a, m)
     crit = np.asarray(crit, dtype=float)
-
-    def g(w):
-        return _green_values(w, a, m, cap)
-
-    def g_slope(w):
-        return g(w), _deriv_values(w, a, m)
-
-    nonpositive = g(crit) <= 0
-    if np.any(nonpositive):
-        k = int(np.argmax(nonpositive))
-        raise BracketFailure(f"Green's function nonpositive at critical point {crit[k]}")
-    r = _outer_reach(cap, 0.0)
-    pos = np.concatenate(([a[0] - r], np.repeat(crit, 2), [a[-1] + r]))
-    # negative ends: halve from the positive end toward the nearest center;
-    # each positive end moves along to the last point where g > 0
-    center = np.repeat(a, 2)
-    neg = pos.copy()
-    searching = np.arange(2 * ell)
-    for _ in range(1100):
-        neg[searching] = center[searching] + 0.5 * (neg[searching] - center[searching])
-        if np.any(neg[searching] == center[searching]):
-            raise BracketFailure("bracket collapsed onto a center")
-        vals = g(neg[searching])
-        pos[searching[vals > 0]] = neg[searching[vals > 0]]
-        searching = searching[~(vals < 0)]
-        if searching.size == 0:
-            break
-    else:
+    r, _, inner, outer, _ = _solve_rays(a, m, cap, crit, np.array([-1.0, 1.0]))
+    if outer.any():
+        j, k = np.argwhere(outer)[0]
+        if 0 < j + k < a.size:
+            raise BracketFailure(
+                f"Green's function nonpositive at critical point {crit[j + k - 1]}")
+        raise BracketFailure(f"Green's function nonpositive 2 cap beyond center {a[j]}")
+    if inner.any():
         raise BracketFailure(
-            f"no negative value of g found near center {center[searching[0]]}")
-    return _bisect(g_slope, pos, neg, start=neg)
+            f"no negative value of g found near center {a[np.argwhere(inner)[0, 0]]}")
+    return (a[:, None] + r * [-1.0, 1.0]).reshape(-1)
+
+
+@dataclass(frozen=True)
+class BoundaryTrace:
+    """One lobe of L: a closed polyline on its boundary around center, or
+    for an unsampled lobe None, with the message of the check it failed in
+    reason."""
+
+    center: float
+    points: np.ndarray | None  # closed polyline; None if unsampled
+    sampled: bool
+    reason: str | None = None
+
+
+def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> list[BoundaryTrace]:
+    """Trace each boundary component of L along points_per_component rays
+    from its center, one point per ray where it leaves L, the rays of every
+    lobe solved at once (_solve_rays).
+
+    Each ray ends where it meets the vertical line through a neighboring
+    critical point w_k (along which g only grows from g(w_k) > 0), the line
+    2 cap beyond an outermost center (see _outer_reach) or the band
+    |Im w| = 2 cap (beyond which g >= log 2).  L between the center and
+    these ends is this lobe alone, so the crossing found there is the lobe's
+    own; a ray may re-enter L beyond its outer end, but that part of L
+    belongs to a neighboring lobe.
+
+    A lobe is reported unsampled, with the failed check in reason, when g
+    is not negative at the float floor of its center on one of its rays
+    (no disk inside L around it), one of its rays reaches its outer end
+    inside L, or one re-enters L at 1.005, 1.02 or 1.05 times its crossing
+    (tangency or a wiggle: the star-shaped sampling assumption fails); the
+    other lobes are unaffected.  Raises ValueError for fewer than one point
+    per component.
+    """
+    n = points_per_component
+    if n < 1:
+        raise ValueError(f"points_per_component {n} < 1")
+    a = np.asarray(dom.centers)
+    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    r, r_out, inner, outer, level = _solve_rays(
+        a, np.asarray(dom.exponents.m), dom.capacity, np.asarray(dom.crit_w, dtype=float), ray)
+    reasons = [f"no disk inside L around center {aj}" if inner[j].any()
+               else f"rays from center {aj} reach their outer end inside L" if outer[j].any()
+               else None for j, aj in enumerate(dom.centers)]
+    # immediately outside the crossing the ray must stay outside L
+    for factor in (1.005, 1.02, 1.05):
+        inside = (level(np.minimum(r * factor, r_out)) <= 0).any(1)
+        for j in np.flatnonzero(inside).tolist():
+            reasons[j] = reasons[j] or f"rays from center {a[j]} re-enter the level set"
+    pts = a[:, None] + r * ray
+    return [BoundaryTrace(center, None, False, reasons[j]) if reasons[j]
+            else BoundaryTrace(center, np.append(pts[j], pts[j, :1]), True)
+            for j, center in enumerate(dom.centers)]
+
+
+# center distances per block of a level pass: bounds its (ell, rays)
+# temporaries, which otherwise grow as ell^2 n and stay in the resident
+# memory of the process
+_TRACE_BLOCK = 32768
+
+
+def _blocks(ell, count):
+    step = max(1, _TRACE_BLOCK // ell)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _trace_work(ell, count):
+    """The two (ell, block) temporaries of every level pass over count rays,
+    allocated once per solve: arrays this large are mapped fresh by the C
+    allocator, so each pass that allocated its own would fault them in."""
+    return np.empty((2, ell * min(max(1, _TRACE_BLOCK // ell), count)))
+
+
+def _level(center, a, cos, sin, r, m, log_cap, work):
+    """g_L at radius r along each ray, in the rays' unit: ray k leaves
+    center[k] in the direction (cos_k, sin_k), and a is the column of every
+    center; work (_trace_work) holds the squared distances."""
+    out = np.empty(r.size)
+    for k in _blocks(a.size, r.size):
+        rk = r[k]
+        dy = rk * sin[k]
+        q = np.subtract(center[k], a, out=work[0, :a.size * rk.size].reshape(a.size, -1))
+        q += rk * cos[k]
+        q *= q
+        q += dy * dy
+        out[k] = 0.5 * (m @ np.log(q, out=q)) - log_cap
+    return out
+
+
+def _level_slope(center, a, cos, sin, r, m, log_cap, work):
+    """_level and its derivative in r, sum m_i (dx cos + dy sin) / q_i, from
+    the same squared distances q = dx^2 + dy^2."""
+    g, slope = np.empty(r.size), np.empty(r.size)
+    for k in _blocks(a.size, r.size):
+        rk = r[k]
+        size = a.size * rk.size
+        dy = rk * sin[k]
+        dx = np.subtract(center[k], a, out=work[0, :size].reshape(a.size, -1))
+        dx += rk * cos[k]
+        q = np.multiply(dx, dx, out=work[1, :size].reshape(a.size, -1))
+        q += dy * dy
+        dx *= cos[k]
+        dx += dy * sin[k]
+        dx /= q
+        g[k] = 0.5 * (m @ np.log(q, out=q)) - log_cap
+        slope[k] = m @ dx
+    return g, slope
+
+
+# the least radius of a ray, in its unit: keeps log r finite at a center at 0
+_FLOOR = 2.0 ** -500
+
+
+def _solve_rays(a, m, cap, crit, ray):
+    """Where the rays from the centers of L leave it: ray k of center a_j
+    leaves it in the direction ray[k], a complex unit, and ends at r_out, on
+    the vertical line through the neighboring critical point in its
+    direction, the line 2 cap beyond an outermost center or the band
+    |Im w| = 2 cap, whichever comes first (see trace_boundary).
+
+    Along a ray g = m_j log r + O(1), nearly affine in log r, so each ray is
+    solved in u = log(r / r_out) - 1, between the float floor at its center,
+    max(spacing(a_j), 2^-500 unit), and its outer end u = -1.  The shift
+    keeps u away from 0, where _bisect's stop within two spacings of u would
+    ask for more than the rounding of r.  A ray whose g is negative at its
+    floor and positive at its end is solved by _bisect, all such rays in one
+    call.  Each starts at the root of the disk model g_in + m_j (u - u_in),
+    as g's slope in u at the floor is m_j, or, where that root falls outside
+    the bracket, at the secant root of its ends' values.  g and its slope
+    come from the center offsets plus r (cos, sin), never from a rounded
+    point a_j + r, in a power-of-two unit near cap, so extreme scales
+    neither overflow nor underflow (_level, _level_slope).
+
+    Returns (r, r_out, inner, outer, level), the first four (ell, rays)
+    arrays: the crossing radius of each solved ray (NaN on the others), the
+    outer ends, where g >= 0 at the floor, where g <= 0 at the outer end,
+    and level(r), g at radii r of every ray.
+    """
+    shape = (a.size, ray.size)
+    unit = math.ldexp(1.0, round(math.log2(cap)))
+    log_cap = math.log(cap / unit)
+    reach = _outer_reach(cap, 0.0)
+    left = np.concatenate(([a[0] - reach], crit))
+    right = np.concatenate((crit, [a[-1] + reach]))
+    with np.errstate(divide="ignore"):
+        r_out = np.minimum(
+            np.where(ray.real > 0, (right - a)[:, None], (a - left)[:, None]) / np.abs(ray.real),
+            2.0 * cap / np.abs(ray.imag)).reshape(-1) / unit
+    a_unit = a / unit
+    center, column = np.repeat(a_unit, ray.size), a_unit[:, None]
+    cos, sin = np.tile(ray.real, a.size), np.tile(ray.imag, a.size)
+    work = _trace_work(a.size, center.size)
+
+    def level(r):
+        return _level(center, column, cos, sin, r, m, log_cap, work)
+
+    floor = np.repeat(np.maximum(np.spacing(np.abs(a)) / unit, _FLOOR), ray.size)
+    g_in, g_out = level(floor), level(r_out)
+    inner, outer = g_in >= 0, g_out <= 0
+    k = np.flatnonzero(~(inner | outer))
+    end, rays = r_out[k], (center[k], column, cos[k], sin[k])
+    u_in, g_in, g_out = np.log(floor[k] / end) - 1.0, g_in[k], g_out[k]
+
+    def f(u):
+        r = end * np.exp(u + 1.0)
+        g, slope = _level_slope(*rays, r, m, log_cap, work)
+        return g, slope * r
+
+    secant = u_in + (-1.0 - u_in) * (g_in / (g_in - g_out))
+    disk = u_in - g_in / np.repeat(m, ray.size)[k]
+    u = _bisect(f, np.full(k.size, -1.0), u_in,
+                start=np.where((u_in < disk) & (disk < -1.0), disk, secant))
+    r = np.full(r_out.size, np.nan)
+    r[k] = end * np.exp(u + 1.0)
+    return ((r * unit).reshape(shape), (r_out * unit).reshape(shape), inner.reshape(shape),
+            outer.reshape(shape), lambda radii: level(radii.reshape(-1) / unit).reshape(shape))
 
 
 def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):

@@ -54,27 +54,24 @@ import cmath
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsideE, NoConvergence, WalshMapError
-from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, _TAIL, GreenData, _green_integral,
-                    _green_real, _outside_ellipse, _require_finite, green_complex)
+from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, GreenData, _green_integral, _green_real,
+                    _outside_ellipse, _require_finite, _tail_radii, green_complex)
 from .intervals import IntervalUnion, locate
 from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
-from .newton import _bisect, damped_newton, damped_newton_masked
+from .newton import damped_newton, damped_newton_masked
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
     "MapResult",
     "GridPoint",
-    "BoundaryTrace",
     "map_point",
     "map_grid",
     "branch_offset",
-    "trace_boundary",
 ]
 
 _NEAR_BOUNDARY = 1e-9
@@ -224,7 +221,7 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             c = dom.boundary_c[j]
             res = abs(_green_scalar(c, dom.centers, dom.exponents.m, dom.capacity))
             return MapResult(complex(c), res, 0, "boundary", j + 1)
-        outside = _outside_ellipse(x, E.endpoints, data._targets[2])
+        outside = _outside_ellipse(x, E.endpoints, data._targets.reach)
         if outside and (series := _certified(dom, data)):
             return MapResult(complex(_series_point(series, x, math.sqrt)), series.bound, 0,
                              "real_gap", 0 if x < series.t else E.ell)
@@ -263,7 +260,7 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             max_steps=200, max_halvings=40)
         return MapResult(complex(w), abs(F), it, "real_gap", k)
 
-    if _outside_ellipse(z, E.endpoints, data._targets[2]):
+    if _outside_ellipse(z, E.endpoints, data._targets.reach):
         if series := _certified(dom, data):
             return MapResult(_series_point(series, z, cmath.sqrt), series.bound, 0, "complex")
     elif local := _local_image(z, E, dom, data):
@@ -344,24 +341,9 @@ def _complex_images(zs, targets, E, dom, data):
 _CIRCLE = 256
 
 
-def _series_radii(count):
-    """For n = 1 .. count, the largest float r at which the bound
-    2 r^(n+1) / (1 - r) on the tail left by n terms of Phi's series, in units
-    of s, meets _TAIL (see _Series); increasing, found by bisection."""
-    radii = []
-    for n in range(1, count + 1):
-        lo, hi = 0.0, 1.0
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            if 2.0 * mid ** (n + 1) / (1.0 - mid) <= _TAIL:
-                lo = mid
-            else:
-                hi = mid
-        radii.append(lo)
-    return radii
-
-
-# increasing: the first entry at or above |r| names the point's term count
-_SERIES_RADII = _series_radii(_CHEBYSHEV_TERMS - 1)
+# the radii at which n terms of Phi's series meet _TAIL: its tail bound is
+# 2 r^(n+1) / (1 - r), in units of s (see _Series)
+_SERIES_RADII = _tail_radii(lambda n, r: 2.0 * r ** (n + 1) / (1.0 - r), _CHEBYSHEV_TERMS - 1)
 
 
 class _Series(NamedTuple):
@@ -499,7 +481,7 @@ def _outer_series(z, E: IntervalUnion, dom: LemniscaticDomain,
                   data: GreenData) -> _Series | None:
     """dom's series when z lies on or outside the ellipse and the series is
     certified within _TOL, else None: z takes the Newton."""
-    if not _outside_ellipse(z, E.endpoints, data._targets[2]):
+    if not _outside_ellipse(z, E.endpoints, data._targets.reach):
         return None
     return _certified(dom, data)
 
@@ -701,7 +683,7 @@ def _green_circles(E, data, j, s, rho, m, n):
     outer = coeffs / k
     outer[0] = 0.0
     pos = np.arange(1, n)
-    jump = 1j * data._targets[5][j + 1]
+    jump = 1j * data._targets.jumps[j + 1]
     at_rho = jump + coeffs[0] * math.log(rho) + np.sum(coeffs[pos] * (1.0 - rho ** (-2.0 * pos))
                                                         / pos)
     # sum_k a_k e^(ikt) at t = pi i / n is 2n times the inverse FFT
@@ -799,7 +781,7 @@ def _local_certificate(dom, series, targets) -> float:
 def _component_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData):
     """_annulus_series for a point z off E inside the ellipse, None for one
     on or outside it."""
-    if _outside_ellipse(z, E.endpoints, data._targets[2]):
+    if _outside_ellipse(z, E.endpoints, data._targets.reach):
         return None
     return _annulus_series(z, E, dom, data)
 
@@ -871,7 +853,7 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     outer series image within rounding, a component's series image exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
-    b, reach = E.endpoints, data._targets[2]
+    b, reach = E.endpoints, data._targets.reach
     points = iter(zs)
     out = []
     while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
@@ -954,192 +936,3 @@ def branch_offset(E: IntervalUnion, data: GreenData, k: int, z: complex,
         raise ValueError("edge must be 'left' or 'right'")
     return (_green_integral(E, data.roots, base, complex(z), cfg)
             - _green_integral(E, data.roots, b[-1], complex(z), cfg))
-
-
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """One lobe of L: a closed polyline on its boundary around center, or
-    for an unsampled lobe None, with the message of the check it failed in
-    reason."""
-
-    center: float
-    points: np.ndarray | None  # closed polyline; None if unsampled
-    sampled: bool
-    reason: str | None = None
-
-
-# bisections of log r after the inner disk's halving: they shrink its last
-# factor 2 to 2^(2^-10), within 7e-4
-_DISK_STEPS = 10
-
-
-# center distances per block of a level pass: bounds its (ell, rays)
-# temporaries, which otherwise grow as ell^2 n and stay in the resident
-# memory of the process
-_TRACE_BLOCK = 32768
-
-
-def _blocks(ell, count):
-    step = max(1, _TRACE_BLOCK // ell)
-    return [slice(i, i + step) for i in range(0, count, step)]
-
-
-def _trace_work(ell, count):
-    """The two (ell, block) temporaries of every level pass over count rays,
-    allocated once per trace: arrays this large are mapped fresh by the C
-    allocator, so each pass that allocated its own would fault them in."""
-    return np.empty((2, ell * min(max(1, _TRACE_BLOCK // ell), count)))
-
-
-def _level(center, a, cos, sin, r, m, log_cap, work):
-    """g_L at radius r along each ray, in the trace's unit: ray k leaves
-    center[k] in the direction (cos_k, sin_k), and a is the column of every
-    center; work (_trace_work) holds the squared distances."""
-    out = np.empty(r.size)
-    for k in _blocks(a.size, r.size):
-        rk = r[k]
-        dy = rk * sin[k]
-        q = np.subtract(center[k], a, out=work[0, :a.size * rk.size].reshape(a.size, -1))
-        q += rk * cos[k]
-        q *= q
-        q += dy * dy
-        out[k] = 0.5 * (m @ np.log(q, out=q)) - log_cap
-    return out
-
-
-def _level_slope(center, a, cos, sin, r, m, log_cap, work):
-    """_level and its derivative in r, sum m_i (dx cos + dy sin) / q_i, from
-    the same squared distances q = dx^2 + dy^2."""
-    g, slope = np.empty(r.size), np.empty(r.size)
-    for k in _blocks(a.size, r.size):
-        rk = r[k]
-        size = a.size * rk.size
-        dy = rk * sin[k]
-        dx = np.subtract(center[k], a, out=work[0, :size].reshape(a.size, -1))
-        dx += rk * cos[k]
-        q = np.multiply(dx, dx, out=work[1, :size].reshape(a.size, -1))
-        q += dy * dy
-        dx *= cos[k]
-        dx += dy * sin[k]
-        dx /= q
-        g[k] = 0.5 * (m @ np.log(q, out=q)) - log_cap
-        slope[k] = m @ dx
-    return g, slope
-
-
-def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> list[BoundaryTrace]:
-    """Trace each boundary component of L by radial root finding of the
-    Green's level set along points_per_component rays from its center, one
-    point per ray at the ray's first level crossing, the rays of every lobe
-    in one batch.
-
-    Both bracket ends come from geometry.  Inner end: a disk inside the
-    lobe.  Its radius starts at the smaller on-axis distance
-    min(a_j - c_{2j-1}, c_{2j} - a_j) and is halved until
-    m_j log r + sum_{i != j} m_i log(|a_i - a_j| + r) < log cap, so the whole
-    disk lies in L.  That bound increases in r, so a bisection of log r
-    between the radius and twice it then widens the disk to within 7e-4 of
-    the largest radius the bound admits.  Outer end: where the ray meets the vertical
-    line through a neighboring critical point w_k (along which g only grows
-    from g(w_k) > 0), the line 2 cap beyond an outermost center (see
-    _outer_reach) or the band |Im w| = 2 cap (beyond which g >= log 2).  L
-    between these bounds is this lobe alone, so every sign change before
-    the outer end is the lobe's own; a ray may re-enter L beyond its outer
-    end, but that part of L belongs to a neighboring lobe.  Each ray
-    marches by a factor of 1.1 from the inner end until g > 0, never past
-    its outer end, and _bisect solves the bracket by Newton's method in r
-    from its inner end, where g is concave in r and Newton does not
-    overshoot.  g and its radial slope come from the real squared distances
-    to the centers, in a power-of-two unit near cap, so extreme scales
-    neither overflow nor underflow.
-
-    A lobe is reported unsampled, with the failed check in reason, when its
-    inner disk falls below the float spacing at its center, one of its rays
-    reaches its outer end inside L, or one re-enters L at 1.005, 1.02 or
-    1.05 times its crossing (tangency or a wiggle: the star-shaped sampling
-    assumption fails); the other lobes are unaffected.  Raises ValueError
-    for fewer than one point per component.
-    """
-    n = points_per_component
-    if n < 1:
-        raise ValueError(f"points_per_component {n} < 1")
-    a = np.asarray(dom.centers)
-    m = np.asarray(dom.exponents.m)
-    c = np.asarray(dom.boundary_c)
-    cap = dom.capacity
-    unit = math.ldexp(1.0, round(math.log2(cap)))
-    log_cap = math.log(cap / unit)
-    reasons = [None] * a.size
-
-    gaps = np.abs(a[:, None] - a) / unit
-
-    def bound(lobes, r):  # of g + log cap on each lobe's disk of radius r
-        return np.log(gaps[lobes] + r[:, None]) @ m
-
-    r_in = np.minimum(a - c[0::2], c[1::2] - a) / unit
-    floor = np.spacing(np.abs(a)) / unit
-    lobes = np.arange(a.size)
-    while lobes.size:
-        lobes = lobes[bound(lobes, r_in[lobes]) >= log_cap]
-        r_in[lobes] *= 0.5
-        tiny = r_in[lobes] < floor[lobes]
-        for j in lobes[tiny].tolist():
-            reasons[j] = f"no disk inside L around center {a[j]}"
-        lobes = lobes[~tiny]
-    live = np.flatnonzero([reason is None for reason in reasons])
-    lo, hi = r_in[live], 2.0 * r_in[live]
-    for _ in range(_DISK_STEPS):
-        mid = np.sqrt(lo * hi)
-        inside = bound(live, mid) < log_cap
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    r_in[live] = lo
-
-    reach = _outer_reach(cap, 0.0)
-    crit = np.asarray(dom.crit_w, dtype=float)
-    left = np.concatenate(([a[0] - reach], crit))
-    right = np.concatenate((crit, [a[-1] + reach]))
-    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
-    with np.errstate(divide="ignore"):
-        r_out = np.minimum(
-            np.where(ray.real > 0, (right - a)[:, None], (a - left)[:, None]) / np.abs(ray.real),
-            2.0 * cap / np.abs(ray.imag)) / unit
-    # the rays of every lobe with a disk, the centers in the trace's unit
-    lobe = np.repeat(live, n)
-    a_unit = a / unit
-    center, column = a_unit[lobe], a_unit[:, None]
-    cos, sin = np.tile(ray.real, live.size), np.tile(ray.imag, live.size)
-    r_out = r_out[live].reshape(-1)
-
-    work = _trace_work(a.size, lobe.size)
-    neg = r_in[lobe]
-    pos = np.minimum(1.1 * neg, r_out)
-    marching = np.flatnonzero(_level(center, column, cos, sin, pos, m, log_cap, work) <= 0)
-    while marching.size:
-        at_end = pos[marching] == r_out[marching]
-        if at_end.any():
-            ended = np.unique(lobe[marching[at_end]])
-            for j in ended.tolist():
-                reasons[j] = f"rays from center {a[j]} reach their outer end inside L"
-            marching = marching[~np.isin(lobe[marching], ended)]
-        neg[marching] = pos[marching]
-        pos[marching] = np.minimum(1.1 * pos[marching], r_out[marching])
-        marching = marching[_level(center[marching], column, cos[marching],
-                                   sin[marching], pos[marching], m, log_cap, work) <= 0]
-    bracketed = np.array([reason is None for reason in reasons])[lobe]
-    if not bracketed.all():
-        lobe, center, cos, sin, r_out, pos, neg = (
-            v[bracketed] for v in (lobe, center, cos, sin, r_out, pos, neg))
-
-    r = _bisect(lambda r: _level_slope(center, column, cos, sin, r, m, log_cap, work),
-                pos, neg, start=neg)
-    # immediately outside the crossing the ray must stay outside L
-    for factor in (1.005, 1.02, 1.05):
-        inside = _level(center, column, cos, sin, np.minimum(r * factor, r_out),
-                        m, log_cap, work) <= 0
-        for j in np.unique(lobe[inside]).tolist():
-            reasons[j] = reasons[j] or f"rays from center {a[j]} re-enter the level set"
-    pts = (a[lobe] + (r * unit) * (cos + 1j * sin)).reshape(-1, n)
-    closed = dict(zip(lobe[::n].tolist(), np.concatenate((pts, pts[:, :1]), axis=1)))
-    return [BoundaryTrace(center, None, False, reasons[j]) if reasons[j]
-            else BoundaryTrace(center, closed[j], True)
-            for j, center in enumerate(dom.centers)]

@@ -6,8 +6,9 @@ full Newton step, acceptance test and stopping rule.  map_grid solves the
 complex map equations of a whole batch of points with its masked twin,
 damped_newton_masked, which runs the same rule on every element at once.
 Real zeros in known brackets (the numerator roots' start, the critical
-points and real zeros of g_L, the boundary rays of L) come from _bisect,
-Newton's method safeguarded by bisection on arrays of brackets.
+points of g_L, and the rays of L's boundary in log r, whose rays at angles
+0 and pi are the real zeros of g_L) come from _bisect, Newton's method
+safeguarded by bisection on arrays of brackets.
 """
 
 import numpy as np

@@ -11,9 +11,10 @@ roots from coefficients (the solve finds the roots directly), and
 rational_mass_fit tests masses for a common denominator, a sign of a
 polynomial pre-image.  endpoint_weight_fd is the weight 1/sqrt|H| as one
 product of every endpoint distance, which green._product_integrals
-replaced with factors paired per gap.  trace_lobe is the one-lobe boundary
-trace, in complex arithmetic from an inner disk found by halving alone,
-that mapping.trace_boundary replaced with one batch over every lobe.
+replaced with factors paired per gap.  trace_lobe is the disk-and-march
+reference for one lobe, in complex arithmetic from an inner disk found by
+halving alone and a march outward by a factor 1.1, that
+lemniscatic.trace_boundary replaced with one ray solver over every lobe.
 distance_to_E is the loop over every component that mapping._distance_to_E
 replaced with a bisection on the endpoints.
 """

@@ -10,7 +10,7 @@ import pytest
 
 from walshmap import cli, errors
 from walshmap.cli import GRID_HEADER, main
-from walshmap.mapping import BoundaryTrace
+from walshmap.lemniscatic import BoundaryTrace
 from walshmap.quadrature import QuadConfig
 
 import reference_values as ref

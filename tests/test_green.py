@@ -704,7 +704,7 @@ def test_far_series_tail_bound(two_interval, three_interval):
     assert green._terms_needed(1.0 / V) < K
     rng = np.random.default_rng(18)
     for wm in (two_interval, three_interval, solve(ref.cantor_pairs(3))):
-        terms = wm.green._targets[4]
+        terms = wm.green._targets.terms
         e = np.array(wm.green.chebyshev_moments)
         assert np.all(np.abs(e) <= 2.0)
         for rho in 10.0 ** rng.uniform(math.log10(V), 3.0, 40):
@@ -836,7 +836,7 @@ def test_direct_far_integral_converges_and_matches_the_series(pairs):
     b = E.endpoints
     for z in _far_points(np.random.default_rng(1), E, 25):
         want = green_complex(z, E, wm.green)
-        if green._outside_ellipse(z, b, wm.green._targets[2]):
+        if green._outside_ellipse(z, b, wm.green._targets.reach):
             assert want == green._series_green(wm.green, complex(z))
         for base in (b[0], b[-1], b[green._nearest_endpoint(b, z.real)]):
             got = _green_integral(E, roots, base, z, wm.config)
@@ -865,7 +865,7 @@ def test_green_targets_switch_to_the_series_on_the_ellipse(three_interval, monke
     # ellipse |v| = 1.5 is integrated and the first one outside, 1 ulp
     # further, is not; both lie within a few ulp of |v| = 1.5
     E, data = three_interval.domain, three_interval.green
-    reach = data._targets[2]
+    reach = data._targets.reach
     calls = []
 
     def recording(E, roots, base, z, cfg):

@@ -9,7 +9,7 @@ from walshmap.api import solve
 from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter
 from walshmap.lemniscatic import (LemniscaticDomain, boundary_abscissae,
                                   centers_general, centers_two,
-                                  crit_points, green, green_deriv)
+                                  crit_points, green, green_deriv, trace_boundary)
 from walshmap.newton import _bisect, damped_newton
 from walshmap.verify import random_interval_set, worst_invariant
 
@@ -161,15 +161,9 @@ def _random_lemniscatic(ell, seed):
     return np.array(dom.centers), np.array(dom.exponents.m), dom.capacity
 
 
-@pytest.mark.parametrize("ell, seed", [(3, s) for s in range(6)]
-                         + [(10, s) for s in range(6)] + [(40, s) for s in range(3)])
-def test_newton_bisect_matches_halving_and_is_cheap(ell, seed, monkeypatch):
-    # at most 15 evaluations of f per call; against plain halving of the same
-    # brackets, agreement to 2 ulps or within f's rounding window, the
-    # rounding of its ell-term sum (ell eps sum_j |term_j|) over |f'|: any
-    # point inside it is a zero of the computed f, and near 0 it spans many
-    # ulps of the root itself
-    a, m, cap = _random_lemniscatic(ell, seed)
+def _count_bisect(monkeypatch):
+    """Count the evaluations of f in each lemniscatic._bisect call, one
+    entry per call."""
     evals = []
 
     def counted(f, pos, neg, start=None):
@@ -180,6 +174,19 @@ def test_newton_bisect_matches_halving_and_is_cheap(ell, seed, monkeypatch):
         return _bisect(f_counted, pos, neg, start)
 
     monkeypatch.setattr(lemniscatic, "_bisect", counted)
+    return evals
+
+
+@pytest.mark.parametrize("ell, seed", [(3, s) for s in range(6)]
+                         + [(10, s) for s in range(6)] + [(40, s) for s in range(3)])
+def test_newton_bisect_matches_halving_and_is_cheap(ell, seed, monkeypatch):
+    # at most 15 evaluations of f per call; against plain halving of the same
+    # brackets, agreement to 2 ulps or within f's rounding window, the
+    # rounding of its ell-term sum (ell eps sum_j |term_j|) over |f'|: any
+    # point inside it is a zero of the computed f, and near 0 it spans many
+    # ulps of the root itself
+    a, m, cap = _random_lemniscatic(ell, seed)
+    evals = _count_bisect(monkeypatch)
     w = crit_points(a, m)
     c = boundary_abscissae(a, m, cap, crit=w)
     assert len(evals) == 2 and max(evals) <= 15
@@ -196,6 +203,62 @@ def test_newton_bisect_matches_halving_and_is_cheap(ell, seed, monkeypatch):
     window = ell * eps * ((np.abs(m * np.log(np.abs(d)))).sum(1) + abs(math.log(cap))) \
         / np.abs((m / d).sum(1))
     assert np.all(np.abs(c - c_old) <= 2.0 * np.spacing(np.abs(c_old)) + 4.0 * window)
+
+
+def test_boundary_abscissae_of_a_lobe_455_ulps_wide(monkeypatch):
+    # the eighth lobe has radius 5.05e-14, about 455 ulps of its center: g is
+    # formed from the center offsets, never from a rounded point a_j + r, so
+    # its rays match the scalar oracle within 2 ulps in one _bisect call of
+    # at most 15 evaluations
+    a = np.array([-2.920838142086841, -2.446883650280436, -2.2207288654142885,
+                  -1.8845759348973745, -1.2728502801062558, -1.0556360818942712,
+                  -0.23160857020518133, 0.7407425766524534, 1.6356384729494602])
+    m = np.array([0.051474229549726774, 0.12688850157572498, 0.04262080151324406,
+                  0.19223176385312885, 0.13218196262734838, 0.235206779000112,
+                  0.09938459736349337, 0.053708450540033315, 0.06630291397718817])
+    cap = 0.37587571162494054
+    w = oracle.crit_points(a, m)
+    evals = _count_bisect(monkeypatch)
+    c = boundary_abscissae(a, m, cap, crit=w)
+    c_ref = oracle.boundary_abscissae(a, m, cap, crit=w)
+    assert len(evals) == 1 and evals[0] <= 15
+    assert 1e-13 < c[15] - c[14] < 1.1e-13
+    assert np.all(np.abs(c - c_ref) <= 2.0 * np.spacing(np.abs(c_ref)))
+
+
+@pytest.mark.parametrize("hi", [1.0, 1.0 + 1e-9])
+def test_trace_crossing_at_the_unit_takes_few_passes(hi, monkeypatch):
+    # L of one interval is the disk of radius cap about its center; for
+    # [-1, 1] that radius is the rays' power-of-two unit, 0.5, where log r
+    # is 0: the rays are solved in log(r / r_out) - 1, which stays away from
+    # 0, so _bisect's stop within two spacings of it is met in a few passes
+    dom = solve([[-1.0, hi]]).lemniscatic
+    passes = []
+
+    def counting(*args, real=lemniscatic._level_slope):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lemniscatic, "_level_slope", counting)
+    [trace] = trace_boundary(dom, 256)
+    assert trace.sampled and len(passes) <= 4
+    radii = np.abs(trace.points - dom.centers[0])
+    assert np.max(np.abs(radii / dom.capacity - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("pairs", [ref.dirichlet_intervals(np.random.default_rng(ell), ell)
+                                   for ell in (5, 10, 20, 40)]
+                         + [ref.cantor_pairs(k) for k in (2, 3, 4, 5)],
+                         ids=["ell5", "ell10", "ell20", "ell40",
+                              "cantor2", "cantor3", "cantor4", "cantor5"])
+def test_trace_rays_on_the_axis_are_the_boundary_abscissae(pairs):
+    # one ray solver serves both: the trace's rays at angles pi and 0 land on
+    # boundary_c
+    dom = solve(pairs).lemniscatic
+    traces = trace_boundary(dom, 64)
+    got = np.array([[tr.points[32].real, tr.points[0].real] for tr in traces]).reshape(-1)
+    c = np.array(dom.boundary_c)
+    assert np.all(np.abs(got - c) <= 2.0 * np.spacing(np.abs(c)))
 
 
 def test_boundary_abscissae_disk():

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from walshmap import cli, mapping
+from walshmap import cli, lemniscatic, mapping
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, InsideE, NoConvergence, NotFinite, WalshMapError
 from walshmap.green import _green_integral, green_complex, green_real
 from walshmap.intervals import parse_domain
-from walshmap.lemniscatic import green as green_level
-from walshmap.mapping import (GridPoint, MapResult, branch_offset, map_grid, map_point,
-                              trace_boundary)
+from walshmap.lemniscatic import green as green_level, trace_boundary
+from walshmap.mapping import GridPoint, MapResult, branch_offset, map_grid, map_point
 from walshmap.quadrature import QuadConfig
 from walshmap.verify import random_interval_set
 
@@ -288,18 +287,19 @@ def test_trace_boundary_narrow_gaps(pairs):
                                    ref.dirichlet_intervals(np.random.default_rng(3), 5)])
 def test_trace_boundary_failures_stay_per_lobe(pairs):
     # the critical line left of the last lobe moved inside it, halfway from
-    # c_{2l-1} to a_l: that lobe's leftward rays reach their outer end inside
-    # L, and the batch drops that lobe alone
+    # c_{2l-1} to a_l: the rays of both lobes beside it that end on that line
+    # reach it inside L, and the batch drops those two lobes alone
     dom = solve(pairs).lemniscatic
     k = dom.ell - 1
     bad = dataclasses.replace(dom, crit_w=dom.crit_w[:-1] + (
         0.5 * (dom.boundary_c[2 * k] + dom.centers[k]),))
     got, good = trace_boundary(bad, 64), trace_boundary(dom, 64)
-    assert [t.sampled for t in got] == [True] * k + [False]
-    assert got[k].points is None
-    assert got[k].reason == f"rays from center {dom.centers[k]} reach their outer end inside L"
+    assert [t.sampled for t in got] == [True] * (k - 1) + [False, False]
+    for j in (k - 1, k):
+        assert got[j].points is None
+        assert got[j].reason == f"rays from center {dom.centers[j]} reach their outer end inside L"
     assert trace_lobe(bad, k, 64) is None
-    for j in range(k):
+    for j in range(k - 1):
         scale = np.max(np.abs(good[j].points))
         assert np.max(np.abs(got[j].points - good[j].points)) <= 2e-15 * scale
         assert np.max(np.abs(got[j].points - trace_lobe(bad, j, 64))) <= 2e-15 * scale
@@ -312,11 +312,11 @@ def test_trace_boundary_passes_do_not_grow_with_ell(monkeypatch):
         dom = solve(pairs).lemniscatic
         calls = {"_level": 0, "_level_slope": 0}
         for name in calls:
-            def counting(*args, name=name, real=getattr(mapping, name)):
+            def counting(*args, name=name, real=getattr(lemniscatic, name)):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(mapping, name, counting)
+            monkeypatch.setattr(lemniscatic, name, counting)
         traces = trace_boundary(dom, 64)
         monkeypatch.undo()
         assert all(t.sampled for t in traces)
@@ -327,7 +327,7 @@ def test_trace_boundary_blocks_give_the_same_points(monkeypatch, three_interval)
     # a level pass works in blocks of _TRACE_BLOCK center distances; blocks
     # of a few rays each must trace the same points
     whole = trace_boundary(three_interval.lemniscatic, 64)
-    monkeypatch.setattr(mapping, "_TRACE_BLOCK", 20)
+    monkeypatch.setattr(lemniscatic, "_TRACE_BLOCK", 20)
     for tr, ref_tr in zip(trace_boundary(three_interval.lemniscatic, 64), whole):
         assert np.max(np.abs(tr.points - ref_tr.points)) <= 1e-15 * np.max(np.abs(ref_tr.points))
 
@@ -968,7 +968,7 @@ def test_green_circles_match_the_quadrature(pairs):
     # circle green_complex
     wm = solve(pairs)
     E, data = wm.domain, wm.green
-    jumps = data._targets[5]
+    jumps = data._targets.jumps
     _, frames, _ = mapping._local_cache(wm.lemniscatic, data)
     for j, (lo, hi, s, R, rho) in enumerate(frames):
         m, n = mapping._rim_nodes(R), mapping._NODES

@@ -32,6 +32,21 @@ def test_iteration_profile_counts_chebyshev_nodes():
     assert total == sum(n * k for n, k in per_count.items())
 
 
+def test_iteration_profile_counts_ray_passes():
+    proc = run_script("iteration_profile.py", "--ell", "5", "--count", "2", "--rays")
+    assert proc.returncode == 0, proc.stderr
+    sets = re.findall(r"set \d+: boundary_abscissae (\d+) level \+ (\d+) slope passes of "
+                      r"(\d+) rays; trace (\d+) level \+ (\d+) slope passes of (\d+) rays",
+                      proc.stdout)
+    assert len(sets) == 2
+    for counts in sets:
+        ba_level, ba_slope, ba_rays, level, slope, rays = map(int, counts)
+        # two end checks over every ray, then _bisect; the trace adds its
+        # three re-entry checks
+        assert (ba_level, ba_rays) == (2, 2 * 5) and ba_slope <= 10
+        assert (level, rays) == (5, 256 * 5) and slope <= 12
+
+
 def test_export_figure_data_writes_every_csv(tmp_path):
     proc = run_script("export_figure_data.py", "--n", "5", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
