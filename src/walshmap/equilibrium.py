@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationDefect, OutsideSupport, PadTooLarge
-from .green import GreenData, _plain_deriv
+from .green import GreenData, _paired_ratio, _plain_deriv
 from .intervals import IntervalUnion, locate
 # integrate_chebyshev is not called here; it stays a module attribute, which
 # bench/tracing.py wraps in both green and equilibrium
@@ -46,7 +46,9 @@ class ExponentVector:
 
 
 def density(x: float, data: GreenData) -> float:
-    """Equilibrium density |N(x)| / (pi sqrt|H(x)|) at x strictly inside E.
+    """Equilibrium density |N(x)| / (pi sqrt|H(x)|) at x strictly inside E,
+    from green._paired_ratio's factors, which do not underflow where |H|
+    does (Cantor level 9).
 
     Diverges at the endpoints; evaluation there (or off E) raises
     OutsideSupport.
@@ -56,9 +58,8 @@ def density(x: float, data: GreenData) -> float:
     loc = locate(E, complex(x))
     if not loc.inside or x in E.endpoints:
         raise OutsideSupport(f"x = {x} is not strictly inside a component")
-    absH = math.prod(abs(x - bj) for bj in E.endpoints)
-    num = abs(math.prod(x - zk for zk in data.roots))
-    return num / (math.pi * math.sqrt(absH))
+    sq = np.sqrt(np.abs(x - np.asarray(E.endpoints)))
+    return abs(float(_paired_ratio(x - np.asarray(data.roots), sq))) / math.pi
 
 
 def exponents(E: IntervalUnion, data: GreenData) -> ExponentVector:

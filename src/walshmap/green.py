@@ -11,6 +11,15 @@ S = sqrt_branch is the square root of prod(z - b_j) that behaves like z^ell
 at infinity and N is the monic degree ell-1 polynomial whose integral over
 every bounded gap of E vanishes.
 
+Every integral of N/S forms it by one product, _paired_ratio: root k over
+the square roots of its own gap's two endpoint distances, the outer pair
+last, so no partial product underflows or overflows.  Its callers only
+build the distances: exact ones per interval for the gap conditions and
+the masses (_product_integrals); offsets from an endpoint for the critical
+values, the capacity tails and the Green paths (_plain_deriv), with
+sqrt|x - b_j| and the gap's sign on the real axis and principal roots off
+it; and equilibrium.density.
+
 The Green's function is the log potential of the equilibrium measure mu_E.
 In the frame (t, s) of E, with zeta = (z - t)/s and the Joukowski variable
 v = zeta + sqrt(zeta - 1) sqrt(zeta + 1), |v| > 1 off the hull segment,
@@ -150,9 +159,51 @@ def sqrt_branch_rim(E: IntervalUnion, x, side: int) -> complex:
     loc = locate(E, x)
     if not loc.inside:
         raise NotOnCut(f"x = {x} is not on E")
-    b = E.endpoints
-    absH = math.prod(abs(x - bj) for bj in b)
-    return side * 1j * (-1) ** (E.ell - loc.index) * math.sqrt(absH)
+    # sqrt|H| as a mantissa and a binary exponent: on Cantor level 9 |H|
+    # itself is 1e-574, below the float range, and its root 7.9e-288
+    m, e = 1.0, 0
+    for bj in E.endpoints:
+        f, k = math.frexp(abs(x - bj))
+        m, j = math.frexp(m * f)
+        e += j + k
+    if e % 2:
+        m, e = 2.0 * m, e - 1
+    return side * 1j * (-1) ** (E.ell - loc.index) * math.ldexp(math.sqrt(m), e // 2)
+
+
+def _paired_ratio(num, sq, leave_one_out=False):
+    """N/S from its factors in rows along axis 0: num[k] = x - z_k for the
+    ell - 1 roots, sq[j] a square root of x - b_j for the 2 ell endpoints
+    (principal roots for N/S off the axis; sqrt|x - b_j| for |N|/sqrt|H|,
+    which is N/S up to sign on the axis).
+
+    Root k is paired with its own gap's endpoints b[2k + 1], b[2k + 2]: their
+    two roots are multiplied, and num[k] is divided once by that product.
+    The outer pair sq[0] sq[-1] is divided out last.  Each factor is near 1
+    away from its own gap, so no partial product underflows or overflows:
+    on Cantor level 9 the product of all the endpoint distances is 1e-574.
+    A product of principal roots is sqrt_branch in any grouping.
+
+    With leave_one_out the result has a leading axis of ell rows: row 0 the
+    product, row 1 + j the product without num[j], from prefix and suffix
+    products of the paired factors divided by pair j, so no factor is
+    divided out.  num and sq are overwritten.
+    """
+    pair = np.multiply(sq[1:-1:2], sq[2:-1:2], out=sq[1:-1:2])
+    ratio = np.divide(num, pair, out=num)
+    outer = sq[0] * sq[-1]
+    if not leave_one_out:
+        return np.multiply.reduce(ratio) / outer
+    # row 1 + j: (factors before j) * (factors after j) / pair j
+    prefix = np.cumprod(ratio, axis=0)
+    out = np.empty((len(ratio) + 1,) + outer.shape, dtype=ratio.dtype)
+    out[0] = prefix[-1]
+    out[1] = 1.0
+    out[2:] = prefix[:-1]
+    out[1:-1] *= np.cumprod(ratio[:0:-1], axis=0)[::-1]
+    out[1:] /= pair
+    out /= outer
+    return out
 
 
 # endpoint distances per block of _product_integrals' integrand: bounds its
@@ -169,17 +220,11 @@ def _product_integrals(E: IntervalUnion, first, roots, cfg: QuadConfig,
     indices into first of its rows of nodes.  Raises the first failing
     interval's own NoConvergence.
 
-    Root k is paired with the endpoints of its own gap,
-    (x - z_k)/sqrt(|x - b[2k + 1]| |x - b[2k + 2]|), and sqrt(|x - b[0]|
-    |x - b[-1]|) is divided out last, so each factor is near 1 away from its
-    own gap and no partial product underflows: on Cantor level 8 the product
-    of all the endpoint distances does.  The distances to the interval's own endpoints are the
-    exact d_lo and d_hi, the others (b[i] - b_j) + d_lo.
-
-    With leave_one_out the integrand is a block: row 0 the product, row
-    1 + j the product without the factor x - z_j, from prefix and suffix
-    products of the paired factors divided by pair j, so no factor is
-    divided out; the result is then a row of K = ell integrals per interval.
+    The integrand is _paired_ratio of the factors x - z_k and the square
+    roots of the endpoint distances: the exact d_lo and d_hi to the
+    interval's own endpoints, |(b[i] - b_j) + d_lo| to the others.  With
+    leave_one_out the result is a row of K = ell integrals per interval:
+    the product, then the product without each factor x - z_j.
     """
     b = np.asarray(E.endpoints)
     first = np.asarray(first)
@@ -188,31 +233,13 @@ def _product_integrals(E: IntervalUnion, first, roots, cfg: QuadConfig,
     lead = (len(roots) + 1,) if leave_one_out else ()
 
     def block(x, d_lo, d_hi, idx):
-        dist = lo_off[:, idx] + d_lo
-        np.abs(dist, out=dist)
+        sq = lo_off[:, idx] + d_lo
+        np.abs(sq, out=sq)
         own = np.arange(len(idx))
-        dist[first[idx], own] = d_lo
-        dist[first[idx] + 1, own] = d_hi
-        outer = np.sqrt(dist[0] * dist[-1])
-        # 1/sqrt of the pairs over the gaps' endpoints, then the paired root
-        # factors, in the rows of dist: the largest temporary
-        inv = np.multiply(dist[1:-1:2], dist[2:-1:2], out=dist[1:-1:2])
-        np.sqrt(inv, out=inv)
-        np.divide(1.0, inv, out=inv)
-        ratio = np.subtract(x, roots, out=dist[2:-1:2])
-        ratio *= inv
-        prefix = np.cumprod(ratio, axis=0)
-        if not leave_one_out:
-            return prefix[-1] / outer
-        # row 1 + j: (factors before j) * (factors after j) / pair j
-        out = np.empty(lead + x.shape)
-        out[0] = prefix[-1]
-        out[1] = 1.0
-        out[2:] = prefix[:-1]
-        out[1:-1] *= np.cumprod(ratio[:0:-1], axis=0)[::-1]
-        out[1:] *= inv
-        out /= outer
-        return out
+        sq[first[idx], own] = d_lo
+        sq[first[idx] + 1, own] = d_hi
+        np.sqrt(sq, out=sq)
+        return _paired_ratio(x - roots, sq, leave_one_out)
 
     def fd(x, d_lo, d_hi, idx):
         # blocks of whole intervals, about _PRODUCT_BLOCK distances each
@@ -402,79 +429,6 @@ def _blockwise(block, t, args, size):
     return out.reshape(t.shape)
 
 
-def _ns_ratio(r_off, e_off):
-    """fd(t, base=None) = prod(t + r_k) / prod(sqrt(t + e_j)) at the nodes t,
-    for root offsets r (ell - 1) and endpoint offsets e (2 ell) to a
-    common base.  The last axis of t holds the nodes of one panel (a 1-D t
-    is one panel).  A real `base`, a scalar or one value per panel (shape
-    t.shape[:-1] + (1,)), moves the offsets of each panel first, to
-    base + r_k and base + e_j, so an endpoint equal to the base is at
-    offset exactly 0.  Nodes are evaluated in blocks of at most _NS_BLOCK:
-    whole panels, or pieces of one.
-
-    Root k is paired against component k's endpoints, so every factor is
-    O(1) and no partial product can overflow.  Each t + e_j gets its own
-    principal square root: the root of a product could change the branch.
-    """
-    r_off, e_off = r_off[:, None, None], e_off[:, None, None]
-
-    def block(tb, r, e):
-        sq = tb + e
-        np.sqrt(sq, out=sq)
-        den = np.multiply(sq[0:-2:2], sq[1:-2:2], out=sq[0:-2:2])
-        ratio = tb + r
-        ratio /= den
-        return np.multiply.reduce(ratio) / (sq[-2] * sq[-1])
-
-    def fd(t, base=None):
-        r, e = r_off, e_off
-        if base is not None:
-            column = np.asarray(base).reshape(1, -1, 1)
-            r, e = column + r, column + e
-        return _blockwise(block, t, (r, e), _NS_BLOCK)
-
-    return fd
-
-
-def _gap_ratio(roots, b):
-    """fd(t, base) = N/S at the real x = base + t, in real arithmetic, for
-    real offsets t from an endpoint `base` (a scalar, or one per panel as
-    for _ns_ratio) into the gap beside it: gap k = (i + 1) // 2 for
-    base = b[i], the rays beyond the hull being gaps 0 and ell.
-
-    There sqrt_branch is (-1)^(ell - k) sqrt|H|, and N/S is that sign times
-    the paired factors of _product_integrals: root k's (x - z_k) over the
-    square roots of its own gap's endpoint distances, and the outer pair's
-    divided out last.  The base's own distance is exactly |t|, the others
-    |(base - b_j) + t|.  Nodes are evaluated in blocks of at most
-    _NS_BLOCK, as by _ns_ratio.
-    """
-    b = np.asarray(b, dtype=float)
-    ell = b.size // 2
-    # (-1)^(ell - k) for the gap k = (i + 1) // 2 beside each endpoint b[i]
-    signs = np.repeat((-1.0) ** (ell - np.arange(ell + 1)), 2)[1:-1]
-    roots, ends = np.asarray(roots, dtype=float)[:, None, None], b[:, None, None]
-
-    def block(tb, base, sign):
-        sq = tb - (ends - base)
-        np.abs(sq, out=sq)
-        np.sqrt(sq, out=sq)
-        ratio = tb - (roots - base)
-        ratio /= sq[1:-1:2]
-        ratio /= sq[2:-1:2]
-        out = np.multiply.reduce(ratio)
-        out /= sq[0] * sq[-1]
-        out *= sign[0]
-        return out
-
-    def fd(t, base):
-        column = np.reshape(base, (1, -1, 1))
-        sign = signs[np.searchsorted(b, column)]
-        return _blockwise(block, t, (column, sign), _NS_BLOCK)
-
-    return fd
-
-
 def _require_finite(z):
     if not cmath.isfinite(z):
         raise NotFinite(f"z = {z} is not finite")
@@ -607,16 +561,39 @@ def green_real(z: float, E: IntervalUnion, data: GreenData,
 
 
 def _plain_deriv(E: IntervalUnion, roots):
-    """Vectorized N/S: f(z) at points comfortably away from every endpoint,
-    and f(offset, base) from an endpoint `base`, which represents the local
-    1/sqrt factor by the offset alone: complex offsets by _ns_ratio, and
-    real ones, along the gap beside the base, in real arithmetic by
-    _gap_ratio."""
-    roots, b = np.asarray(roots, dtype=float), np.asarray(E.endpoints)
-    ratio, gap = _ns_ratio(-roots, -b), _gap_ratio(roots, b)
+    """Vectorized N/S by _paired_ratio: f(z) at points comfortably away from
+    every endpoint, and f(offset, base) from an endpoint `base`, whose own
+    distance is exactly the offset, so the 1/sqrt singularity there is
+    represented by the offset alone.  base is a scalar or one value per
+    panel (shape t.shape[:-1] + (1,)); the last axis of t holds the nodes of
+    one panel (a 1-D t is one panel).
+
+    Complex offsets take the principal roots of t + (base - b_j).  Real
+    offsets, along the gap k = (i + 1) // 2 beside base = b[i] (the rays
+    beyond the hull being gaps 0 and ell), take sqrt|t + (base - b_j)| and
+    the sign (-1)^(ell - k) of sqrt_branch on that gap, in real arithmetic.
+    Nodes are evaluated in blocks of at most _NS_BLOCK: whole panels, or
+    pieces of one.
+    """
+    roots = np.asarray(roots, dtype=float)[:, None, None]
+    b = np.asarray(E.endpoints, dtype=float)
+    ends = b[:, None, None]
+    # (-1)^(ell - k) for the gap k = (i + 1) // 2 beside each endpoint b[i]
+    signs = np.repeat((-1.0) ** (E.ell - np.arange(E.ell + 1)), 2)[1:-1]
+
+    def block(tb, r, e, sign):
+        sq = tb + e
+        if not np.iscomplexobj(sq):
+            np.abs(sq, out=sq)
+        np.sqrt(sq, out=sq)
+        out = _paired_ratio(tb + r, sq)
+        out *= sign[0]
+        return out
 
     def fd(t, base=None):
-        return ratio(t, base) if base is None or np.iscomplexobj(t) else gap(t, base)
+        column = np.reshape(0.0 if base is None else base, (1, -1, 1))
+        sign = np.ones((1, 1, 1)) if np.iscomplexobj(t) else signs[np.searchsorted(b, column)]
+        return _blockwise(block, t, (column - roots, column - ends, sign), _NS_BLOCK)
 
     return fd
 
@@ -625,10 +602,11 @@ def _gap_integral(E: IntervalUnion, roots, base, x, cfg: QuadConfig):
     """Integral of N/S along the real axis from the endpoint `base` to the
     real x off E, the nearest endpoint of x (so no other endpoint lies on
     the way), in real arithmetic: one panel of the segment rule, singular
-    at its base, whose offsets _plain_deriv takes as real.  base and x are
-    scalars, or arrays that broadcast (a base per point).  Returns a float
-    or an array, and raises what the segment rule raises: a scalar call its
-    panel's own NoConvergence, an array one with failures by flat index.
+    at its base, whose real offsets _plain_deriv takes along the gap, with
+    sqrt|x - b_j| and the gap's sign.  base and x are scalars, or arrays
+    that broadcast (a base per point).  Returns a float or an array, and
+    raises what the segment rule raises: a scalar call its panel's own
+    NoConvergence, an array one with failures by flat index.
     """
     ratio = _plain_deriv(E, roots)
     return integrate_segment_complex(
@@ -813,20 +791,23 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
 
 def _capacity_one(E: IntervalUnion, roots, side: int, beta: float, unit: float,
                   cfg: QuadConfig) -> float:
+    """One tail formula: cap = shift exp(integral of 1/|x - beta| - |N/S|
+    over the ray beyond b_2l (side +1) or b_1 (side -1)), shift = |base -
+    beta|.  |N/S| is side N/S there, from _plain_deriv's real offsets from
+    the endpoint along the unbounded gap, in units of `unit` (the tail
+    rule's variable delta / unit)."""
     b = np.asarray(E.endpoints)
     base = b[-1] if side > 0 else b[0]
     shift = side * (base - beta)  # > 0 on either legal side
     if shift <= 0:
         raise ValueError("beta must lie strictly on the far side of the endpoint")
-    # every offset is >= 0, so this is |N/S| at distance delta, in reals
-    ratio = _ns_ratio(side * (base - np.asarray(roots, dtype=float)),
-                      side * (base - b))
+    ratio = _plain_deriv(E, roots)
 
     def fd(u):
         # in u = delta / unit, whose nodes span the set's scale; on both
         # tails the signed integrand reduces to 1/|x-beta| - |N/S|
         delta = unit * u
-        return unit * (1.0 / (delta + shift) - ratio(delta))
+        return unit * (1.0 / (delta + shift) - side * ratio(side * delta, base))
 
     integral = integrate_tail(None, base, side, cfg, fd=fd)
     return shift * math.exp(integral)

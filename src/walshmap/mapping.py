@@ -658,7 +658,10 @@ def _green_circles(E, data, j, s, rho, m, n):
     root, so no factor or partial product can overflow or underflow.  The
     circle lies right of every p, q on the left of E_j and left of every
     one on its right, so sqrt(z - p), or sqrt(p - z) on the right, is
-    analytic on it."""
+    analytic on it.  That is why h keeps its own product, not
+    green._paired_ratio's: each root must be analytic on the circle, and
+    the principal sqrt(z - p) of an endpoint right of E_j is cut along the
+    axis left of p, through the circle."""
     b = E.endpoints
     theta = np.pi * np.arange(n + 1) / n
     v = rho * np.exp(1j * theta)

@@ -10,8 +10,9 @@ endpoint test run on every endpoint.  critical_points finds the numerator
 roots from coefficients (the solve finds the roots directly), and
 rational_mass_fit tests masses for a common denominator, a sign of a
 polynomial pre-image.  endpoint_weight_fd is the weight 1/sqrt|H| as one
-product of every endpoint distance, which green._product_integrals
-replaced with factors paired per gap.  trace_lobe is the disk-and-march
+product of every endpoint distance, which green._paired_ratio, the one
+product behind every integral of N/S, replaced with factors paired per
+gap.  trace_lobe is the disk-and-march
 reference for one lobe, in complex arithmetic from an inner disk found by
 halving alone and a march outward by a factor 1.1, that
 lemniscatic.trace_boundary replaced with one ray solver over every lobe.

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from walshmap.api import solve
 from walshmap.equilibrium import contour_mass, density, exponents
 from walshmap.errors import OutsideSupport, PadTooLarge
+from walshmap.green import GreenData
+from walshmap.intervals import parse_domain
 
 import reference_values as ref
 
@@ -28,6 +30,21 @@ def test_density_outside_support(two_interval):
     for x in (0.0, -3.0, 1.0):  # gap, far gap, endpoint
         with pytest.raises(OutsideSupport):
             density(x, two_interval.green)
+
+
+def test_density_on_cantor_level_9_does_not_underflow():
+    # at the midpoint of Cantor 9's first component prod |x - b_j| is
+    # 1e-574, below the float range, while the density is 122.4; the gap
+    # midpoints stand in for the roots, so no solve is needed
+    E = parse_domain(ref.cantor_pairs(9))
+    b = E.endpoints
+    roots = tuple(0.5 * (b[i] + b[i + 1]) for i in range(1, len(b) - 1, 2))
+    data = GreenData(domain=E, coeffs=(), roots=roots, green_at_roots=(), masses=(),
+                     capacity=1.0, capacity_mismatch=0.0, alpha=0.0)
+    x = 0.5 * (b[0] + b[1])
+    oracle = math.exp(math.fsum(math.log(abs(x - z)) for z in roots)
+                      - 0.5 * math.fsum(math.log(abs(x - bj)) for bj in b)) / math.pi
+    assert abs(density(x, data) - oracle) <= 1e-13 * oracle
 
 
 def test_density_integrates_to_one(two_interval):

@@ -80,6 +80,19 @@ def test_rim_values_conjugate(two_interval):
             assert up == dn.conjugate()
 
 
+def test_rim_modulus_on_cantor_level_9_is_not_underflowed():
+    # |H| at the midpoint of Cantor 9's first component is 1e-574, below the
+    # float range, but its root 7.9e-288 is a normal float
+    E = parse_domain(ref.cantor_pairs(9))
+    b = E.endpoints
+    x = 0.5 * (b[0] + b[1])
+    oracle = math.exp(0.5 * math.fsum(math.log(abs(x - bj)) for bj in b))
+    for side in (1, -1):
+        v = sqrt_branch_rim(E, x, side)
+        assert v.real == 0.0 and v.imag == side * (-1.0) ** (E.ell - 1) * abs(v)
+        assert abs(abs(v) - oracle) <= 1e-12 * oracle
+
+
 def test_sign_law_random_sampling(three_interval):
     E = three_interval.domain
     ell = E.ell
@@ -1088,17 +1101,13 @@ def test_ns_evaluator_matches_product_over_branch(ell):
 
 @pytest.mark.parametrize("side", [1, -1])
 def test_ns_evaluator_tails_are_abs_ratio(three_interval, side):
-    # the capacity tails evaluate |N/S| in real arithmetic from offsets that
-    # are all nonnegative: side * (base - roots) and side * (base - b)
-    from walshmap.green import _ns_ratio
-
+    # the capacity tails evaluate |N/S| = side N/S in real arithmetic, along
+    # the unbounded gaps beyond the hull from their endpoint
     E, data = three_interval.domain, three_interval.green
     b = np.asarray(E.endpoints)
     base = b[-1] if side > 0 else b[0]
     x = base + side * np.logspace(-3.0, 8.0, 60)
-    delta = side * (x - base)
-    ratio = _ns_ratio(side * (base - np.asarray(data.roots)), side * (base - b))
-    got = ratio(delta)
+    got = side * _plain_deriv(E, data.roots)(x - base, base)
     assert got.dtype == np.float64
     expected = np.abs(np.prod(x[:, None] - np.asarray(data.roots), axis=1)
                       / sqrt_branch(E, x + 0j))
