@@ -9,7 +9,7 @@ mean of the two mpmath tails) and the largest relative error of a critical
 value, then their median and maximum over the sets:
 
     python scripts/accuracy_probe.py
-    python scripts/accuracy_probe.py --sets two cantor3 --dps 40
+    python scripts/accuracy_probe.py --sets two cantor3
 
 The sets are the two- and three-interval regression sets, the Dirichlet
 sets of tests/reference_values.py with ell = 5, 10, 20, 40, 80 (seed ell)
@@ -35,6 +35,8 @@ import reference_values as ref
 from walshmap.green import _nearest_endpoint, green_data
 from walshmap.intervals import parse_domain
 from walshmap.verify import THREE_INTERVAL_SET, TWO_INTERVAL_SET, cantor_pairs
+
+mp.mp.dps = 30
 
 SETS = {"two": TWO_INTERVAL_SET, "three": THREE_INTERVAL_SET}
 SETS.update({f"ell{ell}": ref.dirichlet_intervals(np.random.default_rng(ell), ell)
@@ -105,9 +107,7 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--sets", nargs="+", choices=list(SETS), default=list(SETS),
                         metavar="NAME", help=f"sets to probe, of {', '.join(SETS)}")
-    parser.add_argument("--dps", type=int, default=30, help="mpmath digits")
     args = parser.parse_args()
-    mp.mp.dps = args.dps
 
     t0 = time.perf_counter()
     rows = {name: probe(SETS[name]) for name in args.sets}
@@ -120,7 +120,7 @@ def main():
         print(f"{label}: median {statistics.median(errs.values()):.2e}, "
               f"max {errs[worst]:.2e} ({worst})")
     print(f"largest mpmath error estimate {max(row[3] for row in rows.values()):.1e}, "
-          f"{args.dps} digits, {time.perf_counter() - t0:.1f} s")
+          f"{mp.mp.dps} digits, {time.perf_counter() - t0:.1f} s")
 
 
 if __name__ == "__main__":
