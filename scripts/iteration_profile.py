@@ -8,9 +8,12 @@ together with the worst invariant defects:
     python scripts/iteration_profile.py --ell 10 --count 200 --seed 1
 
 With --nodes it also counts the Chebyshev rule's work: how many intervals
-it summed at each node count, and its node evaluations per drawn set.  The
-count wraps the rule and its integrand from outside the package, as the
-benchmark's tracing does, so it reads the same on any version of it.
+it summed at each node count, its calls and node evaluations per drawn set,
+and the numerator's gap passes per set: leave-one-out passes (a row per
+root left out) and residual passes (the plain product, gaps among its
+intervals).  The count wraps the rule, its integrand and
+green._product_integrals from outside the package, as the benchmark's
+tracing does, so it reads the same on any version of it.
 
 With --rays it prints, for each drawn set, the passes over rays of L that
 evaluate g_L: those of boundary_abscissae inside the solve, and those of one
@@ -46,15 +49,19 @@ def node_count(x, d_lo, d_hi):
     return 1 << round(math.log2(math.pi / (t[1] - t[0])))
 
 
-def count_chebyshev(nodes):
+def count_chebyshev(nodes, calls):
     """Wrap the Chebyshev rule where the solve reaches it, so that every
-    integrand call adds its node evaluations to nodes[n], n its level's
-    node count; returns the undo."""
-    saved = []
+    call adds one to calls["chebyshev"] and every integrand call its node
+    evaluations to nodes[n], n its level's node count; and the numerator's
+    interval integrals, so that each adds one to calls["leave_one_out"] or,
+    over intervals that include a gap, calls["residual"].  Returns the
+    undo."""
+    saved = [(green, "_product_integrals", green._product_integrals)]
 
     def wrap(rule):
         @functools.wraps(rule)
         def wrapper(f, lo, hi, cfg=None, *, fd=None, **kwargs):
+            calls["chebyshev"] += 1
             if fd is None:  # a plain f, called through fd for its distances
                 def fd(x, d_lo, d_hi, *rest):
                     return f(x, *rest)
@@ -66,14 +73,30 @@ def count_chebyshev(nodes):
             return rule(None, lo, hi, cfg, fd=counted, **kwargs)
         return wrapper
 
+    def passes(rule):
+        @functools.wraps(rule)
+        def wrapper(E, first, roots, cfg, leave_one_out=False):
+            if leave_one_out:
+                calls["leave_one_out"] += 1
+            elif np.any(np.asarray(first) % 2):
+                calls["residual"] += 1
+            return rule(E, first, roots, cfg, leave_one_out)
+        return wrapper
+
+    green._product_integrals = passes(green._product_integrals)
     for module in (green, equilibrium):
-        saved.append((module, module.integrate_chebyshev))
+        saved.append((module, "integrate_chebyshev", module.integrate_chebyshev))
         module.integrate_chebyshev = wrap(module.integrate_chebyshev)
 
     def undo():
-        for module, rule in saved:
-            module.integrate_chebyshev = rule
+        for module, name, rule in saved:
+            setattr(module, name, rule)
     return undo
+
+
+def per_set_line(label, counts):
+    """'label: mean M, min A, max B' over the per-set counts."""
+    return f"{label}: mean {np.mean(counts):.1f}, min {min(counts)}, max {max(counts)}"
 
 
 RAY_PASSES = ("_level", "_level_slope")
@@ -127,10 +150,12 @@ def main():
     rng = np.random.default_rng(args.seed)
     histogram = collections.Counter()
     nodes = collections.Counter()  # node evaluations by node count
+    calls = collections.Counter()  # Chebyshev calls and gap passes
     per_set = []
+    calls_per_set = collections.defaultdict(list)
     worst = 0.0
     rays = collections.Counter()  # ray passes and their rays
-    undos = ([count_chebyshev(nodes)] if args.nodes else []) + (
+    undos = ([count_chebyshev(nodes, calls)] if args.nodes else []) + (
         [count_rays(rays)] if args.rays else [])
     t0 = time.perf_counter()
     try:
@@ -139,9 +164,11 @@ def main():
                 pairs = random_interval_set(rng, args.ell, args.min_length)
             except ValueError as exc:
                 sys.exit(f"iteration_profile: {exc}")
-            before, before_rays = sum(nodes.values()), rays.copy()
+            before, before_calls, before_rays = sum(nodes.values()), calls.copy(), rays.copy()
             wm = solve(pairs)
             per_set.append(sum(nodes.values()) - before)
+            for name in ("chebyshev", "leave_one_out", "residual"):
+                calls_per_set[name].append(calls[name] - before_calls[name])
             if args.rays:
                 in_solve, before_rays = rays - before_rays, rays.copy()
                 lemniscatic.trace_boundary(wm.lemniscatic, 256)
@@ -163,8 +190,11 @@ def main():
     if args.nodes:
         print("Chebyshev intervals per node count: " + (", ".join(
             f"{n}: {nodes[n] // n}" for n in sorted(nodes)) or "none"))
-        print(f"Chebyshev node evaluations per set: mean {np.mean(per_set):.1f}, "
-              f"min {min(per_set)}, max {max(per_set)}, total {sum(per_set)}")
+        print(f"{per_set_line('Chebyshev node evaluations per set', per_set)}, "
+              f"total {sum(per_set)}")
+        print(per_set_line("Chebyshev calls per set", calls_per_set["chebyshev"]))
+        print(per_set_line("leave-one-out gap passes per set", calls_per_set["leave_one_out"]))
+        print(per_set_line("residual gap passes per set", calls_per_set["residual"]))
     print(f"total {elapsed:.1f}s ({1e3 * elapsed / args.count:.1f} ms per set)")
 
 

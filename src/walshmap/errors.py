@@ -65,14 +65,13 @@ class NotOnCut(InputError):
 
 
 class SingularSystem(ConsistencyError):
-    """Gap-condition Jacobian singular or not finite at a Newton iterate of
-    the numerator roots, or a gap condition missed at the solved roots."""
+    """Gap-condition Jacobian singular or not finite at the nodes of a
+    linear pass, or a gap condition missed at the solved roots."""
 
 
 class RootNotBracketed(SolverError):
-    """Damped Newton on the gap conditions stalled: no halving of a step
-    keeps every numerator root inside its gap and lowers the residual, or
-    the steps ran out."""
+    """Gap conditions unsolved: the numerator of a linear pass has no root
+    in some gap, or no pass's roots met the step bound."""
 
 
 class PathOnCut(InputError):

@@ -9,7 +9,11 @@ equilibrium masses of the components, the logarithmic capacity, and the
 Twice the Wirtinger derivative of the Green's function is N(z)/S(z), where
 S = sqrt_branch is the square root of prod(z - b_j) that behaves like z^ell
 at infinity and N is the monic degree ell-1 polynomial whose integral over
-every bounded gap of E vanishes.
+every bounded gap of E vanishes.  These gap conditions are linear in N
+(Embree & Trefethen, SIAM Rev. 41, 1999): each linear pass solves them
+exactly from one Chebyshev call at nodes one per gap, and one more call
+over all the intervals of the hull, at the roots of that N, checks them
+and integrates the component masses (_solve_numerator).
 
 Every integral of N/S forms it by one product, _paired_ratio: root k over
 the square roots of its own gap's two endpoint distances, the outer pair
@@ -29,7 +33,8 @@ v = zeta + sqrt(zeta - 1) sqrt(zeta + 1), |v| > 1 off the hull segment,
 with e_k = 2 int T_k((x - t)/s) dmu_E, the Chebyshev moments of mu_E
 (GreenData.chebyshev_moments, from the roots and endpoints alone).  Green
 targets outside the ellipse |v| = 1.5 around the hull come from this series;
-points inside it integrate N/S from the endpoint nearest Re z.
+points inside it integrate N/S from the endpoint nearest Re z, in real
+arithmetic on the real axis.
 """
 
 import bisect
@@ -45,7 +50,7 @@ import numpy as np
 from .errors import (CapacityMismatch, NoConvergence, NotFinite, NotOnCut,
                      OnCutError, PathOnCut, RootNotBracketed, SingularSystem)
 from .intervals import IntervalUnion, locate
-from .newton import _bisect, damped_newton
+from .newton import _bisect
 from .quadrature import (DEFAULT_CONFIG, QuadConfig, integrate_chebyshev,
                          integrate_segment_complex, integrate_tail)
 
@@ -272,14 +277,13 @@ def _gap_system(E: IntervalUnion, roots, cfg: QuadConfig):
     return out[:, 0], -out[:, 1:]
 
 
-# Newton steps on the gap conditions, and halvings of one step, before giving
-# up; from the exact start every benchmark set stops at its first evaluation
-_NEWTON_STEPS = 20
-_MAX_HALVINGS = 40
 # the midpoint Jacobian's step at the roots, against the roots' own Jacobian's
 # step, read 0.90-1.17 over the ladder sets, Cantor 6-8 and ell 80/160: a
-# residual-only check accepts the roots at a step within bound / _STEP_MARGIN
+# residual pass accepts the roots at a step within bound / _STEP_MARGIN
 _STEP_MARGIN = 1.5
+# linear passes before the gap conditions count as unsolved: every benchmark
+# set is accepted after its first, and no known set needs a third
+_PASSES = 3
 
 
 def _gap_step(F, J):
@@ -299,15 +303,9 @@ def _scaled_residual(E: IntervalUnion, F, J, roots):
     return F / (np.abs(J) @ np.maximum(np.abs(roots - t), s))
 
 
-def _numerator_step(E: IntervalUnion, roots, cfg: QuadConfig):
-    """_solve_numerator's scaled gap residual at the roots and full step."""
-    F, J = _gap_system(E, roots, cfg)
-    return _scaled_residual(E, F, J, roots), _gap_step(F, J)
-
-
-def _exact_roots(E: IntervalUnion, lo, hi, cfg: QuadConfig):
+def _exact_roots(E: IntervalUnion, lo, hi, nodes, cfg: QuadConfig):
     """Roots of the numerator N solved exactly from one gap-system pass at
-    the gap midpoints m, one per gap (lo, hi), and that pass's root-space
+    the nodes m, one inside each gap (lo, hi), and that pass's root-space
     Jacobian J.
 
     The gap conditions are linear in N.  With q0 = prod_k (x - m_k) and
@@ -315,92 +313,92 @@ def _exact_roots(E: IntervalUnion, lo, hi, cfg: QuadConfig):
     ell - 2, the pass gives F_i = integral over gap i of q0/sqrt|H| and
     J_ij = -integral of q_j/sqrt|H|, so N = q0 - sum_j delta_j q_j with
     J delta = -F meets every gap condition to quadrature accuracy.  No other
-    midpoint lies in gap i, so there N has the zeros of N / prod_{j != i}
+    node lies in gap i, so there N has the zeros of N / prod_{j != i}
     (x - m_j) = g_i(x) = (x - m_i)(1 - sum_{j != i} delta_j / (x - m_j)) -
     delta_i, which rises through its root; _bisect finds every g_i's root
-    on its gap's own bracket at once, with no quadrature.  Raises
-    SingularSystem as _gap_step does, and RootNotBracketed naming the
+    on its gap's own bracket at once, started at m_i, with no quadrature.
+    Raises SingularSystem as _gap_step does, and RootNotBracketed naming the
     first gap on whose ends g_i is not negative, then positive.
     """
-    mid = 0.5 * (lo + hi)
-    F, J = _gap_system(E, mid, cfg)
+    F, J = _gap_system(E, nodes, cfg)
     delta = _gap_step(F, J)
 
     def g(x):
-        d = x[:, None] - mid
+        d = x[:, None] - nodes
         np.fill_diagonal(d, np.inf)  # j != i
         inv = 1.0 / d
         rest = 1.0 - inv @ delta
-        return (x - mid) * rest - delta, rest + (x - mid) * ((inv * inv) @ delta)
+        return (x - nodes) * rest - delta, rest + (x - nodes) * ((inv * inv) @ delta)
 
     bracketed = (g(lo)[0] < 0.0) & (g(hi)[0] > 0.0)
     if not np.all(bracketed):
         k = int(np.argmin(bracketed))
         raise RootNotBracketed(
-            f"gap conditions unsolved: N from the midpoint pass has no root in "
+            f"gap conditions unsolved: N from a linear pass has no root in "
             f"gap {k + 1} ({lo[k]}, {hi[k]})")
-    return _bisect(g, hi, lo), J
+    return _bisect(g, hi, lo, nodes), J
 
 
 def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
-    """Numerator roots and coefficients to quadrature accuracy.
+    """Numerator coefficients and roots to quadrature accuracy, and the raw
+    equilibrium masses of the components, all by linear passes.
 
-    _exact_roots solves the linear gap conditions from one pass at the gap
-    midpoints.  One residual-only pass at those roots confirms them: the
-    step J_mid^-1 (-F), with the midpoint pass's Jacobian, must lie within
-    the stopping bound below over _STEP_MARGIN, and the residual is then
-    scaled by |J_mid|.  Otherwise damped Newton on the gap conditions in
-    root space refines them.  Root space is well conditioned (one root per
-    gap, diagonally dominant Jacobian) even where the coefficient problem
-    is not.  The residual is each gap condition over its roundoff scale
-    |J| max(|z - t|, s), the amplification of representing the roots in the
-    frame (t, s) of E; a step is halved until every root stays strictly
-    inside its gap and the residual falls.  The iteration stops at a full
-    step no larger than 1e-14 of the gap width or 4 ulp of the root, and
-    every gap condition is then checked at the last residual.  Raises
-    SingularSystem for a singular or non-finite Jacobian or a gap condition
-    missed at the result, and RootNotBracketed when the solved N has no
-    root in a gap or no halving of a step is taken.
+    Each pass solves the linear gap conditions exactly (_exact_roots) from
+    nodes one per gap: the gap midpoints, then the last pass's roots.  One
+    residual pass at its roots integrates the product over all 2 ell - 1
+    intervals of the hull in one Chebyshev call: the gaps give the gap
+    residuals F, and the components the masses, the density |N|/(pi
+    sqrt|H|) over each, not renormalized (on component j the numerator has
+    the constant sign (-1)^(ell - j), used instead of abs() to keep the
+    integrand smooth).  The roots are accepted when the step J^-1 (-F),
+    with that pass's own Jacobian, lies within 1e-14 of the gap width or
+    4 ulp of the root, over _STEP_MARGIN; after _PASSES passes without that
+    RootNotBracketed names the largest step against its bound.  Every gap
+    condition is then checked at the last residual, over its roundoff
+    scale |J| max(|z - t|, s), the amplification of representing the roots
+    in the frame (t, s) of E.  Raises SingularSystem for a singular or
+    non-finite Jacobian or a gap condition missed at the result, and
+    RootNotBracketed when a solved N has no root in a gap.
     """
     ell = E.ell
     if ell == 1:
-        return np.array([1.0]), np.array([])
+        return np.array([1.0]), np.array([]), (1.0,)
     b = np.asarray(E.endpoints)
     lo, hi = b[1:-1:2], b[2:-1:2]
-
-    def bound(roots):
-        return np.maximum(1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots)))
-
-    roots, J = _exact_roots(E, lo, hi, cfg)
-    F = _product_integrals(E, np.arange(1, 2 * ell - 2, 2), roots, cfg)
-    if np.all(np.abs(_gap_step(F, J)) <= bound(roots) / _STEP_MARGIN):
-        F = _scaled_residual(E, F, J, roots)
+    nodes = 0.5 * (lo + hi)
+    for _ in range(_PASSES):
+        roots, J = _exact_roots(E, lo, hi, nodes, cfg)
+        hull = _product_integrals(E, np.arange(2 * ell - 1), roots, cfg)
+        F = hull[1::2]
+        step = np.abs(_gap_step(F, J))
+        bound = np.maximum(1e-14 * (hi - lo), 4.0 * np.spacing(np.abs(roots))) / _STEP_MARGIN
+        if np.all(step <= bound):
+            break
+        nodes = roots
     else:
-        try:
-            roots, F, _ = damped_newton(
-                lambda roots: _numerator_step(E, roots, cfg), roots,
-                admissible=lambda roots: np.all((lo < roots) & (roots < hi)),
-                step_tol=bound, max_steps=_NEWTON_STEPS, max_halvings=_MAX_HALVINGS)
-        except NoConvergence as exc:
-            if np.shape(exc.best) != lo.shape:
-                raise  # a gap rule's, whose best has a row per root and one for F
-            raise RootNotBracketed(f"gap conditions unsolved: {exc}") from exc
+        k = int(np.argmax(step / bound))
+        raise RootNotBracketed(
+            f"gap conditions unsolved: after {_PASSES} linear passes the step on "
+            f"gap {k + 1} is {step[k] / bound[k]:.3e} times its bound")
+    F = _scaled_residual(E, F, J, roots)
     k = int(np.argmax(np.abs(F)))
     if abs(F[k]) > 10.0 * cfg.tolerance(1.0):
         raise SingularSystem(
             f"gap condition violated on gap {k + 1}: scaled residual {F[k]:.3e}")
-    return np.polynomial.polynomial.polyfromroots(roots), roots
+    masses = tuple((-1.0) ** (ell - j) / math.pi * v
+                   for j, v in enumerate(hull[::2].tolist(), 1))
+    return np.polynomial.polynomial.polyfromroots(roots), roots, masses
 
 
 def green_poly(E: IntervalUnion, cfg: QuadConfig | None = None) -> np.ndarray:
     """Monic numerator polynomial of the Green's derivative (ascending coeffs).
 
     Built from its roots, one per bounded gap, solved from the linear gap
-    conditions and confirmed by one residual pass, or refined by damped
-    Newton (see _solve_numerator); every gap condition is re-verified at
-    the result.
+    conditions by linear passes, each confirmed or refined by one residual
+    pass (see _solve_numerator); every gap condition is re-verified at the
+    result.
     """
-    coeffs, _ = _solve_numerator(E, cfg or DEFAULT_CONFIG)
+    coeffs, _, _ = _solve_numerator(E, cfg or DEFAULT_CONFIG)
     return coeffs
 
 
@@ -538,19 +536,16 @@ def _outside_ellipse(p, b, reach) -> bool:
 
 def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) -> float:
     """Green's function at real x: 0 on E, the Chebyshev series outside the
-    ellipse, else the integral from the nearest endpoint, where a rounding of
-    up to 100 tol below 0 reads 0.  On a bounded gap that integral runs in
-    real arithmetic (_gap_integral), as green_data's critical values do;
-    beyond the hull it is _green_integral's."""
+    ellipse, else the integral from the nearest endpoint in real arithmetic
+    (_gap_integral), as green_data's critical values do, on a bounded gap
+    or beyond the hull alike; a rounding of up to 100 tol below 0 reads 0."""
     if E.contains(x):
         return 0.0
     b = E.endpoints
     if _outside_ellipse(x, b, data._targets.reach):
         return _series_green(data, complex(x)).real
     base = b[_nearest_endpoint(b, x)]
-    if b[0] < x < b[-1]:
-        return _nonnegative(_gap_integral(E, data.roots, base, x, cfg), cfg)
-    return _nonnegative(_green_integral(E, data.roots, base, complex(x), cfg).real, cfg)
+    return _nonnegative(_gap_integral(E, data.roots, base, x, cfg), cfg)
 
 
 def green_real(z: float, E: IntervalUnion, data: GreenData,
@@ -857,28 +852,11 @@ def alpha_coefficient(E: IntervalUnion, roots) -> float:
     return 0.5 * math.fsum(E.endpoints) - math.fsum(float(r) for r in roots)
 
 
-def _component_masses(E: IntervalUnion, roots, cfg: QuadConfig):
-    """Equilibrium masses: the density |N|/(pi sqrt|H|) integrated over each
-    component, not renormalized.
-
-    On component j the numerator polynomial has constant sign (-1)^(ell-j),
-    which is used instead of abs() to keep the integrand smooth for the
-    Chebyshev rule.  One quadrature call integrates every component, with
-    the paired factors of _product_integrals; it raises the error of the
-    first component that fails.
-    """
-    ell = E.ell
-    if ell == 1:
-        return (1.0,)
-    out = _product_integrals(E, np.arange(0, 2 * ell, 2), roots, cfg)
-    return tuple((-1.0) ** (ell - j) / math.pi * v for j, v in enumerate(out.tolist(), 1))
-
-
 def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:
     """Compute the full Green's-function data set for E.
 
-    The numerator's roots come from the gap conditions (_solve_numerator),
-    and the masses from one Chebyshev call over the components.  The
+    The numerator's roots come from the gap conditions, and the raw masses
+    from the residual pass that accepts them (_solve_numerator).  The
     critical values g_E(z_k) are integrals along each root's gap from its
     nearest endpoint, in real arithmetic, all in one call of the segment
     rule; each is based and rounded as _green_real does it at that root
@@ -886,14 +864,13 @@ def green_data(E: IntervalUnion, cfg: QuadConfig | None = None) -> GreenData:
     failing root's own error.
     """
     cfg = cfg or DEFAULT_CONFIG
-    coeffs, roots = _solve_numerator(E, cfg)
+    coeffs, roots, masses = _solve_numerator(E, cfg)
     bases = [E.endpoints[_nearest_endpoint(E.endpoints, z)] for z in roots]
     try:
         g = _gap_integral(E, roots, np.array(bases), roots, cfg).tolist()
     except NoConvergence as exc:  # the first failing root's own error
         raise exc.failures[min(exc.failures)] from None
     green_at_roots = tuple(_nonnegative(v, cfg) for v in g)
-    masses = _component_masses(E, roots, cfg)
     cap, mismatch = _capacity_both(E, roots, cfg)
     return GreenData(
         domain=E,

@@ -1,14 +1,15 @@
 """Newton kernels shared by every nonlinear solve of the package.
 
-The numerator roots, both center systems and the two map equations of a
-single point run through damped_newton; each caller supplies its residual,
-full Newton step, acceptance test and stopping rule.  map_grid solves the
-complex map equations of a whole batch of points with its masked twin,
+Both center systems and the two map equations of a single point run
+through damped_newton; each caller supplies its residual, full Newton step,
+acceptance test and stopping rule.  map_grid solves the complex map
+equations of a whole batch of points with its masked twin,
 damped_newton_masked, which runs the same rule on every element at once.
-Real zeros in known brackets (the numerator roots' start, the critical
-points of g_L, and the rays of L's boundary in log r, whose rays at angles
-0 and pi are the real zeros of g_L) come from _bisect, Newton's method
-safeguarded by bisection on arrays of brackets.
+Real zeros in known brackets (the numerator roots of each linear pass on
+the gap conditions, the critical points of g_L, and the rays of L's
+boundary in log r, whose rays at angles 0 and pi are the real zeros of
+g_L) come from _bisect, Newton's method safeguarded by bisection on arrays
+of brackets.
 """
 
 import numpy as np

@@ -10,8 +10,9 @@ from walshmap.api import solve
 from walshmap import green
 from walshmap.errors import (CapacityMismatch, NoConvergence, NotFinite, NotOnCut,
                              OnCutError, PathOnCut, RootNotBracketed)
-from walshmap.green import (_green_integral, _green_real, _numerator_step, _path,
-                            _plain_deriv, _solve_numerator, alpha_coefficient,
+from walshmap.green import (_gap_system, _green_integral, _green_real, _path,
+                            _plain_deriv, _scaled_residual, _solve_numerator,
+                            alpha_coefficient,
                             capacity, green_complex, green_data, green_poly,
                             green_real, sqrt_branch, sqrt_branch_rim)
 from walshmap.intervals import IntervalUnion, parse_domain
@@ -246,18 +247,22 @@ _PASS_SETS = ([ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell 
               + [ref.cantor_pairs(level) for level in (2, 3, 4, 5)])
 
 
-def _counted_gap_passes(monkeypatch, shift=0.0):
-    """Record every gap pass of _product_integrals as (roots, leave_one_out),
-    adding shift to the residuals of the residual-only ones."""
+def _counted_gap_passes(monkeypatch, shifts=()):
+    """Record every gap pass of _product_integrals as (roots, leave_one_out):
+    the leave-one-out pass over the gaps, and the residual pass over every
+    interval of the hull, to whose k-th call's gap rows (odd intervals)
+    shifts[k] is added."""
     plain = green._product_integrals
     calls = []
 
     def counted(E, first, roots, cfg, leave_one_out=False):
         out = plain(E, first, roots, cfg, leave_one_out)
-        if first[0] == 1:  # the gaps, not the components
-            calls.append((np.array(roots), leave_one_out))
+        if np.any(np.asarray(first) % 2):  # gaps among the intervals
             if not leave_one_out:
-                out = out + shift
+                k = sum(not loo for _, loo in calls)
+                if k < len(shifts):
+                    out = out + shifts[k] * (np.asarray(first) % 2)
+            calls.append((np.array(roots), leave_one_out))
         return out
 
     monkeypatch.setattr(green, "_product_integrals", counted)
@@ -270,8 +275,8 @@ _PASS_IDS = ["ell5", "ell10", "ell20", "ell40", "cantor2", "cantor3", "cantor4",
 @pytest.mark.parametrize("pairs", _PASS_SETS, ids=_PASS_IDS)
 def test_numerator_takes_two_gap_passes(pairs, monkeypatch):
     # one leave-one-out pass at the gap midpoints solves the linear gap
-    # conditions; one residual-only pass at the roots of that N confirms
-    # them, with the midpoint pass's Jacobian
+    # conditions; one residual pass over the hull at the roots of that N
+    # confirms them, with the midpoint pass's Jacobian
     E = parse_domain(pairs)
     calls = _counted_gap_passes(monkeypatch)
     data = green_data(E)
@@ -281,17 +286,76 @@ def test_numerator_takes_two_gap_passes(pairs, monkeypatch):
     np.testing.assert_array_equal(calls[1][0], data.roots)
 
 
-@pytest.mark.parametrize("pairs", _PASS_SETS[::3], ids=_PASS_IDS[::3])
-def test_residual_pass_above_the_bound_runs_the_newton(pairs, monkeypatch):
-    # gap residuals shifted by 1e-9 put the midpoint Jacobian's step far
-    # above the stopping bound: the damped Newton then runs from the same
-    # roots, whose own step is under the bound, and returns them unchanged
+@pytest.mark.parametrize("pairs, exact", zip(_PASS_SETS[::3], (True, False, True)),
+                         ids=_PASS_IDS[::3])
+def test_residual_poisoned_once_takes_a_second_linear_pass(pairs, exact, monkeypatch):
+    # gap residuals shifted by 1e-9 on the first residual pass only put its
+    # step far above the stopping bound: a second linear pass then runs from
+    # that pass's roots, and its own residual pass accepts them.  The second
+    # pass rounds its own solve: on ell5 and cantor4 it returns the
+    # unpoisoned roots and masses bit for bit, on ell40 roots up to 17 ulp
+    # (2.5e-17 of their gap) away, well within the stopping bound
     E = parse_domain(pairs)
-    expected = green_data(E).roots
-    calls = _counted_gap_passes(monkeypatch, shift=1e-9)
-    assert green_data(E).roots == expected
-    assert [loo for _, loo in calls] == [True, False, True]
+    expected = green_data(E)
+    calls = _counted_gap_passes(monkeypatch, shifts=[1e-9])
+    data = green_data(E)
+    assert [loo for _, loo in calls] == [True, False, True, False]
+    np.testing.assert_array_equal(calls[1][0], expected.roots)
     np.testing.assert_array_equal(calls[2][0], calls[1][0])
+    np.testing.assert_array_equal(calls[3][0], data.roots)
+    if exact:
+        assert (data.roots, data.masses) == (expected.roots, expected.masses)
+    b = np.asarray(E.endpoints)
+    assert np.all(np.abs(np.subtract(data.roots, expected.roots))
+                  <= 1e-14 * (b[2:-1:2] - b[1:-1:2]) / green._STEP_MARGIN)
+
+
+def test_gap_conditions_unsolved_after_the_last_linear_pass(monkeypatch):
+    # a residual that never meets the stopping bound: every linear pass runs,
+    # then a typed error names the pass count and the worst step
+    E = parse_domain(ref.THREE_INTERVAL["pairs"])
+    calls = _counted_gap_passes(monkeypatch, shifts=[1e-9] * green._PASSES)
+    with pytest.raises(RootNotBracketed, match=(
+            rf"^gap conditions unsolved: after {green._PASSES} linear passes the "
+            r"step on gap [12] is \S+ times its bound$")):
+        _solve_numerator(E, green.DEFAULT_CONFIG)
+    assert [loo for _, loo in calls] == [True, False] * green._PASSES
+
+
+# draws 197, 255 and 268 of scripts/multiscale_sweep.py
+# (numpy.random.default_rng(42)), endpoint lists b_1..b_2l, whose midpoint
+# pass misses the stopping bound, and their worst invariants as solved by
+# the root-space Newton that the second linear pass replaced
+REFINED_DRAWS = [
+    ([-1.0, -0.999993038855063, -0.9999481012296451, -0.9999479905116214,
+      -0.9056615745209331, -0.9055226094150907, -0.9053695616832076,
+      -0.9053651786964284, -0.9053629174999894, -0.9029558100460571,
+      -0.9029523479097468, -0.9029521921013518, -0.8370379338798967,
+      -0.8369888797568152, -0.8369363016780867, -0.8368015710627423,
+      -0.6785752871352777, -0.6785576829792668, -0.6231959429975882,
+      0.9445611250451174, 0.9538052457700952, 0.9539408798078275,
+      0.9997801639059025, 1.0], 5.6e-12),
+    ([-1.0, -0.9993204664213589, -0.6290092069338177, -0.6146993667798731,
+      -0.6144405529658745, -0.6142482159907352, -0.6013062768349525,
+      -0.6005553240202326, -0.491260013132223, -0.24042301435893054,
+      -0.23907005553455662, -0.20045065526001904, -0.1997653622221398,
+      -0.19705873558162246, 0.39624860620942415, 0.42105080086652036,
+      0.998684505724736, 1.0], 3.1e-14),
+    ([-1.0, -0.9927113514972656, -0.9076231418718936, -0.8962451747680653,
+      -0.050841522892096536, -0.040273955871286016, 0.02377617494183837,
+      0.0682410758413785, 0.07502080834905733, 0.10034298267315966,
+      0.39313031583790514, 0.39319208127074523, 0.39443769289447994,
+      0.3945661044874724, 0.457282683151333, 0.45731022310999125,
+      0.4925392486265956, 0.5167452504386183, 0.999999044012849, 1.0], 1.5e-11),
+]
+
+
+@pytest.mark.parametrize("b, worst", REFINED_DRAWS, ids=["draw197", "draw255", "draw268"])
+def test_sweep_draws_solve_in_two_linear_passes(b, worst, monkeypatch):
+    calls = _counted_gap_passes(monkeypatch)
+    wm = solve([b[i:i + 2] for i in range(0, len(b), 2)])
+    assert [loo for _, loo in calls] == [True, False, True, False]
+    assert worst_invariant(wm) <= 2.0 * worst
 
 
 def test_midpoint_pass_with_no_root_in_a_gap_raises(monkeypatch):
@@ -409,8 +473,10 @@ def test_gap_residual_flags_a_miss_at_every_scale():
     got = []
     for scale in (1e-9, 1.0, 1e9):
         E = parse_domain([[scale * lo, scale * hi] for lo, hi in ref.THREE_INTERVAL["pairs"]])
-        _, roots = _solve_numerator(E, cfg)
-        F, _ = _numerator_step(E, roots + 1e-6 * E.frame[1], cfg)
+        _, roots, _ = _solve_numerator(E, cfg)
+        moved = roots + 1e-6 * E.frame[1]
+        F, J = _gap_system(E, moved, cfg)
+        F = _scaled_residual(E, F, J, moved)
         got.append(float(np.max(np.abs(F))))
     assert got[1] > 1e4 * 10.0 * cfg.tolerance(1.0)
     np.testing.assert_allclose(got, got[1], rtol=1e-6)
@@ -876,16 +942,21 @@ def _ellipse_crossing(E, reach, direction):
 def test_green_targets_switch_to_the_series_on_the_ellipse(three_interval, monkeypatch):
     # along rays from t, on the axis and off it, the last point inside the
     # ellipse |v| = 1.5 is integrated and the first one outside, 1 ulp
-    # further, is not; both lie within a few ulp of |v| = 1.5
+    # further, is not; both lie within a few ulp of |v| = 1.5.  Real points
+    # are integrated in real arithmetic (_gap_integral), others along
+    # _green_integral's complex path
     E, data = three_interval.domain, three_interval.green
     reach = data._targets.reach
     calls = []
 
-    def recording(E, roots, base, z, cfg):
-        calls.append(z)
-        return _green_integral(E, roots, base, z, cfg)
+    def recording(name, rule):
+        def recorded(E, roots, base, z, cfg):
+            calls.append((name, z))
+            return rule(E, roots, base, z, cfg)
+        return recorded
 
-    monkeypatch.setattr(green, "_green_integral", recording)
+    for name in ("_green_integral", "_gap_integral"):
+        monkeypatch.setattr(green, name, recording(name, getattr(green, name)))
     for direction in (1.0, -1.0):
         inner, outer = _ellipse_crossing(E, reach, direction)
         for z in (inner, outer):
@@ -894,19 +965,19 @@ def test_green_targets_switch_to_the_series_on_the_ellipse(three_interval, monke
         green_real(outer.real, E, data)
         assert calls == []
         green_real(inner.real, E, data)
-        assert calls == [inner]
+        assert calls == [("_gap_integral", inner)]
         if direction > 0.0:  # green_complex excludes the left half-line
             calls.clear()
             green_complex(outer, E, data)
             green_complex(inner, E, data)
-            assert calls == [inner]
+            assert calls == [("_green_integral", inner)]
     for direction in (1j, -1j, cmath.exp(0.7j), cmath.exp(-2.9j)):
         inner, outer = _ellipse_crossing(E, reach, direction)
         assert abs(abs(_joukowski(E, outer)) - 1.5) <= 8.0 * np.spacing(1.5)
         calls.clear()
         green_complex(outer, E, data)
         green_complex(inner, E, data)
-        assert calls == [inner]
+        assert calls == [("_green_integral", inner)]
 
 
 def test_green_complex_paths_are_one_panel(three_interval, monkeypatch):

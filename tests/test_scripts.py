@@ -26,10 +26,15 @@ def test_iteration_profile_counts_chebyshev_nodes():
     counts = re.search(r"Chebyshev intervals per node count: (.*)", proc.stdout).group(1)
     per_count = {int(n): int(k) for n, k in (item.split(": ") for item in counts.split(", "))}
     # the first level has 32 nodes, and every interval of the three solves'
-    # three array calls (4 gaps twice, 5 components) is summed there
-    assert min(per_count) == 32 and per_count[32] == 3 * (4 + 4 + 5)
+    # two array calls (the 4 gaps, then all 9 intervals of the hull) is
+    # summed there
+    assert min(per_count) == 32 and per_count[32] == 3 * (4 + 9)
     total = int(re.search(r"total (\d+)\n", proc.stdout).group(1))
     assert total == sum(n * k for n, k in per_count.items())
+    # one leave-one-out and one residual gap pass per set, nothing else
+    for label, count in (("Chebyshev calls", 2), ("leave-one-out gap passes", 1),
+                         ("residual gap passes", 1)):
+        assert f"{label} per set: mean {count}.0, min {count}, max {count}\n" in proc.stdout
 
 
 def test_iteration_profile_counts_ray_passes():
