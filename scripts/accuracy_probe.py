@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Measure the actual error of the capacity and the critical values.
+"""Measure the actual error of the capacity, the critical values and the
+far field.
 
 Solves each named interval set (green_data at the default configuration)
 and evaluates, in mpmath at 30 significant digits and on the solve's own
-float roots, the two capacity tail integrals and the critical values
-g_E(z_k).  Prints, per set, the relative error of the capacity (against the
-mean of the two mpmath tails) and the largest relative error of a critical
-value, then their median and maximum over the sets:
+float roots, the two capacity tail integrals, the critical values g_E(z_k)
+and g_E at the real points x = t +- (V + 1/V) s/2 beyond the hull, for
+V = 1.5 (1 + 1e-12), 3 and 30 in the frame (t, s) of the set, where
+green_real takes the Chebyshev series.  Prints, per set, the relative error
+of the capacity (against the mean of the two mpmath tails), the largest
+relative error of a critical value and of a far-field value, then their
+median and maximum over the sets:
 
     python scripts/accuracy_probe.py
     python scripts/accuracy_probe.py --sets two cantor3
@@ -15,7 +19,8 @@ The sets are the two- and three-interval regression sets, the Dirichlet
 sets of tests/reference_values.py with ell = 5, 10, 20, 40, 80 (seed ell)
 and Cantor levels 2-6.  The mpmath integrals are taken in u with
 |x - base| = u^2, which removes the 1/sqrt singularity at their endpoint;
-the largest error estimate mpmath reports is printed with the table.
+the far-field values are integrated from the nearer outer endpoint.  The
+largest error estimate mpmath reports is printed with the table.
 """
 
 import argparse
@@ -32,7 +37,7 @@ import mpmath as mp
 import numpy as np
 
 import reference_values as ref
-from walshmap.green import _nearest_endpoint, green_data
+from walshmap.green import _nearest_endpoint, green_data, green_real
 from walshmap.intervals import parse_domain
 from walshmap.verify import THREE_INTERVAL_SET, TWO_INTERVAL_SET, cantor_pairs
 
@@ -68,12 +73,11 @@ def tail_capacity(b, roots, side, unit):
     return shift * mp.exp(value), error
 
 
-def critical_value(b, roots, k):
-    """g_E(z_k): the integral of |N|/sqrt|H| from the endpoint nearest z_k,
-    in u with x = base + sigma u^2."""
-    i = _nearest_endpoint([float(v) for v in b], float(roots[k]))
+def gap_green(b, roots, i, x):
+    """g_E(x) at a real x off E with no endpoint between it and b[i]: the
+    integral of |N|/sqrt|H| from b[i], in u with x = base + sigma u^2."""
     base = b[i]
-    sigma = 1 if roots[k] > base else -1
+    sigma = 1 if x > base else -1
     e = [base - bj for j, bj in enumerate(b) if j != i]
     r = [base - z for z in roots]
 
@@ -81,12 +85,18 @@ def critical_value(b, roots, k):
         t = sigma * u * u
         return 2 * mp.fprod(t + rk for rk in r) / mp.sqrt(abs(mp.fprod(t + ej for ej in e)))
 
-    value, error = _quad(f, [0, mp.sqrt(abs(roots[k] - base))])
+    value, error = _quad(f, [0, mp.sqrt(abs(x - base))])
     return abs(value), error
 
 
+# |v| of the far-field points: just outside the ellipse |v| = 1.5, where
+# the series has the fewest digits to spare, and two farther out
+FAR_V = (1.5 * (1 + 1e-12), 3.0, 30.0)
+
+
 def probe(pairs):
-    """(ell, capacity error, critical-value error, largest mpmath estimate)."""
+    """(ell, capacity error, critical-value error, far-field error, largest
+    mpmath estimate)."""
     E = parse_domain(pairs)
     data = green_data(E)
     b = [mp.mpf(v) for v in E.endpoints]
@@ -96,10 +106,19 @@ def probe(pairs):
     cap_err = float(abs(data.capacity - cap) / cap)
     crit_err, estimate = 0.0, max(t[1] for t in tails)
     for k, g in enumerate(data.green_at_roots):
-        value, error = critical_value(b, roots, k)
+        i = _nearest_endpoint(E.endpoints, data.roots[k])
+        value, error = gap_green(b, roots, i, roots[k])
         crit_err = max(crit_err, float(abs(g - value) / value))
         estimate = max(estimate, error)
-    return E.ell, cap_err, crit_err, float(estimate)
+    t, s = E.frame
+    far_err = 0.0
+    for v in FAR_V:
+        for side, i in ((1, len(b) - 1), (-1, 0)):
+            x = t + side * (v + 1 / v) * s / 2
+            value, error = gap_green(b, roots, i, mp.mpf(x))
+            far_err = max(far_err, float(abs(green_real(x, E, data) - value) / value))
+            estimate = max(estimate, error)
+    return E.ell, cap_err, crit_err, far_err, float(estimate)
 
 
 def main():
@@ -111,15 +130,15 @@ def main():
 
     t0 = time.perf_counter()
     rows = {name: probe(SETS[name]) for name in args.sets}
-    print(f"{'set':10s} {'ell':>4s}  {'capacity':>9s}  {'critical':>9s}")
-    for name, (ell, cap_err, crit_err, _) in rows.items():
-        print(f"{name:10s} {ell:4d}  {cap_err:9.2e}  {crit_err:9.2e}")
-    for label, col in (("capacity", 1), ("critical values", 2)):
+    print(f"{'set':10s} {'ell':>4s}  {'capacity':>9s}  {'critical':>9s}  {'far':>9s}")
+    for name, (ell, cap_err, crit_err, far_err, _) in rows.items():
+        print(f"{name:10s} {ell:4d}  {cap_err:9.2e}  {crit_err:9.2e}  {far_err:9.2e}")
+    for label, col in (("capacity", 1), ("critical values", 2), ("far field", 3)):
         errs = {name: row[col] for name, row in rows.items()}
         worst = max(errs, key=errs.get)
         print(f"{label}: median {statistics.median(errs.values()):.2e}, "
               f"max {errs[worst]:.2e} ({worst})")
-    print(f"largest mpmath error estimate {max(row[3] for row in rows.values()):.1e}, "
+    print(f"largest mpmath error estimate {max(row[4] for row in rows.values()):.1e}, "
           f"{mp.mp.dps} digits, {time.perf_counter() - t0:.1f} s")
 
 

@@ -45,7 +45,11 @@ def _read_input_file(path: str) -> list[list[float]]:
         doc = json.loads(text)
         if "intervals" not in doc:
             raise ValueError(f"{path}: missing 'intervals' key")
-        return [[float(lo), float(hi)] for lo, hi in doc["intervals"]]
+        try:
+            return [[float(lo), float(hi)] for lo, hi in doc["intervals"]]
+        except (TypeError, ValueError):  # not a list of two-number pairs
+            raise ValueError(f"{path}: 'intervals' must be a list of [lo, hi] "
+                             f"number pairs") from None
     pairs = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()

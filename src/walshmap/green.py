@@ -32,9 +32,11 @@ v = zeta + sqrt(zeta - 1) sqrt(zeta + 1), |v| > 1 off the hull segment,
 
 with e_k = 2 int T_k((x - t)/s) dmu_E, the Chebyshev moments of mu_E
 (GreenData.chebyshev_moments, from the roots and endpoints alone).  Green
-targets outside the ellipse |v| = 1.5 around the hull come from this series;
-points inside it integrate N/S from the endpoint nearest Re z, in real
-arithmetic on the real axis.
+targets outside the ellipse |v| = 1.5 around the hull come from all K = 90
+terms of this series, summed by one array function for one point or many
+(_series_green); points inside it integrate N/S in one panel from the
+endpoint nearest Re z, in real arithmetic on the real axis.  The oracle
+_green_integral integrates N/S from any endpoint, in the panels of _path.
 """
 
 import bisect
@@ -70,15 +72,15 @@ __all__ = [
 class _Targets(NamedTuple):
     """What every Green target of a set reads (GreenData._targets): the
     frame midpoint t and half-width s, the focal sum (V + 1/V) s of the
-    ellipse |v| = V = _ELLIPSE, log cap, the series terms e_k / k from k = K
-    down to 1, and the branch jumps pi (m_{k+1} + ... + m_ell) for
-    k = 0 .. ell, masses normalized."""
+    ellipse |v| = V = _ELLIPSE, log cap, the series coefficients e_k / k for
+    k = 1 .. K as an array, and the branch jumps pi (m_{k+1} + ... + m_ell)
+    for k = 0 .. ell, masses normalized."""
 
     t: float
     s: float
     reach: float
     log_cap: float
-    terms: list
+    coeffs: np.ndarray
     jumps: list
 
 
@@ -121,7 +123,7 @@ class GreenData:
         jumps = [scale * v for v in itertools.accumulate(reversed(self.masses),
                                                          initial=0.0)][::-1]
         return _Targets(t, s, (_ELLIPSE + 1.0 / _ELLIPSE) * s, math.log(self.capacity),
-                        [e[k] / k for k in range(len(e) - 1, 0, -1)], jumps)
+                        np.array(e[1:]) / np.arange(1, len(e)), jumps)
 
 
 def sqrt_branch(E: IntervalUnion, z) -> complex:
@@ -444,42 +446,12 @@ def _nonnegative(g: float, cfg: QuadConfig) -> float:
     return 0.0 if -100.0 * cfg.tol < g < 0.0 else g
 
 
-# Chebyshev terms K of the far field; the ellipse |v| = V, in the Joukowski
-# variable of the frame, outside which Green targets use it; and the
-# truncation error each point's terms meet: |e_k| <= 2, so n terms leave at
-# most _tail_bound(n, |1/v|), 6.3e-18 at n = K and |v| = V
+# Chebyshev terms K of the far field, and the ellipse |v| = V, in the
+# Joukowski variable of the frame, outside which Green targets use it:
+# |e_k| <= 2, so the terms past K leave at most 2 |r|^(K+1) / ((K + 1)(1 -
+# |r|)) at r = 1/v, 6.3e-18 on the ellipse
 _CHEBYSHEV_TERMS = 90
 _ELLIPSE = 1.5
-_TAIL = 6.2e-16
-
-
-def _tail_bound(n: int, r: float) -> float:
-    """Bound 2 r^(n+1) / ((n + 1)(1 - r)) on sum_{k > n} |e_k| r^k / k."""
-    return 2.0 * r ** (n + 1) / ((n + 1) * (1.0 - r))
-
-
-def _tail_radii(bound, count) -> list[float]:
-    """For n = 1 .. count, the largest float r in [0, 1) at which the tail
-    bound(n, r) left by n terms meets _TAIL, found by bisection; increasing,
-    so the first entry at or above |r| names a point's term count."""
-    radii = []
-    for n in range(1, count + 1):
-        lo, hi = 0.0, 1.0
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            if bound(n, mid) <= _TAIL:
-                lo = mid
-            else:
-                hi = mid
-        radii.append(lo)
-    return radii
-
-
-_TERM_RADII = _tail_radii(_tail_bound, _CHEBYSHEV_TERMS)
-
-
-def _terms_needed(r: float) -> int:
-    """Fewest terms, at most K, whose tail at |1/v| = r meets _TAIL."""
-    return min(bisect.bisect_left(_TERM_RADII, r) + 1, _CHEBYSHEV_TERMS)
 
 
 def _chebyshev_moments(E: IntervalUnion, roots) -> tuple[float, ...]:
@@ -505,23 +477,34 @@ def _chebyshev_moments(E: IntervalUnion, roots) -> tuple[float, ...]:
     return tuple(e)
 
 
-def _series_green(data: GreenData, z: complex) -> complex:
-    """G(z) from the Chebyshev series, by Horner in Python complex arithmetic
-    on the fewest terms that meet _TAIL; for points outside the ellipse.
+def _far_series(z: np.ndarray, t: float, s: float, coeffs: np.ndarray):
+    """z - t, q and sum_k coeffs[k - 1] r^k at every point of the complex
+    array z outside the ellipse of the frame (t, s), with r = 1/v, over
+    every term of coeffs.
 
     It is formed in u = s/(z - t), never in zeta, so it cannot overflow:
-    q = sqrt(1 - u^2) (principal), r = u/(1 + q) = 1/v and
-    G = log(z - t) + log((1 + q)/2) - log cap - sum (e_k / k) r^k.
+    q = sqrt(1 - u^2) (principal) and r = u/(1 + q).  The powers of r come
+    from one cumprod, and each point's sum from a row-wise einsum, so a
+    point reads the same alone or in any batch: a BLAS product rounds by the
+    batch's size.
     """
-    t, s, _, log_cap, terms, _ = data._targets
-    d = z - t
-    u = s / d
-    q = cmath.sqrt(1.0 - u * u)
+    dz = z - t
+    with np.errstate(over="ignore"):  # u of a |z - t| above the float range is 0
+        u = s / dz
+    q = np.sqrt(1.0 - u * u)
     r = u / (1.0 + q)
-    acc = 0.0
-    for e in terms[_CHEBYSHEV_TERMS - _terms_needed(abs(r)):]:
-        acc = (acc + e) * r
-    return cmath.log(d) + cmath.log(0.5 * (1.0 + q)) - log_cap - acc
+    powers = np.repeat(r[:, None], coeffs.size, axis=1)
+    np.cumprod(powers, axis=1, out=powers)
+    return dz, q, np.einsum("ik,k->i", powers, coeffs)
+
+
+def _series_green(data: GreenData, z: np.ndarray) -> np.ndarray:
+    """G at every point of the complex array z outside the ellipse, from all
+    K terms of the Chebyshev series (_far_series):
+    G = log(z - t) + log((1 + q)/2) - log cap - sum (e_k / k) r^k."""
+    t, s, _, log_cap, coeffs, _ = data._targets
+    dz, q, tail = _far_series(z, t, s, coeffs)
+    return np.log(dz) + np.log(0.5 * (1.0 + q)) - log_cap - tail
 
 
 def _outside_ellipse(p, b, reach) -> bool:
@@ -543,7 +526,7 @@ def _green_real(E: IntervalUnion, data: GreenData, x: float, cfg: QuadConfig) ->
         return 0.0
     b = E.endpoints
     if _outside_ellipse(x, b, data._targets.reach):
-        return _series_green(data, complex(x)).real
+        return float(_series_green(data, np.array([complex(x)]))[0].real)
     base = b[_nearest_endpoint(b, x)]
     return _nonnegative(_gap_integral(E, data.roots, base, x, cfg), cfg)
 
@@ -611,7 +594,7 @@ def _gap_integral(E: IntervalUnion, roots, base, x, cfg: QuadConfig):
 
 def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
     """Vertices after `base` of the straight path from the endpoint `base` to
-    z: its knots, then z.
+    z: its knots, then z; the panels of the oracle _green_integral.
 
     The segment is subdivided at its closest-approach point to any other
     endpoint that comes within a tenth of the path length and closer to the
@@ -639,9 +622,9 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
             continue
         if abs(base + span * s - bj) < min(0.1, s) * length:
             splits.append(s)
-    # far targets (of direct integrals: green_complex takes the Chebyshev
-    # series there): the integrand decays like 1/zeta over many decades, which a
-    # single Gauss panel cannot resolve; subdivide geometrically beyond the set
+    # far targets (green_complex takes the Chebyshev series there): the
+    # integrand decays like 1/zeta over many decades, which a single Gauss
+    # panel cannot resolve; subdivide geometrically beyond the set
     d = 8.0 * E.frame[1]  # four hull widths
     while d < 0.5 * length:
         splits.append(d / length)
@@ -656,63 +639,22 @@ def _path(E: IntervalUnion, base: float, z: complex) -> list[complex]:
     return [base + span * s for s in knots] + [z]
 
 
-def _green_integral(E: IntervalUnion, roots, base, z, cfg: QuadConfig):
+def _green_integral(E: IntervalUnion, roots, base: float, z: complex, cfg: QuadConfig):
     """Integral of N/S along the straight segment from the endpoint `base`
-    to z, a complex number or an array of them, in panels between the
-    vertices of _path.  base is one endpoint, or an array of them that
-    broadcasts against z (a base per point).
+    to the point z, in the panels between the vertices of _path: a scalar
+    oracle of paths other than green_complex's.
 
-    Every point's first panel, singular at its base, goes into one vector
-    call of the segment rule, which hands each panel's base to the
-    integrand, and every later panel into one more (zero-length ones, which
-    the rule skips, where the first failed); each point's panels are then
-    added in path order.  A point fails with the error the rule raises for
-    its first unconverged panel alone (_panel_failure), which a scalar z
-    raises.  For an array the other points are unaffected: NoConvergence
-    carries the result as best, NaN at each failed point (a converged panel
-    is finite), and failures, each failed point's error by flat index.
+    The panels are integrated in path order, one call of the segment rule
+    each, the first singular at its base, and a failure raises the first
+    failing panel's own NoConvergence.
     """
-    z = np.asarray(z, dtype=complex)
-    bases = np.empty(z.shape)
-    bases[...] = base
-    paths = [_path(E, b, p) for b, p in zip(bases.reshape(-1).tolist(),
-                                            z.reshape(-1).tolist())]
-    # one row of vertices per point, padded with z: the padding panels from
-    # z to z have zero length and add nothing
-    width = max(map(len, paths), default=1)
-    verts = np.array([path + path[-1:] * (width - len(path)) for path in paths],
-                     dtype=complex).reshape(z.shape + (width,))
-    failures = {}
-
-    def panels(f, z0, z1, singular_at_start=False, fd=None):
-        """Panel values, NaN where a panel did not converge (see failures)."""
-        try:
-            return integrate_segment_complex(f, z0, z1, singular_at_start, cfg, fd=fd)
-        except NoConvergence as exc:
-            own = exc.failures or {0: exc}  # a scalar call raises its panel's own
-            # a row of panels per point; in flat order a point's first failed
-            # panel comes first
-            per_point = np.size(exc.best) // z.size
-            for i, panel_exc in own.items():
-                failures.setdefault(i // per_point, panel_exc)
-            best = np.array(exc.best, dtype=complex)
-            best.flat[list(own)] = np.nan
-            return best
-
     ratio = _plain_deriv(E, roots)
-    total = panels(None, bases, verts[..., 0], True,
-                   lambda offset, start: ratio(offset, start.real))
-    if width > 1:
-        if failures:  # a point whose first panel failed: zero-length later ones
-            verts = np.where(np.isnan(total)[..., None], z[..., None], verts)
-        later = panels(ratio, verts[..., :-1], verts[..., 1:])
-        for k in range(width - 1):
-            total = total + later[..., k]
-    if not failures:
-        return total if z.ndim else complex(total)
-    if not z.ndim:
-        raise failures[0]
-    raise _batch_failure(total, failures)
+    verts = _path(E, base, z)
+    total = integrate_segment_complex(None, base, verts[0], True, cfg,
+                                      fd=lambda offset, start: ratio(offset, start.real))
+    for z0, z1 in zip(verts[:-1], verts[1:]):
+        total += integrate_segment_complex(ratio, z0, z1, cfg=cfg)
+    return total
 
 
 def _batch_failure(best, failures):
@@ -730,22 +672,22 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     branch analytic off (-inf, b_{2l}]; its real part is the Green's
     function.
 
-    A point on or outside the ellipse |v| = 1.5 around the hull, in the
-    Joukowski variable v of the frame (t, s) of E, takes the Chebyshev series
-    (_series_green) on the fewest terms whose truncation error is below
-    6.2e-16.  Every point inside it is integrated along the straight segment
-    from the endpoint b_i nearest Re z (_nearest_endpoint), one panel, so no
-    other endpoint lies under its path (a path that runs along the set
-    within |Im z| of its endpoints does not converge near the axis), and the
-    change of base is added exactly: i pi (m_{k+1} + ... + m_ell) sign(Im z)
-    for a base on gap k = (i + 1) // 2 (0-based i), with the normalized
-    masses of data.
+    Every point on or outside the ellipse |v| = 1.5 around the hull, in the
+    Joukowski variable v of the frame (t, s) of E, takes all K terms of the
+    Chebyshev series (_series_green), in one call.  Every point inside it is
+    integrated along the straight segment from the endpoint b_i nearest
+    Re z (_nearest_endpoint), one panel singular at b_i, all in one call of
+    the segment rule: inside the ellipse no other endpoint splits the path
+    (a path that runs along the set within |Im z| of its endpoints does not
+    converge near the axis).  The change of base is added exactly: i pi
+    (m_{k+1} + ... + m_ell) sign(Im z) for a base on gap k = (i + 1) // 2
+    (0-based i), with the normalized masses of data.
 
-    z may be an array: the series runs point by point, as for a scalar z,
-    and every inner point's path is integrated at once; a point whose path
-    does not converge fails alone, NaN in best and its own error, the one a
-    scalar z raises, in failures (see _green_integral).  Raises NotFinite
-    for an infinite or NaN coordinate, and PathOnCut on the half-line
+    A scalar z raises its panel's own NoConvergence.  For an array z a
+    point whose panel does not converge fails alone: NoConvergence carries
+    best, NaN at each failed point, and failures, each failed point's own
+    error, the one it raises alone, by flat index.  Raises NotFinite for an
+    infinite or NaN coordinate, and PathOnCut on the half-line
     (-inf, b_{2l}] (use green_real / rim conventions there).
     """
     cfg = cfg or DEFAULT_CONFIG
@@ -753,35 +695,37 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     b = E.endpoints
     reach, jumps = data._targets.reach, data._targets.jumps
     flat = z.reshape(-1)
-    points = flat.tolist()
-    # the series value of an outer point; the branch jump of an inner one, to
-    # which its integral is added
-    values, near, bases = [], [], []
-    for p in points:
+    # the branch jump of an inner point, to which its integral is added
+    total = np.zeros(flat.shape, dtype=complex)
+    far, near, bases = [], [], []
+    for i, p in enumerate(flat.tolist()):
         _require_finite(p)
         x = p.real
         if p.imag == 0.0 and x <= b[-1]:
             raise PathOnCut(f"z = {p} lies on the excluded half-line")
         if _outside_ellipse(p, b, reach):
-            values.append(_series_green(data, p))
+            far.append(i)
             continue
-        i = _nearest_endpoint(b, x)
-        near.append(len(values))
-        bases.append(b[i])
-        values.append(complex(0.0, math.copysign(jumps[(i + 1) // 2], p.imag)))
-    if not z.ndim:
-        if near:  # a scalar call raises its panel's own error
-            return values[0] + _green_integral(E, data.roots, bases[0], points[0], cfg)
-        return values[0]
-    total = np.array(values, dtype=complex)
+        k = _nearest_endpoint(b, x)
+        near.append(i)
+        bases.append(b[k])
+        total[i] = complex(0.0, math.copysign(jumps[(k + 1) // 2], p.imag))
+    if far:
+        total[far] = _series_green(data, flat[far])
     if near:
+        ratio = _plain_deriv(E, data.roots)
         try:
-            total[near] += _green_integral(E, data.roots, np.array(bases), flat[near], cfg)
+            total[near] += integrate_segment_complex(
+                None, np.array(bases), flat[near], True, cfg,
+                fd=lambda offset, start: ratio(offset, start.real))
         except NoConvergence as exc:
-            total[near] += exc.best  # NaN stays at each failed point
+            if not z.ndim:  # a scalar raises its panel's own error
+                raise exc.failures[0] from None
+            exc.best[list(exc.failures)] = np.nan
+            total[near] += exc.best
             raise _batch_failure(total.reshape(z.shape), {
                 near[i]: err for i, err in exc.failures.items()}) from None
-    return total.reshape(z.shape)
+    return total.reshape(z.shape) if z.ndim else complex(total[0])
 
 
 def _capacity_one(E: IntervalUnion, roots, side: int, beta: float, unit: float,

@@ -59,8 +59,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsideE, NoConvergence, WalshMapError
-from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, GreenData, _green_integral, _green_real,
-                    _outside_ellipse, _require_finite, _tail_radii, green_complex)
+from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, GreenData, _far_series, _green_integral,
+                    _green_real, _outside_ellipse, _require_finite, _series_green,
+                    green_complex)
 from .intervals import IntervalUnion, locate
 from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
 from .newton import damped_newton, damped_newton_masked
@@ -341,9 +342,29 @@ def _complex_images(zs, targets, E, dom, data):
 _CIRCLE = 256
 
 
-# the radii at which n terms of Phi's series meet _TAIL: its tail bound is
-# 2 r^(n+1) / (1 - r), in units of s (see _Series)
-_SERIES_RADII = _tail_radii(lambda n, r: 2.0 * r ** (n + 1) / (1.0 - r), _CHEBYSHEV_TERMS - 1)
+# the truncation error, in units of the hull's half-width, that each of
+# Phi's series sums meets
+_TAIL = 6.2e-16
+
+
+def _tail_radii(count) -> list[float]:
+    """For n = 1 .. count, the largest float r in [0, 1) at which the tail
+    bound 2 r^(n+1) / (1 - r) left by n terms of a series of Phi (see
+    _Series) meets _TAIL, found by bisection; increasing, so the first entry
+    at or above |r| names a point's term count."""
+    radii = []
+    for n in range(1, count + 1):
+        lo, hi = 0.0, 1.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if 2.0 * mid ** (n + 1) / (1.0 - mid) <= _TAIL:
+                lo = mid
+            else:
+                hi = mid
+        radii.append(lo)
+    return radii
+
+
+_SERIES_RADII = _tail_radii(_CHEBYSHEV_TERMS - 1)
 
 
 class _Series(NamedTuple):
@@ -429,32 +450,20 @@ def _series_coefficients(dom: LemniscaticDomain, data: GreenData) -> np.ndarray:
     return 0.5 * s * delta[1:]
 
 
-def _series_map(z: np.ndarray, t: float, s: float, d: np.ndarray,
-                count: int | None = None):
+def _series_map(z: np.ndarray, t: float, s: float, d: np.ndarray) -> np.ndarray:
     """Phi at every point of the complex array z, outside the ellipse, from
-    every term of its series, and the powers r^1 .. r^count of r = 1/v
-    (default: as many as terms).
-
-    It is formed in u = s/(z - t), never in zeta, so it cannot overflow:
-    q = sqrt(1 - u^2) (principal), r = u/(1 + q) and
-    Phi = t + (0.5 (z - t))(1 + q) + sum d_k r^k.
-    """
-    dz = z - t
-    with np.errstate(over="ignore"):  # u of a |z - t| above the float range is 0
-        u = s / dz
-    q = np.sqrt(1.0 - u * u)
-    r = u / (1.0 + q)
-    powers = np.cumprod(np.broadcast_to(r[:, None], (r.size, count or d.size)), axis=1)
-    # einsum sums each row alone; a BLAS product rounds by the batch's size
-    tail = np.einsum("ik,k->i", powers[:, :d.size], d)
-    return t + (0.5 * dz) * (1.0 + q) + tail, dz, q, powers
+    every term of its series (_far_series):
+    Phi = t + (0.5 (z - t))(1 + q) + sum d_k r^k."""
+    dz, q, tail = _far_series(z, t, s, d)
+    return t + (0.5 * dz) * (1.0 + q) + tail
 
 
 def _certificate(dom: LemniscaticDomain, data: GreenData, t: float, s: float,
                  d: np.ndarray) -> float:
     """Largest residual |sum m_j Log(Phi_s - a_j) - log cap - G(z)| of the
     series Phi_s at _CIRCLE points of |v| = _ELLIPSE off the real axis, with
-    G from the Chebyshev series of green_complex.
+    G from green_complex's Chebyshev series (_series_green) and the residual
+    from _batch_equation.
 
     Phi_s - Phi is analytic on |v| > 1 and vanishes at infinity, and so is
     the residual: by the maximum principle its largest value on and outside
@@ -462,12 +471,8 @@ def _certificate(dom: LemniscaticDomain, data: GreenData, t: float, s: float,
     """
     v = _ELLIPSE * np.exp(2j * np.pi * (np.arange(_CIRCLE) + 0.5) / _CIRCLE)
     z = t + 0.5 * s * (v + 1.0 / v)
-    e = data.chebyshev_moments
-    w, dz, q, powers = _series_map(z, t, s, d, len(e) - 1)
-    series = powers @ (np.asarray(e[1:]) / np.arange(1, len(e)))
-    G = np.log(dz) + np.log(0.5 * (1.0 + q)) - math.log(data.capacity) - series
-    F = (np.log(w[:, None] - np.asarray(dom.centers)) @ np.asarray(dom.exponents.m)
-         - math.log(dom.capacity) - G)
+    w = _series_map(z, t, s, d)
+    F = _batch_equation(dom, _series_green(data, z))(w, np.arange(w.size))[0]
     return float(np.max(np.abs(F)))
 
 
@@ -868,7 +873,7 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
         rows = [None] * len(batch)
         if series:
             outer, bound = np.flatnonzero(outside), series.bound
-            w = _series_map(at[outer], series.t, series.s, series.coeffs)[0]
+            w = _series_map(at[outer], series.t, series.s, series.coeffs)
             for i, wi in zip(outer.tolist(), w.tolist()):
                 rows[i] = GridPoint(batch[i], "converged", MapResult(wi, bound, 0, "complex"))
         # the Newton's points: inside the ellipse those that no component's

@@ -235,13 +235,15 @@ def random_interval_set(rng, ell: int, min_length: float = 1e-2):
 
 def worst_invariant(wm) -> float:
     """Largest violation of the solve invariants: the masses sum to 1,
-    m.a = alpha, g_L vanishes at the boundary abscissae, and
+    m.a = alpha over max(1, max|b_j|), the scale of a and alpha, so the row
+    is free of the set's scale; g_L vanishes at the boundary abscissae; and
     g_L(w_k) = g_E(z_k) at the critical points."""
     dom, data = wm.lemniscatic, wm.green
     a = np.array(dom.centers)
+    size = max(1.0, max(abs(v) for v in wm.domain.endpoints))
     return max(
         abs(math.fsum(wm.exponents.m) - 1.0),
-        abs(float(np.array(wm.exponents.m) @ a) - data.alpha),
+        abs(float(np.array(wm.exponents.m) @ a) - data.alpha) / size,
         max(abs(green_level(c, dom)) for c in dom.boundary_c),
         max((abs(green_level(w, dom) - g)
              for w, g in zip(dom.crit_w, data.green_at_roots)), default=0.0),

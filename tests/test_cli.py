@@ -76,6 +76,19 @@ def test_input_file_json(tmp_path, capsys):
     assert json.loads(out)["component_count"] == 2
 
 
+@pytest.mark.parametrize("intervals", [[1, 2], None, 7, [[0, None]]],
+                         ids=["flat", "null", "number", "null_endpoint"])
+def test_malformed_json_input_is_input_error(tmp_path, capsys, intervals):
+    # each raised a TypeError from the pair unpacking or float()
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps({"intervals": intervals}))
+    code, out, err = run_cli(capsys, "params", "--input", str(path))
+    assert code == 2 and out == ""
+    line, = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith(f"{path}: ")
+
+
 def test_input_file_text(tmp_path, capsys):
     path = tmp_path / "domain.txt"
     path.write_text("# set\n-1 -0.3\n0.1 1\n")

@@ -976,8 +976,8 @@ def test_green_circles_match_the_quadrature(pairs):
         k = np.arange(1, m)
         x = mapping._rim_points(lo, hi, s, np.pi * k / m)
         right = x > lo + s
-        g = _green_integral(E, data.roots, np.where(right, hi, lo), x.astype(complex),
-                            wm.config)
+        g = np.array([_green_integral(E, data.roots, base, complex(p), wm.config)
+                      for base, p in zip(np.where(right, hi, lo).tolist(), x.tolist())])
         assert np.max(np.abs(rim[k] - 1j * (np.where(right, jumps[j + 1], jumps[j]) + g.imag))) \
             <= 1e-14
         k = np.arange(1, n, 3)

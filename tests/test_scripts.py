@@ -73,12 +73,14 @@ def test_multiscale_sweep_runs():
 def test_accuracy_probe_measures_capacity_and_critical_values():
     proc = run_script("accuracy_probe.py", "--sets", "two", "cantor2")
     assert proc.returncode == 0, proc.stderr
-    rows = re.findall(r"^(two|cantor2) +(\d+) +(\S+) +(\S+)$", proc.stdout, re.M)
-    assert [(name, int(ell)) for name, ell, _, _ in rows] == [("two", 2), ("cantor2", 4)]
-    # both solves are within a few ulps of their 30-digit values
-    assert all(float(cap) < 1e-13 and float(crit) < 1e-14 for _, _, cap, crit in rows)
-    assert re.search(r"^capacity: median \S+, max \S+ \((two|cantor2)\)$", proc.stdout, re.M)
-    assert re.search(r"^critical values: median \S+, max \S+ \((two|cantor2)\)$",
-                     proc.stdout, re.M)
+    rows = re.findall(r"^(two|cantor2) +(\d+) +(\S+) +(\S+) +(\S+)$", proc.stdout, re.M)
+    assert [(name, int(ell)) for name, ell, *_ in rows] == [("two", 2), ("cantor2", 4)]
+    # both solves are within a few ulps of their 30-digit values; the far
+    # field's series within a few times the capacity's error
+    assert all(float(cap) < 1e-13 and float(crit) < 1e-14 and float(far) < 1e-13
+               for _, _, cap, crit, far in rows)
+    for label in ("capacity", "critical values", "far field"):
+        assert re.search(rf"^{label}: median \S+, max \S+ \((two|cantor2)\)$",
+                         proc.stdout, re.M)
     estimate = float(re.search(r"largest mpmath error estimate (\S+),", proc.stdout).group(1))
     assert estimate < 1e-25
