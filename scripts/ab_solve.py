@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Compare the solve time of two source trees in one process, interleaved.
+
+    python scripts/ab_solve.py OLD_SRC NEW_SRC --rounds 20
+
+OLD_SRC and NEW_SRC are directories that hold a ``walshmap`` package (a
+checkout's ``src``).  The first is imported as ``walshmap``; the second is
+copied under another package name, which works because the package's own
+imports are all relative.  Each round draws one pass of the benchmark's
+solve ladder (``bench/inputs.ladder_sets``: Dirichlet sets of 5 to 40
+intervals, then Cantor levels 2-5) and solves every set with both trees,
+one right after the other, the old first in even rounds and the new first
+in odd ones.  So both sides see the same sets on the same machine state, and
+drifts of the host's speed fall on both alike.
+
+Prints, per class, the median solve time of each side (for the Cantor class
+the median time of one pass over its levels, as the benchmark counts it)
+and their ratio, then the geometric mean of the class medians of each side
+and the ratio of the two: new over old, below 1 when the new tree is faster.
+"""
+
+import argparse
+import gc
+import importlib
+import math
+import pathlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import inputs  # noqa: E402  (the benchmark's seeded sets)
+
+import numpy as np  # noqa: E402
+
+
+def load_trees(old_src, new_src, workdir):
+    """The walshmap package of old_src, and that of new_src copied into
+    workdir as walshmap_new; both imported."""
+    for src in (old_src, new_src):
+        if not (pathlib.Path(src) / "walshmap" / "__init__.py").is_file():
+            sys.exit(f"ab_solve: no walshmap package under {src}")
+    sys.path.insert(0, str(pathlib.Path(old_src).resolve()))
+    old = importlib.import_module("walshmap")
+    shutil.copytree(pathlib.Path(new_src) / "walshmap", pathlib.Path(workdir) / "walshmap_new",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, str(workdir))
+    new = importlib.import_module("walshmap_new")
+    return old, new
+
+
+def timed_solve(package, pairs):
+    """Seconds of one package.solve(pairs); a typed failure counts too."""
+    t0 = time.perf_counter()
+    try:
+        package.solve(pairs)
+    except package.errors.WalshMapError:
+        pass
+    return time.perf_counter() - t0
+
+
+def class_medians(times):
+    """The median of each class's times; for the Cantor class the median of
+    its passes, each the sum over the levels of one round."""
+    return {label: statistics.median(sum(p) for p in values) if label == "cantor"
+            else statistics.median(v for p in values for v in p)
+            for label, values in times.items()}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("old_src", help="directory holding the old walshmap package")
+    parser.add_argument("new_src", help="directory holding the new walshmap package")
+    parser.add_argument("--rounds", type=int, default=20, help="ladder passes")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--limit", type=int, default=None,
+                        help="solve only the first LIMIT sets of each pass")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as workdir:
+        sides = load_trees(args.old_src, args.new_src, workdir)
+        for package in sides:  # warm-up: quadrature tables, first calls
+            package.solve(inputs.TWO_INTERVAL_SET)
+        rng = np.random.default_rng(args.seed)
+        # times[side][label]: one list of seconds per round
+        times = ({}, {})
+        for round_ in range(args.rounds):
+            ladder = inputs.ladder_sets(rng)[:args.limit]
+            order = (0, 1) if round_ % 2 == 0 else (1, 0)
+            for side in (0, 1):
+                for label in dict(ladder):
+                    times[side].setdefault(label, []).append([])
+            gc.collect()
+            for label, pairs in ladder:
+                for side in order:
+                    times[side][label][-1].append(timed_solve(sides[side], pairs))
+
+    old, new = (class_medians(t) for t in times)
+    print(f"{args.rounds} interleaved ladder passes (seed {args.seed}): "
+          f"median ms, old / new / ratio")
+    for label in old:
+        print(f"  {label:8s} {1e3 * old[label]:9.3f} {1e3 * new[label]:9.3f} "
+              f"{new[label] / old[label]:7.4f}")
+    gmeans = [math.exp(statistics.fmean(math.log(v) for v in side.values()))
+              for side in (old, new)]
+    print(f"  {'gmean':8s} {1e3 * gmeans[0]:9.3f} {1e3 * gmeans[1]:9.3f} "
+          f"{gmeans[1] / gmeans[0]:7.4f}")
+
+
+if __name__ == "__main__":
+    main()

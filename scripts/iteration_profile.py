@@ -20,6 +20,18 @@ evaluate g_L: those of boundary_abscissae inside the solve, and those of one
 trace_boundary(dom, 256), each split into level and slope passes with the
 rays a pass, counted by wrapping lemniscatic._level and _level_slope from
 outside the package.
+
+With --stages it times the stages of each solve instead: per set, the median
+over --repeat solves of the leave-one-out gap pass, the hull pass (gap
+residuals and masses), the critical values, the capacity tails, the centers'
+Newton (with its critical points) and the boundary abscissae, in ms, and of
+the whole solve.  Each stage is timed by wrapping the function that does it
+from outside the package (green._product_integrals, _gap_integral,
+_capacity_both; lemniscatic._center_solve, boundary_abscissae).  The sets
+are --count draws of --ell intervals, or Cantor levels (--cantor) and
+Dirichlet sets filling [-1, 1] drawn from default_rng(ell) (--dirichlet):
+
+    python scripts/iteration_profile.py --stages --cantor 6 7 8 --dirichlet 80 160
 """
 
 import argparse
@@ -27,16 +39,20 @@ import collections
 import functools
 import math
 import pathlib
+import statistics
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 import numpy as np
 
+from inputs import dirichlet_intervals  # the benchmark's seeded sets
 from walshmap import equilibrium, green, lemniscatic
 from walshmap.api import solve
-from walshmap.verify import random_interval_set, worst_invariant
+from walshmap.verify import cantor_pairs, random_interval_set, worst_invariant
 
 
 def node_count(x, d_lo, d_hi):
@@ -133,6 +149,80 @@ def ray_passes(counts):
             f"{rays / max(passes, 1):.0f} rays")
 
 
+# (column, module, function) of each timed solve stage; the calls of
+# _product_integrals without leave_one_out go to the column "hull"
+STAGES = (("loo", green, "_product_integrals"),
+          ("crit_g", green, "_gap_integral"), ("tails", green, "_capacity_both"),
+          ("centers", lemniscatic, "_center_solve"),
+          ("bound_c", lemniscatic, "boundary_abscissae"))
+COLUMNS = ("loo", "hull", "crit_g", "tails", "centers", "bound_c", "solve")
+
+
+def time_stages(seconds):
+    """Wrap the solve's stages so that every call adds its wall time to
+    seconds[column] (STAGES); returns the undo."""
+    saved = []
+
+    def wrap(rule, column):
+        @functools.wraps(rule)
+        def wrapper(*args, **kwargs):
+            name = column
+            if column == "loo" and not (kwargs.get("leave_one_out")
+                                        or len(args) > 4 and args[4]):
+                name = "hull"
+            t0 = time.perf_counter()
+            try:
+                return rule(*args, **kwargs)
+            finally:
+                seconds[name] += time.perf_counter() - t0
+        return wrapper
+
+    for column, module, name in STAGES:
+        rule = getattr(module, name)
+        saved.append((module, name, rule))
+        setattr(module, name, wrap(rule, column))
+
+    def undo():
+        for module, name, rule in saved:
+            setattr(module, name, rule)
+    return undo
+
+
+def stage_sets(args):
+    """(label, pairs) of every set --stages times."""
+    if args.cantor or args.dirichlet:
+        return ([(f"cantor{k}", cantor_pairs(k)) for k in args.cantor]
+                + [(f"dirichlet{ell}", dirichlet_intervals(np.random.default_rng(ell), ell))
+                   for ell in args.dirichlet])
+    rng = np.random.default_rng(args.seed)
+    return [(f"set{i}", random_interval_set(rng, args.ell, args.min_length))
+            for i in range(args.count)]
+
+
+def print_stages(args):
+    """One line per set: the median ms of each stage and of the solve."""
+    try:
+        sets = stage_sets(args)
+    except ValueError as exc:
+        sys.exit(f"iteration_profile: {exc}")
+    print(f"median ms over {args.repeat} solves: " + " ".join(f"{c:>9s}" for c in COLUMNS))
+    for label, pairs in sets:
+        runs = collections.defaultdict(list)
+        for _ in range(args.repeat):
+            seconds = collections.Counter()
+            undo = time_stages(seconds)
+            t0 = time.perf_counter()
+            try:
+                solve(pairs)
+            finally:
+                seconds["solve"] = time.perf_counter() - t0
+                undo()
+            for column in COLUMNS:
+                runs[column].append(seconds[column])
+        print(f"{label:>12s} ell {len(pairs):4d}: " + " ".join(
+            f"{1e3 * statistics.median(runs[c]):9.3f}" for c in COLUMNS))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--ell", type=int, default=10, help="components per set")
@@ -145,7 +235,18 @@ def main():
     parser.add_argument("--rays", action="store_true",
                         help="count the g_L passes of boundary_abscissae and of a "
                              "256-ray trace_boundary per set")
+    parser.add_argument("--stages", action="store_true",
+                        help="time each solve stage per set instead")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="solves per set with --stages")
+    parser.add_argument("--cantor", type=int, nargs="+", default=[], metavar="LEVEL",
+                        help="with --stages: time Cantor levels instead of random draws")
+    parser.add_argument("--dirichlet", type=int, nargs="+", default=[], metavar="ELL",
+                        help="with --stages: time Dirichlet sets of ELL intervals")
     args = parser.parse_args()
+    if args.stages:
+        print_stages(args)
+        return
 
     rng = np.random.default_rng(args.seed)
     histogram = collections.Counter()

@@ -17,12 +17,14 @@ and integrates the component masses (_solve_numerator).
 
 Every integral of N/S forms it by one product, _paired_ratio: root k over
 the square roots of its own gap's two endpoint distances, the outer pair
-last, so no partial product underflows or overflows.  Its callers only
-build the distances: exact ones per interval for the gap conditions and
-the masses (_product_integrals); offsets from an endpoint for the critical
-values, the capacity tails and the Green paths (_plain_deriv), with
-sqrt|x - b_j| and the gap's sign on the real axis and principal roots off
-it; and equilibrium.density.
+last, so no partial product underflows or overflows; the gap conditions'
+Jacobian rows, each without one root factor, are that product divided
+once by the factor.  Its callers only build the distances: exact ones per
+interval for the gap conditions and the masses (_product_integrals);
+offsets from an endpoint for the critical values, the capacity tails and
+the Green paths (_plain_deriv), with sqrt|x - b_j| and the gap's sign on
+the real axis and principal roots off it; and equilibrium.density.  The
+two capacity tails are one call of the tail rule (_capacity_both).
 
 The Green's function is the log potential of the equilibrium measure mu_E.
 In the frame (t, s) of E, with zeta = (z - t)/s and the Joukowski variable
@@ -192,24 +194,32 @@ def _paired_ratio(num, sq, leave_one_out=False):
     A product of principal roots is sqrt_branch in any grouping.
 
     With leave_one_out the result has a leading axis of ell rows: row 0 the
-    product, row 1 + j the product without num[j], from prefix and suffix
-    products of the paired factors divided by pair j, so no factor is
-    divided out.  num and sq are overwritten.
+    product, row 1 + j the product without num[j], formed as the product
+    divided once by num[j].  Where the product is 0 (a node on a root),
+    rows 1 + j take the product of the other factors over pair j instead.
+    num and sq are overwritten.
     """
     pair = np.multiply(sq[1:-1:2], sq[2:-1:2], out=sq[1:-1:2])
-    ratio = np.divide(num, pair, out=num)
     outer = sq[0] * sq[-1]
     if not leave_one_out:
+        ratio = np.divide(num, pair, out=num)
         return np.multiply.reduce(ratio) / outer
-    # row 1 + j: (factors before j) * (factors after j) / pair j
-    prefix = np.cumprod(ratio, axis=0)
-    out = np.empty((len(ratio) + 1,) + outer.shape, dtype=ratio.dtype)
-    out[0] = prefix[-1]
-    out[1] = 1.0
-    out[2:] = prefix[:-1]
-    out[1:-1] *= np.cumprod(ratio[:0:-1], axis=0)[::-1]
-    out[1:] /= pair
-    out /= outer
+    out = np.empty((len(num) + 1,) + outer.shape, dtype=np.result_type(num, sq))
+    ratio = np.divide(num, pair, out=out[1:])
+    np.multiply.reduce(ratio, axis=0, out=out[0])
+    out[0] /= outer
+    hit = out[0] == 0.0
+    if not hit.any():
+        np.divide(out[0], num, out=out[1:])
+        return out
+    r = ratio[:, hit]
+    others = np.array([np.multiply.reduce(np.delete(r, j, axis=0))
+                       for j in range(len(r))]).reshape(r.shape)
+    others /= pair[:, hit]
+    others /= outer[hit]
+    num[:, hit] = 1.0  # no 0/0 in the division
+    np.divide(out[0], num, out=out[1:])
+    out[1:, hit] = others
     return out
 
 
@@ -389,7 +399,25 @@ def _solve_numerator(E: IntervalUnion, cfg: QuadConfig):
             f"gap condition violated on gap {k + 1}: scaled residual {F[k]:.3e}")
     masses = tuple((-1.0) ** (ell - j) / math.pi * v
                    for j, v in enumerate(hull[::2].tolist(), 1))
-    return np.polynomial.polynomial.polyfromroots(roots), roots, masses
+    return _poly_from_roots(roots), roots, masses
+
+
+def _poly_from_roots(roots) -> np.ndarray:
+    """The ascending coefficients of prod (x - z_k) for the array roots,
+    bit for bit those of numpy's polyfromroots: its product tree over the
+    sorted roots, pairing the first and second halves at each level (the
+    odd factor joins the first product), by np.convolve alone, without
+    polymul's conversions."""
+    p = [np.array([-r, 1.0]) for r in np.sort(roots).tolist()]
+    if not p:
+        return np.ones(1)
+    while len(p) > 1:
+        m, odd = divmod(len(p), 2)
+        tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+        if odd:
+            tmp[0] = np.convolve(tmp[0], p[-1])
+        p = tmp
+    return p[0]
 
 
 def green_poly(E: IntervalUnion, cfg: QuadConfig | None = None) -> np.ndarray:
@@ -728,30 +756,6 @@ def green_complex(z, E: IntervalUnion, data: GreenData,
     return total.reshape(z.shape) if z.ndim else complex(total[0])
 
 
-def _capacity_one(E: IntervalUnion, roots, side: int, beta: float, unit: float,
-                  cfg: QuadConfig) -> float:
-    """One tail formula: cap = shift exp(integral of 1/|x - beta| - |N/S|
-    over the ray beyond b_2l (side +1) or b_1 (side -1)), shift = |base -
-    beta|.  |N/S| is side N/S there, from _plain_deriv's real offsets from
-    the endpoint along the unbounded gap, in units of `unit` (the tail
-    rule's variable delta / unit)."""
-    b = np.asarray(E.endpoints)
-    base = b[-1] if side > 0 else b[0]
-    shift = side * (base - beta)  # > 0 on either legal side
-    if shift <= 0:
-        raise ValueError("beta must lie strictly on the far side of the endpoint")
-    ratio = _plain_deriv(E, roots)
-
-    def fd(u):
-        # in u = delta / unit, whose nodes span the set's scale; on both
-        # tails the signed integrand reduces to 1/|x-beta| - |N/S|
-        delta = unit * u
-        return unit * (1.0 / (delta + shift) - side * ratio(side * delta, base))
-
-    integral = integrate_tail(None, base, side, cfg, fd=fd)
-    return shift * math.exp(integral)
-
-
 def capacity(E: IntervalUnion, data_or_roots, cfg: QuadConfig | None = None,
              beta_right: float | None = None,
              beta_left: float | None = None) -> float:
@@ -772,6 +776,14 @@ def _capacity_both(E, roots, cfg, beta_right=None, beta_left=None):
     """Mean of the two tail formulas and their discrepancy; raises
     CapacityMismatch when they disagree by more than 100 tolerances.
 
+    Each formula is cap = shift exp(integral of 1/|x - beta| - |N/S| over
+    the ray beyond b_2l (side +1) or b_1 (side -1)), shift = |base - beta|.
+    |N/S| is side N/S there, from _plain_deriv's real offsets from the
+    endpoint along the unbounded gap.  Both rays are integrated in one call
+    of the tail rule (integrate_tail), each stopping on its own, so each
+    equals a call on it alone; a failure raises the first failing ray's own
+    error.
+
     Both tails are integrated in units of p, the power of two nearest the
     half-width s of the hull: the tail rule's nodes span 5e-38..2e37 from
     the endpoint, so in absolute units they miss a set far from unit scale.
@@ -780,8 +792,25 @@ def _capacity_both(E, roots, cfg, beta_right=None, beta_left=None):
     unit = E.unit
     beta_right = b[-1] - unit if beta_right is None else beta_right
     beta_left = b[0] + unit if beta_left is None else beta_left
-    cap1 = _capacity_one(E, roots, +1, beta_right, unit, cfg)
-    cap2 = _capacity_one(E, roots, -1, beta_left, unit, cfg)
+    side = np.array([1.0, -1.0])
+    base = np.array([b[-1], b[0]])
+    shift = side * (base - np.array([beta_right, beta_left]))  # > 0 on either legal side
+    if not np.all(shift > 0):
+        raise ValueError("beta must lie strictly on the far side of the endpoint")
+    ratio = _plain_deriv(E, roots)
+
+    def fd(u, idx):
+        # in u = delta / unit, whose nodes span the set's scale; on both
+        # tails the signed integrand reduces to 1/|x-beta| - |N/S|
+        delta = unit * u
+        s = side[idx, None]
+        return unit * (1.0 / (delta + shift[idx, None]) - s * ratio(s * delta, base[idx, None]))
+
+    try:
+        integral = integrate_tail(None, base, side, cfg, fd=fd)
+    except NoConvergence as exc:
+        raise exc.failures[min(exc.failures)] from None
+    cap1, cap2 = (v * math.exp(i) for v, i in zip(shift.tolist(), integral.tolist()))
     cap = 0.5 * (cap1 + cap2)
     if abs(cap1 - cap2) > 100.0 * cfg.tolerance(cap):
         raise CapacityMismatch(

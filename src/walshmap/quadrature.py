@@ -9,10 +9,11 @@ coefficients, so it needs no coarser level to check it.  Integrands must
 accept numpy arrays (vectorized evaluation).
 
 The Chebyshev rule also integrates the K rows of a vector-valued integrand
-over an array of intervals, and the segment rule arrays of panels, in
-bounded node blocks; each row of each interval, or each panel, stops on its
-own, with the value a call on it alone returns, and an array call that
-fails carries each failed interval's or panel's own error.
+over an array of intervals, the tail rule arrays of tails on its shared
+nodes, and the segment rule arrays of panels, in bounded node blocks; each
+row of each interval, each tail or each panel stops on its own, with the
+value a call on it alone returns, and an array call that fails carries
+each failed interval's, tail's or panel's own error.
 
 * inverse-square-root endpoint singularities on a finite interval
   -> cosine substitution + Gauss-Chebyshev midpoint rule of 32, 64, ...
@@ -354,6 +355,13 @@ def _ts_nodes(level):
     return delta, weight
 
 
+def _tail_failure(lo, best, estimate):
+    """The tail rule's NoConvergence for the ray from lo alone."""
+    return NoConvergence(
+        f"tanh-sinh tail rule did not reach tolerance at lo={lo} "
+        f"(last estimate {best!r})", best=best, estimate=estimate)
+
+
 def integrate_tail(f, lo, direction=1, cfg=None, *, fd=None, with_estimate=False):
     """Integrate f over (lo, +inf) (direction=+1) or (-inf, lo) (direction=-1).
 
@@ -363,26 +371,59 @@ def integrate_tail(f, lo, direction=1, cfg=None, *, fd=None, with_estimate=False
     halving, reusing all previously evaluated nodes.
 
     ``fd(delta)``, when given, receives the exact distance |x - lo|.
+
+    lo and direction may be arrays (broadcast against each other) of P
+    tails, all integrated at once on the same tanh-sinh nodes: the
+    integrand then receives a (p, n) block of nodes (of distances for fd, a
+    read-only view of the shared row), a row per tail, and as one more
+    positional argument the indices of those p tails, and returns a (p, n)
+    block.  Each tail stops on its own and is no longer evaluated once it
+    has, so each equals what a call on it alone returns.
+
+    Returns a float for scalar lo and direction, else an array of their
+    broadcast shape (and error estimates alike with ``with_estimate``).
+    NoConvergence carries ``best`` and ``estimate`` in the same shape; for
+    arrays it also carries ``failures``, each unconverged tail's own error
+    (the one a call on it alone raises) by flat index, and the message of
+    the first.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if direction not in (1, -1):
+    lo_arr, sides = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(direction))
+    if not np.all((sides == 1) | (sides == -1)):
         raise ValueError("direction must be +1 or -1")
-
-    acc = 0.0  # the weighted sum of every node so far
+    shape = lo_arr.shape  # () for one tail
+    starts, sides = lo_arr.reshape(-1), sides.reshape(-1)
+    acc = np.zeros(starts.size)  # the weighted sum of every node so far, per tail
 
     def level_sums(level, active):
-        nonlocal acc
         delta, weight = _ts_nodes(level)
-        vals = fd(delta) if fd is not None else f(lo + direction * delta)
-        acc += float(np.sum(weight * vals))
-        return np.float64(acc * (0.5 / 2 ** level))
+        if not shape:
+            vals = fd(delta) if fd is not None else f(lo + direction * delta)
+            acc[0] += float(np.sum(weight * vals))
+            return acc[0] * (0.5 / 2 ** level)
+        idx = np.arange(starts.size) if active is None else active
+        if fd is not None:
+            vals = fd(np.broadcast_to(delta, (idx.size, delta.size)), idx)
+        else:
+            vals = f(starts[idx, None] + sides[idx, None] * delta, idx)
+        acc[idx] += np.sum(weight * vals, axis=-1)
+        return acc[idx] * (0.5 / 2 ** level)
 
-    value, error, failed = _doubling(level_sums, 1, cfg.max_level + 1, cfg)
-    value, error = value.item(), error.item()
+    value, error, failed = _doubling(level_sums, starts.size, cfg.max_level + 1, cfg)
     if failed.size:
-        raise NoConvergence(
-            f"tanh-sinh tail rule did not reach tolerance at lo={lo} "
-            f"(last estimate {value!r})", best=value, estimate=error)
+        ends = starts.tolist() if shape else [lo]
+        failures = {i: _tail_failure(ends[i], value[i].item(), error[i].item())
+                    for i in failed.tolist()}
+        exc = failures[int(failed[0])]
+        if shape:
+            exc = NoConvergence(str(exc), best=value.reshape(shape),
+                                estimate=error.reshape(shape))
+            exc.failures = failures
+        raise exc
+    if shape:
+        value, error = value.reshape(shape), error.reshape(shape)
+    else:
+        value, error = value.item(), error.item()
     return (value, error) if with_estimate else value
 
 

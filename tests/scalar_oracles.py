@@ -12,7 +12,12 @@ rational_mass_fit tests masses for a common denominator, a sign of a
 polynomial pre-image.  endpoint_weight_fd is the weight 1/sqrt|H| as one
 product of every endpoint distance, which green._paired_ratio, the one
 product behind every integral of N/S, replaced with factors paired per
-gap.  trace_lobe is the disk-and-march
+gap, and paired_leave_one_out the prefix-and-suffix products that formed
+its leave-one-out rows before the one division by each root factor.
+capacity_tail is one of the capacity's two tail formulas in a call of the
+tail rule of its own, as green._capacity_both computed each before it
+integrated both in one call.
+trace_lobe is the disk-and-march
 reference for one lobe, in complex arithmetic from an inner disk found by
 halving alone and a march outward by a factor 1.1, that
 lemniscatic.trace_boundary replaced with one ray solver over every lobe.
@@ -25,8 +30,10 @@ import math
 import numpy as np
 
 from walshmap.errors import BracketFailure, PoleAtCenter, RootNotBracketed
+from walshmap.green import _plain_deriv
 from walshmap.lemniscatic import _deriv_values, _green_values, _outer_reach
 from walshmap.newton import _bisect
+from walshmap.quadrature import integrate_tail
 
 
 def green_scalar(w, a, m, cap):
@@ -290,6 +297,41 @@ def endpoint_weight_fd(E, i_lo, i_hi):
         return 1.0 / np.sqrt(np.prod(factors, axis=0))
 
     return float(lo), float(hi), fd
+
+
+def paired_leave_one_out(num, sq):
+    """green._paired_ratio(num, sq, leave_one_out=True) from prefix and
+    suffix products of the paired factors: row 0 the product, row 1 + j
+    (factors before j) * (factors after j) / pair j, so no factor is divided
+    out.  num and sq are left unchanged."""
+    pair = sq[1:-1:2] * sq[2:-1:2]
+    ratio = num / pair
+    outer = sq[0] * sq[-1]
+    prefix = np.cumprod(ratio, axis=0)
+    out = np.empty((len(ratio) + 1,) + outer.shape, dtype=ratio.dtype)
+    out[0] = prefix[-1]
+    out[1] = 1.0
+    out[2:] = prefix[:-1]
+    out[1:-1] *= np.cumprod(ratio[:0:-1], axis=0)[::-1]
+    out[1:] /= pair
+    out /= outer
+    return out
+
+
+def capacity_tail(E, roots, side, cfg):
+    """cap = shift exp(integral of 1/|x - beta| - |N/S|) over the ray beyond
+    b_2l (side +1) or b_1 (side -1), beta one unit (E.unit) inside that
+    endpoint, in units of E.unit, by one scalar call of the tail rule."""
+    b = np.asarray(E.endpoints)
+    base, unit = (b[-1] if side > 0 else b[0]), E.unit
+    shift = side * (base - (base - side * unit))
+    ratio = _plain_deriv(E, roots)
+
+    def fd(u):
+        delta = unit * u
+        return unit * (1.0 / (delta + shift) - side * ratio(side * delta, base))
+
+    return shift * math.exp(integrate_tail(None, base, side, cfg, fd=fd))
 
 
 def trace_lobe(dom, j, n_rays):

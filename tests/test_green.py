@@ -20,7 +20,8 @@ from walshmap.quadrature import QuadConfig, integrate_chebyshev, integrate_segme
 from walshmap.verify import random_interval_set, worst_invariant
 
 import reference_values as ref
-from scalar_oracles import critical_points, endpoint_weight_fd, path, rational_mass_fit
+from scalar_oracles import (capacity_tail, critical_points, endpoint_weight_fd,
+                            paired_leave_one_out, path, rational_mass_fit)
 
 
 # --- square-root branch --------------------------------------------------------
@@ -190,6 +191,15 @@ def test_worst_invariant_is_free_of_scale(pairs, scale):
     assert worst_invariant(wm) <= 1e-12
 
 
+def test_worst_invariant_measures_boundary_rows_against_their_rounding():
+    # draw 278 of scripts/multiscale_sweep.py (default_rng(42), ell 3, D 12):
+    # a correct solve whose |g_L(c_j)| read 7.4e-10 on its 3.4e-10 wide
+    # lobe, where storing c_j rounds g_L by |g_L'(c_j)| ulp(c_j) = 2.6e-9
+    wm = solve([[-1.0, 0.7572134756022908], [0.9947305464300513, 0.9995892014851291],
+                [0.9999999996638749, 1.0]])
+    assert worst_invariant(wm) <= 1e-12
+
+
 def test_cantor_levels_4_to_6_solve_with_falling_capacity():
     caps = []
     for level in (4, 5, 6):
@@ -280,6 +290,56 @@ def _counted_gap_passes(monkeypatch, shifts=()):
 
 
 _PASS_IDS = ["ell5", "ell10", "ell20", "ell40", "cantor2", "cantor3", "cantor4", "cantor5"]
+
+
+@pytest.mark.parametrize("pairs", _PASS_SETS + [ref.cantor_pairs(level) for level in (6, 7, 8)],
+                         ids=_PASS_IDS + ["cantor6", "cantor7", "cantor8"])
+def test_leave_one_out_rows_match_the_prefix_suffix_oracle(pairs):
+    # the gap pass's rows at 32 nodes per gap, for the roots at the gap
+    # midpoints, one node placed exactly on a root: row 0 is the same
+    # product, and each row 1 + j, the product over x - z_j, lies within
+    # the rounding of the two ways of forming it from ell factors
+    E = parse_domain(pairs)
+    b = np.asarray(E.endpoints)
+    roots = 0.5 * (b[1:-1:2] + b[2:-1:2])
+    t = (np.arange(32) + 0.5) / 32
+    x = b[1:-1:2, None] + (b[2:-1:2] - b[1:-1:2])[:, None] * t
+    k = len(roots) // 2
+    x[k, 7] = roots[k]
+    num = x - roots[:, None, None]
+    sq = np.sqrt(np.abs(x - b[:, None, None]))
+    want = paired_leave_one_out(num, sq)
+    got = green._paired_ratio(num.copy(), sq.copy(), leave_one_out=True)
+    assert np.array_equal(got[0], want[0]) and got[0, k, 7] == 0.0
+    assert np.all(np.abs(got - want) <= 2 * E.ell * np.spacing(np.abs(want)))
+    assert got[1 + k, k, 7] != 0.0 and np.isfinite(got).all()
+
+
+def test_coefficient_tree_is_polyfromroots_bit_for_bit():
+    for count in range(161):  # unsorted roots: both trees sort them
+        roots = np.random.default_rng(count).uniform(-1.0, 1.0, count)
+        want = np.polynomial.polynomial.polyfromroots(roots)
+        got = green._poly_from_roots(roots)
+        assert got.dtype == want.dtype and np.array_equal(got, want), count
+
+
+@pytest.mark.parametrize("pairs", _PASS_SETS[::2] + [ref.TWO_INTERVAL["pairs"]],
+                         ids=_PASS_IDS[::2] + ["two"])
+def test_capacity_tails_are_one_tail_call_equal_to_scalar_calls(pairs, monkeypatch):
+    E = parse_domain(pairs)
+    roots = green_data(E).roots
+    calls = []
+    plain = green.integrate_tail
+
+    def counted(f, lo, *args, **kwargs):
+        calls.append(np.shape(lo))
+        return plain(f, lo, *args, **kwargs)
+
+    monkeypatch.setattr(green, "integrate_tail", counted)
+    cap, mismatch = green._capacity_both(E, roots, green.DEFAULT_CONFIG)
+    assert calls == [(2,)]
+    right, left = (capacity_tail(E, roots, side, green.DEFAULT_CONFIG) for side in (1, -1))
+    assert cap == 0.5 * (right + left) and mismatch == abs(right - left)
 
 
 @pytest.mark.parametrize("pairs", _PASS_SETS, ids=_PASS_IDS)

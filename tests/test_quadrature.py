@@ -331,6 +331,83 @@ def test_tail_capacity_consistency():
     assert abs(math.exp(v) - ref.TWO_INTERVAL["capacity"]) < 1e-11
 
 
+# tails that stop at different levels, in both directions: 1/x^2, a
+# Lorentzian, a slow 1/x^1.55 decay and exp(-x)/sqrt(x) at the endpoint
+TAIL_LO = np.array([1.0, 0.0, -2.0, 0.5])
+TAIL_SIDE = np.array([1, -1, -1, 1])
+
+
+def tail_rows(calls):
+    """The distance integrand of each tail in TAIL_LO, a row per tail of
+    the block; records the rows and indices of each call."""
+    def fd(d, *idx):
+        calls.append((d.shape, tuple(np.ravel(idx).tolist())))
+        i = idx[0][:, None] if idx else np.arange(TAIL_LO.size)[:, None]
+        x = np.abs(TAIL_LO[i] + TAIL_SIDE[i] * d)
+        rows = (1.0 / (x * x + 1e-300), 1.0 / (x * x + 1.0),
+                1.0 / (np.sqrt(d) * (d + 1.0) ** 1.05), np.exp(-d) / np.sqrt(d))
+        return np.choose(np.broadcast_to(i, d.shape), rows)
+    return fd
+
+
+def test_tail_array_matches_scalar_calls():
+    calls = []
+    vec, err = integrate_tail(None, TAIL_LO, TAIL_SIDE, LOOSE, fd=tail_rows(calls),
+                              with_estimate=True)
+    assert vec.shape == err.shape == TAIL_LO.shape
+    # one integrand call a level, over the tails still doubling
+    assert calls == [((4, 17), (0, 1, 2, 3)), ((4, 16), (0, 1, 2, 3)),
+                     ((3, 32), (0, 1, 3)), ((2, 64), (1, 3))]
+    for i in range(TAIL_LO.size):
+        def own(d, i=i):
+            return tail_rows([])(d[None], np.array([i]))[0]
+        v, e = integrate_tail(None, TAIL_LO[i], TAIL_SIDE[i], LOOSE, fd=own,
+                              with_estimate=True)
+        assert isinstance(v, float) and isinstance(e, float)
+        assert vec[i] == v and err[i] == e
+
+
+def test_tail_array_of_plain_integrands():
+    f = lambda x, idx: 1.0 / (x * x + 1.0)
+    vec = integrate_tail(f, np.zeros(2), np.array([1, -1]))
+    assert vec[0] == integrate_tail(lambda x: 1.0 / (x * x + 1.0), 0.0, 1)
+    assert vec[1] == integrate_tail(lambda x: 1.0 / (x * x + 1.0), 0.0, -1)
+    with pytest.raises(ValueError, match="direction"):
+        integrate_tail(f, np.zeros(2), np.array([1, 0]))
+
+
+def test_tail_array_no_convergence_carries_failures():
+    # cos does not decay: tails 1 and 3 never settle, 0 and 2 decay
+    cfg = QuadConfig(max_level=4)
+    lo = np.array([1.0, 0.0, 2.0, 0.5])
+
+    def f(x, idx=None):
+        fail = np.isin(np.arange(lo.size), (1, 3))
+        rows = 1.0 / (x * x)
+        if idx is None:
+            return rows
+        return np.where(fail[idx, None], np.cos(x), rows)
+
+    with pytest.raises(NoConvergence) as err:
+        integrate_tail(f, lo, 1, cfg)
+    exc = err.value
+    assert exc.best.shape == exc.estimate.shape == lo.shape
+    assert sorted(exc.failures) == [1, 3]
+    assert str(exc) == str(exc.failures[1])
+    for i in range(lo.size):
+        plain = np.cos if i in (1, 3) else (lambda x: 1.0 / (x * x))
+        try:
+            v = integrate_tail(plain, float(lo[i]), 1, cfg)
+        except NoConvergence as own:
+            got = exc.failures[i]
+            assert str(got) == str(own)
+            assert got.best == own.best and got.estimate == own.estimate
+            assert type(got.best) is type(own.best) is float
+            assert exc.best[i] == own.best
+        else:
+            assert i not in exc.failures and exc.best[i] == v
+
+
 # --- complex segments ----------------------------------------------------------
 
 def test_segment_constant():

@@ -52,6 +52,31 @@ def test_iteration_profile_counts_ray_passes():
         assert (level, rays) == (5, 256 * 5) and slope <= 12
 
 
+def test_iteration_profile_times_solve_stages():
+    proc = run_script("iteration_profile.py", "--stages", "--cantor", "3", "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    head, line = proc.stdout.splitlines()
+    assert head.split()[-7:] == ["loo", "hull", "crit_g", "tails", "centers", "bound_c",
+                                 "solve"]
+    label, times = line.split(":")
+    assert label.split() == ["cantor3", "ell", "8"]
+    times = [float(v) for v in times.split()]
+    # every stage ran, and the stages lie within the solve
+    assert len(times) == 7 and min(times) > 0.0 and sum(times[:-1]) < times[-1]
+
+
+def test_ab_solve_runs_a_against_a():
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("ab_solve.py", src, src, "--rounds", "2", "--limit", "2")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head.startswith("2 interleaved ladder passes (seed 1)")
+    # the first two ladder sets are both of the ell5 class
+    assert [row.split()[0] for row in rows] == ["ell5", "gmean"]
+    old, new, ratio = (float(v) for v in rows[-1].split()[1:])
+    assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 1e-3
+
+
 def test_export_figure_data_writes_every_csv(tmp_path):
     proc = run_script("export_figure_data.py", "--n", "5", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
