@@ -17,6 +17,15 @@ Prints, per class, the median solve time of each side (for the Cantor class
 the median time of one pass over its levels, as the benchmark counts it)
 and their ratio, then the geometric mean of the class medians of each side
 and the ratio of the two: new over old, below 1 when the new tree is faster.
+
+With --outputs it compares what the two trees solve instead of timing
+them: over the same ladder passes, the worst move of each output (roots,
+masses, capacity, green_at_roots, centers, crit_w and boundary_c) between
+the two solves of a set, relative to the largest entry of the old tree's
+vector, how many solves are bit-identical, and the totals of the centers'
+Newton steps (outer_iterations) on each side:
+
+    python scripts/ab_solve.py OLD_SRC NEW_SRC --outputs --rounds 3
 """
 
 import argparse
@@ -71,6 +80,64 @@ def class_medians(times):
             for label, values in times.items()}
 
 
+# (label, attribute path on a WalshMap) of every output --outputs compares
+OUTPUTS = (("roots", "green.roots"), ("masses", "exponents.m"),
+           ("capacity", "green.capacity"), ("green_at_roots", "green.green_at_roots"),
+           ("centers", "lemniscatic.centers"), ("crit_w", "lemniscatic.crit_w"),
+           ("boundary_c", "lemniscatic.boundary_c"))
+
+
+def outputs(package, pairs):
+    """{label: array} of a solve's outputs and its outer_iterations, or the
+    name of its typed failure."""
+    try:
+        wm = package.solve(pairs)
+    except package.errors.WalshMapError as exc:
+        return type(exc).__name__
+    out = {}
+    for label, path in OUTPUTS:
+        value = wm
+        for name in path.split("."):
+            value = getattr(value, name)
+        out[label] = np.atleast_1d(np.asarray(value, dtype=float))
+    out["outer_iterations"] = wm.lemniscatic.outer_iterations
+    return out
+
+
+def compare_outputs(sides, ladders):
+    """Print the worst relative move of each output over the ladders' sets,
+    the bit-identical solves and each side's outer_iterations total."""
+    worst = {name: (0.0, None) for name, _ in OUTPUTS}  # (move, class label)
+    identical = solves = 0
+    steps = [0, 0]
+    failures = []
+    for label, pairs in (item for ladder in ladders for item in ladder):
+        old, new = (outputs(package, pairs) for package in sides)
+        solves += 1
+        if isinstance(old, str) or isinstance(new, str):
+            failures.append(f"{label}: {old if isinstance(old, str) else 'solved'} -> "
+                            f"{new if isinstance(new, str) else 'solved'}")
+            identical += old == new
+            continue
+        same = True
+        for name, _ in OUTPUTS:
+            scale = float(np.max(np.abs(old[name]), initial=0.0)) or 1.0
+            move = float(np.max(np.abs(new[name] - old[name]), initial=0.0)) / scale
+            same &= bool(np.array_equal(new[name], old[name]))
+            if move > worst[name][0]:
+                worst[name] = (move, label)
+        identical += same
+        steps[0] += old["outer_iterations"]
+        steps[1] += new["outer_iterations"]
+    print(f"{solves} ladder solves, {identical} bit-identical; worst move relative to "
+          f"the vector's largest entry:")
+    for name, (move, label) in worst.items():
+        print(f"  {name:14s} {move:.3e}" + (f" ({label})" if label else ""))
+    print(f"outer_iterations: old {steps[0]}, new {steps[1]}")
+    for line in failures:
+        print(f"  failed {line}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -80,6 +147,8 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--limit", type=int, default=None,
                         help="solve only the first LIMIT sets of each pass")
+    parser.add_argument("--outputs", action="store_true",
+                        help="compare the two trees' outputs instead of their times")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -87,6 +156,10 @@ def main():
         for package in sides:  # warm-up: quadrature tables, first calls
             package.solve(inputs.TWO_INTERVAL_SET)
         rng = np.random.default_rng(args.seed)
+        if args.outputs:
+            compare_outputs(sides, [inputs.ladder_sets(rng)[:args.limit]
+                                    for _ in range(args.rounds)])
+            return
         # times[side][label]: one list of seconds per round
         times = ({}, {})
         for round_ in range(args.rounds):

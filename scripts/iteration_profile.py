@@ -21,17 +21,25 @@ trace_boundary(dom, 256), each split into level and slope passes with the
 rays a pass, counted by wrapping lemniscatic._level and _level_slope from
 outside the package.
 
+With --crit it counts, per solve, the calls of lemniscatic.crit_points and
+the calls of the bracketed solver _bisect and their evaluations of f, split
+by caller: the numerator's exact roots (green), the critical points of the
+centers' Newton (lemniscatic.crit_points) and the rays of boundary_abscissae.
+
 With --stages it times the stages of each solve instead: per set, the median
 over --repeat solves of the leave-one-out gap pass, the hull pass (gap
 residuals and masses), the critical values, the capacity tails, the centers'
 Newton (with its critical points) and the boundary abscissae, in ms, and of
 the whole solve.  Each stage is timed by wrapping the function that does it
 from outside the package (green._product_integrals, _gap_integral,
-_capacity_both; lemniscatic._center_solve, boundary_abscissae).  The sets
-are --count draws of --ell intervals, or Cantor levels (--cantor) and
-Dirichlet sets filling [-1, 1] drawn from default_rng(ell) (--dirichlet):
+_capacity_both; lemniscatic._center_solve, boundary_abscissae).
+
+Every mode solves the same sets: --count draws of --ell intervals, or
+Cantor levels (--cantor) and Dirichlet sets filling [-1, 1] drawn from
+default_rng(ell) (--dirichlet):
 
     python scripts/iteration_profile.py --stages --cantor 6 7 8 --dirichlet 80 160
+    python scripts/iteration_profile.py --crit --dirichlet 5 10 40
 """
 
 import argparse
@@ -149,6 +157,53 @@ def ray_passes(counts):
             f"{rays / max(passes, 1):.0f} rays")
 
 
+# the callers of _bisect --crit tells apart
+BISECT_CALLERS = ("exact roots", "centers", "rays")
+
+
+def count_crit(counts):
+    """Wrap lemniscatic.crit_points and the _bisect of green and
+    lemniscatic, so that every crit_points call adds one to
+    counts["crit_points"] and every _bisect call one to counts[caller] and
+    its evaluations of f to counts[caller + " evals"]; a lemniscatic call
+    inside crit_points is the centers', any other the rays'.  Returns the
+    undo."""
+    plain_crit = lemniscatic.crit_points
+    saved = [(green, "_bisect", green._bisect), (lemniscatic, "_bisect", lemniscatic._bisect),
+             (lemniscatic, "crit_points", plain_crit)]
+    inside = []  # nonempty while crit_points runs
+
+    def bisect(rule, caller):
+        @functools.wraps(rule)
+        def wrapper(f, *args, **kwargs):
+            name = caller or ("centers" if inside else "rays")
+            counts[name] += 1
+
+            def counted(x):
+                counts[name + " evals"] += 1
+                return f(x)
+            return rule(counted, *args, **kwargs)
+        return wrapper
+
+    @functools.wraps(plain_crit)
+    def crit_points(*args, **kwargs):
+        counts["crit_points"] += 1
+        inside.append(1)
+        try:
+            return plain_crit(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    green._bisect = bisect(green._bisect, "exact roots")
+    lemniscatic._bisect = bisect(lemniscatic._bisect, None)
+    lemniscatic.crit_points = crit_points
+
+    def undo():
+        for module, name, rule in saved:
+            setattr(module, name, rule)
+    return undo
+
+
 # (column, module, function) of each timed solve stage; the calls of
 # _product_integrals without leave_one_out go to the column "hull"
 STAGES = (("loo", green, "_product_integrals"),
@@ -189,22 +244,18 @@ def time_stages(seconds):
 
 
 def stage_sets(args):
-    """(label, pairs) of every set --stages times."""
+    """(label, pairs) of every set to solve."""
     if args.cantor or args.dirichlet:
         return ([(f"cantor{k}", cantor_pairs(k)) for k in args.cantor]
                 + [(f"dirichlet{ell}", dirichlet_intervals(np.random.default_rng(ell), ell))
                    for ell in args.dirichlet])
     rng = np.random.default_rng(args.seed)
-    return [(f"set{i}", random_interval_set(rng, args.ell, args.min_length))
+    return [(f"set {i}", random_interval_set(rng, args.ell, args.min_length))
             for i in range(args.count)]
 
 
-def print_stages(args):
+def print_stages(args, sets):
     """One line per set: the median ms of each stage and of the solve."""
-    try:
-        sets = stage_sets(args)
-    except ValueError as exc:
-        sys.exit(f"iteration_profile: {exc}")
     print(f"median ms over {args.repeat} solves: " + " ".join(f"{c:>9s}" for c in COLUMNS))
     for label, pairs in sets:
         runs = collections.defaultdict(list)
@@ -235,20 +286,25 @@ def main():
     parser.add_argument("--rays", action="store_true",
                         help="count the g_L passes of boundary_abscissae and of a "
                              "256-ray trace_boundary per set")
+    parser.add_argument("--crit", action="store_true",
+                        help="count crit_points calls and _bisect evaluations per solve")
     parser.add_argument("--stages", action="store_true",
                         help="time each solve stage per set instead")
     parser.add_argument("--repeat", type=int, default=5,
                         help="solves per set with --stages")
     parser.add_argument("--cantor", type=int, nargs="+", default=[], metavar="LEVEL",
-                        help="with --stages: time Cantor levels instead of random draws")
+                        help="solve Cantor levels instead of random draws")
     parser.add_argument("--dirichlet", type=int, nargs="+", default=[], metavar="ELL",
-                        help="with --stages: time Dirichlet sets of ELL intervals")
+                        help="solve Dirichlet sets of ELL intervals instead of random draws")
     args = parser.parse_args()
+    try:
+        sets = stage_sets(args)
+    except ValueError as exc:
+        sys.exit(f"iteration_profile: {exc}")
     if args.stages:
-        print_stages(args)
+        print_stages(args, sets)
         return
 
-    rng = np.random.default_rng(args.seed)
     histogram = collections.Counter()
     nodes = collections.Counter()  # node evaluations by node count
     calls = collections.Counter()  # Chebyshev calls and gap passes
@@ -256,24 +312,25 @@ def main():
     calls_per_set = collections.defaultdict(list)
     worst = 0.0
     rays = collections.Counter()  # ray passes and their rays
+    crit = collections.Counter()  # crit_points calls, _bisect calls and evaluations
     undos = ([count_chebyshev(nodes, calls)] if args.nodes else []) + (
-        [count_rays(rays)] if args.rays else [])
+        [count_rays(rays)] if args.rays else []) + ([count_crit(crit)] if args.crit else [])
     t0 = time.perf_counter()
     try:
-        for i in range(args.count):
-            try:
-                pairs = random_interval_set(rng, args.ell, args.min_length)
-            except ValueError as exc:
-                sys.exit(f"iteration_profile: {exc}")
+        for label, pairs in sets:
             before, before_calls, before_rays = sum(nodes.values()), calls.copy(), rays.copy()
+            before_crit = crit.copy()
             wm = solve(pairs)
             per_set.append(sum(nodes.values()) - before)
             for name in ("chebyshev", "leave_one_out", "residual"):
                 calls_per_set[name].append(calls[name] - before_calls[name])
+            for name in ("crit_points",) + tuple(
+                    f"{caller}{kind}" for caller in BISECT_CALLERS for kind in ("", " evals")):
+                calls_per_set[name].append(crit[name] - before_crit[name])
             if args.rays:
                 in_solve, before_rays = rays - before_rays, rays.copy()
                 lemniscatic.trace_boundary(wm.lemniscatic, 256)
-                print(f"set {i}: boundary_abscissae {ray_passes(in_solve)}; "
+                print(f"{label}: boundary_abscissae {ray_passes(in_solve)}; "
                       f"trace {ray_passes(rays - before_rays)}")
             histogram[wm.lemniscatic.outer_iterations] += 1
             worst = max(worst, worst_invariant(wm))
@@ -282,8 +339,11 @@ def main():
             undo()
     elapsed = time.perf_counter() - t0
 
-    print(f"{args.count} random sets with {args.ell} components "
-          f"(min length {args.min_length:g}, seed {args.seed})")
+    if args.cantor or args.dirichlet:
+        print("sets: " + ", ".join(label for label, _ in sets))
+    else:
+        print(f"{args.count} random sets with {args.ell} components "
+              f"(min length {args.min_length:g}, seed {args.seed})")
     for steps in sorted(histogram):
         bar = "#" * histogram[steps]
         print(f"  {steps:2d} Newton steps: {histogram[steps]:4d} {bar}")
@@ -296,7 +356,13 @@ def main():
         print(per_set_line("Chebyshev calls per set", calls_per_set["chebyshev"]))
         print(per_set_line("leave-one-out gap passes per set", calls_per_set["leave_one_out"]))
         print(per_set_line("residual gap passes per set", calls_per_set["residual"]))
-    print(f"total {elapsed:.1f}s ({1e3 * elapsed / args.count:.1f} ms per set)")
+    if args.crit:
+        print(per_set_line("crit_points calls per solve", calls_per_set["crit_points"]))
+        for caller in BISECT_CALLERS:
+            print(per_set_line(f"_bisect calls per solve, {caller}", calls_per_set[caller]))
+            print(per_set_line(f"_bisect evaluations per solve, {caller}",
+                               calls_per_set[caller + " evals"]))
+    print(f"total {elapsed:.1f}s ({1e3 * elapsed / len(sets):.1f} ms per set)")
 
 
 if __name__ == "__main__":

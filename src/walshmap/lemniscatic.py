@@ -4,11 +4,14 @@ L = {w : prod |w - a_j|^(m_j) <= capacity} has the same capacity, Green's
 function values and critical-point structure as E; the centers a_j are
 recovered from that correspondence.  solve_domain takes explicit formulas
 for one and two components, and for three or more one damped Newton on the
-centers with the critical points w = crit_points(a) at every trial, each
-started from the first-order motion of the last trial's, and keeps the w of
-its final evaluation.  The paper's alternating iteration (a center solve at
-fixed critical points, then a critical-point update), centers_general, runs
-on the same center solve and reproduces the paper's step counts.
+centers.  Its critical points ride it: each trial moves the last
+evaluation's w to first order with the centers and corrects it by one
+Newton step on g_L', and crit_points runs once, at the returned centers,
+whose w the domain keeps.  A ridden Newton that stalls reruns with
+w = crit_points(a) at every trial.  The paper's alternating iteration (a
+center solve at fixed critical points, then a critical-point update),
+centers_general, runs on the same center solve and reproduces the paper's
+step counts.
 
 The boundary of L is solved along rays from the centers by one solver,
 _solve_rays: boundary_abscissae are the rays at angles pi and 0 of each
@@ -126,7 +129,8 @@ def crit_points(a, m, start=None) -> np.ndarray:
     -sum m_j / (w - a_j)^2, from start (default: the bracket midpoints); an
     entry of start outside its bracket's open interior starts at the
     midpoint instead.  Raises BracketFailure when f does not change sign on
-    a bracket.
+    a bracket.  The centers' Newton calls it once, at its returned centers,
+    from its ridden w, which is then within a step or two of the zeros.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -369,12 +373,14 @@ def _center_newton(a, w, m, targets, s, p):
     targets_i at the critical points w, in units of p, and sum m_j a_j =
     targets[-1] in units of the half-width s; and the full Newton step.  A
     singular Jacobian gives a NaN step, which no damped trial accepts."""
+    d = w[:, None] - a
+    J = np.empty((a.size, a.size))
+    F = np.empty(a.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(np.abs(w[:, None] - a[None, :]) / p) @ m
-        J = np.empty((a.size, a.size))
-        J[:-1, :] = -m[None, :] / (w[:, None] - a[None, :])
-    J[-1, :] = m / s
-    F = np.append(vals - targets[:-1], (m @ a - targets[-1]) / s)
+        np.subtract(np.log(np.abs(d) / p) @ m, targets[:-1], out=F[:-1])
+        np.divide(-m, d, out=J[:-1])
+    np.divide(m, s, out=J[-1])
+    F[-1] = (m @ a - targets[-1]) / s
     try:
         return F, np.linalg.solve(J, -F)
     except np.linalg.LinAlgError:
@@ -391,26 +397,53 @@ def _rounding_floor(a, w, m, targets, p) -> float:
     return 8.0 * a.size * _EPS * float(np.max(size + np.abs(targets[:-1])))
 
 
-def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
-    """Damped Newton for the centers from a0, keeping them ordered: at the
-    fixed critical points w, or, without w, at w = crit_points(a) on every
-    trial.  The Jacobian is the same either way, since each w_i is a zero of
-    g_L' and its motion drops out.
+def _ride(a, m, w, corrections):
+    """w moved by Newton steps on the zeros of f(w) = sum m_j / (w - a_j),
+    or None when a moved point leaves its bracket (a_k, a_{k+1}).
 
-    Without w, the critical points follow the centers: each trial's
-    crit_points starts at the first-order motion of the last evaluation's
-    critical points, w + (q @ (a - a_last)) / q.sum(1) with
-    q_ij = m_j / (w_i - a_last,j)^2.
+    Each w_k steps on h = f (w - a_k)(a_{k+1} - w), which has f's zero but
+    not its poles at the bracket's ends: h'/h = f'/f + 1/(w - a_k) +
+    1/(w - a_{k+1}), so the step is f / (f' + f (1/(w - a_k) +
+    1/(w - a_{k+1}))).  h is linear when the other centers carry no mass, so
+    the step is exact there, and nearly so while they are far."""
+    for _ in range(corrections):
+        inv = 1.0 / (w[:, None] - a)
+        f = inv @ m
+        w = w - f / (f * (np.diagonal(inv) + np.diagonal(inv, 1)) - (inv * inv) @ m)
+    return w if np.all((a[:-1] < w) & (w < a[1:])) else None
+
+
+def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None,
+                  nested=False):
+    """Damped Newton for the centers from a0, keeping them ordered: at the
+    fixed critical points w, or, without w, at critical points that follow
+    the centers.  The Jacobian is the same either way, since each w_i is a
+    zero of g_L' and its motion drops out.
+
+    Without w, the critical points ride the Newton: each trial takes the
+    first-order motion of the last evaluation's critical points,
+    w + (q @ (a - a_last)) / q.sum(1) with q_ij = m_j / (w_i - a_last,j)^2,
+    plus one Newton correction on g_L' (_ride); the first evaluation takes
+    the two-pole points (m_{k+1} a_k + m_k a_{k+1}) / (m_k + m_{k+1}) plus
+    two.  A w off the critical points by d moves the Green rows by O(d^2)
+    only, since g_L' vanishes there.  Only a trial whose moved point leaves
+    its bracket calls crit_points, from the prediction.  Once the Newton
+    stops, crit_points(a, start=w) gives the critical points of its centers,
+    and the residual is evaluated again there if they differ, so the
+    returned w is the last evaluation's.  With nested, every trial takes
+    w = crit_points(a) from the prediction instead: that run is the
+    fallback when the ridden one stalls above its rounding, from a0 again,
+    and its steps add to the ridden run's.
 
     The Green's-value rows are in units of p = E.unit, against
     g_E(z_k) + log(cap / p).  It stops at a residual of 1e-14, or at a full
     step within 1e-15 max(s, max|a - t|) in the frame (t, s) of E or 2 ulp
     of a (binding only if |t| > s).  A Newton that ends short at a residual
     within the rows' own rounding (_rounding_floor) has converged too: its
-    last iterate is returned, with w = crit_points(a) when w is not given.
-    Returns (a, w, steps, residual norm), w the critical points of the
-    returned centers; raises NoConvergence naming the stall and its
-    residual.
+    last iterate is returned, with its residual at its critical points when
+    w is not given.  Returns (a, w, steps, residual norm), w the critical
+    points of the returned centers; raises NoConvergence naming the stall
+    and its residual.
     """
     t, s = E.frame
     p = E.unit
@@ -418,18 +451,26 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
     targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
     last = []  # (a, w) of the last evaluation, when w follows a
 
-    def residual(a):
-        if w is not None:
-            return _center_newton(a, w, m, targets, s, p)
+    def follow(a):
+        """The critical points w at the trial centers a."""
         if last:
             a_last, w_last = last.pop()
             q = m / (w_last[:, None] - a_last) ** 2
-            w_a = crit_points(a, m, start=w_last + (q @ (a - a_last)) / q.sum(1))
+            start = guess = w_last + (q @ (a - a_last)) / q.sum(1)
+            corrections = 1
         else:
-            w_a = crit_points(a, m)
-        last.append((a, w_a))
-        return _center_newton(a, w_a, m, targets, s, p)
+            start, corrections = None, 2
+            guess = (m[1:] * a[:-1] + m[:-1] * a[1:]) / (m[:-1] + m[1:])
+        w_a = None if nested else _ride(a, m, guess, corrections)
+        return crit_points(a, m, start=start) if w_a is None else w_a
 
+    def residual(a):
+        if w is not None:
+            return _center_newton(a, w, m, targets, s, p)
+        last.append((a, follow(a)))
+        return _center_newton(a, last[0][1], m, targets, s, p)
+
+    stall = None
     try:
         a, F, steps = damped_newton(
             residual, np.array(a0, dtype=float),
@@ -440,15 +481,23 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
             tol=1e-14, step_tol=lambda a: np.maximum(
                 1e-15 * max(s, float(np.max(np.abs(a - t)))), 2.0 * np.spacing(np.abs(a))),
             max_steps=80, max_halvings=20)
+        resid = float(np.max(np.abs(F)))
     except NoConvergence as exc:
-        a = exc.best
-        w_a = crit_points(a, m) if w is None else w
-        if not exc.estimate <= _rounding_floor(a, w_a, m, targets, p):
-            raise NoConvergence(f"center Newton stalled: {exc}", best=exc.best,
-                                estimate=exc.estimate) from exc
-        return a, w_a, exc.steps, exc.estimate
-    # the last evaluation is the returned iterate's
-    return a, last[0][1] if w is None else w, steps, float(np.max(np.abs(F)))
+        stall, a, steps, resid = exc, exc.best, exc.steps, exc.estimate
+    w_a = w
+    if w is None:
+        # the last evaluation is the returned iterate's unless the Newton stalled
+        w_last = last[0][1]
+        w_a = crit_points(a, m, start=w_last)
+        if stall is not None or not np.array_equal(w_a, w_last):
+            resid = float(np.max(np.abs(_center_newton(a, w_a, m, targets, s, p)[0])))
+    if stall is not None and not resid <= _rounding_floor(a, w_a, m, targets, p):
+        if w is None and not nested:
+            a, w_a, more, resid = _center_solve(E, m, cap, data, a0, nested=True)
+            return a, w_a, steps + more, resid
+        raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
+                            estimate=stall.estimate) from stall
+    return a, w_a, steps, resid
 
 
 def centers_general(E: IntervalUnion, m, cap: float, data: GreenData):
@@ -486,8 +535,9 @@ def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> Lemnis
 
     One component forces a_1 = alpha (disk); two components are explicit;
     three or more run the centers' damped Newton from the component
-    midpoints, with w = crit_points(a) at every trial (_center_solve), and
-    take the critical points of its returned centers from it.
+    midpoints, with the critical points riding it (_center_solve), and take
+    the critical points of its returned centers, w = crit_points(a), from
+    it.
     """
     cap = data.capacity
     ell = E.ell

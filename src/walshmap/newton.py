@@ -6,10 +6,12 @@ acceptance test and stopping rule.  map_grid solves the complex map
 equations of a whole batch of points with its masked twin,
 damped_newton_masked, which runs the same rule on every element at once.
 Real zeros in known brackets (the numerator roots of each linear pass on
-the gap conditions, the critical points of g_L, and the rays of L's
-boundary in log r, whose rays at angles 0 and pi are the real zeros of
-g_L) come from _bisect, Newton's method safeguarded by bisection on arrays
-of brackets.
+the gap conditions, the critical points of g_L at the centers the centers'
+Newton returns, and the rays of L's boundary in log r, whose rays at angles
+0 and pi are the real zeros of g_L) come from _bisect, Newton's method
+safeguarded by bisection on arrays of brackets.  The trials of the centers'
+Newton take no bracketed solve: their critical points ride it by one
+Newton step each (lemniscatic._center_solve).
 """
 
 import numpy as np
@@ -157,33 +159,40 @@ def _bisect(f, pos, neg, start=None):
     not halve |f| (f's rounding noise then outweighs the step); or at the
     midpoint of its ends once they are adjacent floats.  All brackets are
     evaluated together until the last one stops, at most _BISECT_STEPS
-    times; one still open then returns its midpoint.
+    times; one still open then returns its midpoint.  The ends are updated
+    in place, and the noise test runs only while some Newton step is below
+    sqrt(eps).
     """
     pos = np.array(pos, dtype=float)
     neg = np.array(neg, dtype=float)
-    x = root = 0.5 * (pos + neg) if start is None else np.array(start, dtype=float)
+    x = 0.5 * (pos + neg) if start is None else np.array(start, dtype=float)
+    root = np.empty(x.shape)
     live = np.ones(x.shape, dtype=bool)
-    small_newton = np.zeros(x.shape, dtype=bool)
-    f_prev = np.full(x.shape, np.inf)
+    small_newton = None  # where the last Newton step was below sqrt(eps)
     for _ in range(_BISECT_STEPS):
         fx, slope = f(x)
         up = fx > 0
-        pos = np.where(up, x, pos)
-        neg = np.where(up, neg, x)
+        np.copyto(pos, x, where=up)
+        np.copyto(neg, x, where=~up)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = fx / slope
+        abs_x, abs_step = np.abs(x), np.abs(step)
         mid = 0.5 * (pos + neg)
-        at_x = ((fx == 0.0) | (np.abs(step) <= 2.0 * np.spacing(np.abs(x)))
-                | (small_newton & (np.abs(fx) >= 0.5 * f_prev)))
-        adjacent = (mid == pos) | (mid == neg)
-        stop = live & (at_x | adjacent)
-        root = np.where(stop, np.where(at_x, x, mid), root)
+        at_x = (fx == 0.0) | (abs_step <= 2.0 * np.spacing(abs_x))
+        if small_newton is not None:
+            at_x |= small_newton & (np.abs(fx) >= f_prev)
+        stop = live & (at_x | (mid == pos) | (mid == neg))
+        np.copyto(root, np.where(at_x, x, mid), where=stop)
         live &= ~stop
         if not live.any():
             return root
         newton = x - step
         inside = (newton - pos) * (newton - neg) < 0.0
-        small_newton = inside & (np.abs(step) <= 1.5e-8 * np.abs(x))
-        f_prev = np.abs(fx)
+        small_newton = inside & (abs_step <= 1.5e-8 * abs_x)
+        if small_newton.any():
+            f_prev = 0.5 * np.abs(fx)
+        else:
+            small_newton = None
         x = np.where(live, np.where(inside, newton, mid), x)
-    return np.where(live, 0.5 * (pos + neg), root)
+    np.copyto(root, mid, where=live)
+    return root

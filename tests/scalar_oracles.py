@@ -5,7 +5,8 @@ crit_points and boundary_abscissae are the per-root loops that
 lemniscatic.crit_points and lemniscatic.boundary_abscissae replaced with
 array-wide bisection; they stay here as oracles for the array versions.
 halving_bisect is the plain array bisection that newton._bisect
-replaced with a Newton-safeguarded one.  path is green._path with its
+replaced with a Newton-safeguarded one, and bisect_reference that kernel
+before it updated its brackets in place.  path is green._path with its
 endpoint test run on every endpoint.  critical_points finds the numerator
 roots from coefficients (the solve finds the roots directly), and
 rational_mass_fit tests masses for a common denominator, a sign of a
@@ -112,6 +113,39 @@ def halving_bisect(f, pos, neg):
         pos = np.where(up, mid, pos)
         neg = np.where(up, neg, mid)
     return 0.5 * (pos + neg)
+
+
+def bisect_reference(f, pos, neg, start=None):
+    """newton._bisect before it updated its brackets in place: the same
+    iterates and stops, each array rebuilt by np.where on every pass."""
+    pos = np.array(pos, dtype=float)
+    neg = np.array(neg, dtype=float)
+    x = root = 0.5 * (pos + neg) if start is None else np.array(start, dtype=float)
+    live = np.ones(x.shape, dtype=bool)
+    small_newton = np.zeros(x.shape, dtype=bool)
+    f_prev = np.full(x.shape, np.inf)
+    for _ in range(90):
+        fx, slope = f(x)
+        up = fx > 0
+        pos = np.where(up, x, pos)
+        neg = np.where(up, neg, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / slope
+        mid = 0.5 * (pos + neg)
+        at_x = ((fx == 0.0) | (np.abs(step) <= 2.0 * np.spacing(np.abs(x)))
+                | (small_newton & (np.abs(fx) >= 0.5 * f_prev)))
+        adjacent = (mid == pos) | (mid == neg)
+        stop = live & (at_x | adjacent)
+        root = np.where(stop, np.where(at_x, x, mid), root)
+        live &= ~stop
+        if not live.any():
+            return root
+        newton = x - step
+        inside = (newton - pos) * (newton - neg) < 0.0
+        small_newton = inside & (np.abs(step) <= 1.5e-8 * np.abs(x))
+        f_prev = np.abs(fx)
+        x = np.where(live, np.where(inside, newton, mid), x)
+    return np.where(live, 0.5 * (pos + neg), root)
 
 
 def path(E, base, z):

@@ -1,10 +1,11 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walshmap import lemniscatic
+from walshmap import green as green_module, lemniscatic
 from walshmap.api import solve
 from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter
 from walshmap.lemniscatic import (LemniscaticDomain, boundary_abscissae,
@@ -205,18 +206,24 @@ def test_newton_bisect_matches_halving_and_is_cheap(ell, seed, monkeypatch):
     assert np.all(np.abs(c - c_old) <= 2.0 * np.spacing(np.abs(c_old)) + 4.0 * window)
 
 
+# centers, masses and capacity of an L whose eighth lobe has radius
+# 5.05e-14, about 455 ulps of its center
+LOBE_455_ULPS = (
+    np.array([-2.920838142086841, -2.446883650280436, -2.2207288654142885,
+              -1.8845759348973745, -1.2728502801062558, -1.0556360818942712,
+              -0.23160857020518133, 0.7407425766524534, 1.6356384729494602]),
+    np.array([0.051474229549726774, 0.12688850157572498, 0.04262080151324406,
+              0.19223176385312885, 0.13218196262734838, 0.235206779000112,
+              0.09938459736349337, 0.053708450540033315, 0.06630291397718817]),
+    0.37587571162494054)
+
+
 def test_boundary_abscissae_of_a_lobe_455_ulps_wide(monkeypatch):
     # the eighth lobe has radius 5.05e-14, about 455 ulps of its center: g is
     # formed from the center offsets, never from a rounded point a_j + r, so
     # its rays match the scalar oracle within 2 ulps in one _bisect call of
     # at most 15 evaluations
-    a = np.array([-2.920838142086841, -2.446883650280436, -2.2207288654142885,
-                  -1.8845759348973745, -1.2728502801062558, -1.0556360818942712,
-                  -0.23160857020518133, 0.7407425766524534, 1.6356384729494602])
-    m = np.array([0.051474229549726774, 0.12688850157572498, 0.04262080151324406,
-                  0.19223176385312885, 0.13218196262734838, 0.235206779000112,
-                  0.09938459736349337, 0.053708450540033315, 0.06630291397718817])
-    cap = 0.37587571162494054
+    a, m, cap = LOBE_455_ULPS
     w = oracle.crit_points(a, m)
     evals = _count_bisect(monkeypatch)
     c = boundary_abscissae(a, m, cap, crit=w)
@@ -224,6 +231,38 @@ def test_boundary_abscissae_of_a_lobe_455_ulps_wide(monkeypatch):
     assert len(evals) == 1 and evals[0] <= 15
     assert 1e-13 < c[15] - c[14] < 1.1e-13
     assert np.all(np.abs(c - c_ref) <= 2.0 * np.spacing(np.abs(c_ref)))
+
+
+LADDER_SETS = [ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell in (5, 10, 20, 40)] \
+    + [ref.cantor_pairs(k) for k in (2, 3, 4, 5)]
+LADDER_IDS = ["ell5", "ell10", "ell20", "ell40", "cantor2", "cantor3", "cantor4", "cantor5"]
+
+
+def test_bisect_is_its_reference_in_every_caller(monkeypatch):
+    # newton._bisect updates its brackets in place; through the numerator's
+    # exact roots, crit_points and the rays of boundary_abscissae and
+    # trace_boundary (the 455-ulp lobe too) its roots are those of the kernel
+    # that rebuilt every array on each pass, bit for bit
+    calls = collections.Counter()
+
+    def checked(caller):
+        def run(f, pos, neg, start=None):
+            got = _bisect(f, pos, neg, start)
+            want = oracle.bisect_reference(f, pos, neg, start)
+            assert got.tobytes() == want.tobytes(), caller
+            calls[caller] += 1
+            return got
+        return run
+
+    monkeypatch.setattr(green_module, "_bisect", checked("exact roots"))
+    monkeypatch.setattr(lemniscatic, "_bisect", checked("lemniscatic"))
+    for pairs in LADDER_SETS:
+        trace_boundary(solve(pairs).lemniscatic, 64)
+    a, m, cap = LOBE_455_ULPS
+    boundary_abscissae(a, m, cap, crit=crit_points(a, m))
+    # one exact-roots call per solve; the centers' critical points, the
+    # abscissae's rays and the trace's rays per solve, then the lobe's two
+    assert calls == {"exact roots": 8, "lemniscatic": 3 * 8 + 2}
 
 
 @pytest.mark.parametrize("hi", [1.0, 1.0 + 1e-9])
@@ -386,6 +425,107 @@ def test_solve_domain_keeps_the_center_solves_critical_points(pairs, monkeypatch
     dom = solve(pairs).lemniscatic
     assert 0 < len(calls) <= len(evaluated)
     assert dom.crit_w == tuple(evaluated[-1].tolist())
+
+
+def _nested(wm):
+    """The centers, critical points and boundary abscissae of wm's set from
+    the centers' Newton with crit_points at every trial, its steps and its
+    residual."""
+    E, data, m = wm.domain, wm.green, np.asarray(wm.exponents.m)
+    b = np.asarray(E.endpoints)
+    a, w, steps, resid = lemniscatic._center_solve(E, m, data.capacity, data,
+                                                   0.5 * (b[::2] + b[1::2]), nested=True)
+    return a, w, boundary_abscissae(a, m, data.capacity, crit=w), steps, resid
+
+
+@pytest.mark.parametrize("pairs", [
+    *(ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell in (5, 10, 20, 40, 80, 160)),
+    *(ref.cantor_pairs(k) for k in range(2, 8))])
+def test_ridden_centers_match_the_nested_scheme(pairs):
+    # Both Newtons stop at their residual (1e-14 at most) or within the
+    # rounding of their Green rows (_rounding_floor), so their centers differ
+    # by at most |J^-1| (both residuals + twice that rounding), J the
+    # Jacobian of the center equations.  The critical points follow the
+    # centers with weights q_ij / sum_j q_ij that sum to 1, so they move as
+    # much; a boundary abscissa c moves sum_j |m_j / (c - a_j)| / |g_L'(c)|
+    # times as much.  Each bound has 4 ulp of rounding on top.
+    wm = solve(pairs)
+    dom = wm.lemniscatic
+    a, w, c, _, resid = _nested(wm)
+    m = np.asarray(wm.exponents.m)
+    E, data = wm.domain, wm.green
+    J = np.vstack((-m / (w[:, None] - a), m / E.frame[1]))
+    targets = np.append(np.asarray(data.green_at_roots) + math.log(data.capacity / E.unit),
+                        data.alpha)
+    floor = lemniscatic._rounding_floor(a, w, m, targets, E.unit)
+    move = np.max(np.abs(np.linalg.inv(J)).sum(1)) * (dom.inner_residual + resid + 2.0 * floor)
+    d = c[:, None] - a
+    gain = np.max(np.abs(m / d).sum(1) / np.abs((m / d).sum(1)))
+    for got, want, bound in ((dom.centers, a, move), (dom.crit_w, w, move),
+                             (dom.boundary_c, c, gain * move)):
+        assert np.max(np.abs(np.asarray(got) - want)) <= bound + 4.0 * np.spacing(
+            np.max(np.abs(want)))
+
+
+def test_crit_points_runs_once_per_ladder_solve(monkeypatch):
+    # one pass of the benchmark's solve ladder: the critical points ride the
+    # centers' Newton, and crit_points runs once, at its returned centers
+    calls = []
+    plain = lemniscatic.crit_points
+
+    def crit(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(lemniscatic, "crit_points", crit)
+    rng = np.random.default_rng(7)
+    ladder = [ref.dirichlet_intervals(rng, ell) for ell, count in
+              ((5, 12), (10, 5), (20, 2), (40, 1)) for _ in range(count)]
+    for pairs in ladder + [ref.cantor_pairs(k) for k in (2, 3, 4, 5)]:
+        calls.clear()
+        solve(pairs)
+        assert len(calls) == 1
+
+
+# draws 828 (ell 9, D 4) and 1123 (ell 5, D 12) of
+# scripts/multiscale_sweep.py --count 1200: the ridden centers' Newton
+# stalls on them, at residuals 2.4e-2 and 2.5e-14, above the rounding of
+# its rows; endpoint lists b_1..b_2l
+RIDE_STALL_SETS = [
+    [-1.0, -0.9884353510190981, -0.35015782751071034, -0.05599979410319733,
+     -0.05517014745052429, 0.030478714938257045, 0.030731343317573767, 0.03085524838806286,
+     0.030980798248779973, 0.031445425922197456, 0.08977821534367791, 0.09252827876760072,
+     0.09264045191147074, 0.9600209664741659, 0.9731923910425941, 0.9768369081786588,
+     0.988358665306879, 1.0],
+    [-1.0, -0.9999999986559983, -0.999999983010904, -0.9998167283404545,
+     -0.7276556578272162, 0.9995437402474479, 0.9995439521625693, 0.9995502048432363,
+     0.9995502050786991, 1.0],
+]
+
+
+@pytest.mark.parametrize("b", RIDE_STALL_SETS, ids=["draw828", "draw1123"])
+def test_a_ridden_stall_reruns_the_nested_scheme(b, monkeypatch):
+    stalls = []
+
+    def counting(*args, **kwargs):
+        try:
+            return damped_newton(*args, **kwargs)
+        except NoConvergence as exc:
+            stalls.append(exc)
+            raise
+
+    monkeypatch.setattr(lemniscatic, "damped_newton", counting)
+    wm = solve([b[i:i + 2] for i in range(0, len(b), 2)])
+    # the ridden run stalled, the nested one from the same start did not
+    assert len(stalls) == 1 and stalls[0].estimate > 1e-14
+    monkeypatch.undo()
+    a, w, c, steps, resid = _nested(wm)
+    dom = wm.lemniscatic
+    assert (dom.centers, dom.crit_w, dom.boundary_c, dom.inner_residual) == (
+        tuple(a.tolist()), tuple(w.tolist()), tuple(c.tolist()), resid)
+    # the steps of both runs count
+    assert dom.outer_iterations == stalls[0].steps + steps
+    assert worst_invariant(wm) <= 1e-10
 
 
 def test_mass_weighted_center_sum(three_interval, cantor2):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from walshmap.errors import NoConvergence
-from walshmap.newton import damped_newton, damped_newton_masked
+from walshmap.newton import _bisect, damped_newton, damped_newton_masked
+
+import scalar_oracles as oracle
 
 
 def recording(fun):
@@ -122,3 +124,61 @@ def test_masked_kernel_matches_scalar_kernel_per_element():
     for i in (3, 5):
         assert str(failures[i]).startswith("no damped Newton step lowers the residual")
     assert str(failures[4]).startswith("Newton iteration stopped after 12 steps")
+
+
+def _bit_identical(f, pos, neg, start=None):
+    """_bisect's roots equal its reference kernel's bit for bit."""
+    got = _bisect(f, pos, neg, start)
+    want = oracle.bisect_reference(f, pos, neg, start)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
+
+
+def _bracketed(kind, root, k, sign):
+    """f with its slope, rising through root when sign is 1 and falling when
+    -1: a cubic, an arctangent (Newton overshoots its flat tails, so some
+    steps fall back to the midpoint) or a line with rounding-sized noise
+    (the noise-floor stop)."""
+    def f(x):
+        d = x - root
+        if kind == 0:
+            return sign * (d + k * d ** 3), sign * (1.0 + 3.0 * k * d ** 2)
+        if kind == 1:
+            return sign * np.arctan(k * d), sign * k / (1.0 + (k * d) ** 2)
+        return sign * (d + 1e-13 * np.sin(1e15 * x)), sign * np.ones_like(x)
+    return f
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_bisect_is_its_reference_on_random_brackets(kind, seed):
+    # brackets of either orientation (pos above or below neg), 1e-12 to 10
+    # wide (1e-6 with the noise), started at their midpoints, inside or
+    # outside them
+    rng = np.random.default_rng(seed)
+    n = 64
+    lo = rng.uniform(-3.0, 3.0, n)
+    hi = lo + 10.0 ** rng.uniform(-12.0 if kind < 2 else -6.0, 1.0, n)
+    root = lo + rng.uniform(0.01, 0.99, n) * (hi - lo)
+    rising = rng.random(n) < 0.5
+    pos, neg = np.where(rising, hi, lo), np.where(rising, lo, hi)
+    f = _bracketed(kind, root, 10.0 ** rng.uniform(-1.0, 6.0, n), np.where(rising, 1.0, -1.0))
+    assert np.all(f(pos)[0] > 0.0) and np.all(f(neg)[0] <= 0.0)
+    _bit_identical(f, pos, neg)
+    _bit_identical(f, pos, neg, lo + rng.uniform(-0.5, 1.5, n) * (hi - lo))
+
+
+def test_bisect_is_its_reference_on_adjacent_floats_and_exact_zeros():
+    x = np.array([0.5, -3.0, 1e-300])
+    line = lambda v: (v - x, np.ones_like(v))  # noqa: E731
+    _bit_identical(line, np.nextafter(x, np.inf), x)
+    _bit_identical(line, np.nextafter(x, np.inf), x, np.nextafter(x, np.inf))
+    # f hits 0 exactly: at the first midpoint, and after a Newton step
+    assert _bit_identical(lambda v: (v - 0.5, np.ones_like(v)), [1.0], [0.0])[0] == 0.5
+    assert _bit_identical(lambda v: (2.0 * v - 0.5, np.full_like(v, 2.0)), [1.0], [0.0],
+                          [0.75])[0] == 0.25
+    # no Newton step (a NaN slope) on a bracket 90 halvings cannot close:
+    # the midpoint of its last ends, beside a bracket that does close
+    halving = lambda v: (v - 0.3, np.full_like(v, np.nan))  # noqa: E731
+    got = _bit_identical(halving, [1e300, 1.0], [-1e300, 0.0])
+    assert abs(got[0] - 0.3) > 1.0 and got[1] == 0.3

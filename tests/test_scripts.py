@@ -77,6 +77,38 @@ def test_ab_solve_runs_a_against_a():
     assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 1e-3
 
 
+def test_iteration_profile_modes_solve_the_named_sets():
+    # --nodes takes its sets from --cantor, as --stages does
+    proc = run_script("iteration_profile.py", "--nodes", "--cantor", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("sets: cantor3\n")
+    assert "Chebyshev calls per set: mean 2.0, min 2, max 2\n" in proc.stdout
+    # --crit: crit_points runs once per solve, at the centers' returned
+    # iterate, and each caller of _bisect calls it once
+    proc = run_script("iteration_profile.py", "--crit", "--dirichlet", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("sets: dirichlet5\n")
+    assert "crit_points calls per solve: mean 1.0, min 1, max 1\n" in proc.stdout
+    for caller in ("exact roots", "centers", "rays"):
+        assert f"_bisect calls per solve, {caller}: mean 1.0, min 1, max 1\n" in proc.stdout
+        evals = re.search(rf"_bisect evaluations per solve, {caller}: mean \S+, min (\d+), "
+                          rf"max (\d+)\n", proc.stdout)
+        assert 1 <= int(evals.group(1)) <= int(evals.group(2)) <= 15
+
+
+def test_ab_solve_outputs_of_a_against_a():
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("ab_solve.py", src, src, "--outputs", "--rounds", "1", "--limit", "3")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows, steps = proc.stdout.splitlines()
+    assert head.startswith("3 ladder solves, 3 bit-identical")
+    assert [row.split()[:2] for row in rows] == [
+        [name, "0.000e+00"] for name in ("roots", "masses", "capacity", "green_at_roots",
+                                        "centers", "crit_w", "boundary_c")]
+    old, new = re.fullmatch(r"outer_iterations: old (\d+), new (\d+)", steps).groups()
+    assert int(old) == int(new) > 0
+
+
 def test_export_figure_data_writes_every_csv(tmp_path):
     proc = run_script("export_figure_data.py", "--n", "5", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
