@@ -22,8 +22,10 @@ With --outputs it compares what the two trees solve instead of timing
 them: over the same ladder passes, the worst move of each output (roots,
 masses, capacity, green_at_roots, centers, crit_w and boundary_c) between
 the two solves of a set, relative to the largest entry of the old tree's
-vector, how many solves are bit-identical, and the totals of the centers'
-Newton steps (outer_iterations) on each side:
+vector, how many solves are bit-identical, the totals of the centers'
+Newton steps (outer_iterations) on each side, and each side's worst
+solve invariant (verify.worst_invariant) and largest final residual of the
+centers' Newton (inner_residual):
 
     python scripts/ab_solve.py OLD_SRC NEW_SRC --outputs --rounds 3
 """
@@ -88,8 +90,8 @@ OUTPUTS = (("roots", "green.roots"), ("masses", "exponents.m"),
 
 
 def outputs(package, pairs):
-    """{label: array} of a solve's outputs and its outer_iterations, or the
-    name of its typed failure."""
+    """{label: array} of a solve's outputs, its outer_iterations,
+    worst_invariant and inner_residual, or the name of its typed failure."""
     try:
         wm = package.solve(pairs)
     except package.errors.WalshMapError as exc:
@@ -101,15 +103,20 @@ def outputs(package, pairs):
             value = getattr(value, name)
         out[label] = np.atleast_1d(np.asarray(value, dtype=float))
     out["outer_iterations"] = wm.lemniscatic.outer_iterations
+    out["worst_invariant"] = importlib.import_module(
+        package.__name__ + ".verify").worst_invariant(wm)
+    out["inner_residual"] = wm.lemniscatic.inner_residual
     return out
 
 
 def compare_outputs(sides, ladders):
     """Print the worst relative move of each output over the ladders' sets,
-    the bit-identical solves and each side's outer_iterations total."""
+    the bit-identical solves, each side's outer_iterations total and its
+    largest worst_invariant and inner_residual."""
     worst = {name: (0.0, None) for name, _ in OUTPUTS}  # (move, class label)
     identical = solves = 0
     steps = [0, 0]
+    largest = {name: [0.0, 0.0] for name in ("worst_invariant", "inner_residual")}
     failures = []
     for label, pairs in (item for ladder in ladders for item in ladder):
         old, new = (outputs(package, pairs) for package in sides)
@@ -127,13 +134,17 @@ def compare_outputs(sides, ladders):
             if move > worst[name][0]:
                 worst[name] = (move, label)
         identical += same
-        steps[0] += old["outer_iterations"]
-        steps[1] += new["outer_iterations"]
+        for side, out in enumerate((old, new)):
+            steps[side] += out["outer_iterations"]
+            for name, values in largest.items():
+                values[side] = max(values[side], out[name])
     print(f"{solves} ladder solves, {identical} bit-identical; worst move relative to "
           f"the vector's largest entry:")
     for name, (move, label) in worst.items():
         print(f"  {name:14s} {move:.3e}" + (f" ({label})" if label else ""))
     print(f"outer_iterations: old {steps[0]}, new {steps[1]}")
+    for name, (old, new) in largest.items():
+        print(f"{name}: old {old:.3e}, new {new:.3e}")
     for line in failures:
         print(f"  failed {line}")
 

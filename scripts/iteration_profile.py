@@ -25,6 +25,9 @@ With --crit it counts, per solve, the calls of lemniscatic.crit_points and
 the calls of the bracketed solver _bisect and their evaluations of f, split
 by caller: the numerator's exact roots (green), the critical points of the
 centers' Newton (lemniscatic.crit_points) and the rays of boundary_abscissae.
+It also prints the Newton steps of lemniscatic._ride per evaluation of the
+centers' Newton, and per solve the evaluations whose ridden critical points
+left their brackets (and so called crit_points).
 
 With --stages it times the stages of each solve instead: per set, the median
 over --repeat solves of the leave-one-out gap pass, the hull pass (gap
@@ -161,16 +164,17 @@ def ray_passes(counts):
 BISECT_CALLERS = ("exact roots", "centers", "rays")
 
 
-def count_crit(counts):
-    """Wrap lemniscatic.crit_points and the _bisect of green and
-    lemniscatic, so that every crit_points call adds one to
-    counts["crit_points"] and every _bisect call one to counts[caller] and
-    its evaluations of f to counts[caller + " evals"]; a lemniscatic call
-    inside crit_points is the centers', any other the rays'.  Returns the
-    undo."""
-    plain_crit = lemniscatic.crit_points
+def count_crit(counts, ride_steps):
+    """Wrap lemniscatic.crit_points, lemniscatic._ride and the _bisect of
+    green and lemniscatic, so that every crit_points call adds one to
+    counts["crit_points"], every _bisect call one to counts[caller] and its
+    evaluations of f to counts[caller + " evals"], and every _ride call its
+    Newton steps to ride_steps and, when it leaves a bracket, one to
+    counts["bracket exits"]; a lemniscatic _bisect call inside crit_points
+    is the centers', any other the rays'.  Returns the undo."""
+    plain_crit, plain_ride = lemniscatic.crit_points, lemniscatic._ride
     saved = [(green, "_bisect", green._bisect), (lemniscatic, "_bisect", lemniscatic._bisect),
-             (lemniscatic, "crit_points", plain_crit)]
+             (lemniscatic, "crit_points", plain_crit), (lemniscatic, "_ride", plain_ride)]
     inside = []  # nonempty while crit_points runs
 
     def bisect(rule, caller):
@@ -194,9 +198,28 @@ def count_crit(counts):
         finally:
             inside.pop()
 
+    steps = [0]  # Newton steps of the running _ride call
+
+    class Centers(np.ndarray):
+        """The centers handed to _ride, counting the differences w - a it
+        forms, one per Newton step."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            steps[0] += ufunc is np.subtract
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    @functools.wraps(plain_ride)
+    def ride(a, *args):
+        steps[0] = 0
+        w = plain_ride(np.asarray(a).view(Centers), *args)
+        ride_steps.append(steps[0])
+        counts["bracket exits"] += w is None
+        return w
+
     green._bisect = bisect(green._bisect, "exact roots")
     lemniscatic._bisect = bisect(lemniscatic._bisect, None)
     lemniscatic.crit_points = crit_points
+    lemniscatic._ride = ride
 
     def undo():
         for module, name, rule in saved:
@@ -313,8 +336,10 @@ def main():
     worst = 0.0
     rays = collections.Counter()  # ray passes and their rays
     crit = collections.Counter()  # crit_points calls, _bisect calls and evaluations
+    ride_steps = []  # Newton steps of each _ride call
     undos = ([count_chebyshev(nodes, calls)] if args.nodes else []) + (
-        [count_rays(rays)] if args.rays else []) + ([count_crit(crit)] if args.crit else [])
+        [count_rays(rays)] if args.rays else []) + (
+        [count_crit(crit, ride_steps)] if args.crit else [])
     t0 = time.perf_counter()
     try:
         for label, pairs in sets:
@@ -324,7 +349,7 @@ def main():
             per_set.append(sum(nodes.values()) - before)
             for name in ("chebyshev", "leave_one_out", "residual"):
                 calls_per_set[name].append(calls[name] - before_calls[name])
-            for name in ("crit_points",) + tuple(
+            for name in ("crit_points", "bracket exits") + tuple(
                     f"{caller}{kind}" for caller in BISECT_CALLERS for kind in ("", " evals")):
                 calls_per_set[name].append(crit[name] - before_crit[name])
             if args.rays:
@@ -362,6 +387,10 @@ def main():
             print(per_set_line(f"_bisect calls per solve, {caller}", calls_per_set[caller]))
             print(per_set_line(f"_bisect evaluations per solve, {caller}",
                                calls_per_set[caller + " evals"]))
+        if ride_steps:
+            print(f"_ride steps per evaluation: mean {np.mean(ride_steps):.2f}, "
+                  f"min {min(ride_steps)}, max {max(ride_steps)}")
+        print(per_set_line("_ride bracket exits per solve", calls_per_set["bracket exits"]))
     print(f"total {elapsed:.1f}s ({1e3 * elapsed / len(sets):.1f} ms per set)")
 
 

@@ -5,10 +5,9 @@ function values and critical-point structure as E; the centers a_j are
 recovered from that correspondence.  solve_domain takes explicit formulas
 for one and two components, and for three or more one damped Newton on the
 centers.  Its critical points ride it: each trial moves the last
-evaluation's w to first order with the centers and corrects it by one
-Newton step on g_L', and crit_points runs once, at the returned centers,
-whose w the domain keeps.  A ridden Newton that stalls reruns with
-w = crit_points(a) at every trial.  The paper's alternating iteration (a
+evaluation's w to first order with the centers and Newton steps on g_L'
+carry it to its own stop, and crit_points runs once, at the returned
+centers, whose w the domain keeps.  The paper's alternating iteration (a
 center solve at fixed critical points, then a critical-point update),
 centers_general, runs on the same center solve and reproduces the paper's
 step counts.
@@ -49,8 +48,8 @@ class LemniscaticDomain:
     """Converged lemniscatic data: centers, masses, capacity, critical points
     w_1..w_{ell-1} and the real zeros c_1..c_{2l} of the Green's function.
 
-    outer_iterations counts the steps of the centers' damped Newton (0 for
-    one and two components), and inner_residual is its final residual:
+    outer_iterations counts the steps of the centers' one damped Newton run
+    (0 for one and two components), and inner_residual is its final residual:
     Green's values, and the center sum in half-widths (IntervalUnion.frame).
     """
 
@@ -129,8 +128,8 @@ def crit_points(a, m, start=None) -> np.ndarray:
     -sum m_j / (w - a_j)^2, from start (default: the bracket midpoints); an
     entry of start outside its bracket's open interior starts at the
     midpoint instead.  Raises BracketFailure when f does not change sign on
-    a bracket.  The centers' Newton calls it once, at its returned centers,
-    from its ridden w, which is then within a step or two of the zeros.
+    a bracket.  The centers' Newton calls it at its returned centers, from
+    its ridden w (_ride), and at a trial whose ridden w leaves a bracket.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -390,31 +389,41 @@ def _center_newton(a, w, m, targets, s, p):
 _EPS = np.finfo(float).eps
 
 
-def _rounding_floor(a, w, m, targets, p) -> float:
-    """The rounding of the center equations' Green rows at (a, w):
-    8 ell eps max_i (sum_j |m_j log(|w_i - a_j| / p)| + |targets_i|)."""
-    size = np.abs(np.log(np.abs(w[:, None] - a) / p) * m).sum(1)
-    return 8.0 * a.size * _EPS * float(np.max(size + np.abs(targets[:-1])))
+def _rounding_floor(a, w, m, targets, s, p) -> float:
+    """The rounding of the center equations at (a, w): on Green row i,
+    8 ell eps (sum_j |m_j log(|w_i - a_j| / p)| + |targets_i|) for its terms
+    plus sum_j m_j ulp(a_j) / |w_i - a_j| for storing the centers; on the
+    center-sum row (m . ulp(a)) / s.  Returns the largest."""
+    d = np.abs(w[:, None] - a)
+    ulp = np.spacing(np.abs(a))
+    rows = 8.0 * a.size * _EPS * (np.abs(np.log(d / p) * m).sum(1) + np.abs(targets[:-1]))
+    return max(float(np.max(rows + (m * ulp / d).sum(1))), float(m @ ulp) / s)
 
 
-def _ride(a, m, w, corrections):
-    """w moved by Newton steps on the zeros of f(w) = sum m_j / (w - a_j),
+def _ride(a, m, w):
+    """w moved by Newton steps onto the zeros of f(w) = sum m_j / (w - a_j),
     or None when a moved point leaves its bracket (a_k, a_{k+1}).
 
     Each w_k steps on h = f (w - a_k)(a_{k+1} - w), which has f's zero but
     not its poles at the bracket's ends: h'/h = f'/f + 1/(w - a_k) +
     1/(w - a_{k+1}), so the step is f / (f' + f (1/(w - a_k) +
     1/(w - a_{k+1}))).  h is linear when the other centers carry no mass, so
-    the step is exact there, and nearly so while they are far."""
-    for _ in range(corrections):
+    the step is exact there, and nearly so while they are far.  Steps repeat
+    until each is within 1e-2 of its point's distance to the nearer center,
+    at most 4."""
+    for _ in range(4):
         inv = 1.0 / (w[:, None] - a)
         f = inv @ m
-        w = w - f / (f * (np.diagonal(inv) + np.diagonal(inv, 1)) - (inv * inv) @ m)
+        lo, hi = np.diagonal(inv), np.diagonal(inv, 1)
+        step = f / (f * (lo + hi) - (inv * inv) @ m)
+        w = w - step
+        # the larger of 1 / (w - a_k) and 1 / (a_{k+1} - w) is 1 / distance
+        if (np.abs(step) * np.maximum(lo, -hi)).max() <= 1e-2:
+            break
     return w if np.all((a[:-1] < w) & (w < a[1:])) else None
 
 
-def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None,
-                  nested=False):
+def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
     """Damped Newton for the centers from a0, keeping them ordered: at the
     fixed critical points w, or, without w, at critical points that follow
     the centers.  The Jacobian is the same either way, since each w_i is a
@@ -423,27 +432,24 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None,
     Without w, the critical points ride the Newton: each trial takes the
     first-order motion of the last evaluation's critical points,
     w + (q @ (a - a_last)) / q.sum(1) with q_ij = m_j / (w_i - a_last,j)^2,
-    plus one Newton correction on g_L' (_ride); the first evaluation takes
-    the two-pole points (m_{k+1} a_k + m_k a_{k+1}) / (m_k + m_{k+1}) plus
-    two.  A w off the critical points by d moves the Green rows by O(d^2)
+    and the first evaluation the two-pole points (m_{k+1} a_k + m_k a_{k+1})
+    / (m_k + m_{k+1}); Newton steps on g_L' (_ride) carry them to their own
+    stop.  A w off the critical points by d moves the Green rows by O(d^2)
     only, since g_L' vanishes there.  Only a trial whose moved point leaves
     its bracket calls crit_points, from the prediction.  Once the Newton
     stops, crit_points(a, start=w) gives the critical points of its centers,
     and the residual is evaluated again there if they differ, so the
-    returned w is the last evaluation's.  With nested, every trial takes
-    w = crit_points(a) from the prediction instead: that run is the
-    fallback when the ridden one stalls above its rounding, from a0 again,
-    and its steps add to the ridden run's.
+    returned w is the last evaluation's.
 
     The Green's-value rows are in units of p = E.unit, against
     g_E(z_k) + log(cap / p).  It stops at a residual of 1e-14, or at a full
     step within 1e-15 max(s, max|a - t|) in the frame (t, s) of E or 2 ulp
     of a (binding only if |t| > s).  A Newton that ends short at a residual
-    within the rows' own rounding (_rounding_floor) has converged too: its
-    last iterate is returned, with its residual at its critical points when
-    w is not given.  Returns (a, w, steps, residual norm), w the critical
-    points of the returned centers; raises NoConvergence naming the stall
-    and its residual.
+    within the rounding of its rows and of its stored centers
+    (_rounding_floor) has converged too: its last iterate is returned, with
+    its residual at its critical points when w is not given.  Returns
+    (a, w, steps, residual norm), w the critical points of the returned
+    centers; raises NoConvergence naming the stall and its residual.
     """
     t, s = E.frame
     p = E.unit
@@ -457,11 +463,9 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None,
             a_last, w_last = last.pop()
             q = m / (w_last[:, None] - a_last) ** 2
             start = guess = w_last + (q @ (a - a_last)) / q.sum(1)
-            corrections = 1
         else:
-            start, corrections = None, 2
-            guess = (m[1:] * a[:-1] + m[:-1] * a[1:]) / (m[:-1] + m[1:])
-        w_a = None if nested else _ride(a, m, guess, corrections)
+            start, guess = None, (m[1:] * a[:-1] + m[:-1] * a[1:]) / (m[:-1] + m[1:])
+        w_a = _ride(a, m, guess)
         return crit_points(a, m, start=start) if w_a is None else w_a
 
     def residual(a):
@@ -491,10 +495,7 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None,
         w_a = crit_points(a, m, start=w_last)
         if stall is not None or not np.array_equal(w_a, w_last):
             resid = float(np.max(np.abs(_center_newton(a, w_a, m, targets, s, p)[0])))
-    if stall is not None and not resid <= _rounding_floor(a, w_a, m, targets, p):
-        if w is None and not nested:
-            a, w_a, more, resid = _center_solve(E, m, cap, data, a0, nested=True)
-            return a, w_a, steps + more, resid
+    if stall is not None and not resid <= _rounding_floor(a, w_a, m, targets, s, p):
         raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
                             estimate=stall.estimate) from stall
     return a, w_a, steps, resid
@@ -536,8 +537,7 @@ def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> Lemnis
     One component forces a_1 = alpha (disk); two components are explicit;
     three or more run the centers' damped Newton from the component
     midpoints, with the critical points riding it (_center_solve), and take
-    the critical points of its returned centers, w = crit_points(a), from
-    it.
+    from it the critical points of its returned centers, w = crit_points(a).
     """
     cap = data.capacity
     ell = E.ell

@@ -10,8 +10,8 @@ the gap conditions, the critical points of g_L at the centers the centers'
 Newton returns, and the rays of L's boundary in log r, whose rays at angles
 0 and pi are the real zeros of g_L) come from _bisect, Newton's method
 safeguarded by bisection on arrays of brackets.  The trials of the centers'
-Newton take no bracketed solve: their critical points ride it by one
-Newton step each (lemniscatic._center_solve).
+Newton take no bracketed solve: their critical points ride it by Newton
+steps of their own (lemniscatic._ride).
 """
 
 import numpy as np

@@ -6,11 +6,13 @@ lemniscatic.crit_points and lemniscatic.boundary_abscissae replaced with
 array-wide bisection; they stay here as oracles for the array versions.
 halving_bisect is the plain array bisection that newton._bisect
 replaced with a Newton-safeguarded one, and bisect_reference that kernel
-before it updated its brackets in place.  path is green._path with its
-endpoint test run on every endpoint.  critical_points finds the numerator
-roots from coefficients (the solve finds the roots directly), and
-rational_mass_fit tests masses for a common denominator, a sign of a
-polynomial pre-image.  endpoint_weight_fd is the weight 1/sqrt|H| as one
+before it updated its brackets in place.  nested_center_solve is the
+centers' damped Newton with crit_points solved at every trial, which
+lemniscatic._center_solve replaced with critical points that ride it.  path
+is green._path with its endpoint test run on every endpoint.
+critical_points finds the numerator roots from coefficients (the solve
+finds the roots directly), and rational_mass_fit tests masses for a common
+denominator, a sign of a polynomial pre-image.  endpoint_weight_fd is the weight 1/sqrt|H| as one
 product of every endpoint distance, which green._paired_ratio, the one
 product behind every integral of N/S, replaced with factors paired per
 gap, and paired_leave_one_out the prefix-and-suffix products that formed
@@ -30,10 +32,11 @@ import math
 
 import numpy as np
 
-from walshmap.errors import BracketFailure, PoleAtCenter, RootNotBracketed
+from walshmap import lemniscatic
+from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter, RootNotBracketed
 from walshmap.green import _plain_deriv
 from walshmap.lemniscatic import _deriv_values, _green_values, _outer_reach
-from walshmap.newton import _bisect
+from walshmap.newton import _bisect, damped_newton
 from walshmap.quadrature import integrate_tail
 
 
@@ -146,6 +149,48 @@ def bisect_reference(f, pos, neg, start=None):
         f_prev = np.abs(fx)
         x = np.where(live, np.where(inside, newton, mid), x)
     return np.where(live, 0.5 * (pos + neg), root)
+
+
+def nested_center_solve(E, m, cap, data, a0):
+    """lemniscatic._center_solve with the critical points solved at every
+    trial: w = crit_points(a) from the first-order motion of the last
+    evaluation's w (from the bracket midpoints at the first), on the same
+    rows, damped-Newton settings and stops.  Returns (a, w, steps, residual
+    norm); raises NoConvergence on a stall above _rounding_floor."""
+    t, s = E.frame
+    p = E.unit
+    m = np.asarray(m, dtype=float)
+    targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
+    last = []  # (a, w) of the last evaluation
+
+    def residual(a):
+        start = None
+        if last:
+            a_last, w_last = last.pop()
+            q = m / (w_last[:, None] - a_last) ** 2
+            start = w_last + (q @ (a - a_last)) / q.sum(1)
+        last.append((a, lemniscatic.crit_points(a, m, start=start)))
+        return lemniscatic._center_newton(a, last[0][1], m, targets, s, p)
+
+    stall = None
+    try:
+        a, F, steps = damped_newton(
+            residual, np.array(a0, dtype=float),
+            admissible=lambda a: np.all(np.diff(a) > 0),
+            tol=1e-14, step_tol=lambda a: np.maximum(
+                1e-15 * max(s, float(np.max(np.abs(a - t)))), 2.0 * np.spacing(np.abs(a))),
+            max_steps=80, max_halvings=20)
+        resid = float(np.max(np.abs(F)))
+    except NoConvergence as exc:
+        stall, a, steps, resid = exc, exc.best, exc.steps, exc.estimate
+    w_last = last[0][1]
+    w = lemniscatic.crit_points(a, m, start=w_last)
+    if stall is not None or not np.array_equal(w, w_last):
+        resid = float(np.max(np.abs(lemniscatic._center_newton(a, w, m, targets, s, p)[0])))
+    if stall is not None and not resid <= lemniscatic._rounding_floor(a, w, m, targets, s, p):
+        raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
+                            estimate=stall.estimate) from stall
+    return a, w, steps, resid
 
 
 def path(E, base, z):

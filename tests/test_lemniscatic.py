@@ -429,35 +429,32 @@ def test_solve_domain_keeps_the_center_solves_critical_points(pairs, monkeypatch
 
 def _nested(wm):
     """The centers, critical points and boundary abscissae of wm's set from
-    the centers' Newton with crit_points at every trial, its steps and its
-    residual."""
+    the centers' Newton with crit_points at every trial
+    (scalar_oracles.nested_center_solve), and its residual."""
     E, data, m = wm.domain, wm.green, np.asarray(wm.exponents.m)
     b = np.asarray(E.endpoints)
-    a, w, steps, resid = lemniscatic._center_solve(E, m, data.capacity, data,
-                                                   0.5 * (b[::2] + b[1::2]), nested=True)
-    return a, w, boundary_abscissae(a, m, data.capacity, crit=w), steps, resid
+    a, w, _, resid = oracle.nested_center_solve(E, m, data.capacity, data,
+                                                0.5 * (b[::2] + b[1::2]))
+    return a, w, boundary_abscissae(a, m, data.capacity, crit=w), resid
 
 
-@pytest.mark.parametrize("pairs", [
-    *(ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell in (5, 10, 20, 40, 80, 160)),
-    *(ref.cantor_pairs(k) for k in range(2, 8))])
-def test_ridden_centers_match_the_nested_scheme(pairs):
+def _assert_ridden_within_the_nested_stop(wm):
     # Both Newtons stop at their residual (1e-14 at most) or within the
-    # rounding of their Green rows (_rounding_floor), so their centers differ
-    # by at most |J^-1| (both residuals + twice that rounding), J the
-    # Jacobian of the center equations.  The critical points follow the
-    # centers with weights q_ij / sum_j q_ij that sum to 1, so they move as
-    # much; a boundary abscissa c moves sum_j |m_j / (c - a_j)| / |g_L'(c)|
-    # times as much.  Each bound has 4 ulp of rounding on top.
-    wm = solve(pairs)
+    # rounding of their rows and stored centers (_rounding_floor), so their
+    # centers differ by at most |J^-1| (both residuals + twice that
+    # rounding), J the Jacobian of the center equations.  The critical
+    # points follow the centers with weights q_ij / sum_j q_ij that sum to
+    # 1, so they move as much; a boundary abscissa c moves
+    # sum_j |m_j / (c - a_j)| / |g_L'(c)| times as much.  Each bound has 4
+    # ulp of rounding on top.
     dom = wm.lemniscatic
-    a, w, c, _, resid = _nested(wm)
+    a, w, c, resid = _nested(wm)
     m = np.asarray(wm.exponents.m)
     E, data = wm.domain, wm.green
     J = np.vstack((-m / (w[:, None] - a), m / E.frame[1]))
     targets = np.append(np.asarray(data.green_at_roots) + math.log(data.capacity / E.unit),
                         data.alpha)
-    floor = lemniscatic._rounding_floor(a, w, m, targets, E.unit)
+    floor = lemniscatic._rounding_floor(a, w, m, targets, E.frame[1], E.unit)
     move = np.max(np.abs(np.linalg.inv(J)).sum(1)) * (dom.inner_residual + resid + 2.0 * floor)
     d = c[:, None] - a
     gain = np.max(np.abs(m / d).sum(1) / np.abs((m / d).sum(1)))
@@ -465,6 +462,13 @@ def test_ridden_centers_match_the_nested_scheme(pairs):
                              (dom.boundary_c, c, gain * move)):
         assert np.max(np.abs(np.asarray(got) - want)) <= bound + 4.0 * np.spacing(
             np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("pairs", [
+    *(ref.dirichlet_intervals(np.random.default_rng(ell), ell) for ell in (5, 10, 20, 40, 80, 160)),
+    *(ref.cantor_pairs(k) for k in range(2, 8))])
+def test_ridden_centers_match_the_nested_scheme(pairs):
+    _assert_ridden_within_the_nested_stop(solve(pairs))
 
 
 def test_crit_points_runs_once_per_ladder_solve(monkeypatch):
@@ -488,9 +492,9 @@ def test_crit_points_runs_once_per_ladder_solve(monkeypatch):
 
 
 # draws 828 (ell 9, D 4) and 1123 (ell 5, D 12) of
-# scripts/multiscale_sweep.py --count 1200: the ridden centers' Newton
-# stalls on them, at residuals 2.4e-2 and 2.5e-14, above the rounding of
-# its rows; endpoint lists b_1..b_2l
+# scripts/multiscale_sweep.py --count 1500: a ridden centers' Newton that
+# corrected each critical point by one step per trial stalled on them, at
+# residuals 2.4e-2 and 2.5e-14; endpoint lists b_1..b_2l
 RIDE_STALL_SETS = [
     [-1.0, -0.9884353510190981, -0.35015782751071034, -0.05599979410319733,
      -0.05517014745052429, 0.030478714938257045, 0.030731343317573767, 0.03085524838806286,
@@ -502,30 +506,73 @@ RIDE_STALL_SETS = [
      0.9995502050786991, 1.0],
 ]
 
+# draws 301 (ell 5, D 8), 879 (ell 6, D 8), 1081 (ell 11, D 8) and 1246
+# (ell 7, D 4) of the same sweep: the first three stalled at residuals
+# 8.2e-14 to 2.4e-13, within the rounding of the stored centers but above
+# that of the rows' terms alone, and 1246 stalled at 6.9e-4 with one
+# correction per trial; endpoint lists b_1..b_2l
+SWEEP_STALL_SETS = [
+    [-1.0, -0.9724557468189734, -0.9724545170724322, -0.972446026814772,
+     -0.9724439782140815, -0.5533115077409866, 0.9998491019739095, 0.9998589986661683,
+     0.9998771129733308, 1.0],
+    [-1.0, -0.4116549879636451, -0.41163413746634314, -0.4115834949033572,
+     -0.41157113326509054, -0.27499444978526666, 0.9903865916244305, 0.9954906614278805,
+     0.9999386801844137, 0.9999988189511164, 0.9999988763621752, 1.0],
+    [-1.0, -0.9118936421568455, -0.9118930086326835, -0.9118808627703652,
+     0.26230059194899846, 0.543871898379565, 0.543871924609534, 0.5441172298270742,
+     0.5441172766388653, 0.8894919077114989, 0.8895397057798806, 0.8895709339888003,
+     0.8895730750017765, 0.8900715035255256, 0.8900717063128611, 0.92464104320789,
+     0.9247603688564494, 0.9252376279095649, 0.9999666030085568, 0.9999670278640478,
+     0.999967381466796, 1.0],
+    [-1.0, 0.050912806043412306, 0.05145893139198843, 0.05445208459974826,
+     0.15535242111870207, 0.367800703285065, 0.8957957046708218, 0.9102224617004786,
+     0.9182570542611384, 0.9229582678584598, 0.9846720546888801, 0.9928481505046298,
+     0.999614905846262, 1.0],
+]
 
-@pytest.mark.parametrize("b", RIDE_STALL_SETS, ids=["draw828", "draw1123"])
-def test_a_ridden_stall_reruns_the_nested_scheme(b, monkeypatch):
-    stalls = []
+
+@pytest.mark.parametrize("b", RIDE_STALL_SETS + SWEEP_STALL_SETS,
+                         ids=["draw828", "draw1123", "draw301", "draw879", "draw1081",
+                              "draw1246"])
+def test_sweep_stall_sets_solve_in_one_ridden_run(b, monkeypatch):
+    runs = []
 
     def counting(*args, **kwargs):
-        try:
-            return damped_newton(*args, **kwargs)
-        except NoConvergence as exc:
-            stalls.append(exc)
-            raise
+        runs.append(1)
+        return damped_newton(*args, **kwargs)
 
     monkeypatch.setattr(lemniscatic, "damped_newton", counting)
     wm = solve([b[i:i + 2] for i in range(0, len(b), 2)])
-    # the ridden run stalled, the nested one from the same start did not
-    assert len(stalls) == 1 and stalls[0].estimate > 1e-14
     monkeypatch.undo()
-    a, w, c, steps, resid = _nested(wm)
-    dom = wm.lemniscatic
-    assert (dom.centers, dom.crit_w, dom.boundary_c, dom.inner_residual) == (
-        tuple(a.tolist()), tuple(w.tolist()), tuple(c.tolist()), resid)
-    # the steps of both runs count
-    assert dom.outer_iterations == stalls[0].steps + steps
-    assert worst_invariant(wm) <= 1e-10
+    # one run, which converged or stalled within its rounding
+    assert len(runs) == 1
+    assert worst_invariant(wm) <= 1e-12
+    _assert_ridden_within_the_nested_stop(wm)
+
+
+@pytest.mark.parametrize("n, sigma, kappa, bound", [
+    (4, 0.2, 0.5, 5e-14), (10, 0.2, 0.7, 5e-14), (40, 0.2, 0.5, 5e-14), (10, 0.0, 0.7, 5e-14),
+    # endpoints of intervals 1e-4 wide round to 1e-12 of their width
+    (4, 0.2, 1e-4, 3e-12)])
+def test_preimage_centers_meet_the_exact_levels(n, sigma, kappa, bound):
+    # E = {x : |T_n(x) - sigma| <= kappa} has masses 1/n and capacity
+    # kappa^(1/n) / 2, so with Q(w) = prod (w - a_j) over the solver's
+    # centers g_L = (1/n) log|Q| - log(capacity): every boundary abscissa
+    # has (1/n) log|Q(c)| = log(kappa^(1/n) / 2), and the critical point w_k
+    # matches g_E at z_k = cos(j pi / n), where T_n(z_k) = (-1)^j, so
+    # (1/n) log|Q(w_k)| = (1/n) log(2^-n (|P_k| + sqrt(P_k^2 - kappa^2))),
+    # P_k = T_n(z_k) - sigma.  Schiefermayr & Sete, "Walsh's conformal map
+    # onto lemniscatic domains for polynomial pre-images I" (2022).
+    dom = solve(ref.preimage_pairs(n, sigma, kappa)).lemniscatic
+    a = np.asarray(dom.centers)
+
+    def log_q(w):
+        return np.log(np.abs(np.asarray(w)[:, None] - a)).sum(1) / n
+
+    P = (-1.0) ** np.arange(n - 1, 0, -1) - sigma
+    crit = np.log(2.0 ** -n * (np.abs(P) + np.sqrt(P * P - kappa ** 2))) / n
+    assert np.max(np.abs(log_q(dom.boundary_c) - math.log(kappa ** (1.0 / n) / 2.0))) <= bound
+    assert np.max(np.abs(log_q(dom.crit_w) - crit)) <= bound
 
 
 def test_mass_weighted_center_sum(three_interval, cantor2):

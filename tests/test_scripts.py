@@ -94,19 +94,30 @@ def test_iteration_profile_modes_solve_the_named_sets():
         evals = re.search(rf"_bisect evaluations per solve, {caller}: mean \S+, min (\d+), "
                           rf"max (\d+)\n", proc.stdout)
         assert 1 <= int(evals.group(1)) <= int(evals.group(2)) <= 15
+    # each evaluation of the centers' Newton rides its critical points by 1
+    # to 4 steps, and none leaves its bracket
+    steps = re.search(r"_ride steps per evaluation: mean \S+, min (\d+), max (\d+)\n",
+                      proc.stdout)
+    assert 1 <= int(steps.group(1)) <= int(steps.group(2)) <= 4
+    assert "_ride bracket exits per solve: mean 0.0, min 0, max 0\n" in proc.stdout
 
 
 def test_ab_solve_outputs_of_a_against_a():
     src = str(SCRIPTS.parent / "src")
     proc = run_script("ab_solve.py", src, src, "--outputs", "--rounds", "1", "--limit", "3")
     assert proc.returncode == 0, proc.stderr
-    head, *rows, steps = proc.stdout.splitlines()
+    head, *rows, steps, invariant, residual = proc.stdout.splitlines()
     assert head.startswith("3 ladder solves, 3 bit-identical")
     assert [row.split()[:2] for row in rows] == [
         [name, "0.000e+00"] for name in ("roots", "masses", "capacity", "green_at_roots",
                                         "centers", "crit_w", "boundary_c")]
     old, new = re.fullmatch(r"outer_iterations: old (\d+), new (\d+)", steps).groups()
     assert int(old) == int(new) > 0
+    # each side's worst invariant and largest centers' residual, equal
+    # between two solves of the same tree and within the solve's stops
+    for line, name in ((invariant, "worst_invariant"), (residual, "inner_residual")):
+        old, new = re.fullmatch(rf"{name}: old (\S+), new (\S+)", line).groups()
+        assert old == new and float(old) <= 1e-12
 
 
 def test_export_figure_data_writes_every_csv(tmp_path):
