@@ -38,8 +38,11 @@ def _parse_intervals_arg(text: str) -> list[list[float]]:
 
 
 def _read_input_file(path: str) -> list[list[float]]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ValueError(f"{path}: cannot read --input: {exc.strerror}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
@@ -83,8 +86,11 @@ def _parse_z(text: str) -> complex:
 
 def _emit(text: str, path: str | None):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # no such directory, a directory, read-only
+            raise ValueError(f"{path}: cannot write --output: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -171,10 +177,13 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def _range(text: str) -> tuple[float, float]:
-    lo, hi = (float(v) for v in text.split(","))
+def _range(flag: str, text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:  # not two numbers
+        raise ValueError(f"expected 'lo,hi' for {flag}, got {text!r}") from None
     if not hi > lo:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"empty range for {flag}: {text!r}")
     return lo, hi
 
 
@@ -206,8 +215,8 @@ def _cmd_grid(args) -> int:
     if args.nx < 1 or args.ny < 1:
         raise ValueError("grid counts must be >= 1")
     wm = solve(_intervals_from(args), _quad_config(args))
-    xs = np.linspace(*_range(args.x_range), args.nx)
-    ys = np.linspace(*_range(args.y_range), args.ny)
+    xs = np.linspace(*_range("--x-range", args.x_range), args.nx)
+    ys = np.linspace(*_range("--y-range", args.y_range), args.ny)
     zs = [complex(x, y) for y in ys for x in xs]  # row-major in y
     points = wm.map_grid(zs)
     if args.format == "csv":

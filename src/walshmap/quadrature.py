@@ -25,8 +25,10 @@ each failed interval's, tail's or panel's own error.
   inverse-square-root singularity at the start
   -> s^2 parameter substitution + Gauss-Legendre of orders 16 to 2048.
   The tables are built by Newton on the three-term recurrence from
-  asymptotic starts, in O(n^2) flops and O(n) memory: nodes within 8.3e-17
-  of the roots, weights within 2.7e-14 relative.
+  asymptotic starts, in O(n^2) flops and O(n) memory: orders 16 to 64 take
+  three passes from Tricomi's start, orders 128 to 2048 one pass from
+  Olver's start at the zeros of the Bessel function J_0.  Nodes within
+  9.1e-17 of the roots, weights within 2.6e-14 relative.
 
 Each rule also accepts a singular-aware callback (``fd``) that receives the
 distance(s) to the singular endpoint(s) computed without cancellation.  A
@@ -433,15 +435,24 @@ def _newton_legendre(n, x):
 
     The recurrence runs on d_k = P_k - P_{k-1} (Reinsch's form), whose
     rounding errors stay small near x = 1, where those of P_k alone grow
-    with k.  The weight 2 / ((1 - x^2) P_n'(x)^2) has logarithmic slope
-    -2x / (1 - x^2) at a root, so it is carried to the Newton image of x:
-    near +-1, half an ulp of x would move it by up to 8e-11.
+    with k.  The pass updates P_k, d_k and one work array in place and
+    allocates nothing per degree, with the operations of
+    d = ((2k + 1) (x - 1) P_k + k d) / (k + 1) in that order, so it rounds
+    as the expression does.  The weight 2 / ((1 - x^2) P_n'(x)^2) has
+    logarithmic slope -2x / (1 - x^2) at a root, so it is carried to the
+    Newton image of x: near +-1, half an ulp of x would move it by up to
+    8e-11.
     """
     xm1 = x - 1
-    p, d = x, xm1  # P_1 and P_1 - P_0
+    p, d = x.copy(), xm1.copy()  # P_1 and P_1 - P_0
+    t = np.empty_like(x)
     for k in range(1, n):
-        d = ((2 * k + 1) * xm1 * p + k * d) / (k + 1)
-        p = p + d
+        np.multiply(xm1, 2 * k + 1, out=t)
+        t *= p
+        d *= k
+        t += d
+        np.divide(t, k + 1, out=d)
+        p += d
     one_minus_x2 = -xm1 * (1 + x)
     dp = n * (-xm1 * p - d) / one_minus_x2  # n (P_{n-1} - x P_n) / (1 - x^2)
     step = p / dp
@@ -449,22 +460,73 @@ def _newton_legendre(n, x):
     return x - step, w
 
 
+# the first zeros of the Bessel function J_0, from mpmath.besseljzero(0, k)
+_J0_ZEROS = np.array([
+    2.404825557695772768621631879326455, 5.520078110286310649596604112813027,
+    8.653727912911012216954198712660947, 11.79153443901428161374304491192546,
+    14.93091770848778594776259399738868, 18.07106396791092254314788297561818,
+    21.21163662987925895907839335052631, 24.35247153074930273705794476317891,
+    27.49347913204025479587728823460741, 30.63460646843197511754957892685423,
+    33.77582021357356868423854634671473, 36.91709835366404397976949306327295,
+    40.05842576462823929479930737399447, 43.19979171317673035752407272874342,
+    46.34118837166181401868578887911285, 49.48260989739781717360276153317827,
+    52.62405184111499602925128538039157, 55.76551075501997931168349277346183,
+    58.90698392608094213283440663461569, 62.04846919022716988285250026465095,
+])
+
+
+def _bessel_j0_zeros(m):
+    """The first m zeros j_{0,k} of J_0: the frozen table, then McMahon's
+    expansion in 1/(8 beta), beta = (k - 1/4) pi, through its (8 beta)^-7
+    term.  For k up to 1024 each is within 2.3e-16 relative (1.3 ulp) of
+    the zero."""
+    beta = (np.arange(1, m + 1) - 0.25) * np.pi
+    r = 1 / (8 * beta)
+    r2 = r * r
+    j = beta + r * (1 + r2 * (-124 / 3 + r2 * (120928 / 15 + r2 * (-401743168 / 105))))
+    head = min(m, _J0_ZEROS.size)
+    j[:head] = _J0_ZEROS[:head]
+    return j
+
+
+# the least order started from the zeros of J_0: from here on that start is
+# within 1e-10 of the roots and one Newton pass reaches rounding; below, it
+# is 1.5e-9 (n = 64) to 3e-7 (n = 16) off
+_BESSEL_START = 128
+
+
 def _gauss_legendre(n):
     """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
 
-    The non-negative nodes start from Tricomi's asymptotic guess and take
-    three Newton steps on P_n; the negative ones are their mirror image, so
-    the rule is exactly symmetric.  O(n^2) flops and O(n) memory, where the
-    eigenvalues of the n x n companion matrix (numpy's leggauss) take
-    O(n^3) flops.  For n up to 2048 the nodes are within 8.3e-17 of the
-    roots and the weights within 2.7e-14 relative (against 40-digit values),
-    before the weights are scaled to sum to 2 as numpy's are.
+    The non-negative nodes x_k = cos(theta_k), largest first, start from an
+    asymptotic guess and take Newton steps on P_n (_newton_legendre), the
+    last of which gives the weights; the negative ones are their mirror
+    image, so the rule is exactly symmetric.  From n = 128 on the start is
+    Olver's, from the zeros of J_0 (_bessel_j0_zeros):
+    theta_k = psi + (psi cot psi - 1) / (8 rho^2 psi), psi = j_{0,k} / rho,
+    rho = n + 1/2 (cf. Hale & Townsend, SIAM J. Sci. Comput. 35, 2013),
+    within 1e-10 of the roots at n = 128 and 2e-15 at n = 2048, and one step
+    reaches rounding.  Below 128, where that start is up to 3e-7 off, the
+    start is Tricomi's, up to 2e-5 off, and three steps are taken.  O(n^2)
+    flops and O(n) memory, where the eigenvalues of the n x n companion
+    matrix (numpy's leggauss) take O(n^3) flops.  For n up to 2048 the
+    nodes are within 9.1e-17 of the roots and the weights within 2.6e-14
+    relative (every node, against 32-digit values), before the weights are
+    scaled to sum to 2 as numpy's are.
     """
-    k = np.arange(1, (n + 1) // 2 + 1)  # the largest node first
-    theta = np.pi * (4 * k - 1) / (4 * n + 2)
-    x = (1 - (n - 1) / (8 * n ** 3)
-         - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4)) * np.cos(theta)
-    for _ in range(3):
+    half = (n + 1) // 2  # the non-negative nodes, the largest first
+    if n >= _BESSEL_START:
+        rho = n + 0.5
+        psi = _bessel_j0_zeros(half) / rho
+        x = np.cos(psi + (psi / np.tan(psi) - 1) / (8 * rho ** 2 * psi))
+        passes = 1
+    else:
+        k = np.arange(1, half + 1)
+        theta = np.pi * (4 * k - 1) / (4 * n + 2)
+        x = (1 - (n - 1) / (8 * n ** 3)
+             - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4)) * np.cos(theta)
+        passes = 3
+    for _ in range(passes):
         x, w = _newton_legendre(n, x)
     odd = n % 2
     if odd:

@@ -122,7 +122,9 @@ def preimage_green(z, n: int, sigma: float, kappa: float) -> float:
 
 # Gauss-Legendre rules on [-1, 1]: (k, x_k, w_k) for the k-th largest node
 # of n, at k = 1, 2 (the outermost), n/4 and n/2 (the node nearest the
-# middle), rounded from these 40-digit values:
+# middle), and for n = 2048 also at k = 3 and 10, whose start takes the zero
+# of J_0 from quadrature's table, and 40 and 100, whose start takes it from
+# McMahon's expansion; rounded from these 40-digit values:
 #
 #   import mpmath as mp
 #   mp.mp.dps = 40
@@ -156,10 +158,50 @@ GAUSS_LEGENDRE = {
         (16, 0.71988185017161082685, 0.033805161837141609392),
         (32, 0.024350292663424432509, 0.048690957009139720383),
     ],
+    128: [
+        (1, 0.99982488794713191447, 0.00044938096029209037639),
+        (2, 0.99907745997737589501, 0.0010458126793403487793),
+        (32, 0.71355437768358741334, 0.017128135423111376831),
+        (64, 0.012223698960615764198, 0.024446180196262518211),
+    ],
+    256: [
+        (1, 0.99995605001899223073, 0.00011278901782227217551),
+        (2, 0.9997684374092631861, 0.00026253494429644590629),
+        (64, 0.71034568330454331339, 0.0086207050884010143054),
+        (128, 0.0061239123751895295012, 0.012247671640289755904),
+    ],
+    512: [
+        (1, 0.99998899098438186799, 0.000028252637373934692039),
+        (2, 0.99994199460684565364, 0.000065765731659240195831),
+        (128, 0.70873001921840708485, 0.0043245425631609613132),
+        (256, 0.0030649621851593961529, 0.0061299051754057857592),
+    ],
+    1024: [
+        (1, 0.99999724505455844035, 7.0700764101825898713e-6),
+        (2, 0.99998548438502844477, 0.000016457727579896868107),
+        (256, 0.70791934831880136166, 0.0021658225940099498722),
+        (512, 0.0015332313560626384065, 0.0030664603092439082116),
+    ],
     2048: [
         (1, 0.99999931092710532958, 1.7683833666660711807e-6),
         (2, 0.9999963693177449578, 4.1164558305822254428e-6),
+        (3, 0.99999107714397238839, 6.4679954757367666237e-6),
+        (10, 0.99988818126448765632, 0.000022930646511857652651),
+        (40, 0.99814243281054670673, 0.000093432056147416964636),
+        (100, 0.98832175442398883578, 0.00023369288019967730084),
         (512, 0.70751330195323157477, 0.0010837995993926657207),
         (1024, 0.00076680308814728576831, 0.0015336058757143302803),
     ],
+}
+
+
+# zeros j_{0,k} of the Bessel function J_0, by k, to 30 digits:
+# mpmath.besseljzero(0, k) at mp.dps = 30
+BESSEL_J0_ZEROS = {
+    1: 2.40482555769577276862163187933,
+    2: 5.52007811028631064959660411281,
+    20: 62.0484691902271698828525002647,
+    21: 65.1899648002068604406360337425,
+    100: 313.374266077527844719690245102,
+    1024: 3216.20551797822436998854989778,
 }

@@ -25,7 +25,10 @@ reference for one lobe, in complex arithmetic from an inner disk found by
 halving alone and a march outward by a factor 1.1, that
 lemniscatic.trace_boundary replaced with one ray solver over every lobe.
 distance_to_E is the loop over every component that mapping._distance_to_E
-replaced with a bisection on the endpoints.
+replaced with a bisection on the endpoints.  gauss_legendre_reference is
+quadrature._gauss_legendre from Tricomi's start with three allocating
+Newton passes at every order, as it was before orders from 128 on started
+from the zeros of J_0 and took one pass.
 """
 
 import math
@@ -460,3 +463,35 @@ def trace_lobe(dom, j, n_rays):
             return None
     pts = center + r * ray
     return np.append(pts, pts[:1])
+
+
+def gauss_legendre_reference(n):
+    """quadrature._gauss_legendre as built before it started from the zeros
+    of J_0: at every order Tricomi's start and three Newton passes, each
+    allocating its recurrence's arrays anew at every degree."""
+    def newton(x):
+        xm1 = x - 1
+        p, d = x, xm1  # P_1 and P_1 - P_0
+        for k in range(1, n):
+            d = ((2 * k + 1) * xm1 * p + k * d) / (k + 1)
+            p = p + d
+        one_minus_x2 = -xm1 * (1 + x)
+        dp = n * (-xm1 * p - d) / one_minus_x2
+        step = p / dp
+        w = 2 / (one_minus_x2 * dp ** 2) * (1 + 2 * x * step / one_minus_x2)
+        return x - step, w
+
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n ** 3)
+         - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4)) * np.cos(theta)
+    for _ in range(3):
+        x, w = newton(x)
+    odd = n % 2
+    if odd:
+        x[-1] = 0.0
+    m = x.size - odd
+    u = np.concatenate((-x[:m], x[::-1]))
+    w = np.concatenate((w[:m], w[::-1]))
+    w *= 2 / w.sum()
+    return u, w

@@ -97,6 +97,43 @@ def test_input_file_text(tmp_path, capsys):
     assert json.loads(out)["component_count"] == 2
 
 
+@pytest.mark.parametrize("case", ["missing", "directory"])
+def test_unreadable_input_file_is_input_error(tmp_path, capsys, case):
+    # each ended in a FileNotFoundError or IsADirectoryError traceback
+    path = tmp_path / "missing.json" if case == "missing" else tmp_path
+    code, out, err = run_cli(capsys, "params", "--input", str(path))
+    assert code == 2 and out == ""
+    line, = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ValueError" and error["exit_code"] == 2
+    assert error["message"].startswith(f"{path}: cannot read --input: ")
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "report.json"
+    code, out, err = run_cli(capsys, "params", "--intervals=-1,1", "--output", str(path))
+    assert code == 2 and out == "" and not path.parent.exists()
+    line, = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ValueError" and error["exit_code"] == 2
+    assert error["message"] == f"{path}: cannot write --output: No such file or directory"
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--x-range", "1,2,3", "expected 'lo,hi' for --x-range, got '1,2,3'"),
+    ("--y-range", "0", "expected 'lo,hi' for --y-range, got '0'"),
+    ("--x-range", "0,one", "expected 'lo,hi' for --x-range, got '0,one'"),
+    ("--y-range", "1,0", "empty range for --y-range: '1,0'"),
+], ids=["three_values", "one_value", "not_a_number", "empty"])
+def test_bad_grid_range_names_its_flag(capsys, flag, text, message):
+    # '1,2,3' reported "too many values to unpack (expected 2)"
+    ranges = {"--x-range": "0,1", "--y-range": "0,1", flag: text}
+    code, out, err = run_cli(capsys, "grid", "--intervals=-1,1", "--nx", "2", "--ny", "2",
+                             *(f"{name}={value}" for name, value in ranges.items()))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == message
+
+
 def test_missing_intervals_is_input_error(capsys):
     code, out, err = run_cli(capsys, "params")
     assert code == 2

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshmap.errors import NoConvergence
-from walshmap.quadrature import (_CHEB_BLOCK, QuadConfig, _chebyshev_sum,
-                                 _gauss_legendre, _leggauss, _tail, integrate_chebyshev,
-                                 integrate_segment_complex, integrate_tail)
+from walshmap.quadrature import (_CHEB_BLOCK, QuadConfig, _bessel_j0_zeros,
+                                 _chebyshev_sum, _gauss_legendre, _leggauss, _tail,
+                                 integrate_chebyshev, integrate_segment_complex,
+                                 integrate_tail)
 
 import reference_values as ref
+from scalar_oracles import gauss_legendre_reference
 
 
 def test_config_validation():
@@ -456,12 +458,14 @@ def test_segment_zero_length():
 SEGMENT_ORDERS = [16 << k for k in range(8)]
 
 
-@pytest.mark.parametrize("n", SEGMENT_ORDERS)
+@pytest.mark.parametrize("n", SEGMENT_ORDERS + [129])
 def test_gauss_legendre_rule_is_symmetric_and_sums_to_two(n):
     u, w = _gauss_legendre(n)
     assert u.shape == w.shape == (n,)
     assert np.all(np.diff(u) > 0) and -1.0 < u[0] and u[-1] < 1.0
     assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:  # an odd order's middle node
+        assert u[n // 2] == 0.0
     assert abs(w.sum() - 2.0) <= 4 * np.finfo(float).eps
     s, ws = _leggauss(n)
     assert np.array_equal(s, 0.5 * (u + 1.0)) and np.array_equal(ws, w)
@@ -483,6 +487,33 @@ def test_gauss_legendre_rule_against_40_digit_values(n):
     for k, x, weight in ref.GAUSS_LEGENDRE[n]:
         assert abs(u[n - k] - x) <= 2.3e-16
         assert abs(w[n - k] - weight) <= 1e-12 * weight
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_gauss_legendre_low_orders_keep_tricomis_start(n):
+    u, w = _gauss_legendre(n)
+    u_ref, w_ref = gauss_legendre_reference(n)
+    assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("n", [128, 129, 256, 512, 1024, 2048])
+def test_gauss_legendre_bessel_start_meets_three_passes(n):
+    # one pass from the zeros of J_0 against three from Tricomi's start
+    u, w = _gauss_legendre(n)
+    u_ref, w_ref = gauss_legendre_reference(n)
+    assert np.max(np.abs(u - u_ref)) <= 2.3e-16
+    assert np.max(np.abs(w / w_ref - 1)) <= 1e-13
+
+
+def test_bessel_j0_zeros_against_30_digit_values():
+    j = _bessel_j0_zeros(1024)
+    assert j.shape == (1024,) and np.all(np.diff(j) > 0)
+    for k, zero in ref.BESSEL_J0_ZEROS.items():
+        if k <= 20:  # the table
+            assert j[k - 1] == zero
+        else:  # McMahon's expansion
+            assert abs(j[k - 1] - zero) <= 2 * np.spacing(zero)
+    assert np.array_equal(_bessel_j0_zeros(3), j[:3])
 
 
 def test_gauss_legendre_table_builds_no_square_array():
