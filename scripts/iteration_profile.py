@@ -19,7 +19,8 @@ With --rays it prints, for each drawn set, the passes over rays of L that
 evaluate g_L: those of boundary_abscissae inside the solve, and those of one
 trace_boundary(dom, 256), each split into level and slope passes with the
 rays a pass, counted by wrapping lemniscatic._level and _level_slope from
-outside the package.
+outside the package.  The trace solves the 129 rays of each lobe from angle
+0 to pi and mirrors the others, so its passes run over 129 ell rays.
 
 With --crit it counts, per solve, the calls of lemniscatic.crit_points and
 the calls of the bracketed solver _bisect and their evaluations of f, split
@@ -308,7 +309,7 @@ def main():
                         help="count the Chebyshev rule's intervals and nodes")
     parser.add_argument("--rays", action="store_true",
                         help="count the g_L passes of boundary_abscissae and of a "
-                             "256-ray trace_boundary per set")
+                             "256-ray trace_boundary per set (129 solved rays a lobe)")
     parser.add_argument("--crit", action="store_true",
                         help="count crit_points calls and _bisect evaluations per solve")
     parser.add_argument("--stages", action="store_true",

@@ -22,6 +22,14 @@ from .verify import CHECK_NAMES, run_checks
 GRID_HEADER = "z_re,z_im,w_re,w_im,status,residual,error"
 
 
+def _number(token: str, where: str) -> float:
+    """float(token), or a ValueError that names where the token came from."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{where}: not a number: {token!r}") from None
+
+
 def _parse_intervals_arg(text: str) -> list[list[float]]:
     pairs = []
     for chunk in text.split(";"):
@@ -31,7 +39,7 @@ def _parse_intervals_arg(text: str) -> list[list[float]]:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 'lo,hi' pairs separated by ';', got {chunk!r}")
-        pairs.append([float(parts[0]), float(parts[1])])
+        pairs.append([_number(p, "--intervals") for p in parts])
     if not pairs:
         raise ValueError("no intervals given")
     return pairs
@@ -54,14 +62,14 @@ def _read_input_file(path: str) -> list[list[float]]:
             raise ValueError(f"{path}: 'intervals' must be a list of [lo, hi] "
                              f"number pairs") from None
     pairs = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(f"{path}: expected one 'lo hi' pair per line, got {line!r}")
-        pairs.append([float(parts[0]), float(parts[1])])
+        pairs.append([_number(p, f"{path}, line {number}") for p in parts])
     if not pairs:
         raise ValueError(f"{path}: no intervals found")
     return pairs
@@ -77,10 +85,8 @@ def _intervals_from(args) -> list[list[float]]:
 
 def _parse_z(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+    if len(parts) in (1, 2):
+        return complex(*(_number(p, "--z") for p in parts))
     raise ValueError(f"expected 're' or 're,im' for --z, got {text!r}")
 
 
@@ -162,10 +168,11 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    z = _parse_z(args.z)
     wm = solve(_intervals_from(args), _quad_config(args))
-    res = wm.map_point(_parse_z(args.z))
+    res = wm.map_point(z)
     report = {
-        "z": [_parse_z(args.z).real, _parse_z(args.z).imag],
+        "z": [z.real, z.imag],
         "w": [res.w.real, res.w.imag],
         "residual": res.residual,
         "iterations": res.iterations,

@@ -14,10 +14,14 @@ step counts.
 
 The boundary of L is solved along rays from the centers by one solver,
 _solve_rays: boundary_abscissae are the rays at angles pi and 0 of each
-lobe, and trace_boundary samples each lobe's boundary curve on n rays.
+lobe, and trace_boundary samples each lobe's boundary curve on n rays.  The
+centers are real, so L is its own mirror image in the real axis, and the
+trace solves only the n // 2 + 1 rays from angle 0 to pi and takes the
+others as their conjugates.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,30 +197,37 @@ class BoundaryTrace:
 
 def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> list[BoundaryTrace]:
     """Trace each boundary component of L along points_per_component rays
-    from its center, one point per ray where it leaves L, the rays of every
-    lobe solved at once (_solve_rays).
+    from its center, at angles 2 pi k / n, one point per ray where it leaves
+    L.
 
-    Each ray ends where it meets the vertical line through a neighboring
-    critical point w_k (along which g only grows from g(w_k) > 0), the line
-    2 cap beyond an outermost center (see _outer_reach) or the band
-    |Im w| = 2 cap (beyond which g >= log 2).  L between the center and
-    these ends is this lobe alone, so the crossing found there is the lobe's
-    own; a ray may re-enter L beyond its outer end, but that part of L
-    belongs to a neighboring lobe.
+    The centers are real, so L is its own mirror image in the real axis:
+    only the rays from angle 0 to pi, k = 0 .. n // 2, are solved, those of
+    every lobe at once (_solve_rays), and the point of ray n - k is the
+    conjugate of that of ray k.  Each ray ends where it meets the vertical
+    line through a neighboring critical point w_k (along which g only grows
+    from g(w_k) > 0), the line 2 cap beyond an outermost center (see
+    _outer_reach) or the band |Im w| = 2 cap (beyond which g >= log 2).  L
+    between the center and these ends is this lobe alone, so the crossing
+    found there is the lobe's own; a ray may re-enter L beyond its outer
+    end, but that part of L belongs to a neighboring lobe.
 
     A lobe is reported unsampled, with the failed check in reason, when g
     is not negative at the float floor of its center on one of its rays
     (no disk inside L around it), one of its rays reaches its outer end
     inside L, or one re-enters L at 1.005, 1.02 or 1.05 times its crossing
     (tangency or a wiggle: the star-shaped sampling assumption fails); the
-    other lobes are unaffected.  Raises ValueError for fewer than one point
-    per component.
+    other lobes are unaffected.  Raises TypeError for a points_per_component
+    that is not an integer (a bool included), ValueError for fewer than one
+    point per component.
     """
     n = points_per_component
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise TypeError(f"points_per_component must be an integer, got {n!r}")
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"points_per_component {n} < 1")
     a = np.asarray(dom.centers)
-    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:n // 2 + 1])
     r, r_out, inner, outer, level = _solve_rays(
         a, np.asarray(dom.exponents.m), dom.capacity, np.asarray(dom.crit_w, dtype=float), ray)
     reasons = [f"no disk inside L around center {aj}" if inner[j].any()
@@ -227,9 +238,11 @@ def trace_boundary(dom: LemniscaticDomain, points_per_component: int = 64) -> li
         inside = (level(np.minimum(r * factor, r_out)) <= 0).any(1)
         for j in np.flatnonzero(inside).tolist():
             reasons[j] = reasons[j] or f"rays from center {a[j]} re-enter the level set"
-    pts = a[:, None] + r * ray
+    upper = a[:, None] + r * ray
+    # rays n // 2 + 1 .. n - 1, then ray 0 again to close the polyline
+    pts = np.concatenate((upper, upper[:, n - n // 2 - 1:0:-1].conj(), upper[:, :1]), axis=1)
     return [BoundaryTrace(center, None, False, reasons[j]) if reasons[j]
-            else BoundaryTrace(center, np.append(pts[j], pts[j, :1]), True)
+            else BoundaryTrace(center, pts[j], True)
             for j, center in enumerate(dom.centers)]
 
 

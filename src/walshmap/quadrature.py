@@ -518,7 +518,7 @@ def _gauss_legendre(n):
     if n >= _BESSEL_START:
         rho = n + 0.5
         psi = _bessel_j0_zeros(half) / rho
-        x = np.cos(psi + (psi / np.tan(psi) - 1) / (8 * rho ** 2 * psi))
+        x = np.cos(psi + (psi * np.cos(psi) / np.sin(psi) - 1) / (8 * rho ** 2 * psi))
         passes = 1
     else:
         k = np.arange(1, half + 1)

@@ -23,7 +23,10 @@ integrated both in one call.
 trace_lobe is the disk-and-march
 reference for one lobe, in complex arithmetic from an inner disk found by
 halving alone and a march outward by a factor 1.1, that
-lemniscatic.trace_boundary replaced with one ray solver over every lobe.
+lemniscatic.trace_boundary replaced with one ray solver over every lobe, and
+trace_full_circle that ray solver on every ray of the circle, as
+trace_boundary ran it before it solved the rays from 0 to pi alone and
+mirrored them.
 distance_to_E is the loop over every component that mapping._distance_to_E
 replaced with a bisection on the endpoints.  gauss_legendre_reference is
 quadrature._gauss_legendre from Tricomi's start with three allocating
@@ -38,7 +41,8 @@ import numpy as np
 from walshmap import lemniscatic
 from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter, RootNotBracketed
 from walshmap.green import _plain_deriv
-from walshmap.lemniscatic import _deriv_values, _green_values, _outer_reach
+from walshmap.lemniscatic import (BoundaryTrace, _deriv_values, _green_values, _outer_reach,
+                                  _solve_rays)
 from walshmap.newton import _bisect, damped_newton
 from walshmap.quadrature import integrate_tail
 
@@ -463,6 +467,26 @@ def trace_lobe(dom, j, n_rays):
             return None
     pts = center + r * ray
     return np.append(pts, pts[:1])
+
+
+def trace_full_circle(dom, n):
+    """trace_boundary(dom, n) with _solve_rays on all n rays of the circle,
+    the re-entry checks on every one of them, and no mirror."""
+    a = np.asarray(dom.centers)
+    ray = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    r, r_out, inner, outer, level = _solve_rays(
+        a, np.asarray(dom.exponents.m), dom.capacity, np.asarray(dom.crit_w, dtype=float), ray)
+    reasons = [f"no disk inside L around center {aj}" if inner[j].any()
+               else f"rays from center {aj} reach their outer end inside L" if outer[j].any()
+               else None for j, aj in enumerate(dom.centers)]
+    for factor in (1.005, 1.02, 1.05):
+        inside = (level(np.minimum(r * factor, r_out)) <= 0).any(1)
+        for j in np.flatnonzero(inside).tolist():
+            reasons[j] = reasons[j] or f"rays from center {a[j]} re-enter the level set"
+    pts = a[:, None] + r * ray
+    return [BoundaryTrace(center, None, False, reasons[j]) if reasons[j]
+            else BoundaryTrace(center, np.append(pts[j], pts[j, :1]), True)
+            for j, center in enumerate(dom.centers)]
 
 
 def gauss_legendre_reference(n):

@@ -134,6 +134,28 @@ def test_bad_grid_range_names_its_flag(capsys, flag, text, message):
     assert json.loads(err)["error"]["message"] == message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("params", "--intervals=a,1"), "--intervals: not a number: 'a'"),
+    (("params", "--intervals=-1,-0.5;0.2,1e"), "--intervals: not a number: '1e'"),
+    (("phi", "--intervals=-1,1", "--z=1,x"), "--z: not a number: 'x'"),
+    (("phi", "--intervals=-1,1", "--z=nan0"), "--z: not a number: 'nan0'"),
+], ids=["interval_lo", "interval_hi", "z_imag", "z_real"])
+def test_bad_number_names_its_flag(capsys, argv, message):
+    # each reported only "could not convert string to float: 'a'"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and error["message"] == message
+
+
+def test_bad_number_in_input_file_names_its_line(tmp_path, capsys):
+    path = tmp_path / "domain.txt"
+    path.write_text("# set\n-1 -0.3\n\n0.1 x  # right\n")
+    code, out, err = run_cli(capsys, "params", "--input", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == f"{path}, line 4: not a number: 'x'"
+
+
 def test_missing_intervals_is_input_error(capsys):
     code, out, err = run_cli(capsys, "params")
     assert code == 2

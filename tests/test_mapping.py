@@ -8,16 +8,17 @@ import pytest
 
 from walshmap import cli, lemniscatic, mapping
 from walshmap.api import solve
+from walshmap.equilibrium import ExponentVector
 from walshmap.errors import BracketFailure, InsideE, NoConvergence, NotFinite, WalshMapError
 from walshmap.green import _green_integral, green_complex, green_real
 from walshmap.intervals import parse_domain
-from walshmap.lemniscatic import green as green_level, trace_boundary
+from walshmap.lemniscatic import LemniscaticDomain, green as green_level, trace_boundary
 from walshmap.mapping import GridPoint, MapResult, branch_offset, map_grid, map_point
 from walshmap.quadrature import QuadConfig
 from walshmap.verify import random_interval_set
 
 import reference_values as ref
-from scalar_oracles import distance_to_E, trace_lobe
+from scalar_oracles import distance_to_E, trace_full_circle, trace_lobe
 
 
 def joukowski_half(z):
@@ -343,6 +344,76 @@ def test_trace_boundary_at_extreme_scales(scale):
     for tr, ref_tr in zip(traces, at_one):
         expected = scale * ref_tr.points
         assert np.max(np.abs(tr.points - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+MIRROR_RAYS = (1, 2, 3, 7, 8, 64, 256)
+MIRROR_SETS = {
+    "two": ref.TWO_INTERVAL["pairs"],
+    "three": ref.THREE_INTERVAL["pairs"],
+    "cantor2": ref.cantor_pairs(2),
+    **{f"random10_{k}": ref.dirichlet_intervals(np.random.default_rng(k), 10) for k in range(4)},
+    "cantor4": ref.cantor_pairs(4),
+    "dirichlet40": ref.dirichlet_intervals(np.random.default_rng(40), 40),
+}
+
+
+def _assert_mirrors_full_circle(dom, n):
+    # the lobes' checks read as on the full circle; each point is the
+    # full circle's within 2e-15 of its lobe's scale, and the point of ray
+    # n - k is the conjugate of ray k's, bit for bit
+    got, want = trace_boundary(dom, n), trace_full_circle(dom, n)
+    assert [(t.center, t.sampled, t.reason) for t in got] == [
+        (t.center, t.sampled, t.reason) for t in want]
+    for tr, ref_tr in zip(got, want):
+        if not tr.sampled:
+            assert tr.points is None
+            continue
+        pts = tr.points
+        assert pts.shape == (n + 1,) and pts[-1:].tobytes() == pts[:1].tobytes()
+        assert pts[n - 1:n // 2:-1].tobytes() == pts[1:n - n // 2].conj().tobytes()
+        assert np.max(np.abs(pts - ref_tr.points)) <= 2e-15 * np.max(np.abs(ref_tr.points))
+
+
+@pytest.mark.parametrize("name", list(MIRROR_SETS))
+def test_trace_boundary_mirrors_the_upper_rays(name):
+    # the centers are real, so L is its own mirror image: the trace solves
+    # the rays from 0 to pi alone and conjugates them
+    dom = solve(MIRROR_SETS[name]).lemniscatic
+    for n in MIRROR_RAYS:
+        _assert_mirrors_full_circle(dom, n)
+
+
+def test_trace_boundary_mirror_keeps_per_lobe_failures():
+    # the failure fixtures above: a lobe below the float spacing, and two
+    # lobes whose rays reach their outer ends inside L
+    lone = LemniscaticDomain(
+        centers=(1.0,), exponents=ExponentVector((1.0,), 0.0), capacity=1e-16,
+        crit_w=(), boundary_c=(np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)),
+        outer_iterations=0, inner_residual=0.0)
+    doms = [lone]
+    for pairs in (ref.THREE_INTERVAL["pairs"], ref.dirichlet_intervals(np.random.default_rng(3), 5)):
+        dom = solve(pairs).lemniscatic
+        k = dom.ell - 1
+        doms.append(dataclasses.replace(dom, crit_w=dom.crit_w[:-1] + (
+            0.5 * (dom.boundary_c[2 * k] + dom.centers[k]),)))
+    for dom in doms:
+        assert not all(t.sampled for t in trace_boundary(dom, 64))
+        for n in MIRROR_RAYS:
+            _assert_mirrors_full_circle(dom, n)
+
+
+@pytest.mark.parametrize("n", [2.5, "8", True, None, np.float64(8.0)])
+def test_trace_boundary_takes_an_integer_count(two_interval, n):
+    with pytest.raises(TypeError, match="points_per_component"):
+        trace_boundary(two_interval.lemniscatic, n)
+
+
+def test_trace_boundary_takes_integer_like_counts(two_interval):
+    dom = two_interval.lemniscatic
+    want = trace_boundary(dom, 8)
+    for n in (np.int64(8), np.uint8(8)):
+        got = trace_boundary(dom, n)
+        assert all(g.points.tobytes() == w.points.tobytes() for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("pairs", [ref.dirichlet_intervals(np.random.default_rng(ell), ell)
@@ -681,6 +752,21 @@ def test_result_types_are_immutable_records(two_interval):
     assert abs(grid[0].result.w - one.w) <= 1e-15 * abs(one.w)
     assert grid[1] == GridPoint(local, "converged", wm.map_point(local))
     assert grid[2] == GridPoint(gap, "converged", wm.map_point(gap))
+
+
+def test_grid_outer_points_are_constructor_records(three_interval):
+    # map_grid builds an outer series point's records without their
+    # constructors: they keep the constructors' types, fields and defaults
+    wm = three_interval
+    E, dom, data = wm.domain, wm.lemniscatic, wm.green
+    zs = [complex(x, 2.5) for x in np.linspace(-4.0, 4.0, 60)]
+    series = mapping._certified(dom, data)
+    assert series and all(mapping._outer_series(z, E, dom, data) for z in zs)
+    for z, p in zip(zs, wm.map_grid(zs)):
+        assert type(p) is GridPoint and type(p.result) is MapResult
+        assert type(p.z) is complex and type(p.result.w) is complex
+        assert p == GridPoint(z, "converged", MapResult(p.result.w, series.bound, 0, "complex"))
+        assert (p.error, p.result.index, p.result.near_boundary) == (None, None, False)
 
 
 def test_grid_batches_give_the_same_points(monkeypatch):

@@ -49,7 +49,7 @@ def test_iteration_profile_counts_ray_passes():
         # two end checks over every ray, then _bisect; the trace adds its
         # three re-entry checks
         assert (ba_level, ba_rays) == (2, 2 * 5) and ba_slope <= 10
-        assert (level, rays) == (5, 256 * 5) and slope <= 12
+        assert (level, rays) == (5, 129 * 5) and slope <= 12
 
 
 def test_iteration_profile_times_solve_stages():
