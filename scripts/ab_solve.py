@@ -28,6 +28,23 @@ solve invariant (verify.worst_invariant) and largest final residual of the
 centers' Newton (inner_residual):
 
     python scripts/ab_solve.py OLD_SRC NEW_SRC --outputs --rounds 3
+
+With --grid it times the map instead, on the benchmark's grid domains
+(``bench/inputs.grid_domains``: the two- and three-interval sets, Cantor
+level 2 and the seeded 10-interval sets), each solved once by each tree.
+Each round draws one jittered grid a domain and calls, with both trees one
+right after the other, its 256-ray trace_boundary and then map_grid on each
+of its rows.  It prints the median call time of each of the benchmark's
+grid_dense classes (``boundary`` for the traces, the domain's name before
+its first ``_`` for the rows, so the seeded sets share ``random10``), and the
+geometric mean of the class medians, as the solve mode does.  With --grid
+--outputs it compares the two trees' points instead: statuses and errors,
+bit-identical images and the worst move of the others relative to |w| and
+in units in the last place of |w|, changes in the other fields of each
+MapResult, and the traces' points:
+
+    python scripts/ab_solve.py OLD_SRC NEW_SRC --grid --rounds 10
+    python scripts/ab_solve.py OLD_SRC NEW_SRC --grid --outputs --rounds 2
 """
 
 import argparse
@@ -149,6 +166,141 @@ def compare_outputs(sides, ladders):
         print(f"  failed {line}")
 
 
+# rays a lobe of each grid domain's trace, as grid_dense draws them
+RAYS = 256
+
+
+def solved_grids(sides, rng, limit):
+    """(name, class, x range, y range, (old WalshMap, new WalshMap)) of the
+    first limit grid domains that both trees solve."""
+    out = []
+    for name, pairs, xr, yr in inputs.grid_domains(rng)[:limit]:
+        try:
+            wms = tuple(package.solve(pairs) for package in sides)
+        except (sides[0].errors.WalshMapError, sides[1].errors.WalshMapError) as exc:
+            print(f"  {name}: not solved ({type(exc).__name__}), left out")
+            continue
+        out.append((name, name.partition("_")[0], xr, yr, wms))
+    return out
+
+
+def grid_calls(grids, rng, jitter):
+    """One grid's calls, per domain its trace and then its rows:
+    (class, domain index, the row's points or None for the trace)."""
+    calls = []
+    for k, (_, cls, xr, yr, _) in enumerate(grids):
+        calls.append(("boundary", k, None))
+        xs, ys = inputs.grid_axes(rng, xr, yr, jitter)
+        calls += [(cls, k, [complex(x, y) for x in xs.tolist()]) for y in ys.tolist()]
+    return calls
+
+
+def grid_call(package, wm, zs):
+    """map_grid on the row zs, or the domain's trace for zs None; a typed
+    failure of the trace is returned."""
+    if zs is not None:
+        return wm.map_grid(zs)
+    try:
+        return package.trace_boundary(wm.lemniscatic, RAYS)
+    except package.errors.WalshMapError as exc:
+        return type(exc).__name__
+
+
+def _bits(w):
+    return w.real.hex(), w.imag.hex()
+
+
+def compare_grid_outputs(sides, grids, rounds):
+    """Print, over the rows and traces of the rounds' grids, the two trees'
+    status and error changes, bit-identical and moved images, other
+    MapResult fields changed, and bit-identical traces."""
+    points = identical = changed = residuals = others = traces = same_traces = 0
+    worst, worst_ulp, worst_trace = (0.0, None), 0.0, 0.0
+    for calls in rounds:
+        for _, k, zs in calls:
+            old, new = (grid_call(package, wm, zs) for package, wm in zip(sides, grids[k][4]))
+            if zs is None:
+                traces += 1
+                if isinstance(old, str) or isinstance(new, str):
+                    same_traces += old == new
+                    continue
+                same = True
+                for a, b in zip(old, new):
+                    if a.points is None or b.points is None:
+                        same &= a.points is b.points
+                        continue
+                    same &= a.points.tobytes() == b.points.tobytes()
+                    scale = float(np.max(np.abs(a.points), initial=0.0)) or 1.0
+                    worst_trace = max(worst_trace,
+                                      float(np.max(np.abs(b.points - a.points))) / scale)
+                same_traces += same
+                continue
+            for p, q in zip(old, new):
+                points += 1
+                if (p.status, p.error) != (q.status, q.error):
+                    changed += 1
+                    continue
+                if p.result is None:
+                    identical += 1
+                    continue
+                if _bits(p.result.w) == _bits(q.result.w):
+                    identical += 1
+                else:
+                    move = abs(q.result.w - p.result.w) / abs(p.result.w)
+                    worst_ulp = max(worst_ulp, abs(q.result.w - p.result.w)
+                                    / float(np.spacing(abs(p.result.w))))
+                    if move > worst[0]:
+                        worst = (move, f"{grids[k][0]} z = {p.z!r}")
+                residuals += p.result.residual != q.result.residual
+                others += p.result[2:] != q.result[2:]
+    print(f"{points} grid points: {changed} status or error changes, {identical} images "
+          f"bit-identical, {points - changed - identical} moved")
+    print(f"  worst move relative to |w| {worst[0]:.3e}"
+          + (f" ({worst[1]})" if worst[1] else "") + f", in ulp of |w| {worst_ulp:.2f}")
+    print(f"  residuals changed {residuals}, iterations, branch, index or near_boundary "
+          f"changed {others}")
+    print(f"{traces} traces: {same_traces} bit-identical, worst move relative to the lobe's "
+          f"largest |point| {worst_trace:.3e}")
+
+
+def grid_main(args, sides):
+    """--grid: the map's A/B on the benchmark's grid domains."""
+    rng = np.random.default_rng(args.seed)
+    grids = solved_grids(sides, rng, args.limit)
+    for _, _, _, _, wms in grids:  # warm-up: each domain's series, first calls
+        for wm in wms:
+            wm.map_grid([complex(0.0, 0.5), complex(0.0, 5.0)])
+    rounds = (grid_calls(grids, rng, jitter=r > 0) for r in range(args.rounds))
+    if args.outputs:
+        compare_grid_outputs(sides, grids, rounds)
+        return
+    times = ({}, {})
+    for round_, calls in enumerate(rounds):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        gc.collect()
+        for cls, k, zs in calls:
+            for side in order:
+                package, wm = sides[side], grids[k][4][side]
+                t0 = time.perf_counter()
+                grid_call(package, wm, zs)
+                times[side].setdefault(cls, []).append(time.perf_counter() - t0)
+    old, new = ({cls: statistics.median(v) for cls, v in t.items()} for t in times)
+    print(f"{args.rounds} interleaved grids (seed {args.seed}): median ms, old / new / ratio")
+    report(old, new)
+
+
+def report(old, new):
+    """Print each class's median of both sides and their ratio, then the
+    geometric means of the class medians and theirs."""
+    for label in old:
+        print(f"  {label:8s} {1e3 * old[label]:10.4f} {1e3 * new[label]:10.4f} "
+              f"{new[label] / old[label]:7.4f}")
+    gmeans = [math.exp(statistics.fmean(math.log(v) for v in side.values()))
+              for side in (old, new)]
+    print(f"  {'gmean':8s} {1e3 * gmeans[0]:10.4f} {1e3 * gmeans[1]:10.4f} "
+          f"{gmeans[1] / gmeans[0]:7.4f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -157,15 +309,22 @@ def main():
     parser.add_argument("--rounds", type=int, default=20, help="ladder passes")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--limit", type=int, default=None,
-                        help="solve only the first LIMIT sets of each pass")
+                        help="solve only the first LIMIT sets of each pass (with --grid, "
+                             "map only the first LIMIT grid domains)")
     parser.add_argument("--outputs", action="store_true",
                         help="compare the two trees' outputs instead of their times")
+    parser.add_argument("--grid", action="store_true",
+                        help="time or compare the map on the grid domains instead of the "
+                             "solve ladder")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as workdir:
         sides = load_trees(args.old_src, args.new_src, workdir)
         for package in sides:  # warm-up: quadrature tables, first calls
             package.solve(inputs.TWO_INTERVAL_SET)
+        if args.grid:
+            grid_main(args, sides)
+            return
         rng = np.random.default_rng(args.seed)
         if args.outputs:
             compare_outputs(sides, [inputs.ladder_sets(rng)[:args.limit]
@@ -187,13 +346,7 @@ def main():
     old, new = (class_medians(t) for t in times)
     print(f"{args.rounds} interleaved ladder passes (seed {args.seed}): "
           f"median ms, old / new / ratio")
-    for label in old:
-        print(f"  {label:8s} {1e3 * old[label]:9.3f} {1e3 * new[label]:9.3f} "
-              f"{new[label] / old[label]:7.4f}")
-    gmeans = [math.exp(statistics.fmean(math.log(v) for v in side.values()))
-              for side in (old, new)]
-    print(f"  {'gmean':8s} {1e3 * gmeans[0]:9.3f} {1e3 * gmeans[1]:9.3f} "
-          f"{gmeans[1] / gmeans[0]:7.4f}")
+    report(old, new)
 
 
 if __name__ == "__main__":

@@ -122,3 +122,8 @@ class InsideE(InputError):
 
 class NotFinite(InputError, ValueError):
     """Map or Green's function requested at an infinite or NaN point."""
+
+
+class NotComplex(InputError, TypeError, ValueError):
+    """Map requested at a point that complex() does not take: None, a word,
+    a sequence.  A TypeError or ValueError, as complex() raises either."""

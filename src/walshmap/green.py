@@ -512,18 +512,22 @@ def _far_series(z: np.ndarray, t: float, s: float, coeffs: np.ndarray):
 
     It is formed in u = s/(z - t), never in zeta, so it cannot overflow:
     q = sqrt(1 - u^2) (principal) and r = u/(1 + q).  The powers of r come
-    from one cumprod, and each point's sum from a row-wise einsum, so a
-    point reads the same alone or in any batch: a BLAS product rounds by the
-    batch's size.
+    from one running product along each row of r repeated K times, a view
+    with stride 0, so the (n, K) table is written once; and each point's sum
+    from a row-wise einsum, so a point reads the same alone or in any batch:
+    a BLAS product rounds by the batch's size.  K is the caller's, fixed per
+    domain.
     """
     dz = z - t
     with np.errstate(over="ignore"):  # u of a |z - t| above the float range is 0
         u = s / dz
     q = np.sqrt(1.0 - u * u)
     r = u / (1.0 + q)
-    powers = np.repeat(r[:, None], coeffs.size, axis=1)
-    np.cumprod(powers, axis=1, out=powers)
-    return dz, q, np.einsum("ik,k->i", powers, coeffs)
+    # np.broadcast_to(r[:, None], (n, K)) without its Python-level checks:
+    # r is a fresh contiguous array, and a 60-point outer row of the grid
+    # domains reads 4-7 % faster for it in scripts/ab_solve.py --grid
+    rows = np.ndarray((r.size, coeffs.size), r.dtype, r, 0, (r.itemsize, 0))
+    return dz, q, np.einsum("ik,k->i", np.multiply.accumulate(rows, axis=1), coeffs)
 
 
 def _series_green(data: GreenData, z: np.ndarray) -> np.ndarray:

@@ -40,11 +40,12 @@ points near E, of the component) under Re z; see _complex_start.  Endpoints
 map to the boundary abscissae directly.
 
 map_point solves one point with the scalar damped_newton and sums a series
-by a scalar Horner.  map_grid sorts each slice of its points into these
-regions in one array pass (finite, off the axis, outside the ellipse), sums
-the outer series of all its outer points at once with no Python per point
-but its two result tuples, built by tuple.__new__ rather than their
-constructors (a one-point numpy batch costs several times more), a
+by a scalar Horner.  map_grid tests each slice of its points in one array
+pass (finite, off the axis, outside the ellipse), sums the outer series of
+all its outer points at once with no Python per point but its two result
+tuples, built by tuple.__new__ rather than their constructors (a one-point
+numpy batch costs several times more); a slice of outer points alone is
+done then.  A mixed slice is sorted into these regions, takes a
 component's series by map_point's Horner, and solves the Newton's points
 with damped_newton_masked.  Both return immutable named tuples, MapResult
 and GridPoint.
@@ -59,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsideE, NoConvergence, WalshMapError
+from .errors import InsideE, NoConvergence, NotComplex, NotFinite, WalshMapError
 from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, GreenData, _far_series, _green_integral,
                     _green_real, _outside_ellipse, _require_finite, _series_green,
                     green_complex)
@@ -198,23 +199,29 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     domain's certificate is within _TOL; a point inside it takes a
     component's series, when one holds it in its annulus and is certified
     (_component_series), a critical point z_k excepted.  Either is a Horner
-    on the fewest terms whose tail meets 6.2e-16 s, reported with the
-    certificate as residual and 0 iterations (see MapResult).  The Newton
-    takes every other point: real gap points are solved on the
+    on the fewest of its kept terms whose tail meets 6.2e-16 s, reported
+    with the certificate as residual and 0 iterations (see MapResult).  The
+    Newton takes every other point: real gap points are solved on the
     uniqueness bracket of their gap from the gap image of z (see
     _gap_image), everything else through the complex equation, kept in the
     half-plane of z, from the start of _complex_start; its right side is
     green_complex's Chebyshev series outside the ellipse, or inside it the
     integral from the endpoint nearest Re z plus the branch offset.
     Off-axis points closer to E than 1e-9 of its hull width b_{2l} - b_1 are
-    evaluated but flagged near_boundary.  Raises NotFinite for an infinite or
-    NaN coordinate, NoConvergence when Newton stalls or a panel of the
-    Green's integral does not converge (see green_complex), and
-    BracketFailure when the Newton's bracket on an unbounded gap leaves the
-    float range (only on a domain whose series is not certified).
+    evaluated but flagged near_boundary.  Raises NotComplex for a z that
+    complex() refuses, NotFinite for an infinite or NaN coordinate or an
+    int beyond the float range, NoConvergence when Newton stalls or a panel of the Green's integral does
+    not converge (see green_complex), and BracketFailure when the Newton's
+    bracket on an unbounded gap leaves the float range (only on a domain
+    whose series is not certified).
     """
     cfg = cfg or DEFAULT_CONFIG
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise NotComplex(f"z = {z!r} is not a complex number") from None
+    except OverflowError:  # an int beyond the float range
+        raise NotFinite(f"z = {z!r} is beyond the float range") from None
     _require_finite(z)
     if z.imag == 0.0:
         x = z.real
@@ -386,8 +393,10 @@ class _Series(NamedTuple):
     Outside the ellipse |v| = _ELLIPSE around the hull (_series): the frame
     is the hull's (s = S), up is empty, as the positive part is (s/2) v
     alone, formed in u = s/(z - t) (_series_point); lead = t, radius = 1,
-    down holds d_1 .. d_{K-1} (_series_coefficients), coeffs the same in
-    increasing order as an array for _series_map, and rho is infinite.
+    down holds the kept d_1 .. d_K' of _series_coefficients' K - 1 (the
+    fewest whose dropped tail lies below rounding, see _series), coeffs the
+    same in increasing order as an array for _series_map, and rho is
+    infinite.
     Near component j (_local_series): the frame is the component's, and the
     series serves the annulus 1 <= |v| <= rho inside the ellipse through the
     nearest other endpoint (_fit); coeffs is None.
@@ -408,11 +417,26 @@ class _Series(NamedTuple):
 def _series(dom: LemniscaticDomain, data: GreenData) -> _Series:
     """dom's series outside the ellipse for data, built on first use and
     kept on dom.  Two threads may both build it: they build the same, and
-    either one is kept."""
+    either one is kept.
+
+    It keeps the fewest leading terms d_1 .. d_K' of _series_coefficients
+    whose dropped tail, the sum of the largest values |d_k| _ELLIPSE^-k on
+    the ellipse of the terms after them, is at most half the rounding unit
+    of the hull's half-width s: on and outside the ellipse the terms dropped
+    move Phi by less than its own rounding.  (A chop of each term below the
+    rounding unit, as _kept does for the component series' noise, leaves a
+    tail of up to 2.5 units here, and moved grid images by up to 6 ulp.)
+    The certificate is the kept series' own residual.  K' is fixed per
+    domain, so a point's image does not depend on the batch it is summed
+    in."""
     series = dom.__dict__.get("_series")
     if series is None or series.data is not data:
         t, s = data.domain.frame
         d = _series_coefficients(dom, data)
+        size = np.abs(d) * _ELLIPSE ** -np.arange(1.0, d.size + 1)
+        # the dropped tail after each count of kept terms, never increasing
+        tail = np.cumsum(size[::-1])[::-1]
+        d = d[:np.count_nonzero(tail > 0.5 * _EPS * s)]
         series = _Series(data, t, s, t, [], d[::-1].tolist(), 1.0, math.inf,
                          _certificate(dom, data, t, s, d), d)
         dom.__dict__["_series"] = series  # frozen, but not its cache
@@ -453,7 +477,7 @@ def _series_coefficients(dom: LemniscaticDomain, data: GreenData) -> np.ndarray:
 
 def _series_map(z: np.ndarray, t: float, s: float, d: np.ndarray) -> np.ndarray:
     """Phi at every point of the complex array z, outside the ellipse, from
-    every term of its series (_far_series):
+    every term of d (_far_series):
     Phi = t + (0.5 (z - t))(1 + q) + sum d_k r^k."""
     dz, q, tail = _far_series(z, t, s, d)
     return t + (0.5 * dz) * (1.0 + q) + tail
@@ -845,9 +869,36 @@ class GridPoint(NamedTuple):
 
 # builds a MapResult or GridPoint from all its fields, as its constructor
 # does, without the constructor's argument handling: a row's 60 pairs of
-# records cost 23 us this way and 39 us through the constructors (timeit,
-# shared 2-core Xeon, Python 3.11)
+# records cost 18 us this way, by map over zip (_outer_points), 20 us in a
+# Python loop and 36 us through the constructors (timeit, shared 2-core
+# Xeon, Python 3.11)
 _new = tuple.__new__
+
+
+def _outer_points(zs, w, bound) -> list[GridPoint]:
+    """The GridPoints of the outer series points zs with images w, the
+    series' certificate bound as residual: every record built from all its
+    fields by tuple.__new__ in one C-level pass."""
+    results = map(_new, itertools.repeat(MapResult),
+                  zip(w, itertools.repeat(bound), itertools.repeat(0),
+                      itertools.repeat("complex"), itertools.repeat(None),
+                      itertools.repeat(False)))
+    return list(map(_new, itertools.repeat(GridPoint),
+                    zip(zs, itertools.repeat("converged"), results, itertools.repeat(None))))
+
+
+def _converted(chunk):
+    """(batch, bad) for a slice of map_grid's points: each point as a complex
+    number, NaN for one that complex() refuses, and the set of those
+    indices, which map_point refuses as given."""
+    batch, bad = [], set()
+    for i, z in enumerate(chunk):
+        try:
+            batch.append(complex(z))
+        except (TypeError, ValueError, OverflowError):
+            batch.append(complex(math.nan))
+            bad.add(i)
+    return batch, bad
 
 
 def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
@@ -855,31 +906,41 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     """Map a batch of points, skipping interior points of E and recording
     failures per point; never aborts the batch, order preserved.
 
-    Each slice of _GRID_BATCH points is classified in one array pass, into
-    one class code per point: the focal-sum test of the ellipse |v| = 1.5
-    (an overflowing distance reads as outside) splits the finite off-axis
-    points, and one bincount of the codes skips the empty classes.  Those on
-    or outside it take Phi's outer series (_series_map) at once, as
+    Each slice of _GRID_BATCH points is classified in one array pass: the
+    finite off-axis points, and of them those on or outside the ellipse
+    |v| = 1.5 by its focal-sum test (an overflowing distance reads as
+    outside).  Those take Phi's outer series (_series_map) at once, as
     map_point does, when it is certified, their MapResult and GridPoint
-    built from every field by tuple.__new__: the constructors' records, at
-    less cost.  Points inside it that a certified component's series holds
+    built from every field by tuple.__new__ (_outer_points): the
+    constructors' records, at less cost.  A slice of such points alone, as a
+    far row of a grid is, is done then.  A mixed slice forms one class code
+    per point, and one bincount of the codes skips the empty classes.
+    Points inside the ellipse that a certified component's series holds
     take it point by point, by map_point's own evaluation.  The Green
     targets of the others, the Newton's, come from one green_complex call
     per slice, and their complex equations from one masked damped Newton
     (_complex_images); each builds a failed point's error as map_point
-    raises it.  Only real-axis points go through map_point, and a point that
-    is not finite fails map_point's finiteness check.  Every point gets what map_point gives it, an
-    outer series image within rounding, a component's series image exactly.
+    raises it.  Only real-axis points go through map_point; a point that is
+    not finite fails map_point's finiteness check, and one that complex()
+    refuses fails as map_point fails it, its GridPoint holding the point as
+    given.
+    Every point gets what map_point gives it, an outer series image within
+    rounding, a component's series image exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     b, reach = E.endpoints, data._targets.reach
     points = iter(zs)
     out = []
-    while batch := [complex(z) for z in itertools.islice(points, _GRID_BATCH)]:
+    while chunk := list(itertools.islice(points, _GRID_BATCH)):
+        batch, bad = _converted(chunk)
         at = np.array(batch)
         with np.errstate(over="ignore", invalid="ignore"):
             off = np.isfinite(at) & (at.imag != 0.0)
             outside = off & (np.abs(at - b[0]) + np.abs(at - b[-1]) >= reach)
+        if outside.all() and (series := _certified(dom, data)):
+            out += _outer_points(batch, _series_map(at, series.t, series.s, series.coeffs).tolist(),
+                                 series.bound)
+            continue
         # one class code per point: 0 on the axis or not finite, 1 on or
         # outside the ellipse, 2 inside it; an empty class costs no pass
         code = 2 * off - outside
@@ -888,12 +949,9 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
         series = _certified(dom, data) if outer else None
         rows = [None] * len(batch)
         if series:
-            bound = series.bound
-            w = _series_map(at[outside], series.t, series.s, series.coeffs)
-            for i, wi in zip(outer, w.tolist()):
-                rows[i] = _new(GridPoint, (batch[i], "converged",
-                                           _new(MapResult, (wi, bound, 0, "complex", None, False)),
-                                           None))
+            w = _series_map(at[outside], series.t, series.s, series.coeffs).tolist()
+            for i, p in zip(outer, _outer_points([batch[i] for i in outer], w, series.bound)):
+                rows[i] = p
         # the Newton's points: inside the ellipse those that no component's
         # series takes, outside it all of them when the series is not certified
         inner = [] if series else outer
@@ -915,15 +973,17 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
                                           targets[solved], E, dom, data))
             for k, (i, ok) in enumerate(zip(inner, solved.tolist())):
                 rows[i] = _grid_point(batch[i], next(images) if ok else failures[k])
-        # the real axis, and the points that are not finite
+        # the real axis, the points that are not finite and those that are
+        # not numbers, which map_point refuses as given
         for i in axis:
+            z = chunk[i] if i in bad else batch[i]
             try:
                 if batch[i].imag != 0.0:
                     _require_finite(batch[i])
-                res = map_point(batch[i], E, dom, data, cfg)
+                res = map_point(z, E, dom, data, cfg)
             except WalshMapError as exc:
                 res = exc
-            rows[i] = _grid_point(batch[i], res)
+            rows[i] = _grid_point(z, res)
         out += rows
     return out
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from walshmap import cli, lemniscatic, mapping
 from walshmap.api import solve
 from walshmap.equilibrium import ExponentVector
-from walshmap.errors import BracketFailure, InsideE, NoConvergence, NotFinite, WalshMapError
+from walshmap.errors import (BracketFailure, InputError, InsideE, NoConvergence, NotComplex,
+                             NotFinite, WalshMapError)
 from walshmap.green import _green_integral, green_complex, green_real
 from walshmap.intervals import parse_domain
 from walshmap.lemniscatic import LemniscaticDomain, green as green_level, trace_boundary
@@ -780,6 +782,90 @@ def test_grid_batches_give_the_same_points(monkeypatch):
     assert wm.map_grid(iter(zs)) == whole
 
 
+@pytest.mark.parametrize("bad, error, text", [
+    (None, NotComplex, "is not a complex number"), ("x", NotComplex, "is not a complex number"),
+    ([1, 2], NotComplex, "is not a complex number"),
+    (10**400, NotFinite, "is beyond the float range"),
+], ids=["None", "word", "list", "huge_int"])
+def test_grid_fails_a_non_number_alone(two_interval, bad, error, text, monkeypatch):
+    # complex() refuses the point: map_point raises NotComplex naming it, or
+    # NotFinite for an int beyond the float range, and map_grid fails that
+    # point, kept as given, among outer, inner and axis points that map as
+    # they do alone, in batches of any size.  Both raised complex()'s own
+    # TypeError, ValueError or OverflowError and lost the batch
+    wm = two_interval
+    with pytest.raises(error, match=re.escape(f"z = {bad!r} {text}")):
+        wm.map_point(bad)
+    assert issubclass(error, InputError)
+    assert issubclass(NotComplex, (TypeError, ValueError))
+    good = [3.0 + 2.0j, 0.5 + 0.1j, 0.2 + 0.05j, 0.05, -0.3, 1.5 - 1.0j]
+    zs = good[:3] + [bad] + good[3:]
+    alone = [wm.map_grid([z])[0] for z in good]
+    for batch in (1, 2, 7, 1024):
+        monkeypatch.setattr(mapping, "_GRID_BATCH", batch)
+        points = wm.map_grid(zs)
+        assert points[3] == GridPoint(bad, "failed", error=(
+            f"{error.__name__}: z = {bad!r} {text}"))
+        assert points[:3] + points[4:] == alone
+    assert {p.status for p in alone} == {"converged"}
+
+
+def _same_records(got, want):
+    """got and want are the same GridPoints bit for bit, of the records'
+    own types."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert type(p) is GridPoint and p == q and p.z.imag.hex() == q.z.imag.hex()
+        if p.status == "converged":
+            assert type(p.result) is MapResult
+            assert (p.result.w.real.hex(), p.result.w.imag.hex()) == (
+                q.result.w.real.hex(), q.result.w.imag.hex())
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+def test_all_outer_slices_match_mixed_slices(shift, monkeypatch):
+    # points on and outside the ellipse make every slice of batches of 1, 7
+    # and 1024 all outer, which skips the class pass (no bincount); among
+    # inner and axis points every slice of 2 or more is mixed.  Each outer
+    # record is the one it gets alone and in a mixed slice, bit for bit.
+    # Shifted by 1e4 the series is not certified, and an all-outer slice
+    # takes the class pass and the Newton, which fails on two of the points
+    # nearest the set (a residual just above 1e-12)
+    wm = solve([[lo + shift, hi + shift] for lo, hi in ref.TWO_INTERVAL["pairs"]])
+    E, dom, data = wm.domain, wm.lemniscatic, wm.green
+    t, s = E.frame
+    v = [radius * cmath.exp(1j * theta) for radius in (1.5001, 1.6, 3.0, 40.0)
+         for theta in (0.2, 1.3, 2.9, -0.4, -1.6)] + [1e5j]
+    outer = [t + 0.5 * s * (u + 1.0 / u) for u in v]
+    assert all(mapping._outside_ellipse(z, E.endpoints, data._targets.reach) and z.imag
+               for z in outer)
+    others = [complex(t + 0.3 * s, 0.1 * s), complex(t - 0.2 * s, -0.05 * s),
+              complex(t + 0.1 * s), complex(E.endpoints[0])]
+    mixed = [z for i, zo in enumerate(outer) for z in (zo, others[i % len(others)])]
+    alone = [wm.map_grid([z])[0] for z in outer]
+    certified = mapping._certified(dom, data)
+    assert (certified is not None) == (shift == 0.0)
+    if certified:
+        assert all(p.result[1:] == (certified.bound, 0, "complex", None, False) for p in alone)
+    else:
+        assert all(p.status == "failed" or p.result.iterations > 0 for p in alone)
+        assert sum(p.status == "converged" for p in alone) > len(alone) // 2
+    counted = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *args, **kw: counted.append(1) or bincount(
+        *args, **kw))
+    for batch in (1, 7, 1024):
+        monkeypatch.setattr(mapping, "_GRID_BATCH", batch)
+        counted.clear()
+        _same_records(wm.map_grid(outer), alone)
+        assert bool(counted) == (certified is None)
+    for batch in (2, 3, 5, 1024):
+        monkeypatch.setattr(mapping, "_GRID_BATCH", batch)
+        counted.clear()
+        _same_records(wm.map_grid(mixed)[::2], alone)
+        assert counted
+
+
 # --- near-axis and far points that the Green path from b_2l failed on ---------
 
 NEAR_AXIS_SETS = ([[-1.0, -0.2], [0.3, 1.0]], [[-1.0, -0.5], [-0.1, 0.2], [0.6, 1.0]])
@@ -834,16 +920,24 @@ def test_cantor2_row_below_the_axis_maps(cantor2):
 # --- Phi's series outside the ellipse |v| = 1.5 -------------------------------
 
 def _coefficients(pairs):
+    # all 89 d_k, the dropped ones too, whose tail decides the count kept
     wm = solve(pairs)
-    return mapping._series(wm.lemniscatic, wm.green).coeffs, wm.domain.frame[1]
+    dom, data = wm.lemniscatic, wm.green
+    return (mapping._series_coefficients(dom, data), wm.domain.frame[1],
+            mapping._series(dom, data).coeffs.size)
 
 
 def test_unit_interval_series_vanishes(single_interval):
-    # Phi = (z + sqrt(z - 1) sqrt(z + 1)) / 2 = v / 2: every d_k is 0
+    # Phi = (z + sqrt(z - 1) sqrt(z + 1)) / 2 = v / 2: every d_k is 0, so the
+    # series keeps no term, and its certificate is that of all 89
     wm = single_interval
-    series = mapping._series(wm.lemniscatic, wm.green)
-    assert series.coeffs.tolist() == [0.0] * 89
-    assert series.bound <= 1e-15
+    dom, data = wm.lemniscatic, wm.green
+    series = mapping._series(dom, data)
+    full = mapping._series_coefficients(dom, data)
+    assert full.tolist() == [0.0] * 89
+    assert series.coeffs.size == 0 and len(series.down) == 0
+    t, s = wm.domain.frame
+    assert series.bound == mapping._certificate(dom, data, t, s, full) <= 1e-15
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])
@@ -851,19 +945,61 @@ def test_series_coefficients_are_affine_covariant(scale):
     # Phi(scale z + shift) = scale Phi(z) + shift: d_k scales with the set,
     # here shifted by three half-widths as well (3e6 at scale 1e6)
     pairs = ref.THREE_INTERVAL["pairs"]
-    d, _ = _coefficients(pairs)
-    moved, s = _coefficients([[scale * lo + 3.0 * scale, scale * hi + 3.0 * scale]
-                              for lo, hi in pairs])
+    d, _, kept = _coefficients(pairs)
+    moved, s, moved_kept = _coefficients([[scale * lo + 3.0 * scale, scale * hi + 3.0 * scale]
+                                          for lo, hi in pairs])
     assert np.max(np.abs(moved - scale * d)) <= 1e-14 * s
+    assert moved_kept == kept
 
 
 def test_series_coefficients_reflect():
     # Phi_{-E}(z) = -Phi_E(-z) and v(-z) = -v(z): d_k(-E) = (-1)^(k+1) d_k
     pairs = random_interval_set(np.random.default_rng(4), 10)
-    d, s = _coefficients(pairs)
-    mirrored, _ = _coefficients([[-hi, -lo] for lo, hi in reversed(pairs)])
+    d, s, kept = _coefficients(pairs)
+    mirrored, _, mirrored_kept = _coefficients([[-hi, -lo] for lo, hi in reversed(pairs)])
     sign = (-1.0) ** np.arange(2, d.size + 2)
     assert np.max(np.abs(mirrored - sign * d)) <= 1e-14 * s
+    assert mirrored_kept == kept
+
+
+_TWO = ref.TWO_INTERVAL["pairs"]
+
+
+@pytest.mark.parametrize("pairs", [
+    _TWO, ref.THREE_INTERVAL["pairs"], ref.cantor_pairs(2),
+    *(ref.dirichlet_intervals(np.random.default_rng(seed), 10) for seed in range(4)),
+    [[1e-6 * lo, 1e-6 * hi] for lo, hi in _TWO], [[1e6 * lo, 1e6 * hi] for lo, hi in _TWO],
+    [[lo + 1e3, hi + 1e3] for lo, hi in _TWO], ref.cantor_pairs(3),
+], ids=["two", "three", "cantor2", *(f"random10_{seed}" for seed in range(4)), "two_1e-6",
+        "two_1e6", "two_shifted_1e3", "cantor3"])
+def test_outer_series_keeps_the_terms_above_rounding(pairs):
+    # the series keeps the fewest d_1 .. d_K' whose dropped terms' largest
+    # values on the ellipse sum to at most half the rounding unit of s, so
+    # each dropped one lies below it; its images lie within 4 units of
+    # rounding of the larger of |w| and s of all 89 terms' on and outside
+    # the ellipse, and it is certified wherever they were
+    wm = solve(pairs)
+    dom, data = wm.lemniscatic, wm.green
+    t, s = wm.domain.frame
+    full = mapping._series_coefficients(dom, data)
+    series = mapping._series(dom, data)
+    K = series.coeffs.size
+    assert full.size == 89 and 0 < K < full.size
+    assert np.array_equal(series.coeffs, full[:K])
+    assert list(series.down) == full[K - 1::-1].tolist()
+    size = np.abs(full) * 1.5 ** -np.arange(1.0, full.size + 1)
+    assert math.fsum(size[K:]) <= 0.5 * mapping._EPS * s < math.fsum(size[K - 1:])
+    assert np.all(size[K:] <= mapping._EPS * s)
+    theta = 2.0 * np.pi * (np.arange(100) + 0.5) / 100
+    v = np.concatenate((1.5 * np.exp(1j * theta),
+                        np.geomspace(1.5, 20.0, 100) * np.exp(1j * (theta + 0.3))))
+    z = t + 0.5 * s * (v + 1.0 / v)
+    kept = mapping._series_map(z, t, s, series.coeffs)
+    whole = mapping._series_map(z, t, s, full)
+    assert np.all(np.abs(kept - whole) <= 4.0 * mapping._EPS * np.maximum(np.abs(whole), s))
+    assert series.bound == mapping._certificate(dom, data, t, s, series.coeffs)
+    if mapping._certificate(dom, data, t, s, full) <= mapping._TOL:
+        assert series.bound <= mapping._TOL
 
 
 @pytest.mark.parametrize("pairs", [

@@ -120,6 +120,30 @@ def test_ab_solve_outputs_of_a_against_a():
         assert old == new and float(old) <= 1e-12
 
 
+def test_ab_solve_grid_of_a_against_a():
+    # --grid times each grid_dense class of the first two grid domains
+    # (their traces and rows), and with --outputs finds every point and
+    # trace of the same tree bit-identical
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("ab_solve.py", src, src, "--grid", "--rounds", "1", "--limit", "2")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head.startswith("1 interleaved grids (seed 1)")
+    assert [row.split()[0] for row in rows] == ["boundary", "two", "three", "gmean"]
+    # a row takes about 0.1 ms, printed to 1e-4 ms
+    old, new, ratio = (float(v) for v in rows[-1].split()[1:])
+    assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 2e-3
+    proc = run_script("ab_solve.py", src, src, "--grid", "--outputs", "--rounds", "1",
+                      "--limit", "2")
+    assert proc.returncode == 0, proc.stderr
+    # 60 rows of 60 points on each of the two domains
+    assert proc.stdout.splitlines() == [
+        "7200 grid points: 0 status or error changes, 7200 images bit-identical, 0 moved",
+        "  worst move relative to |w| 0.000e+00, in ulp of |w| 0.00",
+        "  residuals changed 0, iterations, branch, index or near_boundary changed 0",
+        "2 traces: 2 bit-identical, worst move relative to the lobe's largest |point| 0.000e+00"]
+
+
 def test_export_figure_data_writes_every_csv(tmp_path):
     proc = run_script("export_figure_data.py", "--n", "5", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
