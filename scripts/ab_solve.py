@@ -45,6 +45,21 @@ MapResult, and the traces' points:
 
     python scripts/ab_solve.py OLD_SRC NEW_SRC --grid --rounds 10
     python scripts/ab_solve.py OLD_SRC NEW_SRC --grid --outputs --rounds 2
+
+With --points it times map_point on the benchmark's edge domains
+(``bench/inputs.edge_domains``, seeded as the edge_points workload seeds
+them), each solved once by each tree.  Each round draws the points of one
+edge_points unit (``bench/inputs.edge_points`` on every domain) and maps
+each with both trees one right after the other, the old first in even
+rounds.  It prints each class's median microseconds a call (gap,
+endpoint, near_axis, far, plain; a point inside E, which the workload does
+not count, is left out) and the geometric mean of the class medians, as the
+other modes do.  With --points --outputs it reports every point whose
+records differ in a field or in a field's type, and every error that
+differs in type or message:
+
+    python scripts/ab_solve.py OLD_SRC NEW_SRC --points --rounds 20
+    python scripts/ab_solve.py OLD_SRC NEW_SRC --points --outputs --rounds 50
 """
 
 import argparse
@@ -289,15 +304,120 @@ def grid_main(args, sides):
     report(old, new)
 
 
-def report(old, new):
-    """Print each class's median of both sides and their ratio, then the
-    geometric means of the class medians and theirs."""
+def solved_edges(sides, seed, limit):
+    """(name, endpoints, (old WalshMap, new WalshMap)) of the first limit
+    edge domains, drawn as the edge_points workload of this seed draws them,
+    that both trees solve."""
+    out = []
+    for name, pairs in inputs.edge_domains(np.random.default_rng([seed, 0]))[:limit]:
+        try:
+            wms = tuple(package.solve(pairs) for package in sides)
+        except (sides[0].errors.WalshMapError, sides[1].errors.WalshMapError) as exc:
+            print(f"  {name}: not solved ({type(exc).__name__}), left out")
+            continue
+        out.append((name, [v for pair in pairs for v in pair], wms))
+    return out
+
+
+def point_calls(edges, seed, round_):
+    """The points of one edge_points unit, numbered round_:
+    (kind, domain index, z) for every domain in order."""
+    rng = np.random.default_rng([seed, 3, round_])
+    return [(kind, k, z) for k, (_, endpoints, _) in enumerate(edges)
+            for kind, z in inputs.edge_points(rng, endpoints)]
+
+
+def point_call(package, wm, z):
+    """map_point's MapResult at z, or the typed error it raised."""
+    try:
+        return wm.map_point(z)
+    except package.errors.WalshMapError as exc:
+        return exc
+
+
+def _same_value(a, b):
+    """Whether a and b are of one type and equal, floats and complex
+    numbers bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, complex):
+        return _bits(a) == _bits(b)
+    return a == b
+
+
+def _describe(res):
+    if isinstance(res, Exception):
+        return f"{type(res).__name__}: {res}"
+    return ", ".join(f"{name}={value!r} ({type(value).__name__})"
+                     for name, value in zip(res._fields, res))
+
+
+def compare_point_outputs(sides, edges, rounds):
+    """Print, over the rounds' points, how many records and errors of the
+    two trees are the same, and each one that differs: a record in a field
+    or a field's type (or its own type's name), an error in type or
+    message."""
+    records = errors = 0
+    differ = []
+    for calls in rounds:
+        for kind, k, z in calls:
+            old, new = (point_call(package, wm, z) for package, wm in zip(sides, edges[k][2]))
+            if isinstance(old, Exception) or isinstance(new, Exception):
+                errors += 1
+                same = _describe(old) == _describe(new)
+            else:
+                records += 1
+                same = (type(old).__name__ == type(new).__name__
+                        and old._fields == new._fields and all(map(_same_value, old, new)))
+            if not same:
+                differ.append(f"  {edges[k][0]} {kind} z = {z!r}:\n"
+                              f"    old {_describe(old)}\n    new {_describe(new)}")
+    print(f"{records + errors} points: {records} records, {errors} errors; "
+          f"{len(differ)} differ")
+    for line in differ:
+        print(line)
+
+
+def points_main(args, sides):
+    """--points: map_point's A/B on the benchmark's edge domains."""
+    edges = solved_edges(sides, args.seed, args.limit)
+    for wm in (wm for name, _, wms in edges if name == "two" for wm in wms):
+        # warm-up, as the workload's set-up does
+        wm.map_point(complex(0.0, 0.5))
+        wm.map_point(complex(-2.0, 0.0))
+    rounds = (point_calls(edges, args.seed, r) for r in range(args.rounds))
+    if args.outputs:
+        compare_point_outputs(sides, edges, rounds)
+        return
+    times = tuple({kind: [] for kind in inputs.EDGE_KINDS} for _ in range(2))
+    for round_, calls in enumerate(rounds):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        gc.collect()
+        for kind, k, z in calls:
+            for side in order:
+                package, wm = sides[side], edges[k][2][side]
+                t0 = time.perf_counter()
+                res = point_call(package, wm, z)
+                seconds = time.perf_counter() - t0
+                if not isinstance(res, package.errors.InsideE):
+                    times[side][kind].append(seconds)
+    old, new = ({kind: statistics.median(v) for kind, v in t.items() if v} for t in times)
+    print(f"{args.rounds} interleaved edge_points units (seed {args.seed}): "
+          f"median us, old / new / ratio")
+    report(old, new, scale=1e6)
+
+
+def report(old, new, scale=1e3):
+    """Print each class's median of both sides, in seconds times scale, and
+    their ratio, then the geometric means of the class medians and theirs."""
     for label in old:
-        print(f"  {label:8s} {1e3 * old[label]:10.4f} {1e3 * new[label]:10.4f} "
+        print(f"  {label:9s} {scale * old[label]:10.4f} {scale * new[label]:10.4f} "
               f"{new[label] / old[label]:7.4f}")
     gmeans = [math.exp(statistics.fmean(math.log(v) for v in side.values()))
               for side in (old, new)]
-    print(f"  {'gmean':8s} {1e3 * gmeans[0]:10.4f} {1e3 * gmeans[1]:10.4f} "
+    print(f"  {'gmean':9s} {scale * gmeans[0]:10.4f} {scale * gmeans[1]:10.4f} "
           f"{gmeans[1] / gmeans[0]:7.4f}")
 
 
@@ -306,17 +426,23 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("old_src", help="directory holding the old walshmap package")
     parser.add_argument("new_src", help="directory holding the new walshmap package")
-    parser.add_argument("--rounds", type=int, default=20, help="ladder passes")
+    parser.add_argument("--rounds", type=int, default=20,
+                        help="ladder passes (grids with --grid, units with --points)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--limit", type=int, default=None,
-                        help="solve only the first LIMIT sets of each pass (with --grid, "
-                             "map only the first LIMIT grid domains)")
+                        help="solve only the first LIMIT sets of each pass (with --grid "
+                             "or --points, map only the first LIMIT grid or edge domains)")
     parser.add_argument("--outputs", action="store_true",
                         help="compare the two trees' outputs instead of their times")
     parser.add_argument("--grid", action="store_true",
                         help="time or compare the map on the grid domains instead of the "
                              "solve ladder")
+    parser.add_argument("--points", action="store_true",
+                        help="time or compare map_point on the edge domains instead of the "
+                             "solve ladder")
     args = parser.parse_args()
+    if args.grid and args.points:
+        parser.error("--grid and --points are two modes: give one")
 
     with tempfile.TemporaryDirectory() as workdir:
         sides = load_trees(args.old_src, args.new_src, workdir)
@@ -324,6 +450,9 @@ def main():
             package.solve(inputs.TWO_INTERVAL_SET)
         if args.grid:
             grid_main(args, sides)
+            return
+        if args.points:
+            points_main(args, sides)
             return
         rng = np.random.default_rng(args.seed)
         if args.outputs:

@@ -39,8 +39,12 @@ Both start from the real-axis correspondence of the gap (and, for off-axis
 points near E, of the component) under Re z; see _complex_start.  Endpoints
 map to the boundary abscissae directly.
 
-map_point solves one point with the scalar damped_newton and sums a series
-by a scalar Horner.  map_grid tests each slice of its points in one array
+map_point locates a real point by one bisection of the endpoints, which
+names its endpoint, the component it lies in or its gap; an endpoint's
+record is built on its first call and kept per domain, as the series are.
+It solves one point with the scalar damped_newton, sums a series by a
+scalar Horner, and builds its record by tuple.__new__ with the
+constructor's fields.  map_grid tests each slice of its points in one array
 pass (finite, off the axis, outside the ellipse), sums the outer series of
 all its outer points at once with no Python per point but its two result
 tuples, built by tuple.__new__ rather than their constructors (a one-point
@@ -64,7 +68,7 @@ from .errors import InsideE, NoConvergence, NotComplex, NotFinite, WalshMapError
 from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, GreenData, _far_series, _green_integral,
                     _green_real, _outside_ellipse, _require_finite, _series_green,
                     green_complex)
-from .intervals import IntervalUnion, locate
+from .intervals import IntervalUnion
 from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
 from .newton import damped_newton, damped_newton_masked
 from .quadrature import DEFAULT_CONFIG, QuadConfig
@@ -109,6 +113,14 @@ class MapResult(NamedTuple):
     branch: str
     index: int | None = None
     near_boundary: bool = False
+
+
+# builds a MapResult or GridPoint from all its fields, as its constructor
+# does, without the constructor's argument handling: a row's 60 pairs of
+# records cost 18 us this way, by map over zip (_outer_points), 20 us in a
+# Python loop and 36 us through the constructors (timeit, shared 2-core
+# Xeon, Python 3.11); map_point builds its one record the same way
+_new = tuple.__new__
 
 
 def _distance_to_E(E: IntervalUnion, z: complex) -> float:
@@ -193,27 +205,31 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
               data: GreenData, cfg: QuadConfig | None = None) -> MapResult:
     """Image of z under the normalized conformal map.
 
-    Endpoints return their boundary abscissae; interior points of E raise
-    InsideE.  A point on or outside the ellipse |v| = 1.5 around the hull,
-    off the axis or on an unbounded gap, takes Phi's outer series when its
-    domain's certificate is within _TOL; a point inside it takes a
-    component's series, when one holds it in its annulus and is certified
-    (_component_series), a critical point z_k excepted.  Either is a Horner
-    on the fewest of its kept terms whose tail meets 6.2e-16 s, reported
-    with the certificate as residual and 0 iterations (see MapResult).  The
-    Newton takes every other point: real gap points are solved on the
-    uniqueness bracket of their gap from the gap image of z (see
-    _gap_image), everything else through the complex equation, kept in the
-    half-plane of z, from the start of _complex_start; its right side is
-    green_complex's Chebyshev series outside the ellipse, or inside it the
-    integral from the endpoint nearest Re z plus the branch offset.
-    Off-axis points closer to E than 1e-9 of its hull width b_{2l} - b_1 are
-    evaluated but flagged near_boundary.  Raises NotComplex for a z that
-    complex() refuses, NotFinite for an infinite or NaN coordinate or an
-    int beyond the float range, NoConvergence when Newton stalls or a panel of the Green's integral does
-    not converge (see green_complex), and BracketFailure when the Newton's
-    bracket on an unbounded gap leaves the float range (only on a domain
-    whose series is not certified).
+    A real z is located by one bisection of E's endpoints.  Endpoints
+    return their boundary abscissae, with |g_L(c_j)| as residual, from a
+    record built on the endpoint's first call and kept on dom; interior
+    points of E raise InsideE.  A point on or outside the ellipse |v| = 1.5
+    around the hull, off the axis or on an unbounded gap, takes Phi's outer
+    series when its domain's certificate is within _TOL; a point inside it
+    takes a component's series, when one holds it in its annulus and is
+    certified (_component_series), a critical point z_k excepted.  Either
+    is a Horner on the fewest of its kept terms whose tail meets 6.2e-16 s,
+    reported with the certificate as residual and 0 iterations (see
+    MapResult).  The Newton takes every other point: real gap points are
+    solved on the uniqueness bracket of their gap from the gap image of z
+    (see _gap_image), everything else through the complex equation, kept in
+    the half-plane of z, from the start of _complex_start; its right side
+    is green_complex's Chebyshev series outside the ellipse, or inside it
+    the integral from the endpoint nearest Re z plus the branch offset.
+    Off-axis points closer to E than 1e-9 of its hull width b_{2l} - b_1
+    are evaluated but flagged near_boundary.  Every record is built by
+    tuple.__new__ from the values and types its constructor would take.
+    Raises NotComplex for a z that complex() refuses, NotFinite for an
+    infinite or NaN coordinate or an int beyond the float range,
+    NoConvergence when Newton stalls or a panel of the Green's integral
+    does not converge (see green_complex), and BracketFailure when the
+    Newton's bracket on an unbounded gap leaves the float range (only on a
+    domain whose series is not certified).
     """
     cfg = cfg or DEFAULT_CONFIG
     try:
@@ -225,24 +241,24 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     _require_finite(z)
     if z.imag == 0.0:
         x = z.real
-        if x in E.endpoints:
-            j = E.endpoints.index(x)
-            c = dom.boundary_c[j]
-            res = abs(_green_scalar(c, dom.centers, dom.exponents.m, dom.capacity))
-            return MapResult(complex(c), res, 0, "boundary", j + 1)
-        outside = _outside_ellipse(x, E.endpoints, data._targets.reach)
+        b = E.endpoints
+        i = bisect.bisect_right(b, x)  # b[i - 1] <= x < b[i]: x is in E if i is odd
+        if i and x == b[i - 1]:
+            return _endpoint(dom, data, i - 1)
+        if i % 2:
+            raise InsideE(f"z = {z} lies inside component {(i + 1) // 2}")
+        k = i // 2
+        # a point on or outside the ellipse lies beyond the hull: k is 0 or ell
+        outside = _outside_ellipse(x, b, data._targets.reach)
         if outside and (series := _certified(dom, data)):
-            return MapResult(complex(_series_point(series, x, math.sqrt)), series.bound, 0,
-                             "real_gap", 0 if x < series.t else E.ell)
-        loc = locate(E, z)
-        if loc.inside:
-            raise InsideE(f"z = {z} lies inside component {loc.index}")
-        k = loc.index
+            return _new(MapResult, (complex(_series_point(series, x, math.sqrt)), series.bound,
+                                    0, "real_gap", k, False))
         # a critical point z_k keeps its exact image w_k, below
         if not outside and (not 0 < k < E.ell or x != data.roots[k - 1]) and (
-                local := _annulus_series(x, E, dom, data)):
+                local := _annulus_series(x, E, dom, data, i)):
             series, v = local
-            return MapResult(complex(_local_point(series, v)), series.bound, 0, "real_gap", k)
+            return _new(MapResult, (complex(_local_point(series, v)), series.bound, 0,
+                                    "real_gap", k, False))
         target = _green_real(E, data, x, cfg)
         if k == 0:
             lo = dom.centers[0] - _outer_reach(dom.capacity, max(target, 0.0))
@@ -255,7 +271,7 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             if x == zk:
                 res = abs(_green_scalar(wk, dom.centers, dom.exponents.m,
                                         dom.capacity) - target)
-                return MapResult(complex(wk), res, 0, "real_gap", k)
+                return _new(MapResult, (complex(wk), res, 0, "real_gap", k, False))
             if x < zk:
                 lo, hi = dom.boundary_c[2 * k - 1], wk
             else:
@@ -267,14 +283,41 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             # call of map_point, the endpoint branch included
             admissible=lambda w, lo=lo, hi=hi: lo < w < hi, tol=_TOL,
             max_steps=200, max_halvings=40)
-        return MapResult(complex(w), abs(F), it, "real_gap", k)
+        return _new(MapResult, (complex(w), abs(F), it, "real_gap", k, False))
 
     if _outside_ellipse(z, E.endpoints, data._targets.reach):
         if series := _certified(dom, data):
-            return MapResult(_series_point(series, z, cmath.sqrt), series.bound, 0, "complex")
+            return _new(MapResult, (_series_point(series, z, cmath.sqrt), series.bound, 0,
+                                    "complex", None, False))
     elif local := _local_image(z, E, dom, data):
         return local
     return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data)
+
+
+def _point_cache(dom: LemniscaticDomain, data: GreenData):
+    """(data, near, ends) for dom, kept on dom: near, the distance from E
+    below which an off-axis point is flagged near_boundary, _NEAR_BOUNDARY
+    of the hull's width; and per endpoint b_j its MapResult once mapped
+    (_endpoint), else None."""
+    cache = dom.__dict__.get("_points")
+    if cache is None or cache[0] is not data:
+        E = data.domain
+        cache = (data, _NEAR_BOUNDARY * 2.0 * E.frame[1], [None] * len(E.endpoints))
+        dom.__dict__["_points"] = cache  # frozen, but not its cache
+    return cache
+
+
+def _endpoint(dom: LemniscaticDomain, data: GreenData, j: int) -> MapResult:
+    """The MapResult of the endpoint b_(j+1) (0-based j): its boundary
+    abscissa c_j with residual |g_L(c_j)|, built on its first call and kept
+    on dom; two threads may both build it, the same.  An endpoint whose
+    residual raises keeps no record and raises on every call."""
+    ends = _point_cache(dom, data)[2]
+    if ends[j] is None:
+        c = dom.boundary_c[j]
+        res = abs(_green_scalar(c, dom.centers, dom.exponents.m, dom.capacity))
+        ends[j] = _new(MapResult, (complex(c), res, 0, "boundary", j + 1, False))
+    return ends[j]
 
 
 def _complex_image(z, target, E, dom, data):
@@ -285,14 +328,15 @@ def _complex_image(z, target, E, dom, data):
     w, F, it = damped_newton(
         _equation(dom, target, cmath.log), _complex_start(z, E, dom, data),
         admissible=same_side, tol=_TOL, max_steps=200, max_halvings=11)
-    return _complex_result(z, w, abs(F), it, E)
+    return _complex_result(z, w, abs(F), it, E, _point_cache(dom, data)[1])
 
 
-def _complex_result(z, w, residual, iterations, E):
-    near = _NEAR_BOUNDARY * 2.0 * E.frame[1]
+def _complex_result(z, w, residual, iterations, E, near):
+    """The "complex" MapResult of the off-axis z, flagged near_boundary when
+    z lies closer to E than near (_point_cache)."""
     # the distance to E is at least |Im z|, so most points skip its loop
-    return MapResult(w, residual, iterations, "complex",
-                     near_boundary=abs(z.imag) < near and _distance_to_E(E, z) < near)
+    return _new(MapResult, (w, residual, iterations, "complex", None,
+                            abs(z.imag) < near and _distance_to_E(E, z) < near))
 
 
 def _batch_equation(dom, targets):
@@ -329,7 +373,8 @@ def _complex_images(zs, targets, E, dom, data):
         _batch_equation(dom, targets), starts,
         admissible=lambda w, idx: w.imag * side[idx] > 0.0, tol=_TOL,
         max_steps=200, max_halvings=11)
-    out = [_complex_result(z, wi, abs(Fi), it, E)
+    near = _point_cache(dom, data)[1]
+    out = [_complex_result(z, wi, abs(Fi), it, E, near)
            for z, wi, Fi, it in zip(zs, w.tolist(), F.tolist(), steps.tolist())]
     for i, exc in failures.items():
         out[i] = exc
@@ -819,13 +864,16 @@ def _component_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenDa
     return _annulus_series(z, E, dom, data)
 
 
-def _annulus_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData):
+def _annulus_series(z, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
+                    i: int | None = None):
     """(series, v) for a point z off E inside the ellipse: of the components
     beside Re z (the one under it, or the two beside its gap), whose
     annuli |v_j| <= rho_j hold z, the first by |v_j| / rho_j whose series is
-    certified within _TOL, and z's v_j; else None: z takes the Newton."""
+    certified within _TOL, and z's v_j; else None: z takes the Newton.  i is
+    bisect_right's index of Re z in E.endpoints, found here unless given."""
     _, frames, _ = _local_cache(dom, data)
-    i = bisect.bisect_right(E.endpoints, z.real)
+    if i is None:
+        i = bisect.bisect_right(E.endpoints, z.real)
     inside = []
     for j in (i // 2,) if i % 2 else (i // 2 - 1, i // 2):
         if 0 <= j < E.ell:
@@ -853,7 +901,8 @@ def _local_image(z, E, dom, data) -> MapResult | None:
     series, or None."""
     if local := _annulus_series(z, E, dom, data):
         series, v = local
-        return _complex_result(z, _local_point(series, v), series.bound, 0, E)
+        return _complex_result(z, _local_point(series, v), series.bound, 0, E,
+                               _point_cache(dom, data)[1])
     return None
 
 
@@ -865,14 +914,6 @@ class GridPoint(NamedTuple):
     status: str  # converged | skipped | failed
     result: MapResult | None = None
     error: str | None = None
-
-
-# builds a MapResult or GridPoint from all its fields, as its constructor
-# does, without the constructor's argument handling: a row's 60 pairs of
-# records cost 18 us this way, by map over zip (_outer_points), 20 us in a
-# Python loop and 36 us through the constructors (timeit, shared 2-core
-# Xeon, Python 3.11)
-_new = tuple.__new__
 
 
 def _outer_points(zs, w, bound) -> list[GridPoint]:

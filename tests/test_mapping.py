@@ -11,9 +11,9 @@ from walshmap import cli, lemniscatic, mapping
 from walshmap.api import solve
 from walshmap.equilibrium import ExponentVector
 from walshmap.errors import (BracketFailure, InputError, InsideE, NoConvergence, NotComplex,
-                             NotFinite, WalshMapError)
+                             NotFinite, PoleAtCenter, WalshMapError)
 from walshmap.green import _green_integral, green_complex, green_real
-from walshmap.intervals import parse_domain
+from walshmap.intervals import locate, parse_domain
 from walshmap.lemniscatic import LemniscaticDomain, green as green_level, trace_boundary
 from walshmap.mapping import GridPoint, MapResult, branch_offset, map_grid, map_point
 from walshmap.quadrature import QuadConfig
@@ -461,21 +461,24 @@ def test_concurrent_map_matches_sequential(two_interval):
 
 def test_concurrent_first_use_builds_one_series():
     # threads that map a fresh domain's outer points race to build its
-    # series, and its inner points, each in a component's annulus (two over
-    # the gaps, on the axis), to build the series of its components; each
-    # build is the same, so every image matches the sequential one bit for
-    # bit
+    # series, its inner points, each in a component's annulus (two over the
+    # gaps, on the axis), to build the series of its components, and its
+    # endpoints to build their records; each build is the same, so every
+    # record matches the sequential one bit for bit
     import sys
     import threading
     zs = [3.0 * cmath.exp(1j * theta) for theta in np.linspace(0.1, 6.0, 12)]
     zs += [-1.45 + 0.2j, -0.25 - 0.15j, 1.35 + 0.3j, -0.8 + 0j, 0.35 + 0j]
+    ends = [b for pair in ref.THREE_INTERVAL["pairs"] for b in pair]
     sequential = [solve(ref.THREE_INTERVAL["pairs"]).map_point(z).w for z in zs]
+    sequential_ends = [_fields(solve(ref.THREE_INTERVAL["pairs"]).map_point(b)) for b in ends]
     wm = solve(ref.THREE_INTERVAL["pairs"])
     results, start = {}, threading.Barrier(8)
 
     def work(k):
         start.wait(timeout=10)
-        results[k] = [wm.map_point(z).w for z in zs]
+        results[k] = ([wm.map_point(z).w for z in zs],
+                      [_fields(wm.map_point(b)) for b in ends])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -488,8 +491,139 @@ def test_concurrent_first_use_builds_one_series():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert all(results[k] == sequential for k in range(8))
+    assert all(results[k] == (sequential, sequential_ends) for k in range(8))
     assert all(wm.map_point(z).iterations == 0 for z in zs)  # every one by the series
+
+
+def _fields(res):
+    """A MapResult's type and each field's type and repr: records that
+    agree here agree in every field, bit for bit, and in every type."""
+    return type(res), [(type(v), repr(v)) for v in res]
+
+
+def _endpoint_record(wm, j):
+    """map_point's record of the endpoint b_(j+1), as the map defines it."""
+    dom = wm.lemniscatic
+    c = dom.boundary_c[j]
+    return MapResult(complex(c), abs(lemniscatic._green_scalar(c, dom.centers, dom.exponents.m,
+                                                               dom.capacity)),
+                     0, "boundary", j + 1)
+
+
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   ref.cantor_pairs(2), [[-1.0, 1.0]],
+                                   [[-1.0, 0.0], [0.4, 1.0]]],
+                         ids=["two", "three", "cantor2", "unit", "zero_endpoint"])
+def test_endpoints_give_their_kept_records(pairs):
+    # an endpoint's record, built on its first call and kept on the domain,
+    # is the boundary abscissa with its |g_L| residual, whatever the form of
+    # the point (-0.0 for 0.0, an int, a complex with Im -0.0), on every
+    # call and in map_grid
+    wm = solve(pairs)
+    ends = wm.domain.endpoints
+    for j, b in enumerate(ends):
+        want = _fields(_endpoint_record(wm, j))
+        forms = [b, complex(b, -0.0)] + ([int(b)] if b == int(b) else [])
+        forms += [-0.0, -0.0j] if b == 0.0 else []
+        for z in forms:
+            assert _fields(wm.map_point(z)) == want, z
+        assert wm.map_point(b) is wm.map_point(b)
+        assert mapping._point_cache(wm.lemniscatic, wm.green)[2][j] is wm.map_point(b)
+    grid = wm.map_grid(ends)
+    for j, (b, p) in enumerate(zip(ends, grid)):
+        assert (type(p), p.z, p.status, p.error) == (GridPoint, b, "converged", None)
+        assert _fields(p.result) == _fields(_endpoint_record(wm, j))
+
+
+def test_endpoint_residual_that_raises_raises_alone(monkeypatch):
+    # an endpoint whose residual raises keeps no record: it raises on every
+    # call, and the other endpoints map
+    wm = solve(ref.TWO_INTERVAL["pairs"])
+    bad = wm.lemniscatic.boundary_c[1]
+    scalar = lemniscatic._green_scalar
+
+    def failing(w, *args):
+        if w == bad:
+            raise PoleAtCenter("residual")
+        return scalar(w, *args)
+
+    monkeypatch.setattr(mapping, "_green_scalar", failing)
+    for _ in range(2):
+        for j, b in enumerate(wm.domain.endpoints):
+            if j == 1:
+                with pytest.raises(PoleAtCenter, match="residual"):
+                    wm.map_point(b)
+            else:
+                assert _fields(wm.map_point(b)) == _fields(_endpoint_record(wm, j))
+    assert mapping._point_cache(wm.lemniscatic, wm.green)[2][1] is None
+
+
+@pytest.mark.parametrize("pairs", [ref.dirichlet_intervals(np.random.default_rng(10), 10),
+                                   ref.cantor_pairs(3)], ids=["dirichlet10", "cantor3"])
+def test_real_axis_dispatch_agrees_with_locate(pairs):
+    # map_point locates a real point by one bisection: its endpoint, the
+    # component it lies in, or its gap, as intervals.locate names them
+    wm = solve(pairs)
+    E = wm.domain
+    b = E.endpoints
+    t, s = E.frame
+    xs = list(b) + [0.5 * (lo + hi) for lo, hi in E.components]
+    for k in range(1, E.ell):
+        lo, hi = b[2 * k - 1], b[2 * k]
+        xs += [lo + 0.1 * (hi - lo), 0.5 * (lo + hi), hi - 0.1 * (hi - lo), wm.green.roots[k - 1]]
+    # beyond the hull, inside the ellipse |v| = 1.5 and outside it, where
+    # the outer series takes them
+    near, far = [b[0] - 0.05 * s, b[-1] + 0.05 * s], [b[0] - 0.5 * s, b[-1] + 3.0 * s]
+    assert not any(mapping._outer_series(x, E, wm.lemniscatic, wm.green) for x in near)
+    assert all(mapping._outer_series(x, E, wm.lemniscatic, wm.green) for x in far)
+    xs += near + far + [0.0, -0.0, 1.7e308, -1.7e308]
+    for x in xs:
+        loc = locate(E, x)
+        if x in b:
+            assert loc.inside
+            res = wm.map_point(x)
+            assert (res.branch, res.index) == ("boundary", b.index(x) + 1)
+        elif loc.inside:
+            with pytest.raises(InsideE) as info:
+                wm.map_point(x)
+            assert str(info.value) == f"z = {complex(x)} lies inside component {loc.index}"
+        else:
+            res = wm.map_point(x)
+            assert (res.branch, res.index) == ("real_gap", loc.index), x
+
+
+def test_every_return_of_map_point_is_a_constructor_record(three_interval, two_interval):
+    # map_point builds its records without the constructor: each path's
+    # record is still a MapResult of the constructor's types
+    wm = three_interval
+    E, dom, data = wm.domain, wm.lemniscatic, wm.green
+    paths = {
+        "endpoint": (wm, E.endpoints[2], "boundary"),
+        "axis outer series": (wm, 3.0, "real_gap"),
+        "axis component series": (wm, -0.8, "real_gap"),
+        "critical point": (wm, data.roots[1], "real_gap"),
+        "real-gap Newton": (wm, 0.33, "real_gap"),
+        "off-axis outer series": (wm, 3.0 + 2.0j, "complex"),
+        "off-axis component series": (wm, -1.45 + 0.2j, "complex"),
+        "complex Newton": (wm, 0.3 + 0.4j, "complex"),
+        "near_boundary": (two_interval, 0.5 + 1e-12j, "complex"),
+    }
+    assert mapping._outer_series(3.0, E, dom, data)
+    assert mapping._outer_series(3.0 + 2.0j, E, dom, data)
+    assert mapping._component_series(-0.8, E, dom, data)
+    assert mapping._component_series(-1.45 + 0.2j, E, dom, data)
+    for name, (w, z, branch) in paths.items():
+        res = w.map_point(z)
+        assert type(res) is MapResult and res == MapResult(*res), name
+        assert res.branch == branch, name
+        assert (type(res.w), type(res.residual), type(res.iterations), type(res.branch)) == (
+            complex, float, int, str), name
+        assert type(res.index) is (type(None) if branch == "complex" else int), name
+        assert type(res.near_boundary) is bool, name
+        assert res.near_boundary == (name == "near_boundary"), name
+        newton = name in ("real-gap Newton", "complex Newton")
+        assert (res.iterations > 0) == newton, name
+    assert wm.map_point(data.roots[1]).w == dom.crit_w[1]
 
 
 def _green_from_left(wm, z):

@@ -144,6 +144,28 @@ def test_ab_solve_grid_of_a_against_a():
         "2 traces: 2 bit-identical, worst move relative to the lobe's largest |point| 0.000e+00"]
 
 
+def test_ab_solve_points_of_a_against_a():
+    # --points times map_point per edge_points class on the first three
+    # edge domains, and with --outputs finds every record of the same tree
+    # the same
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("ab_solve.py", src, src, "--points", "--rounds", "1", "--limit", "3")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head.startswith("1 interleaved edge_points units (seed 1)")
+    assert [row.split()[0] for row in rows] == ["gap", "endpoint", "near_axis", "far", "plain",
+                                                "gmean"]
+    old, new, ratio = (float(v) for v in rows[-1].split()[1:])
+    assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 1e-3
+    proc = run_script("ab_solve.py", src, src, "--points", "--outputs", "--rounds", "1",
+                      "--limit", "3")
+    assert proc.returncode == 0, proc.stderr
+    # the unit interval's 11 points, the two-interval set's 12 and the
+    # three-interval set's 13: every gap, an endpoint, four near-axis, two
+    # far and two plain points each
+    assert proc.stdout.splitlines() == ["36 points: 36 records, 0 errors; 0 differ"]
+
+
 def test_export_figure_data_writes_every_csv(tmp_path):
     proc = run_script("export_figure_data.py", "--n", "5", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
