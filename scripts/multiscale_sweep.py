@@ -5,8 +5,10 @@ The sets have tiny components and tiny gaps.  Each draw takes, from
 numpy.random.default_rng(42), a component count ell in 2 .. 12 and a
 number of decades D in {4, 8, 12}; its 2 ell - 1 component and gap lengths
 are 10**uniform(-D, 0), and their cumulative sum is scaled onto [-1, 1].
-Prints the solved and failed counts by D, and the failures by error type
-and cause (the error message up to its first figure):
+Prints the solved and failed counts by D, the largest solve invariant
+(verify.worst_invariant) among the solved draws with the draw's number, and
+the failures by error type and cause (the error message up to its first
+figure):
 
     python scripts/multiscale_sweep.py --count 300 --list
 """
@@ -24,6 +26,7 @@ import numpy as np
 
 from walshmap.api import solve
 from walshmap.errors import WalshMapError
+from walshmap.verify import worst_invariant
 
 DECADES = (4, 8, 12)
 
@@ -56,17 +59,21 @@ def main():
     failed = collections.Counter()
     by_type = collections.Counter()
     failures = []
+    worst = (-1.0, None)  # (worst_invariant, draw) of the solved draws
     t0 = time.perf_counter()
     for draw in range(args.count):
         ell, decades, pairs = multiscale_set(rng)
         drawn[decades] += 1
         try:
-            solve(pairs)
+            invariant = worst_invariant(solve(pairs))
         except WalshMapError as exc:
             failed[decades] += 1
             by_type[f"{type(exc).__name__}: {_cause(exc)}"] += 1
             failures.append(f"  draw {draw} (ell {ell}, D {decades}): "
                             f"{type(exc).__name__}: {exc}")
+        else:
+            if invariant > worst[0]:
+                worst = (invariant, draw)
     elapsed = time.perf_counter() - t0
 
     print(f"{args.count} multi-scale sets (seed 42): "
@@ -75,6 +82,8 @@ def main():
     for decades in DECADES:
         print(f"  D = {decades:2d}: {drawn[decades] - failed[decades]:4d} solved, "
               f"{failed[decades]:4d} failed of {drawn[decades]}")
+    if worst[1] is not None:
+        print(f"  largest worst_invariant {worst[0]:.1e} (draw {worst[1]})")
     for name, count in by_type.most_common():
         print(f"  {name}: {count}")
     if args.list:

@@ -10,7 +10,9 @@ carry it to its own stop, and crit_points runs once, at the returned
 centers, whose w the domain keeps.  The paper's alternating iteration (a
 center solve at fixed critical points, then a critical-point update),
 centers_general, runs on the same center solve and reproduces the paper's
-step counts.
+step counts.  row_rounding is the one rounding model of the solve's
+invariant rows: the centers' stall test and verify.worst_invariant measure
+each row against it.
 
 The boundary of L is solved along rays from the centers by one solver,
 _solve_rays: boundary_abscissae are the rays at angles pi and 0 of each
@@ -43,6 +45,7 @@ __all__ = [
     "trace_boundary",
     "centers_two",
     "centers_general",
+    "row_rounding",
     "solve_domain",
 ]
 
@@ -53,8 +56,10 @@ class LemniscaticDomain:
     w_1..w_{ell-1} and the real zeros c_1..c_{2l} of the Green's function.
 
     outer_iterations counts the steps of the centers' one damped Newton run
-    (0 for one and two components), and inner_residual is its final residual:
-    Green's values, and the center sum in half-widths (IntervalUnion.frame).
+    (0 for one and two components), and inner_residual is its final residual,
+    its largest row: the Green's values at the critical points in units of
+    IntervalUnion.unit and the center sum in half-widths (on a stall, as
+    row_rounding measures them).
     """
 
     centers: tuple[float, ...]
@@ -399,18 +404,32 @@ def _center_newton(a, w, m, targets, s, p):
         return F, np.full(a.size, np.nan)
 
 
-_EPS = np.finfo(float).eps
-
-
-def _rounding_floor(a, w, m, targets, s, p) -> float:
-    """The rounding of the center equations at (a, w): on Green row i,
-    8 ell eps (sum_j |m_j log(|w_i - a_j| / p)| + |targets_i|) for its terms
-    plus sum_j m_j ulp(a_j) / |w_i - a_j| for storing the centers; on the
-    center-sum row (m . ulp(a)) / s.  Returns the largest."""
-    d = np.abs(w[:, None] - a)
+def row_rounding(E: IntervalUnion, data: GreenData, a, w, m, c=()):
+    """Every invariant row of a solve and its rounding, in the solve's unit
+    p = E.unit: the Green rows sum_j m_j log(|x - a_j| / p) - target at the
+    critical points x = w_k, target g_E(z_k) + log(cap / p), and at the
+    boundary abscissae x = c_j, target log(cap / p); the center sum
+    (m . (a - t) - (alpha - t)) / s in the frame (t, s) of E, so that its
+    terms' rounding does not grow with |t|; the mass sum m . 1 - 1.  A row's
+    rounding is 8 ell eps of its terms' sizes plus that of storing what it
+    reads: sum_j m_j ulp(a_j) / |x - a_j| on a Green row, |g_L'(c_j)|
+    ulp(c_j) more on a c_j row, (m . ulp(a) + ulp(alpha)) / s on the center
+    sum.  Returns (rows, rounding) in that order; without c, the Green rows
+    of _center_newton, the center sum and the mass sum."""
+    p, (t, s) = E.unit, E.frame
+    a, m, w, c = (np.asarray(v, dtype=float) for v in (a, m, w, c))
+    targets = np.append(data.green_at_roots, np.zeros(c.size)) + math.log(data.capacity / p)
     ulp = np.spacing(np.abs(a))
-    rows = 8.0 * a.size * _EPS * (np.abs(np.log(d / p) * m).sum(1) + np.abs(targets[:-1]))
-    return max(float(np.max(rows + (m * ulp / d).sum(1))), float(m @ ulp) / s)
+    d = np.concatenate((w, c))[:, None] - a
+    logs = np.log(np.abs(d) / p)
+    rows = np.append(logs @ m - targets,
+                     [(m @ (a - t) - (data.alpha - t)) / s, math.fsum(m) - 1.0])
+    size = np.append(np.abs(logs) @ m + np.abs(targets),
+                     [(m @ np.abs(a - t) + abs(data.alpha - t)) / s, math.fsum(m) + 1.0])
+    stored = np.append(np.abs(1.0 / d) @ (m * ulp),
+                       [(m @ ulp + np.spacing(abs(data.alpha))) / s, 0.0])
+    stored[w.size:w.size + c.size] += np.abs(_deriv_values(c, a, m)) * np.spacing(np.abs(c))
+    return rows, 8.0 * a.size * np.finfo(float).eps * size + stored
 
 
 def _ride(a, m, w):
@@ -457,12 +476,12 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
     The Green's-value rows are in units of p = E.unit, against
     g_E(z_k) + log(cap / p).  It stops at a residual of 1e-14, or at a full
     step within 1e-15 max(s, max|a - t|) in the frame (t, s) of E or 2 ulp
-    of a (binding only if |t| > s).  A Newton that ends short at a residual
-    within the rounding of its rows and of its stored centers
-    (_rounding_floor) has converged too: its last iterate is returned, with
-    its residual at its critical points when w is not given.  Returns
-    (a, w, steps, residual norm), w the critical points of the returned
-    centers; raises NoConvergence naming the stall and its residual.
+    of a (binding only if |t| > s).  A Newton that stalls, no step lowering
+    its largest row, with that row within its rounding (row_rounding) has
+    converged too: its last iterate is returned, with that row, at its
+    critical points when w is not given, as residual.  Returns (a, w, steps,
+    residual norm), w the critical points of the returned centers; raises
+    NoConvergence naming the stall and its residual.
     """
     t, s = E.frame
     p = E.unit
@@ -506,11 +525,16 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
         # the last evaluation is the returned iterate's unless the Newton stalled
         w_last = last[0][1]
         w_a = crit_points(a, m, start=w_last)
-        if stall is not None or not np.array_equal(w_a, w_last):
+        if stall is None and not np.array_equal(w_a, w_last):
             resid = float(np.max(np.abs(_center_newton(a, w_a, m, targets, s, p)[0])))
-    if stall is not None and not resid <= _rounding_floor(a, w_a, m, targets, s, p):
-        raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
-                            estimate=stall.estimate) from stall
+    if stall is not None:
+        # no step lowers the largest row: converged if it is within its rounding
+        rows, rounding = row_rounding(E, data, a, w_a, m)
+        k = np.argmax(np.abs(rows[:-1]))
+        resid = float(abs(rows[k]))
+        if not resid <= rounding[k]:
+            raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
+                                estimate=stall.estimate) from stall
     return a, w_a, steps, resid
 
 

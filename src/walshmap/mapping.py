@@ -207,12 +207,13 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
 
     A real z is located by one bisection of E's endpoints.  Endpoints
     return their boundary abscissae, with |g_L(c_j)| as residual, from a
-    record built on the endpoint's first call and kept on dom; interior
-    points of E raise InsideE.  A point on or outside the ellipse |v| = 1.5
-    around the hull, off the axis or on an unbounded gap, takes Phi's outer
-    series when its domain's certificate is within _TOL; a point inside it
-    takes a component's series, when one holds it in its annulus and is
-    certified (_component_series), a critical point z_k excepted.  Either
+    record built on the endpoint's first call and kept on dom; a critical
+    point z_k returns w_k, with |g_L(w_k) - g_E(z_k)| for the stored
+    g_E(z_k) as residual; interior points of E raise InsideE.  A point on
+    or outside the ellipse |v| = 1.5 around the hull, off the axis or on an
+    unbounded gap, takes Phi's outer series when its domain's certificate
+    is within _TOL; a point inside it takes a component's series, when one
+    holds it in its annulus and is certified (_component_series).  Either
     is a Horner on the fewest of its kept terms whose tail meets 6.2e-16 s,
     reported with the certificate as residual and 0 iterations (see
     MapResult).  The Newton takes every other point: real gap points are
@@ -248,14 +249,18 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
         if i % 2:
             raise InsideE(f"z = {z} lies inside component {(i + 1) // 2}")
         k = i // 2
+        if 0 < k < E.ell and x == data.roots[k - 1]:
+            # a critical point z_k keeps its image w_k
+            wk = dom.crit_w[k - 1]
+            res = abs(_green_scalar(wk, dom.centers, dom.exponents.m, dom.capacity)
+                      - data.green_at_roots[k - 1])
+            return _new(MapResult, (complex(wk), res, 0, "real_gap", k, False))
         # a point on or outside the ellipse lies beyond the hull: k is 0 or ell
         outside = _outside_ellipse(x, b, data._targets.reach)
         if outside and (series := _certified(dom, data)):
             return _new(MapResult, (complex(_series_point(series, x, math.sqrt)), series.bound,
                                     0, "real_gap", k, False))
-        # a critical point z_k keeps its exact image w_k, below
-        if not outside and (not 0 < k < E.ell or x != data.roots[k - 1]) and (
-                local := _annulus_series(x, E, dom, data, i)):
+        if not outside and (local := _annulus_series(x, E, dom, data, i)):
             series, v = local
             return _new(MapResult, (complex(_local_point(series, v)), series.bound, 0,
                                     "real_gap", k, False))
@@ -268,10 +273,6 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             hi = dom.centers[-1] + _outer_reach(dom.capacity, max(target, 0.0))
         else:
             zk, wk = data.roots[k - 1], dom.crit_w[k - 1]
-            if x == zk:
-                res = abs(_green_scalar(wk, dom.centers, dom.exponents.m,
-                                        dom.capacity) - target)
-                return _new(MapResult, (complex(wk), res, 0, "real_gap", k, False))
             if x < zk:
                 lo, hi = dom.boundary_c[2 * k - 1], wk
             else:

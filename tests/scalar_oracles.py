@@ -163,7 +163,8 @@ def nested_center_solve(E, m, cap, data, a0):
     trial: w = crit_points(a) from the first-order motion of the last
     evaluation's w (from the bracket midpoints at the first), on the same
     rows, damped-Newton settings and stops.  Returns (a, w, steps, residual
-    norm); raises NoConvergence on a stall above _rounding_floor."""
+    norm), on a stall the largest row of lemniscatic.row_rounding; raises
+    NoConvergence on a stall whose largest row is above its rounding."""
     t, s = E.frame
     p = E.unit
     m = np.asarray(m, dtype=float)
@@ -192,11 +193,15 @@ def nested_center_solve(E, m, cap, data, a0):
         stall, a, steps, resid = exc, exc.best, exc.steps, exc.estimate
     w_last = last[0][1]
     w = lemniscatic.crit_points(a, m, start=w_last)
-    if stall is not None or not np.array_equal(w, w_last):
+    if stall is None and not np.array_equal(w, w_last):
         resid = float(np.max(np.abs(lemniscatic._center_newton(a, w, m, targets, s, p)[0])))
-    if stall is not None and not resid <= lemniscatic._rounding_floor(a, w, m, targets, s, p):
-        raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
-                            estimate=stall.estimate) from stall
+    if stall is not None:
+        rows, rounding = lemniscatic.row_rounding(E, data, a, w, m)
+        k = np.argmax(np.abs(rows[:-1]))
+        resid = float(abs(rows[k]))
+        if not resid <= rounding[k]:
+            raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
+                                estimate=stall.estimate) from stall
     return a, w, steps, resid
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 import warnings
@@ -189,6 +190,49 @@ def test_worst_invariant_is_free_of_scale(pairs, scale):
     # 3.4e-7, 7.9e23 and 1.8e83 at these scales, the rounding of a and alpha
     wm = solve([[scale * lo, scale * hi] for lo, hi in pairs])
     assert worst_invariant(wm) <= 1e-12
+
+
+SHIFT_SETS = [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"], ref.cantor_pairs(3)]
+
+
+@pytest.mark.parametrize("pairs", SHIFT_SETS, ids=["two", "three", "cantor3"])
+@pytest.mark.parametrize("shift", [1e4, 1e5])
+def test_worst_invariant_is_free_of_shift(pairs, shift):
+    # with no rounding on the critical-point rows these read 3.8e-12,
+    # 5.9e-12 and 1.9e-11 at the 1e5 shift, and 5.9e-12 on Cantor 3 at
+    # 1e4: storing centers near 1e5 rounds those rows by about 2.4e-11
+    wm = solve([[lo + shift, hi + shift] for lo, hi in pairs])
+    assert worst_invariant(wm) <= 1e-12
+
+
+@pytest.mark.parametrize("pairs", SHIFT_SETS, ids=["two", "three", "cantor3"])
+@pytest.mark.parametrize("shift", [0.0, 1e5])
+def test_worst_invariant_sees_a_moved_center(pairs, shift):
+    # each row's rounding hides no wrong solve: a center moved by 1e-12 of
+    # the half-width, or 100 of its ulps if more, reads above 1e-12
+    wm = solve([[lo + shift, hi + shift] for lo, hi in pairs])
+    s = wm.domain.frame[1]
+    for j, aj in enumerate(wm.lemniscatic.centers):
+        a = list(wm.lemniscatic.centers)
+        a[j] = aj + max(1e-12 * s, 100.0 * math.ulp(aj))
+        moved = dataclasses.replace(wm, lemniscatic=dataclasses.replace(
+            wm.lemniscatic, centers=tuple(a)))
+        assert worst_invariant(moved) > 1e-12, j
+
+
+@pytest.mark.parametrize("pairs", SHIFT_SETS, ids=["two", "three", "cantor3"])
+@pytest.mark.parametrize("shift", [0.0, 1e5])
+def test_worst_invariant_sees_a_moved_center_sum(pairs, shift):
+    # the center sum is measured in the frame (t, s), so the rounding of its
+    # terms does not grow with |t|: alpha moved by 1e-12 of the half-width,
+    # or 100 of its ulps if more, moves that row alone and reads at 0.9 of
+    # the move or more (in the sum m . a - alpha, 8 ell eps of its terms
+    # would hide the 1e5 moves)
+    wm = solve([[lo + shift, hi + shift] for lo, hi in pairs])
+    s, alpha = wm.domain.frame[1], wm.green.alpha
+    move = max(1e-12 * s, 100.0 * math.ulp(alpha))
+    moved = dataclasses.replace(wm, green=dataclasses.replace(wm.green, alpha=alpha + move))
+    assert worst_invariant(moved) >= 0.9 * move / s
 
 
 def test_worst_invariant_measures_boundary_rows_against_their_rounding():

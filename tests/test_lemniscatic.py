@@ -439,9 +439,9 @@ def _nested(wm):
 
 
 def _assert_ridden_within_the_nested_stop(wm):
-    # Both Newtons stop at their residual (1e-14 at most) or within the
-    # rounding of their rows and stored centers (_rounding_floor), so their
-    # centers differ by at most |J^-1| (both residuals + twice that
+    # Both Newtons stop at their residual (1e-14 at most) or stall with
+    # their largest row within its rounding (row_rounding), so their centers
+    # differ by at most |J^-1| (both residuals + twice the largest
     # rounding), J the Jacobian of the center equations.  The critical
     # points follow the centers with weights q_ij / sum_j q_ij that sum to
     # 1, so they move as much; a boundary abscissa c moves
@@ -452,9 +452,8 @@ def _assert_ridden_within_the_nested_stop(wm):
     m = np.asarray(wm.exponents.m)
     E, data = wm.domain, wm.green
     J = np.vstack((-m / (w[:, None] - a), m / E.frame[1]))
-    targets = np.append(np.asarray(data.green_at_roots) + math.log(data.capacity / E.unit),
-                        data.alpha)
-    floor = lemniscatic._rounding_floor(a, w, m, targets, E.frame[1], E.unit)
+    # the largest rounding of the Newton's rows: all but the mass sum
+    floor = np.max(lemniscatic.row_rounding(E, data, a, w, m)[1][:-1])
     move = np.max(np.abs(np.linalg.inv(J)).sum(1)) * (dom.inner_residual + resid + 2.0 * floor)
     d = c[:, None] - a
     gain = np.max(np.abs(m / d).sum(1) / np.abs((m / d).sum(1)))
@@ -462,6 +461,39 @@ def _assert_ridden_within_the_nested_stop(wm):
                              (dom.boundary_c, c, gain * move)):
         assert np.max(np.abs(np.asarray(got) - want)) <= bound + 4.0 * np.spacing(
             np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   ref.cantor_pairs(3),
+                                   [[1e5 + lo, 1e5 + hi] for lo, hi in ref.cantor_pairs(2)]],
+                         ids=["two", "three", "cantor3", "cantor2_shifted_1e5"])
+def test_row_rounding_rows_are_the_newtons(pairs):
+    # without c the Green rows are _center_newton's, bit for bit, then the
+    # center sum, measured in the frame (t, s): the Newton's own sum where
+    # t = 0, else within the rounding of the Newton's terms; then the mass
+    # sum.  With c the 2 ell rows at c come between them, and the rows at
+    # w, in a larger matrix product, may round otherwise
+    wm = solve(pairs)
+    E, data, dom = wm.domain, wm.green, wm.lemniscatic
+    a, w, m = np.array(dom.centers), np.array(dom.crit_w), np.array(wm.exponents.m)
+    t, s = E.frame
+    targets = np.append(np.asarray(data.green_at_roots) + math.log(data.capacity / E.unit),
+                        data.alpha)
+    F, _ = lemniscatic._center_newton(a, w, m, targets, s, E.unit)
+    rows, rounding = lemniscatic.row_rounding(E, data, a, w, m)
+    np.testing.assert_array_equal(rows[:-2], F[:-1])
+    if t == 0.0:
+        assert rows[-2] == F[-1]
+    terms = 8.0 * a.size * np.finfo(float).eps * (m @ np.abs(a) + abs(data.alpha)) / s
+    assert abs(rows[-2] - F[-1]) <= terms
+    full, full_rounding = lemniscatic.row_rounding(E, data, a, w, m, dom.boundary_c)
+    ell = a.size
+    assert full.shape == full_rounding.shape == (3 * ell + 1,)
+    assert np.all(np.abs(full[:ell - 1] - rows[:ell - 1]) <= rounding[:ell - 1])
+    np.testing.assert_array_equal(full[-2:], rows[-2:])
+    np.testing.assert_array_equal(full_rounding[-2:], rounding[-2:])
+    # each row of a solved set lies within its rounding
+    assert np.all(np.abs(full) <= full_rounding)
 
 
 @pytest.mark.parametrize("pairs", [

@@ -558,6 +558,30 @@ def test_endpoint_residual_that_raises_raises_alone(monkeypatch):
     assert mapping._point_cache(wm.lemniscatic, wm.green)[2][1] is None
 
 
+@pytest.mark.parametrize("pairs", [ref.TWO_INTERVAL["pairs"], ref.THREE_INTERVAL["pairs"],
+                                   ref.cantor_pairs(2)], ids=["two", "three", "cantor2"])
+def test_critical_points_read_their_stored_green_values(pairs, monkeypatch):
+    # z_k maps to w_k with residual |g_L(w_k) - g_E(z_k)|, g_E(z_k) from
+    # green_data's critical values: the record a Green target at z_k gave,
+    # field by field, and no Green target is taken
+    wm = solve(pairs)
+    dom, data = wm.lemniscatic, wm.green
+    want = [_fields(MapResult(
+        complex(wk), abs(lemniscatic._green_scalar(wk, dom.centers, dom.exponents.m,
+                                                   dom.capacity) - green_real(zk, wm.domain, data)),
+        0, "real_gap", k, False)) for k, (zk, wk) in enumerate(zip(data.roots, dom.crit_w), 1)]
+    calls = []
+    plain = mapping._green_real
+
+    def counting(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(mapping, "_green_real", counting)
+    assert [_fields(wm.map_point(zk)) for zk in data.roots] == want
+    assert calls == []
+
+
 @pytest.mark.parametrize("pairs", [ref.dirichlet_intervals(np.random.default_rng(10), 10),
                                    ref.cantor_pairs(3)], ids=["dirichlet10", "cantor3"])
 def test_real_axis_dispatch_agrees_with_locate(pairs):

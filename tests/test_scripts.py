@@ -179,9 +179,14 @@ def test_export_figure_data_writes_every_csv(tmp_path):
 def test_multiscale_sweep_runs():
     proc = run_script("multiscale_sweep.py", "--count", "5", "--list")
     assert proc.returncode == 0, proc.stderr
-    head, *by_decades = proc.stdout.splitlines()[:4]
+    head, *by_decades, invariant = proc.stdout.splitlines()[:5]
     assert head.startswith("5 multi-scale sets (seed 42): ")
     assert [line.split(":")[0].strip() for line in by_decades] == ["D =  4", "D =  8", "D = 12"]
+    # the largest worst_invariant of the solved draws, with its draw
+    value, draw = re.fullmatch(r"  largest worst_invariant (\S+) \(draw (\d+)\)",
+                               invariant).groups()
+    assert float(value) <= 1e-12 and 0 <= int(draw) < 5
+    assert f"  draw {draw} (" not in proc.stdout  # a solved draw, not a listed failure
 
 
 def test_accuracy_probe_measures_capacity_and_critical_values():
