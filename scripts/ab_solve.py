@@ -41,7 +41,7 @@ geometric mean of the class medians, as the solve mode does.  With --grid
 --outputs it compares the two trees' points instead: statuses and errors,
 bit-identical images and the worst move of the others relative to |w| and
 in units in the last place of |w|, changes in the other fields of each
-MapResult, and the traces' points:
+MapResult, and the traces' points; then each moved image, old and new:
 
     python scripts/ab_solve.py OLD_SRC NEW_SRC --grid --rounds 10
     python scripts/ab_solve.py OLD_SRC NEW_SRC --grid --outputs --rounds 2
@@ -54,7 +54,10 @@ each with both trees one right after the other, the old first in even
 rounds.  It prints each class's median microseconds a call (gap,
 endpoint, near_axis, far, plain; a point inside E, which the workload does
 not count, is left out) and the geometric mean of the class medians, as the
-other modes do.  With --points --outputs it reports every point whose
+other modes do; then, outside the geometric mean, the line ``newton``: the
+median microseconds of the points whose old-tree record took the complex
+Newton (branch "complex", iterations > 0), of each side, and their ratio.
+With --points --outputs it reports every point whose
 records differ in a field or in a field's type, and every error that
 differs in type or message:
 
@@ -228,9 +231,10 @@ def _bits(w):
 def compare_grid_outputs(sides, grids, rounds):
     """Print, over the rows and traces of the rounds' grids, the two trees'
     status and error changes, bit-identical and moved images, other
-    MapResult fields changed, and bit-identical traces."""
+    MapResult fields changed, bit-identical traces, and each moved image."""
     points = identical = changed = residuals = others = traces = same_traces = 0
     worst, worst_ulp, worst_trace = (0.0, None), 0.0, 0.0
+    moved = []
     for calls in rounds:
         for _, k, zs in calls:
             old, new = (grid_call(package, wm, zs) for package, wm in zip(sides, grids[k][4]))
@@ -262,8 +266,10 @@ def compare_grid_outputs(sides, grids, rounds):
                     identical += 1
                 else:
                     move = abs(q.result.w - p.result.w) / abs(p.result.w)
-                    worst_ulp = max(worst_ulp, abs(q.result.w - p.result.w)
-                                    / float(np.spacing(abs(p.result.w))))
+                    ulp = abs(q.result.w - p.result.w) / float(np.spacing(abs(p.result.w)))
+                    worst_ulp = max(worst_ulp, ulp)
+                    moved.append(f"  {grids[k][0]} z = {p.z!r}: {p.result.w!r} -> "
+                                 f"{q.result.w!r} ({ulp:.2f} ulp)")
                     if move > worst[0]:
                         worst = (move, f"{grids[k][0]} z = {p.z!r}")
                 residuals += p.result.residual != q.result.residual
@@ -276,6 +282,8 @@ def compare_grid_outputs(sides, grids, rounds):
           f"changed {others}")
     print(f"{traces} traces: {same_traces} bit-identical, worst move relative to the lobe's "
           f"largest |point| {worst_trace:.3e}")
+    for line in moved:
+        print(line)
 
 
 def grid_main(args, sides):
@@ -380,6 +388,11 @@ def compare_point_outputs(sides, edges, rounds):
         print(line)
 
 
+def _took_newton(res):
+    """Whether a map_point outcome is a record of the complex Newton."""
+    return not isinstance(res, Exception) and res.branch == "complex" and res.iterations > 0
+
+
 def points_main(args, sides):
     """--points: map_point's A/B on the benchmark's edge domains."""
     edges = solved_edges(sides, args.seed, args.limit)
@@ -392,21 +405,31 @@ def points_main(args, sides):
         compare_point_outputs(sides, edges, rounds)
         return
     times = tuple({kind: [] for kind in inputs.EDGE_KINDS} for _ in range(2))
+    newton = ([], [])  # the times of the old tree's complex-Newton points
     for round_, calls in enumerate(rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)
         gc.collect()
         for kind, k, z in calls:
+            seconds, results = [0.0, 0.0], [None, None]
             for side in order:
                 package, wm = sides[side], edges[k][2][side]
                 t0 = time.perf_counter()
-                res = point_call(package, wm, z)
-                seconds = time.perf_counter() - t0
-                if not isinstance(res, package.errors.InsideE):
-                    times[side][kind].append(seconds)
+                results[side] = point_call(package, wm, z)
+                seconds[side] = time.perf_counter() - t0
+            for side, package in enumerate(sides):
+                if not isinstance(results[side], package.errors.InsideE):
+                    times[side][kind].append(seconds[side])
+                if _took_newton(results[0]):
+                    newton[side].append(seconds[side])
     old, new = ({kind: statistics.median(v) for kind, v in t.items() if v} for t in times)
     print(f"{args.rounds} interleaved edge_points units (seed {args.seed}): "
           f"median us, old / new / ratio")
     report(old, new, scale=1e6)
+    if newton[0]:
+        old, new = (1e6 * statistics.median(v) for v in newton)
+        print(f"  {'newton':9s} {old:10.4f} {new:10.4f} {new / old:7.4f}")
+    else:
+        print(f"  {'newton':9s} no point took the complex Newton")
 
 
 def report(old, new, scale=1e3):

@@ -475,15 +475,15 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
 
     The Green's-value rows are in units of p = E.unit, against
     g_E(z_k) + log(cap / p).  It stops at a residual of 1e-14, or at a full
-    step within 1e-15 max(s, max|a - t|) in the frame (t, s) of E or 2 ulp
-    of a (binding only if |t| > s).  A Newton that stalls, no step lowering
-    its largest row, with that row within its rounding (row_rounding) has
-    converged too: its last iterate is returned, with that row, at its
-    critical points when w is not given, as residual.  Returns (a, w, steps,
+    step within 2 ulp of every center, which moves the centers by their
+    rounding alone.  A Newton that stalls, no step lowering its largest
+    row, with that row within its rounding (row_rounding) has converged
+    too: its last iterate is returned, with that row, at its critical
+    points when w is not given, as residual.  Returns (a, w, steps,
     residual norm), w the critical points of the returned centers; raises
     NoConvergence naming the stall and its residual.
     """
-    t, s = E.frame
+    s = E.frame[1]
     p = E.unit
     m = np.asarray(m, dtype=float)
     targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
@@ -514,8 +514,7 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
             # can have spurious stationary points outside the ordered cone,
             # and crit_points brackets between consecutive centers
             admissible=lambda a: np.all(np.diff(a) > 0),
-            tol=1e-14, step_tol=lambda a: np.maximum(
-                1e-15 * max(s, float(np.max(np.abs(a - t)))), 2.0 * np.spacing(np.abs(a))),
+            tol=1e-14, step_tol=lambda a: 2.0 * np.spacing(np.abs(a)),
             max_steps=80, max_halvings=20)
         resid = float(np.max(np.abs(F)))
     except NoConvergence as exc:

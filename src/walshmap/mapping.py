@@ -42,17 +42,18 @@ map to the boundary abscissae directly.
 map_point locates a real point by one bisection of the endpoints, which
 names its endpoint, the component it lies in or its gap; an endpoint's
 record is built on its first call and kept per domain, as the series are.
-It solves one point with the scalar damped_newton, sums a series by a
-scalar Horner, and builds its record by tuple.__new__ with the
+It solves a real gap point with the scalar damped_newton, sums a series by
+a scalar Horner, and builds its record by tuple.__new__ with the
 constructor's fields.  map_grid tests each slice of its points in one array
 pass (finite, off the axis, outside the ellipse), sums the outer series of
 all its outer points at once with no Python per point but its two result
 tuples, built by tuple.__new__ rather than their constructors (a one-point
 numpy batch costs several times more); a slice of outer points alone is
-done then.  A mixed slice is sorted into these regions, takes a
-component's series by map_point's Horner, and solves the Newton's points
-with damped_newton_masked.  Both return immutable named tuples, MapResult
-and GridPoint.
+done then.  A mixed slice is sorted into these regions and takes a
+component's series by map_point's Horner.  Both solve the complex equation
+by one masked Newton (_complex_images), on a slice's Newton points at once
+or on map_point's one point, so a Newton point's record is the same in
+any batch.  Both return immutable named tuples, MapResult and GridPoint.
 """
 
 import bisect
@@ -89,12 +90,6 @@ _GRID_BATCH = 1024
 
 # the map's Newton stop: its equations compare Green's values, free of scale
 _TOL = 1e-12
-
-# relative distance |r / _TOL - 1| of a Newton residual r from _TOL within
-# which map_grid takes map_point's scalar iterates for a point instead of the
-# batch ones: the two round a residual differently by up to about 1e-15,
-# which is 1e-3 of _TOL
-_TIE = 1e-2
 
 
 class MapResult(NamedTuple):
@@ -218,10 +213,11 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     reported with the certificate as residual and 0 iterations (see
     MapResult).  The Newton takes every other point: real gap points are
     solved on the uniqueness bracket of their gap from the gap image of z
-    (see _gap_image), everything else through the complex equation, kept in
-    the half-plane of z, from the start of _complex_start; its right side
-    is green_complex's Chebyshev series outside the ellipse, or inside it
-    the integral from the endpoint nearest Re z plus the branch offset.
+    (see _gap_image), everything else through the complex equation by
+    map_grid's masked Newton on z alone (_complex_images), so its record is
+    map_grid's exactly; its right side is green_complex's Chebyshev series
+    outside the ellipse, or inside it the integral from the endpoint
+    nearest Re z plus the branch offset.
     Off-axis points closer to E than 1e-9 of its hull width b_{2l} - b_1
     are evaluated but flagged near_boundary.  Every record is built by
     tuple.__new__ from the values and types its constructor would take.
@@ -292,7 +288,10 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
                                     "complex", None, False))
     elif local := _local_image(z, E, dom, data):
         return local
-    return _complex_image(z, green_complex(z, E, data, cfg), E, dom, data)
+    res = _complex_images([z], np.array([green_complex(z, E, data, cfg)]), E, dom, data)[0]
+    if isinstance(res, NoConvergence):
+        raise res
+    return res
 
 
 def _point_cache(dom: LemniscaticDomain, data: GreenData):
@@ -321,17 +320,6 @@ def _endpoint(dom: LemniscaticDomain, data: GreenData, j: int) -> MapResult:
     return ends[j]
 
 
-def _complex_image(z, target, E, dom, data):
-    """Image of the off-axis z whose Green's integral is `target`, by damped
-    Newton on the complex equation in the half-plane of z."""
-    # the map keeps each half-plane
-    same_side = (lambda w: w.imag > 0.0) if z.imag > 0.0 else (lambda w: w.imag < 0.0)
-    w, F, it = damped_newton(
-        _equation(dom, target, cmath.log), _complex_start(z, E, dom, data),
-        admissible=same_side, tol=_TOL, max_steps=200, max_halvings=11)
-    return _complex_result(z, w, abs(F), it, E, _point_cache(dom, data)[1])
-
-
 def _complex_result(z, w, residual, iterations, E, near):
     """The "complex" MapResult of the off-axis z, flagged near_boundary when
     z lies closer to E than near (_point_cache)."""
@@ -342,20 +330,22 @@ def _complex_result(z, w, residual, iterations, E, near):
 
 def _batch_equation(dom, targets):
     """damped_newton_masked's fun for the complex map equations of the array
-    targets: fun(w, idx) gives (F, delta) for the elements idx at w."""
+    targets: fun(w, idx) gives (F, delta) for the elements idx at w, each
+    element's the same in a batch of any size."""
     a = np.array(dom.centers)[:, None]
     m = np.array(dom.exponents.m)[:, None]
     shift = math.log(dom.capacity) + targets
 
     def fun(w, idx):
-        # _equation's sums in its order, -shift first, one row per center;
-        # Log from its real and imaginary parts, six times faster than
-        # numpy's complex log
+        # one row per center, summed as running sums from -shift down the
+        # rows: a sum over them adds a lone column pairwise, a wider batch
+        # row by row.  Log from its real and imaginary parts, six times
+        # faster than numpy's complex log
         d = w - a
         terms = m * (np.log(np.abs(d)) + 1j * np.arctan2(d.imag, d.real))
         terms[0] -= shift[idx]
-        F = terms.sum(axis=0)
-        deriv = (m / d).sum(axis=0)
+        F = np.add.accumulate(terms)[-1]
+        deriv = np.add.accumulate(m / d)[-1]
         if deriv.all():  # off the axis Im(deriv) != 0 unless it underflows
             return F, -F / deriv
         delta = np.full_like(F, np.nan)
@@ -365,12 +355,13 @@ def _batch_equation(dom, targets):
 
 
 def _complex_images(zs, targets, E, dom, data):
-    """_complex_image for every point of the list zs at once, by one masked
-    damped Newton (damped_newton_masked) on the array targets: a MapResult
-    or the NoConvergence that _complex_image raises, per point."""
+    """Per point of the list zs, off the axis, with Green's integrals the
+    array targets, a MapResult or its NoConvergence, by one masked damped
+    Newton from _complex_start, each point kept in its half-plane (which
+    the map keeps); a point's iterates are the same in any list."""
     side = np.sign(np.array([z.imag for z in zs]))
     starts = np.array([_complex_start(z, E, dom, data) for z in zs], dtype=complex)
-    w, F, steps, failures, margin = damped_newton_masked(
+    w, F, steps, failures = damped_newton_masked(
         _batch_equation(dom, targets), starts,
         admissible=lambda w, idx: w.imag * side[idx] > 0.0, tol=_TOL,
         max_steps=200, max_halvings=11)
@@ -379,13 +370,6 @@ def _complex_images(zs, targets, E, dom, data):
            for z, wi, Fi, it in zip(zs, w.tolist(), F.tolist(), steps.tolist())]
     for i, exc in failures.items():
         out[i] = exc
-    # a residual this near _TOL may stop map_point's scalar iteration, which
-    # rounds differently, a step earlier or later: take its iterates
-    for i in np.flatnonzero(margin < _TIE).tolist():
-        try:
-            out[i] = _complex_image(zs[i], targets[i].item(), E, dom, data)
-        except NoConvergence as exc:
-            out[i] = exc
     return out
 
 
@@ -798,7 +782,7 @@ def _sample(dom, targets, starts, rim):
     fun = _batch_equation(dom, targets)
     upper = dict(admissible=lambda w, idx: w.imag > 0.0, tol=_TOL, max_steps=200,
                  max_halvings=11)
-    w, F, _, failures, _ = damped_newton_masked(fun, starts, **upper)
+    w, F, _, failures = damped_newton_masked(fun, starts, **upper)
     if failures:
         failed = np.array(sorted(failures))
         circle = np.arange(w.size) >= rim
@@ -810,7 +794,7 @@ def _sample(dom, targets, starts, rim):
             if not near.size:
                 return None
             restarts.append(w[near[np.argmin(np.abs(near - i))]])
-        w[failed], F[failed], _, failures, _ = damped_newton_masked(
+        w[failed], F[failed], _, failures = damped_newton_masked(
             _batch_equation(dom, targets[failed]), np.array(restarts), **upper)
         if failures:
             return None
@@ -961,13 +945,13 @@ def map_grid(zs, E: IntervalUnion, dom: LemniscaticDomain, data: GreenData,
     take it point by point, by map_point's own evaluation.  The Green
     targets of the others, the Newton's, come from one green_complex call
     per slice, and their complex equations from one masked damped Newton
-    (_complex_images); each builds a failed point's error as map_point
-    raises it.  Only real-axis points go through map_point; a point that is
-    not finite fails map_point's finiteness check, and one that complex()
-    refuses fails as map_point fails it, its GridPoint holding the point as
-    given.
+    (_complex_images), which map_point runs on its one point; each builds a
+    failed point's error as map_point raises it.  Only real-axis points go
+    through map_point; a point that is not finite fails map_point's
+    finiteness check, and one that complex() refuses fails as map_point
+    fails it, its GridPoint holding the point as given.
     Every point gets what map_point gives it, an outer series image within
-    rounding, a component's series image exactly.
+    rounding, a component's series or Newton point its record exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     b, reach = E.endpoints, data._targets.reach

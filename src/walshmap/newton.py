@@ -1,10 +1,11 @@
 """Newton kernels shared by every nonlinear solve of the package.
 
-Both center systems and the two map equations of a single point run
-through damped_newton; each caller supplies its residual, full Newton step,
-acceptance test and stopping rule.  map_grid solves the complex map
-equations of a whole batch of points with its masked twin,
-damped_newton_masked, which runs the same rule on every element at once.
+Both center systems and the real-gap map equation run through
+damped_newton; each caller supplies its residual, full Newton step,
+acceptance test and stopping rule.  Every complex map equation, of
+map_point's one point, of a map_grid batch or of a component series'
+samples, runs through its masked twin, damped_newton_masked, which runs
+the same rule on every element at once.
 Real zeros in known brackets (the numerator roots of each linear pass on
 the gap conditions, the critical points of g_L at the centers the centers'
 Newton returns, and the rays of L's boundary in log r, whose rays at angles
@@ -85,16 +86,14 @@ def damped_newton_masked(fun, x, *, admissible, tol, max_steps, max_halvings):
 
     fun(x, idx) returns (F, delta) for the elements idx at the points x, and
     admissible(trial, idx) whether each trial is allowed.  Returns
-    (x, F, steps, failures, margin): the last iterates, their residuals and
-    step counts, a dict from the index of each element that did not stop to
-    the NoConvergence damped_newton raises for it, and per element the least
-    |r / tol - 1|, capped at 1, over the residuals r of its iterates: how
-    near its stop test came to the other outcome.
+    (x, F, steps, failures): the last iterates, their residuals and step
+    counts, and a dict from the index of each element that did not stop to
+    the NoConvergence damped_newton raises for it.  An element's iterates
+    are the same in any batch when fun's are.
     """
     x = np.array(x)
     F, delta = fun(x, np.arange(x.size))
     res = np.abs(F)
-    margin = np.minimum(np.abs(res / tol - 1.0), 1.0) if tol > 0 else np.ones(x.size)
     steps = np.zeros(x.size, dtype=int)
     failures = {}
     live = np.flatnonzero(~(res <= tol))
@@ -133,11 +132,8 @@ def damped_newton_masked(fun, x, *, admissible, tol, max_steps, max_halvings):
                 failures[i] = _stalled(x[i].item(), float(res[i]), taken)
         live = moved[0] if len(moved) == 1 else np.concatenate(moved or [live[:0]])
         steps[live] = taken + 1
-        near = live[res[live] < 2.0 * tol]
-        if near.size:
-            margin[near] = np.minimum(margin[near], np.abs(res[near] / tol - 1.0))
         live = live[~(res[live] <= tol)]
-    return x, F, steps, failures, margin
+    return x, F, steps, failures
 
 
 # evaluations of f per _bisect call at most; plain halving needs about 60 to

@@ -165,7 +165,7 @@ def nested_center_solve(E, m, cap, data, a0):
     rows, damped-Newton settings and stops.  Returns (a, w, steps, residual
     norm), on a stall the largest row of lemniscatic.row_rounding; raises
     NoConvergence on a stall whose largest row is above its rounding."""
-    t, s = E.frame
+    s = E.frame[1]
     p = E.unit
     m = np.asarray(m, dtype=float)
     targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
@@ -185,8 +185,7 @@ def nested_center_solve(E, m, cap, data, a0):
         a, F, steps = damped_newton(
             residual, np.array(a0, dtype=float),
             admissible=lambda a: np.all(np.diff(a) > 0),
-            tol=1e-14, step_tol=lambda a: np.maximum(
-                1e-15 * max(s, float(np.max(np.abs(a - t)))), 2.0 * np.spacing(np.abs(a))),
+            tol=1e-14, step_tol=lambda a: 2.0 * np.spacing(np.abs(a)),
             max_steps=80, max_halvings=20)
         resid = float(np.max(np.abs(F)))
     except NoConvergence as exc:

@@ -582,6 +582,26 @@ def test_sweep_stall_sets_solve_in_one_ridden_run(b, monkeypatch):
     _assert_ridden_within_the_nested_stop(wm)
 
 
+# draw 907 (ell 5, D 8) of the same sweep: a step floor of 1e-15 of the
+# frame's scale on top of 2 ulp of the centers stopped its Newton after 4
+# steps with its second Green row at 6.3e-13, three times its rounding, and
+# worst_invariant at 4.4e-13; endpoint list b_1..b_2l
+STEP_FLOOR_SETS = [
+    [-1.0, -0.6857930459066364, 0.9622512529072171, 0.9622619848490293, 0.9622632039323231,
+     0.9626247819222165, 0.967717497262055, 0.96799814511408, 0.99698729662573, 1.0],
+]
+
+
+@pytest.mark.parametrize("b", STEP_FLOOR_SETS, ids=["draw907"])
+def test_step_floor_leaves_no_row_above_rounding(b):
+    # the Newton stops on its step only when the step is within 2 ulp of
+    # the centers, so no invariant row is left above the rounding of its
+    # terms, and the nested oracle, on the same stop, agrees
+    wm = solve([b[i:i + 2] for i in range(0, len(b), 2)])
+    assert worst_invariant(wm) <= 1e-13
+    _assert_ridden_within_the_nested_stop(wm)
+
+
 @pytest.mark.parametrize("n, sigma, kappa, bound", [
     (4, 0.2, 0.5, 5e-14), (10, 0.2, 0.7, 5e-14), (40, 0.2, 0.5, 5e-14), (10, 0.0, 0.7, 5e-14),
     # endpoints of intervals 1e-4 wide round to 1e-12 of their width

@@ -97,7 +97,7 @@ def test_masked_kernel_matches_scalar_kernel_per_element():
     options = dict(tol=1e-14, max_steps=12, max_halvings=10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, F, steps, failures, margin = damped_newton_masked(
+        x, F, steps, failures = damped_newton_masked(
             masked_fun, MASKED_X0, admissible=lambda x, idx: x < 1.5, **options)
     assert sorted(failures) == [3, 4, 5]
     for i, x0 in enumerate(MASKED_X0.tolist()):
@@ -119,8 +119,6 @@ def test_masked_kernel_matches_scalar_kernel_per_element():
         assert i not in failures
         assert (x[i], F[i], steps[i]) == (xs, Fs, ss)
     assert steps.tolist()[:3] == [0, 5, 1]
-    # the element that starts at its root is at |0 / tol - 1| = 1 from tol
-    assert margin[0] == 1.0 and np.all(margin > 0.0)
     for i in (3, 5):
         assert str(failures[i]).startswith("no damped Newton step lowers the residual")
     assert str(failures[4]).startswith("Newton iteration stopped after 12 steps")

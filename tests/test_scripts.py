@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end at small sizes."""
 
+import math
 import pathlib
 import re
 import subprocess
@@ -146,17 +147,22 @@ def test_ab_solve_grid_of_a_against_a():
 
 def test_ab_solve_points_of_a_against_a():
     # --points times map_point per edge_points class on the first three
-    # edge domains, and with --outputs finds every record of the same tree
-    # the same
+    # edge domains, then, outside the gmean, the points that took the
+    # complex Newton (some near-axis points of these domains do), and with
+    # --outputs finds every record of the same tree the same
     src = str(SCRIPTS.parent / "src")
     proc = run_script("ab_solve.py", src, src, "--points", "--rounds", "1", "--limit", "3")
     assert proc.returncode == 0, proc.stderr
     head, *rows = proc.stdout.splitlines()
     assert head.startswith("1 interleaved edge_points units (seed 1)")
     assert [row.split()[0] for row in rows] == ["gap", "endpoint", "near_axis", "far", "plain",
-                                                "gmean"]
-    old, new, ratio = (float(v) for v in rows[-1].split()[1:])
-    assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 1e-3
+                                                "gmean", "newton"]
+    medians = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
+    for old, new, ratio in (medians["gmean"], medians["newton"]):
+        assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 1e-3
+    classes = [medians[row.split()[0]][0] for row in rows[:5]]
+    assert abs(math.exp(sum(map(math.log, classes)) / 5) - medians["gmean"][0]) <= 1e-3 * (
+        medians["gmean"][0])
     proc = run_script("ab_solve.py", src, src, "--points", "--outputs", "--rounds", "1",
                       "--limit", "3")
     assert proc.returncode == 0, proc.stderr
