@@ -63,6 +63,18 @@ differs in type or message:
 
     python scripts/ab_solve.py OLD_SRC NEW_SRC --points --rounds 20
     python scripts/ab_solve.py OLD_SRC NEW_SRC --points --outputs --rounds 50
+
+With --quad it times one-integral calls on the three-interval set, solved
+once by each tree: a scalar Chebyshev call over its middle interval and a
+scalar tail call beyond it, each with an endpoint-singular integrand of
+the set's endpoints, a one-panel segment call singular at its last
+endpoint, green_real at the middle of its second gap and green_complex at
+one point inside the ellipse.  Each round makes every call 50 times with
+both trees, one right after the other, the old first in even rounds, and
+it prints each call's median microseconds of both sides and their ratio,
+then the geometric mean of the medians:
+
+    python scripts/ab_solve.py OLD_SRC NEW_SRC --quad --rounds 20
 """
 
 import argparse
@@ -427,20 +439,74 @@ def points_main(args, sides):
     report(old, new, scale=1e6)
     if newton[0]:
         old, new = (1e6 * statistics.median(v) for v in newton)
-        print(f"  {'newton':9s} {old:10.4f} {new:10.4f} {new / old:7.4f}")
+        print(f"  {'newton':13s} {old:10.4f} {new:10.4f} {new / old:7.4f}")
     else:
-        print(f"  {'newton':9s} no point took the complex Newton")
+        print(f"  {'newton':13s} no point took the complex Newton")
+
+
+# calls of each kind a round of --quad makes with each tree
+QUAD_REPEATS = 50
+
+
+def quad_calls(package):
+    """{name: call} of --quad's one-integral calls, on the three-interval
+    set as package solves it."""
+    wm = package.solve(inputs.THREE_INTERVAL_SET)
+    E, data = wm.domain, wm.green
+    b = np.asarray(E.endpoints)
+
+    def density(x, d_lo, d_hi):
+        # 1/sqrt|x - b_j| over every endpoint, the middle interval's own two
+        # from their exact distances
+        others = np.abs(x - b[0]) * np.abs(x - b[1]) * np.abs(x - b[4]) * np.abs(x - b[5])
+        return 1.0 / np.sqrt(d_lo * d_hi * others)
+
+    def ray(d):
+        # (x - b_6 + 1) / sqrt|prod_j (x - b_j)| beyond b_6: O(1/x^2) far out
+        return (d + 1.0) / np.sqrt(np.prod(d + (b[-1] - b[:, None]), axis=0))
+
+    def from_end(offset, start):
+        return 1.0 / np.sqrt(offset * (offset + (b[-1] - b[0])))
+
+    return {
+        "chebyshev": lambda: package.integrate_chebyshev(None, b[2], b[3], fd=density),
+        "tail": lambda: package.integrate_tail(None, b[-1], 1, fd=ray),
+        "segment": lambda: package.integrate_segment_complex(None, b[-1], 2.0 + 0.5j, True,
+                                                             fd=from_end),
+        "green_real": lambda: package.green_real(0.5 * (b[3] + b[4]), E, data),
+        "green_complex": lambda: package.green_complex(0.3 + 0.4j, E, data),
+    }
+
+
+def quad_main(args, sides):
+    """--quad: one-integral calls of the quadrature rules and the Green's
+    targets."""
+    calls = [quad_calls(package) for package in sides]
+    times = ({name: [] for name in calls[0]}, {name: [] for name in calls[0]})
+    for round_ in range(args.rounds):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        gc.collect()
+        for name in calls[0]:
+            for _ in range(QUAD_REPEATS):
+                for side in order:
+                    t0 = time.perf_counter()
+                    calls[side][name]()
+                    times[side][name].append(time.perf_counter() - t0)
+    old, new = ({name: statistics.median(v) for name, v in t.items()} for t in times)
+    print(f"{args.rounds} interleaved rounds of {QUAD_REPEATS} calls each: median us, "
+          f"old / new / ratio")
+    report(old, new, scale=1e6)
 
 
 def report(old, new, scale=1e3):
     """Print each class's median of both sides, in seconds times scale, and
     their ratio, then the geometric means of the class medians and theirs."""
     for label in old:
-        print(f"  {label:9s} {scale * old[label]:10.4f} {scale * new[label]:10.4f} "
+        print(f"  {label:13s} {scale * old[label]:10.4f} {scale * new[label]:10.4f} "
               f"{new[label] / old[label]:7.4f}")
     gmeans = [math.exp(statistics.fmean(math.log(v) for v in side.values()))
               for side in (old, new)]
-    print(f"  {'gmean':9s} {scale * gmeans[0]:10.4f} {scale * gmeans[1]:10.4f} "
+    print(f"  {'gmean':13s} {scale * gmeans[0]:10.4f} {scale * gmeans[1]:10.4f} "
           f"{gmeans[1] / gmeans[0]:7.4f}")
 
 
@@ -450,7 +516,8 @@ def main():
     parser.add_argument("old_src", help="directory holding the old walshmap package")
     parser.add_argument("new_src", help="directory holding the new walshmap package")
     parser.add_argument("--rounds", type=int, default=20,
-                        help="ladder passes (grids with --grid, units with --points)")
+                        help="ladder passes (grids with --grid, units with --points, "
+                             "rounds of calls with --quad)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--limit", type=int, default=None,
                         help="solve only the first LIMIT sets of each pass (with --grid "
@@ -463,9 +530,14 @@ def main():
     parser.add_argument("--points", action="store_true",
                         help="time or compare map_point on the edge domains instead of the "
                              "solve ladder")
+    parser.add_argument("--quad", action="store_true",
+                        help="time one-integral quadrature calls and Green's targets on "
+                             "the three-interval set instead of the solve ladder")
     args = parser.parse_args()
-    if args.grid and args.points:
-        parser.error("--grid and --points are two modes: give one")
+    if args.grid + args.points + args.quad > 1:
+        parser.error("--grid, --points and --quad are three modes: give one")
+    if args.quad and args.outputs:
+        parser.error("--quad times calls; it has no --outputs")
 
     with tempfile.TemporaryDirectory() as workdir:
         sides = load_trees(args.old_src, args.new_src, workdir)
@@ -476,6 +548,9 @@ def main():
             return
         if args.points:
             points_main(args, sides)
+            return
+        if args.quad:
+            quad_main(args, sides)
             return
         rng = np.random.default_rng(args.seed)
         if args.outputs:

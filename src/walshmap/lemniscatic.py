@@ -56,10 +56,11 @@ class LemniscaticDomain:
     w_1..w_{ell-1} and the real zeros c_1..c_{2l} of the Green's function.
 
     outer_iterations counts the steps of the centers' one damped Newton run
-    (0 for one and two components), and inner_residual is its final residual,
-    its largest row: the Green's values at the critical points in units of
-    IntervalUnion.unit and the center sum in half-widths (on a stall, as
-    row_rounding measures them).
+    (0 for one and two components), a kept polishing step after a stall
+    included, and inner_residual is its final residual, its largest row:
+    the Green's values at the critical points in units of
+    IntervalUnion.unit and the center sum in the frame of E, in
+    half-widths, as row_rounding measures them.
     """
 
     centers: tuple[float, ...]
@@ -385,11 +386,14 @@ def centers_two(E: IntervalUnion, m, cap: float, data: GreenData):
     return data.alpha - m2 * beta, data.alpha + m1 * beta
 
 
-def _center_newton(a, w, m, targets, s, p):
+def _center_newton(a, w, m, targets, frame, p):
     """Residual of the center equations sum m_j log(|w_i - a_j| / p) =
     targets_i at the critical points w, in units of p, and sum m_j a_j =
-    targets[-1] in units of the half-width s; and the full Newton step.  A
-    singular Jacobian gives a NaN step, which no damped trial accepts."""
+    targets[-1] in the frame (t, s) of E, (m . (a - t) - (targets[-1] - t))
+    / s, as row_rounding measures it, so that its terms' rounding does not
+    grow with |t|; and the full Newton step.  A singular Jacobian gives a
+    NaN step, which no damped trial accepts."""
+    t, s = frame
     d = w[:, None] - a
     J = np.empty((a.size, a.size))
     F = np.empty(a.size)
@@ -397,7 +401,7 @@ def _center_newton(a, w, m, targets, s, p):
         np.subtract(np.log(np.abs(d) / p) @ m, targets[:-1], out=F[:-1])
         np.divide(-m, d, out=J[:-1])
     np.divide(m, s, out=J[-1])
-    F[-1] = (m @ a - targets[-1]) / s
+    F[-1] = (m @ (a - t) - (targets[-1] - t)) / s
     try:
         return F, np.linalg.solve(J, -F)
     except np.linalg.LinAlgError:
@@ -414,8 +418,8 @@ def row_rounding(E: IntervalUnion, data: GreenData, a, w, m, c=()):
     rounding is 8 ell eps of its terms' sizes plus that of storing what it
     reads: sum_j m_j ulp(a_j) / |x - a_j| on a Green row, |g_L'(c_j)|
     ulp(c_j) more on a c_j row, (m . ulp(a) + ulp(alpha)) / s on the center
-    sum.  Returns (rows, rounding) in that order; without c, the Green rows
-    of _center_newton, the center sum and the mass sum."""
+    sum.  Returns (rows, rounding) in that order; without c, the rows of
+    _center_newton, bit for bit, and the mass sum."""
     p, (t, s) = E.unit, E.frame
     a, m, w, c = (np.asarray(v, dtype=float) for v in (a, m, w, c))
     targets = np.append(data.green_at_roots, np.zeros(c.size)) + math.log(data.capacity / p)
@@ -474,16 +478,20 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
     returned w is the last evaluation's.
 
     The Green's-value rows are in units of p = E.unit, against
-    g_E(z_k) + log(cap / p).  It stops at a residual of 1e-14, or at a full
-    step within 2 ulp of every center, which moves the centers by their
-    rounding alone.  A Newton that stalls, no step lowering its largest
-    row, with that row within its rounding (row_rounding) has converged
-    too: its last iterate is returned, with that row, at its critical
-    points when w is not given, as residual.  Returns (a, w, steps,
-    residual norm), w the critical points of the returned centers; raises
-    NoConvergence naming the stall and its residual.
+    g_E(z_k) + log(cap / p), and the center sum in the frame of E.  It
+    stops at a residual of 1e-14, or at a full step within 2 ulp of every
+    center, which moves the centers by their rounding alone.  A Newton that
+    stalls, no step lowering its largest row, with that row within its
+    rounding (row_rounding) has converged too.  It then takes one full
+    step more, kept when it lowers the rows' largest excess over their
+    rounding: the damped Newton takes only steps that lower its largest
+    row, which one row at its rounding blocks while others lie above
+    theirs.  The last iterate is returned, with its largest row, at its
+    critical points when w is not given, as residual.  Returns (a, w,
+    steps, residual norm), w the critical points of the returned centers;
+    raises NoConvergence naming the stall and its residual.
     """
-    s = E.frame[1]
+    frame = E.frame
     p = E.unit
     m = np.asarray(m, dtype=float)
     targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
@@ -502,9 +510,9 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
 
     def residual(a):
         if w is not None:
-            return _center_newton(a, w, m, targets, s, p)
+            return _center_newton(a, w, m, targets, frame, p)
         last.append((a, follow(a)))
-        return _center_newton(a, last[0][1], m, targets, s, p)
+        return _center_newton(a, last[0][1], m, targets, frame, p)
 
     stall = None
     try:
@@ -525,7 +533,7 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
         w_last = last[0][1]
         w_a = crit_points(a, m, start=w_last)
         if stall is None and not np.array_equal(w_a, w_last):
-            resid = float(np.max(np.abs(_center_newton(a, w_a, m, targets, s, p)[0])))
+            resid = float(np.max(np.abs(_center_newton(a, w_a, m, targets, frame, p)[0])))
     if stall is not None:
         # no step lowers the largest row: converged if it is within its rounding
         rows, rounding = row_rounding(E, data, a, w_a, m)
@@ -534,6 +542,14 @@ def _center_solve(E: IntervalUnion, m, cap: float, data: GreenData, a0, w=None):
         if not resid <= rounding[k]:
             raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
                                 estimate=stall.estimate) from stall
+        # the polishing full step
+        a_new = a + _center_newton(a, w_a, m, targets, frame, p)[1]
+        if np.all(np.diff(a_new) > 0):
+            w_new = w if w is not None else crit_points(a_new, m, start=w_a)
+            rows_new, rounding_new = row_rounding(E, data, a_new, w_new, m)
+            if np.max(np.abs(rows_new) - rounding_new) < np.max(np.abs(rows) - rounding):
+                a, w_a, steps = a_new, w_new, steps + 1
+                resid = float(np.max(np.abs(rows_new[:-1])))
     return a, w_a, steps, resid
 
 

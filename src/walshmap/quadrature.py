@@ -1,19 +1,27 @@
 """Integration engine for the three integral shapes the solver needs.
 
 All rules double their node count until an estimate's error is within the
-tolerance, in one loop (_doubling) that holds the one stop rule: each rule
+tolerance, in one driver (_doubling) that holds the one stop rule: each rule
 supplies only its sum at each level, whose error is its distance from the
 previous level's.  The Chebyshev rule's first level, of 32 nodes, hands in
 its own error with its sum, the largest of the sum's top four cosine
 coefficients, so it needs no coarser level to check it.  Integrands must
 accept numpy arrays (vectorized evaluation).
 
-The Chebyshev rule also integrates the K rows of a vector-valued integrand
-over an array of intervals, the tail rule arrays of tails on its shared
-nodes, and the segment rule arrays of panels, in bounded node blocks; each
-row of each interval, each tail or each panel stops on its own, with the
-value a call on it alone returns, and an array call that fails carries
-each failed interval's, tail's or panel's own error.
+Every call integrates an array: one interval, tail or panel per element
+of the shape its arguments broadcast to, and one integral per row of it
+(the K rows of a vector-valued Chebyshev integrand, else one); a scalar
+call is the same path on an array of one.  Each integral stops on its own,
+with the value a call on it alone returns, and an element is no longer
+evaluated once all its rows have.  Results have the call's shape, the rows
+last, and are Python numbers for a scalar call of one row; with_estimate
+also returns the error estimates alike.  An element with a row that never
+stops fails: its NoConvergence reads "<rule> did not reach tolerance
+<where> (last estimate <last>)" and carries its last estimates and errors
+as best and estimate.  A scalar call raises that error; an array call
+raises one with the first failed element's message, best and estimate
+holding every integral's kept or last estimate and error in the call's
+shape, and failures, each failed element's own error by flat index.
 
 * inverse-square-root endpoint singularities on a finite interval
   -> cosine substitution + Gauss-Chebyshev midpoint rule of 32, 64, ...
@@ -40,6 +48,7 @@ stay away from every endpoint (the Green integral's panels after the first,
 and the contour-mass rectangle).
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,53 +99,86 @@ _CHEB_CHUNK = 256
 _SEG_BLOCK = 2048
 
 
-def _doubling(level_sums, size, levels, cfg, active=None, dtype=float):
-    """Double `size` independent integrals until each stops, for `levels`:
-    the one stop rule of every quadrature rule here.
+def _doubling(level_sums, shape, levels, cfg, rule, where, active=None,
+              with_estimate=False):
+    """Run one rule call's integrals for at most `levels` levels and return
+    or raise its results, as the module docstring states: the one driver of
+    every rule here.
 
-    level_sums(level, active) returns the estimates at that level of the
-    integrals in `active`, an index array, or of all while active is None
-    (a numpy scalar for one integral, cheaper than a one-element array).  At
-    the first level a rule may return (estimates, errors) instead, with an
-    error that certifies the estimate on its own; every later level's error
-    is |est - prev|, the estimate's distance from the previous one.  One
+    The call has an element per index of `shape`.  level_sums(level, elements)
+    returns the estimates at that level of `elements`, a sorted index array
+    into the flattened shape, as an (elements, *rows) array; level 0 sees
+    every element in `active` (default all; one not in it is 0 with error
+    0), and its row shape holds at every level.  At level 0 a rule may
+    return (estimates, errors) instead, with errors that certify the
+    estimates on their own; every later level's error is |est - prev|, the
+    distance from the previous level's estimate.  Each row of each element
     stops at the first estimate est whose error is within the tolerance of
-    cfg at est, keeping est and that error; one not in the initial `active`
-    is 0 with error 0.  Returns value and error arrays and the sorted
-    indices of those never stopped, at their last estimates.
+    cfg at est, keeping est and that error, and an element is passed on
+    while a row of it runs.  A failed element's message names the rule,
+    where(index) and its last estimate (its repr, or for rows "n of K
+    components unconverged"); its best and estimate are Python numbers, or
+    arrays of its rows.
     """
-    value = np.zeros(size, dtype)
-    error = np.zeros(size)
-    if active is not None and not active.size:
-        return value, error, active
-    prev = err = None
-    for level in range(levels):
-        est = level_sums(level, active)
-        if type(est) is tuple:
-            est, err = est
-        elif prev is not None:
-            err = abs(est - prev)
+    count = math.prod(shape)
+    active = np.arange(count) if active is None else active
+    est = level_sums(0, active)
+    est, err = est if type(est) is tuple else (est, None)
+    rows = est.shape[1:]
+    width = math.prod(rows)
+    value, error = np.zeros(count * width, est.dtype), np.zeros(count * width)
+    # the live integrals, flat indices element * width + row, and with rows
+    # those of a level's flattened block of the live elements
+    live = active if width == 1 else (active[:, None] * width + np.arange(width)).reshape(-1)
+    pick = slice(None)
+    if rows:
+        est, err = est.reshape(-1), err if err is None else err.reshape(-1)
+    failed = live[:0]
+    for level in range(1, levels + 1):
         if err is not None:
             done = err <= cfg.tolerance(est)
             settled = np.count_nonzero(done)
-            # every integral settled: a whole-array write and no compaction,
-            # how the one or few panels of a single point usually end
             if settled == est.size:
-                if active is None:
-                    return est, err, np.arange(0)
-                value[active], error[active] = est, err
-                return value, error, active[:0]
+                break
             if settled:
-                if active is None:
-                    active = np.arange(size)
-                value[active[done]], error[active[done]] = est[done], err[done]
+                value[live[done]], error[live[done]] = est[done], err[done]
                 keep = ~done
-                active, est, err = active[keep], est[keep], err[keep]
+                live, est, err = live[keep], est[keep], err[keep]
+                # live is sorted, so each element's rows are adjacent
+                owner = live // width
+                new = np.concatenate(([True], owner[1:] != owner[:-1]))
+                active, pick = owner[new], (np.cumsum(new) - 1) * width + live % width
+        if level == levels:
+            failed = live
+            break
         prev = est
-    if active is None:
-        active = np.arange(size)
-    value[active], error[active] = prev, err
-    return value, error, active
+        est = level_sums(level, active)
+        if rows:
+            est = est.reshape(-1)[pick]
+        err = abs(est - prev)
+    if live.size == value.size:  # every integral ran to its end with every other
+        value, error = est, err
+    else:
+        value[live], error[live] = est, err
+    value, error = value.reshape(shape + rows), error.reshape(shape + rows)
+    if failed.size:
+        failures = {}
+        for i, n in Counter((failed // width).tolist()).items():
+            best, estimate = value.reshape(-1, width)[i], error.reshape(-1, width)[i]
+            best, estimate = ((best.copy(), estimate.copy()) if rows else
+                              (best.item(), estimate.item()))
+            last = f"{n} of {width} components unconverged" if rows else repr(best)
+            failures[i] = NoConvergence(
+                f"{rule} did not reach tolerance {where(i)} (last estimate {last})",
+                best=best, estimate=estimate)
+        exc = failures[int(failed[0]) // width]
+        if shape:
+            exc = NoConvergence(str(exc), best=value, estimate=error)
+            exc.failures = failures
+        raise exc
+    if not value.ndim:
+        value, error = value.item(), error.item()
+    return (value, error) if with_estimate else value
 
 
 # the Chebyshev rule's first level, and how many of its top cosine
@@ -167,14 +209,14 @@ def _tail(h):
     alone gives.
     """
     coef = np.einsum("...i,ji->...j", h, _tail_weights(h.shape[-1]))
-    return np.max(np.abs(coef), axis=-1) * (2.0 / h.shape[-1])
+    return np.abs(coef).max(axis=-1) * (2.0 / h.shape[-1])
 
 
 def _angles(n, start):
-    """cos(t/2)^2, sin(t/2)^2, cos(t) and sin(t) at the midpoint angles
+    """2 cos(t/2)^2, 2 sin(t/2)^2, cos(t) and sin(t) at the midpoint angles
     t = (i + 1/2) pi / n of the block of nodes i from start, read-only."""
     t = (np.arange(start, min(n, start + _CHEB_BLOCK)) + 0.5) * (np.pi / n)
-    out = np.cos(0.5 * t) ** 2, np.sin(0.5 * t) ** 2, np.cos(t), np.sin(t)
+    out = 2.0 * np.cos(0.5 * t) ** 2, 2.0 * np.sin(0.5 * t) ** 2, np.cos(t), np.sin(t)
     for a in out:
         a.flags.writeable = False
     return out
@@ -200,30 +242,20 @@ def _chebyshev_sum(f, fd, mid, hw, n, *rest, tail=False):
     sums = []
     angles = _one_block_angles if n <= _CHEB_BLOCK else _angles
     for start in range(0, n, _CHEB_BLOCK):
-        half_cos2, half_sin2, cos, sin = angles(n, start)
+        cos2, sin2, cos, sin = angles(n, start)
         # endpoint distances computed in t, free of 1 - cos(t) cancellation
-        d_lo = 2.0 * hw * half_cos2
-        d_hi = 2.0 * hw * half_sin2
+        d_lo = hw * cos2
+        d_hi = hw * sin2
         x = mid + hw * cos
         vals = fd(x, d_lo, d_hi, *rest) if fd is not None else f(x, *rest)
         h = vals * (hw * sin)
-        sums.append(np.sum(h, axis=-1))
+        sums.append(np.add.reduce(h, axis=-1))
     while len(sums) > 1:
         sums = [sum(sums[i:i + 2]) for i in range(0, len(sums), 2)]
     value = sums[0] * (np.pi / n)
     if not tail:
         return value
     return value, _tail(h)
-
-
-def _interval_failure(lo, hi, best, estimate, unconverged):
-    """The Chebyshev rule's NoConvergence for [lo, hi] alone, where
-    `unconverged` rows of a vector-valued integrand did not stop."""
-    last = (repr(best) if np.ndim(best) == 0 else
-            f"{unconverged} of {np.size(best)} components unconverged")
-    return NoConvergence(
-        f"Chebyshev rule did not reach tolerance on [{lo}, {hi}] "
-        f"(last estimate {last})", best=best, estimate=estimate)
 
 
 def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
@@ -234,107 +266,57 @@ def integrate_chebyshev(f, lo, hi, cfg=None, *, fd=None, with_estimate=False):
     midpoint rule with doubling N.  The first level has 32 nodes and
     certifies itself: it stops where its four top cosine coefficients
     a_{32-j} = (2/32) sum_i (-1)^i h(t_i) sin(j t_i), j = 1 .. 4, are all
-    within the tolerance at the sum.  The sum's truncation error is the
-    aliased coefficients from a_64 on, far below these where the
-    coefficients of h decay: a tail test like the one that chops a
-    Chebyshev series (Aurentz & Trefethen, ACM TOMS 43, 2017).  From 64
-    nodes on a sum stops within the tolerance of the previous one.  So the
-    rule sums at most 16 * 2^max_level nodes.
+    within the tolerance at the sum, and that largest coefficient is its
+    error estimate.  The sum's truncation error is the aliased coefficients
+    from a_64 on, far below these where the coefficients of h decay: a tail
+    test like the one that chops a Chebyshev series (Aurentz & Trefethen,
+    ACM TOMS 43, 2017).  From 64 nodes on a sum stops within the tolerance
+    of the previous one.  So the rule sums at most 16 * 2^max_level nodes.
 
     The integrand may be vector-valued: given m nodes it returns either m
     values or a (K, m) block, and the rule then integrates all K components
-    on one shared node set.  Stopping is per component: each keeps the
-    estimate of the first level at which it met the tolerance, and doubling
-    goes on until every component has, so each component equals what a
-    scalar call on it alone returns.  Nodes are passed to the integrand in
-    blocks of at most 1024, whose sums are accumulated.
+    on one shared node set, each stopping on its own (the module's shape and
+    failure contract, with the K rows last).  Nodes are passed to the
+    integrand in blocks of at most 1024, whose sums are accumulated.
 
     lo and hi may be 1-D arrays of P intervals, all integrated at once on
     the same t nodes: the integrand then receives a (p, m) block of nodes,
     a row per interval, and as one more positional argument the indices of
-    those p intervals, and returns a (p, m) or (K, p, m) block.  Each
-    (interval, component) stops on its own, and an interval is no longer
-    evaluated once all its components have, so each equals what a call on
-    that interval alone returns; but one that never converges keeps every
-    other unconverged interval doubling to max_level beside it, where calls
-    one interval at a time could stop at the first failure.  Chunks hold
-    whole intervals and about 256 nodes (or one interval).
+    those p intervals, and returns a (p, m) or (K, p, m) block.  One
+    interval that never converges keeps every other unconverged interval
+    doubling to max_level beside it, where calls one interval at a time
+    could stop at the first failure.  Chunks hold whole intervals and about
+    256 nodes (or one interval).
 
     ``fd(x, d_lo, d_hi)``, when given, replaces f and receives d_lo = x - lo
-    and d_hi = hi - x to full precision.  with_estimate also returns each
-    estimate's error: the largest top coefficient for one that stopped at
-    32 nodes, else |last - previous|.
-
-    Returns a float for a scalar integrand and an array of K estimates (and
-    K error estimates) for a (K, m) one; for P intervals, arrays of shape
-    (P,) or (P, K).  NoConvergence carries ``best`` and ``estimate`` in the
-    same shape: a converged component's kept value and estimate, an
-    unconverged one's last.  For arrays it also carries ``failures``, each
-    unconverged interval's own error (the one a call on it alone raises) by
-    index, and the message of the first.
+    and d_hi = hi - x to full precision.
     """
     cfg = cfg or DEFAULT_CONFIG
-    lo, hi = np.broadcast_arrays(np.asarray(lo), np.asarray(hi))
-    if not (lo.size and np.all(hi > lo)):
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
+    if not (lo.size and (hi > lo).all()):
         raise ValueError("need lo < hi")
-    shape = lo.shape  # () for one interval, else (P,)
-    mid = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
+    if not lo.ndim:  # one interval: a row of one, its integrand wrapped once
+        g, gd = f, fd
+        f = lambda x, at: g(x[0])[..., None, :]  # noqa: E731
+        fd = gd and (lambda x, d_lo, d_hi, at: gd(x[0], d_lo[0], d_hi[0])[..., None, :])
+    # each interval's midpoint and half-width, as columns
+    mid = 0.5 * (lo + hi).reshape(-1, 1)
+    hw = 0.5 * (hi - lo).reshape(-1, 1)
 
-    def sums(n, chunk, tail):
-        """The sums at n nodes of the intervals in chunk, a row per interval,
-        and with tail their certificates alike."""
-        if not shape:
-            out = _chebyshev_sum(f, fd, mid, hw, n, tail=tail)
-            return tuple(v[None] for v in out) if tail else out[None]
-        out = _chebyshev_sum(f, fd, mid[chunk, None], hw[chunk, None], n, chunk, tail=tail)
-        return tuple(v.T for v in out) if tail else out.T
-
-    def level_est(level, intervals):
+    def level_sums(level, intervals):
         n = _CHEB_FIRST << level
         step = max(1, _CHEB_CHUNK // n)
-        parts = [sums(n, intervals[i:i + step], not level)
-                 for i in range(0, intervals.size, step)]
-        if not level:  # every interval, with the certificates
-            return tuple(np.concatenate(part) for part in zip(*parts))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts = [_chebyshev_sum(f, fd, mid[at], hw[at], n, at, tail=not level)
+                 for at in (intervals[i:i + step] for i in range(0, intervals.size, step))]
+        if not level:  # the sums and their certificates, a row per interval
+            return tuple(np.concatenate([v.T for v in part]) for part in zip(*parts))
+        return parts[0].T if len(parts) == 1 else np.concatenate([v.T for v in parts])
 
-    first, tail = level_est(0, np.arange(lo.size))  # shapes (P,) or (P, K)
-    rows = np.size(first) // lo.size
-
-    def level_sums(level, active):
-        if not level:
-            return first.reshape(-1), tail.reshape(-1)
-        if active is None:
-            return level_est(level, np.arange(lo.size)).reshape(-1)
-        # the intervals of the active rows: active is sorted, so each
-        # interval's rows are adjacent
-        q = active // rows
-        new = np.concatenate(([True], q[1:] != q[:-1]))
-        est = level_est(level, q[new]).reshape(-1, rows)
-        return est[np.cumsum(new) - 1, active % rows]
-
-    value, error, failed = _doubling(level_sums, first.size, cfg.max_level, cfg)
-    value, error = value.reshape(first.shape), error.reshape(first.shape)
-    if failed.size:
-        # unconverged rows per interval, in interval order
-        unconverged = Counter((failed // rows).tolist())
-        ends = lo.reshape(-1).tolist(), hi.reshape(-1).tolist()
-        failures = {}
-        for i, n in unconverged.items():
-            best, estimate = ((value[i].item(), error[i].item()) if value.ndim == 1
-                              else (value[i].copy(), error[i].copy()))
-            failures[i] = _interval_failure(ends[0][i], ends[1][i], best, estimate, n)
-        exc = failures[int(failed[0]) // rows]
-        if shape:
-            exc = NoConvergence(str(exc), best=value, estimate=error)
-            exc.failures = failures
-        raise exc
-    if not shape:
-        value, error = value[0], error[0]
-        if value.ndim == 0:
-            value, error = value.item(), error.item()
-    return (value, error) if with_estimate else value
+    return _doubling(level_sums, lo.shape, cfg.max_level, cfg, "Chebyshev rule",
+                     lambda i: f"on [{lo.flat[i].item()}, {hi.flat[i].item()}]",
+                     with_estimate=with_estimate)
 
 
 # tanh-sinh truncation: exp(-2q(TMAX)) ~ 5e-38 keeps every node representable
@@ -343,7 +325,8 @@ _TS_TMAX = 4.0
 
 @lru_cache(maxsize=32)
 def _ts_nodes(level):
-    """tanh-sinh node data at h = 0.5/2^level; levels > 0 hold only new nodes."""
+    """tanh-sinh node data at h = 0.5/2^level, read-only; levels > 0 hold
+    only new nodes."""
     h = 0.5 / 2 ** level
     half_count = int(round(_TS_TMAX / h))
     if level == 0:
@@ -354,14 +337,16 @@ def _ts_nodes(level):
     q = 0.5 * np.pi * np.sinh(t)
     delta = np.exp(-2.0 * q)  # = |x - lo| after compactification
     weight = np.pi * np.cosh(t) * delta
+    for a in delta, weight:
+        a.flags.writeable = False
     return delta, weight
 
 
-def _tail_failure(lo, best, estimate):
-    """The tail rule's NoConvergence for the ray from lo alone."""
-    return NoConvergence(
-        f"tanh-sinh tail rule did not reach tolerance at lo={lo} "
-        f"(last estimate {best!r})", best=best, estimate=estimate)
+@lru_cache(maxsize=64)
+def _ts_rows(level, count):
+    """The node distances of a level as a (count, n) view of one row."""
+    delta = _ts_nodes(level)[0]
+    return np.broadcast_to(delta, (count, delta.size))
 
 
 def integrate_tail(f, lo, direction=1, cfg=None, *, fd=None, with_estimate=False):
@@ -379,54 +364,41 @@ def integrate_tail(f, lo, direction=1, cfg=None, *, fd=None, with_estimate=False
     integrand then receives a (p, n) block of nodes (of distances for fd, a
     read-only view of the shared row), a row per tail, and as one more
     positional argument the indices of those p tails, and returns a (p, n)
-    block.  Each tail stops on its own and is no longer evaluated once it
-    has, so each equals what a call on it alone returns.
-
-    Returns a float for scalar lo and direction, else an array of their
-    broadcast shape (and error estimates alike with ``with_estimate``).
-    NoConvergence carries ``best`` and ``estimate`` in the same shape; for
-    arrays it also carries ``failures``, each unconverged tail's own error
-    (the one a call on it alone raises) by flat index, and the message of
-    the first.
+    block.
     """
     cfg = cfg or DEFAULT_CONFIG
-    lo_arr, sides = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(direction))
-    if not np.all((sides == 1) | (sides == -1)):
+    starts, sides = np.asarray(lo, dtype=float), np.asarray(direction)
+    if starts.shape != sides.shape:
+        starts, sides = np.broadcast_arrays(starts, sides)
+    if not ((sides == 1) | (sides == -1)).all():
         raise ValueError("direction must be +1 or -1")
-    shape = lo_arr.shape  # () for one tail
-    starts, sides = lo_arr.reshape(-1), sides.reshape(-1)
-    acc = np.zeros(starts.size)  # the weighted sum of every node so far, per tail
+    shape = starts.shape  # () for one tail
+    if not shape:  # one tail: a row of one, its integrand wrapped once
+        g, gd = f, fd
+        f = lambda x, at: g(x[0])[None]  # noqa: E731
+        fd = gd and (lambda d, at: gd(d[0])[None])
+    starts, sides = starts.reshape(-1), sides.reshape(-1)
+    # the tails still doubling, their starts and sides as columns, and the
+    # weighted sum of every node so far of each
+    held, origin, side = np.arange(starts.size), starts[:, None], sides[:, None]
+    acc = np.zeros(starts.size)
 
-    def level_sums(level, active):
+    def level_sums(level, tails):
+        nonlocal held, origin, side, acc
+        if tails.size < held.size:  # some tails stopped
+            keep = np.searchsorted(held, tails)
+            held, origin, side, acc = tails, origin[keep], side[keep], acc[keep]
         delta, weight = _ts_nodes(level)
-        if not shape:
-            vals = fd(delta) if fd is not None else f(lo + direction * delta)
-            acc[0] += float(np.sum(weight * vals))
-            return acc[0] * (0.5 / 2 ** level)
-        idx = np.arange(starts.size) if active is None else active
         if fd is not None:
-            vals = fd(np.broadcast_to(delta, (idx.size, delta.size)), idx)
+            vals = fd(_ts_rows(level, tails.size), tails)
         else:
-            vals = f(starts[idx, None] + sides[idx, None] * delta, idx)
-        acc[idx] += np.sum(weight * vals, axis=-1)
-        return acc[idx] * (0.5 / 2 ** level)
+            vals = f(origin + side * delta, tails)
+        acc = acc + np.add.reduce(weight * vals, axis=-1)
+        return acc * (0.5 / 2 ** level)
 
-    value, error, failed = _doubling(level_sums, starts.size, cfg.max_level + 1, cfg)
-    if failed.size:
-        ends = starts.tolist() if shape else [lo]
-        failures = {i: _tail_failure(ends[i], value[i].item(), error[i].item())
-                    for i in failed.tolist()}
-        exc = failures[int(failed[0])]
-        if shape:
-            exc = NoConvergence(str(exc), best=value.reshape(shape),
-                                estimate=error.reshape(shape))
-            exc.failures = failures
-        raise exc
-    if shape:
-        value, error = value.reshape(shape), error.reshape(shape)
-    else:
-        value, error = value.item(), error.item()
-    return (value, error) if with_estimate else value
+    return _doubling(level_sums, shape, cfg.max_level + 1, cfg, "tanh-sinh tail rule",
+                     lambda i: f"at lo={starts[i].item() if shape else lo}",
+                     with_estimate=with_estimate)
 
 
 def _newton_legendre(n, x):
@@ -548,13 +520,6 @@ def _leggauss(n):
     return (0.5 * (u + 1.0)).astype(complex), w.astype(complex)
 
 
-def _panel_failure(z0, z1, best, estimate):
-    """The segment rule's NoConvergence for the panel z0 -> z1 alone."""
-    return NoConvergence(
-        f"segment rule did not reach tolerance on [{complex(z0)}, {complex(z1)}] "
-        f"(last estimate {complex(best)!r})", best=complex(best), estimate=float(estimate))
-
-
 def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
                               fd=None, with_estimate=False):
     """Integrate f along the straight segments from z0 to z1.
@@ -562,26 +527,17 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
     f must be analytic on each open segment; with singular_at_start it may
     have an inverse-square-root singularity at z0, removed by the
     substitution zeta = z0 + (z1 - z0) s^2.  Gauss-Legendre with doubling
-    order.
+    order; a panel stops at the first order within the tolerance of the
+    previous one.
 
     z0 and z1 may be arrays (broadcast against each other) of P panels, all
     integrated at once: at each order one integrand call per node chunk
     receives the offsets of every panel still doubling, as a (panels, n)
-    block.  Stopping is per panel: each keeps the estimate of the level at
-    which |est - prev| met the tolerance, so each equals what a call on it
-    alone returns.  A zero-length panel gives 0j.  Node chunks hold whole
-    panels and at most 2048 nodes (or one panel).
+    block.  A zero-length panel gives 0j.  Node chunks hold whole panels and
+    at most 2048 nodes (or one panel).
 
     ``fd(offset, start)``, when given, receives the exact complex offsets
     zeta - z0 and, as a column, the start z0 of each panel in the block.
-
-    Returns a complex for scalar z0 and z1, else an array of their broadcast
-    shape (and error estimates alike with ``with_estimate``).  NoConvergence
-    carries ``best`` and ``estimate`` in the same shape: a converged panel's
-    kept value and estimate, an unconverged one's last; its message names
-    the first unconverged panel and its last estimate.  For arrays it also
-    carries ``failures``, each unconverged panel's own error (the one a call
-    on it alone raises) by flat index.
     """
     cfg = cfg or DEFAULT_CONFIG
     z0, z1 = np.asarray(z0, dtype=complex), np.asarray(z1, dtype=complex)
@@ -616,18 +572,7 @@ def integrate_segment_complex(f, z0, z1, singular_at_start=False, cfg=None, *,
     # the order stops at 2048 whatever max_level: that bounds the work of a
     # panel that cannot converge (a singularity just beside it) to 4080
     # nodes, and the tests' failing points are chosen against that order
-    value, error, failed = _doubling(level_sums, span.size, min(cfg.max_level, 7) + 1,
-                                     cfg, flat.nonzero()[0], complex)
-    value, error = value.reshape(shape), error.reshape(shape)
-    if failed.size:
-        ends = np.broadcast_to(z1, shape).reshape(-1)
-        failures = {i: _panel_failure(starts[i], ends[i], value.flat[i], error.flat[i])
-                    for i in failed.tolist()}
-        exc = failures[int(failed[0])]
-        if shape:
-            exc = NoConvergence(str(exc), best=value, estimate=error)
-            exc.failures = failures
-        raise exc
-    if not shape:
-        value, error = complex(value), float(error)
-    return (value, error) if with_estimate else value
+    return _doubling(level_sums, shape, min(cfg.max_level, 7) + 1, cfg, "segment rule",
+                     lambda i: f"on [{complex(starts[i])}, "
+                               f"{complex(np.broadcast_to(z1, shape).flat[i])}]",
+                     flat.nonzero()[0], with_estimate)

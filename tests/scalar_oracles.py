@@ -163,9 +163,11 @@ def nested_center_solve(E, m, cap, data, a0):
     trial: w = crit_points(a) from the first-order motion of the last
     evaluation's w (from the bracket midpoints at the first), on the same
     rows, damped-Newton settings and stops.  Returns (a, w, steps, residual
-    norm), on a stall the largest row of lemniscatic.row_rounding; raises
-    NoConvergence on a stall whose largest row is above its rounding."""
-    s = E.frame[1]
+    norm), on a stall the largest row of lemniscatic.row_rounding, after
+    the polishing full step where that lowers the rows' largest excess
+    over their rounding; raises NoConvergence on a stall whose largest row
+    is above its rounding."""
+    frame = E.frame
     p = E.unit
     m = np.asarray(m, dtype=float)
     targets = np.append(np.asarray(data.green_at_roots) + math.log(cap / p), data.alpha)
@@ -178,7 +180,7 @@ def nested_center_solve(E, m, cap, data, a0):
             q = m / (w_last[:, None] - a_last) ** 2
             start = w_last + (q @ (a - a_last)) / q.sum(1)
         last.append((a, lemniscatic.crit_points(a, m, start=start)))
-        return lemniscatic._center_newton(a, last[0][1], m, targets, s, p)
+        return lemniscatic._center_newton(a, last[0][1], m, targets, frame, p)
 
     stall = None
     try:
@@ -193,7 +195,8 @@ def nested_center_solve(E, m, cap, data, a0):
     w_last = last[0][1]
     w = lemniscatic.crit_points(a, m, start=w_last)
     if stall is None and not np.array_equal(w, w_last):
-        resid = float(np.max(np.abs(lemniscatic._center_newton(a, w, m, targets, s, p)[0])))
+        resid = float(np.max(np.abs(
+            lemniscatic._center_newton(a, w, m, targets, frame, p)[0])))
     if stall is not None:
         rows, rounding = lemniscatic.row_rounding(E, data, a, w, m)
         k = np.argmax(np.abs(rows[:-1]))
@@ -201,6 +204,13 @@ def nested_center_solve(E, m, cap, data, a0):
         if not resid <= rounding[k]:
             raise NoConvergence(f"center Newton stalled: {stall}", best=stall.best,
                                 estimate=stall.estimate) from stall
+        a_new = a + lemniscatic._center_newton(a, w, m, targets, frame, p)[1]
+        if np.all(np.diff(a_new) > 0):
+            w_new = lemniscatic.crit_points(a_new, m, start=w)
+            rows_new, rounding_new = lemniscatic.row_rounding(E, data, a_new, w_new, m)
+            if np.max(np.abs(rows_new) - rounding_new) < np.max(np.abs(rows) - rounding):
+                a, w, steps = a_new, w_new, steps + 1
+                resid = float(np.max(np.abs(rows_new[:-1])))
     return a, w, steps, resid
 
 

@@ -256,6 +256,10 @@ def test_interval_array_matches_scalar_calls(k):
         v, e = integrate_chebyshev(f, LO[i], HI[i], LOOSE, with_estimate=True)
         assert np.array_equal(vec[i], v) and np.array_equal(err[i], e)
         assert isinstance(v, float) if not k else v.shape == (k,)
+        # a one-element array runs the path a scalar call runs
+        one, one_err = integrate_chebyshev(f, LO[i:i + 1], HI[i:i + 1], LOOSE,
+                                           with_estimate=True)
+        assert np.array_equal(one[0], v) and np.array_equal(one_err[0], e)
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -283,7 +287,14 @@ def test_interval_array_no_convergence_carries_failures(k):
             assert np.array_equal(got.best, own.best)
             assert np.array_equal(got.estimate, own.estimate)
             assert type(got.best) is type(own.best)
+            assert type(own.best) is type(own.estimate) is (np.ndarray if k else float)
             assert np.array_equal(exc.best[i], own.best)
+            # the same interval as a one-element array fails alike
+            with pytest.raises(NoConvergence) as one:
+                integrate_chebyshev(None, LO[i:i + 1], HI[i:i + 1], cfg, fd=fd)
+            assert str(one.value) == str(own)
+            assert np.array_equal(one.value.best[0], own.best)
+            assert np.array_equal(one.value.estimate[0], own.estimate)
         else:
             assert i not in exc.failures and np.array_equal(exc.best[i], v)
 
@@ -367,6 +378,11 @@ def test_tail_array_matches_scalar_calls():
                               with_estimate=True)
         assert isinstance(v, float) and isinstance(e, float)
         assert vec[i] == v and err[i] == e
+        # a one-element array runs the path a scalar call runs
+        one, one_err = integrate_tail(None, TAIL_LO[i:i + 1], TAIL_SIDE[i:i + 1], LOOSE,
+                                      fd=lambda d, idx, i=i: tail_rows([])(d, idx + i),
+                                      with_estimate=True)
+        assert one[0] == v and one_err[0] == e
 
 
 def test_tail_array_of_plain_integrands():
@@ -404,8 +420,13 @@ def test_tail_array_no_convergence_carries_failures():
             got = exc.failures[i]
             assert str(got) == str(own)
             assert got.best == own.best and got.estimate == own.estimate
-            assert type(got.best) is type(own.best) is float
+            assert type(got.best) is type(own.best) is type(own.estimate) is float
             assert exc.best[i] == own.best
+            # the same tail as a one-element array fails alike
+            with pytest.raises(NoConvergence) as one:
+                integrate_tail(lambda x, idx: plain(x), lo[i:i + 1], 1, cfg)
+            assert str(one.value) == str(own)
+            assert one.value.best[0] == own.best and one.value.estimate[0] == own.estimate
         else:
             assert i not in exc.failures and exc.best[i] == v
 
@@ -558,6 +579,10 @@ def test_segment_batch_matches_scalar_calls(singular):
         assert isinstance(one, complex) and isinstance(one_err, float)
         np.testing.assert_array_max_ulp([v.real, v.imag, e],
                                         [one.real, one.imag, one_err], maxulp=2)
+        # a one-element array runs the path a scalar call runs
+        arr, arr_err = integrate_segment_complex(f, np.array([z0]), np.array([z1]), singular,
+                                                 with_estimate=True, **kwargs)
+        assert arr[0] == one and arr_err[0] == one_err
 
 
 def test_segment_batch_keeps_early_panel_value():
@@ -616,3 +641,10 @@ def test_segment_no_convergence_carries_arrays():
         panel = err.value.failures[i]
         assert (str(panel), panel.best, panel.estimate) == (
             str(own.value), own.value.best, own.value.estimate)
+        assert type(own.value.best) is complex and type(own.value.estimate) is float
+        # the same panel as a one-element array fails alike
+        with pytest.raises(NoConvergence) as one:
+            integrate_segment_complex(rough, z0.flat[i:i + 1], z1.flat[i:i + 1])
+        assert str(one.value) == str(own.value)
+        assert (one.value.best[0], one.value.estimate[0]) == (
+            own.value.best, own.value.estimate)

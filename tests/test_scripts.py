@@ -172,6 +172,20 @@ def test_ab_solve_points_of_a_against_a():
     assert proc.stdout.splitlines() == ["36 points: 36 records, 0 errors; 0 differ"]
 
 
+def test_ab_solve_quad_of_a_against_a():
+    # --quad times each one-integral call on the three-interval set
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("ab_solve.py", src, src, "--quad", "--rounds", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head.startswith("1 interleaved rounds of 50 calls each")
+    assert [row.split()[0] for row in rows] == ["chebyshev", "tail", "segment", "green_real",
+                                                "green_complex", "gmean"]
+    for row in rows:
+        old, new, ratio = (float(v) for v in row.split()[1:])
+        assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 1e-3
+
+
 def test_export_figure_data_writes_every_csv(tmp_path):
     proc = run_script("export_figure_data.py", "--n", "5", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
