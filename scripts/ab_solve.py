@@ -54,9 +54,10 @@ each with both trees one right after the other, the old first in even
 rounds.  It prints each class's median microseconds a call (gap,
 endpoint, near_axis, far, plain; a point inside E, which the workload does
 not count, is left out) and the geometric mean of the class medians, as the
-other modes do; then, outside the geometric mean, the line ``newton``: the
-median microseconds of the points whose old-tree record took the complex
-Newton (branch "complex", iterations > 0), of each side, and their ratio.
+other modes do; then, outside the geometric mean, the lines ``newton`` and
+``real_gap``: the median microseconds of the points whose old-tree record
+took the complex Newton (branch "complex", iterations > 0) or the real-gap
+Newton (branch "real_gap", iterations > 0), of each side, and their ratio.
 With --points --outputs it reports every point whose
 records differ in a field or in a field's type, and every error that
 differs in type or message:
@@ -400,9 +401,16 @@ def compare_point_outputs(sides, edges, rounds):
         print(line)
 
 
-def _took_newton(res):
-    """Whether a map_point outcome is a record of the complex Newton."""
-    return not isinstance(res, Exception) and res.branch == "complex" and res.iterations > 0
+# the lines of --points outside the geometric mean, by the branch of the
+# Newton they time
+NEWTON_LINES = {"complex": "newton", "real_gap": "real_gap"}
+
+
+def _newton_line(res):
+    """The line of a map_point outcome that took a Newton, else None."""
+    if isinstance(res, Exception) or res.iterations == 0:
+        return None
+    return NEWTON_LINES[res.branch]
 
 
 def points_main(args, sides):
@@ -417,7 +425,8 @@ def points_main(args, sides):
         compare_point_outputs(sides, edges, rounds)
         return
     times = tuple({kind: [] for kind in inputs.EDGE_KINDS} for _ in range(2))
-    newton = ([], [])  # the times of the old tree's complex-Newton points
+    # the times of the old tree's Newton points, per line
+    newton = {line: ([], []) for line in NEWTON_LINES.values()}
     for round_, calls in enumerate(rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)
         gc.collect()
@@ -431,17 +440,18 @@ def points_main(args, sides):
             for side, package in enumerate(sides):
                 if not isinstance(results[side], package.errors.InsideE):
                     times[side][kind].append(seconds[side])
-                if _took_newton(results[0]):
-                    newton[side].append(seconds[side])
+                if line := _newton_line(results[0]):
+                    newton[line][side].append(seconds[side])
     old, new = ({kind: statistics.median(v) for kind, v in t.items() if v} for t in times)
     print(f"{args.rounds} interleaved edge_points units (seed {args.seed}): "
           f"median us, old / new / ratio")
     report(old, new, scale=1e6)
-    if newton[0]:
-        old, new = (1e6 * statistics.median(v) for v in newton)
-        print(f"  {'newton':13s} {old:10.4f} {new:10.4f} {new / old:7.4f}")
-    else:
-        print(f"  {'newton':13s} no point took the complex Newton")
+    for branch, line in NEWTON_LINES.items():
+        if newton[line][0]:
+            old, new = (1e6 * statistics.median(v) for v in newton[line])
+            print(f"  {line:13s} {old:10.4f} {new:10.4f} {new / old:7.4f}")
+        else:
+            print(f"  {line:13s} no point took the {branch} Newton")
 
 
 # calls of each kind a round of --quad makes with each tree

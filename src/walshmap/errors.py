@@ -37,8 +37,8 @@ class DegenerateError(InputError):
 class NoConvergence(SolverError):
     """An iteration ended short of its tolerance: a quadrature rule's node
     doubling, or damped Newton (newton.damped_newton, or its masked twin for
-    the points of a map_grid batch) when no halving of a step is taken or the
-    steps run out.  The map raises it for a point whose equation stalls, and
+    the map's points) when no halving of a step is taken or the steps run
+    out.  The map raises it for a point whose equation stalls, and
     solve_domain and centers_general for a stalled center Newton.
     best is the last estimate or iterate, estimate its error or residual;
     steps, the Newton steps taken to best, is set by the Newton kernels;

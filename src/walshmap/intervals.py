@@ -9,7 +9,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateError, NotFinite, OverlapError
+from .errors import DegenerateError, InputError, NotFinite, OverlapError
 
 __all__ = ["Gap", "IntervalUnion", "Location", "locate", "parse_domain"]
 
@@ -113,9 +113,17 @@ def parse_domain(spec) -> IntervalUnion:
     """Build an IntervalUnion from a sequence of [lo, hi] pairs.
 
     Pairs are sorted by lower endpoint; touching or overlapping intervals are
-    rejected rather than merged (merging would silently change ell).
+    rejected rather than merged (merging would silently change ell).  An
+    entry that is not a pair of numbers raises InputError naming its index
+    and repr.
     """
-    pairs = [(float(lo), float(hi)) for lo, hi in spec]
+    pairs = []
+    for i, entry in enumerate(spec):
+        try:
+            lo, hi = entry
+            pairs.append((float(lo), float(hi)))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"interval {i}, {entry!r}, is not a pair of numbers") from None
     if not pairs:
         raise DegenerateError("empty interval list")
     pairs.sort()

@@ -76,23 +76,19 @@ class LemniscaticDomain:
         return len(self.centers)
 
 
-def _green_scalar(w, a, m, cap) -> float:
-    total = -math.log(cap)
-    for aj, mj in zip(a, m):
-        d = abs(w - aj)
-        if d == 0.0:
-            raise PoleAtCenter(f"Green's function evaluated at center {aj}")
-        total += mj * math.log(d)
-    return total
-
-
 def _green_values(w, a, m, cap):
-    """g at every point of the real or complex array w, for centers a and
-    masses m as arrays."""
-    d = np.abs(w[..., None] - a)
-    if np.any(d == 0.0):
-        raise PoleAtCenter("Green's function evaluated at a center")
-    return np.log(d) @ m - math.log(cap)
+    """g at every point of the real or complex array w, for the centers a and
+    masses m: -log(cap), then running sums of m_j log|w - a_j| down the
+    centers, in their order.  Raises PoleAtCenter naming the first center
+    that a point hits."""
+    a, m = np.asarray(a), np.asarray(m)
+    d = np.abs(np.asarray(w)[..., None] - a)
+    hit = np.flatnonzero(d == 0.0)
+    if hit.size:
+        raise PoleAtCenter(f"Green's function evaluated at center {a[hit[0] % a.size]}")
+    terms = m * np.log(d)
+    terms[..., 0] -= math.log(cap)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def _outer_reach(cap, t):
@@ -112,12 +108,11 @@ def _deriv_values(w, a, m):
 
 
 def green(w, dom: LemniscaticDomain):
-    """g(w) = sum m_j log|w - a_j| - log(capacity); harmonic off the centers."""
-    arr = np.asarray(w, dtype=complex)
-    if arr.ndim == 0:
-        return _green_scalar(complex(w), dom.centers, dom.exponents.m, dom.capacity)
-    return _green_values(arr, np.asarray(dom.centers), np.asarray(dom.exponents.m),
-                         dom.capacity)
+    """g(w) = sum m_j log|w - a_j| - log(capacity); harmonic off the centers.
+    A float for a scalar w, else an array of w's shape, each value the one
+    the scalar gives (_green_values)."""
+    g = _green_values(np.asarray(w, dtype=complex), dom.centers, dom.exponents.m, dom.capacity)
+    return float(g) if g.ndim == 0 else g
 
 
 def green_deriv(w, dom: LemniscaticDomain):
@@ -600,7 +595,7 @@ def solve_domain(E: IntervalUnion, data: GreenData, m: ExponentVector) -> Lemnis
     elif ell == 2:
         a = np.array(centers_two(E, m.m, cap, data))
         w = np.array([m[1] * a[0] + m[0] * a[1]])
-        resid = abs(_green_scalar(float(w[0]), a, m.m, cap) - data.green_at_roots[0])
+        resid = abs(float(_green_values(w[0], a, m.m, cap)) - data.green_at_roots[0])
         iterations = 0
     else:
         b = np.asarray(E.endpoints)

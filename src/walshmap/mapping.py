@@ -34,7 +34,8 @@ outside the ellipse (on a domain whose series is not certified) the
 Chebyshev series of G; inside it the integral from the endpoint nearest
 Re z plus the exact branch offset to b_{2l}, so no path runs along the set.
 Inside a real gap the real equation g(w) = g_E(z) on the uniqueness
-interval of the gap, solved by damped Newton kept inside that interval.
+interval of the gap, kept inside that interval.  Both run one masked
+damped Newton on one equation (_batch_equation), real at real points.
 Both start from the real-axis correspondence of the gap (and, for off-axis
 points near E, of the component) under Re z; see _complex_start.  Endpoints
 map to the boundary abscissae directly.
@@ -42,15 +43,14 @@ map to the boundary abscissae directly.
 map_point locates a real point by one bisection of the endpoints, which
 names its endpoint, the component it lies in or its gap; an endpoint's
 record is built on its first call and kept per domain, as the series are.
-It solves a real gap point with the scalar damped_newton, sums a series by
-a scalar Horner, and builds its record by tuple.__new__ with the
-constructor's fields.  map_grid tests each slice of its points in one array
-pass (finite, off the axis, outside the ellipse), sums the outer series of
-all its outer points at once with no Python per point but its two result
-tuples, built by tuple.__new__ rather than their constructors (a one-point
-numpy batch costs several times more); a slice of outer points alone is
-done then.  A mixed slice is sorted into these regions and takes a
-component's series by map_point's Horner.  Both solve the complex equation
+It sums a series by a scalar Horner and builds its record by tuple.__new__
+with the constructor's fields.  map_grid tests each slice of its points in
+one array pass (finite, off the axis, outside the ellipse), sums the outer
+series of all its outer points at once with no Python per point but its
+two result tuples, built by tuple.__new__ rather than their constructors
+(a one-point numpy batch costs several times more); a slice of outer
+points alone is done then.  A mixed slice is sorted into these regions
+and takes a component's series by map_point's Horner.  Both solve the complex equation
 by one masked Newton (_complex_images), on a slice's Newton points at once
 or on map_point's one point, so a Newton point's record is the same in
 any batch.  Both return immutable named tuples, MapResult and GridPoint.
@@ -70,8 +70,8 @@ from .green import (_CHEBYSHEV_TERMS, _ELLIPSE, GreenData, _far_series, _green_i
                     _green_real, _outside_ellipse, _require_finite, _series_green,
                     green_complex)
 from .intervals import IntervalUnion
-from .lemniscatic import LemniscaticDomain, _green_scalar, _outer_reach
-from .newton import damped_newton, damped_newton_masked
+from .lemniscatic import LemniscaticDomain, _outer_reach, green as green_level
+from .newton import damped_newton_masked
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
@@ -129,28 +129,6 @@ def _distance_to_E(E: IntervalUnion, z: complex) -> float:
     left = math.hypot(x - b[i - 1], y) if i else math.inf
     right = math.hypot(b[i] - x, y) if i < len(b) else math.inf
     return min(left, right)
-
-
-def _equation(dom: LemniscaticDomain, target, log):
-    """damped_newton's fun for sum m_j log(w - a_j) - log(cap) = target,
-    with log = cmath.log for the complex equation and log|.| for the real
-    one.  A vanishing derivative gives a NaN step, which no trial accepts."""
-    a, m = dom.centers, dom.exponents.m
-    shift = math.log(dom.capacity) + target
-
-    def fun(w):
-        F, deriv = -shift, 0.0
-        for aj, mj in zip(a, m):
-            d = w - aj
-            F += mj * log(d)
-            deriv += mj / d
-        return F, (-F / deriv if deriv else math.nan)
-
-    return fun
-
-
-def _real_log(d):
-    return math.log(abs(d))
 
 
 def _gap_image(x, k, E, dom, data):
@@ -211,13 +189,13 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
     holds it in its annulus and is certified (_component_series).  Either
     is a Horner on the fewest of its kept terms whose tail meets 6.2e-16 s,
     reported with the certificate as residual and 0 iterations (see
-    MapResult).  The Newton takes every other point: real gap points are
-    solved on the uniqueness bracket of their gap from the gap image of z
-    (see _gap_image), everything else through the complex equation by
-    map_grid's masked Newton on z alone (_complex_images), so its record is
-    map_grid's exactly; its right side is green_complex's Chebyshev series
-    outside the ellipse, or inside it the integral from the endpoint
-    nearest Re z plus the branch offset.
+    MapResult).  The Newton takes every other point, by map_grid's masked
+    Newton on z alone: real gap points through the real equation on the
+    uniqueness bracket of their gap from the gap image of z (see
+    _gap_image), everything else through the complex equation
+    (_complex_images), so its record is map_grid's exactly; its right side
+    is green_complex's Chebyshev series outside the ellipse, or inside it
+    the integral from the endpoint nearest Re z plus the branch offset.
     Off-axis points closer to E than 1e-9 of its hull width b_{2l} - b_1
     are evaluated but flagged near_boundary.  Every record is built by
     tuple.__new__ from the values and types its constructor would take.
@@ -248,8 +226,7 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
         if 0 < k < E.ell and x == data.roots[k - 1]:
             # a critical point z_k keeps its image w_k
             wk = dom.crit_w[k - 1]
-            res = abs(_green_scalar(wk, dom.centers, dom.exponents.m, dom.capacity)
-                      - data.green_at_roots[k - 1])
+            res = abs(green_level(wk, dom) - data.green_at_roots[k - 1])
             return _new(MapResult, (complex(wk), res, 0, "real_gap", k, False))
         # a point on or outside the ellipse lies beyond the hull: k is 0 or ell
         outside = _outside_ellipse(x, b, data._targets.reach)
@@ -274,13 +251,16 @@ def map_point(z: complex, E: IntervalUnion, dom: LemniscaticDomain,
             else:
                 lo, hi = wk, dom.boundary_c[2 * k]
         w0 = _gap_image(x, k, E, dom, data)
-        w, F, it = damped_newton(
-            _equation(dom, target, _real_log), w0 if lo < w0 < hi else 0.5 * (lo + hi),
+        w, F, it, failures = damped_newton_masked(
+            _batch_equation(dom, np.array([target])), [w0 if lo < w0 < hi else 0.5 * (lo + hi)],
             # bound by default values: cells for lo and hi would cost every
             # call of map_point, the endpoint branch included
-            admissible=lambda w, lo=lo, hi=hi: lo < w < hi, tol=_TOL,
+            admissible=lambda w, idx, lo=lo, hi=hi: (lo < w) & (w < hi), tol=_TOL,
             max_steps=200, max_halvings=40)
-        return _new(MapResult, (complex(w), abs(F), it, "real_gap", k, False))
+        if failures:
+            raise failures[0]
+        return _new(MapResult, (complex(w.item()), abs(F.item()), it.item(), "real_gap", k,
+                                False))
 
     if _outside_ellipse(z, E.endpoints, data._targets.reach):
         if series := _certified(dom, data):
@@ -315,7 +295,7 @@ def _endpoint(dom: LemniscaticDomain, data: GreenData, j: int) -> MapResult:
     ends = _point_cache(dom, data)[2]
     if ends[j] is None:
         c = dom.boundary_c[j]
-        res = abs(_green_scalar(c, dom.centers, dom.exponents.m, dom.capacity))
+        res = abs(green_level(c, dom))
         ends[j] = _new(MapResult, (complex(c), res, 0, "boundary", j + 1, False))
     return ends[j]
 
@@ -329,9 +309,11 @@ def _complex_result(z, w, residual, iterations, E, near):
 
 
 def _batch_equation(dom, targets):
-    """damped_newton_masked's fun for the complex map equations of the array
-    targets: fun(w, idx) gives (F, delta) for the elements idx at w, each
-    element's the same in a batch of any size."""
+    """damped_newton_masked's fun for the map equations of the array
+    targets, complex with principal logarithms at complex points and real,
+    sum m_j log|w - a_j| - log(cap) = target, at real ones: fun(w, idx)
+    gives (F, delta) for the elements idx at w, each element's the same in a
+    batch of any size."""
     a = np.array(dom.centers)[:, None]
     m = np.array(dom.exponents.m)[:, None]
     shift = math.log(dom.capacity) + targets
@@ -342,7 +324,10 @@ def _batch_equation(dom, targets):
         # row by row.  Log from its real and imaginary parts, six times
         # faster than numpy's complex log
         d = w - a
-        terms = m * (np.log(np.abs(d)) + 1j * np.arctan2(d.imag, d.real))
+        logs = np.log(np.abs(d))
+        if d.dtype.kind == "c":
+            logs = logs + 1j * np.arctan2(d.imag, d.real)
+        terms = m * logs
         terms[0] -= shift[idx]
         F = np.add.accumulate(terms)[-1]
         deriv = np.add.accumulate(m / d)[-1]

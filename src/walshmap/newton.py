@@ -1,11 +1,10 @@
 """Newton kernels shared by every nonlinear solve of the package.
 
-Both center systems and the real-gap map equation run through
-damped_newton; each caller supplies its residual, full Newton step,
-acceptance test and stopping rule.  Every complex map equation, of
-map_point's one point, of a map_grid batch or of a component series'
-samples, runs through its masked twin, damped_newton_masked, which runs
-the same rule on every element at once.
+Both center systems run through damped_newton; each caller supplies its
+residual, full Newton step, acceptance test and stopping rule.  Every map
+equation, complex or real, of map_point's one point, of a map_grid batch
+or of a component series' samples, runs through its masked twin,
+damped_newton_masked, which runs the same rule on every element at once.
 Real zeros in known brackets (the numerator roots of each linear pass on
 the gap conditions, the critical points of g_L at the centers the centers'
 Newton returns, and the rays of L's boundary in log r, whose rays at angles
@@ -54,9 +53,7 @@ def damped_newton(fun, x, *, admissible=None, tol=0.0, step_tol=None,
     max_steps steps do not stop.
     """
     F, delta = fun(x)
-    # plain abs for Python scalars: the map calls this several times a point
-    norm = abs if isinstance(F, (float, complex)) else _max_abs
-    res = norm(F)
+    res = _max_abs(F)
     steps = 0
     while not (res <= tol or (step_tol is not None
                               and np.all(np.abs(delta) <= step_tol(x)))):
@@ -67,7 +64,7 @@ def damped_newton(fun, x, *, admissible=None, tol=0.0, step_tol=None,
             trial = x + t * delta
             if admissible is None or admissible(trial):
                 F_t, delta_t = fun(trial)
-                res_t = norm(F_t)
+                res_t = _max_abs(F_t)
                 if res_t < res:
                     break
             t *= 0.5

@@ -28,7 +28,11 @@ trace_full_circle that ray solver on every ray of the circle, as
 trace_boundary ran it before it solved the rays from 0 to pi alone and
 mirrored them.
 distance_to_E is the loop over every component that mapping._distance_to_E
-replaced with a bisection on the endpoints.  gauss_legendre_reference is
+replaced with a bisection on the endpoints.  map_equation is the map
+equation summed by a Python loop over the centers, for the scalar
+damped_newton, and real_gap_image the real-gap branch of map_point on it,
+both as the map ran them before every map equation took the masked Newton
+on mapping._batch_equation.  gauss_legendre_reference is
 quadrature._gauss_legendre from Tricomi's start with three allocating
 Newton passes at every order, as it was before orders from 128 on started
 from the zeros of J_0 and took one pass.
@@ -38,9 +42,9 @@ import math
 
 import numpy as np
 
-from walshmap import lemniscatic
+from walshmap import lemniscatic, mapping
 from walshmap.errors import BracketFailure, NoConvergence, PoleAtCenter, RootNotBracketed
-from walshmap.green import _plain_deriv
+from walshmap.green import _plain_deriv, green_real
 from walshmap.lemniscatic import (BoundaryTrace, _deriv_values, _green_values, _outer_reach,
                                   _solve_rays)
 from walshmap.newton import _bisect, damped_newton
@@ -321,6 +325,50 @@ def distance_to_E(E, z):
         dx = max(lo - z.real, z.real - hi, 0.0)
         best = min(best, math.hypot(dx, z.imag))
     return best
+
+
+def map_equation(dom, target, log):
+    """damped_newton's fun for sum m_j log(w - a_j) - log(cap) = target,
+    with log = cmath.log for the complex equation and real_log for the real
+    one.  A vanishing derivative gives a NaN step, which no trial accepts."""
+    a, m = dom.centers, dom.exponents.m
+    shift = math.log(dom.capacity) + target
+
+    def fun(w):
+        F, deriv = -shift, 0.0
+        for aj, mj in zip(a, m):
+            d = w - aj
+            F += mj * log(d)
+            deriv += mj / d
+        return F, (-F / deriv if deriv else math.nan)
+
+    return fun
+
+
+def real_log(d):
+    return math.log(abs(d))
+
+
+def real_gap_image(x, k, E, dom, data):
+    """(w, residual, steps) of the real point x of gap k by the scalar
+    damped_newton on map_equation, on map_point's bracket of the gap, from
+    its start, with its stop and limits."""
+    target = green_real(x, E, data)
+    if k == 0:
+        lo = dom.centers[0] - _outer_reach(dom.capacity, max(target, 0.0))
+        hi = dom.boundary_c[0]
+    elif k == E.ell:
+        lo = dom.boundary_c[-1]
+        hi = dom.centers[-1] + _outer_reach(dom.capacity, max(target, 0.0))
+    elif x < data.roots[k - 1]:
+        lo, hi = dom.boundary_c[2 * k - 1], dom.crit_w[k - 1]
+    else:
+        lo, hi = dom.crit_w[k - 1], dom.boundary_c[2 * k]
+    w0 = mapping._gap_image(x, k, E, dom, data)
+    w, F, steps = damped_newton(
+        map_equation(dom, target, real_log), w0 if lo < w0 < hi else 0.5 * (lo + hi),
+        admissible=lambda w: lo < w < hi, tol=mapping._TOL, max_steps=200, max_halvings=40)
+    return w, abs(F), steps
 
 
 def critical_points(E, coeffs):

@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from walshmap.api import solve
-from walshmap.errors import DegenerateError, NotFinite, OverlapError
+from walshmap.errors import DegenerateError, InputError, NotFinite, OverlapError
 from walshmap.intervals import IntervalUnion, locate, parse_domain
 
 
@@ -43,6 +44,20 @@ def test_degenerate_interval_rejected():
 def test_empty_input_rejected():
     with pytest.raises(DegenerateError):
         parse_domain([])
+
+
+@pytest.mark.parametrize("spec, entry", [([[0, 1, 2]], "0, [0, 1, 2],"),
+                                         ([1, 2], "0, 1,"),
+                                         ([[-2, -1], [0, None]], "1, [0, None],")],
+                         ids=["three_values", "bare_numbers", "none_endpoint"])
+def test_malformed_entry_is_an_input_error(spec, entry):
+    # an entry that is not a pair of numbers is an InputError (exit code 2)
+    # that names its index and repr, in parse_domain and in solve
+    for call in (parse_domain, solve):
+        text = f"^interval {re.escape(entry)} is not a pair of numbers$"
+        with pytest.raises(InputError, match=text) as info:
+            call(spec)
+        assert info.value.exit_code == 2
 
 
 def test_nonfinite_rejected():

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,12 +26,22 @@ def disk_domain():
                              outer_iterations=0, inner_residual=0.0)
 
 
-def test_green_disk():
+def test_green_disk(two_interval):
     dom = disk_domain()
     assert abs(green(1.0, dom) - math.log(2.0)) < 1e-15
     assert abs(green(0.5, dom)) < 1e-15
-    with pytest.raises(PoleAtCenter):
+    with pytest.raises(PoleAtCenter, match=r"evaluated at center 0\.0$"):
         green(0.0, dom)
+    with pytest.raises(PoleAtCenter, match=r"evaluated at center 0\.0$"):
+        green(np.array([1.0, 0.0]), dom)
+    # a scalar and an array name the first center that a point hits
+    dom = two_interval.lemniscatic
+    for aj, other in zip(dom.centers, dom.centers[::-1]):
+        text = f"evaluated at center {re.escape(repr(aj))}$"
+        with pytest.raises(PoleAtCenter, match=text):
+            green(aj, dom)
+        with pytest.raises(PoleAtCenter, match=text):
+            green(np.array([[0.5j, aj], [other, 2.0]]), dom)
 
 
 def test_green_vanishes_at_boundary_abscissae(two_interval, three_interval, cantor2):

@@ -148,17 +148,19 @@ def test_ab_solve_grid_of_a_against_a():
 def test_ab_solve_points_of_a_against_a():
     # --points times map_point per edge_points class on the first three
     # edge domains, then, outside the gmean, the points that took the
-    # complex Newton (some near-axis points of these domains do), and with
-    # --outputs finds every record of the same tree the same
+    # complex Newton and those that took the real-gap Newton (in two units
+    # of seed 2, some near-axis points and some gap points of these domains
+    # do), and with --outputs finds every record of the same tree the same
     src = str(SCRIPTS.parent / "src")
-    proc = run_script("ab_solve.py", src, src, "--points", "--rounds", "1", "--limit", "3")
+    proc = run_script("ab_solve.py", src, src, "--points", "--rounds", "2", "--limit", "3",
+                      "--seed", "2")
     assert proc.returncode == 0, proc.stderr
     head, *rows = proc.stdout.splitlines()
-    assert head.startswith("1 interleaved edge_points units (seed 1)")
+    assert head.startswith("2 interleaved edge_points units (seed 2)")
     assert [row.split()[0] for row in rows] == ["gap", "endpoint", "near_axis", "far", "plain",
-                                                "gmean", "newton"]
+                                                "gmean", "newton", "real_gap"]
     medians = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
-    for old, new, ratio in (medians["gmean"], medians["newton"]):
+    for old, new, ratio in (medians["gmean"], medians["newton"], medians["real_gap"]):
         assert old > 0.0 and new > 0.0 and abs(ratio - new / old) <= 1e-3
     classes = [medians[row.split()[0]][0] for row in rows[:5]]
     assert abs(math.exp(sum(map(math.log, classes)) / 5) - medians["gmean"][0]) <= 1e-3 * (
